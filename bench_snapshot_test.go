@@ -232,9 +232,9 @@ func BenchmarkLiveMasterThroughput(b *testing.B) {
 func BenchmarkLiveMasterSpansThroughput(b *testing.B) {
 	sedFor := func(name string, watts float64) *middleware.SED {
 		sed, err := middleware.NewSED(middleware.SEDConfig{
-			Name:  name,
-			Slots: 4,
-			Meter: func() (float64, bool) { return watts, true },
+			Name:         name,
+			Slots:        4,
+			Interceptors: []middleware.Interceptor{&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }}},
 		})
 		if err != nil {
 			b.Fatal(err)

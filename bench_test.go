@@ -619,9 +619,11 @@ func BenchmarkAblationBudgetSteering(b *testing.B) {
 		constrained, err = sim.Run(sim.Config{
 			Platform: platform, Policy: pol, Tasks: tasks,
 			Explore: true, Contention: 0.08, Seed: 1,
-			OnFinish: func(rec sim.TaskRecord) {
-				now = rec.Finish
-				tr.Charge(rec.Finish, rec.MeanPowerW*rec.Exec())
+			Modules: []sim.Module{
+				&sim.HookModule{OnFinishFunc: func(rec sim.TaskRecord) {
+					now = rec.Finish
+					tr.Charge(rec.Finish, rec.MeanPowerW*rec.Exec())
+				}},
 			},
 		})
 		if err != nil {

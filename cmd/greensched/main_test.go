@@ -609,3 +609,36 @@ func TestUsageListsScenarioCommand(t *testing.T) {
 		}
 	}
 }
+
+// TestAllGolden pins every line `greensched all` prints at the default
+// seed — the byte-identical-output gate refactors are held to.
+// Regenerate after a deliberate change to an experiment with:
+//
+//	UPDATE_GOLDEN=1 go test ./cmd/greensched/ -run TestAllGolden
+func TestAllGolden(t *testing.T) {
+	var buf strings.Builder
+	if err := run([]string{"all"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "all.seed1.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(buf.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() == string(want) {
+		return
+	}
+	// 304 lines of tables: name the first line that moved.
+	got, exp := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	i := 0
+	for i < len(got) && i < len(exp) && got[i] == exp[i] {
+		i++
+	}
+	t.Fatalf("`greensched all` drifted from golden at line %d (got %d lines, want %d):\n got: %q\nwant: %q",
+		i+1, len(got), len(exp), append(got, "")[i], append(exp, "")[i])
+}

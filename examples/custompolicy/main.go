@@ -56,7 +56,9 @@ func main() {
 		sed, err := middleware.NewSED(middleware.SEDConfig{
 			Name:  name,
 			Slots: 2,
-			Meter: func() (float64, bool) { return watts, true },
+			Interceptors: []middleware.Interceptor{
+				&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }},
+			},
 		})
 		if err != nil {
 			panic(err)
@@ -74,17 +76,11 @@ func main() {
 	lean := mkSED("slow-lean", 10e6, 60)    // 10 Mflop/s, 60 W
 	mid := mkSED("balanced", 25e6, 150)     // 25 Mflop/s, 150 W
 
-	ma, err := middleware.NewMasterAgent("ma", sched.New(sched.GreenPerf))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	ma.Attach(fast, lean, mid)
-	dir := middleware.NewMapDirectory()
-	for _, sed := range []*middleware.SED{fast, lean, mid} {
-		dir.Add(sed.Name(), sed)
-	}
-	client, err := middleware.NewClient(ma, dir)
+	master, err := middleware.NewMaster(
+		middleware.WithName("ma"),
+		middleware.WithPolicy(sched.New(sched.GreenPerf)),
+		middleware.WithSEDs(fast, lean, mid),
+	)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -106,8 +102,8 @@ func main() {
 		sched.New(sched.Performance),
 		edpPolicy{ops: ops},
 	} {
-		ma.SetPolicy(policy)
-		resp, err := client.Submit(context.Background(), "burn", ops, 0, nil)
+		master.SetPolicy(policy)
+		resp, err := master.Submit(context.Background(), "burn", ops, 0, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -46,7 +46,9 @@ func sedFor(name string, release <-chan struct{}, started chan<- string) (*middl
 	sed, err := middleware.NewSED(middleware.SEDConfig{
 		Name:  name,
 		Slots: 2,
-		Meter: func() (float64, bool) { return 100, true },
+		Interceptors: []middleware.Interceptor{
+			&middleware.MeterInterceptor{Meter: func() (float64, bool) { return 100, true }},
+		},
 	})
 	if err != nil {
 		return nil, err

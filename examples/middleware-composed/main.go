@@ -12,10 +12,6 @@
 //   - every completion charges its metered energy share to the budget
 //     tracker (the share travels inside the gob response, so metering
 //     works across the wire).
-//
-// The legacy SEDConfig.Meter/Carbon/Estimation fields still work and
-// are converted onto this exact interceptor path internally; new
-// deployments should compose interceptors directly.
 package main
 
 import (

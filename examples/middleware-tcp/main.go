@@ -1,8 +1,8 @@
 // Distributed deployment: the DIET-style hierarchy over TCP on
-// localhost. Two SEDs serve behind gob endpoints, a Master Agent
-// elects through remote estimation calls, and the client solves on
-// the elected SED over the wire — the §III-A scheduling process end
-// to end across process boundaries (here, across sockets).
+// localhost. Two SEDs serve behind gob endpoints, a Master elects
+// through remote estimation calls and solves on the elected SED over
+// the wire — the §III-A scheduling process end to end across process
+// boundaries (here, across sockets).
 package main
 
 import (
@@ -27,7 +27,9 @@ func run() error {
 		sed, err := middleware.NewSED(middleware.SEDConfig{
 			Name:  name,
 			Slots: 2,
-			Meter: func() (float64, bool) { return watts, true },
+			Interceptors: []middleware.Interceptor{
+				&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }},
+			},
 		})
 		if err != nil {
 			return nil, err
@@ -71,15 +73,11 @@ func run() error {
 	defer remLean.Close()
 	defer remHungry.Close()
 
-	ma, err := middleware.NewMasterAgent("ma", sched.New(sched.GreenPerf))
-	if err != nil {
-		return err
-	}
-	ma.Attach(remLean, remHungry)
-	dir := middleware.NewMapDirectory()
-	dir.Add("lean", remLean)
-	dir.Add("hungry", remHungry)
-	client, err := middleware.NewClient(ma, dir)
+	master, err := middleware.NewMaster(
+		middleware.WithName("ma"),
+		middleware.WithPolicy(sched.New(sched.GreenPerf)),
+		middleware.WithRemotes(remLean, remHungry),
+	)
 	if err != nil {
 		return err
 	}
@@ -87,7 +85,7 @@ func run() error {
 	// Learning phase: one request lands on each unknown SED first.
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
-		resp, err := client.Submit(ctx, "burn", 1e6, 0, nil)
+		resp, err := master.Submit(ctx, "burn", 1e6, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -95,7 +93,7 @@ func run() error {
 	}
 
 	// With both SEDs measured, GreenPerf favours the lean one.
-	resp, err := client.Submit(ctx, "burn", 2e6, float64(1) /*maximize efficiency*/, nil)
+	resp, err := master.Submit(ctx, "burn", 2e6, float64(1) /*maximize efficiency*/, nil)
 	if err != nil {
 		return err
 	}

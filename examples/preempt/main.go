@@ -57,8 +57,10 @@ func main() {
 		Explore:      true,
 		Seed:         1,
 		SlotsPerNode: 1,
-		SLA:          &sla.Config{Catalog: sla.Catalog{"hard": {Name: "hard", Curve: sla.HardDrop{}}}},
-		Preemption:   &sla.Preemption{RestartPenaltyFrac: 0.25},
+		Modules: []sim.Module{
+			&sim.SLAModule{Config: &sla.Config{Catalog: sla.Catalog{"hard": {Name: "hard", Curve: sla.HardDrop{}}}}},
+			&sim.PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 0.25}},
+		},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

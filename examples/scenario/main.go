@@ -4,11 +4,6 @@
 // controller and an energy-budget tracker all attach as modules, with
 // no glue code between them. This walkthrough stacks all five on a
 // small two-site platform and prints what each module contributed.
-//
-// The legacy sim.Config one-slot hooks (Carbon, SLA, Preemption,
-// OnControl, OnFinish, PolicyFunc) still work and are converted onto
-// this exact module path internally; new scenarios should compose
-// modules directly.
 package main
 
 import (

@@ -55,7 +55,9 @@ func run(out string) error {
 		sed, err := middleware.NewSED(middleware.SEDConfig{
 			Name:  name,
 			Slots: 2,
-			Meter: func() (float64, bool) { return watts, true },
+			Interceptors: []middleware.Interceptor{
+				&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }},
+			},
 			Spans: spans, // the SED emits its own queue/solve spans
 		})
 		if err != nil {

@@ -70,7 +70,7 @@ type CarbonController struct {
 	// behaviour.
 	DeadlineSlackSec float64
 
-	// PreemptBatch, with the simulator's Config.Preemption enabled,
+	// PreemptBatch, with a sim.PreemptModule in the stack,
 	// lets the urgent path checkpoint a cheap running victim on a node
 	// whose queue holds at-risk deadline work instead of express-
 	// booting a dark node the queued work could never migrate to —
@@ -103,8 +103,8 @@ func (c *CarbonController) Validate() error {
 	return nil
 }
 
-// Tick implements the carbon-aware power-management step; install it
-// as sim.Config.OnControl.
+// Tick implements the carbon-aware power-management step; Module
+// calls it on every control tick.
 func (c *CarbonController) Tick(now float64, ctl sim.Control) {
 	nodes := ctl.Nodes()
 	intensity := make([]float64, len(nodes))

@@ -209,13 +209,15 @@ func TestCarbonControllerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := sim.Run(sim.Config{
-		Platform:     cluster.MustPlatform(cluster.NewNodes("taurus", 4)),
-		Policy:       sched.New(sched.Carbon),
-		Tasks:        workload.Shift(burst, 20*3600),
-		Explore:      true,
-		Seed:         1,
-		Carbon:       profile,
-		OnControl:    c.Tick,
+		Platform: cluster.MustPlatform(cluster.NewNodes("taurus", 4)),
+		Policy:   sched.New(sched.Carbon),
+		Tasks:    workload.Shift(burst, 20*3600),
+		Explore:  true,
+		Seed:     1,
+		Modules: []sim.Module{
+			&sim.CarbonModule{Profile: profile},
+			&Module{Controller: c},
+		},
 		ControlEvery: 300,
 		RetryEvery:   60,
 	})

@@ -92,7 +92,7 @@ func busy(v *estvec.Vector) float64 {
 }
 
 // Controller is an idle-timeout power manager driven by the
-// sim.Config.OnControl hook.
+// simulator's control tick (mount it with Module).
 type Controller struct {
 	// IdleTimeout powers a node off after this much workless time
 	// (seconds). Must be positive.
@@ -117,7 +117,7 @@ type Controller struct {
 	// SLA-blind behaviour.
 	DeadlineSlackSec float64
 
-	// PreemptBatch, with the simulator's Config.Preemption enabled,
+	// PreemptBatch, with a sim.PreemptModule in the stack,
 	// lets the urgent path checkpoint a cheap running victim on a node
 	// whose queue holds at-risk deadline work instead of express-
 	// booting dark capacity the queued work could never migrate to —
@@ -143,8 +143,8 @@ func (c *Controller) Validate() error {
 	return nil
 }
 
-// Tick implements the power-management step; install it as
-// sim.Config.OnControl. Wake-ups answer unplaced backlog; shutdowns
+// Tick implements the power-management step; Module calls it on
+// every control tick. Wake-ups answer unplaced backlog; shutdowns
 // apply the idle timeout while respecting MinOn.
 func (c *Controller) Tick(now float64, ctl sim.Control) {
 	nodes := ctl.Nodes()

@@ -26,7 +26,7 @@ func Example() {
 		Policy:       consolidation.Policy{},
 		Tasks:        tasks,
 		Seed:         1,
-		OnControl:    ctl.Tick,
+		Modules:      []sim.Module{&consolidation.Module{Controller: ctl}},
 		ControlEvery: 60,
 	})
 	if err != nil {

@@ -26,7 +26,7 @@ func TestModuleInitValidatesController(t *testing.T) {
 
 func TestModuleTickDelegates(t *testing.T) {
 	// A drained, long-idle node must be shut down through the module
-	// path exactly as through the legacy OnControl hook.
+	// path exactly as by calling the controller's Tick directly.
 	ctl := &fakeControl{nodes: []sim.NodeView{
 		{Name: "a", State: power.On, Slots: 2, Idle: 500, Candidate: true},
 		{Name: "b", State: power.On, Slots: 2, Idle: 500, Candidate: true},
@@ -41,11 +41,11 @@ func TestModuleTickDelegates(t *testing.T) {
 	}
 }
 
-// TestModulePathMatchesLegacyHook runs the identical consolidation
-// scenario once through Config.OnControl and once as a Module and
-// requires the byte-identical Result — the controller cannot tell
-// which mount it runs on.
-func TestModulePathMatchesLegacyHook(t *testing.T) {
+// TestModulePathMatchesHookModule runs the identical consolidation
+// scenario once with the controller's Tick in a bare sim.HookModule
+// and once as a Module and requires the byte-identical Result — the
+// controller cannot tell which mount it runs on.
+func TestModulePathMatchesHookModule(t *testing.T) {
 	tasks, err := workload.BurstThenRate{Total: 30, Burst: 6, Rate: 0.02, Ops: 4e11}.Tasks()
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +66,7 @@ func TestModulePathMatchesLegacyHook(t *testing.T) {
 		if modular {
 			cfg.Modules = []sim.Module{&Module{Controller: ctl}}
 		} else {
-			cfg.OnControl = ctl.Tick
+			cfg.Modules = []sim.Module{&sim.HookModule{OnTickFunc: ctl.Tick}}
 		}
 		res, err := sim.Run(cfg)
 		if err != nil {
@@ -74,11 +74,11 @@ func TestModulePathMatchesLegacyHook(t *testing.T) {
 		}
 		return res
 	}
-	legacy, mod := run(false), run(true)
-	if legacy.EnergyJ != mod.EnergyJ || legacy.Makespan != mod.Makespan ||
-		legacy.Boots != mod.Boots || legacy.Shutdowns != mod.Shutdowns {
-		t.Fatalf("module path diverged from legacy hook:\nlegacy: E=%v makespan=%v boots=%d shutdowns=%d\nmodule: E=%v makespan=%v boots=%d shutdowns=%d",
-			legacy.EnergyJ, legacy.Makespan, legacy.Boots, legacy.Shutdowns,
+	hook, mod := run(false), run(true)
+	if hook.EnergyJ != mod.EnergyJ || hook.Makespan != mod.Makespan ||
+		hook.Boots != mod.Boots || hook.Shutdowns != mod.Shutdowns {
+		t.Fatalf("module path diverged from hook module:\nhook:   E=%v makespan=%v boots=%d shutdowns=%d\nmodule: E=%v makespan=%v boots=%d shutdowns=%d",
+			hook.EnergyJ, hook.Makespan, hook.Boots, hook.Shutdowns,
 			mod.EnergyJ, mod.Makespan, mod.Boots, mod.Shutdowns)
 	}
 	if mod.Shutdowns == 0 {

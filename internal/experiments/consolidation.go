@@ -94,19 +94,17 @@ func RunConsolidation(cfg ConsolidationConfig) (*ConsolidationResult, error) {
 		Tasks:    tasks,
 		Seed:     cfg.Seed,
 	}
-	managed := func(policy sched.Policy) (sim.Config, error) {
-		ctl := &consolidation.Controller{
-			IdleTimeout: cfg.IdleTimeout,
-			MinOn:       cfg.MinOn,
-		}
-		if err := ctl.Validate(); err != nil {
-			return sim.Config{}, err
-		}
+	// The module validates its controller in Init, so a bad
+	// IdleTimeout/MinOn surfaces from sim.Run below.
+	managed := func(policy sched.Policy) sim.Config {
 		c := base
 		c.Policy = policy
-		c.OnControl = ctl.Tick
+		c.Modules = []sim.Module{&consolidation.Module{Controller: &consolidation.Controller{
+			IdleTimeout: cfg.IdleTimeout,
+			MinOn:       cfg.MinOn,
+		}}}
 		c.ControlEvery = cfg.TickSec
-		return c, nil
+		return c
 	}
 
 	randomCfg := base
@@ -114,14 +112,8 @@ func RunConsolidation(cfg ConsolidationConfig) (*ConsolidationResult, error) {
 	powerCfg := base
 	powerCfg.Policy = sched.New(sched.Power)
 	powerCfg.Explore = true
-	consCfg, err := managed(consolidation.Policy{})
-	if err != nil {
-		return nil, err
-	}
-	greenCfg, err := managed(consolidation.GreenTieBreak{})
-	if err != nil {
-		return nil, err
-	}
+	consCfg := managed(consolidation.Policy{})
+	greenCfg := managed(consolidation.GreenTieBreak{})
 	greenCfg.Explore = true // the green tie-break needs estimates
 
 	out := &ConsolidationResult{}

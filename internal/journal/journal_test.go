@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -198,54 +199,89 @@ func TestTornTail(t *testing.T) {
 	}
 }
 
-// TestCorruptChecksum flips a byte in a mid-log record: recovery keeps
-// the records before it and reports the cut.
+// TestCorruptChecksum damages the second of four records: recovery
+// keeps the records before it and reports the cut. The byte to flip is
+// found by walking the length prefixes, so the damage lands where the
+// case says regardless of how long each record encodes.
 func TestCorruptChecksum(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.wal")
-	j, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		// offset picks the byte to flip, given where frame 2 starts and
+		// how long its payload is.
+		offset func(frame2, size int) int
+		// reasons lists the acceptable diagnoses (any non-empty reason
+		// when nil); minRecords..maxRecords bounds the recovered prefix.
+		reasons                []string
+		minRecords, maxRecords int
+	}{
+		{
+			name:       "payload byte",
+			offset:     func(frame2, size int) int { return frame2 + headerBytes + size/2 },
+			reasons:    []string{"checksum", "undecodable"},
+			minRecords: 1, maxRecords: 1,
+		},
+		{
+			// A damaged length makes the reader mis-frame the rest of
+			// the log; which diagnosis it reaches depends on the bytes,
+			// but it must still cut at a good boundary and say why.
+			name:       "length prefix byte",
+			offset:     func(frame2, _ int) int { return frame2 },
+			minRecords: 1, maxRecords: 3,
+		},
 	}
-	for id := uint64(1); id <= 4; id++ {
-		if err := j.Admit(admit(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a payload byte roughly in the middle of the log (inside the
-	// second or third record, past its header).
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j.wal")
+			j, err := Open(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for id := uint64(1); id <= 4; id++ {
+				if err := j.Admit(admit(id)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame2 := headerBytes + int(binary.LittleEndian.Uint32(raw[0:4]))
+			size2 := int(binary.LittleEndian.Uint32(raw[frame2 : frame2+4]))
+			raw[tc.offset(frame2, size2)] ^= 0xff
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	rec, err := Recover(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rec.Truncated {
-		t.Fatal("corrupt record not reported")
-	}
-	if !strings.Contains(rec.Reason, "checksum") && !strings.Contains(rec.Reason, "undecodable") && !strings.Contains(rec.Reason, "implausible") {
-		t.Errorf("reason %q does not describe corruption", rec.Reason)
-	}
-	if rec.Records == 0 || rec.Records >= 4 {
-		t.Errorf("recovered %d records, want a proper prefix of 4", rec.Records)
-	}
-	// Open applies the same cut and keeps going.
-	j2, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if got := len(j2.Pending()); got != rec.Records {
-		t.Errorf("pending %d, want %d (one admission per good record)", got, rec.Records)
+			rec, err := Recover(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rec.Truncated {
+				t.Fatal("corrupt record not reported")
+			}
+			described := rec.Reason != "" && tc.reasons == nil
+			for _, r := range tc.reasons {
+				described = described || strings.Contains(rec.Reason, r)
+			}
+			if !described {
+				t.Errorf("reason %q does not describe the damage (want one of %q)", rec.Reason, tc.reasons)
+			}
+			if rec.Records < tc.minRecords || rec.Records > tc.maxRecords {
+				t.Errorf("recovered %d of 4 records, want %d..%d", rec.Records, tc.minRecords, tc.maxRecords)
+			}
+			// Open applies the same cut and keeps going.
+			j2, err := Open(path, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			if got := len(j2.Pending()); got != rec.Records {
+				t.Errorf("pending %d, want %d (one admission per good record)", got, rec.Records)
+			}
+		})
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"greensched/internal/core"
 	"greensched/internal/estvec"
 	"greensched/internal/obs"
 	"greensched/internal/sched"
@@ -229,8 +228,9 @@ func (a *Agent) SetSpans(w *obs.SpanWriter) {
 // snapshot is one atomic load — concurrent requests share it without
 // locking or copying — and the fan-out spawns the minimum goroutines
 // the semantics allow: none for a single child without a timeout, one
-// per child without a timeout, two per child (worker + abandoning
-// waiter) only when a timeout must cut a hung subtree loose.
+// per child but the last otherwise, and a second per child (the worker
+// the caller abandons) only when a timeout must cut a hung subtree
+// loose.
 func (a *Agent) Estimate(ctx context.Context, req Request) (estvec.List, error) {
 	st := a.state.Load()
 	children := st.children
@@ -292,52 +292,25 @@ func (a *Agent) Estimate(ctx context.Context, req Request) (estvec.List, error) 
 				merged = append(merged, list...)
 			}
 		}
-	case childTimeout <= 0:
-		// No timeout to enforce: one goroutine per child.
-		lists := make([]estvec.List, len(children))
-		errs := make([]error, len(children))
-		var wg sync.WaitGroup
-		wg.Add(len(children))
-		for i, c := range children {
-			go func(i int, c Child) {
-				defer wg.Done()
-				lists[i], errs[i] = c.Estimate(ctx, req)
-			}(i, c)
-		}
-		wg.Wait()
-		merged, lastErr, healthy = mergeLists(lists, errs)
 	default:
-		// Bounded round trips: a worker per child plus a waiter that
-		// abandons it at the deadline (the worker may ignore
-		// cancellation; its result channel is buffered so it never
-		// leaks).
+		// One goroutine per child but the last, which the caller asks
+		// itself instead of sleeping.
 		lists := make([]estvec.List, len(children))
 		errs := make([]error, len(children))
-		var wg sync.WaitGroup
-		wg.Add(len(children))
-		for i, c := range children {
-			go func(i int, c Child) {
-				defer wg.Done()
-				childCtx, cancel := context.WithTimeout(ctx, childTimeout)
-				defer cancel()
-				type estimation struct {
-					list estvec.List
-					err  error
-				}
-				ch := make(chan estimation, 1)
-				go func() {
-					list, err := c.Estimate(childCtx, req)
-					ch <- estimation{list, err}
-				}()
-				select {
-				case r := <-ch:
-					lists[i], errs[i] = r.list, r.err
-				case <-childCtx.Done():
-					// The child ignored cancellation; abandon it.
-					errs[i] = fmt.Errorf("middleware: child %s timed out: %w", c.Name(), childCtx.Err())
-				}
-			}(i, c)
+		ask := func(i int) { lists[i], errs[i] = children[i].Estimate(ctx, req) }
+		if childTimeout > 0 {
+			ask = func(i int) { lists[i], errs[i] = estimateWithin(ctx, childTimeout, children[i], req) }
 		}
+		last := len(children) - 1
+		var wg sync.WaitGroup
+		wg.Add(last)
+		for i := range children[:last] {
+			go func() {
+				defer wg.Done()
+				ask(i)
+			}()
+		}
+		ask(last)
 		wg.Wait()
 		merged, lastErr, healthy = mergeLists(lists, errs)
 	}
@@ -355,6 +328,29 @@ func (a *Agent) Estimate(ctx context.Context, req Request) (estvec.List, error) 
 	}
 	endEstimate(len(merged), nil)
 	return merged, nil
+}
+
+// estimateWithin bounds one child's round trip. The child may ignore
+// cancellation, so it answers a worker whose result channel is buffered
+// (it never leaks) and the caller abandons it at the deadline.
+func estimateWithin(ctx context.Context, d time.Duration, c Child, req Request) (estvec.List, error) {
+	ctx, cancel := context.WithTimeout(ctx, d)
+	defer cancel()
+	type estimation struct {
+		list estvec.List
+		err  error
+	}
+	ch := make(chan estimation, 1)
+	go func() {
+		list, err := c.Estimate(ctx, req)
+		ch <- estimation{list, err}
+	}()
+	select {
+	case r := <-ch:
+		return r.list, r.err
+	case <-ctx.Done():
+		return nil, fmt.Errorf("middleware: child %s timed out: %w", c.Name(), ctx.Err())
+	}
 }
 
 // mergeLists folds the indexed fan-out results in children order. A
@@ -499,36 +495,4 @@ func (d *MapDirectory) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Client submits problems through a Master Agent and invokes the
-// elected SED.
-type Client struct {
-	ma  *MasterAgent
-	dir Directory
-
-	nextID atomic.Uint64
-}
-
-// NewClient builds a client.
-func NewClient(ma *MasterAgent, dir Directory) (*Client, error) {
-	if ma == nil || dir == nil {
-		return nil, fmt.Errorf("middleware: client needs a master agent and a directory")
-	}
-	return &Client{ma: ma, dir: dir}, nil
-}
-
-// Submit runs the full §III-A problem-submission flow.
-func (c *Client) Submit(ctx context.Context, service string, ops float64, pref float64, payload []byte) (Response, error) {
-	req := Request{ID: c.nextID.Add(1), Service: service, Ops: ops, Pref: core.UserPref(pref), Payload: payload}
-
-	server, _, err := c.ma.Elect(ctx, req)
-	if err != nil {
-		return Response{}, err
-	}
-	solver, ok := c.dir.Lookup(server)
-	if !ok {
-		return Response{}, fmt.Errorf("middleware: elected SED %q not in directory", server)
-	}
-	return solver.Solve(ctx, req)
 }

@@ -18,8 +18,7 @@ import (
 //
 //   - mounted on a SED, its WrapEstimation hook publishes the site's
 //     current intensity under estvec.TagCarbonIntensity so
-//     carbon-aware policies rank on it (the interceptor spelling of
-//     the deprecated SEDConfig.Carbon field);
+//     carbon-aware policies rank on it;
 //   - mounted on a Master, its OnSubmit hook holds Deferrable
 //     requests back while the grid is dirtier than DirtyG — bounded
 //     by MaxDeferSec and the caller's context — and its OnComplete
@@ -43,8 +42,8 @@ type CarbonInterceptor struct {
 	// Epoch pins the signal's t=0 for SED mounts (zero = Init time);
 	// master mounts read the master clock instead.
 	Epoch time.Time
-	// Func overrides Signal with a live feed — the legacy
-	// SEDConfig.Carbon shape (value, ok).
+	// Func overrides Signal with a live feed (value, ok) — e.g. a
+	// grid-operator API poll.
 	Func CarbonFunc
 
 	// DirtyG enables deferral on master mounts: Deferrable requests

@@ -13,9 +13,9 @@ import (
 func carbonSED(t *testing.T, name string, g float64) *SED {
 	t.Helper()
 	sed, err := NewSED(SEDConfig{
-		Name:   name,
-		Slots:  2,
-		Carbon: func() (float64, bool) { return g, true },
+		Name:         name,
+		Slots:        2,
+		Interceptors: []Interceptor{&CarbonInterceptor{Func: func() (float64, bool) { return g, true }}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,9 @@ func TestSEDWithoutCarbonOmitsTag(t *testing.T) {
 		t.Error("SED without a signal must not invent an intensity")
 	}
 	// An attached func reporting ok=false behaves the same.
-	sed2 := &SEDConfig{Name: "dark", Slots: 1, Carbon: func() (float64, bool) { return 0, false }}
+	sed2 := &SEDConfig{Name: "dark", Slots: 1, Interceptors: []Interceptor{
+		&CarbonInterceptor{Func: func() (float64, bool) { return 0, false }},
+	}}
 	s2, err := NewSED(*sed2)
 	if err != nil {
 		t.Fatal(err)
@@ -109,10 +111,12 @@ func TestLiveSEDElectionFollowsCleanGrid(t *testing.T) {
 func carbonSEDWithSignal(t *testing.T, name string, sig carbon.Signal, epoch time.Time) *SED {
 	t.Helper()
 	sed, err := NewSED(SEDConfig{
-		Name:   name,
-		Slots:  2,
-		Meter:  func() (float64, bool) { return 150, true },
-		Carbon: carbon.Live(sig, epoch),
+		Name:  name,
+		Slots: 2,
+		Interceptors: []Interceptor{
+			&MeterInterceptor{Meter: func() (float64, bool) { return 150, true }},
+			&CarbonInterceptor{Func: carbon.Live(sig, epoch)},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

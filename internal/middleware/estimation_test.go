@@ -17,14 +17,16 @@ func TestCustomEstimationFunction(t *testing.T) {
 	sed, err := NewSED(SEDConfig{
 		Name:  "custom",
 		Slots: 2,
-		Estimation: func(s *SED, req Request) *estvec.Vector {
-			calls++
-			// Start from the defaults, then overlay a custom tag
-			// and a synthetic flops estimate.
-			v := s.DefaultEstimation(req)
-			v.Set(estvec.Tag("gpu_mem_free_gb"), 11)
-			v.Set(estvec.TagFlops, 42e9)
-			return v
+		Interceptors: []Interceptor{
+			&EstimationInterceptor{Estimate: func(s *SED, req Request) *estvec.Vector {
+				calls++
+				// Start from the defaults, then overlay a custom tag
+				// and a synthetic flops estimate.
+				v := s.DefaultEstimation(req)
+				v.Set(estvec.Tag("gpu_mem_free_gb"), 11)
+				v.Set(estvec.TagFlops, 42e9)
+				return v
+			}},
 		},
 	})
 	if err != nil {
@@ -62,8 +64,10 @@ func TestCustomEstimationDrivesElection(t *testing.T) {
 		sed, err := NewSED(SEDConfig{
 			Name:  name,
 			Slots: 1,
-			Estimation: func(s *SED, req Request) *estvec.Vector {
-				return s.DefaultEstimation(req).Set(tagLocality, locality)
+			Interceptors: []Interceptor{
+				&EstimationInterceptor{Estimate: func(s *SED, req Request) *estvec.Vector {
+					return s.DefaultEstimation(req).Set(tagLocality, locality)
+				}},
 			},
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -32,18 +33,26 @@ func TestLivePlacementShape(t *testing.T) {
 		{"sagittaire-1", 1.0e9, 246, 1},
 	}
 
-	build := func(policy sched.Policy) (*Client, map[string]*SED) {
+	build := func(policy sched.Policy) (*Master, map[string]*SED) {
 		seds := map[string]*SED{}
-		spec := TreeSpec{Name: "ma", Children: []TreeSpec{
-			{Name: "la-0"}, {Name: "la-1"},
-		}}
+		dir := NewMapDirectory()
+		var las [2]*Agent
+		for i := range las {
+			la, err := NewAgent(fmt.Sprintf("la-%d", i), policy, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			las[i] = la
+		}
 		for i, p := range profiles {
 			sed, err := NewSED(SEDConfig{
 				Name:  p.name,
 				Slots: p.slots,
-				Meter: func(w float64) MeterFunc {
-					return func() (float64, bool) { return w, true }
-				}(p.watts),
+				Interceptors: []Interceptor{
+					&MeterInterceptor{Meter: func(w float64) MeterFunc {
+						return func() (float64, bool) { return w, true }
+					}(p.watts)},
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -58,17 +67,14 @@ func TestLivePlacementShape(t *testing.T) {
 				}
 			}})
 			seds[p.name] = sed
-			spec.Children[i%2].SEDs = append(spec.Children[i%2].SEDs, sed)
+			las[i%2].Attach(sed)
+			dir.Add(p.name, sed)
 		}
-		ma, dir, err := BuildTree(spec, policy)
+		m, err := NewMaster(WithName("ma"), WithPolicy(policy), WithChildren(las[0], las[1]), WithTransport(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
-		client, err := NewClient(ma, dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return client, seds
+		return m, seds
 	}
 
 	run := func(policy sched.Policy) map[string]uint64 {

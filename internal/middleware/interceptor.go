@@ -24,12 +24,6 @@ import (
 // receives the SED's stock estimation function, each later one wraps
 // what the previous produced, so the last interceptor in the stack is
 // outermost.
-//
-// The legacy one-slot SEDConfig fields (Meter, Carbon, Estimation)
-// still work: NewSED converts each into the equivalent interceptor and
-// prepends it to the stack — in that fixed order — so a legacy
-// configuration and its explicit interceptor spelling produce
-// identical elections (asserted in compat_test.go).
 
 // ErrRejected marks a submission refused by an interceptor's OnSubmit
 // (admission control, budget exhaustion). Callers distinguish a
@@ -152,9 +146,8 @@ type Interceptor interface {
 
 // PowerSource is an optional Interceptor extension for SED mounts: a
 // SED polls every mounted source around each execution and feeds the
-// first available reading to its dynamic power/performance estimator,
-// exactly as the legacy SEDConfig.Meter did. MeterInterceptor is the
-// stock implementation.
+// first available reading to its dynamic power/performance estimator.
+// MeterInterceptor is the stock implementation.
 type PowerSource interface {
 	PowerW() (watts float64, ok bool)
 }
@@ -182,8 +175,8 @@ func (BaseInterceptor) OnComplete(RequestRecord) {}
 func (BaseInterceptor) Finalize(*LiveResult) {}
 
 // HookInterceptor adapts bare functions into an Interceptor — the
-// bridge the legacy SEDConfig fields ride on, and the quickest way to
-// drop an ad-hoc observer into a stack. Nil fields are no-ops.
+// quickest way to drop an ad-hoc observer into a stack. Nil fields are
+// no-ops.
 type HookInterceptor struct {
 	InitFunc           func(mount Mount) error
 	OnSubmitFunc       func(ctx context.Context, now float64, req *Request) error
@@ -239,8 +232,7 @@ func (h *HookInterceptor) Finalize(res *LiveResult) {
 }
 
 // MeterInterceptor supplies live power readings to the SED's dynamic
-// estimator — the interceptor spelling of the deprecated
-// SEDConfig.Meter field. Mount it on a SED.
+// estimator. Mount it on a SED.
 type MeterInterceptor struct {
 	BaseInterceptor
 	Meter MeterFunc
@@ -258,12 +250,9 @@ func (m *MeterInterceptor) Init(Mount) error {
 func (m *MeterInterceptor) PowerW() (float64, bool) { return m.Meter() }
 
 // EstimationInterceptor replaces the SED's estimation function
-// outright — the interceptor spelling of the deprecated
-// SEDConfig.Estimation field. Because it discards the function built
-// so far, mount it before interceptors whose wraps must survive (the
-// legacy adapter order puts it after the carbon tag, reproducing the
-// old field semantics where a custom estimation suppressed the carbon
-// tag).
+// outright. Because it discards the function built so far, mount it
+// before interceptors whose wraps must survive (a CarbonInterceptor
+// mounted earlier loses its tag).
 type EstimationInterceptor struct {
 	BaseInterceptor
 	Estimate EstimationFunc

@@ -128,7 +128,7 @@ type ReplayStats struct {
 // metering account for them exactly as first-time traffic. A request
 // the dead master had leased to a SED is redone only after its lease
 // expires, excluding that SED from the election — the restart
-// generalization of the SED-death-only SubmitWithRetry.
+// generalization of the SED-death-only WithRetries failover.
 //
 // Deferred (carbon-parked) entries are re-submitted in the BACKGROUND:
 // a replayed deferrable request re-enters the carbon interceptor,

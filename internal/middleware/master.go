@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"greensched/internal/core"
-	"greensched/internal/estvec"
 	"greensched/internal/journal"
 	"greensched/internal/obs"
 	"greensched/internal/sched"
@@ -199,9 +198,9 @@ func WithConcurrency(n int) Option {
 // WithRetries arms failover inside Do: when the elected SED's Solve
 // fails (transport loss, execution error) and the context is still
 // live, the master re-elects excluding the failed servers, up to n
-// additional attempts — the Master-level counterpart of
-// Client.SubmitWithRetry, running INSIDE the interceptor lifecycle
-// (admission once, OnElect per election, one OnComplete at the end).
+// additional attempts, INSIDE the interceptor lifecycle (admission
+// once, OnElect per election, one OnComplete at the end). An elected
+// name the transport cannot resolve fails over the same way.
 // Re-elections emit "reelect" spans when tracing is on.
 func WithRetries(n int) Option {
 	return func(c *masterConfig) { c.retries = n }
@@ -357,7 +356,7 @@ func (m *Master) Close() error {
 func (m *Master) Now() float64 { return m.clock() }
 
 // Submit runs the full §III-A problem-submission flow through the
-// interceptor stack — the composed counterpart of Client.Submit.
+// interceptor stack: Do over a request built from the arguments.
 func (m *Master) Submit(ctx context.Context, service string, ops float64, pref float64, payload []byte) (Response, error) {
 	return m.Do(ctx, Request{Service: service, Ops: ops, Pref: core.UserPref(pref), Payload: payload})
 }
@@ -485,6 +484,18 @@ func (m *Master) doWith(ctx context.Context, req Request, excluded map[string]bo
 		endRoot(err)
 		return Response{}, err
 	}
+	// retry reports whether a failed attempt on server may fail over,
+	// masking the server from the next election when it may.
+	retry := func(attempt int, server string) bool {
+		if attempt >= m.retries || ctx.Err() != nil {
+			return false
+		}
+		if excluded == nil {
+			excluded = make(map[string]bool)
+		}
+		excluded[server] = true
+		return true
+	}
 
 	for attempt := 0; ; attempt++ {
 		// Election. The elect span's ID is minted up front so the
@@ -505,14 +516,7 @@ func (m *Master) doWith(ctx context.Context, req Request, excluded map[string]bo
 				ereq.ParentSpan = electID
 			}
 		}
-		var server string
-		var list estvec.List
-		var err error
-		if attempt == 0 && excluded == nil {
-			server, list, err = m.Elect(ctx, ereq)
-		} else {
-			server, list, err = m.ElectExcluding(ctx, ereq, excluded)
-		}
+		server, list, err := m.ElectExcluding(ctx, ereq, excluded)
 		if m.sink != nil {
 			electDur := obs.Uptime() - electStart
 			if !m.sink.spans() {
@@ -541,6 +545,10 @@ func (m *Master) doWith(ctx context.Context, req Request, excluded map[string]bo
 
 		solver, ok := m.dir.Lookup(server)
 		if !ok {
+			// No lease is booked for a server that cannot be reached.
+			if retry(attempt, server) {
+				continue
+			}
 			return fail(server, now, fmt.Errorf("middleware: elected SED %q not in transport", server))
 		}
 
@@ -567,11 +575,7 @@ func (m *Master) doWith(ctx context.Context, req Request, excluded map[string]bo
 			if ctx.Err() == nil && m.lifecycle.SEDDown != nil {
 				m.lifecycle.SEDDown(server, err)
 			}
-			if attempt < m.retries && ctx.Err() == nil {
-				if excluded == nil {
-					excluded = make(map[string]bool)
-				}
-				excluded[server] = true
+			if retry(attempt, server) {
 				continue
 			}
 			return fail(server, start, err)

@@ -125,35 +125,15 @@ type SEDConfig struct {
 
 	// Interceptors is the SED's extension stack: WrapEstimation hooks
 	// fold left-to-right over DefaultEstimation, and PowerSource
-	// implementations feed the dynamic estimator. The deprecated
-	// Meter and Estimation fields below are converted into equivalent
-	// interceptors and prepended (in that order); the deprecated
-	// Carbon field stays inside DefaultEstimation — the chain's base —
-	// so custom estimation functions built on it keep seeing the tag
-	// exactly once. Legacy configurations keep their exact behaviour
-	// either way (asserted in compat_test.go).
+	// implementations feed the dynamic estimator (MeterInterceptor
+	// for live power readings, CarbonInterceptor for the site's grid
+	// intensity tag, EstimationInterceptor to override the estimation
+	// function).
 	Interceptors []Interceptor
 
-	// Meter supplies live power readings for the dynamic estimator.
-	//
-	// Deprecated: mount a MeterInterceptor in Interceptors instead.
-	Meter MeterFunc
-	// Carbon supplies the site's live grid carbon intensity; when
-	// set, the default estimation function reports it under
-	// estvec.TagCarbonIntensity so carbon-aware policies can rank on
-	// it.
-	//
-	// Deprecated: mount a CarbonInterceptor (Func or Signal) in
-	// Interceptors instead.
-	Carbon CarbonFunc
 	// EstimatorWindow is the moving-average window (requests); 0
 	// means 64.
 	EstimatorWindow int
-	// Estimation overrides the default estimation function.
-	//
-	// Deprecated: mount an EstimationInterceptor in Interceptors
-	// instead.
-	Estimation EstimationFunc
 	// BootSec/BootPowerW describe the node for Eq. 4/5 when the SED
 	// is provisioned from cold.
 	BootSec    float64
@@ -253,11 +233,8 @@ func (s *SED) Stats() SEDStats {
 	return st
 }
 
-// NewSED constructs a SED: it converts the deprecated one-slot config
-// fields into their interceptor equivalents, prepends them to the
-// explicit stack (Meter, Estimation, then cfg.Interceptors), runs
-// every Init, and folds the WrapEstimation hooks left-to-right over
-// DefaultEstimation.
+// NewSED constructs a SED: it runs every interceptor's Init and folds
+// the WrapEstimation hooks left-to-right over DefaultEstimation.
 func NewSED(cfg SEDConfig) (*SED, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("middleware: SED needs a name")
@@ -276,24 +253,10 @@ func NewSED(cfg SEDConfig) (*SED, error) {
 	s.services.Store(&map[string]Service{})
 	s.active.Store(true)
 
-	// Legacy adapters first, in a fixed documented order. cfg.Carbon
-	// stays inside DefaultEstimation (the chain's base) rather than
-	// becoming a chain element: custom estimation functions build on
-	// DefaultEstimation and must keep seeing the legacy tag exactly
-	// once.
-	var chain []Interceptor
-	if cfg.Meter != nil {
-		chain = append(chain, &MeterInterceptor{Meter: cfg.Meter})
-	}
-	if cfg.Estimation != nil {
-		chain = append(chain, &EstimationInterceptor{Estimate: cfg.Estimation})
-	}
-	chain = append(chain, cfg.Interceptors...)
-
 	est := EstimationFunc(func(sed *SED, req Request) *estvec.Vector {
 		return sed.DefaultEstimation(req)
 	})
-	for _, ic := range chain {
+	for _, ic := range cfg.Interceptors {
 		if ic == nil {
 			return nil, fmt.Errorf("middleware: SED %s: nil interceptor", cfg.Name)
 		}
@@ -335,8 +298,7 @@ func (s *SED) Close() error {
 }
 
 // readPower polls the SED's power sources in stack order and returns
-// the first available reading — single-meter deployments behave
-// exactly as the legacy Meter field did.
+// the first available reading.
 func (s *SED) readPower() (float64, bool) {
 	for _, src := range s.sources {
 		if w, ok := src.PowerW(); ok {
@@ -406,12 +368,6 @@ func (s *SED) DefaultEstimation(req Request) *estvec.Vector {
 		Set(estvec.TagBootPowerW, s.cfg.BootPowerW).
 		SetBool(estvec.TagActive, s.active.Load()).
 		Set(estvec.TagRandom, randFloat())
-
-	if s.cfg.Carbon != nil {
-		if g, ok := s.cfg.Carbon(); ok {
-			v.Set(estvec.TagCarbonIntensity, g)
-		}
-	}
 
 	s.mu.Lock()
 	est := s.est

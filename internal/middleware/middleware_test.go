@@ -33,9 +33,9 @@ func burnService(speed float64) Service {
 func newSED(t *testing.T, name string, slots int, speed, watts float64) *SED {
 	t.Helper()
 	sed, err := NewSED(SEDConfig{
-		Name:  name,
-		Slots: slots,
-		Meter: func() (float64, bool) { return watts, true },
+		Name:         name,
+		Slots:        slots,
+		Interceptors: []Interceptor{&MeterInterceptor{Meter: func() (float64, bool) { return watts, true }}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestSEDContextCancellationWhileQueued(t *testing.T) {
 	close(release)
 }
 
-func buildHierarchy(t *testing.T, policy sched.Policy) (*MasterAgent, *Client, map[string]*SED) {
+func buildHierarchy(t *testing.T, policy sched.Policy) (*Master, map[string]*SED) {
 	t.Helper()
 	// MA over two LAs over two SEDs each — the paper's agent tree.
 	seds := map[string]*SED{
@@ -178,20 +178,15 @@ func buildHierarchy(t *testing.T, policy sched.Policy) (*MasterAgent, *Client, m
 	}
 	la1.Attach(seds["lean-0"], seds["lean-1"])
 	la2.Attach(seds["hungry-0"], seds["hungry-1"])
-	ma, err := NewMasterAgent("ma", policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma.Attach(la1, la2)
 	dir := NewMapDirectory()
 	for name, sed := range seds {
 		dir.Add(name, sed)
 	}
-	client, err := NewClient(ma, dir)
+	m, err := NewMaster(WithName("ma"), WithPolicy(policy), WithChildren(la1, la2), WithTransport(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ma, client, seds
+	return m, seds
 }
 
 // prime runs one request through every SED so estimators are known.
@@ -205,7 +200,7 @@ func prime(t *testing.T, seds map[string]*SED) {
 }
 
 func TestHierarchyElectionFollowsPolicy(t *testing.T) {
-	ma, _, seds := buildHierarchy(t, sched.New(sched.Power))
+	ma, seds := buildHierarchy(t, sched.New(sched.Power))
 	prime(t, seds)
 	server, list, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7})
 	if err != nil {
@@ -229,14 +224,14 @@ func TestHierarchyElectionFollowsPolicy(t *testing.T) {
 }
 
 func TestHierarchyUnknownService(t *testing.T) {
-	ma, _, _ := buildHierarchy(t, sched.New(sched.Power))
+	ma, _ := buildHierarchy(t, sched.New(sched.Power))
 	if _, _, err := ma.Elect(context.Background(), Request{Service: "missing"}); err == nil {
 		t.Fatal("unknown service should error (paper step 1)")
 	}
 }
 
 func TestClientEndToEnd(t *testing.T) {
-	_, client, seds := buildHierarchy(t, sched.New(sched.Power))
+	client, seds := buildHierarchy(t, sched.New(sched.Power))
 	prime(t, seds)
 	resp, err := client.Submit(context.Background(), "burn", 1e7, 0, nil)
 	if err != nil {
@@ -248,7 +243,7 @@ func TestClientEndToEnd(t *testing.T) {
 }
 
 func TestClientConcurrentSubmissions(t *testing.T) {
-	_, client, seds := buildHierarchy(t, sched.New(sched.GreenPerf))
+	client, seds := buildHierarchy(t, sched.New(sched.GreenPerf))
 	prime(t, seds)
 	var wg sync.WaitGroup
 	errs := make([]error, 32)
@@ -275,7 +270,7 @@ func TestClientConcurrentSubmissions(t *testing.T) {
 }
 
 func TestCandidateFilterApplied(t *testing.T) {
-	ma, _, seds := buildHierarchy(t, sched.New(sched.Performance))
+	ma, seds := buildHierarchy(t, sched.New(sched.Performance))
 	prime(t, seds)
 	// Provider filter: drop hungry nodes entirely.
 	ma.SetCandidateFilter(func(l estvec.List) estvec.List {
@@ -361,13 +356,13 @@ func TestAgentValidation(t *testing.T) {
 	if _, err := NewAgent("a", sched.New(sched.Power), -1); err == nil {
 		t.Fatal("negative topK accepted")
 	}
-	if _, err := NewClient(nil, NewMapDirectory()); err == nil {
-		t.Fatal("nil MA accepted")
+	if _, err := NewMaster(WithPolicy(sched.New(sched.Power)), WithSEDs(nil)); err == nil {
+		t.Fatal("nil SED accepted")
 	}
 }
 
 func TestInactiveSEDNotElected(t *testing.T) {
-	ma, _, seds := buildHierarchy(t, sched.New(sched.Power))
+	ma, seds := buildHierarchy(t, sched.New(sched.Power))
 	prime(t, seds)
 	seds["lean-0"].SetActive(false)
 	seds["lean-1"].SetActive(false)
@@ -467,19 +462,11 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	defer remA.Close()
 	defer remB.Close()
 
-	ma, err := NewMasterAgent("ma", policy)
+	ma, err := NewMaster(WithName("ma"), WithPolicy(policy), WithRemotes(remA, remB))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma.Attach(remA, remB)
-	dir := NewMapDirectory()
-	dir.Add("tcp-a", remA)
-	dir.Add("tcp-b", remB)
-	client, err := NewClient(ma, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := client.Submit(context.Background(), "burn", 1e7, 0, nil)
+	resp, err := ma.Submit(context.Background(), "burn", 1e7, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +507,7 @@ func BenchmarkHierarchyElection(b *testing.B) {
 	ma, _ := NewMasterAgent("ma", policy)
 	for i := 0; i < 16; i++ {
 		sed, _ := NewSED(SEDConfig{Name: fmt.Sprintf("s%d", i), Slots: 4,
-			Meter: func() (float64, bool) { return 100, true }})
+			Interceptors: []Interceptor{&MeterInterceptor{Meter: func() (float64, bool) { return 100, true }}}})
 		sed.Register(Service{Name: "burn", Solve: func(ctx context.Context, r Request) ([]byte, error) { return nil, nil }})
 		sed.Solve(context.Background(), Request{Service: "burn", Ops: 1e6})
 		ma.Attach(sed)

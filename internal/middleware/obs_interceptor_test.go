@@ -249,8 +249,8 @@ func TestMasterMetricsListener(t *testing.T) {
 func TestSEDMetricsListener(t *testing.T) {
 	sed, err := NewSED(SEDConfig{
 		Name: "node-1", Slots: 2,
-		Meter:       func() (float64, bool) { return 120, true },
-		MetricsAddr: "127.0.0.1:0",
+		Interceptors: []Interceptor{&MeterInterceptor{Meter: func() (float64, bool) { return 120, true }}},
+		MetricsAddr:  "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 // abstracted into a software layer that can be ... controlled
 // centrally" must be race-free.
 func TestConcurrentPolicySwapUnderLoad(t *testing.T) {
-	ma, client, seds := buildHierarchy(t, sched.New(sched.Power))
+	ma, seds := buildHierarchy(t, sched.New(sched.Power))
 	prime(t, seds)
 
 	stop := make(chan struct{})
@@ -46,7 +46,7 @@ func TestConcurrentPolicySwapUnderLoad(t *testing.T) {
 			defer submitters.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			_, errs[i] = client.Submit(ctx, "burn", 1e7, 0, nil)
+			_, errs[i] = ma.Submit(ctx, "burn", 1e7, 0, nil)
 		}(i)
 	}
 	submitters.Wait()

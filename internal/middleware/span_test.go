@@ -24,6 +24,24 @@ func readSpans(t *testing.T, buf *bytes.Buffer) []obs.Span {
 	return spans
 }
 
+// wantOneReelect requires the span stream to carry exactly one
+// "reelect" span, electing server.
+func wantOneReelect(t *testing.T, buf *bytes.Buffer, server string) {
+	t.Helper()
+	reelects := 0
+	for _, sp := range readSpans(t, buf) {
+		if sp.Name == obs.StageReelect {
+			reelects++
+			if got := sp.Attrs["server"]; got != server {
+				t.Errorf("reelect span chose %q, want %s", got, server)
+			}
+		}
+	}
+	if reelects != 1 {
+		t.Fatalf("%d reelect spans, want 1", reelects)
+	}
+}
+
 // spansByTrace groups spans per trace.
 func spansByTrace(spans []obs.Span) map[uint64][]obs.Span {
 	byTrace := map[uint64][]obs.Span{}
@@ -50,7 +68,7 @@ func TestSpanTreeStitchesAcrossTCP(t *testing.T) {
 	for name, speed := range map[string]float64{"lean": 2e9, "hungry": 4e9} {
 		sed, err := NewSED(SEDConfig{
 			Name: name, Slots: 2, Spans: w,
-			Meter: func() (float64, bool) { return 100, true },
+			Interceptors: []Interceptor{&MeterInterceptor{Meter: func() (float64, bool) { return 100, true }}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -308,19 +326,7 @@ func TestWithRetriesReelects(t *testing.T) {
 	if res.Completed != 1 || res.Failed != 0 {
 		t.Fatalf("result %+v, want exactly one completion and no failure", res)
 	}
-
-	reelects := 0
-	for _, sp := range readSpans(t, &buf) {
-		if sp.Name == obs.StageReelect {
-			reelects++
-			if sp.Attrs["server"] != "healthy" {
-				t.Errorf("reelect span chose %q, want healthy", sp.Attrs["server"])
-			}
-		}
-	}
-	if reelects != 1 {
-		t.Fatalf("%d reelect spans, want 1", reelects)
-	}
+	wantOneReelect(t, &buf, "healthy")
 }
 
 // TestRemoteStatsFleetCoverage: the wireStats frame carries a remote

@@ -144,16 +144,14 @@ func TestFailoverAfterTransportFault(t *testing.T) {
 	rem := Dial("doomed", ep.Addr())
 	defer rem.Close()
 
-	ma, err := NewMasterAgent("ma", sched.New(sched.Power))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ma.Attach(rem, healthy)
-	ma.SetChildTimeout(2 * time.Second)
-	dir := NewMapDirectory()
-	dir.Add("doomed", rem)
-	dir.Add("healthy", healthy)
-	client, err := NewClient(ma, dir)
+	ma, err := NewMaster(
+		WithName("ma"),
+		WithPolicy(sched.New(sched.Power)),
+		WithRemotes(rem),
+		WithSEDs(healthy),
+		WithChildTimeout(2*time.Second),
+		WithRetries(2),
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +169,7 @@ func TestFailoverAfterTransportFault(t *testing.T) {
 		time.Sleep(150 * time.Millisecond)
 		ep.Close() // drop the connection mid-solve
 	}()
-	resp, err := client.SubmitWithRetry(context.Background(), "burn2", 1e6, 0, nil, 2)
+	resp, err := ma.Submit(context.Background(), "burn2", 1e6, 0, nil)
 	if err != nil {
 		t.Fatalf("failover submit: %v", err)
 	}

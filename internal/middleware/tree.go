@@ -9,58 +9,8 @@ import (
 	"greensched/internal/sched"
 )
 
-// TreeSpec declares an agent hierarchy: the paper deploys a Master
-// Agent over Local Agents over SEDs; this builder turns the shape into
-// wired components plus a directory of every SED.
-type TreeSpec struct {
-	Name     string
-	TopK     int
-	Children []TreeSpec
-	SEDs     []*SED
-}
-
-// BuildTree constructs the hierarchy with one plug-in policy shared by
-// every agent (DIET configures plug-ins per agent; SetPolicy allows
-// divergence afterwards). It returns the Master Agent and a directory
-// resolving every SED in the tree.
-func BuildTree(spec TreeSpec, policy sched.Policy) (*MasterAgent, *MapDirectory, error) {
-	if policy == nil {
-		return nil, nil, fmt.Errorf("middleware: tree needs a policy")
-	}
-	ma, err := NewMasterAgent(spec.Name, policy)
-	if err != nil {
-		return nil, nil, err
-	}
-	dir := NewMapDirectory()
-	if err := attachSpec(ma.Agent, spec, policy, dir); err != nil {
-		return nil, nil, err
-	}
-	return ma, dir, nil
-}
-
-func attachSpec(agent *Agent, spec TreeSpec, policy sched.Policy, dir *MapDirectory) error {
-	for _, sed := range spec.SEDs {
-		if sed == nil {
-			return fmt.Errorf("middleware: nil SED under agent %s", spec.Name)
-		}
-		agent.Attach(sed)
-		dir.Add(sed.Name(), sed)
-	}
-	for _, child := range spec.Children {
-		sub, err := NewAgent(child.Name, policy, child.TopK)
-		if err != nil {
-			return err
-		}
-		if err := attachSpec(sub, child, policy, dir); err != nil {
-			return err
-		}
-		agent.Attach(sub)
-	}
-	return nil
-}
-
-// ElectExcluding runs the election while masking a set of servers —
-// the retry path after a SED failure.
+// ElectExcluding runs the election while masking a set of servers (the
+// retry path after a SED failure); with none masked it is Elect.
 func (m *MasterAgent) ElectExcluding(ctx context.Context, req Request, exclude map[string]bool) (string, estvec.List, error) {
 	server, list, err := m.Elect(ctx, req)
 	if err != nil {
@@ -83,46 +33,6 @@ func (m *MasterAgent) ElectExcluding(ctx context.Context, req Request, exclude m
 		return "", filtered, err
 	}
 	return chosen.Server, filtered, nil
-}
-
-// SubmitWithRetry is Submit with failover: when the elected SED's
-// Solve fails, the request is re-elected excluding the failed servers,
-// up to `retries` additional attempts. Context cancellation is
-// terminal (the client gave up, not the server).
-func (c *Client) SubmitWithRetry(ctx context.Context, service string, ops float64, pref float64, payload []byte, retries int) (Response, error) {
-	id := c.nextID.Add(1)
-	req := Request{ID: id, Service: service, Ops: ops, Pref: core.UserPref(pref), Payload: payload}
-
-	exclude := map[string]bool{}
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return Response{}, err
-		}
-		server, _, err := c.ma.ElectExcluding(ctx, req, exclude)
-		if err != nil {
-			if lastErr != nil {
-				return Response{}, fmt.Errorf("%w (after: %v)", err, lastErr)
-			}
-			return Response{}, err
-		}
-		solver, ok := c.dir.Lookup(server)
-		if !ok {
-			exclude[server] = true
-			lastErr = fmt.Errorf("middleware: elected SED %q not in directory", server)
-			continue
-		}
-		resp, err := solver.Solve(ctx, req)
-		if err == nil {
-			return resp, nil
-		}
-		if ctx.Err() != nil {
-			return Response{}, err
-		}
-		exclude[server] = true
-		lastErr = err
-	}
-	return Response{}, fmt.Errorf("middleware: request %d failed after %d attempts: %w", id, retries+1, lastErr)
 }
 
 // ProviderFilter builds the Master Agent candidate filter that applies

@@ -30,7 +30,7 @@ func TestCarbonAccountingMatchesEnergyOnConstantGrid(t *testing.T) {
 		Tasks:    carbonTasks(t, 24, 4.5e11),
 		Explore:  true,
 		Seed:     1,
-		Carbon:   constantProfile(300),
+		Modules:  []Module{&CarbonModule{Profile: constantProfile(300)}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestCarbonPolicyShiftsWorkToCleanSite(t *testing.T) {
 			Tasks:    tasks,
 			Explore:  true,
 			Seed:     1,
-			Carbon:   profile,
+			Modules:  []Module{&CarbonModule{Profile: profile}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +134,7 @@ func TestCarbonDiurnalIntegrationIsTimeSensitive(t *testing.T) {
 			Tasks:    workload.Shift(carbonTasks(t, 24, 4.5e11), shift),
 			Explore:  true,
 			Seed:     1,
-			Carbon:   profile,
+			Modules:  []Module{&CarbonModule{Profile: profile}},
 		})
 		if err != nil {
 			t.Fatal(err)

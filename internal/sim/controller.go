@@ -16,7 +16,7 @@ import (
 // observes node state on a fixed virtual-time cadence and issues
 // power-on/power-off decisions. The §IV-C adaptive experiment predates
 // this hook and drives its pool directly (adaptive.go); new
-// controllers should use Config.OnControl.
+// controllers should implement Module.OnTick.
 
 // NodeView is the controller-visible state of one SED at a tick.
 type NodeView struct {
@@ -74,7 +74,7 @@ type RunningView struct {
 	RedoSec float64
 }
 
-// Control is the surface handed to Config.OnControl each tick. All
+// Control is the surface handed to Module.OnTick each tick. All
 // operations happen at the tick's virtual time.
 type Control interface {
 	// Nodes lists every SED in platform order.
@@ -109,11 +109,11 @@ type Control interface {
 	// ID) — the victim candidates for Preempt. Nil for unknown nodes.
 	Running(name string) []RunningView
 	// Preempt checkpoints one running task: its completed Ops fraction
-	// is retained minus Config.Preemption's restart penalty, the
+	// is retained minus the PreemptModule's restart penalty, the
 	// executed segment keeps its energy/CO2 charge, the remainder
 	// re-enters election, and the freed slot immediately drains the
-	// node's queue. It refuses unknown nodes or tasks, runs without
-	// Config.Preemption, zero-progress segments, and victims whose own
+	// node's queue. It refuses unknown nodes or tasks, runs without a
+	// PreemptModule, zero-progress segments, and victims whose own
 	// deadline the restart would breach — preemption may never
 	// manufacture a new SLA miss.
 	Preempt(name string, taskID int) error
@@ -354,16 +354,16 @@ func (r *Runner) sedByName(name string) *sedState {
 }
 
 // scheduleControl arms the recurring controller tick: every module's
-// OnTick runs in stack order against one shared Control surface (the
-// legacy Config.OnControl hook arrives here as an adapter). Ticking
-// stops once every task has resolved so the event queue can drain.
+// OnTick runs in stack order against one shared Control surface.
+// Ticking stops once every task has resolved so the event queue can
+// drain.
 func (r *Runner) scheduleControl(every float64) {
 	r.eng.After(every, "control", func(t simtime.Time) {
 		if r.resolved() >= len(r.cfg.Tasks) {
 			return
 		}
 		ctl := &runnerControl{r: r, now: t.Seconds()}
-		for _, m := range r.mods {
+		for _, m := range r.cfg.Modules {
 			m.OnTick(t.Seconds(), ctl)
 		}
 		r.scheduleControl(every)

@@ -81,7 +81,7 @@ func TestControllerHookEndToEnd(t *testing.T) {
 		Policy:       sched.New(sched.Power),
 		Tasks:        tasks,
 		Seed:         1,
-		OnControl:    ctl.tick,
+		Modules:      []Module{&HookModule{OnTickFunc: ctl.tick}},
 		ControlEvery: 60,
 	})
 	if err != nil {
@@ -116,7 +116,7 @@ func TestControllerSavesEnergyOnIdleGap(t *testing.T) {
 	}
 	withCtl := base
 	ctl := &recordingController{}
-	withCtl.OnControl = ctl.tick
+	withCtl.Modules = []Module{&HookModule{OnTickFunc: ctl.tick}}
 	withCtl.ControlEvery = 60
 	managed, err := Run(withCtl)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestControlPowerOffRefusals(t *testing.T) {
 		Policy:       sched.New(sched.Power),
 		Tasks:        tasks,
 		Seed:         1,
-		OnControl:    hook,
+		Modules:      []Module{&HookModule{OnTickFunc: hook}},
 		ControlEvery: 30,
 	}); err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestControlNeverLeavesZeroCandidates(t *testing.T) {
 		Policy:       sched.New(sched.Power),
 		Tasks:        tasks,
 		Seed:         1,
-		OnControl:    hook,
+		Modules:      []Module{&HookModule{OnTickFunc: hook}},
 		ControlEvery: 45,
 	})
 	if err != nil {
@@ -238,7 +238,7 @@ func TestUnplacedCountReturnsToZero(t *testing.T) {
 		Policy:       sched.New(sched.Power),
 		Tasks:        tasks,
 		Seed:         1,
-		OnControl:    hook,
+		Modules:      []Module{&HookModule{OnTickFunc: hook}},
 		ControlEvery: 30,
 	})
 	if err != nil {

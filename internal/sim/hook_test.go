@@ -17,7 +17,7 @@ func TestOnFinishHookObservesEveryTask(t *testing.T) {
 		Tasks:    tasks(25, 1e11, 2),
 		Explore:  true,
 		Seed:     3,
-		OnFinish: func(rec TaskRecord) { seen = append(seen, rec) },
+		Modules:  []Module{&HookModule{OnFinishFunc: func(rec TaskRecord) { seen = append(seen, rec) }}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,11 +53,13 @@ func TestOnFinishHookCanSteerPolicy(t *testing.T) {
 		Policy:   pol,
 		Tasks:    tasks(40, 1e11, 1),
 		Seed:     4,
-		OnFinish: func(TaskRecord) {
-			count++
-			if count == 10 {
-				flipped = true
-			}
+		Modules: []Module{
+			&HookModule{OnFinishFunc: func(TaskRecord) {
+				count++
+				if count == 10 {
+					flipped = true
+				}
+			}},
 		},
 	})
 	if err != nil {

@@ -19,12 +19,6 @@ import (
 // Config.Modules instead of occupying a dedicated Config field. A
 // scenario stacks as many modules as it needs; the hooks of every
 // module run in stack order at each extension point.
-//
-// The legacy one-slot hooks (Config.Carbon, .SLA, .Preemption,
-// .OnControl, .OnFinish, .PolicyFunc) still work: NewRunner converts
-// each one into the equivalent module and prepends it to the stack, so
-// a legacy configuration and its explicit module spelling produce
-// byte-identical Results (asserted in compat_test.go).
 
 // Module observes and steers one simulation run. All hooks are called
 // synchronously inside the event loop on virtual time. Implementations
@@ -89,9 +83,8 @@ func (BaseModule) OnTick(float64, Control) {}
 // Finalize implements Module.
 func (BaseModule) Finalize(*Result) {}
 
-// HookModule adapts bare functions into a Module — the bridge the
-// legacy Config hooks ride on, and the quickest way to drop an ad-hoc
-// observer into a stack. Nil fields are no-ops.
+// HookModule adapts bare functions into a Module — the quickest way
+// to drop an ad-hoc observer into a stack. Nil fields are no-ops.
 type HookModule struct {
 	InitFunc       func(r *Runner) error
 	OnArrivalFunc  func(now float64, t *workload.Task)
@@ -154,9 +147,9 @@ func (h *HookModule) Finalize(res *Result) {
 // clean periods are a controller concern — stack a
 // consolidation.Module carrying a CarbonController on top.
 //
-// (It lives in package sim rather than package carbon because sim
-// already depends on carbon for the legacy Config.Carbon adapter; a
-// carbon.Module would close an import cycle.)
+// (It lives in package sim rather than package carbon because Init
+// writes the runner's per-node state, and sim imports carbon for the
+// signal types; a carbon.Module would close an import cycle.)
 type CarbonModule struct {
 	BaseModule
 	Profile *carbon.Profile
@@ -195,8 +188,8 @@ func (m *CarbonModule) Init(r *Runner) error {
 // With WrapDeadline set the module also owns the election policy of
 // deadline-carrying tasks: it wraps the stack's policy in
 // sched.DeadlineAware for the task's own resolved deadline, which is
-// the per-task wiring SLA experiments previously hand-rolled through
-// Config.PolicyFunc.
+// the per-task wiring SLA experiments would otherwise hand-roll in a
+// HookModule.WrapPolicyFunc.
 type SLAModule struct {
 	BaseModule
 	Config *sla.Config
@@ -255,7 +248,11 @@ func (m *SLAModule) Finalize(res *Result) {
 // deadline-urgent arrival may checkpoint and displace a running task
 // when the elected SED's own slack math says waiting would breach the
 // deadline but an immediate start would not, and controllers may issue
-// Control.Preempt. See Config.Preemption for the full semantics.
+// Control.Preempt. The checkpointed fraction of the victim's Ops is
+// retained minus the configured restart penalty; the victim re-enters
+// election with the remainder. A victim whose own deadline the restart
+// would breach is never displaced (sla.SafeToDisplace). Without the
+// module tasks are non-preemptible.
 type PreemptModule struct {
 	BaseModule
 	Preemption *sla.Preemption
@@ -274,34 +271,4 @@ func (m *PreemptModule) Init(r *Runner) error {
 	}
 	r.pre = m.Preemption
 	return nil
-}
-
-// modules assembles the run's effective module stack: the legacy
-// one-slot Config hooks first (each converted into its equivalent
-// module, in a fixed documented order), then Config.Modules as given.
-func (c *Config) modules() []Module {
-	var mods []Module
-	if c.Carbon != nil {
-		mods = append(mods, &CarbonModule{Profile: c.Carbon})
-	}
-	if c.SLA != nil {
-		mods = append(mods, &SLAModule{Config: c.SLA})
-	}
-	if c.Preemption != nil {
-		mods = append(mods, &PreemptModule{Preemption: c.Preemption})
-	}
-	if fn := c.PolicyFunc; fn != nil {
-		mods = append(mods, &HookModule{
-			WrapPolicyFunc: func(now float64, t workload.Task, _ sched.Policy) sched.Policy {
-				return fn(now, t)
-			},
-		})
-	}
-	if c.OnFinish != nil {
-		mods = append(mods, &HookModule{OnFinishFunc: c.OnFinish})
-	}
-	if c.OnControl != nil {
-		mods = append(mods, &HookModule{OnTickFunc: c.OnControl})
-	}
-	return append(mods, c.Modules...)
 }

@@ -147,15 +147,10 @@ func TestDuplicateModulesRejected(t *testing.T) {
 	cases := map[string]Config{
 		"two sla modules": NewScenario(smallPlatform(), tasks(2, 1e11, 1),
 			WithModules(slaMod(), slaMod())),
-		"legacy sla plus module": func() Config {
-			c := NewScenario(smallPlatform(), tasks(2, 1e11, 1), WithModules(slaMod()))
-			c.SLA = &sla.Config{}
-			return c
-		}(),
 		"two preempt modules": NewScenario(smallPlatform(), tasks(2, 1e11, 1),
 			WithModules(preMod(), preMod())),
 		"two carbon modules": NewScenario(smallPlatform(), tasks(2, 1e11, 1),
-			WithModules(&CarbonModule{Profile: compatProfile()}, &CarbonModule{Profile: compatProfile()})),
+			WithModules(&CarbonModule{Profile: constantProfile(300)}, &CarbonModule{Profile: constantProfile(300)})),
 		"carbon module without profile": NewScenario(smallPlatform(), tasks(2, 1e11, 1),
 			WithModules(&CarbonModule{})),
 		"sla module without config": NewScenario(smallPlatform(), tasks(2, 1e11, 1),

@@ -12,7 +12,7 @@ import (
 )
 
 // This file relaxes the simulator's oldest invariant — "a started task
-// runs to completion" — behind Config.Preemption: a running task can be
+// runs to completion" — behind PreemptModule: a running task can be
 // checkpointed (its completed Ops fraction retained minus the restart
 // penalty) and displaced by deadline-urgent work, either automatically
 // at arrival when the elected SED's own slack math proves waiting would

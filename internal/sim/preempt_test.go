@@ -35,8 +35,10 @@ func TestPreemptDisplacesBatchForUrgent(t *testing.T) {
 		Explore:      true,
 		Seed:         1,
 		SlotsPerNode: 1,
-		SLA:          &sla.Config{Catalog: preemptCatalog()},
-		Preemption:   &sla.Preemption{RestartPenaltyFrac: 0.5},
+		Modules: []Module{
+			&SLAModule{Config: &sla.Config{Catalog: preemptCatalog()}},
+			&PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 0.5}},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +103,7 @@ func TestPreemptEnergyConservation(t *testing.T) {
 		Explore:      true,
 		Seed:         1,
 		SlotsPerNode: 1,
-		SLA:          &sla.Config{Catalog: preemptCatalog()},
+		Modules:      []Module{&SLAModule{Config: &sla.Config{Catalog: preemptCatalog()}}},
 	}
 	attributed := func(cfg Config) float64 {
 		res, err := Run(cfg)
@@ -121,7 +123,7 @@ func TestPreemptEnergyConservation(t *testing.T) {
 	withPre := base
 	// A perfect checkpoint executes the same total work, so the
 	// attributed joules must match the non-preemptive run.
-	withPre.Preemption = &sla.Preemption{RestartPenaltyFrac: 0}
+	withPre.Modules = []Module{base.Modules[0], &PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 0}}}
 	preempted := attributed(withPre)
 	if rel := math.Abs(preempted-plain) / plain; rel > 0.01 {
 		t.Fatalf("attributed energy drifted %.2f%% under preemption (%v J vs %v J)",
@@ -146,8 +148,10 @@ func TestPreemptRespectsVictimDeadline(t *testing.T) {
 		Explore:      true,
 		Seed:         1,
 		SlotsPerNode: 1,
-		SLA:          &sla.Config{Catalog: preemptCatalog()},
-		Preemption:   &sla.Preemption{RestartPenaltyFrac: 0},
+		Modules: []Module{
+			&SLAModule{Config: &sla.Config{Catalog: preemptCatalog()}},
+			&PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 0}},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +191,10 @@ func TestPreemptFullRestartPenalty(t *testing.T) {
 		Explore:      true,
 		Seed:         1,
 		SlotsPerNode: 1,
-		SLA:          &sla.Config{Catalog: preemptCatalog()},
-		Preemption:   &sla.Preemption{RestartPenaltyFrac: 1},
+		Modules: []Module{
+			&SLAModule{Config: &sla.Config{Catalog: preemptCatalog()}},
+			&PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 1}},
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,41 +231,43 @@ func TestControlPreemptSurface(t *testing.T) {
 		Explore:      true,
 		Seed:         1,
 		SlotsPerNode: 1,
-		SLA:          &sla.Config{Catalog: preemptCatalog()},
-		Preemption:   &sla.Preemption{RestartPenaltyFrac: 0.5},
-		ControlEvery: 100,
-		OnControl: func(now float64, ctl Control) {
-			if preempted {
-				return
-			}
-			views := ctl.Running("taurus-0")
-			if len(views) != 1 {
-				t.Fatalf("running views %+v, want the batch task", views)
-			}
-			v := views[0]
-			if v.TaskID != 0 || v.Deadline != 0 || v.Started != 0 {
-				t.Fatalf("victim view %+v", v)
-			}
-			// At t=100: 9e11 ops done, half redone ⇒ 50 s at 9e9 flops.
-			if math.Abs(v.RedoSec-50) > 1e-6 || math.Abs(v.RemainingSec-900) > 1e-6 {
-				t.Fatalf("victim view redo %v s remaining %v s, want 50/900", v.RedoSec, v.RemainingSec)
-			}
-			for _, bad := range []error{
-				must(ctl.Preempt("nope-0", 0)),
-				must(ctl.Preempt("taurus-0", 99)),
-			} {
-				errs = append(errs, bad.Error())
-			}
-			if err := ctl.Preempt("taurus-0", 0); err != nil {
-				t.Fatalf("Preempt: %v", err)
-			}
-			// The slot went to the queued deadline task; the fresh
-			// segment has zero progress and must refuse a checkpoint.
-			if err := ctl.Preempt("taurus-0", 1); err == nil {
-				t.Fatal("zero-progress segment preempted")
-			}
-			preempted = true
+		Modules: []Module{
+			&SLAModule{Config: &sla.Config{Catalog: preemptCatalog()}},
+			&PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 0.5}},
+			&HookModule{OnTickFunc: func(now float64, ctl Control) {
+				if preempted {
+					return
+				}
+				views := ctl.Running("taurus-0")
+				if len(views) != 1 {
+					t.Fatalf("running views %+v, want the batch task", views)
+				}
+				v := views[0]
+				if v.TaskID != 0 || v.Deadline != 0 || v.Started != 0 {
+					t.Fatalf("victim view %+v", v)
+				}
+				// At t=100: 9e11 ops done, half redone ⇒ 50 s at 9e9 flops.
+				if math.Abs(v.RedoSec-50) > 1e-6 || math.Abs(v.RemainingSec-900) > 1e-6 {
+					t.Fatalf("victim view redo %v s remaining %v s, want 50/900", v.RedoSec, v.RemainingSec)
+				}
+				for _, bad := range []error{
+					must(ctl.Preempt("nope-0", 0)),
+					must(ctl.Preempt("taurus-0", 99)),
+				} {
+					errs = append(errs, bad.Error())
+				}
+				if err := ctl.Preempt("taurus-0", 0); err != nil {
+					t.Fatalf("Preempt: %v", err)
+				}
+				// The slot went to the queued deadline task; the fresh
+				// segment has zero progress and must refuse a checkpoint.
+				if err := ctl.Preempt("taurus-0", 1); err == nil {
+					t.Fatal("zero-progress segment preempted")
+				}
+				preempted = true
+			}},
 		},
+		ControlEvery: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -312,18 +320,20 @@ func TestControlPreemptRespectsSlotOccupancy(t *testing.T) {
 		Explore:      true,
 		Seed:         1,
 		SlotsPerNode: 1,
-		SLA:          &sla.Config{Catalog: preemptCatalog()},
-		Preemption:   &sla.Preemption{RestartPenaltyFrac: 0},
-		ControlEvery: 100,
-		OnControl: func(now float64, ctl Control) {
-			if tried {
-				return
-			}
-			tried = true
-			if err := ctl.Preempt("taurus-0", 0); err == nil {
-				t.Fatal("displacement allowed although the queue drain breaches the victim's deadline")
-			}
+		Modules: []Module{
+			&SLAModule{Config: &sla.Config{Catalog: preemptCatalog()}},
+			&PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 0}},
+			&HookModule{OnTickFunc: func(now float64, ctl Control) {
+				if tried {
+					return
+				}
+				tried = true
+				if err := ctl.Preempt("taurus-0", 0); err == nil {
+					t.Fatal("displacement allowed although the queue drain breaches the victim's deadline")
+				}
+			}},
 		},
+		ControlEvery: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -358,7 +368,7 @@ func TestCrashedQueuedTaskNotReadmitted(t *testing.T) {
 		Seed:         1,
 		SlotsPerNode: 1,
 		Crashes:      map[string]float64{"taurus-0": 100},
-		SLA:          &sla.Config{Catalog: preemptCatalog(), Admission: &sla.Admission{}},
+		Modules:      []Module{&SLAModule{Config: &sla.Config{Catalog: preemptCatalog(), Admission: &sla.Admission{}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +384,7 @@ func TestCrashedQueuedTaskNotReadmitted(t *testing.T) {
 	}
 }
 
-// TestControlPreemptDisabled: without Config.Preemption the surface
+// TestControlPreemptDisabled: without a PreemptModule the surface
 // refuses to checkpoint anything.
 func TestControlPreemptDisabled(t *testing.T) {
 	called := false
@@ -386,15 +396,17 @@ func TestControlPreemptDisabled(t *testing.T) {
 		Seed:         1,
 		SlotsPerNode: 1,
 		ControlEvery: 100,
-		OnControl: func(now float64, ctl Control) {
-			if called {
-				return
-			}
-			called = true
-			if err := ctl.Preempt("taurus-0", 0); err == nil ||
-				!strings.Contains(err.Error(), "disabled") {
-				t.Fatalf("Preempt with preemption disabled: %v", err)
-			}
+		Modules: []Module{
+			&HookModule{OnTickFunc: func(now float64, ctl Control) {
+				if called {
+					return
+				}
+				called = true
+				if err := ctl.Preempt("taurus-0", 0); err == nil ||
+					!strings.Contains(err.Error(), "disabled") {
+					t.Fatalf("Preempt with preemption disabled: %v", err)
+				}
+			}},
 		},
 	})
 	if err != nil {
@@ -421,7 +433,7 @@ func TestBestExecSkipsCrashedNodes(t *testing.T) {
 		Explore: true,
 		Seed:    1,
 		Crashes: map[string]float64{"taurus-0": 5},
-		SLA:     &sla.Config{Catalog: preemptCatalog(), Admission: &sla.Admission{}},
+		Modules: []Module{&SLAModule{Config: &sla.Config{Catalog: preemptCatalog(), Admission: &sla.Admission{}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +507,7 @@ func TestDeadlineBoundaryExactlyOnTime(t *testing.T) {
 		Tasks:    tasks,
 		Explore:  true,
 		Seed:     1,
-		SLA:      &sla.Config{Catalog: preemptCatalog()},
+		Modules:  []Module{&SLAModule{Config: &sla.Config{Catalog: preemptCatalog()}}},
 	})
 	if err != nil {
 		t.Fatal(err)

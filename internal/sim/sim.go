@@ -13,8 +13,7 @@
 // preemption, power-management controllers, budget tracking, thermal
 // monitoring — attach to a run as a stack of Module values
 // (Config.Modules, or NewScenario with functional options); see
-// module.go. The legacy one-slot Config hooks remain as thin adapters
-// onto that path.
+// module.go.
 package sim
 
 import (
@@ -97,47 +96,15 @@ type Config struct {
 	// concern (carbon accounting, SLA machinery, preemption,
 	// power-management controllers, budget tracking, thermal
 	// monitoring) attaches as one Module, and any number of them
-	// compose in one run. Hooks run in stack order; see Module. The
-	// legacy one-slot fields below (Carbon, SLA, Preemption,
-	// PolicyFunc, OnFinish, OnControl) still work — NewRunner converts
-	// each into its equivalent module and prepends it to this stack —
-	// but new code should pass modules directly (or use NewScenario).
+	// compose in one run. Hooks run in stack order; see Module.
 	Modules []Module
-
-	// Carbon, when set, attaches a grid carbon-intensity profile to
-	// the platform: every node's exact energy accounting is integrated
-	// against its site's signal into grams of CO2 (Result.CO2Grams),
-	// and SEDs report their site's current intensity and renewable
-	// fraction in their estimation vectors so carbon-aware policies
-	// can rank on them.
-	//
-	// Deprecated: equivalent to appending &CarbonModule{Profile: …} to
-	// Modules; kept as a working adapter.
-	Carbon *carbon.Profile
 
 	// SampleEvery records a platform power sample every so many
 	// seconds (0 disables the series).
 	SampleEvery float64
 
-	// OnFinish, when set, observes every completed task record as it
-	// happens (virtual time). External controllers — e.g. a budget
-	// tracker charging per-task energy — hook in here.
-	//
-	// Deprecated: equivalent to a Modules entry of
-	// &HookModule{OnFinishFunc: …}; kept as a working adapter.
-	OnFinish func(TaskRecord)
-
-	// OnControl, when set with ControlEvery > 0, runs every
-	// ControlEvery virtual seconds with a Control surface over the
-	// platform: the hook for node power management policies such as
-	// idle-timeout consolidation (package consolidation). Ticks stop
-	// once all tasks complete.
-	//
-	// Deprecated: equivalent to a Modules entry of
-	// &HookModule{OnTickFunc: …}; kept as a working adapter.
-	// ControlEvery itself remains live — it is the tick cadence of
-	// every module's OnTick.
-	OnControl    func(now float64, ctl Control)
+	// ControlEvery is the tick cadence of every module's OnTick, in
+	// virtual seconds; 0 disables ticks.
 	ControlEvery float64
 
 	// RetryEvery is the client back-off between election attempts for
@@ -146,42 +113,6 @@ type Config struct {
 	// Controllers that defer work for hours (carbon windows) should
 	// raise it so the retry traffic stays proportionate.
 	RetryEvery float64
-
-	// SLA, when set, turns on service-level awareness: task classes
-	// resolve to deadlines/values/penalty curves, admission control
-	// screens first submissions (rejected tasks never run and forfeit
-	// their value), SED queues drain under the configured discipline
-	// (EDF, VALUE-DENSITY) instead of FIFO, and Result carries the
-	// revenue/penalty ledger plus per-task slack.
-	//
-	// Deprecated: equivalent to appending &SLAModule{Config: …} to
-	// Modules; kept as a working adapter.
-	SLA *sla.Config
-
-	// Preemption, when set, relaxes the run-to-completion invariant:
-	// a deadline-urgent arrival may checkpoint and displace a running
-	// task when the elected SED's own slack math says waiting would
-	// breach the deadline but preempting would not, and controllers may
-	// issue Control.Preempt. The checkpointed fraction of the victim's
-	// Ops is retained minus the configured restart penalty; the victim
-	// re-enters election with the remainder. A victim whose own
-	// deadline the restart would breach is never displaced
-	// (sla.SafeToDisplace). nil keeps tasks non-preemptible.
-	//
-	// Deprecated: equivalent to appending &PreemptModule{Preemption: …}
-	// to Modules; kept as a working adapter.
-	Preemption *sla.Preemption
-
-	// PolicyFunc, when set, builds the election policy per arriving
-	// task — the hook SLA-aware runs use to wrap Policy with
-	// sched.DeadlineAware or SLAWeightedPolicy for the task's own
-	// deadline. Config.Policy still names the run and serves retries.
-	//
-	// Deprecated: equivalent to a Modules entry whose WrapPolicy
-	// ignores its base (&HookModule{WrapPolicyFunc: …}), or to
-	// SLAModule.WrapDeadline for the deadline-aware case; kept as a
-	// working adapter.
-	PolicyFunc func(now float64, t workload.Task) sched.Policy
 }
 
 func (c *Config) defaults() error {
@@ -230,7 +161,7 @@ type TaskRecord struct {
 	Deadline float64
 	Class    string
 	// EarnedUSD is the value credited through the penalty curve
-	// (negative = contractual penalty); zero without Config.SLA.
+	// (negative = contractual penalty); zero without an SLAModule.
 	EarnedUSD float64
 	// EnergyShareJ is the task's share of its node's measured energy
 	// over the execution window: mean node draw × duration ÷ mean
@@ -238,7 +169,7 @@ type TaskRecord struct {
 	// joules instead of each being charged all of them.
 	EnergyShareJ float64
 	// CO2Grams integrates EnergyShareJ through the site's intensity
-	// signal over the execution window; zero without Config.Carbon.
+	// signal over the execution window; zero without a CarbonModule.
 	CO2Grams float64
 }
 
@@ -284,8 +215,8 @@ type Result struct {
 	PerClusterEnergy map[string]power.Joules
 
 	// CO2Grams is the whole-platform emissions over the run, with
-	// per-node and per-cluster breakdowns. All zero unless
-	// Config.Carbon is set.
+	// per-node and per-cluster breakdowns. All zero unless a
+	// CarbonModule is stacked.
 	CO2Grams      float64
 	PerNodeCO2G   map[string]float64
 	PerClusterCO2 map[string]float64
@@ -303,8 +234,7 @@ type Result struct {
 	PreemptRedoneOps float64
 
 	// Boots and Shutdowns count controller-issued power transitions
-	// (zero unless a module — or the legacy Config.OnControl hook —
-	// drives Control.PowerOn/PowerOff).
+	// (zero unless a module drives Control.PowerOn/PowerOff).
 	Boots     int
 	Shutdowns int
 
@@ -314,8 +244,8 @@ type Result struct {
 	Rejected       int
 	Rejections     []Rejection
 
-	// SLA is the revenue/penalty ledger summary; nil without
-	// Config.SLA.
+	// SLA is the revenue/penalty ledger summary; nil without an
+	// SLAModule.
 	SLA *sla.Summary
 }
 
@@ -389,7 +319,7 @@ type sedState struct {
 	extVals  [1]float64
 
 	// site and co2 carry the node's grid signal and emissions
-	// integrator when Config.Carbon is set.
+	// integrator when a CarbonModule is stacked.
 	site *carbon.SiteProfile
 	co2  *carbon.Integrator
 
@@ -749,9 +679,6 @@ type Runner struct {
 	sel  *sched.Selector
 	res  *Result
 
-	// mods is the effective module stack: the legacy Config hooks
-	// converted into adapters, then Config.Modules.
-	mods []Module
 	// lobs caches the stack's LifecycleObserver implementations; empty
 	// for most runs, so emitting costs one nil-slice check.
 	lobs []LifecycleObserver
@@ -762,9 +689,7 @@ type Runner struct {
 	// controllers can see the most urgent pending deadline.
 	waiting map[int]workload.Task
 
-	// sla and pre are installed by SLAModule / PreemptModule Init (the
-	// legacy Config.SLA / Config.Preemption fields arrive here through
-	// their adapters).
+	// sla and pre are installed by SLAModule / PreemptModule Init.
 	sla *sla.Config
 	pre *sla.Preemption
 
@@ -847,10 +772,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 		r.vecs = make([]estvec.Vector, len(r.seds))
 		r.list = make(estvec.List, 0, len(r.seds))
 	}
-	// The module stack attaches last, over fully built platform state:
-	// legacy one-slot hooks first (as adapters), then Config.Modules.
-	r.mods = cfg.modules()
-	for _, m := range r.mods {
+	// The module stack attaches last, over fully built platform state.
+	for _, m := range cfg.Modules {
 		if err := m.Init(r); err != nil {
 			return nil, err
 		}
@@ -928,7 +851,7 @@ func (r *Runner) Run() (*Result, error) {
 	if r.cfg.SampleEvery > 0 {
 		r.scheduleSample(r.cfg.SampleEvery)
 	}
-	if r.cfg.ControlEvery > 0 && len(r.mods) > 0 {
+	if r.cfg.ControlEvery > 0 && len(r.cfg.Modules) > 0 {
 		r.scheduleControl(r.cfg.ControlEvery)
 	}
 	// Budget: generous multiple of task count, to catch livelocks
@@ -968,7 +891,7 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 	// crash-migrated queued tasks or preemption restarts): modules
 	// observe the task, then the admission screen runs.
 	if !p.waiting && !p.admitted && p.resubmits == 0 && p.preemptions == 0 {
-		for _, m := range r.mods {
+		for _, m := range r.cfg.Modules {
 			m.OnArrival(now, &p.task)
 		}
 		// The submit event carries post-OnArrival state, so class
@@ -1021,9 +944,9 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 	// Election policy: each module may wrap (or replace) the policy the
 	// previous one produced, starting from the run's base policy.
 	sel := r.sel
-	if len(r.mods) > 0 {
+	if len(r.cfg.Modules) > 0 {
 		pol := r.sel.Policy
-		for _, m := range r.mods {
+		for _, m := range r.cfg.Modules {
 			pol = m.WrapPolicy(now, p.task, pol)
 		}
 		r.selScratch = *r.sel
@@ -1202,7 +1125,7 @@ func (r *Runner) onFinish(now float64, sed *sedState, rt *runningTask) {
 		T: now, Event: obs.EventComplete, ID: uint64(rec.ID), Class: rec.Class,
 		Server: rec.Server, DurSec: exec, EnergyJ: rec.EnergyShareJ,
 	})
-	for _, m := range r.mods {
+	for _, m := range r.cfg.Modules {
 		m.OnFinish(rec)
 	}
 	r.res.PerNodeTasks[rec.Server]++
@@ -1331,7 +1254,7 @@ func (r *Runner) finalize() {
 			r.res.CO2Grams += g
 		}
 	}
-	for _, m := range r.mods {
+	for _, m := range r.cfg.Modules {
 		m.Finalize(r.res)
 	}
 }

@@ -32,7 +32,7 @@ func TestSLAAdmissionRejectsHopeless(t *testing.T) {
 		Tasks:    tasks,
 		Explore:  true,
 		Seed:     1,
-		SLA:      &sla.Config{Catalog: cat, Admission: &sla.Admission{}},
+		Modules:  []Module{&SLAModule{Config: &sla.Config{Catalog: cat, Admission: &sla.Admission{}}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestSLAEDFQueueBeatsFIFO(t *testing.T) {
 			Explore:      true,
 			Seed:         1,
 			SlotsPerNode: 1,
-			SLA:          &sla.Config{Catalog: cat, Order: order},
+			Modules:      []Module{&SLAModule{Config: &sla.Config{Catalog: cat, Order: order}}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestSLAPerTaskCarbonAttribution(t *testing.T) {
 		Tasks:    burst,
 		Explore:  true,
 		Seed:     1,
-		Carbon:   profile,
+		Modules:  []Module{&CarbonModule{Profile: profile}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,13 +164,15 @@ func TestControlPendingSlack(t *testing.T) {
 		Explore:      true,
 		Seed:         1,
 		SlotsPerNode: 1,
-		SLA:          &sla.Config{Catalog: cat},
-		ControlEvery: 100,
-		OnControl: func(now float64, ctl Control) {
-			if slack, ok := ctl.PendingSlack(); ok {
-				sawSlack = append(sawSlack, slack)
-			}
+		Modules: []Module{
+			&SLAModule{Config: &sla.Config{Catalog: cat}},
+			&HookModule{OnTickFunc: func(now float64, ctl Control) {
+				if slack, ok := ctl.PendingSlack(); ok {
+					sawSlack = append(sawSlack, slack)
+				}
+			}},
 		},
+		ControlEvery: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,16 +242,18 @@ func TestSLAUrgentBypassElectsNonCandidates(t *testing.T) {
 		Seed:         1,
 		RetryEvery:   10,
 		ControlEvery: 10,
-		OnControl: func(now float64, ctl Control) {
-			// Revoke candidacy before the arrivals; restore late.
-			if now < 1000 {
-				_ = ctl.SetCandidate("taurus-0", false)
-			} else if !reopened {
-				_ = ctl.SetCandidate("taurus-0", true)
-				reopened = true
-			}
+		Modules: []Module{
+			&SLAModule{Config: &sla.Config{Catalog: cat, UrgentBypass: true}},
+			&HookModule{OnTickFunc: func(now float64, ctl Control) {
+				// Revoke candidacy before the arrivals; restore late.
+				if now < 1000 {
+					_ = ctl.SetCandidate("taurus-0", false)
+				} else if !reopened {
+					_ = ctl.SetCandidate("taurus-0", true)
+					reopened = true
+				}
+			}},
 		},
-		SLA: &sla.Config{Catalog: cat, UrgentBypass: true},
 	})
 	if err != nil {
 		t.Fatal(err)

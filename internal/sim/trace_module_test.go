@@ -97,7 +97,7 @@ func TestTraceModuleRejection(t *testing.T) {
 		Platform: smallPlatform(),
 		Policy:   sched.New(sched.Power),
 		Tasks:    ts,
-		SLA:      &sla.Config{Catalog: catalog, Admission: &sla.Admission{Margin: 1}},
+		Modules:  []Module{&SLAModule{Config: &sla.Config{Catalog: catalog, Admission: &sla.Admission{Margin: 1}}}},
 	})
 	if res.Rejected != 1 {
 		t.Fatalf("rejected %d, want 1", res.Rejected)

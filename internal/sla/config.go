@@ -7,7 +7,7 @@ import (
 )
 
 // Config wires SLA awareness into an executor (the simulator's
-// sim.Config.SLA, or a live deployment): the class catalog that
+// sim.SLAModule, or a live deployment): the class catalog that
 // resolves task terms, the admission controller, and the queue
 // discipline SEDs apply to accepted-but-not-started work.
 type Config struct {
