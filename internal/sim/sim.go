@@ -297,15 +297,33 @@ type sedState struct {
 	// Config.LegacyKernel).
 	legacy bool
 
-	// Wait-estimate cache (event-heap kernel): avail is the reusable
-	// slot-availability scratch heap; waitAbs caches the absolute time
-	// a slot first frees for new work, valid while waitVer == mutVer+1
-	// (the +1 keeps the zero value invalid). mutVer advances on every
-	// queue/running mutation (bumpWait).
-	avail   []float64
-	waitAbs float64
-	waitVer uint64
-	mutVer  uint64
+	// Drained-heap cache (event-heap kernel). avail is the
+	// slot-availability min-heap left after draining the whole backlog
+	// over the running tasks' finish times, so avail[0] is when a slot
+	// first frees for new work. It is exact while availVer == mutVer+1
+	// (the +1 keeps the zero value invalid); mutVer advances on every
+	// queue/running mutation (bumpWait). It is only ever kept for a
+	// full SED (every slot running), whose availability times are
+	// absolute finish times. Two mutations keep it exact instead of
+	// invalidating it, because each repeats, on the same multiset, the
+	// very addition a fresh drain would make:
+	//   - pushQueue: the drain walks the backlog in order, so the new
+	//     tail is one more drain step on the kept heap;
+	//   - a finish whose refill starts the FIFO head in the freed slot
+	//     with planned exec TaskSeconds (no queue discipline,
+	//     contention or exec jitter; Runner.onFinish): the drain's first
+	//     step gave exactly that slot — the earliest finish — to the
+	//     head, at exactly now + exec.
+	// Everything else — a non-head removal, preemption, crash,
+	// clearQueue, a start under contention or jitter, a module hook
+	// touching the SED mid-finish, any start into a non-full SED —
+	// invalidates, and the next probe re-drains. A padded drain (free
+	// slots on a booting/off node) depends on now and is never kept.
+	// drains counts full re-drains.
+	avail    []float64
+	availVer uint64
+	mutVer   uint64
+	drains   int
 
 	// static holds the benchmark calibration when Config.Static is
 	// set; estimates then never change at runtime.
@@ -412,10 +430,18 @@ func (s *sedState) qlen() int { return len(s.queue) - s.qhead }
 // queued returns the live backlog in queue order.
 func (s *sedState) queued() []pendingTask { return s.queue[s.qhead:] }
 
-// pushQueue appends a task to the backlog.
+// pushQueue appends a task to the backlog. An exact drained heap is
+// advanced by the new tail's drain step — the earliest slot takes it —
+// instead of being thrown away.
 func (s *sedState) pushQueue(p pendingTask) {
 	s.queue = append(s.queue, p)
+	drained := s.drained()
 	s.bumpWait()
+	if drained {
+		s.avail[0] += s.node.Spec.TaskSeconds(p.task.Ops)
+		floatHeapFix(s.avail)
+		s.availVer = s.mutVer + 1
+	}
 }
 
 // removeQueued removes and returns the backlog entry at index i (an
@@ -453,24 +479,28 @@ func (s *sedState) clearQueue() {
 	s.bumpWait()
 }
 
-// bumpWait invalidates the cached wait estimate; every queue or
-// running-set mutation (including finish-event cancellations) must
-// pass through here.
+// bumpWait invalidates the drained heap; every queue or running-set
+// mutation (including finish-event cancellations) must pass through
+// here.
 func (s *sedState) bumpWait() { s.mutVer++ }
+
+// drained reports whether avail holds the exact drain of the current
+// running set and backlog.
+func (s *sedState) drained() bool { return s.availVer == s.mutVer+1 }
 
 // waitEstimate computes ws: the time a newly queued task would wait
 // before starting, from the SED's exact knowledge of its running and
 // queued work (§III-C assumes task durations are known to the
 // scheduler).
 //
-// The event-heap kernel drains the backlog over a min-heap of
-// slot-availability times — one sift-down per queued task instead of
-// the seed kernel's full re-sort — and, when every slot is occupied,
-// caches the resulting absolute first-free time until the next
-// queue/running mutation: between mutations the wait seen at a later
-// probe is exactly cachedFirstFree − now. Both shortcuts evolve the
-// same multiset of availability times as the seed's sort loop, so the
-// returned floats are bit-identical (see the equivalence tests).
+// When every slot is occupied the availability times are absolute
+// finish times, independent of now, so the drained heap is kept across
+// probes and advanced in place by the mutations listed on sedState:
+// a probe costs O(1), a push O(log slots), and a full O(queue) drain
+// runs only after an invalidating mutation. Every kept step performs
+// the same addition on the same multiset of availability times, in the
+// same order, as the seed kernel's sort-per-queued-task loop, so the
+// returned floats are bit-identical (see waitestimate_test.go).
 func (s *sedState) waitEstimate(now float64) float64 {
 	if s.legacy {
 		return s.legacyWaitEstimate(now)
@@ -480,32 +510,31 @@ func (s *sedState) waitEstimate(now float64) float64 {
 		// the padded availability times are all "now" either way.
 		return 0
 	}
-	if len(s.running) >= s.slots {
-		// Every slot occupied: availability times are absolute finish
-		// times, independent of now, so the drained first-free time is
-		// cacheable until the next mutation.
-		if s.waitVer != s.mutVer+1 {
-			s.waitAbs = s.firstFree(now, false)
-			s.waitVer = s.mutVer + 1
-		}
-		if w := s.waitAbs - now; w > 0 {
-			return w
-		}
-		return 0
+	var first float64
+	switch {
+	case len(s.running) < s.slots:
+		// Free slots padded with "now" (a backlog on a booting/off
+		// node): time-dependent, computed fresh per probe.
+		first = s.firstFree(now, true)
+	case s.drained():
+		first = s.avail[0]
+	default:
+		first = s.firstFree(now, false)
 	}
-	// Free slots padded with "now" (a backlog on a booting/off node):
-	// time-dependent, computed fresh per probe.
-	if w := s.firstFree(now, true) - now; w > 0 {
+	if w := first - now; w > 0 {
 		return w
 	}
 	return 0
 }
 
-// firstFree simulates draining the backlog over the slot-availability
-// min-heap and returns the absolute time a slot first frees for a new
-// task. pad fills unoccupied slots with now (the seed kernel's
-// padding).
+// firstFree re-drains the backlog from scratch over the
+// slot-availability min-heap — one sift-down per queued task — and
+// returns the absolute time a slot first frees for a new task. pad
+// fills unoccupied slots with now (the seed kernel's padding); a
+// padded heap depends on now, so it is never kept, while an unpadded
+// one becomes the SED's drained heap.
 func (s *sedState) firstFree(now float64, pad bool) float64 {
+	s.drains++
 	avail := s.avail[:0]
 	for _, rt := range s.running {
 		avail = append(avail, rt.finish.At.Seconds())
@@ -522,6 +551,10 @@ func (s *sedState) firstFree(now float64, pad bool) float64 {
 		// slot, which then frees at start + exec.
 		avail[0] += s.node.Spec.TaskSeconds(p.task.Ops)
 		floatHeapFix(avail)
+	}
+	s.availVer = 0
+	if !pad {
+		s.availVer = s.mutVer + 1
 	}
 	return avail[0]
 }
@@ -1066,6 +1099,11 @@ func (r *Runner) onFinish(now float64, sed *sedState, rt *runningTask) {
 	sed.advanceBusy(now)
 	delete(sed.running, rt.task.ID)
 	sed.bumpWait()
+	// A drained heap (only ever kept for a full SED) gave the earliest
+	// finish — this one: events fire in time order — to the FIFO head
+	// as its first drain step. availVer == vacated says the heap was
+	// exact just before this removal; the refill below may keep it.
+	vacated := sed.mutVer
 	duringW := sed.node.Power() // draw while the task was still running
 	if err := sed.node.FinishTask(now); err != nil {
 		panic(fmt.Sprintf("sim: %v", err))
@@ -1133,7 +1171,18 @@ func (r *Runner) onFinish(now float64, sed *sedState, rt *runningTask) {
 	if now > r.lastFinish {
 		r.lastFinish = now
 	}
+	// The refill repeats that drain step exactly — and keeps the heap —
+	// when the hooks above neither mutated the SED (mutVer) nor probed
+	// it (a padded probe overwrites avail and resets availVer), the
+	// freed slot serves the head (FIFO), its planned exec is
+	// TaskSeconds (no contention or jitter), and drainQueue starts just
+	// that one task: one removal plus one start, two bumps.
+	keep := sed.availVer == vacated && sed.mutVer == vacated &&
+		r.order == nil && r.cfg.Contention <= 0 && r.cfg.ExecJitter <= 0
 	r.drainQueue(now, sed)
+	if keep && sed.mutVer == vacated+2 {
+		sed.availVer = sed.mutVer + 1
+	}
 	if len(sed.running) == 0 && sed.qlen() == 0 {
 		sed.idleAt = now
 	}
@@ -1154,9 +1203,10 @@ func (r *Runner) nextQueued(sed *sedState) int {
 	next := 0
 	if r.order != nil {
 		q := sed.queued()
+		best := r.taskView(q[0].task)
 		for i := 1; i < len(q); i++ {
-			if r.order.Less(r.taskView(q[i].task), r.taskView(q[next].task)) {
-				next = i
+			if v := r.taskView(q[i].task); r.order.Less(v, best) {
+				next, best = i, v
 			}
 		}
 	}
