@@ -31,10 +31,7 @@
 //	                        mount as stackable modules. The run loop is
 //	                        an event-heap kernel (time-ordered event
 //	                        queue + arrival cursor, preallocated task
-//	                        arenas, zero-alloc election inner loop);
-//	                        Config.LegacyKernel retains the original
-//	                        tick loop, held to byte-identical Results by
-//	                        the cross-engine equivalence suite
+//	                        arenas, zero-alloc election inner loop)
 //	internal/journal        crash-safety layer under the live path: an
 //	                        append-only, checksummed, fsync-controlled
 //	                        write-ahead log of request lifecycles

@@ -85,10 +85,3 @@ func WithExecJitter(j float64) Option { return func(c *Config) { c.ExecJitter = 
 // WithSampleEvery records a platform power sample every so many
 // seconds.
 func WithSampleEvery(every float64) Option { return func(c *Config) { c.SampleEvery = every } }
-
-// WithLegacyKernel runs the scenario on the seed scheduling kernel
-// (per-task arrival events, sort-based wait estimates, per-election
-// vector allocation) instead of the event-heap kernel. Results are
-// byte-identical either way; the option exists for the cross-engine
-// equivalence tests.
-func WithLegacyKernel() Option { return func(c *Config) { c.LegacyKernel = true } }

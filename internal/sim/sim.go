@@ -82,16 +82,6 @@ type Config struct {
 	// and resubmitted by the client.
 	Crashes map[string]float64
 
-	// LegacyKernel runs the seed scheduling kernel: one arrival event
-	// per task, sort-based wait estimates, and freshly allocated
-	// estimation vectors per election. The default event-heap kernel
-	// replaces those with an arrival cursor, an incremental min-heap
-	// wait estimate and reusable scratch buffers — byte-identical
-	// Results, verified by the cross-engine equivalence tests. The flag
-	// exists for those tests; it will be removed once the legacy path
-	// has no remaining callers.
-	LegacyKernel bool
-
 	// Modules is the run's extension stack: every cross-cutting
 	// concern (carbon accounting, SLA machinery, preemption,
 	// power-management controllers, budget tracking, thermal
@@ -293,14 +283,9 @@ type sedState struct {
 	qhead   int
 	running map[int]*runningTask // task ID → record
 
-	// legacy selects the seed kernel's sort-based wait estimate (see
-	// Config.LegacyKernel).
-	legacy bool
-
-	// Drained-heap cache (event-heap kernel). avail is the
-	// slot-availability min-heap left after draining the whole backlog
-	// over the running tasks' finish times, so avail[0] is when a slot
-	// first frees for new work. It is exact while availVer == mutVer+1
+	// Drained-heap cache. avail is the slot-availability min-heap left
+	// after draining the whole backlog over the running tasks' finish
+	// times, so avail[0] is when a slot first frees for new work. It is exact while availVer == mutVer+1
 	// (the +1 keeps the zero value invalid); mutVer advances on every
 	// queue/running mutation (bumpWait). It is only ever kept for a
 	// full SED (every slot running), whose availability times are
@@ -499,12 +484,10 @@ func (s *sedState) drained() bool { return s.availVer == s.mutVer+1 }
 // a probe costs O(1), a push O(log slots), and a full O(queue) drain
 // runs only after an invalidating mutation. Every kept step performs
 // the same addition on the same multiset of availability times, in the
-// same order, as the seed kernel's sort-per-queued-task loop, so the
-// returned floats are bit-identical (see waitestimate_test.go).
+// same order, as a drain that re-sorts the slot times after each queued
+// task, so the returned floats are bit-identical to that drain's (see
+// sortDrainWait in waitestimate_test.go).
 func (s *sedState) waitEstimate(now float64) float64 {
-	if s.legacy {
-		return s.legacyWaitEstimate(now)
-	}
 	if s.qlen() == 0 && (s.freeSlots() > 0 || len(s.running) == 0) {
 		// Free capacity — or nothing running and nothing queued, where
 		// the padded availability times are all "now" either way.
@@ -530,9 +513,9 @@ func (s *sedState) waitEstimate(now float64) float64 {
 // firstFree re-drains the backlog from scratch over the
 // slot-availability min-heap — one sift-down per queued task — and
 // returns the absolute time a slot first frees for a new task. pad
-// fills unoccupied slots with now (the seed kernel's padding); a
-// padded heap depends on now, so it is never kept, while an unpadded
-// one becomes the SED's drained heap.
+// fills unoccupied slots with now (a free slot counts as available
+// immediately); a padded heap depends on now, so it is never kept,
+// while an unpadded one becomes the SED's drained heap.
 func (s *sedState) firstFree(now float64, pad bool) float64 {
 	s.drains++
 	avail := s.avail[:0]
@@ -587,59 +570,22 @@ func floatHeapSift(h []float64, i int) {
 	}
 }
 
-// legacyWaitEstimate is the seed kernel's sort-per-queued-task wait
-// estimate, retained behind Config.LegacyKernel as the equivalence
-// reference.
-func (s *sedState) legacyWaitEstimate(now float64) float64 {
-	if s.freeSlots() > 0 && s.qlen() == 0 {
-		return 0
-	}
-	// Slot-availability times: running tasks' finish times, padded
-	// with "now" for free slots.
-	avail := make([]float64, 0, s.slots)
-	for _, rt := range s.running {
-		avail = append(avail, rt.finish.At.Seconds())
-	}
-	for len(avail) < s.slots {
-		avail = append(avail, now)
-	}
-	sort.Float64s(avail)
-	// Drain the queue ahead of the hypothetical new task.
-	for _, p := range s.queued() {
-		start := avail[0]
-		exec := s.node.Spec.TaskSeconds(p.task.Ops)
-		avail[0] = start + exec
-		sort.Float64s(avail)
-	}
-	w := avail[0] - now
-	if w < 0 {
-		w = 0
-	}
-	return w
-}
-
 // vector builds the SED's estimation vector — the default estimation
 // function of the paper's plug-in scheduler, extended with the energy
 // tags (§III-A: "These metrics are incorporated into DIET SED to
 // populate its estimation vector using new tags").
 func (s *sedState) vector(now float64, rng *rand.Rand) *estvec.Vector {
-	return s.vectorFor(now, rng, false)
-}
-
-// vectorFor is vector with an optional candidacy bypass: SLA express
-// traffic (sla.Config.UrgentBypass) may elect any *powered-on* node
-// even while a controller has revoked its candidacy to defer
-// deferrable work. Powered-off nodes stay unusable either way.
-func (s *sedState) vectorFor(now float64, rng *rand.Rand, bypassCandidacy bool) *estvec.Vector {
 	v := estvec.New(s.node.Spec.Name)
-	s.fillVector(v, now, rng, bypassCandidacy)
+	s.fillVector(v, now, rng, false)
 	return v
 }
 
-// fillVector populates v in place — the zero-alloc spelling of
-// vectorFor the event-heap kernel uses with per-SED scratch vectors.
-// Both kernels run the identical Set sequence (including the
-// TagRandom draw), so elections are bit-for-bit the same.
+// fillVector populates v in place — the zero-alloc spelling of vector
+// the election loop uses with per-SED scratch vectors. With
+// bypassCandidacy set, SLA express traffic (sla.Config.UrgentBypass)
+// may elect any *powered-on* node even while a controller has revoked
+// its candidacy to defer deferrable work. Powered-off nodes stay
+// unusable either way.
 func (s *sedState) fillVector(v *estvec.Vector, now float64, rng *rand.Rand, bypassCandidacy bool) {
 	v.Reset(s.node.Spec.Name).
 		Set(estvec.TagFreeCores, float64(s.freeSlots())).
@@ -733,11 +679,11 @@ type Runner struct {
 	ledger  *sla.Ledger
 	order   sched.TaskOrder
 
-	// Event-heap kernel scratch (nil under Config.LegacyKernel): one
-	// reusable estimation vector per SED plus the candidate list and
-	// per-task selector, so the election inner loop allocates nothing;
-	// arrivals holds the tasks in stable (Submit, config-order) order
-	// for the arrival cursor; rtFree recycles runningTask records.
+	// Election scratch: one reusable estimation vector per SED plus
+	// the candidate list and per-task selector, so the election inner
+	// loop allocates nothing; arrivals holds the tasks in stable
+	// (Submit, config-order) order for the arrival cursor; rtFree
+	// recycles runningTask records.
 	vecs       []estvec.Vector
 	list       estvec.List
 	selScratch sched.Selector
@@ -793,7 +739,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 			slots:     slots,
 			running:   make(map[int]*runningTask),
 			candidate: true,
-			legacy:    cfg.LegacyKernel,
 		}
 		if cfg.Static {
 			cal := cluster.BenchmarkNode(spec, 1e9, 0, nil)
@@ -801,10 +746,8 @@ func NewRunner(cfg Config) (*Runner, error) {
 		}
 		r.seds = append(r.seds, sed)
 	}
-	if !cfg.LegacyKernel {
-		r.vecs = make([]estvec.Vector, len(r.seds))
-		r.list = make(estvec.List, 0, len(r.seds))
-	}
+	r.vecs = make([]estvec.Vector, len(r.seds))
+	r.list = make(estvec.List, 0, len(r.seds))
 	// The module stack attaches last, over fully built platform state.
 	for _, m := range cfg.Modules {
 		if err := m.Init(r); err != nil {
@@ -847,30 +790,15 @@ func Run(cfg Config) (*Result, error) {
 
 // Run drives the event loop until all tasks complete.
 func (r *Runner) Run() (*Result, error) {
-	if r.cfg.LegacyKernel {
-		// Seed kernel: one event per task. Setup-time scheduling gives
-		// arrivals the lowest sequence numbers, so at any instant they
-		// fire before every same-time runtime event.
-		for _, task := range r.cfg.Tasks {
-			task := task
-			r.eng.At(simtime.Time(task.Submit), "arrival", func(now simtime.Time) {
-				r.onArrival(now.Seconds(), pendingTask{task: task})
-			})
-		}
-	} else {
-		// Event-heap kernel: a single self-advancing cursor walks the
-		// tasks in stable (Submit, config-order) order, draining every
-		// arrival that shares an instant in one event. Front-class
-		// scheduling (simtime.AtFront) preserves the seed ordering:
-		// arrivals before crashes, retries, restarts and finishes at
-		// the same virtual time.
-		r.arrivals = make([]workload.Task, len(r.cfg.Tasks))
-		copy(r.arrivals, r.cfg.Tasks)
-		sort.SliceStable(r.arrivals, func(i, j int) bool {
-			return r.arrivals[i].Submit < r.arrivals[j].Submit
-		})
-		r.scheduleArrivals(0)
-	}
+	// A single self-advancing cursor walks the tasks in stable (Submit,
+	// config-order) order, draining every arrival that shares an
+	// instant in one event.
+	r.arrivals = make([]workload.Task, len(r.cfg.Tasks))
+	copy(r.arrivals, r.cfg.Tasks)
+	sort.SliceStable(r.arrivals, func(i, j int) bool {
+		return r.arrivals[i].Submit < r.arrivals[j].Submit
+	})
+	r.scheduleArrivals(0)
 	for name, at := range r.cfg.Crashes {
 		idx := r.cfg.Platform.Find(name)
 		if idx < 0 {
@@ -901,9 +829,11 @@ func (r *Runner) Run() (*Result, error) {
 }
 
 // scheduleArrivals arms the arrival cursor at r.arrivals[i]'s submit
-// time. Each firing submits every task sharing that instant — in the
-// same order the seed kernel's per-task events would have fired — then
-// re-arms for the next distinct submit time.
+// time. Each firing submits every task sharing that instant, in config
+// order, then re-arms for the next distinct submit time. The cursor is
+// a front-class event (simtime.AtFront): tasks submitted at t arrive
+// before any crash, retry, resubmission, sample, tick or finish at t
+// runs, however early that event was scheduled.
 func (r *Runner) scheduleArrivals(i int) {
 	if i >= len(r.arrivals) {
 		return
@@ -955,25 +885,17 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 	// SLA express lane: deadline-carrying tasks may bypass candidacy
 	// windows (controllers defer only deferrable work through them).
 	bypass := r.sla != nil && r.sla.UrgentBypass && r.taskView(p.task).Deadline > 0
-	var list estvec.List
-	if r.cfg.LegacyKernel {
-		list = make(estvec.List, 0, len(r.seds))
-		for _, sed := range r.seds {
-			list = append(list, sed.vectorFor(now, r.rng, bypass))
-		}
-	} else {
-		// Zero-alloc election inner loop: refill the per-SED scratch
-		// vectors in place. Nothing downstream retains the vectors
-		// past this arrival (Select reads; the chosen server's name is
-		// copied out), so reuse is safe.
-		list = r.list[:0]
-		for i, sed := range r.seds {
-			v := &r.vecs[i]
-			sed.fillVector(v, now, r.rng, bypass)
-			list = append(list, v)
-		}
-		r.list = list
+	// Zero-alloc election inner loop: refill the per-SED scratch vectors
+	// in place. Nothing downstream retains the vectors past this arrival
+	// (Select reads; the chosen server's name is copied out), so reuse
+	// is safe.
+	list := r.list[:0]
+	for i, sed := range r.seds {
+		v := &r.vecs[i]
+		sed.fillVector(v, now, r.rng, bypass)
+		list = append(list, v)
 	}
+	r.list = list
 	// Election policy: each module may wrap (or replace) the policy the
 	// previous one produced, starting from the run's base policy.
 	sel := r.sel
@@ -1073,8 +995,7 @@ func (r *Runner) startTask(now float64, sed *sedState, p pendingTask) {
 	r.emit(obs.Event{T: now, Event: obs.EventSolve, ID: uint64(p.task.ID), Class: p.task.Class, Server: sed.node.Spec.Name})
 }
 
-// newRunning takes a runningTask from the free list (event-heap
-// kernel) or allocates one.
+// newRunning takes a runningTask from the free list or allocates one.
 func (r *Runner) newRunning() *runningTask {
 	if n := len(r.rtFree); n > 0 {
 		rt := r.rtFree[n-1]
@@ -1088,9 +1009,6 @@ func (r *Runner) newRunning() *runningTask {
 // referenced: its finish event has fired or been cancelled and its
 // fields copied out.
 func (r *Runner) freeRunning(rt *runningTask) {
-	if r.cfg.LegacyKernel {
-		return
-	}
 	*rt = runningTask{}
 	r.rtFree = append(r.rtFree, rt)
 }

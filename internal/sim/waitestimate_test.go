@@ -13,15 +13,39 @@ import (
 	"greensched/internal/workload"
 )
 
-// This file pins the wait-estimate refactor: the event-heap kernel's
-// drained slot-availability heap, kept across probes and advanced in
-// place by pushes and FIFO refills, must return bit-identical floats
-// to a fresh drain and to the seed kernel's sort-per-queued-task loop
-// on arbitrary SED states; the hot path must not allocate; and a
-// backlogged run must re-drain each SED's queue a bounded number of
-// times, not once per mutation — the seed version cost O(q·s·log s)
-// comparisons and one fresh slice per probe, which dominated the
-// 10k-task benchmark.
+// This file pins the wait estimate: the SED's drained slot-availability
+// heap, kept across probes and advanced in place by pushes and FIFO
+// refills, must return bit-identical floats to a fresh drain and to
+// sortDrainWait on arbitrary SED states; the hot path must not
+// allocate; and a backlogged run must re-drain each SED's queue a
+// bounded number of times, not once per mutation.
+
+// sortDrainWait is the reference wait estimate: the slot-availability
+// times (finish times, padded with now for free slots) re-sorted after
+// every drain step. It allocates per probe; it serves only as an oracle.
+func sortDrainWait(s *sedState, now float64) float64 {
+	if s.freeSlots() > 0 && s.qlen() == 0 {
+		return 0
+	}
+	avail := make([]float64, 0, s.slots)
+	for _, rt := range s.running {
+		avail = append(avail, rt.finish.At.Seconds())
+	}
+	for len(avail) < s.slots {
+		avail = append(avail, now)
+	}
+	sort.Float64s(avail)
+	// Drain the queue ahead of the hypothetical new task.
+	for _, p := range s.queued() {
+		avail[0] += s.node.Spec.TaskSeconds(p.task.Ops)
+		sort.Float64s(avail)
+	}
+	w := avail[0] - now
+	if w < 0 {
+		w = 0
+	}
+	return w
+}
 
 // waitSED builds a SED with nrun running tasks (finish times drawn
 // from rng) and nq queued tasks, at virtual time now.
@@ -49,10 +73,10 @@ func waitSED(t *testing.T, eng *simtime.Engine, rng *rand.Rand, slots, nrun, nq 
 	return sed
 }
 
-// TestWaitEstimateMatchesLegacy: the heap/cached estimate equals the
-// seed sort-based estimate bit-for-bit across randomized states,
-// repeated probes (cache hits) and interleaved mutations.
-func TestWaitEstimateMatchesLegacy(t *testing.T) {
+// TestWaitEstimateMatchesSortDrain: the heap/cached estimate equals the
+// sort-based reference bit-for-bit across randomized states, repeated
+// probes (cache hits) and interleaved mutations.
+func TestWaitEstimateMatchesSortDrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		eng := simtime.NewEngine()
@@ -66,9 +90,9 @@ func TestWaitEstimateMatchesLegacy(t *testing.T) {
 		sed := waitSED(t, eng, rng, slots, nrun, nq, now)
 		for probe := 0; probe < 3; probe++ {
 			got := sed.waitEstimate(now)
-			want := sed.legacyWaitEstimate(now)
+			want := sortDrainWait(sed, now)
 			if got != want {
-				t.Fatalf("trial %d probe %d: waitEstimate %v != legacy %v (slots=%d run=%d q=%d)",
+				t.Fatalf("trial %d probe %d: waitEstimate %v != sort drain %v (slots=%d run=%d q=%d)",
 					trial, probe, got, want, slots, nrun, nq)
 			}
 			now += rng.Float64() * 10 // later probe, same state: cache path
@@ -76,7 +100,7 @@ func TestWaitEstimateMatchesLegacy(t *testing.T) {
 		// Mutate the queue and probe again: the version bump must
 		// invalidate the cache.
 		sed.pushQueue(pendingTask{task: workload.Task{ID: 9999, Ops: 3e11}})
-		if got, want := sed.waitEstimate(now), sed.legacyWaitEstimate(now); got != want {
+		if got, want := sed.waitEstimate(now), sortDrainWait(sed, now); got != want {
 			t.Fatalf("trial %d after push: %v != %v", trial, got, want)
 		}
 	}
@@ -136,7 +160,7 @@ func freshWait(sed *sedState, now float64) float64 {
 // under contention or exec jitter, finish hooks that mutate or probe
 // the SED, and (on every other seed) an EDF queue discipline — and
 // after every step checks each SED's kept-heap estimate against a
-// fresh drain and the seed kernel's sort loop, bit for bit.
+// fresh drain and sortDrainWait, bit for bit.
 func TestWaitEstimateIncrementalOracle(t *testing.T) {
 	hits, probes := 0, 0
 	for seed := int64(1); seed <= 24; seed++ {
@@ -286,8 +310,8 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 					t.Fatalf("seed %d step %d (%s) sed %d: kept estimate %v != fresh drain %v (run=%d q=%d slots=%d)",
 						seed, step, op, s.idx, got, want, len(s.running), s.qlen(), s.slots)
 				}
-				if want := s.legacyWaitEstimate(now); got != want {
-					t.Fatalf("seed %d step %d (%s) sed %d: estimate %v != legacy %v", seed, step, op, s.idx, got, want)
+				if want := sortDrainWait(s, now); got != want {
+					t.Fatalf("seed %d step %d (%s) sed %d: estimate %v != sort drain %v", seed, step, op, s.idx, got, want)
 				}
 			}
 		}

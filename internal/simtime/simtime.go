@@ -134,11 +134,12 @@ func (e *Engine) At(t Time, name string, fn func(now Time)) *Event {
 
 // AtFront schedules fn at absolute time t in the front class: among
 // events sharing the same virtual time it fires before every normal
-// event, no matter when either was scheduled. The event-heap sim
-// kernel uses this for its arrival cursor, which must observe the same
-// ordering as the seed kernel's setup-time arrival events (arrivals
-// before crashes, retries and finishes at the same instant). Front
-// events scheduled for the same time keep FIFO order among themselves.
+// event, no matter when either was scheduled. The sim kernel's arrival
+// cursor uses it so that tasks submitted at an instant are elected
+// before every runtime event at that instant (crashes, retries and
+// finishes), even those scheduled long before the cursor re-armed.
+// Front events scheduled for the same time keep FIFO order among
+// themselves.
 func (e *Engine) AtFront(t Time, name string, fn func(now Time)) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("simtime: scheduling %q at %v before now %v", name, t, e.now))
