@@ -34,8 +34,11 @@ func (t TaskView) ValueDensity() float64 {
 }
 
 // TaskOrder ranks queued tasks: Less reports whether a should run
-// strictly before b. Implementations must be pure so SED queues stay
-// deterministic.
+// strictly before b. Less must be a strict weak order — irreflexive,
+// asymmetric and transitive, with incomparability (neither a before b
+// nor b before a) transitive too — and pure, so SED queues stay
+// deterministic. A SED serves the tasks Less leaves incomparable in
+// queue (insertion) order.
 type TaskOrder interface {
 	// Name identifies the discipline in reports ("EDF", ...).
 	Name() string

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -67,6 +68,42 @@ func TestFIFOOrderAndTies(t *testing.T) {
 	x, y := view(7, 1, 100, 1, 1e9), view(8, 2, 100, 1, 1e9)
 	if !edf.Less(x, y) || edf.Less(y, x) {
 		t.Error("EDF deadline tie must fall through to FIFO")
+	}
+}
+
+// TestBundledOrdersAreStrictWeak checks the TaskOrder contract on the
+// three bundled disciplines over random views built for ties: equal
+// deadlines, Deadline 0 (none, ranked as +Inf), Ops 0 (value density
+// 0), equal Submit and repeated IDs. Less must be irreflexive,
+// asymmetric and transitive, and incomparability must be transitive.
+func TestBundledOrdersAreStrictWeak(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	views := make([]TaskView, 48)
+	for i := range views {
+		views[i] = view(rng.Intn(8), float64(rng.Intn(3)), []float64{0, 100, 200}[rng.Intn(3)],
+			float64(rng.Intn(3)), []float64{0, 1e9, 2e9}[rng.Intn(3)])
+	}
+	for _, kind := range []TaskOrderKind{FIFO, EDF, ValueDensityOrder} {
+		less := NewOrder(kind).Less
+		incomparable := func(a, b TaskView) bool { return !less(a, b) && !less(b, a) }
+		for _, a := range views {
+			if less(a, a) {
+				t.Fatalf("%s: Less(%+v, itself)", kind, a)
+			}
+			for _, b := range views {
+				if less(a, b) && less(b, a) {
+					t.Fatalf("%s: %+v and %+v each precede the other", kind, a, b)
+				}
+				for _, c := range views {
+					if less(a, b) && less(b, c) && !less(a, c) {
+						t.Fatalf("%s: %+v < %+v < %+v but not %+v < %+v", kind, a, b, c, a, c)
+					}
+					if incomparable(a, b) && incomparable(b, c) && !incomparable(a, c) {
+						t.Fatalf("%s: %+v ~ %+v ~ %+v but %+v and %+v are ordered", kind, a, b, c, a, c)
+					}
+				}
+			}
+		}
 	}
 }
 

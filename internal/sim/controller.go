@@ -171,6 +171,9 @@ func (c *runnerControl) queuedAtRisk(sed *sedState) bool {
 		wait = 0
 	}
 	for _, p := range sed.queued() {
+		if p.removed {
+			continue
+		}
 		view := c.r.taskView(p.task)
 		if view.Deadline <= 0 {
 			continue
@@ -230,7 +233,7 @@ func (c *runnerControl) Preempt(name string, taskID int) error {
 	// occupancy must not push the victim past its own deadline.
 	occupied := 0.0
 	if sed.qlen() > 0 {
-		occupied = sed.node.Spec.TaskSeconds(sed.queued()[c.r.nextQueued(sed)].task.Ops)
+		occupied = sed.node.Spec.TaskSeconds(sed.queued()[sed.nextQueued()].task.Ops)
 	}
 	if !sla.SafeToDisplace(c.now, occupied, c.r.restartRemainingSec(c.now, sed, rt), c.r.victimTerms(rt.task)) {
 		return fmt.Errorf("sim: Preempt of task %d would breach its own deadline", taskID)
@@ -263,7 +266,9 @@ func (c *runnerControl) PendingSlack() (float64, bool) {
 	// step 5): their bound is the owning node's own execution time.
 	for _, sed := range c.r.seds {
 		for _, p := range sed.queued() {
-			consider(p.task, sed.node.Spec.TaskSeconds(p.task.Ops))
+			if !p.removed {
+				consider(p.task, sed.node.Spec.TaskSeconds(p.task.Ops))
+			}
 		}
 	}
 	return best, ok

@@ -7,6 +7,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"greensched/internal/cluster"
 	"greensched/internal/consolidation"
 	"greensched/internal/core"
+	"greensched/internal/obs"
 	"greensched/internal/sched"
 	"greensched/internal/sim"
 	"greensched/internal/sla"
@@ -27,7 +30,9 @@ import (
 // to JSON whose sha256 matches testdata/kernel.golden.json. The digests
 // were cut while a second, independent kernel (one arrival event per
 // task, sort-based wait estimates) still ran beside this one, byte-equal
-// on every entry. Regenerate only after an intended behaviour change:
+// on every entry; the discipline/* digests were cut on the linear-scan
+// dequeue the discipline heap replaced. Regenerate only after an
+// intended behaviour change:
 //
 //	UPDATE_GOLDEN=1 go test -run TestKernelGolden ./internal/sim/
 //
@@ -43,9 +48,67 @@ type kernelGolden struct {
 
 // kernelCoverage tallies what the scenario set exercised, so the
 // oracle cannot silently stop covering a kernel path. bypass and direct
-// count SLA elections that may and may not ignore revoked candidacy.
+// count SLA elections that may and may not ignore revoked candidacy;
+// nonHead counts dequeues that served a task other than the oldest one
+// waiting on its SED (a queue discipline overtaking FIFO), and
+// peakQueue is the deepest single-SED backlog seen.
 type kernelCoverage struct {
 	crashes, preemptions, rejections, series, bypass, direct int
+	nonHead, peakQueue                                       int
+}
+
+// queueWatch replays each SED's backlog from the lifecycle stream —
+// elect appends, solve removes — and counts the solves that dequeued a
+// task from behind the head of its SED's queue.
+type queueWatch struct {
+	sim.BaseModule
+	cov     *kernelCoverage
+	waiting map[string][]uint64 // server → elected, unstarted task IDs in election order
+	at      map[uint64]string   // task ID → the server it waits on
+	last    obs.Event
+}
+
+// Init implements sim.Module.
+func (w *queueWatch) Init(*sim.Runner) error {
+	w.waiting = map[string][]uint64{}
+	w.at = map[uint64]string{}
+	w.last = obs.Event{}
+	return nil
+}
+
+// OnLifecycle implements sim.LifecycleObserver.
+func (w *queueWatch) OnLifecycle(ev obs.Event) {
+	switch ev.Event {
+	case obs.EventElect:
+		// A crash-migrated queued task is elected again elsewhere.
+		if s, ok := w.at[ev.ID]; ok {
+			w.drop(s, ev.ID)
+		}
+		w.waiting[ev.Server] = append(w.waiting[ev.Server], ev.ID)
+		w.at[ev.ID] = ev.Server
+		w.cov.peakQueue = max(w.cov.peakQueue, len(w.waiting[ev.Server]))
+	case obs.EventSolve:
+		// A solve straight after its own election started in a free (or
+		// preempted) slot without queueing.
+		queued := !(w.last.Event == obs.EventElect && w.last.ID == ev.ID)
+		if i := w.drop(ev.Server, ev.ID); queued && i > 0 {
+			w.cov.nonHead++
+		}
+	}
+	w.last = ev
+}
+
+// drop removes id from server's backlog and returns where it stood.
+func (w *queueWatch) drop(server string, id uint64) int {
+	q := w.waiting[server]
+	for i, x := range q {
+		if x == id {
+			w.waiting[server] = append(q[:i], q[i+1:]...)
+			delete(w.at, id)
+			return i
+		}
+	}
+	return -1
 }
 
 // observe is a WrapPolicy hook stacked after the SLA module, which
@@ -141,8 +204,63 @@ func composedStack(t *testing.T, cov *kernelCoverage, kind sched.Kind, seed int6
 	)
 }
 
+// disciplineStack is a deep-backlog SLA scenario for one queue
+// discipline: a 2,400-task burst leaves each paper-platform SED hundreds
+// deep, and the mix is built for ties — every burst task shares a
+// Submit, half-size batch work carries half the value (the same value
+// density), deadline-class tasks submitted together share a deadline,
+// and explicit deadlines are shared across 600-second submit buckets.
+// Premium batch work outranks deadline work on value density but not
+// on deadline, so EDF and VALUE-DENSITY serve different tasks.
+// Interactive work preempts at arrival, and an SLA-guarded controller
+// checkpoints batch for at-risk queued deadline work on its ticks.
+func disciplineStack(t *testing.T, cov *kernelCoverage, order sched.TaskOrder, seed int64) sim.Config {
+	t.Helper()
+	tasks := goldenTasks(t, workload.BurstThenRate{Total: 3000, Burst: 2400, Rate: 1, Ops: 9e11, Class: sla.ClassBatch})
+	rng := rand.New(rand.NewSource(seed))
+	for i := range tasks {
+		switch k := rng.Intn(10); {
+		case k < 2:
+			tasks[i].Ops /= 2
+			tasks[i].Value = 0.025 // batch density: 0.05 per 9e11
+		case k < 3:
+			tasks[i].Value = 1
+		case k < 5:
+			tasks[i].Class = sla.ClassDeadline
+		case k < 6:
+			tasks[i].Class = sla.ClassDeadline
+			tasks[i].Deadline = math.Floor(tasks[i].Submit/600)*600 + 900
+		case k < 7:
+			tasks[i].Class = sla.ClassInteractive
+			tasks[i].Ops /= 10
+		}
+	}
+	return sim.NewScenario(cluster.PaperPlatform(), tasks,
+		sim.WithPolicy(sched.New(sched.GreenPerf)),
+		sim.WithExplore(),
+		sim.WithSeed(seed),
+		sim.WithTick(120),
+		sim.WithModules(
+			&sim.SLAModule{
+				Config: &sla.Config{
+					Catalog:   sla.DefaultCatalog(),
+					Admission: &sla.Admission{Margin: 1},
+					Order:     order,
+				},
+				WrapDeadline: true,
+			},
+			&sim.PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 0.1}},
+			&consolidation.Module{Controller: &consolidation.Controller{
+				IdleTimeout: 600, MinOn: 1, DeadlineSlackSec: 300, PreemptBatch: true,
+			}},
+			&queueWatch{cov: cov},
+		),
+	)
+}
+
 // kernelScenarios lists four hand-built scenarios, then every bundled
-// policy, bare and under the module stack, on three seeds.
+// policy, bare and under the module stack, on three seeds, then every
+// bundled queue discipline over a deep backlog on three seeds.
 func kernelScenarios() []kernelScenario {
 	out := []kernelScenario{
 		{"placement-greenperf", func(t *testing.T, _ *kernelCoverage) sim.Config {
@@ -216,6 +334,13 @@ func kernelScenarios() []kernelScenario {
 			}})
 		}
 	}
+	for _, kind := range []sched.TaskOrderKind{sched.EDF, sched.ValueDensityOrder, sched.FIFO} {
+		for seed := int64(1); seed <= 3; seed++ {
+			out = append(out, kernelScenario{fmt.Sprintf("discipline/%s/seed%d", kind, seed), func(t *testing.T, cov *kernelCoverage) sim.Config {
+				return disciplineStack(t, cov, sched.NewOrder(kind), seed)
+			}})
+		}
+	}
 	return out
 }
 
@@ -268,10 +393,14 @@ func TestKernelGolden(t *testing.T) {
 	for name, c := range map[string]int{
 		"crashes": cov.crashes, "preemptions": cov.preemptions, "admission rejections": cov.rejections,
 		"power samples": cov.series, "bypass elections": cov.bypass, "non-bypass SLA elections": cov.direct,
+		"non-head dequeues": cov.nonHead,
 	} {
 		if c == 0 {
 			t.Errorf("no scenario produced any %s; the oracle no longer covers that path", name)
 		}
+	}
+	if cov.peakQueue < 100 {
+		t.Errorf("deepest SED backlog %d, want hundreds: the discipline scenarios no longer stress the dequeue", cov.peakQueue)
 	}
 	t.Logf("coverage: %+v", cov)
 	if update && !t.Failed() {

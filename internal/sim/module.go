@@ -220,7 +220,9 @@ func (m *SLAModule) Init(r *Runner) error {
 		r.terms[t.ID] = r.catalog.Resolve(t)
 	}
 	r.ledger = sla.NewLedger()
-	r.order = m.Config.Order
+	for _, sed := range r.seds {
+		sed.order = m.Config.Order
+	}
 	m.r = r
 	return nil
 }

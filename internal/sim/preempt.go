@@ -67,27 +67,17 @@ func (r *Runner) tryPreempt(now float64, sed *sedState, p pendingTask) bool {
 // it waits only for the earliest slot release; otherwise it falls
 // back to the conservative FIFO drain estimate of waitEstimate.
 func (r *Runner) urgentWaitEstimate(now float64, sed *sedState, t workload.Task) float64 {
-	if r.order != nil {
-		view := r.taskView(t)
-		first := true
-		for _, q := range sed.queued() {
-			if !r.order.Less(view, r.taskView(q.task)) {
-				first = false
-				break
+	if sed.order != nil && sed.aheadOfAll(r.taskView(t)) {
+		wait := math.Inf(1)
+		for _, rt := range sed.running {
+			if w := rt.finish.At.Seconds() - now; w < wait {
+				wait = w
 			}
 		}
-		if first {
-			wait := math.Inf(1)
-			for _, rt := range sed.running {
-				if w := rt.finish.At.Seconds() - now; w < wait {
-					wait = w
-				}
-			}
-			if math.IsInf(wait, 1) || wait < 0 {
-				wait = 0
-			}
-			return wait
+		if math.IsInf(wait, 1) || wait < 0 {
+			wait = 0
 		}
+		return wait
 	}
 	return sed.waitEstimate(now)
 }

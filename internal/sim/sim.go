@@ -269,6 +269,13 @@ func (r *Result) MeanWait() float64 {
 }
 
 // sedState is one SED: a node plus its queue, estimator and meter.
+//
+// The backlog has two orders. queue holds it in insertion order — the
+// order the wait-estimate drain, crash migration and controller views
+// walk, whatever the discipline. Under a queue discipline (order
+// non-nil: EDF, VALUE-DENSITY, ...) disc additionally orders it for the
+// dequeue: a freed slot serves disc's top, and the queue keeps its
+// insertion order around the gap.
 type sedState struct {
 	idx   int
 	node  *cluster.Node
@@ -276,11 +283,16 @@ type sedState struct {
 	meter *power.Wattmeter
 
 	slots int
-	// queue[qhead:] is the live backlog: FIFO dequeues advance qhead
+	// queue[qhead:] is the backlog arena: FIFO dequeues advance qhead
 	// in O(1) instead of memmoving the whole slice, and the backing
-	// array is recycled once drained — the pending-task arena.
+	// array is recycled once drained — the pending-task arena. A
+	// removal behind the head (a discipline serving out of insertion
+	// order) leaves a tombstone (pendingTask.removed) that every walk
+	// skips; dead counts them, and compact squeezes them and the dead
+	// prefix out once they make up half the arena.
 	queue   []pendingTask
 	qhead   int
+	dead    int
 	running map[int]*runningTask // task ID → record
 
 	// Drained-heap cache. avail is the slot-availability min-heap left
@@ -309,6 +321,18 @@ type sedState struct {
 	availVer uint64
 	mutVer   uint64
 	drains   int
+
+	// order is the queue discipline (nil = FIFO, and disc stays empty).
+	// disc is its binary min-heap over the live backlog, one entry per
+	// queued task, keyed by order.Less on the view taken at enqueue and
+	// then by arena slot — insertion order, so incomparable tasks are
+	// served first-come first-served. A task's terms are resolved once,
+	// on first arrival, so the view cannot go stale while it waits; a
+	// preempted remainder re-enters with a fresh view. renum is
+	// compact's slot-renumbering scratch.
+	order sched.TaskOrder
+	disc  []queueKey
+	renum []int
 
 	// static holds the benchmark calibration when Config.Static is
 	// set; estimates then never change at runtime.
@@ -360,8 +384,11 @@ type pendingTask struct {
 	resubmits int
 	// waiting marks a task already counted in Runner.unplaced while it
 	// retries election; parkedAt is when it started waiting (the defer
-	// lifecycle event's park time).
+	// lifecycle event's park time). removed marks a tombstoned queue
+	// slot (see sedState.queue); it shares waiting's padding word, so
+	// the arena entry does not grow.
 	waiting  bool
+	removed  bool
 	parkedAt float64
 
 	// admitted marks a task that already passed the admission screen
@@ -409,15 +436,25 @@ func (s *sedState) freeSlots() int {
 	return free
 }
 
-// qlen returns the live backlog length.
-func (s *sedState) qlen() int { return len(s.queue) - s.qhead }
+// queueKey is one queued task's entry in its SED's discipline heap:
+// the view the discipline ranks on, taken at enqueue, and the task's
+// slot in the queue arena, which also breaks ties in insertion order.
+type queueKey struct {
+	view sched.TaskView
+	slot int
+}
 
-// queued returns the live backlog in queue order.
+// qlen returns the live backlog length.
+func (s *sedState) qlen() int { return len(s.queue) - s.qhead - s.dead }
+
+// queued returns the backlog arena in insertion order, tombstones
+// (removed) included; walks skip them.
 func (s *sedState) queued() []pendingTask { return s.queue[s.qhead:] }
 
 // pushQueue appends a task to the backlog. An exact drained heap is
 // advanced by the new tail's drain step — the earliest slot takes it —
-// instead of being thrown away.
+// instead of being thrown away. Under a discipline the caller indexes
+// the new tail (Runner.enqueue).
 func (s *sedState) pushQueue(p pendingTask) {
 	s.queue = append(s.queue, p)
 	drained := s.drained()
@@ -429,39 +466,147 @@ func (s *sedState) pushQueue(p pendingTask) {
 	}
 }
 
+// nextQueued returns the index (into queued()) of the task a freed
+// slot serves next: the discipline heap's top, or the head under FIFO.
+func (s *sedState) nextQueued() int {
+	if s.order != nil {
+		return s.disc[0].slot - s.qhead
+	}
+	return 0
+}
+
+// aheadOfAll reports whether a task with view v would be served before
+// every queued task under the discipline. The heap's top is a minimal
+// task, and a strict weak order puts v before all of them exactly when
+// it puts v before that one.
+func (s *sedState) aheadOfAll(v sched.TaskView) bool {
+	return s.qlen() == 0 || s.order.Less(v, s.disc[0].view)
+}
+
 // removeQueued removes and returns the backlog entry at index i (an
-// index into queued()). The head case — every FIFO dequeue — advances
-// qhead in O(1); the backing array is reset once drained and compacted
-// when the dead prefix dominates, so a million-task run reuses one
-// arena instead of memmoving the queue on every start.
+// index into queued(), which must not be a tombstone). The head case —
+// every FIFO dequeue — advances qhead in O(1) past the head and any
+// tombstones behind it; any other entry becomes a tombstone. The
+// backing array is reset once drained and compacted when the dead
+// entries dominate, so a million-task run reuses one arena instead of
+// memmoving the queue on every start.
 func (s *sedState) removeQueued(i int) pendingTask {
 	j := s.qhead + i
 	p := s.queue[j]
+	if s.order != nil {
+		s.unindex(j)
+	}
+	s.queue[j] = pendingTask{removed: true}
 	if i == 0 {
-		s.queue[j] = pendingTask{}
 		s.qhead++
-		switch {
-		case s.qhead == len(s.queue):
-			s.queue = s.queue[:0]
-			s.qhead = 0
-		case s.qhead >= 256 && s.qhead*2 >= len(s.queue):
-			n := copy(s.queue, s.queue[s.qhead:])
-			s.queue = s.queue[:n]
-			s.qhead = 0
+		for s.qhead < len(s.queue) && s.queue[s.qhead].removed {
+			s.qhead++
+			s.dead--
 		}
 	} else {
-		copy(s.queue[j:], s.queue[j+1:])
-		s.queue = s.queue[:len(s.queue)-1]
+		s.dead++
+	}
+	switch gone := s.qhead + s.dead; {
+	case s.qhead == len(s.queue):
+		s.queue = s.queue[:0]
+		s.qhead = 0
+	case gone >= 256 && gone*2 >= len(s.queue):
+		s.compact()
 	}
 	s.bumpWait()
 	return p
 }
 
+// compact moves the live backlog to the front of the arena, in order,
+// and renumbers the discipline heap's slots to match. Renumbering keeps
+// the slots' relative order, so the heap stays a heap.
+func (s *sedState) compact() {
+	if s.dead == 0 {
+		// Only a dead prefix — every FIFO compaction: one memmove.
+		n := copy(s.queue, s.queue[s.qhead:])
+		s.queue = s.queue[:n]
+		for k := range s.disc {
+			s.disc[k].slot -= s.qhead
+		}
+		s.qhead = 0
+		return
+	}
+	s.renum = s.renum[:0]
+	n := 0
+	for _, p := range s.queue[s.qhead:] {
+		s.renum = append(s.renum, n)
+		if !p.removed {
+			s.queue[n] = p
+			n++
+		}
+	}
+	for k := range s.disc {
+		s.disc[k].slot = s.renum[s.disc[k].slot-s.qhead]
+	}
+	s.queue = s.queue[:n]
+	s.qhead, s.dead = 0, 0
+}
+
 // clearQueue empties the backlog (crash path), keeping the arena.
 func (s *sedState) clearQueue() {
 	s.queue = s.queue[:0]
-	s.qhead = 0
+	s.qhead, s.dead = 0, 0
+	s.disc = s.disc[:0]
 	s.bumpWait()
+}
+
+// index adds the backlog's tail to the discipline heap under view v.
+func (s *sedState) index(v sched.TaskView) {
+	s.disc = append(s.disc, queueKey{view: v, slot: len(s.queue) - 1})
+	s.discUp(len(s.disc) - 1)
+}
+
+// unindex removes the heap entry of arena slot j. The dequeue path
+// removes the top, found at once; only an out-of-discipline removal
+// searches. Floyd's deletion walks the hole down to a leaf, promoting
+// the smaller child — one comparison per level, not two — then settles
+// the heap's last entry into it from below.
+func (s *sedState) unindex(j int) {
+	k := 0
+	for s.disc[k].slot != j {
+		k++
+	}
+	last := len(s.disc) - 1
+	for c := 2*k + 1; c < last; c = 2*k + 1 {
+		if c+1 < last && s.discLess(c+1, c) {
+			c++
+		}
+		s.disc[k] = s.disc[c]
+		k = c
+	}
+	s.disc[k] = s.disc[last]
+	s.disc = s.disc[:last]
+	if k < last {
+		s.discUp(k)
+	}
+}
+
+// discLess orders heap entries i and j: discipline first, then slot.
+func (s *sedState) discLess(i, j int) bool {
+	a, b := &s.disc[i], &s.disc[j]
+	if s.order.Less(a.view, b.view) {
+		return true
+	}
+	if s.order.Less(b.view, a.view) {
+		return false
+	}
+	return a.slot < b.slot
+}
+
+func (s *sedState) discUp(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.discLess(i, p) {
+			return
+		}
+		s.disc[i], s.disc[p] = s.disc[p], s.disc[i]
+		i = p
+	}
 }
 
 // bumpWait invalidates the drained heap; every queue or running-set
@@ -530,6 +675,9 @@ func (s *sedState) firstFree(now float64, pad bool) float64 {
 	s.avail = avail
 	floatHeapInit(avail)
 	for _, p := range s.queued() {
+		if p.removed {
+			continue
+		}
 		// start := avail[0]; the queued task occupies the earliest
 		// slot, which then frees at start + exec.
 		avail[0] += s.node.Spec.TaskSeconds(p.task.Ops)
@@ -672,12 +820,12 @@ type Runner struct {
 	sla *sla.Config
 	pre *sla.Preemption
 
-	// SLA state: the effective catalog, resolved terms per task ID,
-	// the revenue ledger, and the queue discipline (nil = FIFO).
+	// SLA state: the effective catalog, resolved terms per task ID and
+	// the revenue ledger. The queue discipline lives on each SED
+	// (sedState.order).
 	catalog sla.Catalog
 	terms   map[int]sla.Terms
 	ledger  *sla.Ledger
-	order   sched.TaskOrder
 
 	// Election scratch: one reusable estimation vector per SED plus
 	// the candidate list and per-task selector, so the election inner
@@ -941,7 +1089,16 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 		// A victim was checkpointed and the urgent task started in its
 		// slot.
 	default:
-		sed.pushQueue(p)
+		r.enqueue(sed, p)
+	}
+}
+
+// enqueue appends p to sed's backlog and, under a queue discipline,
+// indexes it by its view.
+func (r *Runner) enqueue(sed *sedState, p pendingTask) {
+	sed.pushQueue(p)
+	if sed.order != nil {
+		sed.index(r.taskView(p.task))
 	}
 }
 
@@ -1096,7 +1253,7 @@ func (r *Runner) onFinish(now float64, sed *sedState, rt *runningTask) {
 	// TaskSeconds (no contention or jitter), and drainQueue starts just
 	// that one task: one removal plus one start, two bumps.
 	keep := sed.availVer == vacated && sed.mutVer == vacated &&
-		r.order == nil && r.cfg.Contention <= 0 && r.cfg.ExecJitter <= 0
+		sed.order == nil && r.cfg.Contention <= 0 && r.cfg.ExecJitter <= 0
 	r.drainQueue(now, sed)
 	if keep && sed.mutVer == vacated+2 {
 		sed.availVer = sed.mutVer + 1
@@ -1109,26 +1266,9 @@ func (r *Runner) onFinish(now float64, sed *sedState, rt *runningTask) {
 
 func (r *Runner) drainQueue(now float64, sed *sedState) {
 	for sed.qlen() > 0 && sed.freeSlots() > 0 {
-		p := sed.removeQueued(r.nextQueued(sed))
+		p := sed.removeQueued(sed.nextQueued())
 		r.startTask(now, sed, p)
 	}
-}
-
-// nextQueued returns the index (into queued()) of the task a freed
-// slot on sed serves next: the best per the SLA queue discipline (EDF,
-// VALUE-DENSITY), or the head under FIFO.
-func (r *Runner) nextQueued(sed *sedState) int {
-	next := 0
-	if r.order != nil {
-		q := sed.queued()
-		best := r.taskView(q[0].task)
-		for i := 1; i < len(q); i++ {
-			if v := r.taskView(q[i].task); r.order.Less(v, best) {
-				next, best = i, v
-			}
-		}
-	}
-	return next
 }
 
 // taskView projects a task into the slice queue disciplines rank on,
@@ -1170,6 +1310,9 @@ func (r *Runner) onCrash(now float64, sed *sedState) {
 	}
 	r.res.Crashed += len(lost)
 	for _, p := range sed.queued() {
+		if p.removed {
+			continue
+		}
 		p.admitted = true // already screened; never re-screen at crash time
 		lost = append(lost, p)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -13,12 +14,14 @@ import (
 	"greensched/internal/workload"
 )
 
-// This file pins the wait estimate: the SED's drained slot-availability
-// heap, kept across probes and advanced in place by pushes and FIFO
-// refills, must return bit-identical floats to a fresh drain and to
-// sortDrainWait on arbitrary SED states; the hot path must not
+// This file pins the wait estimate and the dequeue: the SED's drained
+// slot-availability heap, kept across probes and advanced in place by
+// pushes and FIFO refills, must return bit-identical floats to a fresh
+// drain and to sortDrainWait on arbitrary SED states; the discipline
+// heap must pick what scanNextQueued picks; the hot path must not
 // allocate; and a backlogged run must re-drain each SED's queue a
-// bounded number of times, not once per mutation.
+// bounded number of times, not once per mutation, and consult its
+// discipline O(log queue) times per task, not once per queued task.
 
 // sortDrainWait is the reference wait estimate: the slot-availability
 // times (finish times, padded with now for free slots) re-sorted after
@@ -37,6 +40,9 @@ func sortDrainWait(s *sedState, now float64) float64 {
 	sort.Float64s(avail)
 	// Drain the queue ahead of the hypothetical new task.
 	for _, p := range s.queued() {
+		if p.removed {
+			continue
+		}
 		avail[0] += s.node.Spec.TaskSeconds(p.task.Ops)
 		sort.Float64s(avail)
 	}
@@ -153,24 +159,174 @@ func freshWait(sed *sedState, now float64) float64 {
 	return c.waitEstimate(now)
 }
 
+// scanNextQueued is the reference dequeue pick: a linear scan of the
+// live backlog in insertion order for the first task no other precedes
+// under the discipline (the head under FIFO), with every view read
+// fresh. It serves only as an oracle for the discipline heap.
+func scanNextQueued(r *Runner, s *sedState) int {
+	next := -1
+	var best sched.TaskView
+	for i, p := range s.queued() {
+		if p.removed {
+			continue
+		}
+		if v := r.taskView(p.task); next < 0 || (s.order != nil && s.order.Less(v, best)) {
+			next, best = i, v
+		}
+	}
+	return next
+}
+
+// scanAheadOfAll is the reference urgent-arrival test: v precedes every
+// live queued task under the discipline.
+func scanAheadOfAll(r *Runner, s *sedState, v sched.TaskView) bool {
+	for _, p := range s.queued() {
+		if !p.removed && !s.order.Less(v, r.taskView(p.task)) {
+			return false
+		}
+	}
+	return true
+}
+
+// liveIndex returns the index into queued() of the k-th live entry.
+func liveIndex(s *sedState, k int) int {
+	for i, p := range s.queued() {
+		if p.removed {
+			continue
+		}
+		if k == 0 {
+			return i
+		}
+		k--
+	}
+	panic("liveIndex past the backlog")
+}
+
+// tiedOrder ranks by deadline alone, deadline-free last: a strict weak
+// order with large classes of incomparable tasks, which only the
+// insertion-order tiebreak serves first-come first-served.
+type tiedOrder struct{}
+
+func (tiedOrder) Name() string { return "DEADLINE-ONLY" }
+func (tiedOrder) Less(a, b sched.TaskView) bool {
+	due := func(v sched.TaskView) float64 {
+		if v.Deadline <= 0 {
+			return math.Inf(1)
+		}
+		return v.Deadline
+	}
+	return due(a) < due(b)
+}
+
+// testOrders are the disciplines the oracles rotate through: FIFO
+// without a discipline, the three bundled orders, and tiedOrder.
+var testOrders = []sched.TaskOrder{nil, sched.NewOrder(sched.EDF), sched.NewOrder(sched.ValueDensityOrder),
+	sched.NewOrder(sched.FIFO), tiedOrder{}}
+
+// tieHeavyTask returns a task whose view ties with many others: few
+// distinct deadlines (including none), values and sizes, and the
+// shared submit time now.
+func tieHeavyTask(rng *rand.Rand, id int, now, ops float64) workload.Task {
+	t := workload.Task{ID: id, Ops: ops, Submit: now, Value: float64(rng.Intn(3))}
+	if k := rng.Intn(4); k > 0 {
+		t.Deadline = now + 100*float64(k)
+	}
+	return t
+}
+
+// checkDiscipline compares sed's discipline heap with the linear-scan
+// oracles: one heap entry per live task, the same dequeue pick, and the
+// same urgent-arrival "ahead of all" answer for probe.
+func checkDiscipline(t *testing.T, r *Runner, s *sedState, probe sched.TaskView) {
+	t.Helper()
+	if s.order == nil {
+		return
+	}
+	if len(s.disc) != s.qlen() {
+		t.Fatalf("sed %d: %d heap entries for %d queued tasks", s.idx, len(s.disc), s.qlen())
+	}
+	if s.qlen() > 0 {
+		if got, want := s.nextQueued(), scanNextQueued(r, s); got != want {
+			t.Fatalf("sed %d (%s): heap picks queue index %d (task %d), scan picks %d (task %d)",
+				s.idx, s.order.Name(), got, s.queued()[got].task.ID, want, s.queued()[want].task.ID)
+		}
+	}
+	if got, want := s.aheadOfAll(probe), scanAheadOfAll(r, s, probe); got != want {
+		t.Fatalf("sed %d (%s): ahead of all %v, scan says %v", s.idx, s.order.Name(), got, want)
+	}
+}
+
+// TestDisciplineHeapMatchesScan drives one SED's backlog hundreds deep
+// under every discipline in testOrders — tie-heavy pushes in bursts,
+// dequeues of the heap's pick and, in half the runs, out-of-discipline
+// removals, so tombstones pile up until compaction renumbers the heap
+// (and under the explicit FIFO order, which always picks the head, the
+// arena compacts a dead prefix alone) — and after every mutation checks
+// the heap against the linear-scan oracles and the wait estimate
+// against sortDrainWait.
+func TestDisciplineHeapMatchesScan(t *testing.T) {
+	prefix, tombstones := 0, 0
+	for _, order := range testOrders[1:] {
+		for _, stray := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(3))
+			eng := simtime.NewEngine()
+			r := &Runner{}
+			sed := waitSED(t, eng, rng, 4, 4, 0, 0)
+			sed.order = order
+			id := 0
+			for step := 0; step < 2000; step++ {
+				arena, dead := len(sed.queue), sed.dead
+				switch k := rng.Intn(10); {
+				case k < 4 || sed.qlen() < 2:
+					for n := 1 + rng.Intn(4); n > 0; n-- {
+						id++
+						r.enqueue(sed, pendingTask{task: tieHeavyTask(rng, id, float64(step/8), float64(1+rng.Intn(2))*1e11)})
+					}
+				case k < 9 || !stray:
+					sed.removeQueued(sed.nextQueued())
+				default:
+					sed.removeQueued(liveIndex(sed, rng.Intn(sed.qlen())))
+				}
+				if sed.qlen() > 0 && len(sed.queue) < arena {
+					if dead > 0 {
+						tombstones++
+					} else {
+						prefix++
+					}
+				}
+				checkDiscipline(t, r, sed, r.taskView(tieHeavyTask(rng, id+1, float64(step/8), 1e11)))
+				if got, want := sed.waitEstimate(0), sortDrainWait(sed, 0); got != want {
+					t.Fatalf("%s step %d: estimate %v != sort drain %v", order.Name(), step, got, want)
+				}
+			}
+		}
+	}
+	t.Logf("compactions: %d of a dead prefix, %d with tombstones", prefix, tombstones)
+	if prefix == 0 || tombstones == 0 {
+		t.Fatalf("compactions: %d of a dead prefix, %d with tombstones; want both", prefix, tombstones)
+	}
+}
+
 // TestWaitEstimateIncrementalOracle drives a real runner through random
 // mutation sequences — pushes (bursts of equal-size tasks, so several
 // finishes share an instant), FIFO finish→head refills, non-head
 // removals, preemptions, crashes, queue clears, power toggles, starts
 // under contention or exec jitter, finish hooks that mutate or probe
-// the SED, and (on every other seed) an EDF queue discipline — and
-// after every step checks each SED's kept-heap estimate against a
-// fresh drain and sortDrainWait, bit for bit.
+// the SED, and a queue discipline rotating with the seed over
+// testOrders on tie-heavy tasks — and after every step checks each
+// SED's kept-heap estimate against a fresh drain and sortDrainWait, bit
+// for bit, and its discipline heap against the linear-scan oracles.
 func TestWaitEstimateIncrementalOracle(t *testing.T) {
 	hits, probes := 0, 0
-	for seed := int64(1); seed <= 24; seed++ {
+	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		order := testOrders[seed%int64(len(testOrders))]
 		var r *Runner
 		nextID := 1
 		newTask := func(now float64, ops float64) pendingTask {
 			p := pendingTask{task: workload.Task{ID: nextID, Ops: ops, Submit: now}}
-			if r.order != nil && rng.Intn(2) == 0 {
-				p.task.Deadline = now + rng.Float64()*1e4
+			if order != nil {
+				p.task = tieHeavyTask(rng, nextID, now, ops)
 			}
 			nextID++
 			return p
@@ -184,10 +340,10 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 			case 0:
 				sed.waitEstimate(now)
 			case 1:
-				sed.pushQueue(newTask(now, 2e11))
+				r.enqueue(sed, newTask(now, 2e11))
 			case 2:
 				if n := sed.qlen(); sed.freeSlots() > 0 && n > 1 {
-					r.startTask(now, sed, sed.removeQueued(n-1))
+					r.startTask(now, sed, sed.removeQueued(liveIndex(sed, n-1)))
 				}
 			}
 		}}
@@ -203,15 +359,15 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seed%2 == 0 {
-			r.order = sched.NewOrder(sched.EDF)
+		for _, s := range r.seds {
+			s.order = order
 		}
 		submit := func(now float64, sed *sedState, ops float64) {
 			p := newTask(now, ops)
 			if sed.freeSlots() > 0 {
 				r.startTask(now, sed, p)
 			} else {
-				sed.pushQueue(p)
+				r.enqueue(sed, p)
 			}
 		}
 		for step := 0; step < 400; step++ {
@@ -241,7 +397,7 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 			case k < 14:
 				op = "remove non-head"
 				if n := sed.qlen(); n > 1 {
-					sed.removeQueued(1 + rng.Intn(n-1))
+					sed.removeQueued(liveIndex(sed, 1+rng.Intn(n-1)))
 				}
 			case k < 15:
 				op = "preempt"
@@ -294,7 +450,9 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 				}
 			}
 			now = r.eng.Now().Seconds()
+			probe := r.taskView(tieHeavyTask(rng, nextID, now, 2e11))
 			for _, s := range r.seds {
+				checkDiscipline(t, r, s, probe)
 				if len(s.running) == s.slots && s.qlen() > 0 {
 					probes++
 				}
@@ -369,5 +527,82 @@ func TestBacklogDrainsBounded(t *testing.T) {
 			t.Fatalf("jitter=%v: %d full drains at 10k tasks and %d at 40k, want the same count ≤ %d SEDs + 4",
 				jitter, small, large, seds)
 		}
+	}
+}
+
+// countingOrder counts the Less calls a queue discipline answers.
+type countingOrder struct {
+	sched.TaskOrder
+	calls int
+}
+
+func (o *countingOrder) Less(a, b sched.TaskView) bool {
+	o.calls++
+	return o.TaskOrder.Less(a, b)
+}
+
+// TestDisciplineDequeueBounded is the complexity gate for disciplined
+// queues: on a sim-stack-shaped trace (a burst, then four times what
+// the paper platform clears, one task in five interactive with a
+// two-minute deadline, EDF with preemption) the discipline is consulted
+// O(log queue) times per task, not once per queued task, so Less calls
+// per task stay within a small multiple of log2 of the deepest per-SED
+// backlog and barely grow when the trace — and with it every queue —
+// quadruples.
+func TestDisciplineDequeueBounded(t *testing.T) {
+	lessPerTask := func(n int) (perTask float64, peak int) {
+		ts, err := workload.BurstThenRate{Total: n, Burst: 512, Rate: 4, Ops: 9e11, Class: sla.ClassBatch}.Tasks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		for i := range ts {
+			if rng.Float64() < 0.2 {
+				ts[i].Class = sla.ClassInteractive
+				ts[i].Ops /= 10
+				ts[i].Deadline = ts[i].Submit + 120
+			}
+		}
+		order := &countingOrder{TaskOrder: sched.NewOrder(sched.EDF)}
+		var r *Runner
+		depth := &HookModule{OnArrivalFunc: func(float64, *workload.Task) {
+			for _, sed := range r.seds {
+				peak = max(peak, sed.qlen())
+			}
+		}}
+		r, err = NewRunner(Config{
+			Platform: cluster.PaperPlatform(),
+			Policy:   sched.New(sched.GreenPerf),
+			Tasks:    ts,
+			Explore:  true,
+			Seed:     1,
+			Modules: []Module{
+				&SLAModule{Config: &sla.Config{Admission: &sla.Admission{Margin: 1}, Order: order, UrgentBypass: true}, WrapDeadline: true},
+				&PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 0.1}},
+				depth,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(order.calls) / float64(n), peak
+	}
+	small, peakSmall := lessPerTask(5_000)
+	large, peakLarge := lessPerTask(20_000)
+	t.Logf("Less calls per task: %.1f at 5k tasks (peak SED queue %d), %.1f at 20k (peak %d)", small, peakSmall, large, peakLarge)
+	const c = 3
+	for _, m := range []struct {
+		perTask float64
+		peak    int
+	}{{small, peakSmall}, {large, peakLarge}} {
+		if bound := c * math.Log2(float64(m.peak)); m.perTask > bound {
+			t.Errorf("%.1f Less calls per task at a peak SED queue of %d, want ≤ %d·log2(peak) = %.1f", m.perTask, m.peak, c, bound)
+		}
+	}
+	if large >= 1.3*small {
+		t.Errorf("Less calls per task grew %.2f× from 5k to 20k tasks, want < 1.3×", large/small)
 	}
 }
