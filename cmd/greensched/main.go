@@ -35,7 +35,6 @@ import (
 	"greensched/internal/powerd"
 	"greensched/internal/sched"
 	"greensched/internal/sim"
-	"greensched/internal/trace"
 	"greensched/internal/workload"
 )
 
@@ -493,11 +492,11 @@ func runPlacement(out io.Writer, seed int64, static bool, csvDir string) error {
 		nodes = append(nodes, n.Name)
 	}
 	files := map[string]string{
-		"fig2_power_tasks.csv":       trace.TasksPerNodeCSV(res.Runs[sched.Power], nodes),
-		"fig3_performance_tasks.csv": trace.TasksPerNodeCSV(res.Runs[sched.Performance], nodes),
-		"fig4_random_tasks.csv":      trace.TasksPerNodeCSV(res.Runs[sched.Random], nodes),
-		"fig5_power_energy.csv":      trace.ClusterEnergyCSV(res.Runs[sched.Power], res.Platform.Clusters()),
-		"fig5_random_energy.csv":     trace.ClusterEnergyCSV(res.Runs[sched.Random], res.Platform.Clusters()),
+		"fig2_power_tasks.csv":       tasksPerNodeCSV(res.Runs[sched.Power], nodes),
+		"fig3_performance_tasks.csv": tasksPerNodeCSV(res.Runs[sched.Performance], nodes),
+		"fig4_random_tasks.csv":      tasksPerNodeCSV(res.Runs[sched.Random], nodes),
+		"fig5_power_energy.csv":      clusterEnergyCSV(res.Runs[sched.Power], res.Platform.Clusters()),
+		"fig5_random_energy.csv":     clusterEnergyCSV(res.Runs[sched.Random], res.Platform.Clusters()),
 	}
 	for name, data := range files {
 		if err := os.WriteFile(filepath.Join(csvDir, name), []byte(data), 0o644); err != nil {
@@ -583,7 +582,7 @@ func runAdaptive(out io.Writer, seed int64, csvDir string) error {
 		return err
 	}
 	path := filepath.Join(csvDir, "fig9_adaptive.csv")
-	if err := os.WriteFile(path, []byte(trace.AdaptiveCSV(res)), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(adaptiveCSV(res)), 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "\nCSV export written to %s\n", path)

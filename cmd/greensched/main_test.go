@@ -642,3 +642,39 @@ func TestAllGolden(t *testing.T) {
 	t.Fatalf("`greensched all` drifted from golden at line %d (got %d lines, want %d):\n got: %q\nwant: %q",
 		i+1, len(got), len(exp), append(got, "")[i], append(exp, "")[i])
 }
+
+// TestCSVGolden pins the six figure CSVs `placement -csv` and
+// `adaptive -csv` write at seed 1, byte for byte. Regenerate after a
+// deliberate change to an experiment with:
+//
+//	UPDATE_GOLDEN=1 go test ./cmd/greensched/ -run TestCSVGolden
+func TestCSVGolden(t *testing.T) {
+	dir := t.TempDir()
+	for _, cmd := range []string{"placement", "adaptive"} {
+		if err := run([]string{cmd, "-seed", "1", "-csv", dir}, &strings.Builder{}); err != nil {
+			t.Fatalf("%s: %v", cmd, err)
+		}
+	}
+	for _, name := range []string{
+		"fig2_power_tasks.csv", "fig3_performance_tasks.csv", "fig4_random_tasks.csv",
+		"fig5_power_energy.csv", "fig5_random_energy.csv", "fig9_adaptive.csv",
+	} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		golden := filepath.Join("testdata", name)
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s drifted from golden:\n got: %q\nwant: %q", name, got, want)
+		}
+	}
+}

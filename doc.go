@@ -26,12 +26,12 @@
 //	                        per-node CO2 accounting and the composable
 //	                        sim.Module extension stack (NewScenario +
 //	                        functional options); carbon accounting, SLA
-//	                        machinery, preemption, power controllers,
-//	                        budget tracking and thermal monitoring all
-//	                        mount as stackable modules. The run loop is
-//	                        an event-heap kernel (time-ordered event
-//	                        queue + arrival cursor, preallocated task
-//	                        arenas, zero-alloc election inner loop)
+//	                        machinery, preemption, power controllers and
+//	                        budget tracking all mount as stackable
+//	                        modules. The run loop is an event-heap kernel
+//	                        (time-ordered event queue + arrival cursor,
+//	                        preallocated task arenas, zero-alloc election
+//	                        inner loop)
 //	internal/journal        crash-safety layer under the live path: an
 //	                        append-only, checksummed, fsync-controlled
 //	                        write-ahead log of request lifecycles
@@ -74,8 +74,8 @@
 //	                        span-based distributed tracing (Span,
 //	                        SpanWriter, AnalyzeSpans) stitched across the
 //	                        gob wire and analyzed by `greensched spans`
-//	internal/stats          gains, EDP and summary helpers for the harnesses
-//	internal/analysis       Student-t / Welch statistics for multi-seed replication
+//	internal/analysis       gains, envelopes and Student-t / Welch statistics
+//	                        for the harnesses and multi-seed replication
 //	internal/experiments    one harness per table/figure + extension studies
 //	cmd/greensched          CLI to regenerate the evaluation
 //	cmd/greenplan           provisioning-plan (Figure 8 XML) utility
@@ -83,7 +83,8 @@
 //
 // See README.md for the full package tour. The root package
 // intentionally exposes only metadata; the implementation lives in the
-// internal packages exercised by the benchmarks in bench_test.go.
+// internal packages, and reachability_test.go keeps each of them
+// imported by a command, an example or the bench module.
 package greensched
 
 // Version is the library version.

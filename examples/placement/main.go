@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"os"
 
+	"greensched/internal/analysis"
 	"greensched/internal/cluster"
 	"greensched/internal/sched"
 	"greensched/internal/sim"
-	"greensched/internal/stats"
 	"greensched/internal/workload"
 )
 
@@ -57,8 +57,8 @@ func main() {
 			res.PerClusterTasks["taurus"], res.PerClusterTasks["orion"], res.PerClusterTasks["sagittaire"])
 	}
 
-	gain := stats.Gain(results[sched.Random].EnergyJ, results[sched.Power].EnergyJ)
-	loss := stats.Loss(results[sched.Performance].Makespan, results[sched.Power].Makespan)
+	gain := analysis.Gain(results[sched.Random].EnergyJ, results[sched.Power].EnergyJ)
+	loss := analysis.Loss(results[sched.Performance].Makespan, results[sched.Power].Makespan)
 	fmt.Printf("\nPOWER saves %.1f%% energy vs RANDOM at a %.1f%% makespan cost vs PERFORMANCE\n",
 		gain*100, loss*100)
 	fmt.Println("(paper: 25% energy gain, ≤6% performance loss)")

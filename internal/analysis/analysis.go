@@ -1,7 +1,7 @@
-// Package analysis provides the statistics used to aggregate repeated
-// experiment runs: descriptive summaries, percentiles, Student-t
-// confidence intervals, Welch's two-sample t-test and simple linear
-// regression.
+// Package analysis provides the statistics the experiment harnesses
+// use: descriptive summaries, percentiles, Student-t confidence
+// intervals, Welch's two-sample t-test, simple linear regression, the
+// paper's gain/loss ratios and the min/max envelopes of Figures 6-7.
 //
 // The paper reports single-run numbers; a faithful reproduction on a
 // simulator can do better by replicating each experiment across seeds
@@ -197,23 +197,47 @@ func LinearFit(xs, ys []float64) (Fit, error) {
 
 // Gain returns the relative reduction (base-new)/base, the form the
 // paper uses for "POWER presents a gain of 25% when compared to
-// RANDOM". base must be nonzero.
-func Gain(base, new float64) float64 { return (base - new) / base }
+// RANDOM": Gain(E_random, E_power). A zero base yields 0.
+func Gain(base, new float64) float64 {
+	if base == 0 {
+		return 0
+	}
+	return (base - new) / base
+}
 
-// PairwiseGains maps Gain over two equal-length per-seed series,
-// producing the per-seed gain sample that Summarize then aggregates.
-// This sidesteps ratio-of-means bias: each seed contributes its own
-// ratio.
-func PairwiseGains(base, new []float64) ([]float64, error) {
-	if len(base) != len(new) {
-		return nil, fmt.Errorf("analysis: PairwiseGains length mismatch %d vs %d", len(base), len(new))
+// Loss returns the relative degradation (new-base)/base. The paper's
+// "loss of performance of up to 6%" is Loss(makespan_perf,
+// makespan_power). A zero base yields 0.
+func Loss(base, new float64) float64 {
+	if base == 0 {
+		return 0
 	}
-	out := make([]float64, len(base))
-	for i := range base {
-		if base[i] == 0 {
-			return nil, fmt.Errorf("analysis: PairwiseGains base[%d] = 0", i)
-		}
-		out[i] = Gain(base[i], new[i])
+	return (new - base) / base
+}
+
+// Envelope is a min/max band, used for the RANDOM shaded areas of
+// Figures 6 and 7.
+type Envelope struct {
+	MinX, MaxX float64
+	MinY, MaxY float64
+}
+
+// EnvelopeOf computes the band over (x, y) pairs.
+func EnvelopeOf(xs, ys []float64) (Envelope, error) {
+	if len(xs) == 0 || len(xs) != len(ys) {
+		return Envelope{}, errors.New("analysis: envelope needs equal-length non-empty series")
 	}
-	return out, nil
+	e := Envelope{MinX: math.Inf(1), MaxX: math.Inf(-1), MinY: math.Inf(1), MaxY: math.Inf(-1)}
+	for i := range xs {
+		e.MinX = math.Min(e.MinX, xs[i])
+		e.MaxX = math.Max(e.MaxX, xs[i])
+		e.MinY = math.Min(e.MinY, ys[i])
+		e.MaxY = math.Max(e.MaxY, ys[i])
+	}
+	return e, nil
+}
+
+// Contains reports whether the point lies inside the band (inclusive).
+func (e Envelope) Contains(x, y float64) bool {
+	return x >= e.MinX && x <= e.MaxX && y >= e.MinY && y <= e.MaxY
 }

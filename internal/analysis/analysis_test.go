@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -219,18 +220,37 @@ func TestGain(t *testing.T) {
 	approx(t, "negative gain", Gain(100, 110), -0.10, 1e-12)
 }
 
-func TestPairwiseGains(t *testing.T) {
-	gs, err := PairwiseGains([]float64{100, 200}, []float64{75, 160})
+func TestGainLoss(t *testing.T) {
+	// Table II: POWER 4,528,547 J vs RANDOM 6,041,436 J → ≈25% gain.
+	approx(t, "paper energy gain", Gain(6041436, 4528547), 0.2504, 0.001)
+	// POWER 2321 s vs PERFORMANCE 2228 s → ≈4.2% loss ("up to 6%").
+	if l := Loss(2228, 2321); l <= 0 || l > 0.06 {
+		t.Errorf("paper makespan loss = %v, want (0,0.06]", l)
+	}
+	if Gain(0, 5) != 0 || Loss(0, 5) != 0 {
+		t.Error("zero baselines must not divide by zero")
+	}
+}
+
+func TestEnvelope(t *testing.T) {
+	e, err := EnvelopeOf([]float64{1, 3, 2}, []float64{10, 30, 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx(t, "g0", gs[0], 0.25, 1e-12)
-	approx(t, "g1", gs[1], 0.20, 1e-12)
-	if _, err := PairwiseGains([]float64{0}, []float64{1}); err == nil {
-		t.Error("zero base must error")
+	if e.MinX != 1 || e.MaxX != 3 || e.MinY != 10 || e.MaxY != 30 {
+		t.Fatalf("envelope = %+v", e)
 	}
-	if _, err := PairwiseGains([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("length mismatch must error")
+	if !e.Contains(2, 20) || e.Contains(0, 20) || e.Contains(2, 31) {
+		t.Fatal("Contains wrong")
+	}
+	for _, c := range []struct{ xs, ys []float64 }{
+		{nil, nil},
+		{[]float64{1}, []float64{1, 2}},
+	} {
+		_, err := EnvelopeOf(c.xs, c.ys)
+		if err == nil || !strings.HasPrefix(err.Error(), "analysis: ") {
+			t.Errorf("EnvelopeOf(%v, %v) error = %v, want an analysis: error", c.xs, c.ys, err)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ type Ticker interface {
 // Module mounts a power-management controller on a scenario's module
 // stack: the controller's Tick runs at every Config.ControlEvery
 // cadence alongside whatever other modules the scenario composes
-// (carbon accounting, SLA machinery, preemption, budget, thermal).
+// (carbon accounting, SLA machinery, preemption, budget).
 //
 //	sim.WithModules(
 //		&sim.CarbonModule{Profile: profile},

@@ -5,13 +5,13 @@ import (
 	"io"
 	"sort"
 
+	"greensched/internal/analysis"
 	"greensched/internal/carbon"
 	"greensched/internal/cluster"
 	"greensched/internal/consolidation"
 	"greensched/internal/report"
 	"greensched/internal/sched"
 	"greensched/internal/sim"
-	"greensched/internal/stats"
 	"greensched/internal/workload"
 )
 
@@ -296,8 +296,8 @@ func (r *CarbonResult) Render(w io.Writer) error {
 	if ok1 && ok2 && ok3 {
 		fmt.Fprintf(w, "\nCO2 saving of %s: %.1f%% vs %s, %.1f%% vs %s (makespan bound %.1f h, actual %.1f h)\n",
 			CarbonRunAware,
-			stats.Gain(idle.CO2Grams, aware.CO2Grams)*100, CarbonRunIdle,
-			stats.Gain(always.CO2Grams, aware.CO2Grams)*100, CarbonRunAlwaysOn,
+			analysis.Gain(idle.CO2Grams, aware.CO2Grams)*100, CarbonRunIdle,
+			analysis.Gain(always.CO2Grams, aware.CO2Grams)*100, CarbonRunAlwaysOn,
 			r.Config.MakespanBound()/3600, aware.Makespan/3600)
 	}
 	if len(r.PerSiteCO2) > 0 {

@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"io"
 
+	"greensched/internal/analysis"
 	"greensched/internal/cluster"
 	"greensched/internal/consolidation"
 	"greensched/internal/report"
 	"greensched/internal/sched"
 	"greensched/internal/sim"
-	"greensched/internal/stats"
 	"greensched/internal/workload"
 )
 
@@ -162,7 +162,7 @@ func (r *ConsolidationResult) Render(w io.Writer) error {
 	cons, ok2 := r.Run(consolidation.PolicyName)
 	if ok1 && ok2 {
 		fmt.Fprintf(w, "\nidle shutdown saving vs always-on POWER: %.1f%% (idle gap %s)\n",
-			stats.Gain(pw.EnergyJ, cons.EnergyJ)*100, "in the workload")
+			analysis.Gain(pw.EnergyJ, cons.EnergyJ)*100, "in the workload")
 	}
 	return nil
 }

@@ -41,23 +41,27 @@ func TestConsolidationRunsAllConfigurations(t *testing.T) {
 }
 
 func TestConsolidationSavesEnergyOnIdleGap(t *testing.T) {
-	res, err := RunConsolidation(fastConsolidation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pw, _ := res.Run(string(sched.Power))
-	rd, _ := res.Run(string(sched.Random))
-	cons, _ := res.Run(consolidation.PolicyName)
-	// The managed configuration must beat both always-on policies on
-	// this under-utilized workload: the idle gap dominates the bill.
-	if cons.EnergyJ >= pw.EnergyJ {
-		t.Errorf("consolidation %.0f J not below always-on POWER %.0f J", cons.EnergyJ, pw.EnergyJ)
-	}
-	if cons.EnergyJ >= rd.EnergyJ {
-		t.Errorf("consolidation %.0f J not below always-on RANDOM %.0f J", cons.EnergyJ, rd.EnergyJ)
-	}
-	if cons.Shutdowns == 0 {
-		t.Error("managed run never shut a node down")
+	// The fast scenario and the default one `greensched consolidation`
+	// prints.
+	for _, cfg := range []ConsolidationConfig{fastConsolidation(), DefaultConsolidationConfig()} {
+		res, err := RunConsolidation(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pw, _ := res.Run(string(sched.Power))
+		rd, _ := res.Run(string(sched.Random))
+		cons, _ := res.Run(consolidation.PolicyName)
+		// The managed configuration must beat both always-on policies on
+		// this under-utilized workload: the idle gap dominates the bill.
+		if cons.EnergyJ >= pw.EnergyJ {
+			t.Errorf("%d tasks: consolidation %.0f J not below always-on POWER %.0f J", cfg.Tasks, cons.EnergyJ, pw.EnergyJ)
+		}
+		if cons.EnergyJ >= rd.EnergyJ {
+			t.Errorf("%d tasks: consolidation %.0f J not below always-on RANDOM %.0f J", cfg.Tasks, cons.EnergyJ, rd.EnergyJ)
+		}
+		if cons.Shutdowns == 0 {
+			t.Errorf("%d tasks: managed run never shut a node down", cfg.Tasks)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"greensched/internal/analysis"
 	"greensched/internal/cluster"
 	"greensched/internal/core"
 	"greensched/internal/forecast"
@@ -11,7 +12,6 @@ import (
 	"greensched/internal/report"
 	"greensched/internal/sched"
 	"greensched/internal/sim"
-	"greensched/internal/stats"
 	"greensched/internal/workload"
 )
 
@@ -124,7 +124,7 @@ func RunTariffDays(days int, seed int64) (*TariffResult, error) {
 	return &TariffResult{
 		Adaptive:        res,
 		BaselineEnergyJ: baseline,
-		Saving:          stats.Gain(baseline, res.EnergyJ),
+		Saving:          analysis.Gain(baseline, res.EnergyJ),
 	}, nil
 }
 

@@ -58,29 +58,32 @@ func TestSyntheticPlatformValidation(t *testing.T) {
 }
 
 func TestHeterogeneitySweepTradeoffSpaceGrows(t *testing.T) {
-	res, err := RunHeterogeneitySweep(DefaultHeterogeneityConfig(), []float64{0.1, 0.5, 1.0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(res.Points))
-	}
-	first, last := res.Points[0], res.Points[len(res.Points)-1]
-	// Figure 6 vs Figure 7, generalized: the trade-off space must be
-	// several times wider at the diverse end than at the homogeneous
-	// end, and the fitted trend must be strongly positive.
-	if last.EnergySpread < 3*first.EnergySpread {
-		t.Errorf("energy spread grew only %0.1f%% → %0.1f%%", first.EnergySpread, last.EnergySpread)
-	}
-	if res.Fit.Slope <= 0 {
-		t.Errorf("fitted slope %v, want positive", res.Fit.Slope)
-	}
-	if res.Fit.R2 < 0.6 {
-		t.Errorf("fit R² = %v, want ≥ 0.6", res.Fit.R2)
-	}
-	// At high heterogeneity GP must offer a genuinely good trade-off.
-	if last.Quality > 0.4 {
-		t.Errorf("GP tradeoff quality at spread 1.0 = %v, want ≤ 0.4", last.Quality)
+	// Three levels, and the five `greensched extensions` prints.
+	for _, spreads := range [][]float64{{0.1, 0.5, 1.0}, {0.1, 0.25, 0.5, 0.75, 1.0}} {
+		res, err := RunHeterogeneitySweep(DefaultHeterogeneityConfig(), spreads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Points) != len(spreads) {
+			t.Fatalf("points = %d, want %d", len(res.Points), len(spreads))
+		}
+		first, last := res.Points[0], res.Points[len(res.Points)-1]
+		// Figure 6 vs Figure 7, generalized: the trade-off space must be
+		// several times wider at the diverse end than at the homogeneous
+		// end, and the fitted trend must be strongly positive.
+		if last.EnergySpread < 3*first.EnergySpread {
+			t.Errorf("spreads %v: energy spread grew only %0.1f%% → %0.1f%%", spreads, first.EnergySpread, last.EnergySpread)
+		}
+		if res.Fit.Slope <= 0 {
+			t.Errorf("spreads %v: fitted slope %v, want positive", spreads, res.Fit.Slope)
+		}
+		if res.Fit.R2 < 0.6 {
+			t.Errorf("spreads %v: fit R² = %v, want ≥ 0.6", spreads, res.Fit.R2)
+		}
+		// At high heterogeneity GP must offer a genuinely good trade-off.
+		if last.Quality > 0.4 {
+			t.Errorf("spreads %v: GP tradeoff quality at spread 1.0 = %v, want ≤ 0.4", spreads, last.Quality)
+		}
 	}
 }
 

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 
+	"greensched/internal/analysis"
 	"greensched/internal/cluster"
 	"greensched/internal/report"
 	"greensched/internal/sched"
 	"greensched/internal/sim"
-	"greensched/internal/stats"
 	"greensched/internal/workload"
 )
 
@@ -51,7 +51,7 @@ type MetricPoint struct {
 type MetricResult struct {
 	Platform *cluster.Platform
 	Points   []MetricPoint
-	Random   stats.Envelope // min/max area over the RANDOM runs
+	Random   analysis.Envelope // min/max area over the RANDOM runs
 }
 
 // RunMetricStudy executes the §IV-B simulation on the given platform
@@ -128,7 +128,7 @@ func RunMetricStudy(cfg MetricConfig, platform *cluster.Platform) (*MetricResult
 		xs = append(xs, res.Makespan)
 		ys = append(ys, res.EnergyJ)
 	}
-	env, err := stats.EnvelopeOf(xs, ys)
+	env, err := analysis.EnvelopeOf(xs, ys)
 	if err != nil {
 		return nil, err
 	}

@@ -9,11 +9,11 @@ import (
 	"fmt"
 	"io"
 
+	"greensched/internal/analysis"
 	"greensched/internal/cluster"
 	"greensched/internal/report"
 	"greensched/internal/sched"
 	"greensched/internal/sim"
-	"greensched/internal/stats"
 	"greensched/internal/workload"
 )
 
@@ -144,9 +144,9 @@ func (r *PlacementResult) Headline() (gainVsRandom, gainVsPerf, makespanLoss flo
 	pw := r.Runs[sched.Power]
 	rd := r.Runs[sched.Random]
 	pf := r.Runs[sched.Performance]
-	return stats.Gain(rd.EnergyJ, pw.EnergyJ),
-		stats.Gain(pf.EnergyJ, pw.EnergyJ),
-		stats.Loss(pf.Makespan, pw.Makespan)
+	return analysis.Gain(rd.EnergyJ, pw.EnergyJ),
+		analysis.Gain(pf.EnergyJ, pw.EnergyJ),
+		analysis.Loss(pf.Makespan, pw.Makespan)
 }
 
 // TaskFigure renders the per-node task distribution for a policy —

@@ -88,24 +88,28 @@ func TestReplicationDeterministicForSameSeeds(t *testing.T) {
 
 func TestReplicationPaperShapeHolds(t *testing.T) {
 	// At the calibrated load the paper's orderings must hold for every
-	// seed, not just the default one. Use a moderate size to keep CI
-	// time in check but the regime realistic.
-	cfg := DefaultReplicationConfig()
-	cfg.Seeds = 3
-	cfg.Base.ReqsPerCore = 5
-	res, err := RunReplication(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.ShapeViolations() {
-		t.Errorf("seed %d: %s", v.Seed, v.Rule)
-	}
-	gR, _, _, err := res.HeadlineSummaries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gR.Mean < 0.10 || gR.Mean > 0.40 {
-		t.Errorf("mean POWER-vs-RANDOM gain %.3f far from the paper's 0.25 regime", gR.Mean)
+	// seed, not just the default one: three seeds at a moderate size,
+	// and the `greensched replicate -seeds 5` run at full size.
+	moderate := DefaultReplicationConfig()
+	moderate.Seeds = 3
+	moderate.Base.ReqsPerCore = 5
+	full := DefaultReplicationConfig()
+	full.Seeds = 5
+	for _, cfg := range []ReplicationConfig{moderate, full} {
+		res, err := RunReplication(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range res.ShapeViolations() {
+			t.Errorf("%d seeds: seed %d: %s", cfg.Seeds, v.Seed, v.Rule)
+		}
+		gR, _, _, err := res.HeadlineSummaries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gR.Mean < 0.10 || gR.Mean > 0.40 {
+			t.Errorf("%d seeds: mean POWER-vs-RANDOM gain %.3f far from the paper's 0.25 regime", cfg.Seeds, gR.Mean)
+		}
 	}
 }
 

@@ -84,7 +84,6 @@ type masterConfig struct {
 	children     []Child
 	seds         []*SED
 	remotes      []*Remote
-	clock        func() float64
 	metricsAddr  string
 	spans        *obs.SpanWriter
 	retries      int
@@ -162,13 +161,6 @@ func WithRemotes(remotes ...*Remote) Option {
 // shuts it down.
 func WithMetricsAddr(addr string) Option {
 	return func(c *masterConfig) { c.metricsAddr = addr }
-}
-
-// WithClock overrides the master's clock (seconds, monotone). The
-// default reads the wall clock with t=0 at NewMaster; tests inject
-// virtual time.
-func WithClock(clock func() float64) Option {
-	return func(c *masterConfig) { c.clock = clock }
 }
 
 // WithSpans turns on distributed tracing: every request's lifecycle is
@@ -264,11 +256,8 @@ func NewMaster(opts ...Option) (*Master, error) {
 	}
 	ma.Attach(cfg.children...)
 
-	clock := cfg.clock
-	if clock == nil {
-		epoch := time.Now()
-		clock = func() float64 { return time.Since(epoch).Seconds() }
-	}
+	epoch := time.Now()
+	clock := func() float64 { return time.Since(epoch).Seconds() }
 
 	if cfg.concurrency < 0 {
 		return nil, fmt.Errorf("middleware: master %s: negative concurrency", cfg.agent.Name)

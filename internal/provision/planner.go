@@ -29,8 +29,8 @@ type Planner struct {
 	StepDown int
 	// ConfirmDown requires this many consecutive checks wanting a
 	// smaller pool before the first shrink step is taken — hysteresis
-	// against flapping on noisy measured signals (e.g. the thermal
-	// feedback loop). 1 (the default) shrinks immediately, matching
+	// against flapping on noisy measured signals (e.g. measured inlet
+	// temperatures). 1 (the default) shrinks immediately, matching
 	// the paper's behaviour for its injected events.
 	ConfirmDown int
 

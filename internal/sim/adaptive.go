@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sort"
 
 	"greensched/internal/cluster"
@@ -38,28 +37,7 @@ type AdaptiveConfig struct {
 	// during the previous 10 minutes"). 0 means the planner period.
 	SampleWindow float64
 
-	// Thermal, when set, closes the monitoring loop the paper lists
-	// as an information source ("using the infrastructure monitoring
-	// system"): at every planner tick the room model is fed the
-	// current per-node draws and the *measured* hottest inlet
-	// temperature is written into the plan store as an unexpected
-	// record — heat events then emerge from load instead of being
-	// injected. *thermal.Monitor satisfies the interface.
-	Thermal ThermalMonitor
-
 	Seed int64
-}
-
-// ThermalMonitor is the room-model surface the adaptive loop (and
-// thermal.Module) feed: per-node draws in, smoothed inlet temperatures
-// out. It is defined here rather than in package thermal so that
-// package thermal can depend on sim (for its Module) without a cycle.
-type ThermalMonitor interface {
-	// Update folds in the current per-node draws (watts, platform
-	// order) and returns the smoothed inlet temperatures.
-	Update(watts []float64) ([]float64, error)
-	// Max returns the hottest inlet temperature.
-	Max() float64
 }
 
 // AdaptiveSample is one Figure 9 measurement point.
@@ -114,13 +92,6 @@ func RunAdaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	if cfg.SampleWindow <= 0 {
 		cfg.SampleWindow = cfg.Planner.CheckPeriod
 	}
-	// Thermal was a *thermal.Monitor before it became an interface; a
-	// typed-nil pointer must keep meaning "no room model" instead of
-	// passing the nil guard and panicking on the first measurement.
-	if v := reflect.ValueOf(cfg.Thermal); v.Kind() == reflect.Pointer && v.IsNil() {
-		cfg.Thermal = nil
-	}
-
 	r := &adaptiveRunner{
 		cfg:          cfg,
 		eng:          simtime.NewEngine(),
@@ -189,43 +160,12 @@ func (r *adaptiveRunner) schedulePlannerTicks() {
 		if now.Seconds() > r.cfg.Horizon {
 			return
 		}
-		r.measureTemperature(now.Seconds())
 		d := r.cfg.Planner.Check(now.Seconds(), r.cfg.Store)
 		r.res.Decisions = append(r.res.Decisions, d)
 		r.applyPool(now.Seconds(), d.Pool)
 		r.eng.After(period, "planner", tick)
 	}
 	r.eng.After(period, "planner", tick)
-}
-
-// measureTemperature feeds the room model with current node draws and
-// records the measured maximum inlet temperature in the plan store
-// (an unexpected record: measurements are not forecastable).
-func (r *adaptiveRunner) measureTemperature(now float64) {
-	if r.cfg.Thermal == nil {
-		return
-	}
-	// Watts indexed by platform order, matching the caller's matrix.
-	watts := make([]float64, len(r.cfg.Platform.Nodes))
-	for _, sed := range r.seds {
-		idx := r.cfg.Platform.Find(sed.node.Spec.Name)
-		sed.node.Settle(now)
-		watts[idx] = sed.node.Power()
-	}
-	if _, err := r.cfg.Thermal.Update(watts); err != nil {
-		panic(fmt.Sprintf("sim: thermal feed: %v", err))
-	}
-	cost := 1.0
-	if rec, ok := r.cfg.Store.At(int64(now)); ok {
-		cost = rec.Cost
-	}
-	r.cfg.Store.Put(provision.Record{
-		Value:       int64(now),
-		Temperature: r.cfg.Thermal.Max(),
-		Cost:        cost,
-		Candidates:  r.pool,
-		Unexpected:  true,
-	})
 }
 
 // applyPool grows or shrinks the candidate pool to size k.

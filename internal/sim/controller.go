@@ -41,7 +41,7 @@ type NodeView struct {
 	TaskW   float64
 
 	// PowerW is the node's instantaneous draw at the tick — the signal
-	// monitoring modules (e.g. a thermal room model) integrate.
+	// monitoring modules (e.g. telemetry) integrate.
 	PowerW float64
 
 	// QueuedAtRisk reports a queued deadline task that waiting for the

@@ -14,9 +14,9 @@ import (
 // paper's middleware is a plug-in architecture (DIET agents with
 // pluggable schedulers); Module makes the simulator match it: every
 // cross-cutting concern — carbon accounting, SLA admission and
-// ledgers, preemption, power-management controllers, budget tracking,
-// thermal monitoring — attaches to a run as one element of
-// Config.Modules instead of occupying a dedicated Config field. A
+// ledgers, preemption, power-management controllers, budget tracking —
+// attaches to a run as one element of Config.Modules instead of
+// occupying a dedicated Config field. A
 // scenario stacks as many modules as it needs; the hooks of every
 // module run in stack order at each extension point.
 

@@ -10,8 +10,8 @@
 // live middleware (package middleware) uses.
 //
 // Cross-cutting concerns — carbon accounting, SLA machinery,
-// preemption, power-management controllers, budget tracking, thermal
-// monitoring — attach to a run as a stack of Module values
+// preemption, power-management controllers, budget tracking — attach
+// to a run as a stack of Module values
 // (Config.Modules, or NewScenario with functional options); see
 // module.go.
 package sim
@@ -84,9 +84,9 @@ type Config struct {
 
 	// Modules is the run's extension stack: every cross-cutting
 	// concern (carbon accounting, SLA machinery, preemption,
-	// power-management controllers, budget tracking, thermal
-	// monitoring) attaches as one Module, and any number of them
-	// compose in one run. Hooks run in stack order; see Module.
+	// power-management controllers, budget tracking) attaches as one
+	// Module, and any number of them compose in one run. Hooks run in
+	// stack order; see Module.
 	Modules []Module
 
 	// SampleEvery records a platform power sample every so many
@@ -913,18 +913,6 @@ func (r *Runner) emit(ev obs.Event) {
 	for _, o := range r.lobs {
 		o.OnLifecycle(ev)
 	}
-}
-
-// NodeNames returns the platform's node names in platform order — the
-// index space Control.Nodes reports in. Modules that carry per-node
-// state (e.g. a thermal matrix) validate their shape against it in
-// Init.
-func (r *Runner) NodeNames() []string {
-	out := make([]string, len(r.seds))
-	for i, sed := range r.seds {
-		out[i] = sed.node.Spec.Name
-	}
-	return out
 }
 
 // Run executes the simulation to completion and returns the result.
