@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -43,18 +44,42 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case err == errUsage:
+		os.Exit(2)
+	default:
 		fmt.Fprintf(os.Stderr, "greenplan: %v\n", err)
 		os.Exit(1)
 	}
 }
 
+// errUsage reports a bad flag, which the flag set has already printed.
+var errUsage = errors.New("usage")
+
+// newFlagSet returns a subcommand's flag set: a bad flag is printed to
+// the usage writer and comes back from parse as errUsage.
+func newFlagSet(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(os.Stderr)
+	return fs
+}
+
+// parse parses a subcommand's flags; -h comes back as flag.ErrHelp.
+func parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return errUsage
+	}
+	return err
+}
+
 func runNew(args []string) error {
-	fs := flag.NewFlagSet("new", flag.ExitOnError)
+	fs := newFlagSet("new")
 	out := fs.String("out", "", "output plan file (default stdout)")
 	days := fs.Int("days", 1, "horizon in days")
 	temp := fs.Float64("temp", 22.0, "temperature written into every record (°C)")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if *days < 1 {
@@ -84,7 +109,7 @@ func runNew(args []string) error {
 }
 
 func loadPlanArg(fs *flag.FlagSet, args []string) (*provision.Plan, error) {
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return nil, err
 	}
 	if fs.NArg() != 1 {
@@ -98,7 +123,7 @@ func loadPlanArg(fs *flag.FlagSet, args []string) (*provision.Plan, error) {
 }
 
 func runShow(args []string) error {
-	fs := flag.NewFlagSet("show", flag.ExitOnError)
+	fs := newFlagSet("show")
 	nodes := fs.Int("nodes", 12, "platform size for rule decisions")
 	min := fs.Int("min", 1, "minimum candidate floor")
 	plan, err := loadPlanArg(fs, args)
@@ -122,7 +147,7 @@ func runShow(args []string) error {
 }
 
 func runValidate(args []string) error {
-	fs := flag.NewFlagSet("validate", flag.ExitOnError)
+	fs := newFlagSet("validate")
 	plan, err := loadPlanArg(fs, args)
 	if err != nil {
 		return err
@@ -174,12 +199,12 @@ func Lint(plan *provision.Plan) []string {
 }
 
 func runDecide(args []string) error {
-	fs := flag.NewFlagSet("decide", flag.ExitOnError)
+	fs := newFlagSet("decide")
 	cost := fs.Float64("cost", 1.0, "electricity cost ratio in [0,1]")
 	temp := fs.Float64("temp", 22.0, "temperature (°C)")
 	nodes := fs.Int("nodes", 12, "platform size")
 	min := fs.Int("min", 1, "minimum candidate floor")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	if *cost < 0 || *cost > 1 {

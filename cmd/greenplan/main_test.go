@@ -44,3 +44,15 @@ func TestLintFindsEveryProblem(t *testing.T) {
 		}
 	}
 }
+
+// TestBadFlagReturnsUsage: an undefined flag comes back as errUsage
+// instead of exiting the process, in every subcommand.
+func TestBadFlagReturnsUsage(t *testing.T) {
+	for name, run := range map[string]func([]string) error{
+		"new": runNew, "show": runShow, "validate": runValidate, "decide": runDecide,
+	} {
+		if err := run([]string{"-nosuchflag"}); err != errUsage {
+			t.Errorf("%s: bad flag: %v, want errUsage", name, err)
+		}
+	}
+}

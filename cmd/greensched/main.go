@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -59,7 +60,10 @@ func run(args []string, out io.Writer) error {
 		return errUsage
 	}
 	cmd := args[0]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	// A bad flag is reported on the usage writer and comes back as
+	// errUsage: parsing must never exit the process run is called in.
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(os.Stderr)
 	seed := fs.Int64("seed", 1, "deterministic simulation seed")
 	static := fs.Bool("static", false, "use the static (initial benchmark) estimation approach instead of dynamic learning")
 	csvDir := fs.String("csv", "", "also export figure data as CSV files into this directory")
@@ -78,6 +82,9 @@ func run(args []string, out io.Writer) error {
 	listenAddr := fs.String("listen", "127.0.0.1:0", "powerd: serve the power protocol on this address (unix:/path or host:port)")
 	powerAddr := fs.String("power", "", "live: read per-node power from a powerd sidecar at this address instead of local meters")
 	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return errUsage
 	}
 

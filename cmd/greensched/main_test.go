@@ -596,6 +596,18 @@ func TestUnknownCommandAndMissingArgs(t *testing.T) {
 	}
 }
 
+// TestBadFlagReturnsUsage: an undefined flag comes back as errUsage
+// instead of exiting the process that called run.
+func TestBadFlagReturnsUsage(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"placement", "-nosuchflag"}, &b); err != errUsage {
+		t.Fatalf("bad flag: %v, want errUsage", err)
+	}
+	if err := run([]string{"placement", "-h"}, &b); err != nil {
+		t.Fatalf("-h: %v, want nil", err)
+	}
+}
+
 // TestUsageListsScenarioCommand keeps the help text in sync with the
 // run() switch: the composed-stack subcommand is documented.
 func TestUsageListsScenarioCommand(t *testing.T) {

@@ -18,10 +18,9 @@
 //	                        deferral and budget metering run on the live
 //	                        serving path, mirroring sim's module stack.
 //	                        The master is concurrent: agent/SED config
-//	                        lives behind atomic copy-on-write snapshots,
-//	                        WithConcurrency bounds in-flight admissions,
-//	                        and Master.Pipeline streams a request channel
-//	                        through a bounded worker pool
+//	                        lives behind atomic copy-on-write snapshots
+//	                        and WithConcurrency bounds in-flight
+//	                        admissions
 //	internal/sim            deterministic discrete-event simulator with
 //	                        per-node CO2 accounting and the composable
 //	                        sim.Module extension stack (NewScenario +
@@ -48,10 +47,8 @@
 //	                        trace-replay model, and a fault-tolerant
 //	                        client (timeout, retry, last-good cache,
 //	                        circuit breaker, loud fallback to the
-//	                        analytic curves); both substrates mount it —
-//	                        middleware.ExternalPowerInterceptor on the
-//	                        live path, sim.ExternalPowerModule in the
-//	                        simulator
+//	                        analytic curves), mounted on the live path by
+//	                        middleware.ExternalPowerInterceptor
 //	internal/simtime        virtual-time event engine (the kernel's heap)
 //	internal/carbon         grid carbon-intensity signals, site profiles
 //	                        and the joules→grams integrator
@@ -68,8 +65,8 @@
 //	                        registry + text exposition (no client_golang),
 //	                        HTTP serving with pprof and the Go runtime
 //	                        collector, the JSONL lifecycle tracer shared
-//	                        by middleware (ObsInterceptor, WithMetricsAddr,
-//	                        SEDConfig.MetricsAddr) and the simulator
+//	                        by middleware (ObsInterceptor, WithMetricsAddr)
+//	                        and the simulator
 //	                        (sim.TraceModule, sim.TelemetryModule), and
 //	                        span-based distributed tracing (Span,
 //	                        SpanWriter, AnalyzeSpans) stitched across the
@@ -83,8 +80,9 @@
 //
 // See README.md for the full package tour. The root package
 // intentionally exposes only metadata; the implementation lives in the
-// internal packages, and reachability_test.go keeps each of them
-// imported by a command, an example or the bench module.
+// internal packages, and reachability_test.go keeps each of them, and
+// each of their top-level declarations, reached from a command, an
+// example or the bench module.
 package greensched
 
 // Version is the library version.

@@ -33,7 +33,8 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// flipFeed is a toy grid: dirty until the demo opens the window.
+// flipFeed is a toy grid: dirty until the demo opens the window. It is
+// a carbon.Signal whose intensity follows the demo, not the clock.
 type flipFeed struct {
 	mu    sync.Mutex
 	clean bool
@@ -45,14 +46,20 @@ func (f *flipFeed) open() {
 	f.clean = true
 }
 
-func (f *flipFeed) read() (float64, bool) {
+func (f *flipFeed) Name() string { return "flip" }
+
+func (f *flipFeed) IntensityAt(float64) float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.clean {
-		return 60, true // hydro hours
+		return 60 // hydro hours
 	}
-	return 600, true // coal hours
+	return 600 // coal hours
 }
+
+func (f *flipFeed) RenewableAt(float64) float64 { return 0 }
+
+func (f *flipFeed) MeanIntensity(t0, _ float64) float64 { return f.IntensityAt(t0) }
 
 func main() {
 	// Two metered SEDs, each serving "compute" behind a TCP endpoint.
@@ -63,7 +70,7 @@ func main() {
 			Slots: 2,
 			Interceptors: []middleware.Interceptor{
 				&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }},
-				&middleware.CarbonInterceptor{Func: grid.read},
+				&middleware.CarbonInterceptor{Signal: grid},
 			},
 		})
 		if err != nil {
@@ -120,7 +127,7 @@ func main() {
 				BestFlops: 4e9,
 			},
 			&middleware.CarbonInterceptor{
-				Func: grid.read, DirtyG: 300, MaxDeferSec: 10, PollSec: 0.02,
+				Signal: grid, DirtyG: 300, MaxDeferSec: 10, PollSec: 0.02,
 			},
 			&middleware.BudgetInterceptor{Tracker: tracker},
 		),

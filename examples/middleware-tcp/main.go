@@ -77,6 +77,9 @@ func run() error {
 		middleware.WithName("ma"),
 		middleware.WithPolicy(sched.New(sched.GreenPerf)),
 		middleware.WithRemotes(remLean, remHungry),
+		// A hung daemon counts as a failed subtree, not a stalled
+		// election.
+		middleware.WithChildTimeout(2*time.Second),
 	)
 	if err != nil {
 		return err

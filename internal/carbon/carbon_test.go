@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"greensched/internal/forecast"
 )
@@ -308,16 +307,5 @@ func TestPlanRecords(t *testing.T) {
 	}
 	if _, err := PlanRecords(d, 10, 10, 1, 0, 20, 1); err == nil {
 		t.Error("empty horizon must be rejected")
-	}
-}
-
-func TestLiveAdapter(t *testing.T) {
-	f := Live(Constant{G: 123}, time.Now().Add(-time.Hour))
-	g, ok := f()
-	if !ok || g != 123 {
-		t.Errorf("live adapter = (%v,%v), want (123,true)", g, ok)
-	}
-	if _, ok := Live(nil, time.Now())(); ok {
-		t.Error("nil signal must report ok=false")
 	}
 }

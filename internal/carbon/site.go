@@ -3,7 +3,6 @@ package carbon
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // SiteProfile ties one physical site to its grid: the carbon signal of
@@ -104,16 +103,4 @@ func (p *Profile) IntensityAt(cluster string, t float64) float64 {
 // RenewableAt returns the renewable fraction a cluster sees at time t.
 func (p *Profile) RenewableAt(cluster string, t float64) float64 {
 	return p.Site(cluster).Signal.RenewableAt(t)
-}
-
-// Live adapts a signal to the wall clock for the live middleware: the
-// returned function reports the intensity now, with t=0 pinned to
-// epoch. It matches the middleware's meter-function idiom (value, ok).
-func Live(sig Signal, epoch time.Time) func() (gPerKWh float64, ok bool) {
-	return func() (float64, bool) {
-		if sig == nil {
-			return 0, false
-		}
-		return sig.IntensityAt(time.Since(epoch).Seconds()), true
-	}
 }

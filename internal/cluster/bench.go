@@ -60,12 +60,3 @@ func BenchmarkNode(spec NodeSpec, refOps, jitter float64, rng *rand.Rand) Calibr
 		Flops:       flops,
 	}
 }
-
-// BenchmarkPlatform calibrates every node of a platform.
-func BenchmarkPlatform(p *Platform, refOps, jitter float64, rng *rand.Rand) []Calibration {
-	out := make([]Calibration, len(p.Nodes))
-	for i, n := range p.Nodes {
-		out[i] = BenchmarkNode(n, refOps, jitter, rng)
-	}
-	return out
-}

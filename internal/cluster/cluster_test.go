@@ -354,12 +354,11 @@ func TestBenchmarkNodeNoiseless(t *testing.T) {
 func TestBenchmarkPlatformJitterBounded(t *testing.T) {
 	p := PaperPlatform()
 	rng := rand.New(rand.NewSource(3))
-	cals := BenchmarkPlatform(p, 1e12, 0.05, rng)
-	if len(cals) != 12 {
-		t.Fatalf("calibrations = %d, want 12", len(cals))
+	if len(p.Nodes) != 12 {
+		t.Fatalf("nodes = %d, want 12", len(p.Nodes))
 	}
-	for i, c := range cals {
-		spec := p.Nodes[i]
+	for i, spec := range p.Nodes {
+		c := BenchmarkNode(spec, 1e12, 0.05, rng)
 		if c.Node != spec.Name {
 			t.Errorf("cal %d node = %q, want %q", i, c.Node, spec.Name)
 		}

@@ -50,9 +50,6 @@ type CarbonController struct {
 	// fully dark platform between windows; booting costs BootSec on
 	// window open).
 	MinOn int
-	// WakeSlack powers on this many extra slots beyond the observed
-	// backlog when waking nodes.
-	WakeSlack int
 	// MaxDeferSec bounds how long unplaced work may wait for a clean
 	// window before every site is force-opened.
 	MaxDeferSec float64
@@ -93,8 +90,6 @@ func (c *CarbonController) Validate() error {
 		return fmt.Errorf("consolidation: IdleTimeout %v must be positive", c.IdleTimeout)
 	case c.MinOn < 0:
 		return fmt.Errorf("consolidation: MinOn %d must be non-negative", c.MinOn)
-	case c.WakeSlack < 0:
-		return fmt.Errorf("consolidation: WakeSlack %d must be non-negative", c.WakeSlack)
 	case c.MaxDeferSec <= 0:
 		return fmt.Errorf("consolidation: MaxDeferSec %v must be positive (it bounds the makespan cost)", c.MaxDeferSec)
 	case c.DeadlineSlackSec < 0:
@@ -171,7 +166,6 @@ func (c *CarbonController) Tick(now float64, ctl sim.Control) {
 		order[i] = i
 	}
 	if need := backlog - free - inbound; need > 0 {
-		need += c.WakeSlack
 		sort.SliceStable(order, func(a, b int) bool { return intensity[order[a]] < intensity[order[b]] })
 		for _, i := range order {
 			if need <= 0 {

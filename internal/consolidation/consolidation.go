@@ -103,11 +103,6 @@ type Controller struct {
 	// floor is operationally mandatory).
 	MinOn int
 
-	// WakeSlack powers on this many extra slots beyond the observed
-	// unplaced backlog (0 = exact match). Slack trades energy for
-	// reaction time on bursty arrivals.
-	WakeSlack int
-
 	// DeadlineSlackSec, when positive, makes the controller refuse
 	// energy savings that would breach an admitted task's deadline:
 	// while the tightest pending deadline margin (sim
@@ -133,9 +128,6 @@ func (c *Controller) Validate() error {
 	}
 	if c.MinOn < 1 {
 		return fmt.Errorf("consolidation: MinOn %d must be at least 1", c.MinOn)
-	}
-	if c.WakeSlack < 0 {
-		return fmt.Errorf("consolidation: WakeSlack %d must be non-negative", c.WakeSlack)
 	}
 	if c.DeadlineSlackSec < 0 {
 		return fmt.Errorf("consolidation: DeadlineSlackSec %v must be non-negative", c.DeadlineSlackSec)
@@ -202,9 +194,6 @@ func (c *Controller) Tick(now float64, ctl sim.Control) {
 		}
 	}
 	need := backlog - free - inbound
-	if need > 0 {
-		need += c.WakeSlack
-	}
 	if urgent && !preempted && need <= 0 && backlog > 0 {
 		// A deadline is at risk: free slots on loaded nodes may drain
 		// too late, so answer the backlog with fresh capacity anyway

@@ -96,7 +96,6 @@ func TestControllerValidate(t *testing.T) {
 		{IdleTimeout: 0, MinOn: 1},
 		{IdleTimeout: -5, MinOn: 1},
 		{IdleTimeout: 10, MinOn: 0},
-		{IdleTimeout: 10, MinOn: 1, WakeSlack: -1},
 	}
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
@@ -246,32 +245,15 @@ func TestTickWakesForBacklog(t *testing.T) {
 	}
 }
 
-func TestTickWakeSlack(t *testing.T) {
-	c := Controller{IdleTimeout: 100, MinOn: 1, WakeSlack: 2}
-	ctl := &fakeControl{
-		nodes: []sim.NodeView{
-			onNode("a", 2, 2, 0),
-			offNode("b", 1),
-			offNode("c", 1),
-			offNode("d", 1),
-		},
-		unplaced: 1,
-	}
-	c.Tick(0, ctl)
-	if len(ctl.ons) != 3 {
-		t.Errorf("ons = %v, want 3 (1 unplaced + 2 slack over 1-slot nodes)", ctl.ons)
-	}
-}
-
 func TestTickNoWakeWithoutBacklog(t *testing.T) {
-	c := Controller{IdleTimeout: 100, MinOn: 1, WakeSlack: 5}
+	c := Controller{IdleTimeout: 100, MinOn: 1}
 	ctl := &fakeControl{nodes: []sim.NodeView{
 		onNode("a", 2, 1, 0),
 		offNode("b", 2),
 	}}
 	c.Tick(0, ctl)
 	if len(ctl.ons) != 0 {
-		t.Errorf("slack must not wake nodes when nothing is unplaced, got %v", ctl.ons)
+		t.Errorf("nothing unplaced must wake no node, got %v", ctl.ons)
 	}
 }
 

@@ -41,9 +41,17 @@ func TestModuleTickDelegates(t *testing.T) {
 	}
 }
 
+// tickModule mounts a bare tick function on a sim.BaseModule.
+type tickModule struct {
+	sim.BaseModule
+	tick func(now float64, ctl sim.Control)
+}
+
+func (m tickModule) OnTick(now float64, ctl sim.Control) { m.tick(now, ctl) }
+
 // TestModulePathMatchesHookModule runs the identical consolidation
-// scenario once with the controller's Tick in a bare sim.HookModule
-// and once as a Module and requires the byte-identical Result — the
+// scenario once with the controller's Tick in a bare tick module and
+// once as a Module and requires the byte-identical Result — the
 // controller cannot tell which mount it runs on.
 func TestModulePathMatchesHookModule(t *testing.T) {
 	tasks, err := workload.BurstThenRate{Total: 30, Burst: 6, Rate: 0.02, Ops: 4e11}.Tasks()
@@ -66,7 +74,7 @@ func TestModulePathMatchesHookModule(t *testing.T) {
 		if modular {
 			cfg.Modules = []sim.Module{&Module{Controller: ctl}}
 		} else {
-			cfg.Modules = []sim.Module{&sim.HookModule{OnTickFunc: ctl.Tick}}
+			cfg.Modules = []sim.Module{tickModule{tick: ctl.Tick}}
 		}
 		res, err := sim.Run(cfg)
 		if err != nil {

@@ -175,20 +175,6 @@ func (pp ProviderPref) Eval(utilization, costRatio float64) float64 {
 	return pp.Alpha*(1-c) + pp.Beta*u
 }
 
-// CombinePreferences implements Eq. 3, the weighting of the user's
-// preference by the provider's:
-//
-//	(P_provider, P_user) ⇔ P_provider × (P_user − 1)
-//
-// The result lands in [−2·P_provider, 0]: a strong provider preference
-// amplifies how far a performance-seeking user (P_user = −1) can pull
-// the score toward performance, while an efficiency-seeking user
-// (P_user → 1) neutralizes the pull. The returned value is reusable as
-// an effective UserPref after clamping.
-func CombinePreferences(provider float64, user UserPref) UserPref {
-	return UserPref(clamp01(provider) * (float64(user.Clamped()) - 1))
-}
-
 func clamp01(v float64) float64 {
 	if v < 0 {
 		return 0
@@ -232,32 +218,6 @@ func (byGreenPerf) Less(a, b Server) bool {
 	return a.Name < b.Name
 }
 
-type byPower struct{}
-
-func (byPower) Name() string { return "POWER" }
-func (byPower) Less(a, b Server) bool {
-	if a.PowerW != b.PowerW {
-		return a.PowerW < b.PowerW
-	}
-	if a.Flops != b.Flops {
-		return a.Flops > b.Flops
-	}
-	return a.Name < b.Name
-}
-
-type byPerformance struct{}
-
-func (byPerformance) Name() string { return "PERFORMANCE" }
-func (byPerformance) Less(a, b Server) bool {
-	if a.Flops != b.Flops {
-		return a.Flops > b.Flops
-	}
-	if a.PowerW != b.PowerW {
-		return a.PowerW < b.PowerW
-	}
-	return a.Name < b.Name
-}
-
 // byScore ranks by Eq. 6 for a task size and effective preference.
 type byScore struct {
 	ops  float64
@@ -275,14 +235,6 @@ func (s byScore) Less(a, b Server) bool {
 
 // ByGreenPerf ranks by the power/performance ratio, ascending.
 func ByGreenPerf() Criterion { return byGreenPerf{} }
-
-// ByPower ranks by average power draw, ascending (the paper's POWER
-// policy, the energy bound of GreenPerf).
-func ByPower() Criterion { return byPower{} }
-
-// ByPerformance ranks by sustained flops, descending (the paper's
-// PERFORMANCE policy, the performance bound of GreenPerf).
-func ByPerformance() Criterion { return byPerformance{} }
 
 // ByScore ranks by the Eq. 6 score of a task of ops flops under the
 // given (already combined) user preference.

@@ -151,23 +151,6 @@ func TestProviderPrefValidate(t *testing.T) {
 	}
 }
 
-func TestCombinePreferencesEq3(t *testing.T) {
-	// Efficiency-seeking user (P_user→0.9): combination ≈ −0.1·provider.
-	got := CombinePreferences(1, PrefMaxEfficiency)
-	if math.Abs(float64(got)-(-0.1)) > 1e-12 {
-		t.Fatalf("combine(1, +1) = %v, want -0.1", got)
-	}
-	// Performance-seeking user: full provider pull of −1.9.
-	got = CombinePreferences(1, PrefMaxPerformance)
-	if math.Abs(float64(got)-(-1.9)) > 1e-12 {
-		t.Fatalf("combine(1, -1) = %v, want -1.9", got)
-	}
-	// Zero provider preference neutralizes the user.
-	if CombinePreferences(0, PrefMaxPerformance) != 0 {
-		t.Fatal("combine(0, u) should be 0")
-	}
-}
-
 func TestRankCriteria(t *testing.T) {
 	servers := []Server{
 		srv("hungry-fast", 10e9, 500), // gp = 50e-9
@@ -178,14 +161,6 @@ func TestRankCriteria(t *testing.T) {
 	if gp[0].Name != "lean-slow" || gp[1].Name != "balanced" || gp[2].Name != "hungry-fast" {
 		t.Fatalf("GreenPerf rank = %v", names(gp))
 	}
-	pw := Rank(servers, ByPower())
-	if pw[0].Name != "lean-slow" || pw[2].Name != "hungry-fast" {
-		t.Fatalf("Power rank = %v", names(pw))
-	}
-	pf := Rank(servers, ByPerformance())
-	if pf[0].Name != "hungry-fast" || pf[2].Name != "lean-slow" {
-		t.Fatalf("Performance rank = %v", names(pf))
-	}
 	// Rank must not mutate its input.
 	if servers[0].Name != "hungry-fast" {
 		t.Fatal("Rank mutated input slice")
@@ -194,24 +169,15 @@ func TestRankCriteria(t *testing.T) {
 
 func TestRankTiebreaks(t *testing.T) {
 	a := srv("a", 5e9, 100)
-	b := srv("b", 9e9, 100) // same power, faster
-	got := Rank([]Server{a, b}, ByPower())
+	b := srv("b", 10e9, 200) // same GreenPerf, faster
+	got := Rank([]Server{a, b}, ByGreenPerf())
 	if got[0].Name != "b" {
-		t.Fatal("power tie must break by performance descending")
+		t.Fatal("GreenPerf tie must break by performance descending")
 	}
-	c := srv("c", 9e9, 100)
-	got = Rank([]Server{c, b}, ByPower())
+	c := srv("c", 10e9, 200)
+	got = Rank([]Server{c, b}, ByGreenPerf())
 	if got[0].Name != "b" {
 		t.Fatal("full tie must break by name")
-	}
-	got = Rank([]Server{a, b}, ByPerformance())
-	if got[0].Name != "b" {
-		t.Fatal("performance rank wrong")
-	}
-	d := srv("d", 5e9, 60) // same perf as a, cheaper
-	got = Rank([]Server{a, d}, ByPerformance())
-	if got[0].Name != "d" {
-		t.Fatal("performance tie must break by power ascending")
 	}
 }
 
@@ -228,8 +194,7 @@ func TestByScoreCriterion(t *testing.T) {
 	if got[0].Name != "lean" {
 		t.Fatal("score rank with P=+0.9 should put lean first")
 	}
-	if ByScore(1, 0.5).Name() == "" || ByPower().Name() != "POWER" ||
-		ByPerformance().Name() != "PERFORMANCE" || ByGreenPerf().Name() != "GREENPERF" {
+	if ByScore(1, 0.5).Name() == "" || ByGreenPerf().Name() != "GREENPERF" {
 		t.Fatal("criterion names wrong")
 	}
 }
@@ -270,7 +235,7 @@ func TestFigure1Example(t *testing.T) {
 
 func TestPlaceGreedyMoreTasksThanSlots(t *testing.T) {
 	servers := []Server{srv("a", 1e9, 10)}
-	got := PlaceGreedy(servers, ByPower(), 5, map[string]int{"a": 2})
+	got := PlaceGreedy(servers, ByGreenPerf(), 5, map[string]int{"a": 2})
 	if len(got) != 2 {
 		t.Fatalf("placed %d, want 2 (capacity exhausted)", len(got))
 	}
@@ -415,7 +380,7 @@ func TestPropertyRankPermutationInvariance(t *testing.T) {
 			j := (i + int(shuffle)) % len(shuffled)
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		}
-		for _, c := range []Criterion{ByGreenPerf(), ByPower(), ByPerformance(), ByScore(1e12, 0.3)} {
+		for _, c := range []Criterion{ByGreenPerf(), ByScore(1e12, 0.3)} {
 			a := Rank(servers, c)
 			b := Rank(shuffled, c)
 			if len(a) != len(b) {
@@ -443,29 +408,6 @@ func TestPropertyRankPermutationInvariance(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: CombinePreferences always lands in [-2, 0] and is monotone
-// in the user preference (a more efficiency-seeking user never gets a
-// more performance-pulled combination).
-func TestPropertyCombinePreferencesRange(t *testing.T) {
-	f := func(provRaw uint8, u1Raw, u2Raw int8) bool {
-		prov := float64(provRaw) / 255
-		u1 := UserPref(float64(u1Raw) / 127)
-		u2 := UserPref(float64(u2Raw) / 127)
-		c1 := float64(CombinePreferences(prov, u1))
-		c2 := float64(CombinePreferences(prov, u2))
-		if c1 < -2 || c1 > 0 {
-			return false
-		}
-		if u1.Clamped() <= u2.Clamped() && c1 > c2+1e-12 {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -261,18 +261,6 @@ func (l List) SortStable(less Less) {
 	sort.SliceStable(l, func(i, j int) bool { return less(l[i], l[j]) })
 }
 
-// MergeSorted merges already-sorted child lists into one sorted list —
-// the aggregation step an agent performs on responses coming up the
-// hierarchy. Ties preserve child order.
-func MergeSorted(less Less, lists ...List) List {
-	var out List
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	out.SortStable(less)
-	return out
-}
-
 // ByTagAsc returns a Less ordering by a tag ascending (missing values
 // rank last); ties fall through to the next comparison.
 func ByTagAsc(t Tag, next Less) Less {

@@ -150,23 +150,6 @@ func TestSortStableKeepsEqualOrder(t *testing.T) {
 	}
 }
 
-func TestMergeSorted(t *testing.T) {
-	less := ByTagAsc(TagPowerW, ByServerName)
-	l1 := List{New("a").Set(TagPowerW, 1), New("c").Set(TagPowerW, 3)}
-	l2 := List{New("b").Set(TagPowerW, 2), New("d").Set(TagPowerW, 4)}
-	m := MergeSorted(less, l1, l2)
-	got := m.Servers()
-	want := []string{"a", "b", "c", "d"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("merged = %v, want %v", got, want)
-		}
-	}
-	if len(MergeSorted(less)) != 0 {
-		t.Fatal("merging nothing should yield empty list")
-	}
-}
-
 // Property: sorting by any tag ascending yields a list whose tag
 // values are non-decreasing among vectors that have the tag, with all
 // missing-tag vectors at the tail.

@@ -27,23 +27,3 @@ func ExampleVector() {
 	// taurus-0
 	// orion-0
 }
-
-// ExampleMergeSorted is the hierarchical aggregation step: two Local
-// Agents' sorted lists merge into the Master Agent's candidate list.
-func ExampleMergeSorted() {
-	less := estvec.ByTagAsc(estvec.TagPowerW, estvec.ByServerName)
-	la1 := estvec.List{
-		estvec.New("a").Set(estvec.TagPowerW, 100),
-		estvec.New("c").Set(estvec.TagPowerW, 300),
-	}
-	la2 := estvec.List{
-		estvec.New("b").Set(estvec.TagPowerW, 200),
-	}
-	for _, v := range estvec.MergeSorted(less, la1, la2) {
-		fmt.Println(v.Server)
-	}
-	// Output:
-	// a
-	// b
-	// c
-}

@@ -1,10 +1,7 @@
-// Package forecast implements the §III-B/§III-C prediction inputs:
-// "Resource usage forecast: using historical data to identify patterns
-// and ensure the responsiveness of the platform during peak periods"
-// and "predicting future usage from historical data". It provides an
-// exponentially weighted forecaster, a seasonal (period-bucketed)
-// forecaster for daily/weekly load patterns, and helpers that turn
-// electricity tariff schedules into provisioning-plan records.
+// Package forecast holds the electricity-price input of the §III-C
+// provider preference: a daily tariff schedule (the paper's regular and
+// off-peak states) and the helpers that turn it into
+// provisioning-plan records.
 package forecast
 
 import (
@@ -13,98 +10,6 @@ import (
 
 	"greensched/internal/provision"
 )
-
-// EWMA is an exponentially weighted moving average forecaster: the
-// simplest "recent history" predictor, used for short-horizon
-// utilization.
-type EWMA struct {
-	Alpha float64 // smoothing in (0,1]
-	value float64
-	init  bool
-}
-
-// NewEWMA returns a forecaster with the given smoothing factor.
-func NewEWMA(alpha float64) (*EWMA, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("forecast: alpha %v outside (0,1]", alpha)
-	}
-	return &EWMA{Alpha: alpha}, nil
-}
-
-// Observe folds in a sample.
-func (e *EWMA) Observe(v float64) {
-	if !e.init {
-		e.value = v
-		e.init = true
-		return
-	}
-	e.value += e.Alpha * (v - e.value)
-}
-
-// Forecast returns the current prediction; ok is false before any
-// observation.
-func (e *EWMA) Forecast() (float64, bool) { return e.value, e.init }
-
-// Seasonal is a period-bucketed forecaster: it keeps one EWMA per
-// bucket of the season (e.g. 24 hourly buckets of a day), capturing
-// the utilization patterns the provider preference feeds on.
-type Seasonal struct {
-	Period     float64 // season length in seconds (86400 for daily)
-	BucketSize float64 // bucket width in seconds (3600 for hourly)
-	buckets    []*EWMA
-}
-
-// NewSeasonal builds a seasonal forecaster.
-func NewSeasonal(period, bucketSize, alpha float64) (*Seasonal, error) {
-	if period <= 0 || bucketSize <= 0 || bucketSize > period {
-		return nil, fmt.Errorf("forecast: invalid period %v / bucket %v", period, bucketSize)
-	}
-	n := int(math.Ceil(period / bucketSize))
-	s := &Seasonal{Period: period, BucketSize: bucketSize, buckets: make([]*EWMA, n)}
-	for i := range s.buckets {
-		e, err := NewEWMA(alpha)
-		if err != nil {
-			return nil, err
-		}
-		s.buckets[i] = e
-	}
-	return s, nil
-}
-
-// Buckets returns the number of buckets per season.
-func (s *Seasonal) Buckets() int { return len(s.buckets) }
-
-func (s *Seasonal) bucketFor(t float64) int {
-	phase := math.Mod(t, s.Period)
-	if phase < 0 {
-		phase += s.Period
-	}
-	i := int(phase / s.BucketSize)
-	if i >= len(s.buckets) {
-		i = len(s.buckets) - 1
-	}
-	return i
-}
-
-// Observe records a utilization sample at absolute time t.
-func (s *Seasonal) Observe(t, v float64) {
-	s.buckets[s.bucketFor(t)].Observe(v)
-}
-
-// Forecast predicts the value at absolute (possibly future) time t
-// from the matching seasonal bucket. ok is false when that bucket has
-// never been observed.
-func (s *Seasonal) Forecast(t float64) (float64, bool) {
-	return s.buckets[s.bucketFor(t)].Forecast()
-}
-
-// ForecastOrDefault is Forecast with a fallback.
-func (s *Seasonal) ForecastOrDefault(t, def float64) float64 {
-	if v, ok := s.Forecast(t); ok {
-		return v
-	}
-	return def
-}
 
 // TariffWindow is one electricity-price window of a daily schedule.
 type TariffWindow struct {

@@ -1,89 +1,8 @@
 package forecast
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestEWMAValidation(t *testing.T) {
-	for _, bad := range []float64{0, -1, 1.5} {
-		if _, err := NewEWMA(bad); err == nil {
-			t.Errorf("alpha %v accepted", bad)
-		}
-	}
-}
-
-func TestEWMAConverges(t *testing.T) {
-	e, err := NewEWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e.Forecast(); ok {
-		t.Fatal("forecast before observation should be !ok")
-	}
-	e.Observe(10)
-	if v, ok := e.Forecast(); !ok || v != 10 {
-		t.Fatalf("first forecast = %v,%v", v, ok)
-	}
-	for i := 0; i < 20; i++ {
-		e.Observe(50)
-	}
-	if v, _ := e.Forecast(); math.Abs(v-50) > 0.01 {
-		t.Fatalf("EWMA did not converge: %v", v)
-	}
-}
-
-func TestSeasonalValidation(t *testing.T) {
-	if _, err := NewSeasonal(0, 1, 0.5); err == nil {
-		t.Fatal("zero period accepted")
-	}
-	if _, err := NewSeasonal(10, 20, 0.5); err == nil {
-		t.Fatal("bucket larger than period accepted")
-	}
-	if _, err := NewSeasonal(10, 1, 0); err == nil {
-		t.Fatal("bad alpha accepted")
-	}
-}
-
-func TestSeasonalLearnsDailyPattern(t *testing.T) {
-	day := 86400.0
-	s, err := NewSeasonal(day, 3600, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Buckets() != 24 {
-		t.Fatalf("buckets = %d", s.Buckets())
-	}
-	// Three days of a synthetic pattern: busy at 10:00 (0.9), quiet at
-	// 03:00 (0.1).
-	for d := 0; d < 3; d++ {
-		base := float64(d) * day
-		s.Observe(base+10*3600, 0.9)
-		s.Observe(base+3*3600, 0.1)
-	}
-	// Forecast day 10 at the same hours.
-	busy, ok := s.Forecast(10*day + 10*3600)
-	if !ok || math.Abs(busy-0.9) > 0.01 {
-		t.Fatalf("busy-hour forecast = %v,%v", busy, ok)
-	}
-	quiet, ok := s.Forecast(10*day + 3*3600)
-	if !ok || math.Abs(quiet-0.1) > 0.01 {
-		t.Fatalf("quiet-hour forecast = %v,%v", quiet, ok)
-	}
-	// Unobserved hour: fallback.
-	if got := s.ForecastOrDefault(17*3600, 0.42); got != 0.42 {
-		t.Fatalf("fallback = %v", got)
-	}
-}
-
-func TestSeasonalNegativeTime(t *testing.T) {
-	s, _ := NewSeasonal(100, 10, 0.5)
-	s.Observe(-95, 0.7) // phase 5 → bucket 0
-	if v, ok := s.Forecast(5); !ok || v != 0.7 {
-		t.Fatalf("negative-time bucket = %v,%v", v, ok)
-	}
-}
 
 func TestTariffCostAt(t *testing.T) {
 	tf := PaperTariff()
@@ -161,45 +80,5 @@ func TestPlanRecordsFromTariff(t *testing.T) {
 	}
 	if _, err := (Tariff{}).PlanRecords(0, 100, 22); err == nil {
 		t.Fatal("invalid tariff accepted")
-	}
-}
-
-// Property: seasonal forecasts always fall within the observed value
-// range of their bucket.
-func TestPropertySeasonalBounded(t *testing.T) {
-	f := func(samples []uint8) bool {
-		if len(samples) == 0 {
-			return true
-		}
-		s, _ := NewSeasonal(100, 10, 0.3)
-		min, max := 1.0, 0.0
-		for i, raw := range samples {
-			v := float64(raw) / 255
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-			s.Observe(float64(i%10), v) // all in bucket 0
-		}
-		v, ok := s.Forecast(5)
-		if !ok {
-			return false
-		}
-		return v >= min-1e-9 && v <= max+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkSeasonalObserveForecast(b *testing.B) {
-	s, _ := NewSeasonal(86400, 3600, 0.3)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		t := float64(i * 137)
-		s.Observe(t, 0.5)
-		s.ForecastOrDefault(t+86400, 0.5)
 	}
 }

@@ -47,7 +47,6 @@ type agentState struct {
 	topK         int
 	childTimeout time.Duration
 	spans        *obs.SpanWriter
-	filter       CandidateFilter
 	// localFanout is true when every child is an in-process SED:
 	// estimations answer in microseconds, so the fan-out calls them
 	// sequentially instead of paying goroutine churn per request.
@@ -62,58 +61,6 @@ func (a *Agent) mutate(f func(st *agentState)) {
 	next := *a.state.Load()
 	f(&next)
 	a.state.Store(&next)
-}
-
-// AgentConfig declares one agent of the hierarchy for the composed
-// constructors: NewAgentFromConfig for mid-tree agents, NewMaster
-// (through its functional options) for the root.
-type AgentConfig struct {
-	Name   string
-	Policy sched.Policy
-	// TopK bounds how many candidates the agent forwards upward
-	// (0 = all).
-	TopK int
-	// ChildTimeout bounds each child's estimation round trip
-	// (0 disables).
-	ChildTimeout time.Duration
-	// Interceptors is the agent's extension stack. On the Master the
-	// full request lifecycle runs; on mid-tree agents only Init fires
-	// today (elections — and therefore the lifecycle — happen at the
-	// root), so lower mounts are for Init-time wiring and config
-	// uniformity.
-	Interceptors []Interceptor
-	// Spans, when set, makes this agent emit an "estimate" span per
-	// fan-out (see Agent.SetSpans).
-	Spans *obs.SpanWriter
-	// CandidateFilter trims this agent's merged candidate list before
-	// the top-K cut (see Agent.SetCandidateFilter) — the sub-tree
-	// election hook.
-	CandidateFilter CandidateFilter
-}
-
-// NewAgentFromConfig builds a mid-tree agent from a config, running
-// every interceptor's Init with the agent mount.
-func NewAgentFromConfig(cfg AgentConfig) (*Agent, error) {
-	a, err := NewAgent(cfg.Name, cfg.Policy, cfg.TopK)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.ChildTimeout > 0 {
-		a.SetChildTimeout(cfg.ChildTimeout)
-	}
-	a.SetSpans(cfg.Spans)
-	if cfg.CandidateFilter != nil {
-		a.SetCandidateFilter(cfg.CandidateFilter)
-	}
-	for _, ic := range cfg.Interceptors {
-		if ic == nil {
-			return nil, fmt.Errorf("middleware: agent %s: nil interceptor", cfg.Name)
-		}
-		if err := ic.Init(Mount{Agent: a}); err != nil {
-			return nil, fmt.Errorf("middleware: agent %s: %w", cfg.Name, err)
-		}
-	}
-	return a, nil
 }
 
 // NewAgent builds an agent with a plug-in policy. topK bounds how many
@@ -155,32 +102,6 @@ func (a *Agent) Attach(children ...Child) {
 	})
 }
 
-// Detach removes the first child with the given name, reporting
-// whether one was found. Like Attach it publishes a fresh snapshot, so
-// in-flight Estimates keep scanning the old child list unharmed.
-func (a *Agent) Detach(name string) bool {
-	removed := false
-	a.mutate(func(st *agentState) {
-		next := make([]Child, 0, len(st.children))
-		for _, c := range st.children {
-			if !removed && c.Name() == name {
-				removed = true
-				continue
-			}
-			next = append(next, c)
-		}
-		st.children = next
-		st.localFanout = true
-		for _, c := range next {
-			if _, ok := c.(*SED); !ok {
-				st.localFanout = false
-				break
-			}
-		}
-	})
-	return removed
-}
-
 // SetChildTimeout bounds each child's estimation round trip; a slow or
 // hung subtree is then treated like a failed one instead of stalling
 // the whole scheduling process. Zero (the default) disables the bound.
@@ -202,16 +123,6 @@ func (a *Agent) Policy() sched.Policy {
 	return a.state.Load().policy
 }
 
-// SetCandidateFilter trims this agent's merged, sorted candidate list
-// before the top-K cut — a sub-tree election: a Local Agent can apply
-// its own Preference_provider to the servers it fronts, so the upward
-// list already reflects a per-site provisioning decision. Nil removes
-// the filter. (MasterAgent.SetCandidateFilter is the root-level
-// variant applied at election time.)
-func (a *Agent) SetCandidateFilter(f CandidateFilter) {
-	a.mutate(func(st *agentState) { st.filter = f })
-}
-
 // SetSpans makes the agent emit one "estimate" span per traced fan-out
 // (a request carrying a TraceID). The span parents under the request's
 // incoming ParentSpan, and the copies forwarded to children carry the
@@ -224,13 +135,12 @@ func (a *Agent) SetSpans(w *obs.SpanWriter) {
 }
 
 // Estimate implements Child: parallel fan-out, merge, plug-in sort,
-// per-agent candidate filter, optional top-K trim. The configuration
-// snapshot is one atomic load — concurrent requests share it without
-// locking or copying — and the fan-out spawns the minimum goroutines
-// the semantics allow: none for a single child without a timeout, one
-// per child but the last otherwise, and a second per child (the worker
-// the caller abandons) only when a timeout must cut a hung subtree
-// loose.
+// optional top-K trim. The configuration snapshot is one atomic load —
+// concurrent requests share it without locking or copying — and the
+// fan-out spawns the minimum goroutines the semantics allow: none for a
+// single child without a timeout, one per child but the last otherwise,
+// and a second per child (the worker the caller abandons) only when a
+// timeout must cut a hung subtree loose.
 func (a *Agent) Estimate(ctx context.Context, req Request) (estvec.List, error) {
 	st := a.state.Load()
 	children := st.children
@@ -320,9 +230,6 @@ func (a *Agent) Estimate(ctx context.Context, req Request) (estvec.List, error) 
 		return nil, err
 	}
 	merged.SortStable(policy.Less)
-	if st.filter != nil {
-		merged = st.filter(merged)
-	}
 	if topK > 0 && len(merged) > topK {
 		merged = merged[:topK]
 	}
@@ -368,26 +275,14 @@ func mergeLists(lists []estvec.List, errs []error) (merged estvec.List, lastErr 
 	return merged, lastErr, healthy
 }
 
-// CandidateFilter trims the final candidate list at the Master Agent
-// before election — the §III-C hook where the provisioning layer
-// applies Preference_provider (e.g. core.SelectCandidates).
-type CandidateFilter func(estvec.List) estvec.List
-
 // MasterAgent is the hierarchy root: it runs the full scheduling
-// process and elects the SED for a request. Its election state
-// (provisioning filter + selector) sits behind the same atomic
-// copy-on-write discipline as the Agent snapshot, so concurrent
-// elections never serialize on configuration reads.
+// process and elects the SED for a request. Its selector sits behind
+// an atomic pointer like the Agent snapshot, so concurrent elections
+// never serialize on configuration reads.
 type MasterAgent struct {
 	*Agent
-	mu    sync.Mutex // serializes mutators; readers load elect
-	elect atomic.Pointer[electState]
-}
-
-// electState is the root's immutable election configuration.
-type electState struct {
-	filter   CandidateFilter
-	selector *sched.Selector
+	mu       sync.Mutex // serializes SetPolicy; readers load selector
+	selector atomic.Pointer[sched.Selector]
 }
 
 // NewMasterAgent builds the root agent.
@@ -397,17 +292,8 @@ func NewMasterAgent(name string, policy sched.Policy) (*MasterAgent, error) {
 		return nil, err
 	}
 	m := &MasterAgent{Agent: a}
-	m.elect.Store(&electState{selector: sched.NewSelector(policy)})
+	m.selector.Store(sched.NewSelector(policy))
 	return m, nil
-}
-
-// SetCandidateFilter installs the provisioning filter.
-func (m *MasterAgent) SetCandidateFilter(f CandidateFilter) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	next := *m.elect.Load()
-	next.filter = f
-	m.elect.Store(&next)
 }
 
 // SetPolicy swaps both the sort policy and the election policy.
@@ -415,12 +301,10 @@ func (m *MasterAgent) SetPolicy(p sched.Policy) {
 	if p == nil {
 		return
 	}
-	m.Agent.SetPolicy(p)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	next := *m.elect.Load()
-	next.selector = sched.NewSelector(p)
-	m.elect.Store(&next)
+	m.Agent.SetPolicy(p)
+	m.selector.Store(sched.NewSelector(p))
 }
 
 // Elect runs steps 2–4 of the scheduling process and returns the
@@ -430,20 +314,41 @@ func (m *MasterAgent) Elect(ctx context.Context, req Request) (string, estvec.Li
 	if err != nil {
 		return "", nil, err
 	}
-	st := m.elect.Load()
-	filter := st.filter
-	selector := st.selector
-	if filter != nil {
-		list = filter(list)
-	}
 	if len(list) == 0 {
 		return "", nil, fmt.Errorf("middleware: no server is able to solve %q", req.Service)
 	}
-	chosen, err := selector.Select(list)
+	chosen, err := m.selector.Load().Select(list)
 	if err != nil {
 		return "", list, err
 	}
 	return chosen.Server, list, nil
+}
+
+// ElectExcluding runs the election while masking a set of servers
+// (Replay redoes a journaled lease on a SED other than the one the
+// dead master dispatched to); with none masked it is Elect.
+func (m *MasterAgent) ElectExcluding(ctx context.Context, req Request, exclude map[string]bool) (string, estvec.List, error) {
+	server, list, err := m.Elect(ctx, req)
+	if err != nil {
+		return "", list, err
+	}
+	if !exclude[server] {
+		return server, list, nil
+	}
+	filtered := make(estvec.List, 0, len(list))
+	for _, v := range list {
+		if !exclude[v.Server] {
+			filtered = append(filtered, v)
+		}
+	}
+	if len(filtered) == 0 {
+		return "", nil, fmt.Errorf("middleware: all candidates for %q excluded", req.Service)
+	}
+	chosen, err := m.selector.Load().Select(filtered)
+	if err != nil {
+		return "", filtered, err
+	}
+	return chosen.Server, filtered, nil
 }
 
 // Solver executes requests on a named SED — the client-side handle

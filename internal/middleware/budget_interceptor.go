@@ -1,7 +1,6 @@
 package middleware
 
 import (
-	"context"
 	"fmt"
 
 	"greensched/internal/budget"
@@ -10,34 +9,19 @@ import (
 // BudgetInterceptor meters the live deployment against an energy
 // budget — the mirror of budget.Module: every completion charges its
 // attributed energy share (Response.EnergyJ, which crosses the TCP
-// transport) to the Tracker at its finish time, and with Enforce set
-// an exhausted budget refuses new submissions instead of scheduling
-// them.
+// transport) to the Tracker at its finish time.
 type BudgetInterceptor struct {
 	BaseInterceptor
 
 	// Tracker meters consumption (joules) against the budget; give
 	// every deployment its own.
 	Tracker *budget.Tracker
-
-	// Enforce turns exhaustion into admission control: submissions
-	// are rejected (ErrRejected) once no budget remains.
-	Enforce bool
 }
 
 // Init implements Interceptor.
 func (b *BudgetInterceptor) Init(Mount) error {
 	if b.Tracker == nil {
 		return fmt.Errorf("middleware: budget interceptor needs a tracker")
-	}
-	return nil
-}
-
-// OnSubmit implements Interceptor.
-func (b *BudgetInterceptor) OnSubmit(_ context.Context, _ float64, req *Request) error {
-	if b.Enforce && b.Tracker.Exhausted() {
-		return fmt.Errorf("%w: request %d: energy budget exhausted (%.0f J spent)",
-			ErrRejected, req.ID, b.Tracker.Spent())
 	}
 	return nil
 }

@@ -37,14 +37,9 @@ import (
 type CarbonInterceptor struct {
 	BaseInterceptor
 
-	// Signal is the grid behind the mount, read on the mount's clock.
+	// Signal is the grid behind the mount, read on the mount's clock:
+	// the master clock on master mounts, seconds since Init on SEDs.
 	Signal carbon.Signal
-	// Epoch pins the signal's t=0 for SED mounts (zero = Init time);
-	// master mounts read the master clock instead.
-	Epoch time.Time
-	// Func overrides Signal with a live feed (value, ok) — e.g. a
-	// grid-operator API poll.
-	Func CarbonFunc
 
 	// DirtyG enables deferral on master mounts: Deferrable requests
 	// wait while the intensity exceeds it (0 disables deferral).
@@ -72,8 +67,8 @@ type CarbonInterceptor struct {
 
 // Init implements Interceptor.
 func (c *CarbonInterceptor) Init(mount Mount) error {
-	if c.Signal == nil && c.Func == nil {
-		return fmt.Errorf("middleware: carbon interceptor needs a signal or a live feed")
+	if c.Signal == nil {
+		return fmt.Errorf("middleware: carbon interceptor needs a signal")
 	}
 	if c.DirtyG > 0 && c.MaxDeferSec <= 0 {
 		return fmt.Errorf("middleware: carbon interceptor with DirtyG %v needs a positive MaxDeferSec (unbounded deferral would park requests forever)", c.DirtyG)
@@ -87,24 +82,10 @@ func (c *CarbonInterceptor) Init(mount Mount) error {
 		c.src = mount.Master.Name()
 		c.jrn = mount.Master.Journal()
 	} else {
-		epoch := c.Epoch
-		if epoch.IsZero() {
-			epoch = time.Now()
-		}
+		epoch := time.Now()
 		c.clock = func() float64 { return time.Since(epoch).Seconds() }
 	}
 	return nil
-}
-
-// intensity reads the grid at time now on the mount's clock.
-func (c *CarbonInterceptor) intensity(now float64) (float64, bool) {
-	if c.Func != nil {
-		return c.Func()
-	}
-	if c.Signal != nil {
-		return c.Signal.IntensityAt(now), true
-	}
-	return 0, false
 }
 
 // WrapEstimation implements Interceptor: the SED's vectors gain the
@@ -112,9 +93,7 @@ func (c *CarbonInterceptor) intensity(now float64) (float64, bool) {
 func (c *CarbonInterceptor) WrapEstimation(base EstimationFunc) EstimationFunc {
 	return func(s *SED, req Request) *estvec.Vector {
 		v := base(s, req)
-		if g, ok := c.intensity(c.clock()); ok {
-			v.Set(estvec.TagCarbonIntensity, g)
-		}
+		v.Set(estvec.TagCarbonIntensity, c.Signal.IntensityAt(c.clock()))
 		return v
 	}
 }
@@ -128,8 +107,7 @@ func (c *CarbonInterceptor) OnSubmit(ctx context.Context, now float64, req *Requ
 	if c.DirtyG <= 0 || !req.Deferrable || req.Deadline > 0 {
 		return nil
 	}
-	g, ok := c.intensity(now)
-	if !ok || g <= c.DirtyG {
+	if c.Signal.IntensityAt(now) <= c.DirtyG {
 		return nil
 	}
 	poll := c.PollSec
@@ -158,8 +136,7 @@ func (c *CarbonInterceptor) OnSubmit(ctx context.Context, now float64, req *Requ
 		case <-ticker.C:
 		}
 		now = c.clock()
-		g, ok = c.intensity(now)
-		if !ok || g <= c.DirtyG || now-start >= c.MaxDeferSec {
+		if c.Signal.IntensityAt(now) <= c.DirtyG || now-start >= c.MaxDeferSec {
 			break
 		}
 	}
@@ -193,10 +170,7 @@ func (c *CarbonInterceptor) DeferralStats(now float64) DeferralStats {
 // OnComplete implements Interceptor: the completion's energy share is
 // integrated against the grid at its finish time.
 func (c *CarbonInterceptor) OnComplete(rec RequestRecord) {
-	g, ok := c.intensity(rec.Finish)
-	if !ok {
-		return
-	}
+	g := c.Signal.IntensityAt(rec.Finish)
 	c.mu.Lock()
 	c.grams += rec.EnergyJ / carbon.JoulesPerKWh * g
 	c.mu.Unlock()

@@ -10,12 +10,21 @@ import (
 	"greensched/internal/sched"
 )
 
+// feedSignal is a carbon.Signal whose intensity is read from a
+// function, so a test can move the grid under a running master.
+type feedSignal struct {
+	carbon.Constant
+	g func() float64
+}
+
+func (f feedSignal) IntensityAt(float64) float64 { return f.g() }
+
 func carbonSED(t *testing.T, name string, g float64) *SED {
 	t.Helper()
 	sed, err := NewSED(SEDConfig{
 		Name:         name,
 		Slots:        2,
-		Interceptors: []Interceptor{&CarbonInterceptor{Func: func() (float64, bool) { return g, true }}},
+		Interceptors: []Interceptor{&CarbonInterceptor{Signal: carbon.Constant{G: g}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -59,26 +68,14 @@ func TestSEDWithoutCarbonOmitsTag(t *testing.T) {
 	if list[0].Has(estvec.TagCarbonIntensity) {
 		t.Error("SED without a signal must not invent an intensity")
 	}
-	// An attached func reporting ok=false behaves the same.
-	sed2 := &SEDConfig{Name: "dark", Slots: 1, Interceptors: []Interceptor{
-		&CarbonInterceptor{Func: func() (float64, bool) { return 0, false }},
-	}}
-	s2, err := NewSED(*sed2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.DefaultEstimation(Request{}).Has(estvec.TagCarbonIntensity) {
-		t.Error("ok=false must omit the tag")
-	}
 }
 
-// TestLiveSEDElectionFollowsCleanGrid wires two live SEDs to carbon.Live
+// TestLiveSEDElectionFollowsCleanGrid wires two live SEDs to carbon
 // signals on different grids: a carbon-weighted election must pick the
 // clean site once both servers are measured.
 func TestLiveSEDElectionFollowsCleanGrid(t *testing.T) {
-	epoch := time.Now()
-	clean := carbonSEDWithSignal(t, "clean", carbon.Constant{G: 40}, epoch)
-	dirty := carbonSEDWithSignal(t, "dirty", carbon.Constant{G: 600}, epoch)
+	clean := carbonSEDWithSignal(t, "clean", carbon.Constant{G: 40})
+	dirty := carbonSEDWithSignal(t, "dirty", carbon.Constant{G: 600})
 
 	// Identical measured behaviour, so only the carbon tag differs.
 	seed := func(s *SED) {
@@ -108,14 +105,14 @@ func TestLiveSEDElectionFollowsCleanGrid(t *testing.T) {
 	}
 }
 
-func carbonSEDWithSignal(t *testing.T, name string, sig carbon.Signal, epoch time.Time) *SED {
+func carbonSEDWithSignal(t *testing.T, name string, sig carbon.Signal) *SED {
 	t.Helper()
 	sed, err := NewSED(SEDConfig{
 		Name:  name,
 		Slots: 2,
 		Interceptors: []Interceptor{
 			&MeterInterceptor{Meter: func() (float64, bool) { return 150, true }},
-			&CarbonInterceptor{Func: carbon.Live(sig, epoch)},
+			&CarbonInterceptor{Signal: sig},
 		},
 	})
 	if err != nil {

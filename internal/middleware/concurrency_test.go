@@ -11,7 +11,6 @@ import (
 
 	"greensched/internal/budget"
 	"greensched/internal/carbon"
-	"greensched/internal/estvec"
 	"greensched/internal/sched"
 	"greensched/internal/sla"
 )
@@ -207,38 +206,6 @@ func TestMasterConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestMasterPipeline pushes a workload through the bounded worker pool
-// and checks every request comes back exactly once.
-func TestMasterPipeline(t *testing.T) {
-	m, cleanup := hammerMaster(t, "inproc", WithConcurrency(4))
-	defer cleanup()
-
-	const n = 120
-	reqs := make(chan Request, n)
-	for i := 0; i < n; i++ {
-		reqs <- Request{Service: "burn", Ops: 1e6, Class: "unit"}
-	}
-	close(reqs)
-
-	got := 0
-	for out := range m.Pipeline(context.Background(), reqs) {
-		if out.Err != nil {
-			t.Fatalf("pipelined request %d failed: %v", out.Req.ID, out.Err)
-		}
-		if out.Resp.Server == "" {
-			t.Fatal("outcome without a server")
-		}
-		got++
-	}
-	if got != n {
-		t.Fatalf("pipeline returned %d outcomes, want %d", got, n)
-	}
-	res := m.Finalize()
-	if res.Completed != n || res.SLA.EarnedUSD != float64(n) {
-		t.Fatalf("completed %d earned %v, want %d and %v", res.Completed, res.SLA.EarnedUSD, n, float64(n))
-	}
-}
-
 // TestWithConcurrencyBoundsInflight proves the semaphore is real: a
 // master bounded at 2 never has more than 2 lifecycles in flight, even
 // with 8 clients pushing.
@@ -282,54 +249,6 @@ func TestWithConcurrencyBoundsInflight(t *testing.T) {
 	wg.Wait()
 	if p := peak.Load(); p > 2 {
 		t.Fatalf("peak in-flight %d, want ≤ 2", p)
-	}
-}
-
-// TestAgentCandidateFilterSubTree installs a filter on a mid-tree
-// agent: its subtree runs its own provisioning election, so the root
-// only ever sees the servers the local agent chose to expose.
-func TestAgentCandidateFilterSubTree(t *testing.T) {
-	seds := hammerSEDs(t, 3)
-	la, err := NewAgentFromConfig(AgentConfig{
-		Name:   "la",
-		Policy: sched.New(sched.LeastLoaded),
-		CandidateFilter: func(list estvec.List) estvec.List {
-			out := list[:0]
-			for _, v := range list {
-				if v.Server != "sed-2" {
-					out = append(out, v)
-				}
-			}
-			return out
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	la.Attach(seds[0], seds[1], seds[2])
-	m, err := NewMaster(WithPolicy(sched.New(sched.LeastLoaded)), WithChildren(la),
-		WithTransport(prepopulatedDir(seds)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	list, err := m.Estimate(context.Background(), Request{Service: "burn", Ops: 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range list {
-		if v.Server == "sed-2" {
-			t.Fatalf("filtered server leaked upward: %v", list.Servers())
-		}
-	}
-	if len(list) != 2 {
-		t.Fatalf("expected 2 candidates after sub-tree filter, got %v", list.Servers())
-	}
-	resp, err := m.Do(context.Background(), Request{Service: "burn", Ops: 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Server == "sed-2" {
-		t.Fatalf("elected the filtered server %s", resp.Server)
 	}
 }
 

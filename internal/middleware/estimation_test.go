@@ -8,6 +8,12 @@ import (
 	"greensched/internal/sched"
 )
 
+// replaceEstimation mounts f as the SED's whole estimation function,
+// discarding whatever the stack built below it.
+func replaceEstimation(f EstimationFunc) Interceptor {
+	return &HookInterceptor{WrapEstimationFunc: func(EstimationFunc) EstimationFunc { return f }}
+}
+
 // TestCustomEstimationFunction exercises the paper's plug-in hook:
 // "A developer can create his own performance estimation function and
 // include it into a SED so that when the SED receives a user request,
@@ -18,7 +24,7 @@ func TestCustomEstimationFunction(t *testing.T) {
 		Name:  "custom",
 		Slots: 2,
 		Interceptors: []Interceptor{
-			&EstimationInterceptor{Estimate: func(s *SED, req Request) *estvec.Vector {
+			replaceEstimation(func(s *SED, req Request) *estvec.Vector {
 				calls++
 				// Start from the defaults, then overlay a custom tag
 				// and a synthetic flops estimate.
@@ -26,7 +32,7 @@ func TestCustomEstimationFunction(t *testing.T) {
 				v.Set(estvec.Tag("gpu_mem_free_gb"), 11)
 				v.Set(estvec.TagFlops, 42e9)
 				return v
-			}},
+			}),
 		},
 	})
 	if err != nil {
@@ -65,9 +71,9 @@ func TestCustomEstimationDrivesElection(t *testing.T) {
 			Name:  name,
 			Slots: 1,
 			Interceptors: []Interceptor{
-				&EstimationInterceptor{Estimate: func(s *SED, req Request) *estvec.Vector {
+				replaceEstimation(func(s *SED, req Request) *estvec.Vector {
 					return s.DefaultEstimation(req).Set(tagLocality, locality)
-				}},
+				}),
 			},
 		})
 		if err != nil {

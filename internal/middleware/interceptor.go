@@ -33,12 +33,10 @@ var ErrRejected = errors.New("middleware: submission rejected")
 // Mount identifies where an interceptor is being installed. Exactly
 // one field is non-nil: Master for request-lifecycle mounts
 // (NewMaster/WithInterceptors), SED for estimation-side mounts
-// (SEDConfig.Interceptors), Agent for mid-tree agents built through
-// NewAgentFromConfig.
+// (SEDConfig.Interceptors).
 type Mount struct {
 	Master *Master
 	SED    *SED
-	Agent  *Agent
 }
 
 // RequestRecord is one request outcome as the lifecycle hooks see it.
@@ -105,9 +103,8 @@ type LiveResult struct {
 // guard their own state.
 type Interceptor interface {
 	// Init runs once when the interceptor is mounted (NewMaster,
-	// NewSED, NewAgentFromConfig) — the place to validate parameters
-	// and grab the mount's clock. Returning an error aborts
-	// construction.
+	// NewSED) — the place to validate parameters and grab the mount's
+	// clock. Returning an error aborts construction.
 	Init(mount Mount) error
 
 	// OnSubmit screens (and may mutate) a request before election.
@@ -248,26 +245,3 @@ func (m *MeterInterceptor) Init(Mount) error {
 
 // PowerW implements PowerSource.
 func (m *MeterInterceptor) PowerW() (float64, bool) { return m.Meter() }
-
-// EstimationInterceptor replaces the SED's estimation function
-// outright. Because it discards the function built so far, mount it
-// before interceptors whose wraps must survive (a CarbonInterceptor
-// mounted earlier loses its tag).
-type EstimationInterceptor struct {
-	BaseInterceptor
-	Estimate EstimationFunc
-}
-
-// Init implements Interceptor.
-func (e *EstimationInterceptor) Init(Mount) error {
-	if e.Estimate == nil {
-		return errors.New("middleware: estimation interceptor needs an estimation function")
-	}
-	return nil
-}
-
-// WrapEstimation implements Interceptor: the custom function replaces
-// whatever the stack built below it.
-func (e *EstimationInterceptor) WrapEstimation(EstimationFunc) EstimationFunc {
-	return e.Estimate
-}

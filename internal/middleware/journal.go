@@ -127,8 +127,8 @@ type ReplayStats struct {
 // interceptor stack, so SLA admission, carbon deferral and budget
 // metering account for them exactly as first-time traffic. A request
 // the dead master had leased to a SED is redone only after its lease
-// expires, excluding that SED from the election — the restart
-// generalization of the SED-death-only WithRetries failover.
+// expires, excluding that SED from the election: this is the
+// master's failover path.
 //
 // Deferred (carbon-parked) entries are re-submitted in the BACKGROUND:
 // a replayed deferrable request re-enters the carbon interceptor,

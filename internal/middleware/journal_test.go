@@ -230,12 +230,12 @@ func TestReplayDeferredDoesNotBlockStartup(t *testing.T) {
 		WithSEDs(newSED(t, "sed", 2, 1e9, 100)),
 		WithJournal(j2),
 		WithInterceptors(&CarbonInterceptor{
-			Func: func() (float64, bool) {
+			Signal: feedSignal{g: func() float64 {
 				if dirty.Load() {
-					return 1000, true
+					return 1000
 				}
-				return 0, true
-			},
+				return 0
+			}},
 			DirtyG: 100, MaxDeferSec: 300, PollSec: 0.005,
 		}),
 	)

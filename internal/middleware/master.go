@@ -24,17 +24,14 @@ import (
 type Master struct {
 	*MasterAgent
 
-	dir         Directory
-	ics         []Interceptor
-	clock       func() float64
-	sink        *spanSink
-	retries     int
-	concurrency int
-	sem         chan struct{}
+	dir   Directory
+	ics   []Interceptor
+	clock func() float64
+	sink  *spanSink
+	sem   chan struct{}
 
 	jrn          *journal.Journal
 	leaseTermSec float64
-	lifecycle    Lifecycle
 
 	nextID    atomic.Uint64
 	submitted atomic.Int64
@@ -78,19 +75,19 @@ func (m *Master) EnergyJ() float64 {
 
 // masterConfig is what the functional options assemble.
 type masterConfig struct {
-	agent        AgentConfig
+	name         string
+	policy       sched.Policy
+	childTimeout time.Duration
+	interceptors []Interceptor
 	transport    Directory
-	filter       CandidateFilter
 	children     []Child
 	seds         []*SED
 	remotes      []*Remote
 	metricsAddr  string
 	spans        *obs.SpanWriter
-	retries      int
 	concurrency  int
 	journal      *journal.Journal
 	leaseTermSec float64
-	lifecycle    Lifecycle
 }
 
 // Option configures NewMaster.
@@ -98,24 +95,24 @@ type Option func(*masterConfig)
 
 // WithName names the master agent (default "master").
 func WithName(name string) Option {
-	return func(c *masterConfig) { c.agent.Name = name }
+	return func(c *masterConfig) { c.name = name }
 }
 
 // WithPolicy sets the plug-in election policy (required).
 func WithPolicy(p sched.Policy) Option {
-	return func(c *masterConfig) { c.agent.Policy = p }
+	return func(c *masterConfig) { c.policy = p }
 }
 
 // WithChildTimeout bounds each child's estimation round trip (see
 // Agent.SetChildTimeout).
 func WithChildTimeout(d time.Duration) Option {
-	return func(c *masterConfig) { c.agent.ChildTimeout = d }
+	return func(c *masterConfig) { c.childTimeout = d }
 }
 
 // WithInterceptors appends request-lifecycle interceptors to the
 // master's stack; hooks run in the order given.
 func WithInterceptors(ics ...Interceptor) Option {
-	return func(c *masterConfig) { c.agent.Interceptors = append(c.agent.Interceptors, ics...) }
+	return func(c *masterConfig) { c.interceptors = append(c.interceptors, ics...) }
 }
 
 // WithTransport installs the directory the master resolves elected SED
@@ -125,12 +122,6 @@ func WithInterceptors(ics ...Interceptor) Option {
 // option they populate an implicit MapDirectory.
 func WithTransport(dir Directory) Option {
 	return func(c *masterConfig) { c.transport = dir }
-}
-
-// WithCandidateFilter installs the §III-C provisioning filter (see
-// MasterAgent.SetCandidateFilter).
-func WithCandidateFilter(f CandidateFilter) Option {
-	return func(c *masterConfig) { c.filter = f }
 }
 
 // WithChildren attaches children (SEDs, sub-agents or Remotes) without
@@ -177,9 +168,8 @@ func WithSpans(w *obs.SpanWriter) Option {
 }
 
 // WithConcurrency bounds the master's in-flight request lifecycles to
-// n: Do blocks for a slot (respecting ctx) before admission, and
-// Pipeline runs n workers. Zero (the default) leaves Do unbounded and
-// gives Pipeline one worker. The bound is backpressure at the front
+// n: Do blocks for a slot (respecting ctx) before admission. Zero (the
+// default) leaves Do unbounded. The bound is backpressure at the front
 // door — the live analogue of the simulator's bounded event queue —
 // so a burst of clients queues at the master instead of fanning a
 // thousand simultaneous elections into the hierarchy.
@@ -187,35 +177,21 @@ func WithConcurrency(n int) Option {
 	return func(c *masterConfig) { c.concurrency = n }
 }
 
-// WithRetries arms failover inside Do: when the elected SED's Solve
-// fails (transport loss, execution error) and the context is still
-// live, the master re-elects excluding the failed servers, up to n
-// additional attempts, INSIDE the interceptor lifecycle (admission
-// once, OnElect per election, one OnComplete at the end). An elected
-// name the transport cannot resolve fails over the same way.
-// Re-elections emit "reelect" spans when tracing is on.
-func WithRetries(n int) Option {
-	return func(c *masterConfig) { c.retries = n }
-}
-
 // NewMaster builds the composed root from functional options. At
 // minimum a policy is required; SEDs/remotes/children and interceptors
 // are attached in the order given, and every interceptor's Init runs
 // before the master accepts work.
 func NewMaster(opts ...Option) (*Master, error) {
-	cfg := masterConfig{agent: AgentConfig{Name: "master"}}
+	cfg := masterConfig{name: "master"}
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	ma, err := NewMasterAgent(cfg.agent.Name, cfg.agent.Policy)
+	ma, err := NewMasterAgent(cfg.name, cfg.policy)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.agent.ChildTimeout > 0 {
-		ma.SetChildTimeout(cfg.agent.ChildTimeout)
-	}
-	if cfg.filter != nil {
-		ma.SetCandidateFilter(cfg.filter)
+	if cfg.childTimeout > 0 {
+		ma.SetChildTimeout(cfg.childTimeout)
 	}
 
 	// WithSEDs/WithRemotes register into the transport: the implicit
@@ -234,11 +210,11 @@ func NewMaster(opts ...Option) (*Master, error) {
 			a.Add(name, s)
 			return nil
 		}
-		return fmt.Errorf("middleware: master %s: transport cannot register %s (use WithChildren with a pre-populated WithTransport directory)", cfg.agent.Name, name)
+		return fmt.Errorf("middleware: master %s: transport cannot register %s (use WithChildren with a pre-populated WithTransport directory)", cfg.name, name)
 	}
 	for _, sed := range cfg.seds {
 		if sed == nil {
-			return nil, fmt.Errorf("middleware: master %s: nil SED", cfg.agent.Name)
+			return nil, fmt.Errorf("middleware: master %s: nil SED", cfg.name)
 		}
 		ma.Attach(sed)
 		if err := register(sed.Name(), sed); err != nil {
@@ -247,7 +223,7 @@ func NewMaster(opts ...Option) (*Master, error) {
 	}
 	for _, rem := range cfg.remotes {
 		if rem == nil {
-			return nil, fmt.Errorf("middleware: master %s: nil remote", cfg.agent.Name)
+			return nil, fmt.Errorf("middleware: master %s: nil remote", cfg.name)
 		}
 		ma.Attach(rem)
 		if err := register(rem.Name(), rem); err != nil {
@@ -260,11 +236,10 @@ func NewMaster(opts ...Option) (*Master, error) {
 	clock := func() float64 { return time.Since(epoch).Seconds() }
 
 	if cfg.concurrency < 0 {
-		return nil, fmt.Errorf("middleware: master %s: negative concurrency", cfg.agent.Name)
+		return nil, fmt.Errorf("middleware: master %s: negative concurrency", cfg.name)
 	}
-	m := &Master{MasterAgent: ma, dir: dir, ics: cfg.agent.Interceptors, clock: clock,
-		retries: cfg.retries, concurrency: cfg.concurrency,
-		jrn: cfg.journal, leaseTermSec: cfg.leaseTermSec, lifecycle: cfg.lifecycle}
+	m := &Master{MasterAgent: ma, dir: dir, ics: cfg.interceptors, clock: clock,
+		jrn: cfg.journal, leaseTermSec: cfg.leaseTermSec}
 	if m.jrn != nil {
 		if m.leaseTermSec <= 0 {
 			m.leaseTermSec = journal.DefaultLeaseTermSec
@@ -277,10 +252,10 @@ func NewMaster(opts ...Option) (*Master, error) {
 	}
 	for _, ic := range m.ics {
 		if ic == nil {
-			return nil, fmt.Errorf("middleware: master %s: nil interceptor", cfg.agent.Name)
+			return nil, fmt.Errorf("middleware: master %s: nil interceptor", cfg.name)
 		}
 		if err := ic.Init(Mount{Master: m}); err != nil {
-			return nil, fmt.Errorf("middleware: master %s: %w", cfg.agent.Name, err)
+			return nil, fmt.Errorf("middleware: master %s: %w", cfg.name, err)
 		}
 	}
 	var reg *obs.Registry
@@ -298,26 +273,13 @@ func NewMaster(opts ...Option) (*Master, error) {
 	ma.SetSpans(cfg.spans)
 	if cfg.metricsAddr != "" {
 		if reg == nil {
-			return nil, fmt.Errorf("middleware: master %s: WithMetricsAddr needs an ObsInterceptor in the stack", cfg.agent.Name)
+			return nil, fmt.Errorf("middleware: master %s: WithMetricsAddr needs an ObsInterceptor in the stack", cfg.name)
 		}
 		srv, err := obs.ListenAndServe(cfg.metricsAddr, reg)
 		if err != nil {
-			return nil, fmt.Errorf("middleware: master %s: metrics listener: %w", cfg.agent.Name, err)
+			return nil, fmt.Errorf("middleware: master %s: metrics listener: %w", cfg.name, err)
 		}
 		m.metrics = srv
-	}
-	if m.lifecycle.AgentJoined != nil {
-		for _, sed := range cfg.seds {
-			m.lifecycle.AgentJoined(sed.Name())
-		}
-		for _, rem := range cfg.remotes {
-			m.lifecycle.AgentJoined(rem.Name())
-		}
-		for _, c := range cfg.children {
-			if c != nil {
-				m.lifecycle.AgentJoined(c.Name())
-			}
-		}
 	}
 	return m, nil
 }
@@ -357,12 +319,9 @@ func (m *Master) Submit(ctx context.Context, service string, ops float64, pref f
 // OnComplete (rec.Err set) so interceptors release per-request state.
 // A zero req.ID is assigned from the master's sequence.
 //
-// With WithRetries armed, a failed Solve re-elects excluding the
-// servers that already failed (admission runs once, OnElect per
-// election, one OnComplete for the final outcome). With tracing on,
-// the lifecycle is emitted as a span tree rooted at "submit" — see
-// WithSpans — and every stage feeds greensched_stage_seconds when an
-// ObsInterceptor registry is mounted.
+// With tracing on, the lifecycle is emitted as a span tree rooted at
+// "submit" — see WithSpans — and every stage feeds
+// greensched_stage_seconds when an ObsInterceptor registry is mounted.
 //
 // With WithJournal mounted, the admission is journaled before the
 // hooks run, each dispatch books a lease on the elected SED, and the
@@ -473,169 +432,91 @@ func (m *Master) doWith(ctx context.Context, req Request, excluded map[string]bo
 		endRoot(err)
 		return Response{}, err
 	}
-	// retry reports whether a failed attempt on server may fail over,
-	// masking the server from the next election when it may.
-	retry := func(attempt int, server string) bool {
-		if attempt >= m.retries || ctx.Err() != nil {
-			return false
+
+	// Election. The elect span's ID is minted up front so the
+	// per-level estimate spans (and, through them, transport spans)
+	// nest under it.
+	var electStart float64
+	ereq := req
+	var electID uint64
+	if m.sink != nil {
+		electStart = obs.Uptime()
+		if m.sink.spans() {
+			electID = obs.NewSpanID()
+			ereq.ParentSpan = electID
 		}
-		if excluded == nil {
-			excluded = make(map[string]bool)
+	}
+	server, list, err := m.ElectExcluding(ctx, ereq, excluded)
+	if m.sink != nil {
+		electDur := obs.Uptime() - electStart
+		if !m.sink.spans() {
+			m.sink.observe(obs.StageElect, electDur)
+		} else {
+			sp := obs.Span{
+				TraceID: req.TraceID, SpanID: electID, Parent: rootID,
+				Name: obs.StageElect, Start: electStart, DurSec: electDur,
+			}
+			if server != "" {
+				sp.Attrs = map[string]string{"server": server}
+			}
+			if err != nil {
+				sp.Err = err.Error()
+			}
+			m.sink.emit(sp)
 		}
-		excluded[server] = true
-		return true
+	}
+	if err != nil {
+		return fail("", submitAt, err)
+	}
+	now := m.clock()
+	for _, ic := range m.ics {
+		ic.OnElect(now, req, server, list)
 	}
 
-	for attempt := 0; ; attempt++ {
-		// Election. The elect span's ID is minted up front so the
-		// per-level estimate spans (and, through them, transport spans)
-		// nest under it; re-elections after a failed attempt are their
-		// own "reelect" spans.
-		stage := obs.StageElect
-		if attempt > 0 {
-			stage = obs.StageReelect
-		}
-		var electStart float64
-		ereq := req
-		var electID uint64
-		if m.sink != nil {
-			electStart = obs.Uptime()
-			if m.sink.spans() {
-				electID = obs.NewSpanID()
-				ereq.ParentSpan = electID
-			}
-		}
-		server, list, err := m.ElectExcluding(ctx, ereq, excluded)
-		if m.sink != nil {
-			electDur := obs.Uptime() - electStart
-			if !m.sink.spans() {
-				m.sink.observe(stage, electDur)
-			} else {
-				sp := obs.Span{
-					TraceID: req.TraceID, SpanID: electID, Parent: rootID,
-					Name: stage, Start: electStart, DurSec: electDur,
-				}
-				if server != "" {
-					sp.Attrs = map[string]string{"server": server}
-				}
-				if err != nil {
-					sp.Err = err.Error()
-				}
-				m.sink.emit(sp)
-			}
-		}
-		if err != nil {
-			return fail("", submitAt, err)
-		}
-		now := m.clock()
-		for _, ic := range m.ics {
-			ic.OnElect(now, req, server, list)
-		}
-
-		solver, ok := m.dir.Lookup(server)
-		if !ok {
-			// No lease is booked for a server that cannot be reached.
-			if retry(attempt, server) {
-				continue
-			}
-			return fail(server, now, fmt.Errorf("middleware: elected SED %q not in transport", server))
-		}
-
-		// Dispatch: the wire crossing plus remote execution. The lease
-		// books the elected SED as the request's owner until the term
-		// expires; a failover re-lease supersedes it. The copy handed to
-		// the solver parents under the dispatch span so transport
-		// (dial/encode/decode) and SED (queue/solve) spans nest here.
-		m.journalLease(req.ID, server)
-		start := m.clock()
-		var dispStart float64
-		dreq := req
-		var dispID uint64
-		if m.sink != nil {
-			dispStart = obs.Uptime()
-			if m.sink.spans() {
-				dispID = obs.NewSpanID()
-				dreq.ParentSpan = dispID
-			}
-		}
-		resp, err := solver.Solve(ctx, dreq)
-		m.endDispatch(req, rootID, dispID, server, dispStart, resp, err)
-		if err != nil {
-			if ctx.Err() == nil && m.lifecycle.SEDDown != nil {
-				m.lifecycle.SEDDown(server, err)
-			}
-			if retry(attempt, server) {
-				continue
-			}
-			return fail(server, start, err)
-		}
-		finish := m.clock()
-
-		m.completed.Add(1)
-		m.addEnergy(resp.EnergyJ)
-		m.journalSettle(req.ID, nil, finish, resp.ExecSec, resp.EnergyJ)
-
-		rec := RequestRecord{
-			Req: req, Server: resp.Server,
-			Submit: submitAt, Start: start, Finish: finish,
-			ExecSec: resp.ExecSec, EnergyJ: resp.EnergyJ,
-		}
-		for _, ic := range m.ics {
-			ic.OnComplete(rec)
-		}
-		endRoot(nil)
-		return resp, nil
+	solver, ok := m.dir.Lookup(server)
+	if !ok {
+		// No lease is booked for a server that cannot be reached.
+		return fail(server, now, fmt.Errorf("middleware: elected SED %q not in transport", server))
 	}
-}
 
-// Outcome pairs a pipelined request with its result.
-type Outcome struct {
-	Req  Request
-	Resp Response
-	Err  error
-}
+	// Dispatch: the wire crossing plus remote execution. The lease
+	// books the elected SED as the request's owner until the term
+	// expires. The copy handed to the solver parents under the
+	// dispatch span so transport (dial/encode/decode) and SED
+	// (queue/solve) spans nest here.
+	m.journalLease(req.ID, server)
+	start := m.clock()
+	var dispStart float64
+	dreq := req
+	var dispID uint64
+	if m.sink != nil {
+		dispStart = obs.Uptime()
+		if m.sink.spans() {
+			dispID = obs.NewSpanID()
+			dreq.ParentSpan = dispID
+		}
+	}
+	resp, err := solver.Solve(ctx, dreq)
+	m.endDispatch(req, rootID, dispID, server, dispStart, resp, err)
+	if err != nil {
+		return fail(server, start, err)
+	}
+	finish := m.clock()
 
-// Pipeline runs every request from reqs through the full Do lifecycle
-// on a bounded worker pool and streams the outcomes — the submission
-// analogue of the simulator swallowing a million-task workload in one
-// call. The pool size is WithConcurrency's n (1 without it); outcomes
-// arrive in completion order, not submission order, and the channel
-// closes once reqs is closed and drained. Cancelling ctx stops the
-// workers; requests not yet started are dropped, never failed.
-func (m *Master) Pipeline(ctx context.Context, reqs <-chan Request) <-chan Outcome {
-	workers := m.concurrency
-	if workers <= 0 {
-		workers = 1
+	m.completed.Add(1)
+	m.addEnergy(resp.EnergyJ)
+	m.journalSettle(req.ID, nil, finish, resp.ExecSec, resp.EnergyJ)
+
+	rec := RequestRecord{
+		Req: req, Server: resp.Server,
+		Submit: submitAt, Start: start, Finish: finish,
+		ExecSec: resp.ExecSec, EnergyJ: resp.EnergyJ,
 	}
-	out := make(chan Outcome, workers)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case req, ok := <-reqs:
-					if !ok {
-						return
-					}
-					resp, err := m.Do(ctx, req)
-					select {
-					case out <- Outcome{Req: req, Resp: resp, Err: err}:
-					case <-ctx.Done():
-						return
-					}
-				}
-			}
-		}()
+	for _, ic := range m.ics {
+		ic.OnComplete(rec)
 	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-	return out
+	endRoot(nil)
+	return resp, nil
 }
 
 // emitStage records one master-side stage span parented under the

@@ -105,12 +105,6 @@ type Service struct {
 // synthetic sources.
 type MeterFunc func() (watts float64, ok bool)
 
-// CarbonFunc reads the current carbon intensity of the grid behind
-// the SED's site, in gCO2/kWh; ok=false when no signal is attached.
-// Wire it to carbon.Live(signal, epoch) for a modelled grid, or to a
-// grid-operator feed in real deployments.
-type CarbonFunc func() (gPerKWh float64, ok bool)
-
 // EstimationFunc populates a SED's estimation vector for a request.
 // This is the paper's plug-in customization point: "A developer can
 // create his own performance estimation function and include it into a
@@ -127,8 +121,8 @@ type SEDConfig struct {
 	// fold left-to-right over DefaultEstimation, and PowerSource
 	// implementations feed the dynamic estimator (MeterInterceptor
 	// for live power readings, CarbonInterceptor for the site's grid
-	// intensity tag, EstimationInterceptor to override the estimation
-	// function).
+	// intensity tag; a HookInterceptor's WrapEstimationFunc may
+	// replace the estimation function outright).
 	Interceptors []Interceptor
 
 	// EstimatorWindow is the moving-average window (requests); 0
@@ -138,14 +132,6 @@ type SEDConfig struct {
 	// is provisioned from cold.
 	BootSec    float64
 	BootPowerW float64
-
-	// MetricsAddr, when set (host:port; host:0 picks a free port),
-	// starts a per-node observability listener serving /metrics,
-	// /healthz and net/http/pprof. The greensched_sed_* gauges are
-	// labeled {sed="Name"} and refresh from Stats at every scrape.
-	// The listener's resolved address is SED.MetricsAddr; SED.Close
-	// shuts it down.
-	MetricsAddr string
 
 	// Spans, when set, receives the SED's own queue-wait and solve
 	// spans for traced requests (Request.TraceID non-zero), stitched
@@ -181,8 +167,7 @@ type SED struct {
 	est       *power.Estimator
 	execTotal float64 // summed execution seconds of completed requests
 
-	active  atomic.Bool
-	metrics *obs.Server
+	active atomic.Bool
 }
 
 // SEDStats is a point-in-time observability snapshot of one SED.
@@ -269,32 +254,7 @@ func NewSED(cfg SEDConfig) (*SED, error) {
 		}
 	}
 	s.estFn = est
-	if cfg.MetricsAddr != "" {
-		srv, err := startSEDMetrics(s, cfg.MetricsAddr)
-		if err != nil {
-			return nil, fmt.Errorf("middleware: SED %s: metrics listener: %w", cfg.Name, err)
-		}
-		s.metrics = srv
-	}
 	return s, nil
-}
-
-// MetricsAddr is the SED's observability listener's resolved
-// host:port, or "" when SEDConfig.MetricsAddr was not set.
-func (s *SED) MetricsAddr() string {
-	if s.metrics == nil {
-		return ""
-	}
-	return s.metrics.Addr()
-}
-
-// Close shuts the SED's observability listener down (a no-op without
-// one). The SED itself keeps serving.
-func (s *SED) Close() error {
-	if s.metrics == nil {
-		return nil
-	}
-	return s.metrics.Close()
 }
 
 // readPower polls the SED's power sources in stack order and returns

@@ -269,33 +269,6 @@ func TestClientConcurrentSubmissions(t *testing.T) {
 	}
 }
 
-func TestCandidateFilterApplied(t *testing.T) {
-	ma, seds := buildHierarchy(t, sched.New(sched.Performance))
-	prime(t, seds)
-	// Provider filter: drop hungry nodes entirely.
-	ma.SetCandidateFilter(func(l estvec.List) estvec.List {
-		var out estvec.List
-		for _, v := range l {
-			if v.Value(estvec.TagPowerW, 1e9) < 200 {
-				out = append(out, v)
-			}
-		}
-		return out
-	})
-	server, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if server != "lean-0" && server != "lean-1" {
-		t.Fatalf("filter ignored: elected %s", server)
-	}
-	// A filter that removes everything surfaces the no-server error.
-	ma.SetCandidateFilter(func(estvec.List) estvec.List { return nil })
-	if _, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7}); err == nil {
-		t.Fatal("empty filtered list should error")
-	}
-}
-
 func TestAgentSurvivesFailingChild(t *testing.T) {
 	policy := sched.New(sched.Power)
 	ma, err := NewMasterAgent("ma", policy)

@@ -138,19 +138,19 @@ func TestObsInterceptorScrapeRefreshesLedger(t *testing.T) {
 func TestMasterDeferredVisibleWhileParked(t *testing.T) {
 	var dirty atomic.Bool
 	dirty.Store(true)
-	feed := func() (float64, bool) {
+	feed := feedSignal{g: func() float64 {
 		if dirty.Load() {
-			return 600, true
+			return 600
 		}
-		return 50, true
-	}
+		return 50
+	}}
 	obsIC := &ObsInterceptor{}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
 		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(
 			obsIC,
-			&CarbonInterceptor{Func: feed, DirtyG: 300, MaxDeferSec: 30, PollSec: 0.005},
+			&CarbonInterceptor{Signal: feed, DirtyG: 300, MaxDeferSec: 30, PollSec: 0.005},
 		),
 	)
 	if err != nil {
@@ -240,53 +240,6 @@ func TestMasterMetricsListener(t *testing.T) {
 		WithMetricsAddr("127.0.0.1:0"),
 	); err == nil {
 		t.Error("WithMetricsAddr without an ObsInterceptor accepted")
-	}
-}
-
-// TestSEDMetricsListener: SEDConfig.MetricsAddr serves per-node
-// greensched_sed_* families labeled with the SED's name, refreshed
-// from Stats at scrape time.
-func TestSEDMetricsListener(t *testing.T) {
-	sed, err := NewSED(SEDConfig{
-		Name: "node-1", Slots: 2,
-		Interceptors: []Interceptor{&MeterInterceptor{Meter: func() (float64, bool) { return 120, true }}},
-		MetricsAddr:  "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sed.Close()
-	if err := sed.Register(burnService(2e9)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sed.Solve(context.Background(), Request{Service: "burn", Ops: 1e6}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get("http://" + sed.MetricsAddr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	samples, err := obs.ParseText(resp.Body)
-	if err != nil {
-		t.Fatalf("/metrics does not parse: %v", err)
-	}
-	for _, tc := range []struct {
-		name string
-		want float64
-	}{
-		{"greensched_sed_completed_total", 1},
-		{"greensched_sed_failed_total", 0},
-		{"greensched_sed_slots", 2},
-		{"greensched_sed_active", 1},
-		{"greensched_sed_inflight", 0},
-	} {
-		if got, ok := samples.Value(tc.name, "sed=node-1"); !ok || got != tc.want {
-			t.Errorf("%s{sed=node-1} = %v ok=%v, want %v", tc.name, got, ok, tc.want)
-		}
-	}
-	if got, ok := samples.Value("greensched_sed_power_watts", "sed=node-1"); !ok || got <= 0 {
-		t.Errorf("learned power gauge = %v ok=%v, want positive", got, ok)
 	}
 }
 

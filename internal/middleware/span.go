@@ -16,8 +16,8 @@ type spanSink struct {
 	// The canonical stages' histogram children, pre-resolved at
 	// construction so the per-request observe path is a constant-string
 	// switch instead of a label-key join under the family mutex.
-	submitH, admissionH, electH, reelectH, estimateH obs.Histogram
-	dispatchH, queueH, solveH, replyH                obs.Histogram
+	submitH, admissionH, electH, estimateH obs.Histogram
+	dispatchH, queueH, solveH, replyH      obs.Histogram
 }
 
 // stageBuckets span the decomposed stages' dynamic range: in-process
@@ -37,7 +37,6 @@ func newSpanSink(src string, w *obs.SpanWriter, reg *obs.Registry) *spanSink {
 		s.submitH = s.hist.With(src, obs.StageSubmit)
 		s.admissionH = s.hist.With(src, obs.StageAdmission)
 		s.electH = s.hist.With(src, obs.StageElect)
-		s.reelectH = s.hist.With(src, obs.StageReelect)
 		s.estimateH = s.hist.With(src, obs.StageEstimate)
 		s.dispatchH = s.hist.With(src, obs.StageDispatch)
 		s.queueH = s.hist.With(src, obs.StageQueue)
@@ -79,8 +78,6 @@ func (s *spanSink) observe(stage string, dur float64) {
 		s.admissionH.Observe(dur)
 	case obs.StageElect:
 		s.electH.Observe(dur)
-	case obs.StageReelect:
-		s.reelectH.Observe(dur)
 	case obs.StageEstimate:
 		s.estimateH.Observe(dur)
 	case obs.StageDispatch:

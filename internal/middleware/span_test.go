@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"testing"
@@ -22,24 +21,6 @@ func readSpans(t *testing.T, buf *bytes.Buffer) []obs.Span {
 		t.Fatalf("span stream does not parse: %v", err)
 	}
 	return spans
-}
-
-// wantOneReelect requires the span stream to carry exactly one
-// "reelect" span, electing server.
-func wantOneReelect(t *testing.T, buf *bytes.Buffer, server string) {
-	t.Helper()
-	reelects := 0
-	for _, sp := range readSpans(t, buf) {
-		if sp.Name == obs.StageReelect {
-			reelects++
-			if got := sp.Attrs["server"]; got != server {
-				t.Errorf("reelect span chose %q, want %s", got, server)
-			}
-		}
-	}
-	if reelects != 1 {
-		t.Fatalf("%d reelect spans, want 1", reelects)
-	}
 }
 
 // spansByTrace groups spans per trace.
@@ -286,47 +267,6 @@ func TestSpanTransportFaultTerminates(t *testing.T) {
 	if root == nil || root.Err == "" {
 		t.Fatalf("root span = %+v, want terminated with the transport error", root)
 	}
-}
-
-// TestWithRetriesReelects: a failed Solve under WithRetries re-elects
-// excluding the failed SED — the request completes on the healthy one,
-// the failover is visible as a "reelect" span, and the lifecycle books
-// one completion (not a failure plus a success).
-func TestWithRetriesReelects(t *testing.T) {
-	var buf bytes.Buffer
-	w := obs.NewSpanWriter(&buf)
-	// POWER makes the flaky SED (lowest watts) win the first election.
-	flaky := newSED(t, "flaky", 1, 2e9, 50)
-	flaky.Register(Service{Name: "shaky", Solve: func(context.Context, Request) ([]byte, error) {
-		return nil, fmt.Errorf("spurious execution failure")
-	}})
-	healthy := newSED(t, "healthy", 1, 2e9, 400)
-	healthy.Register(Service{Name: "shaky", Solve: func(context.Context, Request) ([]byte, error) {
-		return []byte("rescued"), nil
-	}})
-	prime(t, map[string]*SED{"flaky": flaky, "healthy": healthy})
-
-	m, err := NewMaster(
-		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(flaky, healthy),
-		WithRetries(2),
-		WithSpans(w),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := m.Do(context.Background(), Request{Service: "shaky", Ops: 1e6})
-	if err != nil {
-		t.Fatalf("failover Do: %v", err)
-	}
-	if resp.Server != "healthy" || string(resp.Output) != "rescued" {
-		t.Fatalf("resp = %+v, want rescue by healthy", resp)
-	}
-	res := m.Finalize()
-	if res.Completed != 1 || res.Failed != 0 {
-		t.Fatalf("result %+v, want exactly one completion and no failure", res)
-	}
-	wantOneReelect(t, &buf, "healthy")
 }
 
 // TestRemoteStatsFleetCoverage: the wireStats frame carries a remote

@@ -17,8 +17,8 @@ import (
 // a connection dropped mid-exchange, a malformed frame — as opposed to
 // an application error the remote returned. Agents treat it like any
 // failed child (the subtree is masked, the election proceeds) and
-// clients test with errors.Is to decide whether re-electing another
-// SED makes sense.
+// clients test with errors.Is to tell a lost SED from a failed
+// request.
 var ErrTransport = errors.New("transport failure")
 
 // The wire protocol is a minimal gob request/response exchange: one

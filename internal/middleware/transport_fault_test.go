@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -116,10 +117,12 @@ func TestRemoteApplicationErrorIsNotTransport(t *testing.T) {
 	}
 }
 
-// TestFailoverAfterTransportFault: when the elected SED's connection
-// dies mid-solve, the retry path re-elects another SED and the request
-// still completes — the hierarchy never hangs on one dead socket.
-func TestFailoverAfterTransportFault(t *testing.T) {
+// TestTransportFaultFailsRequest: when the elected SED's connection
+// dies mid-solve, the request fails with the transport error instead
+// of hanging on the dead socket, and the master books it as failed.
+// It is not re-elected in-run: the journal's lease redo is the
+// failover path (see Replay).
+func TestTransportFaultFailsRequest(t *testing.T) {
 	// The remote SED looks most attractive under POWER (lowest watts),
 	// so the first election lands on it.
 	doomed := newSED(t, "doomed", 1, 2e9, 50)
@@ -131,8 +134,10 @@ func TestFailoverAfterTransportFault(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}})
+	var rescues atomic.Int64
 	healthy := newSED(t, "healthy", 1, 2e9, 400)
 	healthy.Register(Service{Name: "burn2", Solve: func(context.Context, Request) ([]byte, error) {
+		rescues.Add(1)
 		return []byte("rescued"), nil
 	}})
 	prime(t, map[string]*SED{"doomed": doomed, "healthy": healthy})
@@ -150,7 +155,6 @@ func TestFailoverAfterTransportFault(t *testing.T) {
 		WithRemotes(rem),
 		WithSEDs(healthy),
 		WithChildTimeout(2*time.Second),
-		WithRetries(2),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -169,11 +173,13 @@ func TestFailoverAfterTransportFault(t *testing.T) {
 		time.Sleep(150 * time.Millisecond)
 		ep.Close() // drop the connection mid-solve
 	}()
-	resp, err := ma.Submit(context.Background(), "burn2", 1e6, 0, nil)
-	if err != nil {
-		t.Fatalf("failover submit: %v", err)
+	if _, err := ma.Submit(context.Background(), "burn2", 1e6, 0, nil); !errors.Is(err, ErrTransport) {
+		t.Fatalf("submit over a dropped connection: err = %v, want the transport error", err)
 	}
-	if resp.Server != "healthy" || string(resp.Output) != "rescued" {
-		t.Fatalf("resp = %+v, want rescue by healthy", resp)
+	if n := rescues.Load(); n != 0 {
+		t.Fatalf("healthy SED solved %d requests, want 0: the master does not re-elect in-run", n)
+	}
+	if res := ma.Finalize(); res.Failed != 1 || res.Completed != 0 {
+		t.Fatalf("result %+v, want the one request booked as failed", res)
 	}
 }

@@ -13,9 +13,9 @@ import (
 //
 //	submit
 //	├─ admission            master: OnSubmit hooks (absent without a stack)
-//	├─ elect | reelect      master: estimation fan-out + selection (reelect
-//	│  └─ estimate          on failover re-elections); one estimate span
-//	│     └─ estimate…      per agent LEVEL, nested down the DIET tree
+//	├─ elect                master: estimation fan-out + selection; one
+//	│  └─ estimate          estimate span per agent LEVEL, nested down
+//	│     └─ estimate…      the DIET tree
 //	│        └─ dial/encode/decode   transport frames of remote children
 //	└─ dispatch             master: the elected SED's Solve round trip
 //	   ├─ queue             SED: waiting for a free execution slot
@@ -31,7 +31,6 @@ const (
 	StageSubmit    = "submit"
 	StageAdmission = "admission"
 	StageElect     = "elect"
-	StageReelect   = "reelect"
 	StageEstimate  = "estimate"
 	StageDial      = "dial"
 	StageEncode    = "encode"

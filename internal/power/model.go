@@ -9,10 +9,7 @@
 // moving-average estimator the dynamic GreenPerf approach uses.
 package power
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Watts is instantaneous power draw.
 type Watts = float64
@@ -170,19 +167,4 @@ func MeanWatts(e Joules, window float64) Watts {
 		return 0
 	}
 	return e / window
-}
-
-// EDP returns the energy-delay product, one of the aggregate
-// efficiency metrics Hsu et al. (ref [19]) compare; the paper's score
-// at P=0 degenerates to it.
-func EDP(e Joules, seconds float64) float64 { return e * seconds }
-
-// PerfPerWatt returns performance-per-watt (FLOPS/W), the
-// "performance-power ratio" ref [19] concludes is the appropriate
-// efficiency representation. GreenPerf is its reciprocal ordering.
-func PerfPerWatt(flops float64, w Watts) float64 {
-	if w <= 0 {
-		return math.Inf(1)
-	}
-	return flops / w
 }

@@ -386,15 +386,6 @@ func TestHelperMetrics(t *testing.T) {
 	if MeanWatts(1000, 0) != 0 {
 		t.Fatal("MeanWatts zero window should be 0")
 	}
-	if EDP(100, 10) != 1000 {
-		t.Fatal("EDP wrong")
-	}
-	if PerfPerWatt(1e9, 200) != 5e6 {
-		t.Fatal("PerfPerWatt wrong")
-	}
-	if !math.IsInf(PerfPerWatt(1e9, 0), 1) {
-		t.Fatal("PerfPerWatt with zero watts should be +Inf")
-	}
 }
 
 func BenchmarkWattmeterObserve(b *testing.B) {

@@ -39,14 +39,6 @@ func MetricValue(metrics []string, values []float64, name string) (float64, bool
 	return 0, false
 }
 
-// SourceFunc adapts a bare function to Source.
-type SourceFunc func(node string, metrics []string, values []float64) (Watts, bool)
-
-// NodePowerW implements Source.
-func (f SourceFunc) NodePowerW(node string, metrics []string, values []float64) (Watts, bool) {
-	return f(node, metrics, values)
-}
-
 // StaticSource is a fixed node→watts table — the simplest Source, used
 // as a fallback when the sidecar's model is a constant-draw profile and
 // in tests. Nodes absent from the table report no reading.

@@ -153,14 +153,3 @@ func TestCurveSource(t *testing.T) {
 		t.Errorf("ModelName = %q", c.ModelName())
 	}
 }
-
-func TestSourceFunc(t *testing.T) {
-	var gotNode string
-	f := SourceFunc(func(node string, _ []string, _ []float64) (Watts, bool) {
-		gotNode = node
-		return 7, true
-	})
-	if w, ok := f.NodePowerW("n", nil, nil); !ok || w != 7 || gotNode != "n" {
-		t.Errorf("SourceFunc: %v, %v, node %q", w, ok, gotNode)
-	}
-}

@@ -14,8 +14,7 @@ import (
 
 // TraceModel replays recorded per-node wattage samples — the
 // CSV/trace-backed model the tests (and `greensched powerd -trace`)
-// serve, and the model the simulator's ExternalPowerModule queries so
-// sim and live runs share one recorded estimator stream.
+// serve.
 //
 // Lookup is deterministic two ways:
 //

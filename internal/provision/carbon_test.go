@@ -3,34 +3,8 @@ package provision_test
 import (
 	"testing"
 
-	"greensched/internal/carbon"
 	"greensched/internal/provision"
 )
-
-func TestCarbonRulesQuotas(t *testing.T) {
-	rules := provision.CarbonRules(200, 500)
-	if err := rules.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	const total, min = 10, 1
-	cases := []struct {
-		name string
-		st   provision.Status
-		want int
-	}{
-		{"dirty grid shrinks the pool", provision.Status{Temperature: 20, Carbon: 600}, 3},
-		{"shoulder grid holds the middle", provision.Status{Temperature: 20, Carbon: 350}, 6},
-		{"clean grid opens everything", provision.Status{Temperature: 20, Carbon: 150}, 10},
-		{"heat event trumps a clean grid", provision.Status{Temperature: 30, Carbon: 150}, 2},
-		{"no carbon reading falls back to cost", provision.Status{Temperature: 20, Cost: 1.0}, 4},
-		{"no carbon, deep off-peak cost", provision.Status{Temperature: 20, Cost: 0.4}, 10},
-	}
-	for _, c := range cases {
-		if got := rules.Quota(c.st, total, min); got != c.want {
-			t.Errorf("%s: quota %d, want %d", c.name, got, c.want)
-		}
-	}
-}
 
 func TestCarbonRecordXMLRoundTrip(t *testing.T) {
 	plan := &provision.Plan{Records: []provision.Record{{
@@ -65,50 +39,4 @@ func containsCarbonTag(s string) bool {
 		}
 	}
 	return false
-}
-
-// TestPlannerPreRampsIntoLowCarbonWindow drives the §IV-C planner with
-// a plan generated from a diurnal carbon signal: the pool must ramp up
-// ahead of the clean midday window (the planner's upward lookahead)
-// and shrink again when the grid turns dirty at night.
-func TestPlannerPreRampsIntoLowCarbonWindow(t *testing.T) {
-	sig := carbon.Diurnal{MeanG: 300, AmplitudeG: 200, CleanHour: 13}
-	recs, err := carbon.PlanRecords(sig, 0, carbon.DaySeconds, 1800, 5, 20, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store := provision.NewStore()
-	for _, r := range recs {
-		store.Put(r)
-	}
-	p := provision.NewPlanner(10, 3)
-	p.Rules = provision.CarbonRules(200, 450)
-	p.MinNodes = 1
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	poolAt := make(map[float64]int)
-	for now := 0.0; now < carbon.DaySeconds; now += p.CheckPeriod {
-		d := p.Check(now, store)
-		poolAt[now] = d.Pool
-	}
-	// Midnight-ish: intensity ≈ 480 (dirty) → small pool.
-	if got := poolAt[600]; got > 4 {
-		t.Errorf("dirty midnight pool = %d, want shrunk", got)
-	}
-	// Midday clean window: full pool.
-	if got := poolAt[13*3600]; got != 10 {
-		t.Errorf("clean midday pool = %d, want 10", got)
-	}
-	// Pre-ramp: strictly before the intensity crosses the clean
-	// threshold (~09:30), the pool must already exceed the shoulder
-	// quota on its way up.
-	if got := poolAt[9*3600]; got <= 6 {
-		t.Errorf("pool at 09:00 = %d, want pre-ramp above the shoulder quota", got)
-	}
-	// Night again: pool back down.
-	if got := poolAt[23*3600]; got > 4 {
-		t.Errorf("dirty night pool = %d, want shrunk again", got)
-	}
 }

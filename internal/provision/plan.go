@@ -29,15 +29,14 @@ type Record struct {
 	Cost        float64  `xml:"electricity_cost"`
 
 	// Carbon is the grid carbon intensity in gCO2/kWh at the record's
-	// timestamp (0 = not reported). Carbon-aware rule sets consult it;
-	// the classic §IV-C rules ignore it, so plans mixing both kinds of
-	// records stay valid.
+	// timestamp (0 = not reported), as carbon.PlanRecords writes it.
+	// The §IV-C rules ignore it, so plans with and without it stay
+	// valid.
 	Carbon float64 `xml:"carbon_intensity,omitempty"`
 
 	// DemandFlops is the forecast admitted demand in sustained flop/s
-	// at the record's timestamp (0 = not reported). SLA headroom rules
-	// translate it into a capacity floor so admission guarantees
-	// survive cost- and carbon-driven pool shrinks.
+	// at the record's timestamp (0 = not reported). The §IV-C rules
+	// ignore it.
 	DemandFlops float64 `xml:"demand_flops,omitempty"`
 
 	// Unexpected marks measurements that only become visible when

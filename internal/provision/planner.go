@@ -27,15 +27,8 @@ type Planner struct {
 	// "in 3 steps" (StepDown 4).
 	StepUp   int
 	StepDown int
-	// ConfirmDown requires this many consecutive checks wanting a
-	// smaller pool before the first shrink step is taken — hysteresis
-	// against flapping on noisy measured signals (e.g. measured inlet
-	// temperatures). 1 (the default) shrinks immediately, matching
-	// the paper's behaviour for its injected events.
-	ConfirmDown int
 
-	current   int
-	downTicks int
+	current int
 }
 
 // NewPlanner returns a planner with the paper's §IV-C parameters for a
@@ -49,7 +42,6 @@ func NewPlanner(totalNodes, start int) *Planner {
 		Lookahead:   1200,
 		StepUp:      2,
 		StepDown:    4,
-		ConfirmDown: 1,
 		current:     start,
 	}
 }
@@ -120,25 +112,15 @@ func (p *Planner) Check(now float64, store *Store) Decision {
 	next := p.current
 	switch {
 	case desired > p.current:
-		p.downTicks = 0
 		next = p.current + p.StepUp
 		if next > desired {
 			next = desired
 		}
 	case desired < p.current:
-		p.downTicks++
-		confirm := p.ConfirmDown
-		if confirm < 1 {
-			confirm = 1
+		next = p.current - p.StepDown
+		if next < desired {
+			next = desired
 		}
-		if p.downTicks >= confirm {
-			next = p.current - p.StepDown
-			if next < desired {
-				next = desired
-			}
-		}
-	default:
-		p.downTicks = 0
 	}
 	d := Decision{
 		At:         now,
@@ -165,7 +147,7 @@ func (p *Planner) statusAt(store *Store, t int64) Status {
 
 // statusOf projects a plan record onto the rule inputs.
 func statusOf(rec Record) Status {
-	return Status{Temperature: rec.Temperature, Cost: rec.Cost, Carbon: rec.Carbon, DemandFlops: rec.DemandFlops}
+	return Status{Temperature: rec.Temperature, Cost: rec.Cost}
 }
 
 func ceilDiv(a, b int) int {

@@ -338,37 +338,6 @@ func TestPlannerEmptyStoreAssumesRegular(t *testing.T) {
 	}
 }
 
-func TestPlannerHysteresisConfirmDown(t *testing.T) {
-	store := NewStore()
-	store.Put(Record{Value: 0, Cost: 0.5, Temperature: 20})
-	p := NewPlanner(12, 12)
-	p.MinNodes = 2
-	p.ConfirmDown = 2
-
-	// One transient heat reading must NOT shrink the pool.
-	store.Put(Record{Value: 500, Cost: 0.5, Temperature: 27, Unexpected: true})
-	d := p.Check(600, store)
-	if d.Pool != 12 {
-		t.Fatalf("single out-of-range reading shrank the pool to %d", d.Pool)
-	}
-	// Recovery resets the confirmation counter.
-	store.Put(Record{Value: 700, Cost: 0.5, Temperature: 22, Unexpected: true})
-	d = p.Check(1200, store)
-	if d.Pool != 12 {
-		t.Fatalf("pool = %d after recovery", d.Pool)
-	}
-	// Two consecutive hot checks do shrink.
-	store.Put(Record{Value: 1300, Cost: 0.5, Temperature: 27, Unexpected: true})
-	d = p.Check(1800, store)
-	if d.Pool != 12 {
-		t.Fatalf("first confirmed-down check should still hold: %d", d.Pool)
-	}
-	d = p.Check(2400, store)
-	if d.Pool != 8 {
-		t.Fatalf("second consecutive hot check should shrink: %d", d.Pool)
-	}
-}
-
 func TestCeilDiv(t *testing.T) {
 	if ceilDiv(4, 2) != 2 || ceilDiv(5, 2) != 3 || ceilDiv(1, 4) != 1 {
 		t.Fatal("ceilDiv wrong")

@@ -11,10 +11,6 @@ import (
 type Status struct {
 	Temperature float64 // °C
 	Cost        float64 // electricity cost ratio in [0,1]
-	Carbon      float64 // grid carbon intensity in gCO2/kWh (0 = unknown)
-	// DemandFlops is the forecast admitted demand in flop/s (0 =
-	// unknown); SLA headroom rules size the pool to cover it.
-	DemandFlops float64
 }
 
 // Rule maps a platform status to a candidate-node fraction. Rules are
@@ -25,10 +21,6 @@ type Rule struct {
 	Name     string
 	Matches  func(Status) bool
 	Fraction float64 // fraction of all nodes made candidates
-	// Nodes, when set, computes the quota directly from the status
-	// (overriding Fraction) — the hook demand-proportional rules use.
-	// The result is still clamped to [minNodes, totalNodes].
-	Nodes func(st Status, totalNodes, minNodes int) int
 }
 
 // Rules is an ordered rule set.
@@ -42,22 +34,9 @@ func (rs Rules) Quota(st Status, totalNodes, minNodes int) int {
 		if !r.Matches(st) {
 			continue
 		}
-		if r.Nodes != nil {
-			return clampNodes(r.Nodes(st, totalNodes, minNodes), totalNodes, minNodes)
-		}
 		return core.CandidateQuota(totalNodes, r.Fraction, minNodes)
 	}
 	return totalNodes
-}
-
-func clampNodes(n, totalNodes, minNodes int) int {
-	if n < minNodes {
-		n = minNodes
-	}
-	if n > totalNodes {
-		n = totalNodes
-	}
-	return n
 }
 
 // Match returns the first matching rule's name, or "" when none match.
@@ -76,9 +55,6 @@ func (rs Rules) Validate() error {
 	for i, r := range rs {
 		if r.Matches == nil {
 			return fmt.Errorf("provision: rule %d (%s) has no predicate", i, r.Name)
-		}
-		if r.Nodes != nil {
-			continue // quota computed directly; Fraction unused
 		}
 		if r.Fraction <= 0 || r.Fraction > 1 {
 			return fmt.Errorf("provision: rule %d (%s) has fraction %v outside (0,1]", i, r.Name, r.Fraction)
@@ -123,39 +99,4 @@ func DefaultRules() Rules {
 			Fraction: 1.00,
 		},
 	}
-}
-
-// CarbonRules extends the administrator behaviours with grid
-// carbon-intensity bands: the candidate pool shrinks when the grid is
-// dirty (above dirtyG) and opens fully when it is clean (at or below
-// cleanG). Records without a carbon reading (Carbon == 0) fall through
-// to the classic cost rules, so carbon-aware and cost-only plans
-// compose. The heat rule keeps absolute priority — thermal events
-// trump green scheduling.
-func CarbonRules(cleanG, dirtyG float64) Rules {
-	carbon := Rules{
-		{
-			Name:     "heat",
-			Matches:  func(s Status) bool { return s.Temperature > DefaultHeatThreshold },
-			Fraction: 0.20,
-		},
-		{
-			Name:     "carbon-peak",
-			Matches:  func(s Status) bool { return s.Carbon >= dirtyG },
-			Fraction: 0.30,
-		},
-		{
-			Name:     "carbon-shoulder",
-			Matches:  func(s Status) bool { return s.Carbon > cleanG },
-			Fraction: 0.60,
-		},
-		{
-			Name:     "carbon-trough",
-			Matches:  func(s Status) bool { return s.Carbon > 0 },
-			Fraction: 1.00,
-		},
-	}
-	// Cost fallback for records without a carbon reading (skip the
-	// duplicate heat rule).
-	return append(carbon, DefaultRules()[1:]...)
 }

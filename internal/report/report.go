@@ -1,5 +1,5 @@
 // Package report renders experiment outputs as the ASCII equivalents
-// of the paper's tables and figures, plus CSV for external plotting.
+// of the paper's tables and figures.
 package report
 
 import (
@@ -66,42 +66,12 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// CSV writes the table as CSV (no quoting: experiment cells never
-// contain commas; enforced below).
-func (t *Table) CSV(w io.Writer) error {
-	var b strings.Builder
-	writeRow := func(cells []string) error {
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\n\"") {
-				return fmt.Errorf("report: CSV cell %q needs quoting", c)
-			}
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(c)
-		}
-		b.WriteByte('\n')
-		return nil
-	}
-	if err := writeRow(t.Headers); err != nil {
-		return err
-	}
-	for _, row := range t.Rows {
-		if err := writeRow(row); err != nil {
-			return err
-		}
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // BarChart renders a horizontal ASCII bar chart — the stand-in for the
 // paper's per-node task histograms (Figures 2–4) and per-cluster
 // energy bars (Figure 5).
 type BarChart struct {
 	Title string
 	Unit  string
-	Width int // bar width in characters; 0 means 50
 
 	labels []string
 	values []float64
@@ -115,10 +85,7 @@ func (c *BarChart) Add(label string, value float64) {
 
 // Render writes the chart.
 func (c *BarChart) Render(w io.Writer) error {
-	width := c.Width
-	if width <= 0 {
-		width = 50
-	}
+	const width = 50 // characters in the longest bar
 	maxV, maxL := 0.0, 0
 	for i, v := range c.values {
 		maxV = math.Max(maxV, v)
@@ -148,8 +115,6 @@ type Scatter struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Cols   int
-	Lines  int
 
 	labels []string
 	xs     []float64
@@ -171,13 +136,7 @@ func (s *Scatter) SetBand(minX, maxX, minY, maxY float64) {
 
 // Render writes the plot followed by a point legend.
 func (s *Scatter) Render(w io.Writer) error {
-	cols, lines := s.Cols, s.Lines
-	if cols <= 0 {
-		cols = 60
-	}
-	if lines <= 0 {
-		lines = 16
-	}
+	const cols, lines = 60, 16
 	if len(s.xs) == 0 {
 		_, err := fmt.Fprintf(w, "%s\n(no points)\n", s.Title)
 		return err

@@ -28,24 +28,8 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := &Table{Headers: []string{"a", "b"}}
-	tb.AddRow("1", "2")
-	var b strings.Builder
-	if err := tb.CSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != "a,b\n1,2\n" {
-		t.Fatalf("CSV = %q", b.String())
-	}
-	bad := &Table{Headers: []string{"a,b"}}
-	if err := bad.CSV(&strings.Builder{}); err == nil {
-		t.Fatal("comma cell accepted")
-	}
-}
-
 func TestBarChart(t *testing.T) {
-	c := &BarChart{Title: "Fig 2", Unit: " tasks", Width: 10}
+	c := &BarChart{Title: "Fig 2", Unit: " tasks"}
 	c.Add("taurus-0", 100)
 	c.Add("sagittaire-0", 25)
 	var b strings.Builder
@@ -78,7 +62,7 @@ func TestBarChartZeroValues(t *testing.T) {
 }
 
 func TestScatterRender(t *testing.T) {
-	s := &Scatter{Title: "Fig 7", XLabel: "makespan (s)", YLabel: "energy (J)", Cols: 40, Lines: 10}
+	s := &Scatter{Title: "Fig 7", XLabel: "makespan (s)", YLabel: "energy (J)"}
 	s.Add("G", 3000, 4.0e6)
 	s.Add("GP", 2500, 4.5e6)
 	s.Add("P", 2200, 5.5e6)

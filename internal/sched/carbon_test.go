@@ -3,7 +3,6 @@ package sched
 import (
 	"testing"
 
-	"greensched/internal/core"
 	"greensched/internal/estvec"
 )
 
@@ -66,18 +65,6 @@ func TestCarbonPolicyUnmeteredSiteFailsSafe(t *testing.T) {
 	if !p.Less(metered, unmetered) || p.Less(unmetered, metered) {
 		t.Error("unmetered server must rank after the metered one")
 	}
-	// The weighted policy applies the same guard while carbon carries
-	// weight…
-	wp := WeightedGreenPolicy{W: core.GreenWeights{Watts: 1, Carbon: 1}}
-	if !wp.Less(metered, unmetered) || wp.Less(unmetered, metered) {
-		t.Error("weighted policy must rank the unmetered server last")
-	}
-	// …but ignores the tag when the carbon weight is zero.
-	wattsOnly := WeightedGreenPolicy{W: core.GreenWeights{Watts: 1}}
-	lean := carbonVec("lean-unmetered", 5e9, 100, 0)
-	if !wattsOnly.Less(lean, metered) {
-		t.Error("carbon-blind weighting must still rank by watts")
-	}
 }
 
 func TestServerFromVectorCarriesCarbonIntensity(t *testing.T) {
@@ -92,26 +79,5 @@ func TestServerFromVectorCarriesCarbonIntensity(t *testing.T) {
 	srv2, _ := ServerFromVector(carbonVec("y", 5e9, 200, 0))
 	if srv2.CarbonIntensity != 0 {
 		t.Errorf("missing tag must read as 0, got %v", srv2.CarbonIntensity)
-	}
-}
-
-func TestWeightedGreenPolicy(t *testing.T) {
-	fast := carbonVec("fast", 10e9, 400, 400)
-	clean := carbonVec("clean", 4e9, 100, 20)
-	perfOnly := WeightedGreenPolicy{W: core.GreenWeights{Perf: 1}}
-	if !perfOnly.Less(fast, clean) {
-		t.Error("perf-weighted policy must prefer the fast node")
-	}
-	carbonOnly := WeightedGreenPolicy{W: core.GreenWeights{Carbon: 1}}
-	if !carbonOnly.Less(clean, fast) {
-		t.Error("carbon-weighted policy must prefer the clean node")
-	}
-	// Novices rank last regardless of weights.
-	novice := estvec.New("novice").SetBool(estvec.TagActive, true)
-	if !carbonOnly.Less(fast, novice) || carbonOnly.Less(novice, fast) {
-		t.Error("novice must rank last")
-	}
-	if perfOnly.Name() != "WEIGHTED(p=1,w=0,c=0)" {
-		t.Errorf("name %q", perfOnly.Name())
 	}
 }

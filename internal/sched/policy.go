@@ -187,43 +187,6 @@ func carbonRate(v *estvec.Vector) (float64, bool) {
 	return srv.CarbonPerf(), true
 }
 
-// WeightedGreenPolicy ranks by the blended core.GreenWeights score —
-// the provider's performance/watts/carbon weighting applied as a
-// plug-in scheduler. Servers still in the learning phase rank last,
-// and while the carbon axis carries weight, servers without an
-// intensity reading rank after metered ones (fail safe, as in the
-// CARBON policy).
-type WeightedGreenPolicy struct {
-	W core.GreenWeights
-}
-
-// Name implements Policy.
-func (p WeightedGreenPolicy) Name() string {
-	return fmt.Sprintf("WEIGHTED(p=%g,w=%g,c=%g)", p.W.Perf, p.W.Watts, p.W.Carbon)
-}
-
-// Less implements Policy.
-func (p WeightedGreenPolicy) Less(a, b *estvec.Vector) bool {
-	if p.W.Carbon > 0 && a.Has(estvec.TagCarbonIntensity) != b.Has(estvec.TagCarbonIntensity) {
-		return a.Has(estvec.TagCarbonIntensity)
-	}
-	sva, aok := ServerFromVector(a)
-	svb, bok := ServerFromVector(b)
-	switch {
-	case aok && !bok:
-		return true
-	case !aok && bok:
-		return false
-	case !aok && !bok:
-		return a.Server < b.Server
-	}
-	sa, sb := p.W.Score(sva), p.W.Score(svb)
-	if sa != sb {
-		return sa < sb
-	}
-	return a.Server < b.Server
-}
-
 // ScorePolicy ranks by the Eq. 6 score for a task of Ops flops under
 // the combined preference Pref. It is the policy behind the §III-C
 // energy-event scheduling process.

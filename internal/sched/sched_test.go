@@ -262,21 +262,6 @@ func TestSelectorRankAllIgnoresFreePreference(t *testing.T) {
 	}
 }
 
-func TestSortCandidates(t *testing.T) {
-	a := vec("a", 5e9, 300, 1, 2, 0)
-	b := vec("b", 5e9, 100, 1, 2, 0)
-	c := vec("c", 5e9, 200, 1, 2, 0)
-	in := estvec.List{a, b, c}
-	out := SortCandidates(in, New(Power))
-	if got := out.Servers(); got[0] != "b" || got[1] != "c" || got[2] != "a" {
-		t.Fatalf("sorted = %v", got)
-	}
-	// Input order untouched.
-	if in[0].Server != "a" {
-		t.Fatal("SortCandidates mutated its input")
-	}
-}
-
 // Property: every policy's Less is a strict weak ordering over
 // distinct-named servers: irreflexive and asymmetric.
 func TestPropertyPolicyAsymmetry(t *testing.T) {

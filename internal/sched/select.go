@@ -184,13 +184,3 @@ const tagCores = estvec.Tag("cores")
 // TagCores exposes the auxiliary capacity tag for SED estimation
 // functions.
 func TagCores() estvec.Tag { return tagCores }
-
-// SortCandidates orders a full estimation list by the policy (best
-// first) without applying capacity constraints — the per-agent sorting
-// step 4 of the scheduling process ("at each level of the hierarchy,
-// agents ... sort servers according to a specific criterion").
-func SortCandidates(list estvec.List, p Policy) estvec.List {
-	out := list.Clone()
-	out.SortStable(p.Less)
-	return out
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"greensched/internal/core"
 	"greensched/internal/estvec"
 )
 
@@ -177,65 +176,6 @@ func (p DeadlineAware) Less(a, b *estvec.Vector) bool {
 		}
 		return p.Base.Less(a, b)
 	}
-}
-
-// SLAWeightedPolicy blends the provider's green weighting with
-// deadline urgency: the score is the log-linear GreenWeights mix plus
-// Urgency·ln(1+projected lateness) on servers that would finish the
-// task late. Feasible servers therefore compete purely on the green
-// score, while infeasible ones are pushed down smoothly — unlike
-// DeadlineAware's hard screen, a very efficient server that misses by
-// a second can still beat a hungry one that misses by an hour.
-type SLAWeightedPolicy struct {
-	W core.GreenWeights
-	// Urgency scales the lateness term; 0 degrades to the pure green
-	// ordering.
-	Urgency float64
-	// Ops, Now, Deadline describe the arriving task (Deadline 0 =
-	// none).
-	Ops      float64
-	Now      float64
-	Deadline float64
-}
-
-// Name implements Policy.
-func (p SLAWeightedPolicy) Name() string {
-	return fmt.Sprintf("SLA-WEIGHTED(p=%g,w=%g,c=%g,u=%g)", p.W.Perf, p.W.Watts, p.W.Carbon, p.Urgency)
-}
-
-// Less implements Policy. Learning-phase servers rank last; while the
-// carbon axis carries weight, unmetered servers rank after metered
-// ones (the CARBON fail-safe).
-func (p SLAWeightedPolicy) Less(a, b *estvec.Vector) bool {
-	if p.W.Carbon > 0 && a.Has(estvec.TagCarbonIntensity) != b.Has(estvec.TagCarbonIntensity) {
-		return a.Has(estvec.TagCarbonIntensity)
-	}
-	sa, aok := p.score(a)
-	sb, bok := p.score(b)
-	switch {
-	case aok && !bok:
-		return true
-	case !aok && bok:
-		return false
-	case aok && bok && sa != sb:
-		return sa < sb
-	default:
-		return a.Server < b.Server
-	}
-}
-
-func (p SLAWeightedPolicy) score(v *estvec.Vector) (float64, bool) {
-	srv, ok := ServerFromVector(v)
-	if !ok {
-		return 0, false
-	}
-	s := p.W.Score(srv)
-	if p.Deadline > 0 && p.Urgency > 0 {
-		if late := p.Now + srv.ComputationTime(p.Ops) - p.Deadline; late > 0 {
-			s += p.Urgency * math.Log1p(late)
-		}
-	}
-	return s, true
 }
 
 // completionEstimate reconstructs Eq. 4's completion time from an

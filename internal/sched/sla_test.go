@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"greensched/internal/core"
 	"greensched/internal/estvec"
 )
 
@@ -163,27 +162,6 @@ func TestDeadlineAwareLearningPhaseRanksLast(t *testing.T) {
 	p := DeadlineAware{Base: New(GreenPerf), Ops: 1e9, Now: 0, Deadline: 100}
 	if !p.Less(known, novice) || p.Less(novice, known) {
 		t.Error("servers without estimates must rank last under a deadline")
-	}
-}
-
-func TestSLAWeightedUrgency(t *testing.T) {
-	// lean is far greener; fast is the only one meeting the deadline.
-	fast := sedVec("fast", 1e9, 400, 0, true)
-	lean := sedVec("lean", 1e9, 100, 900, true)
-
-	green := SLAWeightedPolicy{W: core.GreenWeights{Watts: 1}, Urgency: 0, Ops: 1e11, Now: 0, Deadline: 500}
-	if !green.Less(lean, fast) {
-		t.Error("zero urgency must degrade to the green ordering")
-	}
-
-	urgent := SLAWeightedPolicy{W: core.GreenWeights{Watts: 1}, Urgency: 10, Ops: 1e11, Now: 0, Deadline: 500}
-	if !urgent.Less(fast, lean) {
-		t.Error("urgency must price the projected lateness into the score")
-	}
-
-	// Names identify the parameterization.
-	if urgent.Name() == green.Name() {
-		t.Error("names must reflect the urgency weight")
 	}
 }
 

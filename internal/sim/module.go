@@ -83,61 +83,6 @@ func (BaseModule) OnTick(float64, Control) {}
 // Finalize implements Module.
 func (BaseModule) Finalize(*Result) {}
 
-// HookModule adapts bare functions into a Module — the quickest way
-// to drop an ad-hoc observer into a stack. Nil fields are no-ops.
-type HookModule struct {
-	InitFunc       func(r *Runner) error
-	OnArrivalFunc  func(now float64, t *workload.Task)
-	WrapPolicyFunc func(now float64, t workload.Task, base sched.Policy) sched.Policy
-	OnFinishFunc   func(rec TaskRecord)
-	OnTickFunc     func(now float64, ctl Control)
-	FinalizeFunc   func(res *Result)
-}
-
-// Init implements Module.
-func (h *HookModule) Init(r *Runner) error {
-	if h.InitFunc == nil {
-		return nil
-	}
-	return h.InitFunc(r)
-}
-
-// OnArrival implements Module.
-func (h *HookModule) OnArrival(now float64, t *workload.Task) {
-	if h.OnArrivalFunc != nil {
-		h.OnArrivalFunc(now, t)
-	}
-}
-
-// WrapPolicy implements Module.
-func (h *HookModule) WrapPolicy(now float64, t workload.Task, base sched.Policy) sched.Policy {
-	if h.WrapPolicyFunc == nil {
-		return base
-	}
-	return h.WrapPolicyFunc(now, t, base)
-}
-
-// OnFinish implements Module.
-func (h *HookModule) OnFinish(rec TaskRecord) {
-	if h.OnFinishFunc != nil {
-		h.OnFinishFunc(rec)
-	}
-}
-
-// OnTick implements Module.
-func (h *HookModule) OnTick(now float64, ctl Control) {
-	if h.OnTickFunc != nil {
-		h.OnTickFunc(now, ctl)
-	}
-}
-
-// Finalize implements Module.
-func (h *HookModule) Finalize(res *Result) {
-	if h.FinalizeFunc != nil {
-		h.FinalizeFunc(res)
-	}
-}
-
 // CarbonModule attaches a grid carbon-intensity profile to the run:
 // every node's exact energy accounting is integrated against its
 // site's signal into grams of CO2 (Result.CO2Grams and the per-task
@@ -188,8 +133,8 @@ func (m *CarbonModule) Init(r *Runner) error {
 // With WrapDeadline set the module also owns the election policy of
 // deadline-carrying tasks: it wraps the stack's policy in
 // sched.DeadlineAware for the task's own resolved deadline, which is
-// the per-task wiring SLA experiments would otherwise hand-roll in a
-// HookModule.WrapPolicyFunc.
+// the per-task wiring SLA experiments would otherwise hand-roll in
+// their own WrapPolicy.
 type SLAModule struct {
 	BaseModule
 	Config *sla.Config

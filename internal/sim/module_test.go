@@ -19,16 +19,11 @@ func TestNewScenarioDefaults(t *testing.T) {
 		WithSlotsPerNode(1),
 		WithTick(60),
 		WithRetryEvery(5),
-		WithQueueFactor(2),
-		WithContention(0.1),
-		WithExecJitter(0.05),
-		WithSampleEvery(10),
 		WithStatic(),
 		WithModules(&HookModule{}, &HookModule{}),
 	)
 	if cfg.Policy.Name() != "RANDOM" || cfg.Seed != 7 || cfg.SlotsPerNode != 1 ||
-		cfg.ControlEvery != 60 || cfg.RetryEvery != 5 || cfg.QueueFactor != 2 ||
-		cfg.Contention != 0.1 || cfg.ExecJitter != 0.05 || cfg.SampleEvery != 10 ||
+		cfg.ControlEvery != 60 || cfg.RetryEvery != 5 ||
 		!cfg.Static || len(cfg.Modules) != 2 {
 		t.Errorf("options not applied: %+v", cfg)
 	}

@@ -71,17 +71,3 @@ func WithTick(every float64) Option { return func(c *Config) { c.ControlEvery = 
 // WithRetryEvery sets the client back-off between election attempts
 // for a request no server can accept.
 func WithRetryEvery(every float64) Option { return func(c *Config) { c.RetryEvery = every } }
-
-// WithQueueFactor bounds per-SED backlog (see sched.Selector).
-func WithQueueFactor(f float64) Option { return func(c *Config) { c.QueueFactor = f } }
-
-// WithContention sets the co-runner interference slowdown factor.
-func WithContention(c float64) Option { return func(cfg *Config) { cfg.Contention = c } }
-
-// WithExecJitter adds a relative uniform ±jitter to task execution
-// times.
-func WithExecJitter(j float64) Option { return func(c *Config) { c.ExecJitter = j } }
-
-// WithSampleEvery records a platform power sample every so many
-// seconds.
-func WithSampleEvery(every float64) Option { return func(c *Config) { c.SampleEvery = every } }

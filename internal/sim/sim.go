@@ -338,13 +338,6 @@ type sedState struct {
 	// set; estimates then never change at runtime.
 	static *cluster.Calibration
 
-	// extPower, when an ExternalPowerModule is stacked, overrides the
-	// vector's power tags with the source's reading at the current
-	// virtual time; extVals is the reusable values slot so the
-	// zero-alloc fill path stays allocation-free.
-	extPower power.Source
-	extVals  [1]float64
-
 	// site and co2 carry the node's grid signal and emissions
 	// integrator when a CarbonModule is stacked.
 	site *carbon.SiteProfile
@@ -756,7 +749,6 @@ func (s *sedState) fillVector(v *estvec.Vector, now float64, rng *rand.Rand, byp
 			Set(estvec.TagFlops, s.static.Flops).
 			Set(estvec.TagPowerW, s.static.MeanWatts).
 			Set(estvec.TagGreenPerf, s.static.GreenPerf())
-		s.overridePower(v, now)
 		return
 	}
 
@@ -770,30 +762,6 @@ func (s *sedState) fillVector(v *estvec.Vector, now float64, rng *rand.Rand, byp
 	}
 	if gp, ok := s.est.GreenPerf(); ok {
 		v.Set(estvec.TagGreenPerf, gp)
-	}
-	s.overridePower(v, now)
-}
-
-// extPowerMetrics is the fixed metric name list the override sends —
-// virtual time only, so trace-backed sources replay deterministically.
-var extPowerMetrics = []string{power.MetricTime}
-
-// overridePower folds the external power source's reading at virtual
-// time now over the vector's power tags (and re-derives the green-perf
-// ratio from the vector's own flops estimate); a source miss leaves
-// the built-in estimates alone.
-func (s *sedState) overridePower(v *estvec.Vector, now float64) {
-	if s.extPower == nil {
-		return
-	}
-	s.extVals[0] = now
-	w, ok := s.extPower.NodePowerW(s.node.Spec.Name, extPowerMetrics, s.extVals[:])
-	if !ok {
-		return
-	}
-	v.Set(estvec.TagPowerW, float64(w))
-	if f, okF := v.Get(estvec.TagFlops); okF && f > 0 {
-		v.Set(estvec.TagGreenPerf, float64(w)/f)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -17,18 +16,18 @@ import (
 // tick (powered draw weighted by each cluster's intensity), 0 without
 // a carbon profile.
 type TelemetrySample struct {
-	T        float64 `json:"t"`
-	Queued   int     `json:"queued"`
-	Unplaced int     `json:"unplaced"`
-	Running  int     `json:"running"`
-	Powered  int     `json:"powered"`
-	Watts    float64 `json:"watts"`
-	CO2Rate  float64 `json:"co2_g_per_sec"`
+	T        float64
+	Queued   int
+	Unplaced int
+	Running  int
+	Powered  int
+	Watts    float64
+	CO2Rate  float64
 }
 
 // TelemetryModule samples fleet-level time series at every control
 // tick — queue depth, unplaced backlog, running tasks, powered nodes,
-// aggregate draw, CO2 rate — and writes them as CSV or JSONL. It is
+// aggregate draw, CO2 rate — and writes them as CSV. It is
 // the simulator spelling of pointing a scraper at the live /metrics
 // endpoint: a deterministic run yields a byte-identical series, so the
 // files diff cleanly across scenario variants. It needs
@@ -36,10 +35,8 @@ type TelemetrySample struct {
 type TelemetryModule struct {
 	BaseModule
 
-	// W receives the series (required).
+	// W receives the series as CSV (required).
 	W io.Writer
-	// Format is "csv" (default) or "jsonl".
-	Format string
 	// Profile, when set, prices the powered draw into a CO2 rate with
 	// each cluster's intensity at the tick.
 	Profile *carbon.Profile
@@ -47,8 +44,6 @@ type TelemetryModule struct {
 	// Samples retains the series in memory after the run (always on —
 	// the slice is the analyzer-friendly form of the file).
 	Samples []TelemetrySample
-
-	enc *json.Encoder
 }
 
 // Init implements Module.
@@ -56,15 +51,8 @@ func (m *TelemetryModule) Init(r *Runner) error {
 	if m.W == nil {
 		return fmt.Errorf("sim: telemetry module needs a writer")
 	}
-	switch m.Format {
-	case "", "csv":
-		if _, err := io.WriteString(m.W, "t,queued,unplaced,running,powered,watts,co2_g_per_sec\n"); err != nil {
-			return fmt.Errorf("sim: telemetry header: %w", err)
-		}
-	case "jsonl":
-		m.enc = json.NewEncoder(m.W)
-	default:
-		return fmt.Errorf("sim: telemetry format %q (want csv or jsonl)", m.Format)
+	if _, err := io.WriteString(m.W, "t,queued,unplaced,running,powered,watts,co2_g_per_sec\n"); err != nil {
+		return fmt.Errorf("sim: telemetry header: %w", err)
 	}
 	if r.cfg.ControlEvery <= 0 {
 		return fmt.Errorf("sim: telemetry module needs Config.ControlEvery > 0 (ticks are its sampling clock)")
@@ -89,10 +77,6 @@ func (m *TelemetryModule) OnTick(now float64, ctl Control) {
 		}
 	}
 	m.Samples = append(m.Samples, s)
-	if m.enc != nil {
-		m.enc.Encode(s) //nolint:errcheck // telemetry must not abort the run
-		return
-	}
 	// Shortest-roundtrip float formatting keeps the file deterministic
 	// and diffable across runs.
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

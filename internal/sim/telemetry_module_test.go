@@ -63,39 +63,35 @@ func TestTelemetryModuleSeries(t *testing.T) {
 	}
 }
 
-// TestTelemetryModuleDeterministic: same seed, byte-identical file —
-// in both formats.
+// TestTelemetryModuleDeterministic: same seed, byte-identical file.
 func TestTelemetryModuleDeterministic(t *testing.T) {
-	for _, format := range []string{"csv", "jsonl"} {
-		run := func() string {
-			var sb strings.Builder
-			_, err := Run(Config{
-				Platform:     smallPlatform(),
-				Policy:       sched.New(sched.Random),
-				Tasks:        tasks(25, 1e11, 2),
-				Seed:         7,
-				ControlEvery: 0.5,
-				Modules:      []Module{&TelemetryModule{W: &sb, Format: format}},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sb.String()
+	run := func() string {
+		var sb strings.Builder
+		_, err := Run(Config{
+			Platform:     smallPlatform(),
+			Policy:       sched.New(sched.Random),
+			Tasks:        tasks(25, 1e11, 2),
+			Seed:         7,
+			ControlEvery: 0.5,
+			Modules:      []Module{&TelemetryModule{W: &sb}},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a, b := run(), run(); a != b {
-			t.Fatalf("%s: same seed produced different telemetry", format)
-		}
+		return sb.String()
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatal("same seed produced different telemetry")
 	}
 }
 
-// TestTelemetryModuleConfig: a missing writer, a bad format and a
-// tickless run are construction errors.
+// TestTelemetryModuleConfig: a missing writer and a tickless run are
+// construction errors.
 func TestTelemetryModuleConfig(t *testing.T) {
 	var sb strings.Builder
 	for name, cfg := range map[string]Config{
-		"no writer":  {Modules: []Module{&TelemetryModule{}}, ControlEvery: 1},
-		"bad format": {Modules: []Module{&TelemetryModule{W: &sb, Format: "xml"}}, ControlEvery: 1},
-		"no ticks":   {Modules: []Module{&TelemetryModule{W: &sb}}},
+		"no writer": {Modules: []Module{&TelemetryModule{}}, ControlEvery: 1},
+		"no ticks":  {Modules: []Module{&TelemetryModule{W: &sb}}},
 	} {
 		cfg.Platform = smallPlatform()
 		cfg.Policy = sched.New(sched.Power)

@@ -30,10 +30,8 @@ func (t Time) Sub(o Time) Duration  { return float64(t - o) }
 func (t Time) Before(o Time) bool   { return t < o }
 func (t Time) After(o Time) bool    { return t > o }
 func (t Time) AsStd() time.Duration { return time.Duration(float64(t) * float64(time.Second)) }
-func FromStd(d time.Duration) Time  { return Time(d.Seconds()) }
 func (t Time) String() string       { return fmt.Sprintf("t+%.1fs", float64(t)) }
 func (t Time) Minutes() float64     { return float64(t) / 60 }
-func Minutes(m float64) Time        { return Time(m * 60) }
 func (t Time) Truncate(d Duration) Time {
 	if d <= 0 {
 		return t
@@ -208,10 +206,3 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.now = deadline
 	}
 }
-
-// Fixed is a Clock stuck at a constant time; handy in unit tests of
-// components that only read the clock.
-type Fixed Time
-
-// Now implements Clock.
-func (f Fixed) Now() Time { return Time(f) }
