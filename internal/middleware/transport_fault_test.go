@@ -19,44 +19,22 @@ import (
 // TestRemoteConnDroppedMidSolve: killing the endpoint while a solve is
 // in flight surfaces a typed transport error instead of hanging.
 func TestRemoteConnDroppedMidSolve(t *testing.T) {
-	release := make(chan struct{})
+	entered := make(chan struct{})
 	sed := newSED(t, "doomed", 1, 2e9, 100)
 	sed.Register(Service{Name: "slow", Solve: func(ctx context.Context, _ Request) ([]byte, error) {
-		select {
-		case <-release:
-			return []byte("late"), nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+		close(entered)
+		<-ctx.Done()
+		return nil, ctx.Err()
 	}})
-	ep, err := Serve("127.0.0.1:0", sed, sed)
-	if err != nil {
-		t.Fatal(err)
+	ep, rem := serveRemote(t, sed)
+	errCh := solveAsync(context.Background(), rem, "slow")
+	waitFor(t, entered, "the solve to get in flight")
+	closed := make(chan error, 1)
+	go func() { closed <- ep.Close() }()
+	waitFor(t, closed, "Endpoint.Close during a solve")
+	if err := waitFor(t, errCh, "the dropped solve"); !errors.Is(err, ErrTransport) {
+		t.Fatalf("mid-solve drop err = %v, want ErrTransport", err)
 	}
-	rem := Dial("doomed", ep.Addr())
-	defer rem.Close()
-
-	closed := make(chan struct{})
-	go func() {
-		time.Sleep(100 * time.Millisecond) // let the solve get in flight
-		ep.Close()
-		close(closed)
-	}()
-	errCh := make(chan error, 1)
-	go func() {
-		_, err := rem.Solve(context.Background(), Request{ID: 1, Service: "slow", Ops: 1e6})
-		errCh <- err
-	}()
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrTransport) {
-			t.Fatalf("mid-solve drop err = %v, want ErrTransport", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("dropped connection hung the solve")
-	}
-	close(release) // let the abandoned server-side execution finish
-	<-closed
 }
 
 // TestRemoteMalformedGobFrame: a peer speaking garbage instead of the
