@@ -88,27 +88,16 @@ func run(args []string, out io.Writer) error {
 		return errUsage
 	}
 
+	seeded := studyFlags{seed: *seed, static: *static, csvDir: *csvDir, trace: *traceFile,
+		days: *days, burst: *burst, tasks: *tasks}
+	for _, st := range seededStudies {
+		if st.name == cmd {
+			return st.run(out, seeded)
+		}
+	}
 	switch cmd {
-	case "placement":
-		return runPlacement(out, *seed, *static, *csvDir)
-	case "greenperf":
-		return runGreenPerf(out, *seed)
-	case "adaptive":
-		return runAdaptive(out, *seed, *csvDir)
-	case "extensions":
-		return experiments.RenderExtensions(out, *seed)
 	case "replicate":
 		return runReplicate(out, *seed, *seeds, *static)
-	case "consolidation":
-		return runConsolidation(out, *seed)
-	case "carbon":
-		return runCarbon(out, *seed, *days, *burst)
-	case "sla":
-		return runSLA(out, *seed)
-	case "preempt":
-		return runPreempt(out, *seed)
-	case "scenario":
-		return runScenario(out, *seed, *traceFile, *tasks)
 	case "live":
 		return runLive(out, *metricsAddr, *traceFile, *spansFile, *journalFile, *powerAddr, *holdSec, *tasks, *concurrency)
 	case "powerd":
@@ -132,41 +121,18 @@ func run(args []string, out io.Writer) error {
 	case "replay":
 		return runReplay(out, *traceFile, *policyName, *seed)
 	case "all":
-		// Every study except replicate (its multi-seed sweep is a
-		// deliberate, slower invocation) and replay (needs a trace).
-		if err := runPlacement(out, *seed, *static, *csvDir); err != nil {
-			return err
+		// Every seeded study; the scenario runs at its calibrated size
+		// and writes no trace.
+		seeded.trace, seeded.tasks = "", 0
+		for i, st := range seededStudies {
+			if i > 0 {
+				fmt.Fprintln(out)
+			}
+			if err := st.run(out, seeded); err != nil {
+				return err
+			}
 		}
-		fmt.Fprintln(out)
-		if err := runGreenPerf(out, *seed); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		if err := runAdaptive(out, *seed, *csvDir); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		if err := experiments.RenderExtensions(out, *seed); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		if err := runConsolidation(out, *seed); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		if err := runCarbon(out, *seed, *days, *burst); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		if err := runSLA(out, *seed); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		if err := runPreempt(out, *seed); err != nil {
-			return err
-		}
-		fmt.Fprintln(out)
-		return runScenario(out, *seed, "", 0)
+		return nil
 	case "-h", "--help", "help":
 		usage(out)
 		return nil
@@ -175,22 +141,73 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-func runConsolidation(out io.Writer, seed int64) error {
-	cfg := experiments.DefaultConsolidationConfig()
-	cfg.Seed = seed
-	res, err := experiments.RunConsolidation(cfg)
-	if err != nil {
-		return err
-	}
-	return res.Render(out)
+// studyFlags are the parsed flags the seeded studies read.
+type studyFlags struct {
+	seed               int64
+	static             bool
+	csvDir, trace      string
+	days, burst, tasks int
 }
 
-func runScenario(out io.Writer, seed int64, traceFile string, tasks int) error {
+// seededStudies are the deterministic studies, each its own command,
+// in the order `all` runs them (replicate, replay and the wall-clock
+// drills are left out).
+var seededStudies = []struct {
+	name string
+	run  func(out io.Writer, f studyFlags) error
+}{
+	{"placement", runPlacement},
+	{"greenperf", func(out io.Writer, f studyFlags) error {
+		cfg := experiments.DefaultMetricConfig()
+		cfg.Seed = f.seed
+		return experiments.RenderMetricStudy(cfg, out)
+	}},
+	{"adaptive", runAdaptive},
+	{"extensions", func(out io.Writer, f studyFlags) error { return experiments.RenderExtensions(out, f.seed) }},
+	{"consolidation", func(out io.Writer, f studyFlags) error {
+		cfg := experiments.DefaultConsolidationConfig()
+		cfg.Seed = f.seed
+		return rendered(out)(experiments.RunConsolidation(cfg))
+	}},
+	{"carbon", func(out io.Writer, f studyFlags) error {
+		cfg := experiments.DefaultCarbonConfig()
+		cfg.Seed = f.seed
+		cfg.Days = f.days
+		if f.burst > 0 {
+			cfg.BurstTasks = f.burst
+		}
+		return rendered(out)(experiments.RunCarbonStudy(cfg))
+	}},
+	{"sla", func(out io.Writer, f studyFlags) error {
+		cfg := experiments.DefaultSLAConfig()
+		cfg.Seed = f.seed
+		return rendered(out)(experiments.RunSLAStudy(cfg))
+	}},
+	{"preempt", func(out io.Writer, f studyFlags) error {
+		cfg := experiments.DefaultPreemptionConfig()
+		cfg.Seed = f.seed
+		return rendered(out)(experiments.RunPreemptionStudy(cfg))
+	}},
+	{"scenario", runScenario},
+}
+
+// rendered writes a study's result to out, or passes on the error that
+// stopped the study.
+func rendered(out io.Writer) func(interface{ Render(io.Writer) error }, error) error {
+	return func(res interface{ Render(io.Writer) error }, err error) error {
+		if err != nil {
+			return err
+		}
+		return res.Render(out)
+	}
+}
+
+func runScenario(out io.Writer, sf studyFlags) error {
 	cfg := experiments.DefaultComposedConfig()
-	cfg.SLA.Seed = seed
-	cfg.ScaleTasks(tasks)
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
+	cfg.SLA.Seed = sf.seed
+	cfg.ScaleTasks(sf.tasks)
+	if sf.trace != "" {
+		f, err := os.Create(sf.trace)
 		if err != nil {
 			return err
 		}
@@ -204,8 +221,8 @@ func runScenario(out io.Writer, seed int64, traceFile string, tasks int) error {
 	if err := res.Render(out); err != nil {
 		return err
 	}
-	if traceFile != "" {
-		fmt.Fprintf(out, "\nlifecycle trace (COMPOSED run) written to %s\n", traceFile)
+	if sf.trace != "" {
+		fmt.Fprintf(out, "\nlifecycle trace (COMPOSED run) written to %s\n", sf.trace)
 	}
 	return nil
 }
@@ -443,44 +460,11 @@ func runJournal(out io.Writer, path string) error {
 	return nil
 }
 
-func runPreempt(out io.Writer, seed int64) error {
-	cfg := experiments.DefaultPreemptionConfig()
-	cfg.Seed = seed
-	res, err := experiments.RunPreemptionStudy(cfg)
-	if err != nil {
-		return err
-	}
-	return res.Render(out)
-}
-
-func runSLA(out io.Writer, seed int64) error {
-	cfg := experiments.DefaultSLAConfig()
-	cfg.Seed = seed
-	res, err := experiments.RunSLAStudy(cfg)
-	if err != nil {
-		return err
-	}
-	return res.Render(out)
-}
-
-func runCarbon(out io.Writer, seed int64, days, burst int) error {
-	cfg := experiments.DefaultCarbonConfig()
-	cfg.Seed = seed
-	cfg.Days = days
-	if burst > 0 {
-		cfg.BurstTasks = burst
-	}
-	res, err := experiments.RunCarbonStudy(cfg)
-	if err != nil {
-		return err
-	}
-	return res.Render(out)
-}
-
-func runPlacement(out io.Writer, seed int64, static bool, csvDir string) error {
+func runPlacement(out io.Writer, f studyFlags) error {
 	cfg := experiments.DefaultPlacementConfig()
-	cfg.Seed = seed
-	cfg.Static = static
+	cfg.Seed = f.seed
+	cfg.Static = f.static
+	csvDir := f.csvDir
 	res, err := experiments.RunPlacement(cfg)
 	if err != nil {
 		return err
@@ -566,29 +550,25 @@ func runReplicate(out io.Writer, firstSeed int64, seeds int, static bool) error 
 	return res.Render(out)
 }
 
-func runGreenPerf(out io.Writer, seed int64) error {
-	cfg := experiments.DefaultMetricConfig()
-	cfg.Seed = seed
-	return experiments.RenderMetricStudy(cfg, out)
-}
-
-func runAdaptive(out io.Writer, seed int64, csvDir string) error {
+// runAdaptive runs the Figure 9 scenario once, renders it, and with
+// -csv exports the same samples.
+func runAdaptive(out io.Writer, f studyFlags) error {
 	cfg := experiments.DefaultAdaptiveConfig()
-	cfg.Seed = seed
-	if err := experiments.RenderAdaptive(cfg, out); err != nil {
-		return err
-	}
-	if csvDir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(csvDir, 0o755); err != nil {
-		return err
-	}
+	cfg.Seed = f.seed
 	res, err := experiments.RunAdaptive(cfg)
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(csvDir, "fig9_adaptive.csv")
+	if err := experiments.RenderAdaptive(res, out); err != nil {
+		return err
+	}
+	if f.csvDir == "" {
+		return nil
+	}
+	if err := os.MkdirAll(f.csvDir, 0o755); err != nil {
+		return err
+	}
+	path := filepath.Join(f.csvDir, "fig9_adaptive.csv")
 	if err := os.WriteFile(path, []byte(adaptiveCSV(res)), 0o644); err != nil {
 		return err
 	}

@@ -73,7 +73,9 @@
 //	                        gob wire and analyzed by `greensched spans`
 //	internal/analysis       gains, envelopes and Student-t / Welch statistics
 //	                        for the harnesses and multi-seed replication
-//	internal/experiments    one harness per table/figure + extension studies
+//	internal/experiments    one harness per table/figure + extension studies;
+//	                        a comparison study is variants + columns on one
+//	                        runner
 //	cmd/greensched          CLI to regenerate the evaluation
 //	cmd/greenplan           provisioning-plan (Figure 8 XML) utility
 //	examples/               runnable walkthroughs

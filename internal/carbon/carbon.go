@@ -16,14 +16,12 @@
 //   - Signal, the interface over intensity sources, with exact
 //     time-averaging so piecewise-constant energy integrates to exact
 //     grams;
-//   - Constant, Diurnal (sinusoidal day/night model), Trace
-//     (piecewise-constant, CSV-loadable) and Schedule (daily step
-//     windows, derivable from forecast tariff helpers) sources;
+//   - Constant, Diurnal (sinusoidal day/night model) and Schedule
+//     (daily step windows, derivable from forecast tariff helpers)
+//     sources;
 //   - SiteProfile / Profile, mapping clusters of a multi-site platform
 //     onto different grids;
-//   - Integrator, the watts→grams accumulator the simulator drives;
-//   - PlanRecords, materializing a signal into provisioning-plan
-//     records so the planner can anticipate low-carbon windows.
+//   - Integrator, the watts→grams accumulator the simulator drives.
 package carbon
 
 import (
@@ -52,7 +50,7 @@ type Signal interface {
 	RenewableAt(t float64) float64
 	// MeanIntensity returns the exact time-average of the intensity
 	// over [t0, t1]. Implementations must be exact for their own
-	// shape (analytic for sinusoids, step-weighted for traces) so
+	// shape (analytic for sinusoids, step-weighted for schedules) so
 	// that integrating piecewise-constant power against the signal
 	// yields exact grams. t1 < t0 is a caller bug; implementations
 	// may treat it as an empty interval.

@@ -2,7 +2,6 @@ package carbon
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"greensched/internal/forecast"
@@ -80,31 +79,6 @@ func TestDiurnalValidate(t *testing.T) {
 	}
 }
 
-func TestTraceLookupAndMean(t *testing.T) {
-	tr, err := NewTrace("test", []Point{
-		{T: 0, G: 100, R: 0.5},
-		{T: 100, G: 300},
-		{T: 200, G: 200},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := tr.IntensityAt(-50); g != 100 {
-		t.Errorf("before first point: %v, want first value 100", g)
-	}
-	if g := tr.IntensityAt(150); g != 300 {
-		t.Errorf("mid-trace: %v, want 300", g)
-	}
-	if g := tr.IntensityAt(1e6); g != 200 {
-		t.Errorf("after last point: %v, want 200", g)
-	}
-	if r := tr.RenewableAt(50); r != 0.5 {
-		t.Errorf("renewable: %v, want 0.5", r)
-	}
-	// [50, 250): 50s@100 + 100s@300 + 50s@200 = 5000+30000+10000 over 200s.
-	almost(t, tr.MeanIntensity(50, 250), 225, 1e-9, "step-weighted mean")
-}
-
 func TestScheduleFromTariff(t *testing.T) {
 	s, err := FromTariff(forecast.PaperTariff(), 100, 500)
 	if err != nil {
@@ -180,11 +154,14 @@ func TestIntegratorExactGrams(t *testing.T) {
 }
 
 func TestIntegratorPiecewiseAgainstSteps(t *testing.T) {
-	tr, err := NewTrace("g", []Point{{T: 0, G: 100}, {T: 1800, G: 500}})
+	steps, err := NewSchedule("g", []Window{
+		{StartHour: 0, EndHour: 0.5, G: 100},
+		{StartHour: 0.5, EndHour: 24, G: 500},
+	}, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewIntegrator(SiteProfile{Site: "s", Signal: tr}, 0)
+	in, err := NewIntegrator(SiteProfile{Site: "s", Signal: steps}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,108 +181,4 @@ func TestIntegratorPiecewiseAgainstSteps(t *testing.T) {
 func TestGramsOneShot(t *testing.T) {
 	site := SiteProfile{Site: "s", Signal: Constant{G: 250}}
 	almost(t, Grams(site, JoulesPerKWh, 0, 60), 250, 1e-9, "one-shot grams")
-}
-
-func TestParseTraceDialect(t *testing.T) {
-	in := `# seconds,gco2_per_kwh[,renewable_fraction]
-
-0,480,0.05
- 3600 , 250 , 0.55
-7200,120
-`
-	tr, err := ParseTrace("grid", strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tr.Points()); got != 3 {
-		t.Fatalf("parsed %d points, want 3", got)
-	}
-	if g := tr.IntensityAt(3600); g != 250 {
-		t.Errorf("intensity at 3600 = %v, want 250", g)
-	}
-	if r := tr.RenewableAt(3600); r != 0.55 {
-		t.Errorf("renewable at 3600 = %v, want 0.55", r)
-	}
-	if r := tr.RenewableAt(7200); r != 0 {
-		t.Errorf("omitted renewable column must default to 0, got %v", r)
-	}
-}
-
-func TestParseTraceSortsOutOfOrderRows(t *testing.T) {
-	tr, err := ParseTrace("", strings.NewReader("3600,300\n0,100\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := tr.Points()
-	if pts[0].T != 0 || pts[1].T != 3600 {
-		t.Errorf("points not sorted: %+v", pts)
-	}
-}
-
-func TestParseTraceErrors(t *testing.T) {
-	cases := map[string]string{
-		"field count":        "1,2,3,4\n",
-		"bad time":           "abc,100\n",
-		"bad intensity":      "0,xyz\n",
-		"bad renewable":      "0,100,huh\n",
-		"negative intensity": "0,-5\n",
-		"renewable range":    "0,100,1.5\n",
-		"duplicate times":    "0,100\n0,200\n",
-		"empty":              "# only a comment\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseTrace("t", strings.NewReader(in)); err == nil {
-			t.Errorf("%s: %q must fail to parse", name, in)
-		}
-	}
-}
-
-func TestWriteTraceRoundTrip(t *testing.T) {
-	orig, err := NewTrace("rt", []Point{{T: 0, G: 100, R: 0.3}, {T: 60, G: 200}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := WriteTrace(&b, orig); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseTrace("rt", strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatalf("round trip parse: %v\n%s", err, b.String())
-	}
-	if got, want := back.Points(), orig.Points(); len(got) != len(want) ||
-		got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("round trip mismatch: %+v vs %+v", got, want)
-	}
-}
-
-func TestPlanRecords(t *testing.T) {
-	d := Diurnal{MeanG: 300, AmplitudeG: 200, CleanHour: 13}
-	recs, err := PlanRecords(d, 0, DaySeconds, 3600, 10, 22, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) < 12 {
-		t.Fatalf("diurnal day yielded only %d records", len(recs))
-	}
-	var minG, maxG = math.Inf(1), math.Inf(-1)
-	for i, r := range recs {
-		if r.Carbon <= 0 {
-			t.Fatalf("record %d has no carbon intensity", i)
-		}
-		minG = math.Min(minG, r.Carbon)
-		maxG = math.Max(maxG, r.Carbon)
-		if i > 0 && recs[i].Value <= recs[i-1].Value {
-			t.Fatalf("records not ascending at %d", i)
-		}
-	}
-	if minG > 150 || maxG < 450 {
-		t.Errorf("records span [%v,%v], want the diurnal swing represented", minG, maxG)
-	}
-	if _, err := PlanRecords(nil, 0, 1, 1, 0, 20, 1); err == nil {
-		t.Error("nil signal must be rejected")
-	}
-	if _, err := PlanRecords(d, 10, 10, 1, 0, 20, 1); err == nil {
-		t.Error("empty horizon must be rejected")
-	}
 }

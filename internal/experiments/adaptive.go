@@ -92,19 +92,14 @@ func Figure8(store *provision.Store, at int64) (string, error) {
 	return string(data), nil
 }
 
-// RenderAdaptive runs the scenario and writes Figure 8 (plan sample)
-// and Figure 9 (time series) plus the reactivity summary.
-func RenderAdaptive(cfg AdaptiveConfig, w io.Writer) error {
-	store := PaperEventTimeline()
-	sample, err := Figure8(store, 60*60)
+// RenderAdaptive writes Figure 8 (plan sample) and Figure 9 (the
+// time series of res, from RunAdaptive) plus the reactivity summary.
+func RenderAdaptive(res *sim.AdaptiveResult, w io.Writer) error {
+	sample, err := Figure8(PaperEventTimeline(), 60*60)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "Figure 8. Sample of the server status (provisioning plan record):\n%s\n\n", sample)
-	res, err := RunAdaptive(cfg)
-	if err != nil {
-		return err
-	}
 	if err := Figure9(res).Render(w); err != nil {
 		return err
 	}

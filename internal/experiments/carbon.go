@@ -7,7 +7,6 @@ import (
 
 	"greensched/internal/analysis"
 	"greensched/internal/carbon"
-	"greensched/internal/cluster"
 	"greensched/internal/consolidation"
 	"greensched/internal/report"
 	"greensched/internal/sched"
@@ -89,12 +88,19 @@ func (c CarbonConfig) Validate() error {
 // Profile builds the study's two-site grid: taurus and orion draw from
 // a solar-diurnal grid, sagittaire from a flatter fossil-heavy one.
 func (c CarbonConfig) Profile() *carbon.Profile {
+	return twoSiteProfile(c.MeanG, c.AmplitudeG, c.CleanHour)
+}
+
+// twoSiteProfile is the grid the carbon-family studies share: taurus
+// and orion on a solar-diurnal grid with the given shape, sagittaire on
+// a flatter, dirtier fossil one.
+func twoSiteProfile(meanG, amplitudeG, cleanHour float64) *carbon.Profile {
 	solar := carbon.SiteProfile{Site: "solar-valley", Signal: carbon.Diurnal{
-		MeanG: c.MeanG, AmplitudeG: c.AmplitudeG, CleanHour: c.CleanHour,
+		MeanG: meanG, AmplitudeG: amplitudeG, CleanHour: cleanHour,
 		RenewableMin: 0.05, RenewableMax: 0.8,
 	}}
 	fossil := carbon.SiteProfile{Site: "fossil-ridge", Signal: carbon.Diurnal{
-		MeanG: c.MeanG * 1.5, AmplitudeG: c.AmplitudeG * 0.2, CleanHour: c.CleanHour,
+		MeanG: meanG * 1.5, AmplitudeG: amplitudeG * 0.2, CleanHour: cleanHour,
 		RenewableMin: 0.02, RenewableMax: 0.2,
 	}}
 	p := carbon.MustProfile(solar)
@@ -125,39 +131,12 @@ func (c CarbonConfig) MakespanBound() float64 {
 	return float64(c.Days-1)*carbon.DaySeconds + 20*3600 + c.MaxDeferSec + carbon.DaySeconds
 }
 
-// CarbonRun is one configuration's outcome.
-type CarbonRun struct {
-	Name      string
-	EnergyJ   float64
-	CO2Grams  float64
-	Makespan  float64
-	MeanWait  float64
-	Boots     int
-	Shutdowns int
-
-	// JoulesPerTask and GramsPerTask divide the run's totals across
-	// completed tasks — the per-request attribution of the ROADMAP
-	// follow-on.
-	JoulesPerTask float64
-	GramsPerTask  float64
-}
-
 // CarbonResult bundles the compared configurations.
 type CarbonResult struct {
 	Config CarbonConfig
-	Runs   []CarbonRun // fixed order: GREENPERF, GREENPERF+IDLE, CARBON+WINDOWS
+	Runs   // fixed order: GREENPERF, GREENPERF+IDLE, CARBON+WINDOWS
 	// PerSiteCO2 breaks the carbon-aware run's emissions down by site.
 	PerSiteCO2 map[string]float64
-}
-
-// Run returns the named configuration's outcome, or false.
-func (r *CarbonResult) Run(name string) (CarbonRun, bool) {
-	for _, run := range r.Runs {
-		if run.Name == name {
-			return run, true
-		}
-	}
-	return CarbonRun{}, false
 }
 
 // Names of the compared configurations.
@@ -173,14 +152,7 @@ func RunCarbonStudy(cfg CarbonConfig) (*CarbonResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// A trimmed Table I platform (two nodes per cluster): large enough
-	// for real placement choices across both sites, small enough that
-	// the idle floor does not drown the batch energy the study shifts.
-	platform := cluster.MustPlatform(
-		cluster.NewNodes("orion", 2),
-		cluster.NewNodes("sagittaire", 2),
-		cluster.NewNodes("taurus", 2),
-	)
+	platform := slaPlatform()
 	profile := cfg.Profile()
 	tasks, err := cfg.Tasks()
 	if err != nil {
@@ -232,57 +204,29 @@ func RunCarbonStudy(cfg CarbonConfig) (*CarbonResult, error) {
 		),
 	)
 
-	out := &CarbonResult{Config: cfg, PerSiteCO2: make(map[string]float64)}
-	for _, c := range []struct {
-		name string
-		cfg  sim.Config
-	}{
-		{CarbonRunAlwaysOn, alwaysOn},
-		{CarbonRunIdle, idle},
-		{CarbonRunAware, aware},
-	} {
-		res, err := sim.Run(c.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: carbon %s: %w", c.name, err)
-		}
-		out.Runs = append(out.Runs, CarbonRun{
-			Name:          c.name,
-			EnergyJ:       res.EnergyJ,
-			CO2Grams:      res.CO2Grams,
-			Makespan:      res.Makespan,
-			MeanWait:      res.MeanWait(),
-			Boots:         res.Boots,
-			Shutdowns:     res.Shutdowns,
-			JoulesPerTask: res.JoulesPerTask(),
-			GramsPerTask:  res.GramsPerTask(),
-		})
-		if c.name == CarbonRunAware {
-			for clusterName, g := range res.PerClusterCO2 {
-				out.PerSiteCO2[profile.Site(clusterName).Site] += g
-			}
-		}
+	runs, err := runVariants("carbon",
+		variant{name: CarbonRunAlwaysOn, cfg: alwaysOn},
+		variant{name: CarbonRunIdle, cfg: idle},
+		variant{name: CarbonRunAware, cfg: aware},
+	)
+	if err != nil {
+		return nil, err
+	}
+	out := &CarbonResult{Config: cfg, Runs: runs, PerSiteCO2: make(map[string]float64)}
+	awareRun, _ := runs.Run(CarbonRunAware)
+	for clusterName, g := range awareRun.PerClusterCO2 {
+		out.PerSiteCO2[profile.Site(clusterName).Site] += g
 	}
 	return out, nil
 }
 
 // Table renders the comparison.
 func (r *CarbonResult) Table() *report.Table {
-	t := &report.Table{
-		Title: fmt.Sprintf("Carbon-aware scheduling over %d day(s): %d deferrable tasks per 20:00 burst",
-			r.Config.Days, r.Config.BurstTasks),
-		Headers: []string{"Configuration", "Energy (MJ)", "CO2 (g)", "Makespan (h)", "Mean wait (h)", "Boots", "Shutdowns"},
-	}
-	for _, run := range r.Runs {
-		t.AddRow(run.Name,
-			fmt.Sprintf("%.2f", run.EnergyJ/1e6),
-			fmt.Sprintf("%.0f", run.CO2Grams),
-			fmt.Sprintf("%.1f", run.Makespan/3600),
-			fmt.Sprintf("%.2f", run.MeanWait/3600),
-			fmt.Sprintf("%d", run.Boots),
-			fmt.Sprintf("%d", run.Shutdowns),
-		)
-	}
-	return t
+	return r.Runs.table(fmt.Sprintf("Carbon-aware scheduling over %d day(s): %d deferrable tasks per 20:00 burst",
+		r.Config.Days, r.Config.BurstTasks),
+		colEnergyMJ, colCO2, colMakespanH,
+		column{"Mean wait (h)", func(r Run) string { return fmt.Sprintf("%.2f", r.MeanWait()/3600) }},
+		colBoots, colShutdowns)
 }
 
 // Render writes the table plus the headline savings.
@@ -308,7 +252,7 @@ func (r *CarbonResult) Render(w io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	for _, run := range r.Runs {
-		fmt.Fprintf(w, "%s per task: %s\n", run.Name, report.PerTask(run.JoulesPerTask, run.GramsPerTask))
+		fmt.Fprintf(w, "%s per task: %s\n", run.Name, report.PerTask(run.JoulesPerTask(), run.GramsPerTask()))
 	}
 	return nil
 }

@@ -34,9 +34,9 @@ func TestCarbonStudyAwareBeatsBlind(t *testing.T) {
 		t.Errorf("aware makespan %.0f s exceeds bound %.0f s", aware.Makespan, cfg.MakespanBound())
 	}
 	// The blind baselines should not have been slowed by deferral.
-	if idle.MeanWait > aware.MeanWait {
+	if idle.MeanWait() > aware.MeanWait() {
 		t.Errorf("blind idle run waits longer (%.0f s) than the deferring run (%.0f s)?",
-			idle.MeanWait, aware.MeanWait)
+			idle.MeanWait(), aware.MeanWait())
 	}
 	// Per-site breakdown covers both grids of the profile.
 	if len(res.PerSiteCO2) != 2 {

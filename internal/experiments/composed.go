@@ -102,21 +102,22 @@ func (c *ComposedConfig) ScaleTasks(total int) {
 		return
 	}
 	scale := float64(total) / float64(base)
-	grow := func(n int) int {
-		scaled := int(float64(n) * scale)
-		if scaled < 1 {
-			return 1
-		}
-		return scaled
-	}
-	c.SLA.BatchTasks = grow(c.SLA.BatchTasks)
-	c.SLA.DeadlineTasks = grow(c.SLA.DeadlineTasks)
-	c.SLA.HopelessTasks = grow(c.SLA.HopelessTasks)
-	c.SLA.InteractiveTasks = grow(c.SLA.InteractiveTasks)
+	c.SLA.BatchTasks = scaleCount(c.SLA.BatchTasks, scale)
+	c.SLA.DeadlineTasks = scaleCount(c.SLA.DeadlineTasks, scale)
+	c.SLA.HopelessTasks = scaleCount(c.SLA.HopelessTasks, scale)
+	c.SLA.InteractiveTasks = scaleCount(c.SLA.InteractiveTasks, scale)
 	// The budget stays "generous per task" and the horizon tracks the
 	// longer run, so scaling exercises throughput — not starvation.
 	c.BudgetJ *= scale
 	c.BudgetHorizonSec = c.SLA.MakespanBound()
+}
+
+// scaleCount scales one stream's size, keeping at least one task.
+func scaleCount(n int, scale float64) int {
+	if scaled := int(float64(n) * scale); scaled > 1 {
+		return scaled
+	}
+	return 1
 }
 
 // Validate reports configuration errors.
@@ -141,60 +142,18 @@ func (c ComposedConfig) scenario() SLAConfig {
 	return s
 }
 
-// ComposedRun is one configuration's outcome.
-type ComposedRun struct {
-	Name     string
-	EnergyJ  float64
-	CO2Grams float64
-	Makespan float64
-
-	EarnedUSD    float64
-	ForfeitedUSD float64
-	PenaltyUSD   float64
-	Misses       int
-	Rejected     int
-
-	Boots       int
-	Shutdowns   int
-	Preemptions int
-	RedoneOps   float64
-
-	// VictimMisses counts completions that were preempted at least
-	// once and still finished past their own deadline — breaches the
-	// composition itself would be guilty of. The safety calculus keeps
-	// this at zero.
-	VictimMisses int
-
-	// TaskShareJ sums every completed task's attributed energy share;
-	// BudgetSpentJ is what the budget tracker metered. The two must
-	// agree to the last charge (asserted in the study's test).
-	TaskShareJ   float64
-	BudgetSpentJ float64
-}
-
-// NetUSD returns earned minus contractual penalties.
-func (r ComposedRun) NetUSD() float64 { return r.EarnedUSD - r.PenaltyUSD }
-
 // Names of the compared configurations.
 const (
 	ComposedRunBlind = "CARBON-BLIND"
 	ComposedRunFull  = "COMPOSED"
 )
 
-// ComposedResult bundles the compared configurations.
+// ComposedResult bundles the compared configurations. The COMPOSED
+// run's BudgetSpentJ must equal its TaskShareJ to the last charge
+// (asserted in the study's test).
 type ComposedResult struct {
 	Config ComposedConfig
-	Runs   []ComposedRun // fixed order: CARBON-BLIND, COMPOSED
-}
-
-// Run returns the named configuration's outcome, or false.
-func (r *ComposedResult) Run(name string) (ComposedRun, bool) {
-	for _, run := range r.Runs {
-		if run.Name == name {
-			return run, true
-		}
-	}
-	return ComposedRun{}, false
+	Runs   // fixed order: CARBON-BLIND, COMPOSED
 }
 
 // RunComposedStudy executes both configurations on the identical
@@ -212,135 +171,87 @@ func RunComposedStudy(cfg ComposedConfig) (*ComposedResult, error) {
 	catalog := sla.DefaultCatalog()
 	admission := &sla.Admission{Margin: scen.AdmissionMargin}
 
-	out := &ComposedResult{Config: cfg}
-	for _, variant := range []struct {
-		name string
-		full bool
-	}{
-		{ComposedRunBlind, false},
-		{ComposedRunFull, true},
-	} {
-		plat := slaPlatform()
-		var mods []sim.Module
-		var tracker *budget.Tracker
-		opts := []sim.Option{
-			sim.WithExplore(),
-			sim.WithSeed(scen.Seed),
-			sim.WithSlotsPerNode(scen.SlotsPerNode),
-		}
-		if variant.full {
-			tracker, err = budget.NewTracker(cfg.BudgetJ, cfg.BudgetHorizonSec)
-			if err != nil {
-				return nil, err
-			}
-			mods = []sim.Module{
-				&sim.CarbonModule{Profile: profile},
-				// Budget before SLA: if steering ever engages, the
-				// deadline-feasibility screen below wraps the steered
-				// ranking instead of being replaced by it.
-				&budget.Module{Tracker: tracker, Steer: true, Base: core.PrefNone},
-				&sim.SLAModule{
-					Config: &sla.Config{
-						Catalog: catalog, Admission: admission,
-						Order: sched.NewOrder(sched.EDF), UrgentBypass: true,
-					},
-					WrapDeadline: true,
-				},
-				&sim.PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: cfg.RestartPenaltyFrac}},
-				&consolidation.Module{Controller: &consolidation.CarbonController{
-					Profile:          profile,
-					CleanG:           scen.CleanG,
-					DirtyG:           scen.DirtyG,
-					IdleTimeout:      scen.IdleTimeout,
-					MinOn:            scen.MinOn,
-					MaxDeferSec:      scen.MaxDeferSec,
-					DeadlineSlackSec: scen.DeadlineSlackSec,
-					PreemptBatch:     true,
-				}},
-			}
-			if cfg.Trace != nil {
-				mods = append(mods, &sim.TraceModule{W: cfg.Trace})
-			}
-			opts = append(opts,
-				sim.WithPolicy(sched.New(sched.Carbon)),
-				sim.WithTick(scen.TickSec),
-				// Longer than any boot transient (and off the 300 s tick
-				// grid): when a candidacy window opens and dark capacity
-				// boots, the deferred batch's next retry wave lands after
-				// every boot completes, so it spreads across all warm
-				// nodes instead of clumping onto whichever booted first.
-				sim.WithRetryEvery(510),
-			)
-		} else {
-			mods = []sim.Module{
-				&sim.CarbonModule{Profile: profile},
-				&sim.SLAModule{Config: &sla.Config{Catalog: catalog}},
-			}
-			opts = append(opts, sim.WithPolicy(sched.New(sched.GreenPerf)))
-		}
-		opts = append(opts, sim.WithModules(mods...))
-		res, err := sim.Run(sim.NewScenario(plat, tasks, opts...))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: composed %s: %w", variant.name, err)
-		}
-		run := ComposedRun{
-			Name:        variant.name,
-			EnergyJ:     float64(res.EnergyJ),
-			CO2Grams:    res.CO2Grams,
-			Makespan:    res.Makespan,
-			Misses:      res.DeadlineMisses,
-			Rejected:    res.Rejected,
-			Boots:       res.Boots,
-			Shutdowns:   res.Shutdowns,
-			Preemptions: res.Preemptions,
-			RedoneOps:   res.PreemptRedoneOps,
-		}
-		if res.SLA != nil {
-			run.EarnedUSD = res.SLA.EarnedUSD
-			run.ForfeitedUSD = res.SLA.ForfeitedUSD
-			run.PenaltyUSD = res.SLA.PenaltyUSD
-		}
-		for _, rec := range res.Records {
-			run.TaskShareJ += rec.EnergyShareJ
-			if rec.Preemptions > 0 && rec.Deadline > 0 && rec.Finish > rec.Deadline {
-				run.VictimMisses++
-			}
-		}
-		if tracker != nil {
-			run.BudgetSpentJ = tracker.Spent()
-		}
-		out.Runs = append(out.Runs, run)
+	blind := sim.NewScenario(slaPlatform(), tasks,
+		sim.WithExplore(),
+		sim.WithSeed(scen.Seed),
+		sim.WithSlotsPerNode(scen.SlotsPerNode),
+		sim.WithPolicy(sched.New(sched.GreenPerf)),
+		sim.WithModules(
+			&sim.CarbonModule{Profile: profile},
+			&sim.SLAModule{Config: &sla.Config{Catalog: catalog}},
+		),
+	)
+
+	tracker, err := budget.NewTracker(cfg.BudgetJ, cfg.BudgetHorizonSec)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	mods := []sim.Module{
+		&sim.CarbonModule{Profile: profile},
+		// Budget before SLA: if steering ever engages, the
+		// deadline-feasibility screen below wraps the steered ranking
+		// instead of being replaced by it.
+		&budget.Module{Tracker: tracker, Steer: true, Base: core.PrefNone},
+		&sim.SLAModule{
+			Config: &sla.Config{
+				Catalog: catalog, Admission: admission,
+				Order: sched.NewOrder(sched.EDF), UrgentBypass: true,
+			},
+			WrapDeadline: true,
+		},
+		&sim.PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: cfg.RestartPenaltyFrac}},
+		&consolidation.Module{Controller: &consolidation.CarbonController{
+			Profile:          profile,
+			CleanG:           scen.CleanG,
+			DirtyG:           scen.DirtyG,
+			IdleTimeout:      scen.IdleTimeout,
+			MinOn:            scen.MinOn,
+			MaxDeferSec:      scen.MaxDeferSec,
+			DeadlineSlackSec: scen.DeadlineSlackSec,
+			PreemptBatch:     true,
+		}},
+	}
+	if cfg.Trace != nil {
+		mods = append(mods, &sim.TraceModule{W: cfg.Trace})
+	}
+	full := sim.NewScenario(slaPlatform(), tasks,
+		sim.WithExplore(),
+		sim.WithSeed(scen.Seed),
+		sim.WithSlotsPerNode(scen.SlotsPerNode),
+		sim.WithPolicy(sched.New(sched.Carbon)),
+		sim.WithTick(scen.TickSec),
+		// Longer than any boot transient (and off the 300 s tick grid):
+		// when a candidacy window opens and dark capacity boots, the
+		// deferred batch's next retry wave lands after every boot
+		// completes, so it spreads across all warm nodes instead of
+		// clumping onto whichever booted first.
+		sim.WithRetryEvery(510),
+		sim.WithModules(mods...),
+	)
+
+	runs, err := runVariants("composed",
+		variant{name: ComposedRunBlind, cfg: blind},
+		variant{name: ComposedRunFull, cfg: full, tracker: tracker},
+	)
+	if err != nil {
+		return nil, err
+	}
+	return &ComposedResult{Config: cfg, Runs: runs}, nil
 }
 
 // Table renders the comparison.
 func (r *ComposedResult) Table() *report.Table {
-	t := &report.Table{
-		Title: fmt.Sprintf("Composed module stack: %d batch + %d deadline (+%d hopeless) + %d interactive (%.0f s deadline) from %02.0f:00",
-			r.Config.SLA.BatchTasks, r.Config.SLA.DeadlineTasks, r.Config.SLA.HopelessTasks,
-			r.Config.SLA.InteractiveTasks, r.Config.InteractiveRelSec, r.Config.SLA.StartHour),
-		Headers: []string{"Configuration", "Net ($)", "Late", "Rejected", "Preempts",
-			"Victim misses", "Energy (MJ)", "CO2 (g)", "Budget (MJ)", "Makespan (h)"},
-	}
-	for _, run := range r.Runs {
-		budgetCell := "-"
-		if run.BudgetSpentJ > 0 {
-			budgetCell = fmt.Sprintf("%.2f", run.BudgetSpentJ/1e6)
-		}
-		t.AddRow(run.Name,
-			fmt.Sprintf("%.2f", run.NetUSD()),
-			fmt.Sprintf("%d", run.Misses),
-			fmt.Sprintf("%d", run.Rejected),
-			fmt.Sprintf("%d", run.Preemptions),
-			fmt.Sprintf("%d", run.VictimMisses),
-			fmt.Sprintf("%.2f", run.EnergyJ/1e6),
-			fmt.Sprintf("%.0f", run.CO2Grams),
-			budgetCell,
-			fmt.Sprintf("%.1f", run.Makespan/3600),
-		)
-	}
-	return t
+	return r.Runs.table(fmt.Sprintf("Composed module stack: %d batch + %d deadline (+%d hopeless) + %d interactive (%.0f s deadline) from %02.0f:00",
+		r.Config.SLA.BatchTasks, r.Config.SLA.DeadlineTasks, r.Config.SLA.HopelessTasks,
+		r.Config.SLA.InteractiveTasks, r.Config.InteractiveRelSec, r.Config.SLA.StartHour),
+		colNetUSD, colLate, colRejected, colPreempts, colVictims, colEnergyMJ, colCO2,
+		column{"Budget (MJ)", func(r Run) string {
+			if r.BudgetSpentJ > 0 {
+				return fmt.Sprintf("%.2f", r.BudgetSpentJ/1e6)
+			}
+			return "-"
+		}},
+		colMakespanH)
 }
 
 // Render writes the table plus the composition's headline invariants.
@@ -355,8 +266,8 @@ func (r *ComposedResult) Render(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\n%s stacks carbon + SLA + preemption + budget in one run: %.1f%% less CO2 than %s, net $%.2f vs $%.2f, %d preemptions with %d victim deadlines broken\n",
 		ComposedRunFull, (1-full.CO2Grams/blind.CO2Grams)*100, ComposedRunBlind,
-		full.NetUSD(), blind.NetUSD(), full.Preemptions, full.VictimMisses)
+		full.NetUSD(), blind.NetUSD(), full.Preemptions, full.VictimMisses())
 	fmt.Fprintf(w, "budget tracker metered %.2f MJ of task energy against a %.2f MJ budget (task shares sum to %.2f MJ)\n",
-		full.BudgetSpentJ/1e6, r.Config.BudgetJ/1e6, full.TaskShareJ/1e6)
+		full.BudgetSpentJ/1e6, r.Config.BudgetJ/1e6, full.TaskShareJ()/1e6)
 	return nil
 }

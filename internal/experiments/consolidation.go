@@ -46,29 +46,9 @@ func DefaultConsolidationConfig() ConsolidationConfig {
 	}
 }
 
-// ConsolidationRun is one configuration's outcome.
-type ConsolidationRun struct {
-	Name      string
-	EnergyJ   float64
-	Makespan  float64
-	MeanWait  float64
-	Boots     int
-	Shutdowns int
-}
-
 // ConsolidationResult bundles the compared configurations.
 type ConsolidationResult struct {
-	Runs []ConsolidationRun // fixed order: RANDOM, POWER, CONSOLIDATION, CONSOLIDATION+GREENPERF
-}
-
-// Run returns the named configuration's outcome, or false.
-func (r *ConsolidationResult) Run(name string) (ConsolidationRun, bool) {
-	for _, run := range r.Runs {
-		if run.Name == name {
-			return run, true
-		}
-	}
-	return ConsolidationRun{}, false
+	Runs // fixed order: RANDOM, POWER, CONSOLIDATION, CONSOLIDATION+GREENPERF
 }
 
 // RunConsolidation executes the four configurations on the identical
@@ -116,40 +96,24 @@ func RunConsolidation(cfg ConsolidationConfig) (*ConsolidationResult, error) {
 	greenCfg := managed(consolidation.GreenTieBreak{})
 	greenCfg.Explore = true // the green tie-break needs estimates
 
-	out := &ConsolidationResult{}
+	var variants []variant
 	for _, c := range []sim.Config{randomCfg, powerCfg, consCfg, greenCfg} {
-		res, err := sim.Run(c)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consolidation %s: %w", c.Policy.Name(), err)
-		}
-		out.Runs = append(out.Runs, ConsolidationRun{
-			Name:      c.Policy.Name(),
-			EnergyJ:   float64(res.EnergyJ),
-			Makespan:  res.Makespan,
-			MeanWait:  res.MeanWait(),
-			Boots:     res.Boots,
-			Shutdowns: res.Shutdowns,
-		})
+		variants = append(variants, variant{name: c.Policy.Name(), cfg: c})
 	}
-	return out, nil
+	runs, err := runVariants("consolidation", variants...)
+	if err != nil {
+		return nil, err
+	}
+	return &ConsolidationResult{Runs: runs}, nil
 }
 
 // Table renders the comparison.
 func (r *ConsolidationResult) Table() *report.Table {
-	t := &report.Table{
-		Title:   "Consolidation baseline vs always-on policies (under-utilized workload)",
-		Headers: []string{"Configuration", "Energy (J)", "Makespan (s)", "Mean wait (s)", "Boots", "Shutdowns"},
-	}
-	for _, run := range r.Runs {
-		t.AddRow(run.Name,
-			fmt.Sprintf("%.0f", run.EnergyJ),
-			fmt.Sprintf("%.0f", run.Makespan),
-			fmt.Sprintf("%.1f", run.MeanWait),
-			fmt.Sprintf("%d", run.Boots),
-			fmt.Sprintf("%d", run.Shutdowns),
-		)
-	}
-	return t
+	return r.Runs.table("Consolidation baseline vs always-on policies (under-utilized workload)",
+		column{"Energy (J)", func(r Run) string { return fmt.Sprintf("%.0f", r.EnergyJ) }},
+		column{"Makespan (s)", func(r Run) string { return fmt.Sprintf("%.0f", r.Makespan) }},
+		column{"Mean wait (s)", func(r Run) string { return fmt.Sprintf("%.1f", r.MeanWait()) }},
+		colBoots, colShutdowns)
 }
 
 // Render writes the table plus the headline saving of consolidation

@@ -81,23 +81,6 @@ func TestConsolidationGreenTieBreakNotWorse(t *testing.T) {
 	}
 }
 
-func TestConsolidationDeterministic(t *testing.T) {
-	a, err := RunConsolidation(fastConsolidation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunConsolidation(fastConsolidation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Runs {
-		if a.Runs[i] != b.Runs[i] {
-			t.Errorf("run %s not deterministic: %+v vs %+v",
-				a.Runs[i].Name, a.Runs[i], b.Runs[i])
-		}
-	}
-}
-
 func TestConsolidationRender(t *testing.T) {
 	res, err := RunConsolidation(fastConsolidation())
 	if err != nil {

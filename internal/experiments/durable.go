@@ -114,27 +114,6 @@ func (c DurableConfig) ExpectedEarnedUSD() float64 {
 	return 2*float64(c.Interactive+1) + 0.05*float64(c.Batch)
 }
 
-// durableCatalog is the wall-clock catalog with timing-robust curves:
-// HardDrop earns full value anywhere before the (generous) deadline
-// and Flat earns regardless, so an interrupted run that finishes the
-// same work later still books the same dollars — which is what makes
-// "ledger byte-equal to the uninterrupted run" a meaningful assertion
-// rather than a wall-clock coincidence.
-func (c DurableConfig) durableCatalog() sla.Catalog {
-	bestExec := c.Ops / c.HungryFlops
-	return sla.Catalog{
-		LiveClassInteractive: {
-			Name: LiveClassInteractive, RelDeadlineSec: 60, ValueUSD: 2, Curve: sla.HardDrop{},
-		},
-		LiveClassBatch: {
-			Name: LiveClassBatch, ValueUSD: 0.05, Curve: sla.Flat{},
-		},
-		LiveClassHopeless: {
-			Name: LiveClassHopeless, RelDeadlineSec: bestExec / 100, ValueUSD: 1, Curve: sla.HardDrop{},
-		},
-	}
-}
-
 // DurableRun is one transport's outcome.
 type DurableRun struct {
 	Transport string
@@ -173,12 +152,7 @@ type DurableResult struct {
 
 // Run returns the named transport's outcome, or false.
 func (r *DurableResult) Run(transport string) (DurableRun, bool) {
-	for _, run := range r.Runs {
-		if run.Transport == transport {
-			return run, true
-		}
-	}
-	return DurableRun{}, false
+	return byTransport(r.Runs, transport)
 }
 
 // RunDurableStudy executes the crash drill over both transports.
@@ -186,45 +160,30 @@ func RunDurableStudy(cfg DurableConfig) (*DurableResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	out := &DurableResult{Config: cfg}
-	for _, transport := range []string{LiveTransportInProcess, LiveTransportTCP} {
-		run, err := runDurable(cfg, transport)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: durable %s: %w", transport, err)
-		}
-		out.Runs = append(out.Runs, run)
-	}
-	return out, nil
-}
-
-// durableDeployment is one master incarnation over a set of SEDs: the
-// interceptor stack is rebuilt from scratch each time (a restarted
-// process has no memory), only the journal file persists.
-type durableDeployment struct {
-	master  *middleware.Master
-	cleanup []func() error
-}
-
-func (d *durableDeployment) close() {
-	for i := len(d.cleanup) - 1; i >= 0; i-- {
-		d.cleanup[i]()
-	}
-	d.cleanup = nil
-}
-
-// durableMaster builds one incarnation: fresh interceptors, the given
-// journal, and the SEDs over the requested transport. elected, when
-// non-nil, observes every election.
-func durableMaster(cfg DurableConfig, transport, name string, jrn *journal.Journal,
-	sig *liveStepSignal, seds []*middleware.SED, elected func(req middleware.Request, server string)) (*durableDeployment, error) {
-	tracker, err := budget.NewTracker(cfg.BudgetJ, cfg.BudgetHorizonSec)
+	runs, err := overTransports("durable", func(transport string) (DurableRun, error) {
+		return runDurable(cfg, transport)
+	})
 	if err != nil {
 		return nil, err
+	}
+	return &DurableResult{Config: cfg, Runs: runs}, nil
+}
+
+// durableMaster builds one master incarnation over seds: the
+// interceptor stack is rebuilt from scratch each time (a restarted
+// process has no memory), only the journal file persists. elected,
+// when non-nil, observes every election. The returned func closes the
+// incarnation's transport.
+func durableMaster(cfg DurableConfig, transport, name string, jrn *journal.Journal,
+	sig *liveStepSignal, seds []*middleware.SED, elected func(req middleware.Request, server string)) (*middleware.Master, func(), error) {
+	tracker, err := budget.NewTracker(cfg.BudgetJ, cfg.BudgetHorizonSec)
+	if err != nil {
+		return nil, nil, err
 	}
 	ics := []middleware.Interceptor{
 		&middleware.SLAInterceptor{
 			Config: &sla.Config{
-				Catalog:   cfg.durableCatalog(),
+				Catalog:   wallClockCatalog(cfg.Ops, cfg.HungryFlops),
 				Admission: &sla.Admission{Margin: 1},
 			},
 			BestFlops: cfg.HungryFlops,
@@ -250,32 +209,17 @@ func durableMaster(cfg DurableConfig, transport, name string, jrn *journal.Journ
 		middleware.WithJournal(jrn),
 		middleware.WithLeaseTerm(time.Duration(cfg.LeaseTermSec * float64(time.Second))),
 	}
-	d := &durableDeployment{}
-	switch transport {
-	case LiveTransportInProcess:
-		opts = append(opts, middleware.WithSEDs(seds...))
-	case LiveTransportTCP:
-		for _, sed := range seds {
-			ep, err := middleware.Serve("127.0.0.1:0", sed, sed)
-			if err != nil {
-				d.close()
-				return nil, err
-			}
-			d.cleanup = append(d.cleanup, ep.Close)
-			rem := middleware.Dial(sed.Name(), ep.Addr())
-			d.cleanup = append(d.cleanup, rem.Close)
-			opts = append(opts, middleware.WithRemotes(rem))
-		}
-	default:
-		return nil, fmt.Errorf("unknown transport %q", transport)
-	}
-	m, err := middleware.NewMaster(opts...)
+	attach, closers, err := attachSEDs(transport, seds, nil)
 	if err != nil {
-		d.close()
-		return nil, err
+		return nil, nil, err
 	}
-	d.master = m
-	return d, nil
+	detach := func() { closeAll(closers) }
+	m, err := middleware.NewMaster(append(opts, attach)...)
+	if err != nil {
+		detach()
+		return nil, nil, err
+	}
+	return m, detach, nil
 }
 
 // runDurable runs control + interrupted on one transport.
@@ -296,16 +240,16 @@ func runDurable(cfg DurableConfig, transport string) (DurableRun, error) {
 	if err != nil {
 		return run, err
 	}
-	ctl, err := durableMaster(cfg, transport, "durable-control-"+suffix, ctlJrn, ctlSig, seds, nil)
+	ctl, closeCtl, err := durableMaster(cfg, transport, "durable-control-"+suffix, ctlJrn, ctlSig, seds, nil)
 	if err != nil {
 		return run, err
 	}
-	if err := submitDurableMix(ctl.master, cfg, true); err != nil {
-		ctl.close()
+	if err := submitDurableMix(ctl, cfg, true); err != nil {
+		closeCtl()
 		return run, err
 	}
-	run.Control = *ctl.master.Finalize()
-	ctl.close()
+	run.Control = *ctl.Finalize()
+	closeCtl()
 	if err := ctlJrn.Close(); err != nil {
 		return run, err
 	}
@@ -323,16 +267,15 @@ func runDurable(cfg DurableConfig, transport string) (DurableRun, error) {
 	if err != nil {
 		return run, err
 	}
-	inc1, err := durableMaster(cfg, transport, "durable-crash-"+suffix, jrn1, sig1, seds1, nil)
+	m1, close1, err := durableMaster(cfg, transport, "durable-crash-"+suffix, jrn1, sig1, seds1, nil)
 	if err != nil {
 		return run, err
 	}
-	m1 := inc1.master
 
 	// Settled before the crash: the quick interactives and the
 	// hopeless rejections.
 	if err := submitDurableSettled(m1, cfg); err != nil {
-		inc1.close()
+		close1()
 		return run, err
 	}
 
@@ -350,7 +293,7 @@ func runDurable(cfg DurableConfig, transport string) (DurableRun, error) {
 	if err := awaitParked(m1, 1); err != nil {
 		crash()
 		wg.Wait()
-		inc1.close()
+		close1()
 		return run, err
 	}
 
@@ -366,7 +309,7 @@ func runDurable(cfg DurableConfig, transport string) (DurableRun, error) {
 	case <-time.After(10 * time.Second):
 		crash()
 		wg.Wait()
-		inc1.close()
+		close1()
 		return run, fmt.Errorf("stalled request never reached a SED")
 	}
 
@@ -382,7 +325,7 @@ func runDurable(cfg DurableConfig, transport string) (DurableRun, error) {
 	crash()
 	close(stallRelease)
 	wg.Wait()
-	inc1.close()
+	close1()
 
 	// --- Interrupted, incarnation 2: recover, replay, finish ---
 	jrn2, err := journal.Open(crashPath, journal.Options{})
@@ -403,7 +346,7 @@ func runDurable(cfg DurableConfig, transport string) (DurableRun, error) {
 	// The executors survived the master's death: in-process the SED
 	// objects carry straight over; on TCP their daemons are re-served
 	// and re-dialed by the new incarnation.
-	inc2, err := durableMaster(cfg, transport, "durable-restart-"+suffix, jrn2, sig2, seds1,
+	m2, close2, err := durableMaster(cfg, transport, "durable-restart-"+suffix, jrn2, sig2, seds1,
 		func(req middleware.Request, server string) {
 			if req.Service == "stall" {
 				redoMu.Lock()
@@ -415,24 +358,24 @@ func runDurable(cfg DurableConfig, transport string) (DurableRun, error) {
 		jrn2.Close()
 		return run, err
 	}
-	st, err := inc2.master.Replay(context.Background())
+	st, err := m2.Replay(context.Background())
 	if err != nil {
-		inc2.close()
+		close2()
 		jrn2.Close()
 		return run, err
 	}
 	// The deferred entry replays in the background (Replay never waits
 	// behind a carbon window); the restarted grid is clean, so draining
 	// it here is what proves the park survived the crash.
-	if err := inc2.master.ReplayWait(context.Background()); err != nil {
-		inc2.close()
+	if err := m2.ReplayWait(context.Background()); err != nil {
+		close2()
 		jrn2.Close()
 		return run, err
 	}
 	run.Replay = st
-	run.Interrupted = *inc2.master.Finalize()
+	run.Interrupted = *m2.Finalize()
 	run.JournalStats = jrn2.Stats()
-	inc2.close()
+	close2()
 	if err := jrn2.Close(); err != nil {
 		return run, err
 	}

@@ -273,9 +273,12 @@ func TestAdaptiveHarness(t *testing.T) {
 }
 
 func TestRenderAdaptive(t *testing.T) {
-	cfg := DefaultAdaptiveConfig()
+	res, err := RunAdaptive(DefaultAdaptiveConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
-	if err := RenderAdaptive(cfg, &b); err != nil {
+	if err := RenderAdaptive(res, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

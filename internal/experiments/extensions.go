@@ -153,10 +153,8 @@ func RenderExtensions(w io.Writer, seed int64) error {
 		return err
 	}
 	fmt.Fprintf(w, "\nExtension B. Tariff-following provisioning over 2 days:\n")
-	ts := &report.TimeSeries{Title: ""}
-	for _, s := range tr.Adaptive.Samples {
-		ts.Add(s.T, float64(s.Candidates), s.AvgW)
-	}
+	ts := Figure9(tr.Adaptive)
+	ts.Title = ""
 	if err := ts.Render(w); err != nil {
 		return err
 	}

@@ -163,17 +163,10 @@ func (c *LiveComposedConfig) ScaleTasks(total int) {
 		return
 	}
 	scale := float64(total) / float64(base)
-	grow := func(n int) int {
-		scaled := int(float64(n) * scale)
-		if scaled < 1 {
-			return 1
-		}
-		return scaled
-	}
-	c.Warmup = grow(c.Warmup)
-	c.Interactive = grow(c.Interactive)
-	c.Batch = grow(c.Batch)
-	c.Hopeless = grow(c.Hopeless)
+	c.Warmup = scaleCount(c.Warmup, scale)
+	c.Interactive = scaleCount(c.Interactive, scale)
+	c.Batch = scaleCount(c.Batch, scale)
+	c.Hopeless = scaleCount(c.Hopeless, scale)
 	c.BudgetJ *= scale
 }
 
@@ -198,11 +191,14 @@ func (c LiveComposedConfig) Validate() error {
 	return nil
 }
 
-// liveCatalog returns the wall-clock SLA catalog: the hopeless class
-// deadline sits far below the best-case execution time, so admission
-// rejects it deterministically.
-func (c LiveComposedConfig) liveCatalog() sla.Catalog {
-	bestExec := c.Ops / c.HungryFlops
+// wallClockCatalog is the SLA catalog of the live drills, with real
+// wall-clock deadlines rather than the simulator's hour-scale ones. Its
+// curves are timing-robust: HardDrop earns full value anywhere before
+// the generous interactive deadline and Flat earns regardless, so a
+// run that finishes the same work later books the same dollars. The
+// hopeless deadline sits far below the best-case execution time of ops
+// at bestFlops, so admission rejects it deterministically.
+func wallClockCatalog(ops, bestFlops float64) sla.Catalog {
 	return sla.Catalog{
 		LiveClassInteractive: {
 			Name: LiveClassInteractive, RelDeadlineSec: 60, ValueUSD: 2, Curve: sla.HardDrop{},
@@ -211,7 +207,7 @@ func (c LiveComposedConfig) liveCatalog() sla.Catalog {
 			Name: LiveClassBatch, ValueUSD: 0.05, Curve: sla.Flat{},
 		},
 		LiveClassHopeless: {
-			Name: LiveClassHopeless, RelDeadlineSec: bestExec / 100, ValueUSD: 1, Curve: sla.HardDrop{},
+			Name: LiveClassHopeless, RelDeadlineSec: ops / bestFlops / 100, ValueUSD: 1, Curve: sla.HardDrop{},
 		},
 	}
 }
@@ -305,12 +301,7 @@ type LiveComposedResult struct {
 
 // Run returns the named transport's outcome, or false.
 func (r *LiveComposedResult) Run(transport string) (LiveComposedRun, bool) {
-	for _, run := range r.Runs {
-		if run.Transport == transport {
-			return run, true
-		}
-	}
-	return LiveComposedRun{}, false
+	return byTransport(r.Runs, transport)
 }
 
 // RunLiveComposedStudy executes the composed live scenario over both
@@ -319,15 +310,77 @@ func RunLiveComposedStudy(cfg LiveComposedConfig) (*LiveComposedResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	out := &LiveComposedResult{Config: cfg}
-	for _, transport := range []string{LiveTransportInProcess, LiveTransportTCP} {
-		run, err := runLiveComposed(cfg, transport)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: live composed %s: %w", transport, err)
-		}
-		out.Runs = append(out.Runs, run)
+	runs, err := overTransports("live composed", func(transport string) (LiveComposedRun, error) {
+		return runLiveComposed(cfg, transport)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &LiveComposedResult{Config: cfg, Runs: runs}, nil
+}
+
+// liveTransports are the deployments every live drill compares, in
+// the order it runs them.
+var liveTransports = []string{LiveTransportInProcess, LiveTransportTCP}
+
+// overTransports runs one live drill per transport, in order.
+func overTransports[R any](study string, drill func(transport string) (R, error)) ([]R, error) {
+	var runs []R
+	for _, transport := range liveTransports {
+		run, err := drill(transport)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s %s: %w", study, transport, err)
+		}
+		runs = append(runs, run)
+	}
+	return runs, nil
+}
+
+// byTransport returns the named transport's outcome from runs that
+// overTransports produced, or false.
+func byTransport[R any](runs []R, transport string) (R, bool) {
+	for i, t := range liveTransports {
+		if t == transport && i < len(runs) {
+			return runs[i], true
+		}
+	}
+	var zero R
+	return zero, false
+}
+
+// attachSEDs deploys seds for one master over the named transport:
+// in-process children, or per SED a TCP endpoint and a dialed Remote
+// that emits transport spans into spans (nil: none). It returns the
+// master option and the closers to run, via closeAll, once the master
+// is done.
+func attachSEDs(transport string, seds []*middleware.SED, spans *obs.SpanWriter) (middleware.Option, []func() error, error) {
+	switch transport {
+	case LiveTransportInProcess:
+		return middleware.WithSEDs(seds...), nil, nil
+	case LiveTransportTCP:
+		var remotes []*middleware.Remote
+		var closers []func() error
+		for _, sed := range seds {
+			ep, err := middleware.Serve("127.0.0.1:0", sed, sed)
+			if err != nil {
+				closeAll(closers)
+				return nil, nil, err
+			}
+			rem := middleware.Dial(sed.Name(), ep.Addr())
+			rem.SetSpans(spans)
+			closers = append(closers, ep.Close, rem.Close)
+			remotes = append(remotes, rem)
+		}
+		return middleware.WithRemotes(remotes...), closers, nil
+	}
+	return nil, nil, fmt.Errorf("unknown transport %q", transport)
+}
+
+// closeAll runs closers last to first.
+func closeAll(closers []func() error) {
+	for i := len(closers) - 1; i >= 0; i-- {
+		closers[i]()
+	}
 }
 
 // liveSED builds one metered, carbon-tagged SED whose service sleeps
@@ -420,7 +473,7 @@ func runLiveComposed(cfg LiveComposedConfig, transport string) (LiveComposedRun,
 	ics := []middleware.Interceptor{
 		&middleware.SLAInterceptor{
 			Config: &sla.Config{
-				Catalog:   cfg.liveCatalog(),
+				Catalog:   wallClockCatalog(cfg.Ops, cfg.HungryFlops),
 				Admission: &sla.Admission{Margin: 1},
 			},
 			BestFlops: cfg.HungryFlops,
@@ -459,40 +512,23 @@ func runLiveComposed(cfg LiveComposedConfig, transport string) (LiveComposedRun,
 	if cfg.Concurrency > 0 {
 		opts = append(opts, middleware.WithConcurrency(cfg.Concurrency))
 	}
-	var cleanup []func() error
-	defer func() {
-		for _, fn := range cleanup {
-			fn()
-		}
-	}()
+	var closers []func() error
+	defer func() { closeAll(closers) }()
 	if cfg.JournalPath != "" {
 		jrn, err := journal.Open(cfg.JournalPath+"."+transportLabel(transport)+".wal", journal.Options{})
 		if err != nil {
 			return LiveComposedRun{}, err
 		}
-		cleanup = append(cleanup, jrn.Close)
+		closers = append(closers, jrn.Close)
 		opts = append(opts, middleware.WithJournal(jrn))
 	}
-	switch transport {
-	case LiveTransportInProcess:
-		opts = append(opts, middleware.WithSEDs(lean, hungry))
-	case LiveTransportTCP:
-		for _, sed := range []*middleware.SED{lean, hungry} {
-			ep, err := middleware.Serve("127.0.0.1:0", sed, sed)
-			if err != nil {
-				return LiveComposedRun{}, err
-			}
-			cleanup = append(cleanup, ep.Close)
-			rem := middleware.Dial(sed.Name(), ep.Addr())
-			rem.SetSpans(spans)
-			cleanup = append(cleanup, rem.Close)
-			opts = append(opts, middleware.WithRemotes(rem))
-		}
-	default:
-		return LiveComposedRun{}, fmt.Errorf("unknown transport %q", transport)
+	attach, detach, err := attachSEDs(transport, []*middleware.SED{lean, hungry}, spans)
+	if err != nil {
+		return LiveComposedRun{}, err
 	}
+	closers = append(closers, detach...)
 
-	master, err := middleware.NewMaster(opts...)
+	master, err := middleware.NewMaster(append(opts, attach)...)
 	if err != nil {
 		return LiveComposedRun{}, err
 	}

@@ -1,8 +1,3 @@
-// Package experiments contains one harness per table and figure of the
-// paper's evaluation (§IV): workload placement (Table II, Figures 2–5),
-// the GreenPerf metric study (Figures 6–7, Table III) and adaptive
-// resource provisioning (Figure 9). Each harness builds the workload,
-// runs the simulator and renders the corresponding report artifacts.
 package experiments
 
 import (

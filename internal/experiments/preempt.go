@@ -140,32 +140,6 @@ func (c PreemptionConfig) Tasks() ([]workload.Task, error) {
 	), nil
 }
 
-// PreemptRun is one configuration's outcome.
-type PreemptRun struct {
-	Name     string
-	EnergyJ  float64
-	Makespan float64
-
-	EarnedUSD    float64
-	ForfeitedUSD float64
-	PenaltyUSD   float64
-	OnTime       int
-	Misses       int
-
-	Boots       int
-	Preemptions int
-	RedoneOps   float64
-
-	// VictimMisses counts completions that were preempted at least
-	// once and still finished past their own deadline — the breaches
-	// preemption itself would be guilty of. The safety calculus keeps
-	// this at zero.
-	VictimMisses int
-}
-
-// NetUSD returns earned minus contractual penalties.
-func (r PreemptRun) NetUSD() float64 { return r.EarnedUSD - r.PenaltyUSD }
-
 // Names of the compared configurations.
 const (
 	PreemptRunExpressBoot = "EXPRESS-BOOT"
@@ -175,17 +149,7 @@ const (
 // PreemptionResult bundles the compared configurations.
 type PreemptionResult struct {
 	Config PreemptionConfig
-	Runs   []PreemptRun // fixed order: EXPRESS-BOOT, PREEMPTION
-}
-
-// Run returns the named configuration's outcome, or false.
-func (r *PreemptionResult) Run(name string) (PreemptRun, bool) {
-	for _, run := range r.Runs {
-		if run.Name == name {
-			return run, true
-		}
-	}
-	return PreemptRun{}, false
+	Runs   // fixed order: EXPRESS-BOOT, PREEMPTION
 }
 
 // RunPreemptionStudy executes both configurations on the identical
@@ -198,8 +162,8 @@ func RunPreemptionStudy(cfg PreemptionConfig) (*PreemptionResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: preemption workload: %w", err)
 	}
-	out := &PreemptionResult{Config: cfg}
-	for _, variant := range []struct {
+	var variants []variant
+	for _, v := range []struct {
 		name    string
 		preempt bool
 	}{
@@ -210,18 +174,18 @@ func RunPreemptionStudy(cfg PreemptionConfig) (*PreemptionResult, error) {
 			IdleTimeout:      cfg.IdleTimeout,
 			MinOn:            cfg.MinOn,
 			DeadlineSlackSec: cfg.DeadlineSlackSec,
-			PreemptBatch:     variant.preempt,
+			PreemptBatch:     v.preempt,
 		}
 		mods := []sim.Module{
 			&sim.SLAModule{Config: &sla.Config{Catalog: cfg.Catalog(), Order: sched.NewOrder(sched.EDF)}},
 		}
-		if variant.preempt {
+		if v.preempt {
 			mods = append(mods, &sim.PreemptModule{
 				Preemption: &sla.Preemption{RestartPenaltyFrac: cfg.RestartPenaltyFrac},
 			})
 		}
 		mods = append(mods, &consolidation.Module{Controller: ctl})
-		simCfg := sim.NewScenario(
+		variants = append(variants, variant{name: v.name, cfg: sim.NewScenario(
 			cluster.MustPlatform(cluster.NewNodes("taurus", cfg.Nodes)),
 			tasks,
 			sim.WithPolicy(sched.New(sched.GreenPerf)),
@@ -231,58 +195,21 @@ func RunPreemptionStudy(cfg PreemptionConfig) (*PreemptionResult, error) {
 			sim.WithTick(cfg.TickSec),
 			sim.WithRetryEvery(30),
 			sim.WithModules(mods...),
-		)
-		res, err := sim.Run(simCfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: preemption %s: %w", variant.name, err)
-		}
-		run := PreemptRun{
-			Name:        variant.name,
-			EnergyJ:     float64(res.EnergyJ),
-			Makespan:    res.Makespan,
-			Misses:      res.DeadlineMisses,
-			Boots:       res.Boots,
-			Preemptions: res.Preemptions,
-			RedoneOps:   res.PreemptRedoneOps,
-		}
-		if res.SLA != nil {
-			run.EarnedUSD = res.SLA.EarnedUSD
-			run.ForfeitedUSD = res.SLA.ForfeitedUSD
-			run.PenaltyUSD = res.SLA.PenaltyUSD
-			run.OnTime = res.SLA.OnTime
-		}
-		for _, rec := range res.Records {
-			if rec.Preemptions > 0 && rec.Deadline > 0 && rec.Finish > rec.Deadline {
-				run.VictimMisses++
-			}
-		}
-		out.Runs = append(out.Runs, run)
+		)})
 	}
-	return out, nil
+	runs, err := runVariants("preemption", variants...)
+	if err != nil {
+		return nil, err
+	}
+	return &PreemptionResult{Config: cfg, Runs: runs}, nil
 }
 
 // Table renders the comparison.
 func (r *PreemptionResult) Table() *report.Table {
-	t := &report.Table{
-		Title: fmt.Sprintf("Preemption vs express boot: %d batch (≈%.0f s) + %d interactive (%.0f s deadline) on %d nodes",
-			r.Config.BatchTasks, r.Config.BatchOps/9e9, r.Config.InteractiveTasks,
-			r.Config.InteractiveRelSec, r.Config.Nodes),
-		Headers: []string{"Configuration", "Net ($)", "Forfeited ($)", "Late", "Boots",
-			"Preempts", "Victim misses", "Energy (MJ)", "Makespan (h)"},
-	}
-	for _, run := range r.Runs {
-		t.AddRow(run.Name,
-			fmt.Sprintf("%.2f", run.NetUSD()),
-			fmt.Sprintf("%.2f", run.ForfeitedUSD),
-			fmt.Sprintf("%d", run.Misses),
-			fmt.Sprintf("%d", run.Boots),
-			fmt.Sprintf("%d", run.Preemptions),
-			fmt.Sprintf("%d", run.VictimMisses),
-			fmt.Sprintf("%.2f", run.EnergyJ/1e6),
-			fmt.Sprintf("%.1f", run.Makespan/3600),
-		)
-	}
-	return t
+	return r.Runs.table(fmt.Sprintf("Preemption vs express boot: %d batch (≈%.0f s) + %d interactive (%.0f s deadline) on %d nodes",
+		r.Config.BatchTasks, r.Config.BatchOps/9e9, r.Config.InteractiveTasks,
+		r.Config.InteractiveRelSec, r.Config.Nodes),
+		colNetUSD, colForfeited, colLate, colBoots, colPreempts, colVictims, colEnergyMJ, colMakespanH)
 }
 
 // Render writes the table plus the headline trade-off.
@@ -297,6 +224,6 @@ func (r *PreemptionResult) Render(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\n%s recovers $%.2f of net revenue over %s at %+.1f%% energy, %d preemptions (%.0f s of work redone), %d victim deadlines broken\n",
 		PreemptRunPreemption, pre.NetUSD()-boot.NetUSD(), PreemptRunExpressBoot,
-		(pre.EnergyJ/boot.EnergyJ-1)*100, pre.Preemptions, pre.RedoneOps/9e9, pre.VictimMisses)
+		(pre.EnergyJ/boot.EnergyJ-1)*100, pre.Preemptions, pre.PreemptRedoneOps/9e9, pre.VictimMisses())
 	return nil
 }

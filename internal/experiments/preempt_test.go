@@ -34,9 +34,9 @@ func TestPreemptionStudyAcceptance(t *testing.T) {
 	if pre.Preemptions == 0 {
 		t.Error("preemption run never preempted")
 	}
-	if pre.VictimMisses != 0 || boot.VictimMisses != 0 {
+	if pre.VictimMisses() != 0 || boot.VictimMisses() != 0 {
 		t.Errorf("victim deadline breaches: preemption %d, baseline %d; want 0",
-			pre.VictimMisses, boot.VictimMisses)
+			pre.VictimMisses(), boot.VictimMisses())
 	}
 	// The baseline's failure mode is real: express boots fire yet
 	// deadlines still slip — queued work cannot migrate to the fresh
@@ -44,14 +44,14 @@ func TestPreemptionStudyAcceptance(t *testing.T) {
 	if boot.Boots == 0 {
 		t.Error("baseline never express-booted; the scenario lost its contrast")
 	}
-	if boot.Misses == 0 {
+	if boot.DeadlineMisses == 0 {
 		t.Error("baseline missed nothing; the scenario lost its contrast")
 	}
-	if pre.Misses >= boot.Misses {
-		t.Errorf("preemption misses %d not below baseline %d", pre.Misses, boot.Misses)
+	if pre.DeadlineMisses >= boot.DeadlineMisses {
+		t.Errorf("preemption misses %d not below baseline %d", pre.DeadlineMisses, boot.DeadlineMisses)
 	}
 	// Checkpoints are not free: the restart penalty redid some work.
-	if pre.RedoneOps <= 0 {
+	if pre.PreemptRedoneOps <= 0 {
 		t.Error("restart penalty redid no work despite preemptions")
 	}
 }
@@ -67,8 +67,8 @@ func TestPreemptionStudyPerfectCheckpoint(t *testing.T) {
 	}
 	boot, _ := res.Run(PreemptRunExpressBoot)
 	pre, _ := res.Run(PreemptRunPreemption)
-	if pre.RedoneOps != 0 {
-		t.Errorf("perfect checkpoint redid %v ops", pre.RedoneOps)
+	if pre.PreemptRedoneOps != 0 {
+		t.Errorf("perfect checkpoint redid %v ops", pre.PreemptRedoneOps)
 	}
 	if pre.NetUSD() <= boot.NetUSD() || pre.EnergyJ > boot.EnergyJ {
 		t.Errorf("perfect checkpoint lost the claim: net $%.2f vs $%.2f, energy %.0f vs %.0f J",

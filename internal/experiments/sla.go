@@ -140,19 +140,7 @@ func (c SLAConfig) Validate() error {
 // Profile builds the two-site grid, identical to the carbon study's:
 // taurus and orion on the solar-diurnal grid, sagittaire fossil.
 func (c SLAConfig) Profile() *carbon.Profile {
-	solar := carbon.SiteProfile{Site: "solar-valley", Signal: carbon.Diurnal{
-		MeanG: c.MeanG, AmplitudeG: c.AmplitudeG, CleanHour: c.CleanHour,
-		RenewableMin: 0.05, RenewableMax: 0.8,
-	}}
-	fossil := carbon.SiteProfile{Site: "fossil-ridge", Signal: carbon.Diurnal{
-		MeanG: c.MeanG * 1.5, AmplitudeG: c.AmplitudeG * 0.2, CleanHour: c.CleanHour,
-		RenewableMin: 0.02, RenewableMax: 0.2,
-	}}
-	p := carbon.MustProfile(solar)
-	if err := p.SetCluster("sagittaire", fossil); err != nil {
-		panic(err)
-	}
-	return p
+	return twoSiteProfile(c.MeanG, c.AmplitudeG, c.CleanHour)
 }
 
 // Tasks materializes the identical arrival schedule all three
@@ -204,36 +192,10 @@ func (c SLAConfig) MakespanBound() float64 {
 	return c.StartHour*3600 + c.MaxDeferSec + carbon.DaySeconds
 }
 
-// SLARun is one configuration's outcome.
-type SLARun struct {
-	Name     string
-	EnergyJ  float64
-	CO2Grams float64
-	Makespan float64
-	MeanWait float64
-
-	EarnedUSD    float64
-	ForfeitedUSD float64
-	PenaltyUSD   float64
-	OnTime       int
-	Misses       int
-	Rejected     int
-
-	JoulesPerTask float64
-	GramsPerTask  float64
-	GramsPerUSD   float64
-
-	// PerClass carries the full ledger breakdown.
-	PerClass []sla.Account
-}
-
-// NetUSD returns earned minus contractual penalties.
-func (r SLARun) NetUSD() float64 { return r.EarnedUSD - r.PenaltyUSD }
-
 // SLAResult bundles the compared configurations.
 type SLAResult struct {
 	Config SLAConfig
-	Runs   []SLARun // fixed order: ENERGY-ONLY, SLA-AWARE, SLA+CARBON
+	Runs   // fixed order: ENERGY-ONLY, SLA-AWARE, SLA+CARBON
 }
 
 // Names of the compared configurations.
@@ -243,19 +205,10 @@ const (
 	SLARunCarbon     = "SLA+CARBON"
 )
 
-// Run returns the named configuration's outcome, or false.
-func (r *SLAResult) Run(name string) (SLARun, bool) {
-	for _, run := range r.Runs {
-		if run.Name == name {
-			return run, true
-		}
-	}
-	return SLARun{}, false
-}
-
-// slaPlatform is the trimmed Table I platform the SLA-family studies
-// share: two nodes per cluster — real placement choices across both
-// grid sites without the idle floor drowning the workload energy.
+// slaPlatform is the trimmed Table I platform the carbon- and
+// SLA-family studies share: two nodes per cluster — real placement
+// choices across both grid sites without the idle floor drowning the
+// workload energy.
 func slaPlatform() *cluster.Platform {
 	return cluster.MustPlatform(
 		cluster.NewNodes("orion", 2),
@@ -344,66 +297,28 @@ func RunSLAStudy(cfg SLAConfig) (*SLAResult, error) {
 		),
 	)
 
-	out := &SLAResult{Config: cfg}
-	for _, c := range []struct {
-		name string
-		cfg  sim.Config
-	}{
-		{SLARunEnergyOnly, only},
-		{SLARunAware, aware},
-		{SLARunCarbon, green},
-	} {
-		res, err := sim.Run(c.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: sla %s: %w", c.name, err)
-		}
-		run := SLARun{
-			Name:          c.name,
-			EnergyJ:       float64(res.EnergyJ),
-			CO2Grams:      res.CO2Grams,
-			Makespan:      res.Makespan,
-			MeanWait:      res.MeanWait(),
-			Misses:        res.DeadlineMisses,
-			Rejected:      res.Rejected,
-			JoulesPerTask: res.JoulesPerTask(),
-			GramsPerTask:  res.GramsPerTask(),
-		}
-		if res.SLA != nil {
-			run.EarnedUSD = res.SLA.EarnedUSD
-			run.ForfeitedUSD = res.SLA.ForfeitedUSD
-			run.PenaltyUSD = res.SLA.PenaltyUSD
-			run.OnTime = res.SLA.OnTime
-			run.GramsPerUSD = res.SLA.GramsPerUSD
-			run.PerClass = res.SLA.PerClass
-		}
-		out.Runs = append(out.Runs, run)
+	runs, err := runVariants("sla",
+		variant{name: SLARunEnergyOnly, cfg: only},
+		variant{name: SLARunAware, cfg: aware},
+		variant{name: SLARunCarbon, cfg: green},
+	)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &SLAResult{Config: cfg, Runs: runs}, nil
 }
 
 // Table renders the comparison.
 func (r *SLAResult) Table() *report.Table {
-	t := &report.Table{
-		Title: fmt.Sprintf("SLA-aware scheduling: %d batch + %d deadline (+%d hopeless) + %d interactive tasks from %02.0f:00",
-			r.Config.BatchTasks, r.Config.DeadlineTasks, r.Config.HopelessTasks,
-			r.Config.InteractiveTasks, r.Config.StartHour),
-		Headers: []string{"Configuration", "Earned ($)", "Forfeited ($)", "Penalties ($)",
-			"Late", "Rejected", "Energy (MJ)", "CO2 (g)", "g/task", "Makespan (h)"},
-	}
-	for _, run := range r.Runs {
-		t.AddRow(run.Name,
-			fmt.Sprintf("%.2f", run.EarnedUSD),
-			fmt.Sprintf("%.2f", run.ForfeitedUSD),
-			fmt.Sprintf("%.2f", run.PenaltyUSD),
-			fmt.Sprintf("%d", run.Misses),
-			fmt.Sprintf("%d", run.Rejected),
-			fmt.Sprintf("%.2f", run.EnergyJ/1e6),
-			fmt.Sprintf("%.0f", run.CO2Grams),
-			fmt.Sprintf("%.2f", run.GramsPerTask),
-			fmt.Sprintf("%.1f", run.Makespan/3600),
-		)
-	}
-	return t
+	return r.Runs.table(fmt.Sprintf("SLA-aware scheduling: %d batch + %d deadline (+%d hopeless) + %d interactive tasks from %02.0f:00",
+		r.Config.BatchTasks, r.Config.DeadlineTasks, r.Config.HopelessTasks,
+		r.Config.InteractiveTasks, r.Config.StartHour),
+		column{"Earned ($)", func(r Run) string { return fmt.Sprintf("%.2f", r.SLA.EarnedUSD) }},
+		colForfeited,
+		column{"Penalties ($)", func(r Run) string { return fmt.Sprintf("%.2f", r.SLA.PenaltyUSD) }},
+		colLate, colRejected, colEnergyMJ, colCO2,
+		column{"g/task", func(r Run) string { return fmt.Sprintf("%.2f", r.GramsPerTask()) }},
+		colMakespanH)
 }
 
 // Render writes the table plus the headline trade-off.
@@ -418,13 +333,13 @@ func (r *SLAResult) Render(w io.Writer) error {
 		return nil
 	}
 	fmt.Fprintf(w, "\n%s recovers $%.2f of revenue lost by %s at %+.1f%% energy; %s also cuts CO2 %.1f%% (%s, makespan bound %.1f h, actual %.1f h)\n",
-		SLARunAware, only.ForfeitedUSD+only.PenaltyUSD-aware.ForfeitedUSD-aware.PenaltyUSD,
+		SLARunAware, only.SLA.ForfeitedUSD+only.SLA.PenaltyUSD-aware.SLA.ForfeitedUSD-aware.SLA.PenaltyUSD,
 		SLARunEnergyOnly, (aware.EnergyJ/only.EnergyJ-1)*100,
 		SLARunCarbon, (1-green.CO2Grams/only.CO2Grams)*100,
-		report.PerTask(green.JoulesPerTask, green.GramsPerTask),
+		report.PerTask(green.JoulesPerTask(), green.GramsPerTask()),
 		r.Config.MakespanBound()/3600, green.Makespan/3600)
 	fmt.Fprintf(w, "\nPer-class ledger (%s):\n", SLARunCarbon)
-	for _, a := range green.PerClass {
+	for _, a := range green.SLA.PerClass {
 		fmt.Fprintf(w, "  %s\n", a.Line())
 	}
 	return nil

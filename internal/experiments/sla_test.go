@@ -26,16 +26,16 @@ func TestSLAStudyAcceptance(t *testing.T) {
 		t.Fatalf("missing runs: %+v", res.Runs)
 	}
 
-	lossOnly := only.ForfeitedUSD + only.PenaltyUSD
-	lossAware := aware.ForfeitedUSD + aware.PenaltyUSD
-	lossGreen := green.ForfeitedUSD + green.PenaltyUSD
+	lossOnly := only.SLA.ForfeitedUSD + only.SLA.PenaltyUSD
+	lossAware := aware.SLA.ForfeitedUSD + aware.SLA.PenaltyUSD
+	lossGreen := green.SLA.ForfeitedUSD + green.SLA.PenaltyUSD
 
 	// (1a) The revenue-loss cut is decisive, not marginal.
 	if lossAware >= 0.25*lossOnly {
 		t.Errorf("SLA-aware loss $%.2f not measurably below energy-only $%.2f", lossAware, lossOnly)
 	}
-	if aware.EarnedUSD <= 2*only.EarnedUSD {
-		t.Errorf("SLA-aware earned $%.2f, not decisively above energy-only $%.2f", aware.EarnedUSD, only.EarnedUSD)
+	if aware.SLA.EarnedUSD <= 2*only.SLA.EarnedUSD {
+		t.Errorf("SLA-aware earned $%.2f, not decisively above energy-only $%.2f", aware.SLA.EarnedUSD, only.SLA.EarnedUSD)
 	}
 	// (1b) …at bounded extra energy.
 	if aware.EnergyJ > 1.10*only.EnergyJ {
@@ -50,8 +50,8 @@ func TestSLAStudyAcceptance(t *testing.T) {
 
 	// (2a) The carbon run keeps the SLA discipline: deadline misses
 	// stay at SLA-aware levels, nowhere near the blind baseline's.
-	if green.Misses > aware.Misses+2 {
-		t.Errorf("SLA+carbon misses %d regress well past SLA-aware %d", green.Misses, aware.Misses)
+	if green.DeadlineMisses > aware.DeadlineMisses+2 {
+		t.Errorf("SLA+carbon misses %d regress well past SLA-aware %d", green.DeadlineMisses, aware.DeadlineMisses)
 	}
 	if lossGreen >= 0.25*lossOnly {
 		t.Errorf("SLA+carbon loss $%.2f not measurably below energy-only $%.2f", lossGreen, lossOnly)
@@ -61,8 +61,8 @@ func TestSLAStudyAcceptance(t *testing.T) {
 	if green.CO2Grams >= 0.5*only.CO2Grams {
 		t.Errorf("SLA+carbon CO2 %.0f g not measurably below energy-only %.0f g", green.CO2Grams, only.CO2Grams)
 	}
-	if green.GramsPerTask >= 0.5*only.GramsPerTask {
-		t.Errorf("per-task CO2 %.2f g not measurably below %.2f g", green.GramsPerTask, only.GramsPerTask)
+	if green.GramsPerTask() >= 0.5*only.GramsPerTask() {
+		t.Errorf("per-task CO2 %.2f g not measurably below %.2f g", green.GramsPerTask(), only.GramsPerTask())
 	}
 	// (2c) Deferral happened (the windows were respected, so the batch
 	// waited) and stayed inside the declared bound.
@@ -79,8 +79,8 @@ func TestSLAStudyAcceptance(t *testing.T) {
 		t.Errorf("energy-only loss $%.2f too small for a meaningful comparison", lossOnly)
 	}
 	// Per-class ledgers surface in the carbon run.
-	if len(green.PerClass) < 3 {
-		t.Errorf("per-class ledger incomplete: %+v", green.PerClass)
+	if len(green.SLA.PerClass) < 3 {
+		t.Errorf("per-class ledger incomplete: %+v", green.SLA.PerClass)
 	}
 }
 

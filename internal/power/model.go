@@ -158,13 +158,3 @@ func (a *Accumulator) LastPower() Watts {
 
 // Reset zeroes the accumulated total, keeping the cursor.
 func (a *Accumulator) Reset() { a.total = 0 }
-
-// MeanWatts returns total energy divided by a window length; it is the
-// "average power consumption" the dynamic GreenPerf estimator uses.
-// Returns 0 for non-positive windows.
-func MeanWatts(e Joules, window float64) Watts {
-	if window <= 0 {
-		return 0
-	}
-	return e / window
-}

@@ -379,15 +379,6 @@ func TestEstimatorRecency(t *testing.T) {
 	}
 }
 
-func TestHelperMetrics(t *testing.T) {
-	if MeanWatts(1000, 10) != 100 {
-		t.Fatal("MeanWatts wrong")
-	}
-	if MeanWatts(1000, 0) != 0 {
-		t.Fatal("MeanWatts zero window should be 0")
-	}
-}
-
 func BenchmarkWattmeterObserve(b *testing.B) {
 	m := NewWattmeter(8192, 1)
 	b.ReportAllocs()

@@ -96,30 +96,3 @@ func TestSaveFileBadDirectory(t *testing.T) {
 		t.Fatal("unwritable directory accepted")
 	}
 }
-
-// TestRecordDemandXMLRoundTrip: the demand column survives the
-// Figure 8 plan schema.
-func TestRecordDemandXMLRoundTrip(t *testing.T) {
-	plan := &Plan{Records: []Record{
-		{Value: 10, Temperature: 21, Candidates: 4, Cost: 0.6, DemandFlops: 3.5e11},
-		{Value: 20, Temperature: 21, Candidates: 4, Cost: 0.6},
-	}}
-	data, err := plan.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "demand_flops") {
-		t.Fatalf("demand not serialized:\n%s", data)
-	}
-	// Records without demand omit the element.
-	if strings.Count(string(data), "demand_flops") != 2 { // open+close tags once
-		t.Fatalf("demand element count wrong:\n%s", data)
-	}
-	back, err := ParsePlan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Records[0].DemandFlops != 3.5e11 || back.Records[1].DemandFlops != 0 {
-		t.Fatalf("round trip: %+v", back.Records)
-	}
-}

@@ -29,15 +29,9 @@ type Record struct {
 	Cost        float64  `xml:"electricity_cost"`
 
 	// Carbon is the grid carbon intensity in gCO2/kWh at the record's
-	// timestamp (0 = not reported), as carbon.PlanRecords writes it.
-	// The §IV-C rules ignore it, so plans with and without it stay
-	// valid.
+	// timestamp (0 = not reported). The §IV-C rules ignore it, so
+	// plans with and without it stay valid.
 	Carbon float64 `xml:"carbon_intensity,omitempty"`
-
-	// DemandFlops is the forecast admitted demand in sustained flop/s
-	// at the record's timestamp (0 = not reported). The §IV-C rules
-	// ignore it.
-	DemandFlops float64 `xml:"demand_flops,omitempty"`
 
 	// Unexpected marks measurements that only become visible when
 	// they occur (the §IV-C heat events), as opposed to scheduled
