@@ -482,12 +482,16 @@ func runPlacement(out io.Writer, f studyFlags) error {
 	for _, n := range res.Platform.Nodes {
 		nodes = append(nodes, n.Name)
 	}
+	policy := func(kind sched.Kind) *sim.Result {
+		run, _ := res.Run(string(kind))
+		return run.Result
+	}
 	files := map[string]string{
-		"fig2_power_tasks.csv":       tasksPerNodeCSV(res.Runs[sched.Power], nodes),
-		"fig3_performance_tasks.csv": tasksPerNodeCSV(res.Runs[sched.Performance], nodes),
-		"fig4_random_tasks.csv":      tasksPerNodeCSV(res.Runs[sched.Random], nodes),
-		"fig5_power_energy.csv":      clusterEnergyCSV(res.Runs[sched.Power], res.Platform.Clusters()),
-		"fig5_random_energy.csv":     clusterEnergyCSV(res.Runs[sched.Random], res.Platform.Clusters()),
+		"fig2_power_tasks.csv":       tasksPerNodeCSV(policy(sched.Power), nodes),
+		"fig3_performance_tasks.csv": tasksPerNodeCSV(policy(sched.Performance), nodes),
+		"fig4_random_tasks.csv":      tasksPerNodeCSV(policy(sched.Random), nodes),
+		"fig5_power_energy.csv":      clusterEnergyCSV(policy(sched.Power), res.Platform.Clusters()),
+		"fig5_random_energy.csv":     clusterEnergyCSV(policy(sched.Random), res.Platform.Clusters()),
 	}
 	for name, data := range files {
 		if err := os.WriteFile(filepath.Join(csvDir, name), []byte(data), 0o644); err != nil {

@@ -690,3 +690,28 @@ func TestCSVGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestReplicateGolden pins `greensched replicate -seeds 3` — the one
+// seeded study `all` leaves out. Regenerate after a deliberate change
+// to an experiment with:
+//
+//	UPDATE_GOLDEN=1 go test ./cmd/greensched/ -run TestReplicateGolden
+func TestReplicateGolden(t *testing.T) {
+	var buf strings.Builder
+	if err := run([]string{"replicate", "-seeds", "3"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	golden := filepath.Join("testdata", "replicate.seeds3.golden")
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(buf.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf.String() != string(want) {
+		t.Fatalf("`greensched replicate -seeds 3` drifted from golden:\n got: %q\nwant: %q", buf.String(), want)
+	}
+}

@@ -110,10 +110,7 @@ func RunConsolidation(cfg ConsolidationConfig) (*ConsolidationResult, error) {
 // Table renders the comparison.
 func (r *ConsolidationResult) Table() *report.Table {
 	return r.Runs.table("Consolidation baseline vs always-on policies (under-utilized workload)",
-		column{"Energy (J)", func(r Run) string { return fmt.Sprintf("%.0f", r.EnergyJ) }},
-		column{"Makespan (s)", func(r Run) string { return fmt.Sprintf("%.0f", r.Makespan) }},
-		column{"Mean wait (s)", func(r Run) string { return fmt.Sprintf("%.1f", r.MeanWait()) }},
-		colBoots, colShutdowns)
+		colEnergyJ, colMakespanS, colMeanWait, colBoots, colShutdowns)
 }
 
 // Render writes the table plus the headline saving of consolidation

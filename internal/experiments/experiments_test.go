@@ -26,9 +26,9 @@ func placement(t *testing.T) *PlacementResult {
 
 func TestTable2ShapeMatchesPaper(t *testing.T) {
 	r := placement(t)
-	rd := r.Runs[sched.Random]
-	pw := r.Runs[sched.Power]
-	pf := r.Runs[sched.Performance]
+	rd := r.kind(sched.Random)
+	pw := r.kind(sched.Power)
+	pf := r.kind(sched.Performance)
 
 	// Energy ordering: POWER < PERFORMANCE < RANDOM.
 	if !(pw.EnergyJ < pf.EnergyJ && pf.EnergyJ < rd.EnergyJ) {
@@ -55,16 +55,16 @@ func TestTable2ShapeMatchesPaper(t *testing.T) {
 		t.Errorf("makespan loss = %.1f%%, want (0,6%%]", loss*100)
 	}
 	// Makespans land in the paper's regime (≈2,200-2,400 s).
-	for kind, res := range r.Runs {
+	for _, res := range r.Runs {
 		if res.Makespan < 1800 || res.Makespan > 2800 {
-			t.Errorf("%s makespan %.0f outside the paper regime", kind, res.Makespan)
+			t.Errorf("%s makespan %.0f outside the paper regime", res.Name, res.Makespan)
 		}
 	}
 }
 
 func TestFigure2PowerPrefersTaurus(t *testing.T) {
 	r := placement(t)
-	res := r.Runs[sched.Power]
+	res := r.kind(sched.Power)
 	taurus := res.PerClusterTasks["taurus"]
 	orion := res.PerClusterTasks["orion"]
 	sag := res.PerClusterTasks["sagittaire"]
@@ -85,7 +85,7 @@ func TestFigure2PowerPrefersTaurus(t *testing.T) {
 
 func TestFigure3PerformancePrefersOrion(t *testing.T) {
 	r := placement(t)
-	res := r.Runs[sched.Performance]
+	res := r.kind(sched.Performance)
 	if res.PerClusterTasks["orion"] <= res.PerClusterTasks["taurus"] {
 		t.Fatalf("PERFORMANCE should prefer orion: %v", res.PerClusterTasks)
 	}
@@ -96,7 +96,7 @@ func TestFigure3PerformancePrefersOrion(t *testing.T) {
 
 func TestFigure4RandomUsesEverythingSagittaireLeast(t *testing.T) {
 	r := placement(t)
-	res := r.Runs[sched.Random]
+	res := r.kind(sched.Random)
 	for _, n := range r.Platform.Nodes {
 		if res.PerNodeTasks[n.Name] == 0 {
 			t.Errorf("RANDOM left node %s unused", n.Name)
@@ -115,8 +115,8 @@ func TestFigure5ClusterEnergyShape(t *testing.T) {
 	r := placement(t)
 	// RANDOM keeps all clusters active: each cluster burns more under
 	// RANDOM than under the policy that avoids it.
-	rd := r.Runs[sched.Random].PerClusterEnergy
-	pw := r.Runs[sched.Power].PerClusterEnergy
+	rd := r.kind(sched.Random).PerClusterEnergy
+	pw := r.kind(sched.Power).PerClusterEnergy
 	if rd["orion"] <= pw["orion"] {
 		t.Errorf("orion energy under RANDOM (%.0f) should exceed POWER (%.0f)", rd["orion"], pw["orion"])
 	}
@@ -124,10 +124,10 @@ func TestFigure5ClusterEnergyShape(t *testing.T) {
 		t.Errorf("sagittaire energy under RANDOM should exceed POWER")
 	}
 	// Every cluster consumed something (idle floor) under every policy.
-	for kind, run := range r.Runs {
+	for _, run := range r.Runs {
 		for _, cl := range r.Platform.Clusters() {
 			if run.PerClusterEnergy[cl] <= 0 {
-				t.Errorf("%s: cluster %s has no energy", kind, cl)
+				t.Errorf("%s: cluster %s has no energy", run.Name, cl)
 			}
 		}
 	}
@@ -159,9 +159,21 @@ func TestPlacementStaticAblationStillGreen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Runs[sched.Power].EnergyJ >= res.Runs[sched.Random].EnergyJ {
+	if res.kind(sched.Power).EnergyJ >= res.kind(sched.Random).EnergyJ {
 		t.Error("static POWER should still beat RANDOM on energy")
 	}
+}
+
+// metricPoints returns a metric study's G, GP and P runs.
+func metricPoints(t *testing.T, res *MetricResult) (g, gp, p Run) {
+	t.Helper()
+	g, ok1 := res.Run("G")
+	gp, ok2 := res.Run("GP")
+	p, ok3 := res.Run("P")
+	if !ok1 || !ok2 || !ok3 {
+		t.Fatal("missing points")
+	}
+	return g, gp, p
 }
 
 func TestMetricStudyLowHeterogeneity(t *testing.T) {
@@ -169,10 +181,7 @@ func TestMetricStudyLowHeterogeneity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, gp, p := res.Point("G"), res.Point("GP"), res.Point("P")
-	if g == nil || gp == nil || p == nil {
-		t.Fatal("missing points")
-	}
+	g, gp, p := metricPoints(t, res)
 	// Figure 6's message: with two similar server types GP collapses
 	// onto G — the ratio cannot trade anything off.
 	if gp.EnergyJ != g.EnergyJ || gp.Makespan != g.Makespan {
@@ -190,7 +199,7 @@ func TestMetricStudyHighHeterogeneity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, gp, p := res.Point("G"), res.Point("GP"), res.Point("P")
+	g, gp, p := metricPoints(t, res)
 	// Figure 7's message: GP achieves "a better tradeoff between POWER
 	// and PERFORMANCE" — faster than G, greener than P.
 	if gp.Makespan >= g.Makespan {
@@ -213,6 +222,11 @@ func TestMetricStudyHighHeterogeneity(t *testing.T) {
 func TestMetricStudyValidation(t *testing.T) {
 	if _, err := RunMetricStudy(MetricConfig{}, cluster.LowHeterogeneityPlatform()); err == nil {
 		t.Fatal("zero config accepted")
+	}
+	cfg := DefaultMetricConfig()
+	cfg.RandomRuns = 0
+	if _, err := RunMetricStudy(cfg, cluster.LowHeterogeneityPlatform()); err == nil {
+		t.Fatal("zero RANDOM runs accepted")
 	}
 }
 

@@ -15,25 +15,13 @@ import (
 	"greensched/internal/workload"
 )
 
-// PreferencePoint is one sample of the Eq. 6 trade-off curve.
-type PreferencePoint struct {
-	Pref     float64
-	Makespan float64
-	// EnergyJ is whole-platform energy over the makespan (includes
-	// the idle floor of every node).
-	EnergyJ float64
-	// TaskEnergyJ is the Eq. 5-attributed energy: Σ measured mean
-	// power × execution time over all tasks — the quantity the score
-	// actually optimizes.
-	TaskEnergyJ float64
-}
-
 // RunPreferenceSweep is an extension experiment: it sweeps
 // Preference_user across the Eq. 2 range and schedules the same
 // workload with the Eq. 6 score policy at each point, tracing the
 // performance↔efficiency frontier the paper's preference model spans
-// (Eq. 7's limits become the curve's endpoints).
-func RunPreferenceSweep(steps int, seed int64) ([]PreferencePoint, error) {
+// (Eq. 7's limits become the curve's endpoints). Each run is named
+// after its preference ("%+.2f"), from −0.90 to +0.90.
+func RunPreferenceSweep(steps int, seed int64) (Runs, error) {
 	if steps < 2 {
 		return nil, fmt.Errorf("experiments: sweep needs at least 2 steps")
 	}
@@ -45,34 +33,21 @@ func RunPreferenceSweep(steps int, seed int64) ([]PreferencePoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]PreferencePoint, 0, steps)
+	vs := make([]variant, 0, steps)
 	for i := 0; i < steps; i++ {
 		p := -0.9 + 1.8*float64(i)/float64(steps-1)
-		res, err := sim.Run(sim.Config{
+		vs = append(vs, variant{name: fmt.Sprintf("%+.2f", p), cfg: sim.Config{
 			Platform:    platform,
 			Policy:      sched.ScorePolicy{Ops: 9.0e11, Pref: core.UserPref(p)},
 			Tasks:       tasks,
 			Explore:     true,
 			RankAll:     true, // the score's wait term prices queueing
 			QueueFactor: 4,
-			Contention:  0.08,
+			Contention:  contention,
 			Seed:        seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: sweep P=%.2f: %w", p, err)
-		}
-		taskEnergy := 0.0
-		for _, rec := range res.Records {
-			taskEnergy += rec.MeanPowerW * rec.Exec()
-		}
-		out = append(out, PreferencePoint{
-			Pref:        p,
-			Makespan:    res.Makespan,
-			EnergyJ:     res.EnergyJ,
-			TaskEnergyJ: taskEnergy,
-		})
+		}})
 	}
-	return out, nil
+	return runVariants("sweep", vs...)
 }
 
 // TariffResult summarizes the multi-day tariff-driven provisioning
@@ -134,16 +109,10 @@ func RenderExtensions(w io.Writer, seed int64) error {
 	if err != nil {
 		return err
 	}
-	t := &report.Table{
-		Title:   "Extension A. Eq. 6 preference sweep (score policy, 500 tasks)",
-		Headers: []string{"Preference_user", "Makespan (s)", "Task energy (J)", "Platform energy (J)"},
-	}
-	for _, p := range sweep {
-		t.AddRow(fmt.Sprintf("%+.2f", p.Pref),
-			fmt.Sprintf("%.0f", p.Makespan),
-			fmt.Sprintf("%.0f", p.TaskEnergyJ),
-			fmt.Sprintf("%.0f", p.EnergyJ))
-	}
+	t := sweep.table("Extension A. Eq. 6 preference sweep (score policy, 500 tasks)", colMakespanS,
+		column{"Task energy (J)", func(r Run) string { return fmt.Sprintf("%.0f", r.TaskEnergyJ()) }},
+		column{"Platform energy (J)", func(r Run) string { return fmt.Sprintf("%.0f", r.EnergyJ) }})
+	t.Headers[0] = "Preference_user"
 	if err := t.Render(w); err != nil {
 		return err
 	}
@@ -172,9 +141,7 @@ func RenderExtensions(w io.Writer, seed int64) error {
 		return err
 	}
 
-	hetCfg := DefaultHeterogeneityConfig()
-	hetCfg.Seed = seed
-	het, err := RunHeterogeneitySweep(hetCfg, []float64{0.1, 0.25, 0.5, 0.75, 1.0})
+	het, err := RunHeterogeneitySweep(heterogeneitySweepConfig(seed), []float64{0.1, 0.25, 0.5, 0.75, 1.0})
 	if err != nil {
 		return err
 	}
@@ -188,8 +155,7 @@ func RenderExtensions(w io.Writer, seed int64) error {
 // situates the paper's three policies against what a plain load
 // balancer already achieves and what the hybrid metric buys.
 type BaselineBakeoff struct {
-	Order []sched.Kind
-	Runs  map[sched.Kind]*sim.Result
+	Runs // RANDOM, LEASTLOADED, PERFORMANCE, GREENPERF, POWER
 }
 
 // RunBaselineBakeoff executes the five policies on the calibrated
@@ -197,50 +163,22 @@ type BaselineBakeoff struct {
 func RunBaselineBakeoff(seed int64) (*BaselineBakeoff, error) {
 	cfg := DefaultPlacementConfig()
 	cfg.Seed = seed
-	platform := cluster.PaperPlatform()
-	total := workload.PerCore(platform.Cores(), cfg.ReqsPerCore)
-	tasks, err := workload.BurstThenRate{
-		Total: total, Burst: int(float64(total) * cfg.BurstFrac), Rate: cfg.Rate, Ops: cfg.TaskOps,
-	}.Tasks()
+	vs, err := cfg.variants(cluster.PaperPlatform(),
+		sched.Random, sched.LeastLoaded, sched.Performance, sched.GreenPerf, sched.Power)
 	if err != nil {
 		return nil, err
 	}
-	out := &BaselineBakeoff{
-		Order: []sched.Kind{sched.Random, sched.LeastLoaded, sched.Performance, sched.GreenPerf, sched.Power},
-		Runs:  make(map[sched.Kind]*sim.Result),
+	runs, err := runVariants("bakeoff", vs...)
+	if err != nil {
+		return nil, err
 	}
-	for _, kind := range out.Order {
-		res, err := sim.Run(sim.Config{
-			Platform:        platform,
-			Policy:          sched.New(kind),
-			Tasks:           tasks,
-			Explore:         kind != sched.Random && kind != sched.LeastLoaded,
-			Seed:            cfg.Seed,
-			Contention:      cfg.Contention,
-			ExecJitter:      cfg.ExecJitter,
-			MeterNoiseW:     cfg.MeterNoise,
-			EstimatorWindow: 32,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: bakeoff %s: %w", kind, err)
-		}
-		out.Runs[kind] = res
-	}
-	return out, nil
+	return &BaselineBakeoff{Runs: runs}, nil
 }
 
 // Table renders the five-policy comparison.
 func (b *BaselineBakeoff) Table() *report.Table {
-	t := &report.Table{
-		Title:   "Extension C. Five-policy bake-off on the Table II workload",
-		Headers: []string{"Policy", "Makespan (s)", "Energy (J)", "Mean wait (s)"},
-	}
-	for _, kind := range b.Order {
-		res := b.Runs[kind]
-		t.AddRow(string(kind),
-			fmt.Sprintf("%.0f", res.Makespan),
-			fmt.Sprintf("%.0f", res.EnergyJ),
-			fmt.Sprintf("%.1f", res.MeanWait()))
-	}
+	t := b.table("Extension C. Five-policy bake-off on the Table II workload",
+		colMakespanS, colEnergyJ, colMeanWait)
+	t.Headers[0] = "Policy"
 	return t
 }

@@ -16,8 +16,8 @@ func TestPreferenceSweepFrontier(t *testing.T) {
 	if len(sweep) != 5 {
 		t.Fatalf("points = %d", len(sweep))
 	}
-	if sweep[0].Pref != -0.9 || sweep[len(sweep)-1].Pref != 0.9 {
-		t.Fatalf("sweep range wrong: %v..%v", sweep[0].Pref, sweep[len(sweep)-1].Pref)
+	if sweep[0].Name != "-0.90" || sweep[len(sweep)-1].Name != "+0.90" {
+		t.Fatalf("sweep range wrong: %v..%v", sweep[0].Name, sweep[len(sweep)-1].Name)
 	}
 	first, last := sweep[0], sweep[len(sweep)-1]
 	// Eq. 7's limits: the performance end must be at least as fast,
@@ -27,11 +27,11 @@ func TestPreferenceSweepFrontier(t *testing.T) {
 	if last.Makespan < first.Makespan {
 		t.Errorf("P=+0.9 makespan %.0f faster than P=-0.9 %.0f", last.Makespan, first.Makespan)
 	}
-	if last.TaskEnergyJ > first.TaskEnergyJ {
-		t.Errorf("P=+0.9 task energy %.0f above P=-0.9 %.0f", last.TaskEnergyJ, first.TaskEnergyJ)
+	if last.TaskEnergyJ() > first.TaskEnergyJ() {
+		t.Errorf("P=+0.9 task energy %.0f above P=-0.9 %.0f", last.TaskEnergyJ(), first.TaskEnergyJ())
 	}
 	// The frontier actually moves (the knob does something).
-	if first.TaskEnergyJ == last.TaskEnergyJ && first.Makespan == last.Makespan {
+	if first.TaskEnergyJ() == last.TaskEnergyJ() && first.Makespan == last.Makespan {
 		t.Error("preference sweep is flat")
 	}
 	if _, err := RunPreferenceSweep(1, 1); err == nil {
@@ -103,10 +103,10 @@ func TestBaselineBakeoffShape(t *testing.T) {
 	if len(bake.Runs) != 5 {
 		t.Fatalf("got %d runs, want 5", len(bake.Runs))
 	}
-	pw := bake.Runs[sched.Power]
-	ll := bake.Runs[sched.LeastLoaded]
-	gp := bake.Runs[sched.GreenPerf]
-	rd := bake.Runs[sched.Random]
+	pw := bake.kind(sched.Power)
+	ll := bake.kind(sched.LeastLoaded)
+	gp := bake.kind(sched.GreenPerf)
+	rd := bake.kind(sched.Random)
 	// The energy-blind queue balancer must not beat the energy-aware
 	// policies on energy; POWER bounds the energy side.
 	if pw.EnergyJ >= ll.EnergyJ {
@@ -116,9 +116,9 @@ func TestBaselineBakeoffShape(t *testing.T) {
 		t.Errorf("GREENPERF energy %.0f not below RANDOM %.0f", gp.EnergyJ, rd.EnergyJ)
 	}
 	// Every policy completes the same task count in the same regime.
-	for kind, res := range bake.Runs {
+	for _, res := range bake.Runs {
 		if res.Makespan < 1500 || res.Makespan > 3500 {
-			t.Errorf("%s makespan %.0f outside the §IV-A regime", kind, res.Makespan)
+			t.Errorf("%s makespan %.0f outside the §IV-A regime", res.Name, res.Makespan)
 		}
 	}
 }
@@ -132,7 +132,7 @@ func TestBaselineBakeoffTable(t *testing.T) {
 	if err := bake.Table().Render(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"LEASTLOADED", "GREENPERF", "RANDOM"} {
+	for _, want := range []string{"Policy", "LEASTLOADED", "GREENPERF", "RANDOM"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("bakeoff table missing %q", want)
 		}

@@ -8,8 +8,6 @@ import (
 	"greensched/internal/cluster"
 	"greensched/internal/report"
 	"greensched/internal/sched"
-	"greensched/internal/sim"
-	"greensched/internal/workload"
 )
 
 // HeterogeneityPoint is one level of the continuum generalizing
@@ -46,36 +44,26 @@ type HeterogeneityResult struct {
 	Fit analysis.Fit
 }
 
-// HeterogeneityConfig parameterizes the continuum sweep. It drives the
-// §IV-A placement machinery (per-core slots, dynamic learning) rather
-// than the §IV-B one-task-per-server simulation: with hundreds of
-// placement decisions per run the G/GP/P geometry varies smoothly with
-// the platform knob instead of jumping at type-count quantization
-// boundaries.
-type HeterogeneityConfig struct {
-	ReqsPerCore int     // requests per available core
-	BurstFrac   float64 // fraction submitted as the opening burst
-	Rate        float64 // continuous-phase requests per second
-	TaskOps     float64 // flops per task
-	Seed        int64
-}
-
-// DefaultHeterogeneityConfig returns the calibrated sweep setup
-// (synthetic platforms have 96 cores; the load factor mirrors §IV-A).
-func DefaultHeterogeneityConfig() HeterogeneityConfig {
-	return HeterogeneityConfig{
-		ReqsPerCore: 5,
-		BurstFrac:   0.10,
-		Rate:        0.45,
-		TaskOps:     6.0e11, // ≈100 s on a base synthetic core
-		Seed:        1,
-	}
+// heterogeneitySweepConfig returns the calibrated continuum setup. It
+// drives the §IV-A placement machinery (per-core slots, dynamic
+// learning) rather than the §IV-B one-task-per-server simulation: with
+// hundreds of placement decisions per run the G/GP/P geometry varies
+// smoothly with the platform knob instead of jumping at type-count
+// quantization boundaries. Synthetic platforms have 96 cores; the
+// load factor mirrors §IV-A.
+func heterogeneitySweepConfig(seed int64) PlacementConfig {
+	cfg := DefaultPlacementConfig()
+	cfg.ReqsPerCore = 5
+	cfg.TaskOps = 6.0e11 // ≈100 s on a base synthetic core
+	cfg.Seed = seed
+	return cfg
 }
 
 // RunHeterogeneitySweep measures the G/GP/P geometry on synthetic
 // platforms across the given spread levels (each > 0; at spread 0 the
-// G/GP/P points coincide by construction).
-func RunHeterogeneitySweep(cfg HeterogeneityConfig, spreads []float64) (*HeterogeneityResult, error) {
+// G/GP/P points coincide by construction), replaying cfg's §IV-A
+// workload on each.
+func RunHeterogeneitySweep(cfg PlacementConfig, spreads []float64) (*HeterogeneityResult, error) {
 	if len(spreads) < 2 {
 		return nil, fmt.Errorf("experiments: heterogeneity sweep needs >=2 levels")
 	}
@@ -88,50 +76,20 @@ func RunHeterogeneitySweep(cfg HeterogeneityConfig, spreads []float64) (*Heterog
 		if err != nil {
 			return nil, err
 		}
-		total := workload.PerCore(platform.Cores(), cfg.ReqsPerCore)
-		tasks, err := workload.BurstThenRate{
-			Total: total, Burst: int(float64(total) * cfg.BurstFrac), Rate: cfg.Rate, Ops: cfg.TaskOps,
-		}.Tasks()
+		vs, err := cfg.variants(platform, sched.Power, sched.GreenPerf, sched.Performance)
 		if err != nil {
 			return nil, err
 		}
-		point := make(map[string]*sim.Result, 3)
-		for label, kind := range map[string]sched.Kind{
-			"G": sched.Power, "GP": sched.GreenPerf, "P": sched.Performance,
-		} {
-			res, err := sim.Run(sim.Config{
-				Platform:        platform,
-				Policy:          sched.New(kind),
-				Tasks:           tasks,
-				Explore:         true,
-				Seed:            cfg.Seed,
-				Contention:      0.08,
-				ExecJitter:      0.02,
-				MeterNoiseW:     2,
-				EstimatorWindow: 32,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: heterogeneity spread %v %s: %w", s, kind, err)
-			}
-			point[label] = res
+		runs, err := runVariants(fmt.Sprintf("heterogeneity spread %v", s), vs...)
+		if err != nil {
+			return nil, err
 		}
-		g, gp, p := point["G"], point["GP"], point["P"]
-		minT := min3(g.Makespan, gp.Makespan, p.Makespan)
-		maxT := max3(g.Makespan, gp.Makespan, p.Makespan)
-		minE := min3(g.EnergyJ, gp.EnergyJ, p.EnergyJ)
-		maxE := max3(g.EnergyJ, gp.EnergyJ, p.EnergyJ)
-		quality := 0.0
-		if maxT > minT {
-			quality += (gp.Makespan - minT) / (maxT - minT) / 2
-		}
-		if maxE > minE {
-			quality += (gp.EnergyJ - minE) / (maxE - minE) / 2
-		}
+		makespanRange, energyRange, quality := gpGeometry(runs)
 		out.Points = append(out.Points, HeterogeneityPoint{
 			Spread:         s,
 			HetIndex:       platform.HeterogeneityIndex(),
-			MakespanSpread: (maxT - minT) / minT * 100,
-			EnergySpread:   (maxE - minE) / minE * 100,
+			MakespanSpread: makespanRange * 100,
+			EnergySpread:   energyRange * 100,
 			Quality:        quality,
 		})
 	}

@@ -60,7 +60,7 @@ func TestSyntheticPlatformValidation(t *testing.T) {
 func TestHeterogeneitySweepTradeoffSpaceGrows(t *testing.T) {
 	// Three levels, and the five `greensched extensions` prints.
 	for _, spreads := range [][]float64{{0.1, 0.5, 1.0}, {0.1, 0.25, 0.5, 0.75, 1.0}} {
-		res, err := RunHeterogeneitySweep(DefaultHeterogeneityConfig(), spreads)
+		res, err := RunHeterogeneitySweep(heterogeneitySweepConfig(1), spreads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,16 +88,16 @@ func TestHeterogeneitySweepTradeoffSpaceGrows(t *testing.T) {
 }
 
 func TestHeterogeneitySweepValidation(t *testing.T) {
-	if _, err := RunHeterogeneitySweep(DefaultHeterogeneityConfig(), []float64{0.5}); err == nil {
+	if _, err := RunHeterogeneitySweep(heterogeneitySweepConfig(1), []float64{0.5}); err == nil {
 		t.Error("single level must error")
 	}
-	if _, err := RunHeterogeneitySweep(DefaultHeterogeneityConfig(), []float64{0, 0.5}); err == nil {
+	if _, err := RunHeterogeneitySweep(heterogeneitySweepConfig(1), []float64{0, 0.5}); err == nil {
 		t.Error("zero spread must error")
 	}
 }
 
 func TestHeterogeneitySweepRender(t *testing.T) {
-	res, err := RunHeterogeneitySweep(DefaultHeterogeneityConfig(), []float64{0.2, 0.8})
+	res, err := RunHeterogeneitySweep(heterogeneitySweepConfig(1), []float64{0.2, 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}

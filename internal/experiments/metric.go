@@ -39,18 +39,10 @@ func DefaultMetricConfig() MetricConfig {
 	}
 }
 
-// MetricPoint is one labelled figure coordinate.
-type MetricPoint struct {
-	Label    string // "G", "GP" or "P"
-	Policy   string
-	Makespan float64
-	EnergyJ  float64
-}
-
 // MetricResult holds one figure's data.
 type MetricResult struct {
 	Platform *cluster.Platform
-	Points   []MetricPoint
+	Runs                       // the labelled points: "G", "GP" and "P", in that order
 	Random   analysis.Envelope // min/max area over the RANDOM runs
 }
 
@@ -58,92 +50,54 @@ type MetricResult struct {
 // (use cluster.LowHeterogeneityPlatform for Figure 6 and
 // cluster.HighHeterogeneityPlatform for Figure 7).
 func RunMetricStudy(cfg MetricConfig, platform *cluster.Platform) (*MetricResult, error) {
-	if cfg.TasksPerClient <= 0 || cfg.ClientRate <= 0 || cfg.TaskOps <= 0 {
-		return nil, fmt.Errorf("experiments: metric study needs positive tasks, rate and ops")
-	}
-	if cfg.RandomRuns <= 0 {
-		cfg.RandomRuns = 10
+	if cfg.TasksPerClient <= 0 || cfg.ClientRate <= 0 || cfg.TaskOps <= 0 || cfg.RandomRuns <= 0 {
+		return nil, fmt.Errorf("experiments: metric study needs positive tasks, rate, ops and RANDOM runs")
 	}
 	// Two clients submitting the same stream shape (§IV-B: "2 clients
 	// submitting requests").
-	mkTasks := func() ([]workload.Task, error) {
-		c1, err := workload.BurstThenRate{
-			Total: cfg.TasksPerClient, Burst: 1, Rate: cfg.ClientRate, Ops: cfg.TaskOps,
-		}.Tasks()
-		if err != nil {
-			return nil, err
-		}
-		c2, err := workload.BurstThenRate{
-			Total: cfg.TasksPerClient, Burst: 1, Rate: cfg.ClientRate, Ops: cfg.TaskOps,
-		}.Tasks()
-		if err != nil {
-			return nil, err
-		}
-		return workload.Merge(c1, c2), nil
-	}
-	tasks, err := mkTasks()
+	client, err := workload.BurstThenRate{
+		Total: cfg.TasksPerClient, Burst: 1, Rate: cfg.ClientRate, Ops: cfg.TaskOps,
+	}.Tasks()
 	if err != nil {
 		return nil, err
 	}
+	tasks := workload.Merge(client, client)
 
-	run := func(policy sched.Policy, seed int64) (*sim.Result, error) {
-		return sim.Run(sim.Config{
+	v := func(name string, kind sched.Kind, seed int64) variant {
+		return variant{name: name, cfg: sim.Config{
 			Platform:     platform,
-			Policy:       policy,
+			Policy:       sched.New(kind),
 			Tasks:        tasks,
 			SlotsPerNode: 1,    // §IV-B: one task per server
 			Static:       true, // seeded from the initial benchmark
 			Seed:         seed,
-		})
+		}}
+	}
+	runs, err := runVariants("metric study",
+		v("G", sched.Power, cfg.Seed), v("GP", sched.GreenPerf, cfg.Seed), v("P", sched.Performance, cfg.Seed))
+	if err != nil {
+		return nil, err
 	}
 
-	out := &MetricResult{Platform: platform}
-	for _, p := range []struct {
-		label string
-		kind  sched.Kind
-	}{
-		{"G", sched.Power},
-		{"GP", sched.GreenPerf},
-		{"P", sched.Performance},
-	} {
-		res, err := run(sched.New(p.kind), cfg.Seed)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: metric study %s: %w", p.kind, err)
-		}
-		out.Points = append(out.Points, MetricPoint{
-			Label:    p.label,
-			Policy:   string(p.kind),
-			Makespan: res.Makespan,
-			EnergyJ:  res.EnergyJ,
-		})
-	}
-
-	xs := make([]float64, 0, cfg.RandomRuns)
-	ys := make([]float64, 0, cfg.RandomRuns)
+	random := make([]variant, 0, cfg.RandomRuns)
 	for i := 0; i < cfg.RandomRuns; i++ {
-		res, err := run(sched.New(sched.Random), cfg.Seed+int64(i)*7919)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: metric study RANDOM run %d: %w", i, err)
-		}
-		xs = append(xs, res.Makespan)
-		ys = append(ys, res.EnergyJ)
+		random = append(random, v(fmt.Sprintf("RANDOM run %d", i), sched.Random, cfg.Seed+int64(i)*7919))
+	}
+	randomRuns, err := runVariants("metric study", random...)
+	if err != nil {
+		return nil, err
+	}
+	xs := make([]float64, 0, len(randomRuns))
+	ys := make([]float64, 0, len(randomRuns))
+	for _, r := range randomRuns {
+		xs = append(xs, r.Makespan)
+		ys = append(ys, r.EnergyJ)
 	}
 	env, err := analysis.EnvelopeOf(xs, ys)
 	if err != nil {
 		return nil, err
 	}
-	out.Random = env
-	return out, nil
-}
-
-// Point returns the labelled point ("G", "GP", "P"), or nil.
-func (r *MetricResult) Point(label string) *MetricPoint {
-	for i := range r.Points {
-		if r.Points[i].Label == label {
-			return &r.Points[i]
-		}
-	}
-	return nil
+	return &MetricResult{Platform: platform, Runs: runs, Random: env}, nil
 }
 
 // TradeoffQuality quantifies Figure 7's claim that GP is "a better
@@ -151,14 +105,19 @@ func (r *MetricResult) Point(label string) *MetricPoint {
 // distance from the ideal corner (min makespan of G/GP/P, min energy
 // of G/GP/P) relative to the G–P spread; smaller is better.
 func (r *MetricResult) TradeoffQuality() float64 {
-	g, gp, p := r.Point("G"), r.Point("GP"), r.Point("P")
-	if g == nil || gp == nil || p == nil {
-		return 1
-	}
-	minT := min3(g.Makespan, gp.Makespan, p.Makespan)
-	maxT := max3(g.Makespan, gp.Makespan, p.Makespan)
-	minE := min3(g.EnergyJ, gp.EnergyJ, p.EnergyJ)
-	maxE := max3(g.EnergyJ, gp.EnergyJ, p.EnergyJ)
+	_, _, q := gpGeometry(r.Runs)
+	return q
+}
+
+// gpGeometry measures the G/GP/P placement geometry of rs, which holds
+// the POWER (G), GREENPERF (GP) and PERFORMANCE (P) runs in that
+// order: the makespan and energy ranges across the three, each
+// relative to its minimum, and GP's distance from the ideal corner
+// normalized by those ranges, in [0, 1].
+func gpGeometry(rs Runs) (makespanRange, energyRange, quality float64) {
+	g, gp, p := rs[0], rs[1], rs[2]
+	minT, maxT := min(g.Makespan, gp.Makespan, p.Makespan), max(g.Makespan, gp.Makespan, p.Makespan)
+	minE, maxE := min(g.EnergyJ, gp.EnergyJ, p.EnergyJ), max(g.EnergyJ, gp.EnergyJ, p.EnergyJ)
 	dt, de := 0.0, 0.0
 	if maxT > minT {
 		dt = (gp.Makespan - minT) / (maxT - minT)
@@ -167,14 +126,14 @@ func (r *MetricResult) TradeoffQuality() float64 {
 		de = (gp.EnergyJ - minE) / (maxE - minE)
 	}
 	// Euclidean-ish combination normalized to [0, 1].
-	return (dt + de) / 2
+	return (maxT - minT) / minT, (maxE - minE) / minE, (dt + de) / 2
 }
 
 // Figure renders the Figure 6/7 scatter.
 func (r *MetricResult) Figure(title string) *report.Scatter {
 	s := &report.Scatter{Title: title, XLabel: "makespan (s)", YLabel: "energy (J)"}
-	for _, p := range r.Points {
-		s.Add(p.Label, p.Makespan, p.EnergyJ)
+	for _, run := range r.Runs {
+		s.Add(run.Name, run.Makespan, run.EnergyJ)
 	}
 	s.SetBand(r.Random.MinX, r.Random.MaxX, r.Random.MinY, r.Random.MaxY)
 	return s
@@ -215,24 +174,4 @@ func RenderMetricStudy(cfg MetricConfig, w io.Writer) error {
 	fmt.Fprintf(w, "platform heterogeneity index: %.2f — GP tradeoff quality (0 best, 1 worst): %.2f\n\n",
 		high.Platform.HeterogeneityIndex(), high.TradeoffQuality())
 	return Table3().Render(w)
-}
-
-func min3(a, b, c float64) float64 {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-func max3(a, b, c float64) float64 {
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	return a
 }

@@ -29,16 +29,18 @@ type PlacementConfig struct {
 	TaskOps     float64 // flops per task
 	Seed        int64
 
-	// Physical realism knobs (see sim.Config).
-	Contention   float64
-	ExecJitter   float64
-	MeterNoise   float64
-	MeterDropout float64
-
 	// Static switches to the static (initial benchmark) estimation
 	// approach; the default is the paper's dynamic approach.
 	Static bool
 }
+
+// The physical realism every §IV-A run carries (see sim.Config): a
+// co-runner slowdown, relative execution jitter, and wattmeter noise.
+const (
+	contention  = 0.08
+	execJitter  = 0.02
+	meterNoiseW = 2
+)
 
 // DefaultPlacementConfig returns the calibrated §IV-A setup.
 func DefaultPlacementConfig() PlacementConfig {
@@ -48,50 +50,58 @@ func DefaultPlacementConfig() PlacementConfig {
 		Rate:        0.45,
 		TaskOps:     9.0e11, // ≈100 s on a taurus core
 		Seed:        1,
-		Contention:  0.08,
-		ExecJitter:  0.02,
-		MeterNoise:  2,
 	}
+}
+
+// variants builds the §IV-A workload for platform — ReqsPerCore
+// requests per core, BurstFrac of them at t=0 and the rest at Rate —
+// and one configuration per policy over it, named after the policy.
+// Every policy but the estimate-blind RANDOM and LEASTLOADED learns
+// its estimates dynamically (Explore).
+func (c PlacementConfig) variants(platform *cluster.Platform, kinds ...sched.Kind) ([]variant, error) {
+	total := workload.PerCore(platform.Cores(), c.ReqsPerCore)
+	tasks, err := workload.BurstThenRate{
+		Total: total, Burst: int(float64(total) * c.BurstFrac), Rate: c.Rate, Ops: c.TaskOps,
+	}.Tasks()
+	if err != nil {
+		return nil, err
+	}
+	vs := make([]variant, 0, len(kinds))
+	for _, kind := range kinds {
+		vs = append(vs, variant{name: string(kind), cfg: sim.Config{
+			Platform:        platform,
+			Policy:          sched.New(kind),
+			Tasks:           tasks,
+			Explore:         kind != sched.Random && kind != sched.LeastLoaded,
+			Static:          c.Static,
+			Seed:            c.Seed,
+			Contention:      contention,
+			ExecJitter:      execJitter,
+			MeterNoiseW:     meterNoiseW,
+			EstimatorWindow: 32,
+		}})
+	}
+	return vs, nil
 }
 
 // PlacementResult bundles the three policy runs of §IV-A.
 type PlacementResult struct {
 	Platform *cluster.Platform
-	Runs     map[sched.Kind]*sim.Result
+	Runs     // sched.Kinds() order: RANDOM, POWER, PERFORMANCE
 }
 
 // RunPlacement executes the experiment for the three §IV-A policies.
 func RunPlacement(cfg PlacementConfig) (*PlacementResult, error) {
 	platform := cluster.PaperPlatform()
-	total := workload.PerCore(platform.Cores(), cfg.ReqsPerCore)
-	burst := int(float64(total) * cfg.BurstFrac)
-	tasks, err := workload.BurstThenRate{
-		Total: total, Burst: burst, Rate: cfg.Rate, Ops: cfg.TaskOps,
-	}.Tasks()
+	vs, err := cfg.variants(platform, sched.Kinds()...)
 	if err != nil {
 		return nil, err
 	}
-	out := &PlacementResult{Platform: platform, Runs: make(map[sched.Kind]*sim.Result)}
-	for _, kind := range sched.Kinds() {
-		res, err := sim.Run(sim.Config{
-			Platform:        platform,
-			Policy:          sched.New(kind),
-			Tasks:           tasks,
-			Explore:         kind != sched.Random,
-			Static:          cfg.Static,
-			Seed:            cfg.Seed,
-			Contention:      cfg.Contention,
-			ExecJitter:      cfg.ExecJitter,
-			MeterNoiseW:     cfg.MeterNoise,
-			MeterDropout:    cfg.MeterDropout,
-			EstimatorWindow: 32,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: placement %s: %w", kind, err)
-		}
-		out.Runs[kind] = res
+	runs, err := runVariants("placement", vs...)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &PlacementResult{Platform: platform, Runs: runs}, nil
 }
 
 // Table1 renders the experimental-infrastructure table.
@@ -114,21 +124,20 @@ func (r *PlacementResult) Table1() *report.Table {
 	return t
 }
 
-// Table2 renders the §IV-A makespan/energy comparison.
+// Table2 renders the §IV-A makespan/energy comparison, one column per
+// policy.
 func (r *PlacementResult) Table2() *report.Table {
-	t := &report.Table{
-		Title:   "Table II. Experimental results",
-		Headers: []string{"Metric", "RANDOM", "POWER", "PERFORMANCE"},
+	t := &report.Table{Title: "Table II. Experimental results", Headers: []string{"Metric"}}
+	for _, run := range r.Runs {
+		t.Headers = append(t.Headers, run.Name)
 	}
-	row := func(name string, f func(*sim.Result) string) {
-		t.AddRow(name,
-			f(r.Runs[sched.Random]),
-			f(r.Runs[sched.Power]),
-			f(r.Runs[sched.Performance]),
-		)
+	for _, c := range []column{colMakespanS, colEnergyJ} {
+		row := []string{c.header}
+		for _, run := range r.Runs {
+			row = append(row, c.cell(run))
+		}
+		t.AddRow(row...)
 	}
-	row("Makespan (s)", func(res *sim.Result) string { return fmt.Sprintf("%.0f", res.Makespan) })
-	row("Energy (J)", func(res *sim.Result) string { return fmt.Sprintf("%.0f", res.EnergyJ) })
 	return t
 }
 
@@ -136,9 +145,7 @@ func (r *PlacementResult) Table2() *report.Table {
 // of POWER vs RANDOM ("25%"), the energy gain of POWER vs PERFORMANCE
 // ("19%"), and the makespan loss of POWER vs PERFORMANCE ("6%").
 func (r *PlacementResult) Headline() (gainVsRandom, gainVsPerf, makespanLoss float64) {
-	pw := r.Runs[sched.Power]
-	rd := r.Runs[sched.Random]
-	pf := r.Runs[sched.Performance]
+	pw, rd, pf := r.kind(sched.Power), r.kind(sched.Random), r.kind(sched.Performance)
 	return analysis.Gain(rd.EnergyJ, pw.EnergyJ),
 		analysis.Gain(pf.EnergyJ, pw.EnergyJ),
 		analysis.Loss(pf.Makespan, pw.Makespan)
@@ -148,8 +155,9 @@ func (r *PlacementResult) Headline() (gainVsRandom, gainVsPerf, makespanLoss flo
 // Figure 2 (POWER), Figure 3 (PERFORMANCE) or Figure 4 (RANDOM).
 func (r *PlacementResult) TaskFigure(kind sched.Kind, title string) *report.BarChart {
 	c := &report.BarChart{Title: title, Unit: " tasks"}
+	run := r.kind(kind)
 	for _, node := range r.Platform.Nodes {
-		c.Add(node.Name, float64(r.Runs[kind].PerNodeTasks[node.Name]))
+		c.Add(node.Name, float64(run.PerNodeTasks[node.Name]))
 	}
 	return c
 }
@@ -157,9 +165,9 @@ func (r *PlacementResult) TaskFigure(kind sched.Kind, title string) *report.BarC
 // EnergyFigure renders Figure 5: energy per cluster for each policy.
 func (r *PlacementResult) EnergyFigure() *report.BarChart {
 	c := &report.BarChart{Title: "Figure 5. Energy consumption per cluster (J)", Unit: " J"}
-	for _, kind := range sched.Kinds() {
+	for _, run := range r.Runs {
 		for _, cl := range r.Platform.Clusters() {
-			c.Add(fmt.Sprintf("%s/%s", kind, cl), r.Runs[kind].PerClusterEnergy[cl])
+			c.Add(fmt.Sprintf("%s/%s", run.Name, cl), run.PerClusterEnergy[cl])
 		}
 	}
 	return c

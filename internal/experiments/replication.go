@@ -34,18 +34,11 @@ func DefaultReplicationConfig() ReplicationConfig {
 	}
 }
 
-// ReplicationResult holds the per-seed series and their summaries.
+// ReplicationResult holds each seed's §IV-A runs.
 type ReplicationResult struct {
-	Config   ReplicationConfig
-	Seeds    []int64
-	Makespan map[sched.Kind][]float64 // seconds, one entry per seed
-	Energy   map[sched.Kind][]float64 // joules, one entry per seed
-
-	// Per-seed headline ratios (POWER vs RANDOM energy gain, POWER vs
-	// PERFORMANCE energy gain, POWER vs PERFORMANCE makespan loss).
-	GainVsRandom []float64
-	GainVsPerf   []float64
-	Loss         []float64
+	Config     ReplicationConfig
+	Seeds      []int64
+	Placements []*PlacementResult // one per seed, in Seeds order
 }
 
 // RunReplication reruns the §IV-A placement experiment for each seed.
@@ -56,11 +49,7 @@ func RunReplication(cfg ReplicationConfig) (*ReplicationResult, error) {
 	if cfg.Confidence <= 0 || cfg.Confidence >= 1 {
 		return nil, fmt.Errorf("experiments: confidence %v outside (0,1)", cfg.Confidence)
 	}
-	out := &ReplicationResult{
-		Config:   cfg,
-		Makespan: make(map[sched.Kind][]float64),
-		Energy:   make(map[sched.Kind][]float64),
-	}
+	out := &ReplicationResult{Config: cfg}
 	for i := 0; i < cfg.Seeds; i++ {
 		seed := cfg.FirstSeed + int64(i)
 		run := cfg.Base
@@ -70,17 +59,22 @@ func RunReplication(cfg ReplicationConfig) (*ReplicationResult, error) {
 			return nil, fmt.Errorf("experiments: replication seed %d: %w", seed, err)
 		}
 		out.Seeds = append(out.Seeds, seed)
-		for _, kind := range sched.Kinds() {
-			out.Makespan[kind] = append(out.Makespan[kind], res.Runs[kind].Makespan)
-			out.Energy[kind] = append(out.Energy[kind], float64(res.Runs[kind].EnergyJ))
-		}
-		gR, gP, loss := res.Headline()
-		out.GainVsRandom = append(out.GainVsRandom, gR)
-		out.GainVsPerf = append(out.GainVsPerf, gP)
-		out.Loss = append(out.Loss, loss)
+		out.Placements = append(out.Placements, res)
 	}
 	return out, nil
 }
+
+// series returns one figure of one policy's run, per seed.
+func (r *ReplicationResult) series(kind sched.Kind, figure func(Run) float64) []float64 {
+	out := make([]float64, len(r.Placements))
+	for i, res := range r.Placements {
+		out[i] = figure(res.kind(kind))
+	}
+	return out
+}
+
+func makespanOf(r Run) float64 { return r.Makespan }
+func energyOf(r Run) float64   { return r.EnergyJ }
 
 // ShapeViolation describes one seed where a paper ordering failed.
 type ShapeViolation struct {
@@ -95,16 +89,15 @@ type ShapeViolation struct {
 func (r *ReplicationResult) ShapeViolations() []ShapeViolation {
 	var out []ShapeViolation
 	for i, seed := range r.Seeds {
-		eP := r.Energy[sched.Power][i]
-		ePf := r.Energy[sched.Performance][i]
-		eR := r.Energy[sched.Random][i]
-		if !(eP < ePf) {
-			out = append(out, ShapeViolation{seed, fmt.Sprintf("energy POWER (%.3g) ≥ PERFORMANCE (%.3g)", eP, ePf)})
+		res := r.Placements[i]
+		pw, pf, rd := res.kind(sched.Power), res.kind(sched.Performance), res.kind(sched.Random)
+		if !(pw.EnergyJ < pf.EnergyJ) {
+			out = append(out, ShapeViolation{seed, fmt.Sprintf("energy POWER (%.3g) ≥ PERFORMANCE (%.3g)", pw.EnergyJ, pf.EnergyJ)})
 		}
-		if !(ePf < eR) {
-			out = append(out, ShapeViolation{seed, fmt.Sprintf("energy PERFORMANCE (%.3g) ≥ RANDOM (%.3g)", ePf, eR)})
+		if !(pf.EnergyJ < rd.EnergyJ) {
+			out = append(out, ShapeViolation{seed, fmt.Sprintf("energy PERFORMANCE (%.3g) ≥ RANDOM (%.3g)", pf.EnergyJ, rd.EnergyJ)})
 		}
-		if r.Makespan[sched.Performance][i] > r.Makespan[sched.Power][i] {
+		if pf.Makespan > pw.Makespan {
 			out = append(out, ShapeViolation{seed, "makespan PERFORMANCE > POWER"})
 		}
 	}
@@ -117,11 +110,11 @@ func (r *ReplicationResult) Summaries() (makespan, energy map[sched.Kind]analysi
 	makespan = make(map[sched.Kind]analysis.Summary)
 	energy = make(map[sched.Kind]analysis.Summary)
 	for _, kind := range sched.Kinds() {
-		m, err := analysis.Summarize(r.Makespan[kind])
+		m, err := analysis.Summarize(r.series(kind, makespanOf))
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: summarizing %s makespan: %w", kind, err)
 		}
-		e, err := analysis.Summarize(r.Energy[kind])
+		e, err := analysis.Summarize(r.series(kind, energyOf))
 		if err != nil {
 			return nil, nil, fmt.Errorf("experiments: summarizing %s energy: %w", kind, err)
 		}
@@ -131,22 +124,23 @@ func (r *ReplicationResult) Summaries() (makespan, energy map[sched.Kind]analysi
 	return makespan, energy, nil
 }
 
-// HeadlineSummaries summarizes the three per-seed headline ratio
-// series.
+// HeadlineSummaries summarizes the per-seed headline ratios (POWER vs
+// RANDOM energy gain, POWER vs PERFORMANCE energy gain, POWER vs
+// PERFORMANCE makespan loss).
 func (r *ReplicationResult) HeadlineSummaries() (gainVsRandom, gainVsPerf, loss analysis.Summary, err error) {
-	gR, err := analysis.Summarize(r.GainVsRandom)
-	if err != nil {
-		return analysis.Summary{}, analysis.Summary{}, analysis.Summary{}, err
+	var gR, gP, l []float64
+	for _, res := range r.Placements {
+		a, b, c := res.Headline()
+		gR, gP, l = append(gR, a), append(gP, b), append(l, c)
 	}
-	gP, err := analysis.Summarize(r.GainVsPerf)
-	if err != nil {
-		return analysis.Summary{}, analysis.Summary{}, analysis.Summary{}, err
+	if gainVsRandom, err = analysis.Summarize(gR); err != nil {
+		return
 	}
-	l, err := analysis.Summarize(r.Loss)
-	if err != nil {
-		return analysis.Summary{}, analysis.Summary{}, analysis.Summary{}, err
+	if gainVsPerf, err = analysis.Summarize(gP); err != nil {
+		return
 	}
-	return gR, gP, l, nil
+	loss, err = analysis.Summarize(l)
+	return
 }
 
 // EnergySignificance runs Welch's t-test on the POWER vs RANDOM and

@@ -39,17 +39,17 @@ func TestReplicationSeriesShape(t *testing.T) {
 		t.Fatalf("got %d seeds, want 3", len(res.Seeds))
 	}
 	for _, kind := range sched.Kinds() {
-		if len(res.Makespan[kind]) != 3 || len(res.Energy[kind]) != 3 {
-			t.Errorf("%s: series lengths %d/%d, want 3/3",
-				kind, len(res.Makespan[kind]), len(res.Energy[kind]))
+		makespans, energies := res.series(kind, makespanOf), res.series(kind, energyOf)
+		if len(makespans) != 3 || len(energies) != 3 {
+			t.Errorf("%s: series lengths %d/%d, want 3/3", kind, len(makespans), len(energies))
 		}
-		for i, e := range res.Energy[kind] {
+		for i, e := range energies {
 			if e <= 0 {
 				t.Errorf("%s seed %d: energy %v not positive", kind, res.Seeds[i], e)
 			}
 		}
 	}
-	if len(res.GainVsRandom) != 3 || len(res.GainVsPerf) != 3 || len(res.Loss) != 3 {
+	if len(res.Placements) != 3 {
 		t.Error("headline series must have one entry per seed")
 	}
 }
@@ -61,7 +61,7 @@ func TestReplicationSeedsDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := res.Energy[sched.Random]
+	series := res.series(sched.Random, energyOf)
 	if series[0] == series[1] && series[1] == series[2] {
 		t.Errorf("RANDOM energy identical across seeds: %v", series)
 	}
@@ -77,10 +77,10 @@ func TestReplicationDeterministicForSameSeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range sched.Kinds() {
-		for i := range a.Energy[kind] {
-			if a.Energy[kind][i] != b.Energy[kind][i] {
-				t.Errorf("%s seed %d: %v != %v (not deterministic)",
-					kind, a.Seeds[i], a.Energy[kind][i], b.Energy[kind][i])
+		ea, eb := a.series(kind, energyOf), b.series(kind, energyOf)
+		for i := range ea {
+			if ea[i] != eb[i] {
+				t.Errorf("%s seed %d: %v != %v (not deterministic)", kind, a.Seeds[i], ea[i], eb[i])
 			}
 		}
 	}

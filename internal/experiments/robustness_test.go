@@ -3,7 +3,9 @@ package experiments
 import (
 	"testing"
 
+	"greensched/internal/cluster"
 	"greensched/internal/sched"
+	"greensched/internal/sim"
 )
 
 // The §IV-A conclusions must be robust to realistic measurement and
@@ -15,29 +17,41 @@ import (
 func TestPlacementRobustToMeterFaults(t *testing.T) {
 	cfg := DefaultPlacementConfig()
 	cfg.ReqsPerCore = 5 // keep the fault sweep quick
-	cfg.MeterNoise = 20 // ±20 W on readings in the 100-500 W range
-	res, err := RunPlacement(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := placementWith(t, cfg, func(c *sim.Config) {
+		c.MeterNoiseW = 20 // ±20 W on readings in the 100-500 W range
+	})
 	assertPaperOrdering(t, res, "meter noise")
 
-	cfg = DefaultPlacementConfig()
-	cfg.ReqsPerCore = 5
-	// 30% of samples lost: the estimator sees a sparse trace.
-	cfg.MeterDropout = 0.3
-	noisy, err := RunPlacement(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	noisy := placementWith(t, cfg, func(c *sim.Config) {
+		// 30% of samples lost: the estimator sees a sparse trace.
+		c.MeterDropout = 0.3
+	})
 	assertPaperOrdering(t, noisy, "meter dropout")
 }
 
-func assertPaperOrdering(t *testing.T, r *PlacementResult, label string) {
+// placementWith runs the §IV-A policies of cfg with fault applied to
+// every built configuration.
+func placementWith(t *testing.T, cfg PlacementConfig, fault func(*sim.Config)) Runs {
 	t.Helper()
-	pw := r.Runs[sched.Power]
-	pf := r.Runs[sched.Performance]
-	rd := r.Runs[sched.Random]
+	vs, err := cfg.variants(cluster.PaperPlatform(), sched.Kinds()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range vs {
+		fault(&vs[i].cfg)
+	}
+	runs, err := runVariants("placement", vs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runs
+}
+
+func assertPaperOrdering(t *testing.T, r Runs, label string) {
+	t.Helper()
+	pw := r.kind(sched.Power)
+	pf := r.kind(sched.Performance)
+	rd := r.kind(sched.Random)
 	if !(pw.EnergyJ < rd.EnergyJ) {
 		t.Errorf("%s: POWER energy %.0f not below RANDOM %.0f", label, pw.EnergyJ, rd.EnergyJ)
 	}

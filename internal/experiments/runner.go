@@ -6,14 +6,20 @@
 // module stack) and the live drills over both transports.
 //
 // A comparison study is one workload replayed under several scheduler
-// configurations and printed as one table. It declares only what
-// differs: its named sim.Config variants, handed to runVariants, and
-// its table columns, handed to Runs.table. The runner keeps each
-// variant's whole *sim.Result, so a derived figure (NetUSD,
-// VictimMisses, TaskShareJ) is a method on Run, written once. To add
-// a study, write its Config with Default/Validate, build the variants
-// from it, and pick columns: the shared ones below, or a study-local
-// column literal. Its Render adds the headline prose under the table.
+// configurations and printed as one table. Every policy comparison is
+// one: the §IV-A placement (built by PlacementConfig.variants, which
+// the replication, bake-off and heterogeneity sweep share), the §IV-B
+// metric study, the preference sweep, consolidation, carbon, SLA,
+// preemption and the composed stack. Only Figure 9 and the tariff
+// study, time series of one adaptive run, stay outside. A study
+// declares only what differs: its named sim.Config variants, handed to
+// runVariants, and its table columns, handed to Runs.table. The runner
+// keeps each variant's whole *sim.Result, so a derived figure (NetUSD,
+// VictimMisses, TaskShareJ, TaskEnergyJ) is a method on Run, written
+// once. To add a study, write its Config with Default/Validate, build
+// the variants from it, and pick columns: the shared ones below, or a
+// study-local column literal. Its Render adds the headline prose under
+// the table.
 package experiments
 
 import (
@@ -21,6 +27,7 @@ import (
 
 	"greensched/internal/budget"
 	"greensched/internal/report"
+	"greensched/internal/sched"
 	"greensched/internal/sim"
 )
 
@@ -55,6 +62,17 @@ func (r Run) VictimMisses() int {
 	return n
 }
 
+// TaskEnergyJ is the Eq. 5-attributed task energy: Σ measured mean
+// power × execution time over all completed tasks — the quantity the
+// Eq. 6 score optimizes.
+func (r Run) TaskEnergyJ() float64 {
+	sum := 0.0
+	for _, rec := range r.Records {
+		sum += rec.MeanPowerW * rec.Exec()
+	}
+	return sum
+}
+
 // TaskShareJ sums every completed task's attributed energy share, in
 // completion order — the order a budget tracker is charged in.
 func (r Run) TaskShareJ() float64 {
@@ -76,6 +94,17 @@ func (rs Runs) Run(name string) (Run, bool) {
 		}
 	}
 	return Run{}, false
+}
+
+// kind returns the run of a study whose variants are named after their
+// policies (see PlacementConfig.variants). The study ran that policy by
+// construction, so a missing run is a programming error.
+func (rs Runs) kind(k sched.Kind) Run {
+	r, ok := rs.Run(string(k))
+	if !ok {
+		panic(fmt.Sprintf("experiments: no %s run", k))
+	}
+	return r
 }
 
 // variant is one named configuration of a study. tracker, when set, is
@@ -112,7 +141,10 @@ type column struct {
 
 // The columns several studies share.
 var (
+	colEnergyJ   = column{"Energy (J)", func(r Run) string { return fmt.Sprintf("%.0f", r.EnergyJ) }}
 	colEnergyMJ  = column{"Energy (MJ)", func(r Run) string { return fmt.Sprintf("%.2f", r.EnergyJ/1e6) }}
+	colMakespanS = column{"Makespan (s)", func(r Run) string { return fmt.Sprintf("%.0f", r.Makespan) }}
+	colMeanWait  = column{"Mean wait (s)", func(r Run) string { return fmt.Sprintf("%.1f", r.MeanWait()) }}
 	colCO2       = column{"CO2 (g)", func(r Run) string { return fmt.Sprintf("%.0f", r.CO2Grams) }}
 	colMakespanH = column{"Makespan (h)", func(r Run) string { return fmt.Sprintf("%.1f", r.Makespan/3600) }}
 	colBoots     = column{"Boots", func(r Run) string { return fmt.Sprint(r.Boots) }}

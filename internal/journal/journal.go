@@ -261,9 +261,6 @@ func Open(path string, o Options) (*Journal, error) {
 	return j, nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // MaxID is the highest request ID the log has seen — a restarting
 // master seeds its ID sequence past it so new traffic never collides
 // with journaled lifecycles.

@@ -12,7 +12,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time, expressed as seconds since the
@@ -24,14 +23,12 @@ type Time float64
 type Duration = float64
 
 // Common conversions.
-func (t Time) Seconds() float64     { return float64(t) }
-func (t Time) Add(d Duration) Time  { return t + Time(d) }
-func (t Time) Sub(o Time) Duration  { return float64(t - o) }
-func (t Time) Before(o Time) bool   { return t < o }
-func (t Time) After(o Time) bool    { return t > o }
-func (t Time) AsStd() time.Duration { return time.Duration(float64(t) * float64(time.Second)) }
-func (t Time) String() string       { return fmt.Sprintf("t+%.1fs", float64(t)) }
-func (t Time) Minutes() float64     { return float64(t) / 60 }
+func (t Time) Seconds() float64    { return float64(t) }
+func (t Time) Add(d Duration) Time { return t + Time(d) }
+func (t Time) Sub(o Time) Duration { return float64(t - o) }
+func (t Time) Before(o Time) bool  { return t < o }
+func (t Time) After(o Time) bool   { return t > o }
+func (t Time) String() string      { return fmt.Sprintf("t+%.1fs", float64(t)) }
 func (t Time) Truncate(d Duration) Time {
 	if d <= 0 {
 		return t
@@ -103,7 +100,6 @@ type Engine struct {
 	now     Time
 	queue   eventHeap
 	nextSeq uint64
-	fired   uint64
 }
 
 // NewEngine returns an engine starting at t=0.
@@ -111,9 +107,6 @@ func NewEngine() *Engine { return &Engine{} }
 
 // Now implements Clock.
 func (e *Engine) Now() Time { return e.now }
-
-// Fired returns how many events have been dispatched so far.
-func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int { return len(e.queue) }
@@ -174,7 +167,6 @@ func (e *Engine) Step() bool {
 		panic("simtime: heap produced an event from the past")
 	}
 	e.now = ev.At
-	e.fired++
 	ev.Fn(e.now)
 	return true
 }

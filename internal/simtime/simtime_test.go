@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestEngineStartsAtZero(t *testing.T) {
@@ -151,10 +150,6 @@ func TestRunUntilLeavesLaterEvents(t *testing.T) {
 }
 
 func TestTimeHelpers(t *testing.T) {
-	tm := Time(120)
-	if tm.Minutes() != 2 {
-		t.Fatalf("Minutes() = %v, want 2", tm.Minutes())
-	}
 	if got := Time(7.9).Truncate(2); got != 6 {
 		t.Fatalf("Truncate = %v, want 6", got)
 	}
@@ -166,9 +161,6 @@ func TestTimeHelpers(t *testing.T) {
 	}
 	if !Time(1).Before(2) || !Time(2).After(1) {
 		t.Fatal("Before/After comparisons wrong")
-	}
-	if Time(1.5).AsStd() != 1500*time.Millisecond {
-		t.Fatal("AsStd conversion wrong")
 	}
 	if s := Time(1.25).String(); s != "t+1.2s" {
 		t.Fatalf("String() = %q", s)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,12 @@ func TestParseTraceErrors(t *testing.T) {
 		"1,1e9,0,extra\n", // four fields
 		"-1,1e9\n",        // negative submit (Validate)
 		"1,0\n",           // zero ops (Validate)
+		"1,Inf\n",         // infinite ops (Validate)
+		"NaN,1e9\n",       // NaN submit (Validate)
+		"1,NaN\n",         // NaN ops (Validate)
+		"1,1e9,NaN\n",     // NaN pref (Validate)
+		"1,1e9,0,Inf\n",   // infinite deadline (Validate)
+		"1,1e9,0,0,NaN\n", // NaN value (Validate)
 	}
 	for i, in := range cases {
 		if _, err := ParseTrace(strings.NewReader(in)); err == nil {
@@ -70,4 +77,62 @@ func TestTraceRoundTrip(t *testing.T) {
 			t.Fatalf("task %d mismatch: %+v vs %+v", i, back[i], orig[i])
 		}
 	}
+}
+
+// FuzzParseTrace feeds arbitrary text to ParseTrace. Whatever it
+// accepts must be a finite, valid, Submit-sorted task list with dense
+// IDs, and — when WriteTrace can render it — must read back with the
+// same submit times, ops, preferences, values and classes.
+func FuzzParseTrace(f *testing.F) {
+	for _, seed := range []string{
+		"# a trace\n10,1e9\n0,2e9,0.5\n\n5,3e9,-1\n",
+		"0,1e9\n10,2e9,0.5\n20,3e9,0,600\n30,4e9,-0.5,1800,2.5\n40,5e9,0,0,0.25,interactive\n",
+		"  # padded comment\n\n  10 , 1e9 , 0.25  \n",
+		"30,3e9\n10,1e9\n10,2e9\n0,9e9\n",
+		"0,1e9\n1,Inf\n",
+		"0,1e9\nNaN,1e9\n",
+		"0,1e9\n1,NaN\n",
+		"0,1e9\n1,1e9,0,Inf\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		tasks, err := ParseTrace(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for i, task := range tasks {
+			for _, x := range []float64{task.Submit, task.Ops, float64(task.Pref), task.Deadline, task.Value} {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("task %d has a non-finite field: %+v", i, task)
+				}
+			}
+			if err := task.Validate(); err != nil {
+				t.Fatalf("accepted task fails Validate: %v", err)
+			}
+			if task.ID != i {
+				t.Fatalf("task %d has ID %d", i, task.ID)
+			}
+			if i > 0 && task.Submit < tasks[i-1].Submit {
+				t.Fatalf("task %d submitted at %v before task %d at %v", i, task.Submit, i-1, tasks[i-1].Submit)
+			}
+		}
+		var b strings.Builder
+		if WriteTrace(&b, tasks) != nil {
+			return
+		}
+		back, err := ParseTrace(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("written trace does not re-parse: %v\n%s", err, b.String())
+		}
+		if len(back) != len(tasks) {
+			t.Fatalf("re-parse kept %d of %d tasks", len(back), len(tasks))
+		}
+		for i := range tasks {
+			a, r := tasks[i], back[i]
+			if a.Submit != r.Submit || a.Ops != r.Ops || a.Pref != r.Pref || a.Value != r.Value || a.Class != r.Class {
+				t.Fatalf("task %d: %+v re-parsed as %+v", i, a, r)
+			}
+		}
+	})
 }

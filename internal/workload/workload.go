@@ -6,6 +6,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -36,6 +37,8 @@ type Task struct {
 // Validate reports a descriptive error for malformed tasks.
 func (t Task) Validate() error {
 	switch {
+	case !finite(t.Ops) || !finite(t.Submit) || !finite(t.Deadline) || !finite(t.Value) || !finite(float64(t.Pref)):
+		return fmt.Errorf("workload: task %d has a non-finite field", t.ID)
 	case t.Ops <= 0:
 		return fmt.Errorf("workload: task %d has non-positive ops", t.ID)
 	case t.Submit < 0:
@@ -49,6 +52,9 @@ func (t Task) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // BurstThenRate is the §IV-A temporal distribution: "a burst phase,
 // when the client submits r simultaneous requests and a continuous
