@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"greensched/internal/experiments"
 	"greensched/internal/sim"
 )
 
@@ -31,7 +32,7 @@ func clusterEnergyCSV(res *sim.Result, clusterOrder []string) string {
 }
 
 // adaptiveCSV renders the Figure 9 data (minute,candidates,avg_w).
-func adaptiveCSV(res *sim.AdaptiveResult) string {
+func adaptiveCSV(res *experiments.AdaptiveResult) string {
 	var b strings.Builder
 	b.WriteString("minute,candidates,avg_w,running\n")
 	for _, s := range res.Samples {

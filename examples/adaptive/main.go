@@ -9,10 +9,8 @@ import (
 	"fmt"
 	"os"
 
-	"greensched/internal/cluster"
+	"greensched/internal/experiments"
 	"greensched/internal/provision"
-	"greensched/internal/sched"
-	"greensched/internal/sim"
 )
 
 func main() {
@@ -24,17 +22,12 @@ func main() {
 	store.Put(provision.Record{Value: 60 * 60, Cost: 0.5, Temperature: 28, Unexpected: true})
 	store.Put(provision.Record{Value: 90 * 60, Cost: 0.5, Temperature: 21, Unexpected: true})
 
-	planner := provision.NewPlanner(12, 4)
-	planner.MinNodes = 2
-
-	res, err := sim.RunAdaptive(sim.AdaptiveConfig{
-		Platform: cluster.PaperPlatform(),
-		Planner:  planner,
-		Store:    store,
-		Policy:   sched.New(sched.GreenPerf),
-		TaskOps:  1.8e12,
-		Horizon:  120 * 60,
-		Seed:     1,
+	// The run uses the paper's planner: 10-minute checks, a 2-node floor.
+	res, err := experiments.RunAdaptive(experiments.AdaptiveConfig{
+		Store:      store,
+		TaskOps:    1.8e12,
+		HorizonMin: 120,
+		Seed:       1,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

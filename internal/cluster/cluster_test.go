@@ -240,9 +240,9 @@ func TestNodeCapacityEnforced(t *testing.T) {
 func TestNodeBootCycle(t *testing.T) {
 	spec, _ := Spec("taurus")
 	spec.Name = "t0"
-	n := NewNodeOff(spec, 0, nil)
-	if n.State() != power.Off {
-		t.Fatal("NewNodeOff should start off")
+	n := NewNode(spec, 0, nil)
+	if err := n.PowerOff(0); err != nil || n.State() != power.Off {
+		t.Fatalf("idle node should power off at once: %v", err)
 	}
 	if err := n.StartTask(1); err == nil {
 		t.Fatal("task on an off node should fail")

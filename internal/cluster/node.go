@@ -44,14 +44,6 @@ func NewNode(spec NodeSpec, t0 float64, meter *power.Wattmeter) *Node {
 	}
 }
 
-// NewNodeOff returns a powered-off node (used by the adaptive
-// provisioning experiment, where non-candidate nodes are shut down).
-func NewNodeOff(spec NodeSpec, t0 float64, meter *power.Wattmeter) *Node {
-	n := NewNode(spec, t0, meter)
-	n.state = power.Off
-	return n
-}
-
 // State returns the current operating state.
 func (n *Node) State() power.State { return n.state }
 

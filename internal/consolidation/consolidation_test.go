@@ -10,6 +10,7 @@ import (
 	"greensched/internal/power"
 	"greensched/internal/sched"
 	"greensched/internal/sim"
+	"greensched/internal/workload"
 )
 
 func vec(name string, cores, free float64) *estvec.Vector {
@@ -163,6 +164,13 @@ func (f *fakeControl) PowerOn(name string) error {
 	}
 	return fmt.Errorf("unknown %s", name)
 }
+
+// Submit and EnergyJ complete sim.Control; the controllers under test
+// neither feed work nor read energy.
+func (f *fakeControl) Submit(workload.Task) error {
+	return fmt.Errorf("fakeControl: Submit not scripted")
+}
+func (f *fakeControl) EnergyJ() float64 { return 0 }
 
 func (f *fakeControl) SetCandidate(name string, candidate bool) error {
 	for i := range f.nodes {

@@ -1,61 +1,38 @@
-package sim
+package experiments
 
 import (
 	"testing"
 
 	"greensched/internal/cluster"
 	"greensched/internal/provision"
-	"greensched/internal/sched"
 )
 
-// paperTimeline loads the §IV-C event schedule (times in seconds):
-// start at regular cost, scheduled cost drops at t+60 and t+120 min,
-// an unexpected heat event just before t+160 min, recovery before
-// t+240 min.
-func paperTimeline() *provision.Store {
-	store := provision.NewStore()
-	store.Put(provision.Record{Value: 0, Cost: 1.0, Temperature: 23})
-	store.Put(provision.Record{Value: 3600, Cost: 0.8, Temperature: 23})                    // Event 1 (scheduled)
-	store.Put(provision.Record{Value: 7200, Cost: 0.5, Temperature: 23})                    // Event 2 (scheduled)
-	store.Put(provision.Record{Value: 9550, Cost: 0.5, Temperature: 27, Unexpected: true})  // Event 3
-	store.Put(provision.Record{Value: 14350, Cost: 0.5, Temperature: 22, Unexpected: true}) // Event 4
-	return store
-}
-
 func adaptiveConfig(seed int64) AdaptiveConfig {
-	planner := provision.NewPlanner(12, 4)
-	planner.MinNodes = 2
-	return AdaptiveConfig{
-		Platform: cluster.PaperPlatform(),
-		Planner:  planner,
-		Store:    paperTimeline(),
-		Policy:   sched.New(sched.GreenPerf),
-		TaskOps:  1.8e12, // ≈200 s on a taurus core
-		Horizon:  260 * 60,
-		Seed:     seed,
-	}
+	cfg := DefaultAdaptiveConfig()
+	cfg.Seed = seed
+	return cfg
 }
 
 func TestAdaptiveValidation(t *testing.T) {
 	cfg := adaptiveConfig(1)
-	cfg.Platform = nil
-	if _, err := RunAdaptive(cfg); err == nil {
-		t.Fatal("missing platform accepted")
-	}
-	cfg = adaptiveConfig(1)
 	cfg.TaskOps = 0
 	if _, err := RunAdaptive(cfg); err == nil {
 		t.Fatal("zero ops accepted")
 	}
 	cfg = adaptiveConfig(1)
-	cfg.Horizon = -1
+	cfg.HorizonMin = -1
 	if _, err := RunAdaptive(cfg); err == nil {
 		t.Fatal("negative horizon accepted")
 	}
-	cfg = adaptiveConfig(1)
-	cfg.Planner.StepUp = 0
-	if _, err := RunAdaptive(cfg); err == nil {
+	planner := PaperPlanner()
+	planner.StepUp = 0
+	if _, err := runAdaptive(adaptiveConfig(1), planner); err == nil {
 		t.Fatal("invalid planner accepted")
+	}
+	cfg = adaptiveConfig(1)
+	cfg.SampleWindow = 900 // 1.5 check periods
+	if _, err := RunAdaptive(cfg); err == nil {
+		t.Fatal("sample window off the check-period grid accepted")
 	}
 }
 
@@ -185,6 +162,41 @@ func TestAdaptiveClientTracksCapacity(t *testing.T) {
 	}
 	if res.EnergyJ <= 0 {
 		t.Fatal("no energy accounted")
+	}
+}
+
+// TestAdaptiveShrinkWhileBootingPowersOff drops two nodes from the pool
+// while they boot: once their boot completes they hold no work and no
+// candidacy, so they must power off instead of idling on until the end
+// of the run.
+func TestAdaptiveShrinkWhileBootingPowersOff(t *testing.T) {
+	planner := PaperPlanner()
+	planner.CheckPeriod = 60
+	store := provision.NewStore()
+	// Off-peak cost grows the pool 4→6 at t+60 s, booting two orion
+	// nodes (150 s); the heat record cuts it to 2 at t+120 s.
+	store.Put(provision.Record{Value: 0, Cost: 0.8, Temperature: 23})
+	store.Put(provision.Record{Value: 100, Cost: 0.8, Temperature: 27, Unexpected: true})
+	res, err := runAdaptive(AdaptiveConfig{Store: store, TaskOps: 1.8e12, HorizonMin: 30, Seed: 1}, planner)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := res.Samples[len(res.Samples)-1]
+	if last.Candidates != 2 {
+		t.Fatalf("final pool = %d, want 2", last.Candidates)
+	}
+	// The pool is the greenest prefix (taurus nodes); every other node
+	// draws at most its off power.
+	taurus, ok := cluster.Spec("taurus")
+	if !ok {
+		t.Fatal("no taurus spec")
+	}
+	bound := float64(last.Candidates) * (taurus.PeakW - taurus.OffW)
+	for _, n := range cluster.PaperPlatform().Nodes {
+		bound += n.OffW
+	}
+	if last.AvgW > bound {
+		t.Errorf("final draw %.0f W above the 2-node pool's bound %.0f W: a node dropped while booting stayed on", last.AvgW, bound)
 	}
 }
 

@@ -53,7 +53,7 @@ func RunPreferenceSweep(steps int, seed int64) (Runs, error) {
 // TariffResult summarizes the multi-day tariff-driven provisioning
 // extension.
 type TariffResult struct {
-	Adaptive *sim.AdaptiveResult
+	Adaptive *AdaptiveResult
 	// BaselineEnergyJ is the energy of the naive alternative: the
 	// whole platform powered on and saturated for the same horizon.
 	BaselineEnergyJ float64
@@ -80,15 +80,10 @@ func RunTariffDays(days int, seed int64) (*TariffResult, error) {
 	for _, r := range recs {
 		store.Put(r)
 	}
-	planner := provision.NewPlanner(12, 4)
-	planner.MinNodes = 2
-	res, err := sim.RunAdaptive(sim.AdaptiveConfig{
-		Platform:     cluster.PaperPlatform(),
-		Planner:      planner,
+	res, err := RunAdaptive(AdaptiveConfig{
 		Store:        store,
-		Policy:       sched.New(sched.GreenPerf),
 		TaskOps:      1.8e12,
-		Horizon:      horizon,
+		HorizonMin:   horizon / 60,
 		SampleWindow: 3600, // hourly samples keep multi-day output readable
 		Seed:         seed,
 	})

@@ -9,6 +9,7 @@ package provision
 import (
 	"encoding/xml"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -51,11 +52,23 @@ func (p *Plan) MarshalIndent() ([]byte, error) {
 	return xml.MarshalIndent(p, "", "    ")
 }
 
-// ParsePlan decodes a plan document.
+// ParsePlan decodes a plan document. It rejects records no status can
+// carry: a non-finite temperature, cost or carbon intensity (the rules
+// would silently skip a NaN reading) or a negative candidate count.
 func ParsePlan(data []byte) (*Plan, error) {
 	var p Plan
 	if err := xml.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("provision: parsing plan: %w", err)
+	}
+	for _, r := range p.Records {
+		for _, v := range []float64{r.Temperature, r.Cost, r.Carbon} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("provision: record at timestamp %d has a non-finite reading %v", r.Value, v)
+			}
+		}
+		if r.Candidates < 0 {
+			return nil, fmt.Errorf("provision: record at timestamp %d has %d candidates", r.Value, r.Candidates)
+		}
 	}
 	return &p, nil
 }

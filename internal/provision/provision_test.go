@@ -1,6 +1,8 @@
 package provision
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -47,6 +49,71 @@ func TestParsePlanRejectsGarbage(t *testing.T) {
 	if _, err := ParsePlan([]byte("<provisioning><timestamp")); err == nil {
 		t.Fatal("malformed XML accepted")
 	}
+}
+
+// rejectedPlans are well-formed documents whose values no status can
+// carry; ParsePlan must refuse each, naming the record's timestamp.
+var rejectedPlans = map[string]string{
+	"NaN temperature":  `<provisioning><timestamp value="60"><temperature>NaN</temperature><electricity_cost>1</electricity_cost></timestamp></provisioning>`,
+	"infinite cost":    `<provisioning><timestamp value="60"><temperature>23</temperature><electricity_cost>+Inf</electricity_cost></timestamp></provisioning>`,
+	"-Inf temperature": `<provisioning><timestamp value="60"><temperature>-Inf</temperature><electricity_cost>1</electricity_cost></timestamp></provisioning>`,
+	"NaN carbon":       `<provisioning><timestamp value="60"><temperature>23</temperature><electricity_cost>1</electricity_cost><carbon_intensity>NaN</carbon_intensity></timestamp></provisioning>`,
+	"negative pool":    `<provisioning><timestamp value="60"><temperature>23</temperature><candidates>-3</candidates><electricity_cost>1</electricity_cost></timestamp></provisioning>`,
+	"all three":        `<provisioning><timestamp value="60"><temperature>NaN</temperature><candidates>-3</candidates><electricity_cost>+Inf</electricity_cost></timestamp></provisioning>`,
+}
+
+func TestParsePlanRejectsUnusableValues(t *testing.T) {
+	for name, doc := range rejectedPlans {
+		_, err := ParsePlan([]byte(doc))
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "timestamp 60") {
+			t.Errorf("%s: error %q does not name the timestamp", name, err)
+		}
+	}
+}
+
+// FuzzParsePlan feeds arbitrary bytes to ParsePlan. Whatever it accepts
+// must carry finite readings and non-negative pools, and must survive
+// a MarshalIndent round trip unchanged.
+func FuzzParsePlan(f *testing.F) {
+	fig8, err := (&Plan{Records: []Record{{Value: 1385896446, Temperature: 23.5, Candidates: 8, Cost: 0.6}}}).MarshalIndent()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fig8)
+	for _, doc := range rejectedPlans {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		plan, err := ParsePlan(data)
+		if err != nil {
+			return
+		}
+		for _, r := range plan.Records {
+			for _, v := range []float64{r.Temperature, r.Cost, r.Carbon} {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted a non-finite reading: %+v", r)
+				}
+			}
+			if r.Candidates < 0 {
+				t.Fatalf("accepted a negative pool: %+v", r)
+			}
+		}
+		out, err := plan.MarshalIndent()
+		if err != nil {
+			t.Fatalf("accepted plan does not marshal: %v", err)
+		}
+		back, err := ParsePlan(out)
+		if err != nil {
+			t.Fatalf("marshalled plan does not re-parse: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(back, plan) {
+			t.Fatalf("round trip changed the plan:\n got %+v\nwant %+v", back, plan)
+		}
+	})
 }
 
 func TestStorePutAtWindow(t *testing.T) {

@@ -12,11 +12,12 @@ import (
 )
 
 // This file is the simulator's generic control-plane hook: an external
-// controller (package consolidation, or any future autonomic manager)
-// observes node state on a fixed virtual-time cadence and issues
-// power-on/power-off decisions. The §IV-C adaptive experiment predates
-// this hook and drives its pool directly (adaptive.go); new
-// controllers should implement Module.OnTick.
+// controller (package consolidation, the §IV-C provisioning planner in
+// package experiments, or any future autonomic manager) observes node
+// state on a fixed virtual-time cadence through Module.OnTick and
+// issues power-on/power-off decisions. A module that also implements
+// Feeder is a closed-loop client: it submits work through the same
+// Control whenever capacity may have freed.
 
 // NodeView is the controller-visible state of one SED at a tick.
 type NodeView struct {
@@ -74,8 +75,8 @@ type RunningView struct {
 	RedoSec float64
 }
 
-// Control is the surface handed to Module.OnTick each tick. All
-// operations happen at the tick's virtual time.
+// Control is the surface handed to Module.OnTick each tick and to
+// Feeder.Feed. All operations happen at that call's virtual time.
 type Control interface {
 	// Nodes lists every SED in platform order.
 	Nodes() []NodeView
@@ -117,6 +118,23 @@ type Control interface {
 	// deadline the restart would breach — preemption may never
 	// manufacture a new SLA miss.
 	Preempt(name string, taskID int) error
+	// Submit admits a task now, stamped with the control's instant, on
+	// the path every arrival takes (modules' OnArrival, admission,
+	// election). It refuses a malformed task.
+	Submit(t workload.Task) error
+	// EnergyJ settles every node at the control's instant and returns
+	// the platform's energy so far.
+	EnergyJ() float64
+}
+
+// Feeder is the optional Module surface of a closed-loop client: the
+// kernel calls Feed at run start and after every task finish and boot
+// completion — each point where capacity may have freed — and the
+// feeder submits work through Control.Submit, so Config.Tasks may be
+// empty. The run ends when every submitted task has resolved: a feeder
+// that lets its work run out is not called again.
+type Feeder interface {
+	Feed(now float64, ctl Control)
 }
 
 // runnerControl implements Control against a Runner at a fixed tick
@@ -245,6 +263,25 @@ func (c *runnerControl) Preempt(name string, taskID int) error {
 
 func (c *runnerControl) Unplaced() int { return c.r.unplaced }
 
+func (c *runnerControl) Submit(t workload.Task) error {
+	t.Submit = c.now
+	if err := t.Validate(); err != nil {
+		return err
+	}
+	c.r.fed++
+	c.r.onArrival(c.now, pendingTask{task: t})
+	return nil
+}
+
+func (c *runnerControl) EnergyJ() float64 {
+	total := 0.0
+	for _, sed := range c.r.seds {
+		sed.node.Settle(c.now)
+		total += sed.node.Energy()
+	}
+	return total
+}
+
 func (c *runnerControl) PendingSlack() (float64, bool) {
 	best, ok := 0.0, false
 	consider := func(t workload.Task, execSec float64) {
@@ -326,6 +363,9 @@ func (c *runnerControl) PowerOn(name string) error {
 			panic(fmt.Sprintf("sim: %v", err))
 		}
 		s.idleAt = t.Seconds()
+		if len(c.r.feeders) > 0 {
+			c.r.feed(t.Seconds())
+		}
 	})
 	return nil
 }
@@ -360,11 +400,11 @@ func (r *Runner) sedByName(name string) *sedState {
 
 // scheduleControl arms the recurring controller tick: every module's
 // OnTick runs in stack order against one shared Control surface.
-// Ticking stops once every task has resolved so the event queue can
-// drain.
+// Ticking stops once every submitted task has resolved so the event
+// queue can drain.
 func (r *Runner) scheduleControl(every float64) {
 	r.eng.After(every, "control", func(t simtime.Time) {
-		if r.resolved() >= len(r.cfg.Tasks) {
+		if r.resolved() >= r.submitted() {
 			return
 		}
 		ctl := &runnerControl{r: r, now: t.Seconds()}

@@ -251,3 +251,71 @@ func TestUnplacedCountReturnsToZero(t *testing.T) {
 		t.Log("note: no unplaced backlog observed (nodes stayed up); counter still sane")
 	}
 }
+
+// closedLoop is a feeder-only client: it keeps every slot of the
+// platform busy until it has submitted total tasks, tries one malformed
+// submission first, and reads the platform energy at every tick.
+type closedLoop struct {
+	BaseModule
+	total, fed int
+	refused    error
+	energy     []float64
+}
+
+func (c *closedLoop) Feed(now float64, ctl Control) {
+	if c.fed == 0 {
+		c.refused = ctl.Submit(workload.Task{ID: -1, Ops: -1})
+	}
+	inFlight, slots := ctl.Unplaced(), 0
+	for _, n := range ctl.Nodes() {
+		inFlight += n.Running + n.Queued
+		slots += n.Slots
+	}
+	for ; inFlight < slots && c.fed < c.total; inFlight++ {
+		if err := ctl.Submit(workload.Task{ID: c.fed, Ops: 1e11}); err != nil {
+			panic(err)
+		}
+		c.fed++
+	}
+}
+
+func (c *closedLoop) OnTick(now float64, ctl Control) {
+	c.energy = append(c.energy, ctl.EnergyJ())
+}
+
+func TestFeederOnlyRun(t *testing.T) {
+	c := &closedLoop{total: 100}
+	res, err := Run(Config{
+		Platform:     smallPlatform(),
+		Policy:       sched.New(sched.Power),
+		Modules:      []Module{c},
+		ControlEvery: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.refused == nil {
+		t.Error("Submit accepted a task with negative ops")
+	}
+	if res.Completed != c.total || len(res.Records) != c.total {
+		t.Fatalf("completed %d (%d records) of %d fed tasks", res.Completed, len(res.Records), c.total)
+	}
+	for _, rec := range res.Records {
+		if rec.Wait() != 0 {
+			t.Fatalf("task %d waited %v s; the loop only fills free slots", rec.ID, rec.Wait())
+		}
+	}
+	if len(c.energy) == 0 {
+		t.Fatal("no control ticks")
+	}
+	prev := 0.0
+	for _, e := range c.energy {
+		if e < prev {
+			t.Fatalf("platform energy went backwards: %v after %v", e, prev)
+		}
+		prev = e
+	}
+	if prev > res.EnergyJ {
+		t.Errorf("energy at the last tick %v exceeds the run's %v", prev, res.EnergyJ)
+	}
+}

@@ -112,9 +112,6 @@ func (c *Config) defaults() error {
 	if c.Policy == nil {
 		return fmt.Errorf("sim: config needs a policy")
 	}
-	if len(c.Tasks) == 0 {
-		return fmt.Errorf("sim: config needs tasks")
-	}
 	if c.QueueFactor <= 0 {
 		c.QueueFactor = 1.0
 	}
@@ -343,8 +340,8 @@ type sedState struct {
 	site *carbon.SiteProfile
 	co2  *carbon.Integrator
 
-	// candidate marks the SED as eligible for new work (the adaptive
-	// experiment toggles this; the placement experiments keep all
+	// candidate marks the SED as eligible for new work (controllers
+	// toggle it through Control; the placement experiments keep all
 	// SEDs candidates).
 	candidate bool
 
@@ -777,6 +774,10 @@ type Runner struct {
 	// lobs caches the stack's LifecycleObserver implementations; empty
 	// for most runs, so emitting costs one nil-slice check.
 	lobs []LifecycleObserver
+	// feeders caches the stack's Feeder implementations and fed counts
+	// the tasks they submitted.
+	feeders []Feeder
+	fed     int
 
 	lastFinish float64
 	unplaced   int // submitted tasks no server could accept yet
@@ -809,6 +810,10 @@ type Runner struct {
 
 // resolved counts tasks whose fate is settled (completed or rejected).
 func (r *Runner) resolved() int { return r.res.Completed + r.res.Rejected }
+
+// submitted counts the run's tasks: the configured ones plus those
+// feeders submitted so far.
+func (r *Runner) submitted() int { return len(r.cfg.Tasks) + r.fed }
 
 // NewRunner validates the config and builds the initial state.
 func NewRunner(cfg Config) (*Runner, error) {
@@ -872,8 +877,23 @@ func NewRunner(cfg Config) (*Runner, error) {
 		if o, ok := m.(LifecycleObserver); ok {
 			r.lobs = append(r.lobs, o)
 		}
+		if f, ok := m.(Feeder); ok {
+			r.feeders = append(r.feeders, f)
+		}
+	}
+	if len(cfg.Tasks) == 0 && len(r.feeders) == 0 {
+		return nil, fmt.Errorf("sim: config needs tasks or a feeder module")
 	}
 	return r, nil
+}
+
+// feed hands every feeder the Control at now. Call sites check
+// len(r.feeders) first, so runs without feeders never allocate here.
+func (r *Runner) feed(now float64) {
+	ctl := &runnerControl{r: r, now: now}
+	for _, f := range r.feeders {
+		f.Feed(now, ctl)
+	}
 }
 
 // emit fans one lifecycle event out to the stack's observers.
@@ -919,18 +939,30 @@ func (r *Runner) Run() (*Result, error) {
 	if r.cfg.ControlEvery > 0 && len(r.cfg.Modules) > 0 {
 		r.scheduleControl(r.cfg.ControlEvery)
 	}
+	if len(r.feeders) > 0 {
+		r.feed(0)
+	}
 	// Budget: generous multiple of task count, to catch livelocks
-	// without bounding legitimate runs.
-	budget := uint64(len(r.cfg.Tasks))*64 + 1<<20
-	if _, err := r.eng.Run(budget); err != nil {
+	// without bounding legitimate runs. Feeders raise the count as the
+	// run goes, so an exhausted budget re-arms while it still grows.
+	var err error
+	for fired, n := uint64(0), uint64(0); fired < r.budget(); fired += n {
+		if n, err = r.eng.Run(r.budget() - fired); err == nil {
+			break
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
-	if r.resolved() != len(r.cfg.Tasks) {
-		return nil, fmt.Errorf("sim: only %d of %d tasks resolved (stuck queue?)", r.resolved(), len(r.cfg.Tasks))
+	if r.resolved() != r.submitted() {
+		return nil, fmt.Errorf("sim: only %d of %d tasks resolved (stuck queue?)", r.resolved(), r.submitted())
 	}
 	r.finalize()
 	return r.res, nil
 }
+
+// budget is the run's event budget for the tasks submitted so far.
+func (r *Runner) budget() uint64 { return uint64(r.submitted())*64 + 1<<20 }
 
 // scheduleArrivals arms the arrival cursor at r.arrivals[i]'s submit
 // time. Each firing submits every task sharing that instant, in config
@@ -1014,10 +1046,10 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 	}
 	chosen, err := sel.Select(list)
 	if err != nil {
-		// No candidate can take the request (all powered off):
-		// retry shortly — a controller (or the adaptive experiment)
-		// powers nodes back on; the placement experiments never hit
-		// this. Count it once so controllers see the backlog.
+		// No candidate can take the request (all powered off or
+		// candidacy revoked): retry shortly — a controller powers nodes
+		// back on or restores candidacy; the placement experiments
+		// never hit this. Count it once so controllers see the backlog.
 		if !p.waiting {
 			p.waiting = true
 			p.parkedAt = now
@@ -1218,6 +1250,9 @@ func (r *Runner) onFinish(now float64, sed *sedState, rt *runningTask) {
 		sed.idleAt = now
 	}
 	r.freeRunning(rt)
+	if len(r.feeders) > 0 {
+		r.feed(now)
+	}
 }
 
 func (r *Runner) drainQueue(now float64, sed *sedState) {
@@ -1292,7 +1327,7 @@ func (r *Runner) scheduleSample(period float64) {
 		}
 		r.res.Series = append(r.res.Series, Point{T: now.Seconds(), W: total})
 		// Keep sampling while work remains.
-		if r.resolved() < len(r.cfg.Tasks) {
+		if r.resolved() < r.submitted() {
 			r.scheduleSample(period)
 		}
 	})

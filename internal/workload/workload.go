@@ -1,7 +1,7 @@
 // Package workload models the paper's client workloads: independent
 // CPU-bound tasks submitted in a burst phase followed by a continuous
-// phase at a fixed rate (§IV-A), plus Poisson arrivals and the
-// closed-loop ("capacity tracking") client of §IV-C.
+// phase at a fixed rate (§IV-A), plus Poisson arrivals; the §IV-C
+// closed-loop client is a sim.Feeder in package experiments.
 package workload
 
 import (
