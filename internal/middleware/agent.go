@@ -46,7 +46,7 @@ type agentState struct {
 	policy       sched.Policy
 	topK         int
 	childTimeout time.Duration
-	spans        *obs.SpanWriter
+	sink         *spanSink
 	// localFanout is true when every child is an in-process SED:
 	// estimations answer in microseconds, so the fan-out calls them
 	// sequentially instead of paying goroutine churn per request.
@@ -129,9 +129,10 @@ func (a *Agent) Policy() sched.Policy {
 // new span's ID as their parent — so in a multi-level hierarchy each
 // agent level nests its own estimate span, and transport spans (dial/
 // encode/decode) nest under the level that crossed the wire. Nil turns
-// emission off.
+// emission off. A Master's root agent shares the master's sink instead,
+// so its estimate stage also feeds the stage histogram.
 func (a *Agent) SetSpans(w *obs.SpanWriter) {
-	a.mutate(func(st *agentState) { st.spans = w })
+	a.mutate(func(st *agentState) { st.sink = newSpanSink(a.name, w, nil) })
 }
 
 // Estimate implements Child: parallel fan-out, merge, plug-in sort,
@@ -147,38 +148,15 @@ func (a *Agent) Estimate(ctx context.Context, req Request) (estvec.List, error) 
 	policy := st.policy
 	topK := st.topK
 	childTimeout := st.childTimeout
-	spans := st.spans
 	if len(children) == 0 {
 		return nil, nil
 	}
 
-	// One "estimate" span per traced fan-out at this level. The copies
-	// forwarded to children parent under it, so sub-agent estimates and
-	// transport spans nest per hierarchy level.
-	var estStart float64
-	var estSpan *obs.Span
-	if spans != nil && req.TraceID != 0 {
-		estStart = obs.Uptime()
-		estSpan = &obs.Span{
-			TraceID: req.TraceID, SpanID: obs.NewSpanID(), Parent: req.ParentSpan,
-			Name: obs.StageEstimate, Src: a.name, Start: estStart,
-		}
-		req.ParentSpan = estSpan.SpanID
-	}
-	endEstimate := func(candidates int, err error) {
-		if estSpan == nil {
-			return
-		}
-		estSpan.DurSec = obs.Uptime() - estStart
-		estSpan.Attrs = map[string]string{
-			"children":   strconv.Itoa(len(children)),
-			"candidates": strconv.Itoa(candidates),
-		}
-		if err != nil {
-			estSpan.Err = err.Error()
-		}
-		spans.Emit(*estSpan)
-	}
+	// One "estimate" stage per fan-out at this level. The copies
+	// forwarded to children parent under its span, so sub-agent
+	// estimates and transport spans nest per hierarchy level.
+	est := st.sink.begin(obs.StageEstimate, req)
+	req = est.under(req)
 
 	var merged estvec.List
 	var lastErr error
@@ -224,17 +202,21 @@ func (a *Agent) Estimate(ctx context.Context, req Request) (estvec.List, error) 
 		wg.Wait()
 		merged, lastErr, healthy = mergeLists(lists, errs)
 	}
+	var err error
 	if healthy == 0 && lastErr != nil {
-		err := fmt.Errorf("middleware: agent %s: all children failed: %w", a.name, lastErr)
-		endEstimate(0, err)
-		return nil, err
+		merged, err = nil, fmt.Errorf("middleware: agent %s: all children failed: %w", a.name, lastErr)
+	} else {
+		merged.SortStable(policy.Less)
+		if topK > 0 && len(merged) > topK {
+			merged = merged[:topK]
+		}
 	}
-	merged.SortStable(policy.Less)
-	if topK > 0 && len(merged) > topK {
-		merged = merged[:topK]
+	if est.traced() { // attribute strings only for a span
+		est.end(err, "children", strconv.Itoa(len(children)), "candidates", strconv.Itoa(len(merged)))
+	} else {
+		est.end(err)
 	}
-	endEstimate(len(merged), nil)
-	return merged, nil
+	return merged, err
 }
 
 // estimateWithin bounds one child's round trip. The child may ignore
@@ -308,8 +290,11 @@ func (m *MasterAgent) SetPolicy(p sched.Policy) {
 }
 
 // Elect runs steps 2–4 of the scheduling process and returns the
-// chosen SED's name together with the sorted candidate list.
-func (m *MasterAgent) Elect(ctx context.Context, req Request) (string, estvec.List, error) {
+// chosen SED's name together with the sorted candidate list. Servers
+// in exclude are masked from the list before the one election (Replay
+// redoes a journaled lease on a SED other than the one the dead master
+// dispatched to); nil masks none.
+func (m *MasterAgent) Elect(ctx context.Context, req Request, exclude map[string]bool) (string, estvec.List, error) {
 	list, err := m.Estimate(ctx, req)
 	if err != nil {
 		return "", nil, err
@@ -317,38 +302,24 @@ func (m *MasterAgent) Elect(ctx context.Context, req Request) (string, estvec.Li
 	if len(list) == 0 {
 		return "", nil, fmt.Errorf("middleware: no server is able to solve %q", req.Service)
 	}
+	if len(exclude) > 0 {
+		// A fresh list: the merged one may be a child's own backing array.
+		kept := make(estvec.List, 0, len(list))
+		for _, v := range list {
+			if !exclude[v.Server] {
+				kept = append(kept, v)
+			}
+		}
+		if len(kept) == 0 {
+			return "", nil, fmt.Errorf("middleware: all candidates for %q excluded", req.Service)
+		}
+		list = kept
+	}
 	chosen, err := m.selector.Load().Select(list)
 	if err != nil {
 		return "", list, err
 	}
 	return chosen.Server, list, nil
-}
-
-// ElectExcluding runs the election while masking a set of servers
-// (Replay redoes a journaled lease on a SED other than the one the
-// dead master dispatched to); with none masked it is Elect.
-func (m *MasterAgent) ElectExcluding(ctx context.Context, req Request, exclude map[string]bool) (string, estvec.List, error) {
-	server, list, err := m.Elect(ctx, req)
-	if err != nil {
-		return "", list, err
-	}
-	if !exclude[server] {
-		return server, list, nil
-	}
-	filtered := make(estvec.List, 0, len(list))
-	for _, v := range list {
-		if !exclude[v.Server] {
-			filtered = append(filtered, v)
-		}
-	}
-	if len(filtered) == 0 {
-		return "", nil, fmt.Errorf("middleware: all candidates for %q excluded", req.Service)
-	}
-	chosen, err := m.selector.Load().Select(filtered)
-	if err != nil {
-		return "", filtered, err
-	}
-	return chosen.Server, filtered, nil
 }
 
 // Solver executes requests on a named SED — the client-side handle

@@ -93,7 +93,7 @@ func TestLiveSEDElectionFollowsCleanGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	ma.Attach(dirty, clean)
-	server, list, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7})
+	server, list, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

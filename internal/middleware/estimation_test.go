@@ -96,7 +96,7 @@ func TestCustomEstimationDrivesElection(t *testing.T) {
 		t.Fatal(err)
 	}
 	ma.Attach(far, near)
-	server, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e6})
+	server, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

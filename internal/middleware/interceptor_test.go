@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,6 +202,33 @@ func TestNewMasterValidation(t *testing.T) {
 	boom := &HookInterceptor{InitFunc: func(Mount) error { return errors.New("boom") }}
 	if _, err := NewMaster(WithPolicy(sched.New(sched.Power)), WithInterceptors(boom)); err == nil {
 		t.Error("failing Init accepted")
+	}
+}
+
+// TestNewMasterConstructionErrors: every invalid option combination is
+// refused at construction with an error naming the fault.
+func TestNewMasterConstructionErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Option
+		want string
+	}{
+		{"nil SED", WithSEDs(nil), "nil SED"},
+		{"nil remote", WithRemotes(nil), "nil remote"},
+		{"nil interceptor", WithInterceptors(nil), "nil interceptor"},
+		{"negative concurrency", WithConcurrency(-1), "negative concurrency"},
+		{"negative lease term", WithLeaseTerm(-time.Second), "negative lease term"},
+		{"metrics without registry", WithMetricsAddr("127.0.0.1:0"), "needs an ObsInterceptor"},
+	} {
+		m, err := NewMaster(WithPolicy(sched.New(sched.Power)), tc.opt)
+		if err == nil {
+			m.Close()
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 

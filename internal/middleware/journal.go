@@ -28,7 +28,7 @@ func WithJournal(j *journal.Journal) Option {
 }
 
 // WithLeaseTerm sets the dispatch lease term booked per SED dispatch
-// (default journal.DefaultLeaseTermSec). A lease bounds how long a SED
+// (zero: journal.DefaultLeaseTermSec; negative is an error). A lease bounds how long a SED
 // owns a request: after a master restart, a journaled lease must expire
 // before Replay redoes the work — on a different SED — which is what
 // keeps redo from racing an executor that may still be computing.
@@ -75,16 +75,11 @@ func (m *Master) journalSettle(id uint64, err error, finish, execSec, energyJ fl
 	if m.jrn == nil {
 		return
 	}
-	outcome := journal.StateCompleted
 	msg := ""
-	switch {
-	case err == nil:
-	case errors.Is(err, ErrRejected):
-		outcome, msg = journal.StateRejected, err.Error()
-	default:
-		outcome, msg = journal.StateFailed, err.Error()
+	if err != nil {
+		msg = err.Error()
 	}
-	if jerr := m.jrn.Settle(id, outcome, finish, execSec, energyJ, msg); jerr != nil && !errors.Is(jerr, journal.ErrSync) {
+	if jerr := m.jrn.Settle(id, outcome(err), finish, execSec, energyJ, msg); jerr != nil && !errors.Is(jerr, journal.ErrSync) {
 		m.journalErrs.Add(1)
 	}
 }
@@ -148,15 +143,7 @@ func (m *Master) Replay(ctx context.Context) (ReplayStats, error) {
 	for _, e := range m.jrn.Settled() {
 		rec := replayRecord(e)
 		m.submitted.Add(1)
-		switch e.State {
-		case journal.StateCompleted:
-			m.completed.Add(1)
-			m.addEnergy(rec.EnergyJ)
-		case journal.StateRejected:
-			m.rejected.Add(1)
-		default:
-			m.failed.Add(1)
-		}
+		m.count(rec)
 		for _, ic := range m.ics {
 			if rb, ok := ic.(Rebooker); ok {
 				rb.Rebook(rec)

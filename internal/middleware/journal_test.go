@@ -13,6 +13,7 @@ import (
 	"greensched/internal/estvec"
 	"greensched/internal/journal"
 	"greensched/internal/sched"
+	"greensched/internal/sla"
 )
 
 // stallService blocks until release is closed (or the request context
@@ -369,4 +370,73 @@ func TestJournalReplayRejectionNotFailed(t *testing.T) {
 	if got := len(j2.Pending()); got != 0 {
 		t.Fatalf("pending after replay = %d, want 0", got)
 	}
+}
+
+// TestPostAdmissionRejectionBooksAgree: a service that refuses a request
+// after admission (an error wrapping ErrRejected) is one rejection on
+// every book — the master's counters, the SLA ledger, the obs counters,
+// the journal — and on a master restarted from that journal.
+func TestPostAdmissionRejectionBooksAgree(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal")
+	start := func(j *journal.Journal) (*Master, *ObsInterceptor) {
+		sed := newSED(t, "sed", 1, 1e9, 100)
+		if err := sed.Register(Service{Name: "quota", Solve: func(context.Context, Request) ([]byte, error) {
+			return nil, fmt.Errorf("%w: over quota", ErrRejected)
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		obsIC := &ObsInterceptor{}
+		m, err := NewMaster(
+			WithPolicy(sched.New(sched.LeastLoaded)),
+			WithSEDs(sed),
+			WithJournal(j),
+			WithInterceptors(obsIC, &SLAInterceptor{Config: &sla.Config{}}),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, obsIC
+	}
+	agree := func(label string, res *LiveResult) {
+		t.Helper()
+		if res.Rejected != 1 || res.Failed != 0 {
+			t.Errorf("%s master: rejected=%d failed=%d, want 1 and 0", label, res.Rejected, res.Failed)
+		}
+		if res.SLA == nil || res.SLA.Rejected != 1 || res.SLA.Failed != 0 {
+			t.Errorf("%s SLA ledger: %+v, want one rejection and no failure", label, res.SLA)
+		}
+	}
+
+	j1, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, obs1 := start(j1)
+	if _, err := m1.Submit(context.Background(), "quota", 1e6, 0.5, nil); !errors.Is(err, ErrRejected) {
+		t.Fatalf("err = %v, want ErrRejected", err)
+	}
+	agree("live", m1.Finalize())
+	samples := scrape(t, obs1.Metrics())
+	rejections, _ := samples.Value("greensched_rejections_total")
+	failures, _ := samples.Value("greensched_failures_total")
+	if rejections != 1 || failures != 0 {
+		t.Errorf("obs counters: rejections=%v failures=%v, want 1 and 0", rejections, failures)
+	}
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if s := j2.Settled(); len(s) != 1 || s[0].State != journal.StateRejected {
+		t.Fatalf("settled = %+v, want one rejected entry", s)
+	}
+	m2, _ := start(j2)
+	if _, err := m2.Replay(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	agree("restarted", m2.Finalize())
 }

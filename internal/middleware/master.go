@@ -155,14 +155,15 @@ func WithMetricsAddr(addr string) Option {
 }
 
 // WithSpans turns on distributed tracing: every request's lifecycle is
-// emitted as a span tree (submit → admission → elect → dispatch →
-// queue/solve/reply; see the obs.Stage* constants) to the writer, and
-// the trace context propagates on the Request — through the root
-// agent's estimation fan-out and across the gob wire — so agent,
+// emitted as a span tree (submit → admission → elect → estimate →
+// dispatch → queue/solve/reply; see the obs.Stage* constants) to the
+// writer, and the trace context propagates on the Request — through the
+// root agent's estimation fan-out and across the gob wire — so agent,
 // transport and SED spans stitch into the same tree. With an
-// ObsInterceptor in the stack the same stages also feed the
-// greensched_stage_seconds histogram on its registry (the histogram is
-// registered whenever a registry is present, spans or not).
+// ObsInterceptor in the stack the master's and root agent's stages also
+// feed the greensched_stage_seconds histogram on its registry (the
+// histogram is registered and observed whenever a registry is present,
+// spans or not).
 func WithSpans(w *obs.SpanWriter) Option {
 	return func(c *masterConfig) { c.spans = w }
 }
@@ -238,6 +239,9 @@ func NewMaster(opts ...Option) (*Master, error) {
 	if cfg.concurrency < 0 {
 		return nil, fmt.Errorf("middleware: master %s: negative concurrency", cfg.name)
 	}
+	if cfg.leaseTermSec < 0 {
+		return nil, fmt.Errorf("middleware: master %s: negative lease term", cfg.name)
+	}
 	m := &Master{MasterAgent: ma, dir: dir, ics: cfg.interceptors, clock: clock,
 		jrn: cfg.journal, leaseTermSec: cfg.leaseTermSec}
 	if m.jrn != nil {
@@ -267,10 +271,10 @@ func NewMaster(opts ...Option) (*Master, error) {
 	}
 	// The span sink exists whenever there is anywhere for stage data
 	// to go: a WithSpans writer, a registry for the stage histogram,
-	// or both. The root agent shares the writer so per-level election
-	// spans land in the same stream.
+	// or both. The root agent shares the sink, so its estimate stage
+	// lands in the same stream and the same histogram.
 	m.sink = newSpanSink(ma.Name(), cfg.spans, reg)
-	ma.SetSpans(cfg.spans)
+	ma.mutate(func(st *agentState) { st.sink = m.sink })
 	if cfg.metricsAddr != "" {
 		if reg == nil {
 			return nil, fmt.Errorf("middleware: master %s: WithMetricsAddr needs an ObsInterceptor in the stack", cfg.name)
@@ -313,11 +317,14 @@ func (m *Master) Submit(ctx context.Context, service string, ops float64, pref f
 }
 
 // Do runs one request through the lifecycle: OnSubmit hooks in stack
-// order (first error aborts; ErrRejected counts as a rejection),
-// election, OnElect hooks, execution on the elected SED through the
-// transport, OnComplete hooks. Failures after admission also reach
-// OnComplete (rec.Err set) so interceptors release per-request state.
-// A zero req.ID is assigned from the master's sequence.
+// order (the first error aborts admission), election, OnElect hooks,
+// execution on the elected SED through the transport, OnComplete
+// hooks. Every outcome — rejection, failure after admission, success —
+// settles through the same path: counted (an error wrapping
+// ErrRejected as a rejection, any other as a failure), journaled, and
+// handed to OnComplete (rec.Err set on failure, so interceptors release
+// per-request state). A zero req.ID is assigned from the master's
+// sequence.
 //
 // With tracing on, the lifecycle is emitted as a span tree rooted at
 // "submit" — see WithSpans — and every stage feeds
@@ -332,7 +339,8 @@ func (m *Master) Do(ctx context.Context, req Request) (Response, error) {
 
 // doWith is Do with a pre-seeded election exclusion set: Replay uses
 // it to redo a journaled lease on a DIFFERENT SED than the one the
-// dead master had dispatched to.
+// dead master had dispatched to. The lifecycle is admit → elect →
+// lease → dispatch → settle.
 func (m *Master) doWith(ctx context.Context, req Request, excluded map[string]bool) (Response, error) {
 	if m.sem != nil {
 		select {
@@ -356,255 +364,137 @@ func (m *Master) doWith(ctx context.Context, req Request, excluded map[string]bo
 	// estimation fan-out, across the gob wire, into the SED — so every
 	// downstream span stitches to this root by ID alone (no cross-
 	// process clock agreement needed; Start is each emitter's clock).
-	var rootID uint64
-	var rootStart float64
-	if m.sink != nil {
-		rootStart = obs.Uptime()
-		if m.sink.spans() {
-			if req.TraceID == 0 {
-				req.TraceID = obs.NewSpanID()
-			}
-			rootID = obs.NewSpanID()
-			req.ParentSpan = rootID
-		}
+	if m.sink.spans() && req.TraceID == 0 {
+		req.TraceID = obs.NewSpanID()
 	}
-	endRoot := func(err error) {
-		if m.sink == nil {
-			return
-		}
-		dur := obs.Uptime() - rootStart
-		if !m.sink.spans() {
-			m.sink.observe(obs.StageSubmit, dur)
-			return
-		}
-		sp := obs.Span{
-			TraceID: req.TraceID, SpanID: rootID,
-			Name: obs.StageSubmit, Start: rootStart, DurSec: dur,
-			Attrs: map[string]string{"service": req.Service},
-		}
-		if err != nil {
-			sp.Err = err.Error()
-		}
-		m.sink.emit(sp)
-	}
+	root := m.sink.begin(obs.StageSubmit, req)
+	root.parent = 0
+	req = root.under(req)
 
-	if len(m.ics) > 0 {
-		var admStart float64
-		if m.sink != nil {
-			admStart = obs.Uptime()
-		}
-		for _, ic := range m.ics {
-			if err := ic.OnSubmit(ctx, m.clock(), &req); err != nil {
-				if errors.Is(err, ErrRejected) {
-					m.rejected.Add(1)
-				} else {
-					m.failed.Add(1)
-				}
-				// Earlier hooks may have attached per-request state; the
-				// failure record releases it (hooks ignore IDs they never
-				// admitted).
-				now := m.clock()
-				m.journalSettle(req.ID, err, now, 0, 0)
-				rec := RequestRecord{Req: req, Submit: now, Start: now, Finish: now, Err: err}
-				for _, ic := range m.ics {
-					ic.OnComplete(rec)
-				}
-				m.emitStage(req, rootID, obs.StageAdmission, admStart, err)
-				endRoot(err)
-				return Response{}, err
-			}
-		}
-		m.emitStage(req, rootID, obs.StageAdmission, admStart, nil)
+	if err := m.admit(ctx, &req); err != nil {
+		// Earlier hooks may have attached per-request state; the failure
+		// record releases it (hooks ignore IDs they never admitted).
+		now := m.clock()
+		return Response{}, m.settle(RequestRecord{Req: req, Submit: now, Start: now, Finish: now, Err: err}, root)
 	}
-	submitAt := m.clock()
-	fail := func(server string, start float64, err error) (Response, error) {
-		m.failed.Add(1)
-		finish := m.clock()
-		m.journalSettle(req.ID, err, finish, 0, 0)
-		rec := RequestRecord{
-			Req: req, Server: server,
-			Submit: submitAt, Start: start, Finish: finish,
-			Err: err,
-		}
-		for _, ic := range m.ics {
-			ic.OnComplete(rec)
-		}
-		endRoot(err)
-		return Response{}, err
-	}
+	rec := RequestRecord{Req: req, Submit: m.clock()}
+	rec.Start = rec.Submit
 
-	// Election. The elect span's ID is minted up front so the
-	// per-level estimate spans (and, through them, transport spans)
-	// nest under it.
-	var electStart float64
-	ereq := req
-	var electID uint64
-	if m.sink != nil {
-		electStart = obs.Uptime()
-		if m.sink.spans() {
-			electID = obs.NewSpanID()
-			ereq.ParentSpan = electID
-		}
-	}
-	server, list, err := m.ElectExcluding(ctx, ereq, excluded)
-	if m.sink != nil {
-		electDur := obs.Uptime() - electStart
-		if !m.sink.spans() {
-			m.sink.observe(obs.StageElect, electDur)
-		} else {
-			sp := obs.Span{
-				TraceID: req.TraceID, SpanID: electID, Parent: rootID,
-				Name: obs.StageElect, Start: electStart, DurSec: electDur,
-			}
-			if server != "" {
-				sp.Attrs = map[string]string{"server": server}
-			}
-			if err != nil {
-				sp.Err = err.Error()
-			}
-			m.sink.emit(sp)
-		}
-	}
+	// The elect span parents the per-level estimate spans (and, through
+	// them, transport spans).
+	elect := m.sink.begin(obs.StageElect, req)
+	server, list, err := m.Elect(ctx, elect.under(req), excluded)
+	elect.end(err, "server", server)
 	if err != nil {
-		return fail("", submitAt, err)
+		rec.Finish, rec.Err = m.clock(), err
+		return Response{}, m.settle(rec, root)
 	}
-	now := m.clock()
+	rec.Server, rec.Start = server, m.clock()
 	for _, ic := range m.ics {
-		ic.OnElect(now, req, server, list)
+		ic.OnElect(rec.Start, req, server, list)
 	}
-
 	solver, ok := m.dir.Lookup(server)
 	if !ok {
 		// No lease is booked for a server that cannot be reached.
-		return fail(server, now, fmt.Errorf("middleware: elected SED %q not in transport", server))
+		rec.Finish, rec.Err = m.clock(), fmt.Errorf("middleware: elected SED %q not in transport", server)
+		return Response{}, m.settle(rec, root)
 	}
 
-	// Dispatch: the wire crossing plus remote execution. The lease
-	// books the elected SED as the request's owner until the term
-	// expires. The copy handed to the solver parents under the
-	// dispatch span so transport (dial/encode/decode) and SED
-	// (queue/solve) spans nest here.
+	// Dispatch: the wire crossing plus remote execution. The lease books
+	// the elected SED as the request's owner until the term expires.
+	// Transport (dial/encode/decode) and SED (queue/solve) spans nest
+	// under the dispatch span.
 	m.journalLease(req.ID, server)
-	start := m.clock()
-	var dispStart float64
-	dreq := req
-	var dispID uint64
-	if m.sink != nil {
-		dispStart = obs.Uptime()
-		if m.sink.spans() {
-			dispID = obs.NewSpanID()
-			dreq.ParentSpan = dispID
+	rec.Start = m.clock()
+	disp := m.sink.begin(obs.StageDispatch, req)
+	resp, err := solver.Solve(ctx, disp.under(req))
+	endDispatch(disp, server, resp, err)
+	rec.Finish, rec.Err = m.clock(), err
+	if err != nil {
+		return Response{}, m.settle(rec, root)
+	}
+	rec.Server, rec.ExecSec, rec.EnergyJ = resp.Server, resp.ExecSec, resp.EnergyJ
+	return resp, m.settle(rec, root)
+}
+
+// admit runs the OnSubmit hooks in stack order as the admission stage;
+// the first error aborts it.
+func (m *Master) admit(ctx context.Context, req *Request) (err error) {
+	if len(m.ics) == 0 {
+		return nil
+	}
+	adm := m.sink.begin(obs.StageAdmission, *req)
+	for _, ic := range m.ics {
+		if err = ic.OnSubmit(ctx, m.clock(), req); err != nil {
+			break
 		}
 	}
-	resp, err := solver.Solve(ctx, dreq)
-	m.endDispatch(req, rootID, dispID, server, dispStart, resp, err)
-	if err != nil {
-		return fail(server, start, err)
-	}
-	finish := m.clock()
+	adm.end(err)
+	return err
+}
 
-	m.completed.Add(1)
-	m.addEnergy(resp.EnergyJ)
-	m.journalSettle(req.ID, nil, finish, resp.ExecSec, resp.EnergyJ)
-
-	rec := RequestRecord{
-		Req: req, Server: resp.Server,
-		Submit: submitAt, Start: start, Finish: finish,
-		ExecSec: resp.ExecSec, EnergyJ: resp.EnergyJ,
-	}
+// settle is the one terminal path of a request lifecycle: it counts the
+// outcome, settles the journal entry, runs every OnComplete hook and
+// ends the root span. It returns rec.Err.
+func (m *Master) settle(rec RequestRecord, root stage) error {
+	m.count(rec)
+	m.journalSettle(rec.Req.ID, rec.Err, rec.Finish, rec.ExecSec, rec.EnergyJ)
 	for _, ic := range m.ics {
 		ic.OnComplete(rec)
 	}
-	endRoot(nil)
-	return resp, nil
+	root.end(rec.Err, "service", rec.Req.Service)
+	return rec.Err
 }
 
-// emitStage records one master-side stage span parented under the
-// request's root span. A nil sink costs nothing.
-func (m *Master) emitStage(req Request, rootID uint64, stage string, start float64, err error) {
-	if m.sink == nil {
-		return
+// outcome classifies a lifecycle's terminal error by the one rule the
+// master's counters and its journal share: no error completed, an
+// error wrapping ErrRejected rejected, any other error failed.
+func outcome(err error) journal.State {
+	switch {
+	case err == nil:
+		return journal.StateCompleted
+	case errors.Is(err, ErrRejected):
+		return journal.StateRejected
 	}
-	dur := obs.Uptime() - start
-	if !m.sink.spans() {
-		m.sink.observe(stage, dur)
-		return
-	}
-	sp := obs.Span{
-		TraceID: req.TraceID, SpanID: obs.NewSpanID(), Parent: rootID,
-		Name: stage, Start: start, DurSec: dur,
-	}
-	if err != nil {
-		sp.Err = err.Error()
-	}
-	m.sink.emit(sp)
+	return journal.StateFailed
 }
 
-// endDispatch closes a dispatch span and reconstructs the SED-side
-// stage decomposition from the timings that rode back on the Response.
-// When the SED emitted its own queue/solve spans (resp.Spanned — it
-// shares a span writer), reconstruction is skipped to avoid duplicates
-// but the stage histogram still observes every stage, so /metrics is
-// complete either way. For a SED without a writer (or across a one-way
-// transport) the master derives the queue/solve/reply spans on its own
-// clock: queue from dispatch start, solve after it, reply as the
-// residual wire-and-framing time, clipped at zero.
-func (m *Master) endDispatch(req Request, rootID, dispID uint64, server string, dispStart float64, resp Response, err error) {
-	if m.sink == nil {
-		return
+// count books one outcome on the master's counters, a completion with
+// its energy; Replay rebooks settled journal entries through it too.
+func (m *Master) count(rec RequestRecord) {
+	switch outcome(rec.Err) {
+	case journal.StateCompleted:
+		m.completed.Add(1)
+		m.addEnergy(rec.EnergyJ)
+	case journal.StateRejected:
+		m.rejected.Add(1)
+	default:
+		m.failed.Add(1)
 	}
-	dispDur := obs.Uptime() - dispStart
-	if !m.sink.spans() {
-		m.sink.observe(obs.StageDispatch, dispDur)
-		if err != nil {
-			return
-		}
-		reply := dispDur - resp.QueueSec - resp.ExecSec
-		if reply < 0 {
-			reply = 0
-		}
-		m.sink.observe(obs.StageQueue, resp.QueueSec)
-		m.sink.observe(obs.StageSolve, resp.ExecSec)
-		m.sink.observe(obs.StageReply, reply)
-		return
-	}
-	sp := obs.Span{
-		TraceID: req.TraceID, SpanID: dispID, Parent: rootID,
-		Name: obs.StageDispatch, Start: dispStart, DurSec: dispDur,
-		Attrs: map[string]string{"server": server},
-	}
-	if err != nil {
-		sp.Err = err.Error()
-		m.sink.emit(sp)
-		return
-	}
-	m.sink.emit(sp)
+}
 
-	reply := dispDur - resp.QueueSec - resp.ExecSec
-	if reply < 0 {
-		reply = 0
+// endDispatch closes the dispatch stage and reconstructs the SED-side
+// stage decomposition from the timings that rode back on the Response:
+// queue from dispatch start, solve after it, and reply as the residual
+// wire-and-framing time, clipped at zero. The reply residual is only
+// visible from the master's side of the wire, so it is always the
+// master's span. When the SED emitted its own queue/solve spans
+// (resp.Spanned — it shares a span writer) those two are only
+// observed, so /metrics is complete either way without duplicate spans.
+func endDispatch(disp stage, server string, resp Response, err error) {
+	dur := disp.end(err, "server", server)
+	if err != nil || disp.sink == nil {
+		return
 	}
+	q, x := resp.QueueSec, resp.ExecSec
 	if resp.Spanned {
-		// SED-side queue/solve spans are already in the stream;
-		// histogram only for those two.
-		m.sink.observe(obs.StageQueue, resp.QueueSec)
-		m.sink.observe(obs.StageSolve, resp.ExecSec)
+		disp.sink.observe(obs.StageQueue, q)
+		disp.sink.observe(obs.StageSolve, x)
 	} else {
-		m.sink.emit(obs.Span{
-			TraceID: req.TraceID, SpanID: obs.NewSpanID(), Parent: dispID,
-			Name: obs.StageQueue, Src: resp.Server, Start: dispStart, DurSec: resp.QueueSec,
-		})
-		m.sink.emit(obs.Span{
-			TraceID: req.TraceID, SpanID: obs.NewSpanID(), Parent: dispID,
-			Name: obs.StageSolve, Src: resp.Server, Start: dispStart + resp.QueueSec, DurSec: resp.ExecSec,
-		})
+		disp.child(obs.StageQueue, resp.Server, disp.start).endAfter(q, nil)
+		disp.child(obs.StageSolve, resp.Server, disp.start+q).endAfter(x, nil)
 	}
-	// The reply residual is only visible from the master's side of the
-	// wire, so it is always the master's span.
-	m.sink.emit(obs.Span{
-		TraceID: req.TraceID, SpanID: obs.NewSpanID(), Parent: dispID,
-		Name: obs.StageReply, Start: dispStart + resp.QueueSec + resp.ExecSec, DurSec: reply,
-	})
+	disp.child(obs.StageReply, "", disp.start+q+x).endAfter(max(dur-q-x, 0), nil)
 }
 
 // Finalize assembles the LiveResult: the master's counters first, then

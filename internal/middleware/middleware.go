@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"greensched/internal/core"
 	"greensched/internal/estvec"
@@ -168,6 +167,7 @@ type SED struct {
 	execTotal float64 // summed execution seconds of completed requests
 
 	active atomic.Bool
+	sink   *spanSink // SEDConfig.Spans; nil without a writer
 }
 
 // SEDStats is a point-in-time observability snapshot of one SED.
@@ -231,9 +231,10 @@ func NewSED(cfg SEDConfig) (*SED, error) {
 		cfg.EstimatorWindow = 64
 	}
 	s := &SED{
-		cfg: cfg,
-		sem: make(chan struct{}, cfg.Slots),
-		est: power.NewEstimator(cfg.EstimatorWindow),
+		cfg:  cfg,
+		sem:  make(chan struct{}, cfg.Slots),
+		est:  power.NewEstimator(cfg.EstimatorWindow),
+		sink: newSpanSink(cfg.Name, cfg.Spans, nil),
 	}
 	s.services.Store(&map[string]Service{})
 	s.active.Store(true)
@@ -356,20 +357,6 @@ func (s *SED) DefaultEstimation(req Request) *estvec.Vector {
 	return v
 }
 
-// emitSpan writes one SED-side span for a traced request, stitched to
-// the master's tree by the propagated trace context. No-op without a
-// writer or a trace.
-func (s *SED) emitSpan(req Request, stage string, start, dur float64, errText string) {
-	if s.cfg.Spans == nil || req.TraceID == 0 {
-		return
-	}
-	s.cfg.Spans.Emit(obs.Span{
-		TraceID: req.TraceID, SpanID: obs.NewSpanID(), Parent: req.ParentSpan,
-		Name: stage, Src: s.cfg.Name,
-		Start: start, DurSec: dur, Err: errText,
-	})
-}
-
 // Solve executes a request (§III-A step 5), blocking for a free slot.
 // It feeds the dynamic estimator with the observed execution time and
 // the power sources' readings, and attributes the request its per-slot
@@ -382,19 +369,18 @@ func (s *SED) Solve(ctx context.Context, req Request) (Response, error) {
 		s.fails.Add(1)
 		return Response{}, fmt.Errorf("middleware: SED %s does not offer %q", s.cfg.Name, req.Service)
 	}
-	qStart := obs.Uptime()
+	queue := s.sink.begin(obs.StageQueue, req)
 	s.queueLen.Add(1)
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
 		s.queueLen.Add(-1)
 		s.fails.Add(1)
-		s.emitSpan(req, obs.StageQueue, qStart, obs.Uptime()-qStart, ctx.Err().Error())
+		queue.end(ctx.Err())
 		return Response{}, ctx.Err()
 	}
 	s.queueLen.Add(-1)
-	queueSec := obs.Uptime() - qStart
-	s.emitSpan(req, obs.StageQueue, qStart, queueSec, "")
+	queueSec := queue.end(nil)
 	s.inflight.Add(1)
 	defer func() {
 		s.inflight.Add(-1)
@@ -407,16 +393,13 @@ func (s *SED) Solve(ctx context.Context, req Request) (Response, error) {
 		meterSum += w
 		meterN++
 	}
-	start := time.Now()
-	solveStart := obs.Uptime()
+	solve := s.sink.begin(obs.StageSolve, req)
 	out, err := svc.Solve(ctx, req)
-	elapsed := time.Since(start).Seconds()
+	elapsed := solve.end(err)
 	if err != nil {
 		s.fails.Add(1)
-		s.emitSpan(req, obs.StageSolve, solveStart, elapsed, err.Error())
 		return Response{}, err
 	}
-	s.emitSpan(req, obs.StageSolve, solveStart, elapsed, "")
 	if w, ok := s.readPower(); ok {
 		meterSum += w
 		meterN++
@@ -438,7 +421,7 @@ func (s *SED) Solve(ctx context.Context, req Request) (Response, error) {
 		ExecSec:  elapsed,
 		EnergyJ:  meanW * elapsed / float64(s.cfg.Slots),
 		QueueSec: queueSec,
-		Spanned:  s.cfg.Spans != nil && req.TraceID != 0,
+		Spanned:  solve.traced(),
 	}, nil
 }
 

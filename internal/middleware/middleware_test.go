@@ -202,7 +202,7 @@ func prime(t *testing.T, seds map[string]*SED) {
 func TestHierarchyElectionFollowsPolicy(t *testing.T) {
 	ma, seds := buildHierarchy(t, sched.New(sched.Power))
 	prime(t, seds)
-	server, list, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7})
+	server, list, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestHierarchyElectionFollowsPolicy(t *testing.T) {
 	}
 	// Performance policy prefers the fast nodes.
 	ma.SetPolicy(sched.New(sched.Performance))
-	server, _, err = ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7})
+	server, _, err = ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestHierarchyElectionFollowsPolicy(t *testing.T) {
 
 func TestHierarchyUnknownService(t *testing.T) {
 	ma, _ := buildHierarchy(t, sched.New(sched.Power))
-	if _, _, err := ma.Elect(context.Background(), Request{Service: "missing"}); err == nil {
+	if _, _, err := ma.Elect(context.Background(), Request{Service: "missing"}, nil); err == nil {
 		t.Fatal("unknown service should error (paper step 1)")
 	}
 }
@@ -278,7 +278,7 @@ func TestAgentSurvivesFailingChild(t *testing.T) {
 	good := newSED(t, "good", 1, 1e9, 100)
 	prime(t, map[string]*SED{"good": good})
 	ma.Attach(failingChild{}, good)
-	server, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7})
+	server, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7}, nil)
 	if err != nil {
 		t.Fatalf("healthy subtree should win: %v", err)
 	}
@@ -288,7 +288,7 @@ func TestAgentSurvivesFailingChild(t *testing.T) {
 	// All children failing is an error.
 	ma2, _ := NewMasterAgent("ma2", policy)
 	ma2.Attach(failingChild{})
-	if _, _, err := ma2.Elect(context.Background(), Request{Service: "burn"}); err == nil {
+	if _, _, err := ma2.Elect(context.Background(), Request{Service: "burn"}, nil); err == nil {
 		t.Fatal("all-failed hierarchy should error")
 	}
 }
@@ -339,7 +339,7 @@ func TestInactiveSEDNotElected(t *testing.T) {
 	prime(t, seds)
 	seds["lean-0"].SetActive(false)
 	seds["lean-1"].SetActive(false)
-	server, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7})
+	server, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func BenchmarkHierarchyElection(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e6}); err != nil {
+		if _, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e6}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

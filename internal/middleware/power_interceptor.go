@@ -161,14 +161,6 @@ func (p *ExternalPowerInterceptor) OnComplete(rec RequestRecord) {
 	p.mu.Unlock()
 }
 
-// AttributedJ returns the energy this mount has attributed from
-// sidecar readings.
-func (p *ExternalPowerInterceptor) AttributedJ() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.attributedJ
-}
-
 // Finalize implements Interceptor: attributed sidecar energy joins the
 // result's energy total.
 func (p *ExternalPowerInterceptor) Finalize(res *LiveResult) {

@@ -98,29 +98,16 @@ func (i *SLAInterceptor) OnSubmit(_ context.Context, now float64, req *Request) 
 	return nil
 }
 
-// OnComplete implements Interceptor: a success is credited through its
-// penalty curve (and recalibrates the best-case flops estimate); a
-// failure forfeits the admitted value and releases the per-request
-// terms either way, so a long-lived master with flaky SEDs neither
-// leaks state nor loses dollars from the books.
+// OnComplete implements Interceptor: the outcome of an admitted
+// request is booked on the ledger (see book) and its per-request terms
+// are released either way, so a long-lived master with flaky SEDs
+// neither leaks state nor loses dollars from the books.
 func (i *SLAInterceptor) OnComplete(rec RequestRecord) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	if rec.Err == nil && rec.ExecSec > 0 && rec.Req.Ops > 0 {
-		if f := rec.Req.Ops / rec.ExecSec; f > i.bestFlops {
-			i.bestFlops = f
-		}
-	}
-	terms, ok := i.terms[rec.Req.ID]
-	if !ok {
-		return
-	}
+	terms, admitted := i.terms[rec.Req.ID]
 	delete(i.terms, rec.Req.ID)
-	if rec.Err != nil {
-		i.ledger.Fail(terms)
-		return
-	}
-	i.ledger.Complete(terms, rec.Finish)
+	i.book(rec, terms, admitted)
 }
 
 // Rebook implements Rebooker: a journaled, already-settled outcome is
@@ -135,13 +122,23 @@ func (i *SLAInterceptor) Rebook(rec RequestRecord) {
 	})
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	switch {
-	case rec.Err == nil:
-		if rec.ExecSec > 0 && rec.Req.Ops > 0 {
-			if f := rec.Req.Ops / rec.ExecSec; f > i.bestFlops {
-				i.bestFlops = f
-			}
+	i.book(rec, terms, true)
+}
+
+// book is the one outcome rule of the ledger, live and rebooked alike:
+// a success recalibrates the best-case flops estimate and, with terms,
+// is credited through its penalty curve; an error wrapping ErrRejected
+// books a rejection and any other error a failure — the master's rule
+// — each forfeiting the admitted value. The caller holds mu.
+func (i *SLAInterceptor) book(rec RequestRecord, terms sla.Terms, admitted bool) {
+	if rec.Err == nil && rec.ExecSec > 0 && rec.Req.Ops > 0 {
+		if f := rec.Req.Ops / rec.ExecSec; f > i.bestFlops {
+			i.bestFlops = f
 		}
+	}
+	switch {
+	case !admitted:
+	case rec.Err == nil:
 		i.ledger.Complete(terms, rec.Finish)
 	case errors.Is(rec.Err, ErrRejected):
 		i.ledger.Reject(terms)

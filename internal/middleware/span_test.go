@@ -385,3 +385,35 @@ func TestStageHistogramSelfScrape(t *testing.T) {
 		t.Error("greensched_go_heap_bytes missing from the served scrape")
 	}
 }
+
+// TestStageHistogramCountsEveryStage: on a traced one-level in-process
+// tree, each of the eight stages the master and its root agent time —
+// the root agent's estimate included — reaches greensched_stage_seconds
+// once per request.
+func TestStageHistogramCountsEveryStage(t *testing.T) {
+	var buf bytes.Buffer
+	obsIC := &ObsInterceptor{}
+	m, err := NewMaster(
+		WithPolicy(sched.New(sched.Power)),
+		WithSEDs(newSED(t, "a", 2, 2e9, 100), newSED(t, "b", 2, 2e9, 200)),
+		WithInterceptors(obsIC),
+		WithSpans(obs.NewSpanWriter(&buf)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 5
+	for i := 0; i < n; i++ {
+		if _, err := m.Do(context.Background(), Request{Service: "burn", Ops: 1e6}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	samples := scrape(t, obsIC.Metrics())
+	for _, stage := range []string{obs.StageSubmit, obs.StageAdmission, obs.StageElect, obs.StageEstimate,
+		obs.StageDispatch, obs.StageQueue, obs.StageSolve, obs.StageReply} {
+		got, ok := samples.Value("greensched_stage_seconds_count", "src=master", "stage="+stage)
+		if !ok || got != n {
+			t.Errorf("stage_seconds_count{stage=%s} = %v ok=%v, want %d", stage, got, ok, n)
+		}
+	}
+}

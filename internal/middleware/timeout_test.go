@@ -38,7 +38,7 @@ func TestChildTimeoutIsolatesSlowSubtree(t *testing.T) {
 	ma.SetChildTimeout(50 * time.Millisecond)
 
 	start := time.Now()
-	server, list, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7})
+	server, list, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestChildTimeoutStubbornChild(t *testing.T) {
 	defer close(stubborn.release) // let the goroutine exit at test end
 	ma.Attach(stubborn, good)
 	ma.SetChildTimeout(50 * time.Millisecond)
-	server, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7})
+	server, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestChildTimeoutAllChildrenHang(t *testing.T) {
 	ma, _ := NewMasterAgent("ma", sched.New(sched.Power))
 	ma.Attach(&hangingChild{})
 	ma.SetChildTimeout(30 * time.Millisecond)
-	if _, _, err := ma.Elect(context.Background(), Request{Service: "burn"}); err == nil {
+	if _, _, err := ma.Elect(context.Background(), Request{Service: "burn"}, nil); err == nil {
 		t.Fatal("all-hanging hierarchy should error")
 	}
 }
@@ -84,7 +84,7 @@ func TestNoTimeoutByDefault(t *testing.T) {
 	ma.Attach(&hangingChild{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, _, err := ma.Elect(ctx, Request{Service: "burn"})
+	_, _, err := ma.Elect(ctx, Request{Service: "burn"}, nil)
 	if err == nil {
 		t.Fatal("cancelled context should surface an error")
 	}

@@ -239,7 +239,7 @@ type Remote struct {
 	name    string
 	addr    string
 	timeout time.Duration
-	spans   *obs.SpanWriter
+	sink    *spanSink
 	mu      sync.Mutex // guards conn, enc, seq and pending
 	conn    net.Conn
 	enc     *gob.Encoder
@@ -274,22 +274,7 @@ func (r *Remote) SetTimeout(d time.Duration) { r.timeout = d }
 // SetSpans makes the handle emit dial/encode/decode spans for traced
 // requests under the caller's span (dispatch for Solve, the agent's
 // estimate for Estimate), so the trace shows the wire. Nil: off.
-func (r *Remote) SetSpans(w *obs.SpanWriter) { r.spans = w }
-
-// emitSpan records one transport-stage span for a traced request.
-func (r *Remote) emitSpan(req Request, stage string, start, dur float64, err error) {
-	if r.spans == nil || req.TraceID == 0 {
-		return
-	}
-	sp := obs.Span{
-		TraceID: req.TraceID, SpanID: obs.NewSpanID(), Parent: req.ParentSpan,
-		Name: stage, Src: r.name, Start: start, DurSec: dur,
-	}
-	if err != nil {
-		sp.Err = err.Error()
-	}
-	r.spans.Emit(sp)
-}
+func (r *Remote) SetSpans(w *obs.SpanWriter) { r.sink = newSpanSink(r.name, w, nil) }
 
 // Stats fetches the remote SED's observability snapshot over the wire.
 // Its error return keeps Remote apart from the in-process statser
@@ -325,9 +310,9 @@ func (r *Remote) fail(op string, err error) error {
 func (r *Remote) call(ctx context.Context, msg wireMsg) (wireReply, error) {
 	r.mu.Lock()
 	if r.conn == nil {
-		dialStart := obs.Uptime()
+		dial := r.sink.begin(obs.StageDial, msg.Req)
 		conn, err := (&net.Dialer{Timeout: r.timeout}).DialContext(ctx, "tcp", r.addr)
-		r.emitSpan(msg.Req, obs.StageDial, dialStart, obs.Uptime()-dialStart, err)
+		dial.end(err)
 		if err != nil {
 			r.mu.Unlock()
 			return wireReply{}, fmt.Errorf("middleware: dialing %s (%s): %w: %w", r.name, r.addr, ErrTransport, err)
@@ -345,11 +330,11 @@ func (r *Remote) call(ctx context.Context, msg wireMsg) (wireReply, error) {
 	if dl, ok := ctx.Deadline(); ok {
 		msg.Deadline = max(int64(time.Until(dl)), 1)
 	}
-	encStart := obs.Uptime()
+	encode := r.sink.begin(obs.StageEncode, msg.Req)
 	err := r.send(conn, enc, &msg) // on failure c fails with the rest
-	r.emitSpan(msg.Req, obs.StageEncode, encStart, obs.Uptime()-encStart, err)
+	encode.end(err)
 
-	decStart := obs.Uptime()
+	decode := r.sink.begin(obs.StageDecode, msg.Req)
 	var expire <-chan time.Time
 	if r.timeout > 0 {
 		if c.timer == nil {
@@ -376,13 +361,13 @@ func (r *Remote) call(ctx context.Context, msg wireMsg) (wireReply, error) {
 		r.mu.Unlock()
 		r.send(conn, enc, &wireMsg{ID: msg.ID, Kind: wireCancel})
 		err = r.fail("calling", cause)
-		r.emitSpan(msg.Req, obs.StageDecode, decStart, obs.Uptime()-decStart, err)
+		decode.end(err)
 		return wireReply{}, err
 	}
 	reply, err := c.reply, c.err
 	c.reply, c.err = wireReply{}, nil
 	callPool.Put(c)
-	decDur := obs.Uptime() - decStart
+	decDur := obs.Uptime() - decode.start
 	if err == nil && msg.Kind == wireSolve {
 		// The SED spans its queue+solve time itself; keep only the
 		// wire-and-codec residual so critical paths count it once.
@@ -390,7 +375,7 @@ func (r *Remote) call(ctx context.Context, msg wireMsg) (wireReply, error) {
 			decDur -= served
 		}
 	}
-	r.emitSpan(msg.Req, obs.StageDecode, decStart, decDur, err)
+	decode.endAfter(decDur, err)
 	switch {
 	case err != nil:
 		return wireReply{}, err

@@ -139,7 +139,7 @@ func TestTransportFaultFailsRequest(t *testing.T) {
 	}
 
 	// Sanity: the doomed remote wins the first election.
-	server, _, err := ma.Elect(context.Background(), Request{Service: "burn2", Ops: 1e6})
+	server, _, err := ma.Elect(context.Background(), Request{Service: "burn2", Ops: 1e6}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestAgentTreeWiresHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	prime(t, seds)
-	server, list, err := m.Elect(context.Background(), Request{Service: "burn", Ops: 1e7})
+	server, list, err := m.Elect(context.Background(), Request{Service: "burn", Ops: 1e7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,20 +94,22 @@ func TestMasterLookupMiss(t *testing.T) {
 	}
 }
 
+// TestElectExcluding: Elect masks the excluded servers before its one
+// election, and masking every candidate is an error.
 func TestElectExcluding(t *testing.T) {
 	a := newSED(t, "a", 2, 2e9, 90)
 	b := newSED(t, "b", 2, 2e9, 300)
 	prime(t, map[string]*SED{"a": a, "b": b})
 	ma, _ := NewMasterAgent("ma", sched.New(sched.Power))
 	ma.Attach(a, b)
-	server, _, err := ma.ElectExcluding(context.Background(), Request{Service: "burn", Ops: 1e7}, map[string]bool{"a": true})
+	server, _, err := ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7}, map[string]bool{"a": true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if server != "b" {
 		t.Fatalf("elected %s with a excluded", server)
 	}
-	_, _, err = ma.ElectExcluding(context.Background(), Request{Service: "burn", Ops: 1e7},
+	_, _, err = ma.Elect(context.Background(), Request{Service: "burn", Ops: 1e7},
 		map[string]bool{"a": true, "b": true})
 	if err == nil {
 		t.Fatal("excluding everything should error")
