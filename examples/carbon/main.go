@@ -1,7 +1,7 @@
 // Carbon walkthrough: the grid behind the socket as a scheduling
 // signal. It builds diurnal and tariff-derived carbon signals, shows
 // how the same joule costs different grams across sites and hours,
-// ranks servers with the carbon-aware criteria, and runs the
+// ranks servers with the GREENPERF and CARBON policies, and runs the
 // carbon-blind vs carbon-aware comparison on a one-day scenario.
 package main
 
@@ -10,10 +10,20 @@ import (
 	"os"
 
 	"greensched/internal/carbon"
-	"greensched/internal/core"
+	"greensched/internal/estvec"
 	"greensched/internal/experiments"
 	"greensched/internal/forecast"
+	"greensched/internal/sched"
 )
+
+// sed builds the estimation vector a SED on a grid of gPerKWh reports.
+func sed(name string, flops, watts, gPerKWh float64) *estvec.Vector {
+	return estvec.New(name).
+		Set(estvec.TagFlops, flops).
+		Set(estvec.TagPowerW, watts).
+		Set(estvec.TagGreenPerf, watts/flops).
+		Set(estvec.TagCarbonIntensity, gPerKWh)
+}
 
 func main() {
 	// A solar-dominated grid: cleanest at 13:00, dirtiest overnight.
@@ -29,13 +39,13 @@ func main() {
 	}
 
 	// The §IV-C electricity tariff doubles as a coarse carbon signal.
-	sched, err := carbon.FromTariff(forecast.PaperTariff(), 100, 500)
+	steps, err := carbon.FromTariff(forecast.PaperTariff(), 100, 500)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("\nTariff-derived step schedule:")
 	for _, h := range []float64{4, 12, 23} {
-		fmt.Printf("  %02.0f:00  %3.0f g/kWh\n", h, sched.IntensityAt(h*3600))
+		fmt.Printf("  %02.0f:00  %3.0f g/kWh\n", h, steps.IntensityAt(h*3600))
 	}
 
 	// One kWh is not one footprint: integrate 1000 W for an hour at
@@ -48,15 +58,15 @@ func main() {
 
 	// Carbon-aware ranking: a hungrier server on a cleaner grid can
 	// beat the GreenPerf favourite.
-	servers := []core.Server{
-		{Name: "lean-dirty", Flops: 5e9, PowerW: 200, CarbonIntensity: 500, Active: true},
-		{Name: "hungry-clean", Flops: 5e9, PowerW: 300, CarbonIntensity: 50, Active: true},
+	servers := estvec.List{
+		sed("lean-dirty", 5e9, 200, 500),
+		sed("hungry-clean", 5e9, 300, 50),
 	}
-	fmt.Println("\nGreenPerf vs CarbonPerf ordering:")
-	fmt.Printf("  by GreenPerf:  %s first\n", core.Rank(servers, core.ByGreenPerf())[0].Name)
-	fmt.Printf("  by CarbonPerf: %s first\n", core.Rank(servers, core.ByCarbonPerf())[0].Name)
-	fmt.Printf("  blended (perf=1, watts=1, carbon=1): %s first\n",
-		core.Rank(servers, core.ByGreenWeights(core.DefaultGreenWeights))[0].Name)
+	fmt.Println("\nGREENPERF vs CARBON ordering:")
+	for _, p := range []sched.Policy{sched.New(sched.GreenPerf), sched.New(sched.Carbon)} {
+		servers.SortStable(p.Less)
+		fmt.Printf("  by %-10s %s first\n", p.Name()+":", servers[0].Server)
+	}
 
 	// The full study on a small one-day scenario: an evening batch
 	// either runs immediately (carbon-blind) or waits for the next

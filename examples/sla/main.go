@@ -1,21 +1,32 @@
 // SLA walkthrough: deadlines, dollar values and penalty curves as
 // scheduling inputs. It prices lateness under the three bundled curve
 // shapes, screens tasks through admission control, ranks servers with
-// the deadline- and value-aware criteria, reorders a backlog with EDF,
-// and runs the energy-only vs SLA-aware vs SLA+carbon comparison on a
-// trimmed scenario.
+// the GREENPERF policy with and without a deadline screen, reorders a
+// backlog with EDF, and runs the energy-only vs SLA-aware vs
+// SLA+carbon comparison on a trimmed scenario.
 package main
 
 import (
 	"fmt"
 	"os"
 
-	"greensched/internal/core"
+	"greensched/internal/estvec"
 	"greensched/internal/experiments"
 	"greensched/internal/sched"
 	"greensched/internal/sla"
 	"greensched/internal/workload"
 )
+
+// sed builds the estimation vector of an active SED whose queue holds
+// waitSec seconds of work.
+func sed(name string, flops, watts, waitSec float64) *estvec.Vector {
+	return estvec.New(name).
+		Set(estvec.TagFlops, flops).
+		Set(estvec.TagPowerW, watts).
+		Set(estvec.TagGreenPerf, watts/flops).
+		Set(estvec.TagWaitSec, waitSec).
+		SetBool(estvec.TagActive, true)
+}
 
 func main() {
 	// Penalty curves price lateness: a result is worth its class's
@@ -51,15 +62,17 @@ func main() {
 
 	// Deadline-aware ranking: the greener server loses the election
 	// when only the faster one can meet the deadline.
-	servers := []core.Server{
-		{Name: "lean-queued", Flops: 5e9, PowerW: 150, Active: true, WaitSec: 900},
-		{Name: "fast-free", Flops: 5e9, PowerW: 300, Active: true},
+	servers := estvec.List{
+		sed("lean-queued", 5e9, 150, 900),
+		sed("fast-free", 5e9, 300, 0),
 	}
 	ops := 1e12 // 200 s of work
+	greenPerf := sched.New(sched.GreenPerf)
 	fmt.Println("\nServer ranking for a 500 s deadline:")
-	fmt.Printf("  by GreenPerf:      %s first\n", core.Rank(servers, core.ByGreenPerf())[0].Name)
-	fmt.Printf("  by DeadlineSlack:  %s first\n", core.Rank(servers, core.ByDeadlineSlack(ops, 0, 500))[0].Name)
-	fmt.Printf("  by ValueEfficiency ($2 task): %s first\n", core.Rank(servers, core.ByValueEfficiency(ops, 2))[0].Name)
+	for _, p := range []sched.Policy{greenPerf, sched.DeadlineAware{Base: greenPerf, Ops: ops, Deadline: 500}} {
+		servers.SortStable(p.Less)
+		fmt.Printf("  by %-20s %s first\n", p.Name()+":", servers[0].Server)
+	}
 
 	// Queue disciplines decide who gets the next free slot.
 	backlog := []sched.TaskView{

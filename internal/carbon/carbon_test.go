@@ -122,9 +122,11 @@ func TestProfileRoutesClustersToSites(t *testing.T) {
 	if g := p.IntensityAt("orion", 0); g != 500 {
 		t.Errorf("default cluster intensity %v, want 500", g)
 	}
-	sites := p.Sites()
-	if len(sites) != 2 || sites[0] != "clean" || sites[1] != "dirty" {
-		t.Errorf("sites = %v", sites)
+	if got := p.Site("taurus").Site; got != "clean" {
+		t.Errorf("mapped cluster site %q, want clean", got)
+	}
+	if got := p.Site("orion").Site; got != "dirty" {
+		t.Errorf("default cluster site %q, want dirty", got)
 	}
 }
 

@@ -1,9 +1,6 @@
 package carbon
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SiteProfile ties one physical site to its grid: the carbon signal of
 // the regional grid it draws from, plus the facility overhead (PUE)
@@ -78,21 +75,6 @@ func (p *Profile) Site(cluster string) SiteProfile {
 		return sp
 	}
 	return p.def
-}
-
-// Sites returns the distinct site names in sorted order, default
-// included.
-func (p *Profile) Sites() []string {
-	seen := map[string]bool{p.def.Site: true}
-	for _, sp := range p.byCluster {
-		seen[sp.Site] = true
-	}
-	out := make([]string, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // IntensityAt returns the grid intensity a cluster sees at time t.

@@ -191,7 +191,7 @@ func TestNodeLifecycleEnergy(t *testing.T) {
 	spec, _ := Spec("taurus")
 	spec.Name = "t0"
 	n := NewNode(spec, 0, nil)
-	if n.State() != power.On || n.FreeCores() != 12 {
+	if n.State() != power.On || n.BusyCores() != 0 {
 		t.Fatal("fresh node should be on and empty")
 	}
 	// 10 s idle.
@@ -223,7 +223,7 @@ func TestNodeCapacityEnforced(t *testing.T) {
 	if err := n.StartTask(1); err == nil {
 		t.Fatal("third task on a 2-core node should fail")
 	}
-	if n.FreeCores() != 0 || n.Utilization() != 1 {
+	if n.BusyCores() != 2 || n.Utilization() != 1 {
 		t.Fatal("full node accounting wrong")
 	}
 	if err := n.FinishTask(2); err != nil {
@@ -388,7 +388,7 @@ func TestPropertyNodeEnergyMonotone(t *testing.T) {
 			now += float64(op%7) + 0.5
 			switch op % 3 {
 			case 0:
-				if n.FreeCores() > 0 {
+				if n.BusyCores() < n.Spec.Cores {
 					n.StartTask(now)
 				}
 			case 1:

@@ -50,14 +50,6 @@ func (n *Node) State() power.State { return n.state }
 // BusyCores returns the number of cores currently executing tasks.
 func (n *Node) BusyCores() int { return n.busyCores }
 
-// FreeCores returns schedulable spare capacity (0 unless On).
-func (n *Node) FreeCores() int {
-	if n.state != power.On {
-		return 0
-	}
-	return n.Spec.Cores - n.busyCores
-}
-
 // Utilization returns busy/total cores in [0,1].
 func (n *Node) Utilization() float64 {
 	return float64(n.busyCores) / float64(n.Spec.Cores)

@@ -1,18 +1,10 @@
 package core
 
-// This file holds the carbon-aware extensions of the paper's ranking
-// model. GreenPerf divides watts by performance; these criteria divide
-// *emissions rate* by performance instead, so a multi-site platform
-// can prefer a slightly hungrier server on a much cleaner grid. The
-// blended GreenWeights score lets a provider weight performance,
-// watts and carbon against each other, extending the Eq. 1 provider
-// preference from one knob (electricity cost) to the full
-// performance/watts/carbon triangle.
-
-import (
-	"fmt"
-	"math"
-)
+// This file holds the carbon-aware extension of the paper's ranking
+// model. GreenPerf divides watts by performance; CarbonPerf divides
+// the *emissions rate* by performance instead, so a multi-site
+// platform can prefer a slightly hungrier server on a much cleaner
+// grid. The CARBON sched policy ranks by it.
 
 // CarbonPerf returns the intensity-weighted ranking ratio
 //
@@ -36,79 +28,3 @@ func (s Server) effectiveIntensity() float64 {
 	}
 	return s.CarbonIntensity
 }
-
-// GreenWeights is the provider's appetite for each axis of the
-// performance / watts / carbon triangle. The blended score is the
-// log-linear mix
-//
-//	Sc = wPerf·ln(1/fs) + wWatts·ln(cs/fs) + wCarbon·ln(cs·I/fs)
-//
-// (lower is better), i.e. a weighted geometric mean of the three
-// ranking ratios. Multiplying any metric by a constant shifts every
-// server's score equally, so the ordering is unit-free and the weights
-// only express relative priorities.
-type GreenWeights struct {
-	Perf   float64 // weight of raw performance (1/fs)
-	Watts  float64 // weight of GreenPerf (cs/fs)
-	Carbon float64 // weight of CarbonPerf (cs·I/fs)
-}
-
-// DefaultGreenWeights balances the three axes equally.
-var DefaultGreenWeights = GreenWeights{Perf: 1, Watts: 1, Carbon: 1}
-
-// Validate rejects meaningless weightings.
-func (w GreenWeights) Validate() error {
-	if w.Perf < 0 || w.Watts < 0 || w.Carbon < 0 {
-		return fmt.Errorf("core: negative green weights %+v", w)
-	}
-	if w.Perf+w.Watts+w.Carbon == 0 {
-		return fmt.Errorf("core: all green weights zero")
-	}
-	return nil
-}
-
-// Score returns the blended log-linear score for a server; lower ranks
-// first.
-func (w GreenWeights) Score(s Server) float64 {
-	return w.Perf*math.Log(1/s.Flops) +
-		w.Watts*math.Log(s.GreenPerf()) +
-		w.Carbon*math.Log(s.CarbonPerf())
-}
-
-type byCarbonPerf struct{}
-
-func (byCarbonPerf) Name() string { return "CARBONPERF" }
-func (byCarbonPerf) Less(a, b Server) bool {
-	ca, cb := a.CarbonPerf(), b.CarbonPerf()
-	if ca != cb {
-		return ca < cb
-	}
-	if ga, gb := a.GreenPerf(), b.GreenPerf(); ga != gb {
-		return ga < gb
-	}
-	if a.Flops != b.Flops {
-		return a.Flops > b.Flops
-	}
-	return a.Name < b.Name
-}
-
-// ByCarbonPerf ranks by grams-per-flop, ascending — the carbon
-// analogue of ByGreenPerf. Ties break by GreenPerf, then performance
-// descending (§III-A's secondary parameter), then name.
-func ByCarbonPerf() Criterion { return byCarbonPerf{} }
-
-type byGreenWeights struct{ w GreenWeights }
-
-func (c byGreenWeights) Name() string {
-	return fmt.Sprintf("GREENWEIGHTS(p=%g,w=%g,c=%g)", c.w.Perf, c.w.Watts, c.w.Carbon)
-}
-func (c byGreenWeights) Less(a, b Server) bool {
-	sa, sb := c.w.Score(a), c.w.Score(b)
-	if sa != sb {
-		return sa < sb
-	}
-	return a.Name < b.Name
-}
-
-// ByGreenWeights ranks by the blended performance/watts/carbon score.
-func ByGreenWeights(w GreenWeights) Criterion { return byGreenWeights{w: w} }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestCarbonPerfWeightsIntensity(t *testing.T) {
 	// Same watts and flops, different grids: the cleaner site wins.
@@ -11,10 +8,6 @@ func TestCarbonPerfWeightsIntensity(t *testing.T) {
 	dirty := Server{Name: "dirty", Flops: 5e9, PowerW: 200, CarbonIntensity: 500, Active: true}
 	if clean.CarbonPerf() >= dirty.CarbonPerf() {
 		t.Errorf("clean %v must beat dirty %v", clean.CarbonPerf(), dirty.CarbonPerf())
-	}
-	ranked := Rank([]Server{dirty, clean}, ByCarbonPerf())
-	if ranked[0].Name != "clean" {
-		t.Errorf("ByCarbonPerf ranked %s first", ranked[0].Name)
 	}
 }
 
@@ -34,65 +27,10 @@ func TestCarbonPerfUnknownIntensityDegradesToGreenPerf(t *testing.T) {
 	a := Server{Name: "a", Flops: 5e9, PowerW: 100}
 	b := Server{Name: "b", Flops: 5e9, PowerW: 300}
 	// Both unknown: ordering equals GreenPerf's.
-	ranked := Rank([]Server{b, a}, ByCarbonPerf())
-	if ranked[0].Name != "a" {
-		t.Errorf("unknown intensities must fall back to GreenPerf; got %s first", ranked[0].Name)
+	if a.CarbonPerf() >= b.CarbonPerf() {
+		t.Errorf("unknown intensities must fall back to GreenPerf: %v vs %v", a.CarbonPerf(), b.CarbonPerf())
 	}
 	if got, want := a.CarbonPerf(), a.GreenPerf(); got != want {
 		t.Errorf("neutral intensity CarbonPerf %v != GreenPerf %v", got, want)
-	}
-}
-
-func TestByCarbonPerfTieBreaks(t *testing.T) {
-	// Equal grams/flop and watts/flop: faster node first, then name.
-	slow := Server{Name: "slow", Flops: 2e9, PowerW: 100, CarbonIntensity: 100}
-	fast := Server{Name: "fast", Flops: 4e9, PowerW: 200, CarbonIntensity: 100}
-	ranked := Rank([]Server{slow, fast}, ByCarbonPerf())
-	if ranked[0].Name != "fast" {
-		t.Errorf("performance must break carbon ties, got %s first", ranked[0].Name)
-	}
-}
-
-func TestGreenWeightsValidate(t *testing.T) {
-	if err := DefaultGreenWeights.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if (GreenWeights{Perf: -1}).Validate() == nil {
-		t.Error("negative weight must be rejected")
-	}
-	if (GreenWeights{}).Validate() == nil {
-		t.Error("all-zero weights must be rejected")
-	}
-}
-
-func TestGreenWeightsAxes(t *testing.T) {
-	fast := Server{Name: "fast", Flops: 10e9, PowerW: 400, CarbonIntensity: 400, Active: true}
-	lean := Server{Name: "lean", Flops: 4e9, PowerW: 60, CarbonIntensity: 400, Active: true}
-	clean := Server{Name: "clean", Flops: 4e9, PowerW: 100, CarbonIntensity: 20, Active: true}
-	servers := []Server{fast, lean, clean}
-
-	if got := Rank(servers, ByGreenWeights(GreenWeights{Perf: 1}))[0].Name; got != "fast" {
-		t.Errorf("pure perf weighting chose %s", got)
-	}
-	if got := Rank(servers, ByGreenWeights(GreenWeights{Watts: 1}))[0].Name; got != "lean" {
-		t.Errorf("pure watts weighting chose %s", got)
-	}
-	if got := Rank(servers, ByGreenWeights(GreenWeights{Carbon: 1}))[0].Name; got != "clean" {
-		t.Errorf("pure carbon weighting chose %s", got)
-	}
-}
-
-func TestGreenWeightsScoreIsScaleFree(t *testing.T) {
-	w := GreenWeights{Perf: 0.5, Watts: 1, Carbon: 2}
-	a := Server{Name: "a", Flops: 5e9, PowerW: 150, CarbonIntensity: 300}
-	b := Server{Name: "b", Flops: 8e9, PowerW: 220, CarbonIntensity: 90}
-	delta := w.Score(a) - w.Score(b)
-	// Rescale the power unit by 1000: the score gap must be unchanged.
-	a2, b2 := a, b
-	a2.PowerW *= 1000
-	b2.PowerW *= 1000
-	delta2 := w.Score(a2) - w.Score(b2)
-	if math.Abs(delta-delta2) > 1e-9 {
-		t.Errorf("score gap changed under unit rescale: %v vs %v", delta, delta2)
 	}
 }

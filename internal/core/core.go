@@ -6,16 +6,17 @@
 // (Algorithm 1).
 //
 // Everything in this package is a pure function over server
-// descriptions: no clocks, no goroutines, no I/O. Both the live
-// middleware and the discrete-event simulator call into it, which is
-// what makes the two execution modes comparable.
+// descriptions: no clocks, no goroutines, no I/O. It does not order
+// servers itself: every election, in the simulator and in the live
+// middleware, ranks estimation vectors through a sched.Policy.
+// sched.ServerFromVector turns a vector into a Server, and the
+// policies call Score (SCORE, Eq. 6), CarbonPerf (CARBON) and
+// ComputationTime (DeadlineAware, Eq. 4) on it; provision.Rules calls
+// CandidateQuota. Because both execution modes reach these formulas
+// through the same policies, their decisions are comparable.
 package core
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Server is the per-server knowledge the scheduler needs at decision
 // time, using the paper's §III-C notation.
@@ -31,27 +32,11 @@ type Server struct {
 
 	// CarbonIntensity is the grid carbon intensity the server's site
 	// sees at decision time, in gCO2/kWh (0 = unknown). It extends the
-	// paper's notation with the where/when of the watts; the
-	// carbon-aware criteria in carbon.go consume it.
+	// paper's notation with the where/when of the watts; CarbonPerf
+	// in carbon.go consumes it.
 	CarbonIntensity float64
 
 	Active bool // powered on (false = must boot first)
-}
-
-// Validate reports a descriptive error for unusable inputs.
-func (s Server) Validate() error {
-	switch {
-	case s.Name == "":
-		return fmt.Errorf("core: server with empty name")
-	case s.Flops <= 0:
-		return fmt.Errorf("core: server %s has non-positive flops", s.Name)
-	case s.PowerW <= 0:
-		return fmt.Errorf("core: server %s has non-positive power", s.Name)
-	case s.BootSec < 0 || s.BootPowerW < 0 || s.WaitSec < 0:
-		return fmt.Errorf("core: server %s has negative boot/wait figures", s.Name)
-	default:
-		return nil
-	}
 }
 
 // GreenPerf returns the paper's ranking ratio
@@ -157,17 +142,6 @@ type ProviderPref struct {
 // equally.
 var DefaultProviderPref = ProviderPref{Alpha: 0.5, Beta: 0.5}
 
-// Validate rejects weights that can push the preference outside [0,1].
-func (pp ProviderPref) Validate() error {
-	if pp.Alpha < 0 || pp.Beta < 0 {
-		return fmt.Errorf("core: negative preference weights %+v", pp)
-	}
-	if pp.Alpha+pp.Beta > 1+1e-12 {
-		return fmt.Errorf("core: weights α+β = %v exceed 1; preference would leave [0,1]", pp.Alpha+pp.Beta)
-	}
-	return nil
-}
-
 // Eval computes Eq. 1 with u and c clamped to [0,1].
 func (pp ProviderPref) Eval(utilization, costRatio float64) float64 {
 	u := clamp01(utilization)
@@ -184,61 +158,6 @@ func clamp01(v float64) float64 {
 	}
 	return v
 }
-
-// Rank orders servers by a criterion, returning a new slice.
-func Rank(servers []Server, c Criterion) []Server {
-	out := make([]Server, len(servers))
-	copy(out, servers)
-	sort.SliceStable(out, func(i, j int) bool { return c.Less(out[i], out[j]) })
-	return out
-}
-
-// Criterion is a sorting criterion over servers. Ties inside the stock
-// criteria break by the secondary parameter (performance, descending —
-// "a secondary parameter, hereafter considered to be the node's
-// performance", §III-A) and finally by name for determinism.
-type Criterion interface {
-	// Less reports whether a ranks strictly before b.
-	Less(a, b Server) bool
-	// Name identifies the criterion in reports.
-	Name() string
-}
-
-type byGreenPerf struct{}
-
-func (byGreenPerf) Name() string { return "GREENPERF" }
-func (byGreenPerf) Less(a, b Server) bool {
-	ga, gb := a.GreenPerf(), b.GreenPerf()
-	if ga != gb {
-		return ga < gb
-	}
-	if a.Flops != b.Flops {
-		return a.Flops > b.Flops
-	}
-	return a.Name < b.Name
-}
-
-// byScore ranks by Eq. 6 for a task size and effective preference.
-type byScore struct {
-	ops  float64
-	pref UserPref
-}
-
-func (s byScore) Name() string { return fmt.Sprintf("SCORE(P=%.2f)", float64(s.pref)) }
-func (s byScore) Less(a, b Server) bool {
-	sa, sb := a.Score(s.ops, s.pref), b.Score(s.ops, s.pref)
-	if sa != sb {
-		return sa < sb
-	}
-	return a.Name < b.Name
-}
-
-// ByGreenPerf ranks by the power/performance ratio, ascending.
-func ByGreenPerf() Criterion { return byGreenPerf{} }
-
-// ByScore ranks by the Eq. 6 score of a task of ops flops under the
-// given (already combined) user preference.
-func ByScore(ops float64, pref UserPref) Criterion { return byScore{ops: ops, pref: pref} }
 
 // SelectCandidates implements Algorithm 1: given servers already
 // sorted by GreenPerf (list T), accumulate servers greedily until
@@ -282,34 +201,4 @@ func CandidateQuota(totalNodes int, fraction float64, minNodes int) int {
 		n = totalNodes
 	}
 	return n
-}
-
-// Assignment is one task-to-server placement decision.
-type Assignment struct {
-	Task   int
-	Server string
-}
-
-// PlaceGreedy reproduces the Figure 1 sketch: place k independent,
-// identical tasks on servers ranked by a criterion, one task per free
-// slot, always preferring the best-ranked server with remaining
-// capacity. slots maps server name to capacity (cores). The returned
-// assignments are in task order.
-func PlaceGreedy(servers []Server, c Criterion, tasks int, slots map[string]int) []Assignment {
-	ranked := Rank(servers, c)
-	free := make(map[string]int, len(slots))
-	for k, v := range slots {
-		free[k] = v
-	}
-	var out []Assignment
-	for task := 0; task < tasks; task++ {
-		for _, s := range ranked {
-			if free[s.Name] > 0 {
-				free[s.Name]--
-				out = append(out, Assignment{Task: task, Server: s.Name})
-				break
-			}
-		}
-	}
-	return out
 }

@@ -10,26 +10,6 @@ func srv(name string, flops, pw float64) Server {
 	return Server{Name: name, Flops: flops, PowerW: pw, Active: true}
 }
 
-func TestValidate(t *testing.T) {
-	good := Server{Name: "s", Flops: 1e9, PowerW: 100}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	cases := []Server{
-		{Flops: 1e9, PowerW: 100},                          // empty name
-		{Name: "s", Flops: 0, PowerW: 100},                 // no flops
-		{Name: "s", Flops: 1e9, PowerW: 0},                 // no power
-		{Name: "s", Flops: 1e9, PowerW: 1, BootSec: -1},    // negative boot
-		{Name: "s", Flops: 1e9, PowerW: 1, WaitSec: -3},    // negative wait
-		{Name: "s", Flops: 1e9, PowerW: 1, BootPowerW: -1}, // negative boot power
-	}
-	for i, c := range cases {
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: invalid server accepted: %+v", i, c)
-		}
-	}
-}
-
 func TestGreenPerfRatio(t *testing.T) {
 	s := srv("s", 2e9, 100)
 	if got := s.GreenPerf(); got != 50e-9 {
@@ -118,9 +98,6 @@ func TestUserPrefClamped(t *testing.T) {
 
 func TestProviderPrefEq1(t *testing.T) {
 	pp := ProviderPref{Alpha: 0.6, Beta: 0.4}
-	if err := pp.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// c=0.5, u=0.25 → 0.6*0.5 + 0.4*0.25 = 0.4.
 	if got := pp.Eval(0.25, 0.5); math.Abs(got-0.4) > 1e-12 {
 		t.Fatalf("Eval = %v, want 0.4", got)
@@ -136,108 +113,6 @@ func TestProviderPrefEq1(t *testing.T) {
 	// Inputs outside [0,1] are clamped.
 	if got := pp.Eval(5, -3); got != 1 {
 		t.Fatalf("clamped Eval = %v, want 1", got)
-	}
-}
-
-func TestProviderPrefValidate(t *testing.T) {
-	if err := (ProviderPref{Alpha: -0.1, Beta: 0.5}).Validate(); err == nil {
-		t.Fatal("negative alpha accepted")
-	}
-	if err := (ProviderPref{Alpha: 0.8, Beta: 0.8}).Validate(); err == nil {
-		t.Fatal("weights summing above 1 accepted")
-	}
-	if err := DefaultProviderPref.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRankCriteria(t *testing.T) {
-	servers := []Server{
-		srv("hungry-fast", 10e9, 500), // gp = 50e-9
-		srv("lean-slow", 2e9, 60),     // gp = 30e-9
-		srv("balanced", 5e9, 200),     // gp = 40e-9
-	}
-	gp := Rank(servers, ByGreenPerf())
-	if gp[0].Name != "lean-slow" || gp[1].Name != "balanced" || gp[2].Name != "hungry-fast" {
-		t.Fatalf("GreenPerf rank = %v", names(gp))
-	}
-	// Rank must not mutate its input.
-	if servers[0].Name != "hungry-fast" {
-		t.Fatal("Rank mutated input slice")
-	}
-}
-
-func TestRankTiebreaks(t *testing.T) {
-	a := srv("a", 5e9, 100)
-	b := srv("b", 10e9, 200) // same GreenPerf, faster
-	got := Rank([]Server{a, b}, ByGreenPerf())
-	if got[0].Name != "b" {
-		t.Fatal("GreenPerf tie must break by performance descending")
-	}
-	c := srv("c", 10e9, 200)
-	got = Rank([]Server{c, b}, ByGreenPerf())
-	if got[0].Name != "b" {
-		t.Fatal("full tie must break by name")
-	}
-}
-
-func TestByScoreCriterion(t *testing.T) {
-	fast := Server{Name: "fast", Flops: 10e9, PowerW: 400, Active: true}
-	lean := Server{Name: "lean", Flops: 2e9, PowerW: 60, Active: true}
-	c := ByScore(1e12, -0.9)
-	got := Rank([]Server{lean, fast}, c)
-	if got[0].Name != "fast" {
-		t.Fatal("score rank with P=-0.9 should put fast first")
-	}
-	c = ByScore(1e12, 0.9)
-	got = Rank([]Server{fast, lean}, c)
-	if got[0].Name != "lean" {
-		t.Fatal("score rank with P=+0.9 should put lean first")
-	}
-	if ByScore(1, 0.5).Name() == "" || ByGreenPerf().Name() != "GREENPERF" {
-		t.Fatal("criterion names wrong")
-	}
-}
-
-func TestFigure1Example(t *testing.T) {
-	// Figure 1: 5 servers, 7 tasks; most energy-efficient servers get
-	// priority, S0 being the best under GreenPerf.
-	servers := []Server{
-		srv("S0", 10e9, 100), // gp 10e-9 best
-		srv("S1", 8e9, 120),  // gp 15e-9
-		srv("S2", 6e9, 150),  // gp 25e-9
-		srv("S3", 5e9, 200),  // gp 40e-9
-		srv("S4", 4e9, 300),  // gp 75e-9
-	}
-	slots := map[string]int{"S0": 2, "S1": 2, "S2": 1, "S3": 1, "S4": 1}
-	got := PlaceGreedy(servers, ByGreenPerf(), 7, slots)
-	if len(got) != 7 {
-		t.Fatalf("placed %d tasks, want 7", len(got))
-	}
-	counts := map[string]int{}
-	for _, a := range got {
-		counts[a.Server]++
-	}
-	if counts["S0"] != 2 || counts["S1"] != 2 {
-		t.Fatalf("best servers should fill first: %v", counts)
-	}
-	// First two tasks land on S0 (the best server).
-	if got[0].Server != "S0" || got[1].Server != "S0" {
-		t.Fatalf("tasks 0-1 should go to S0: %+v", got[:2])
-	}
-	// All slots (7 total) used.
-	for s, c := range counts {
-		if c > slots[s] {
-			t.Fatalf("server %s overloaded: %d > %d", s, c, slots[s])
-		}
-	}
-}
-
-func TestPlaceGreedyMoreTasksThanSlots(t *testing.T) {
-	servers := []Server{srv("a", 1e9, 10)}
-	got := PlaceGreedy(servers, ByGreenPerf(), 5, map[string]int{"a": 2})
-	if len(got) != 2 {
-		t.Fatalf("placed %d, want 2 (capacity exhausted)", len(got))
 	}
 }
 
@@ -330,10 +205,7 @@ func TestPropertyProviderPrefBounded(t *testing.T) {
 	f := func(aRaw, bRaw, uRaw, cRaw uint8) bool {
 		alpha := float64(aRaw) / 255
 		beta := (1 - alpha) * float64(bRaw) / 255
-		pp := ProviderPref{Alpha: alpha, Beta: beta}
-		if pp.Validate() != nil {
-			return false
-		}
+		pp := ProviderPref{Alpha: alpha, Beta: beta} // α, β ≥ 0 and α+β ≤ 1
 		v := pp.Eval(float64(uRaw)/255, float64(cRaw)/255)
 		return v >= 0 && v <= 1
 	}
@@ -366,69 +238,12 @@ func TestCandidateQuota(t *testing.T) {
 	}
 }
 
-// Property: Rank output is a permutation of its input and invariant to
-// input order (total orders make ranking canonical).
-func TestPropertyRankPermutationInvariance(t *testing.T) {
-	f := func(flopsRaw, powerRaw [6]uint16, shuffle uint8) bool {
-		servers := make([]Server, 6)
-		for i := range servers {
-			servers[i] = srv(string(rune('a'+i)), float64(flopsRaw[i])+1e9, float64(powerRaw[i])+1)
-		}
-		shuffled := append([]Server(nil), servers...)
-		// Deterministic pseudo-shuffle from the seed byte.
-		for i := range shuffled {
-			j := (i + int(shuffle)) % len(shuffled)
-			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-		}
-		for _, c := range []Criterion{ByGreenPerf(), ByScore(1e12, 0.3)} {
-			a := Rank(servers, c)
-			b := Rank(shuffled, c)
-			if len(a) != len(b) {
-				return false
-			}
-			for i := range a {
-				if a[i].Name != b[i].Name {
-					return false
-				}
-			}
-			// Permutation check: same multiset of names.
-			seen := map[string]int{}
-			for _, s := range a {
-				seen[s.Name]++
-			}
-			for _, s := range servers {
-				seen[s.Name]--
-			}
-			for _, v := range seen {
-				if v != 0 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func names(servers []Server) []string {
 	out := make([]string, len(servers))
 	for i, s := range servers {
 		out[i] = s.Name
 	}
 	return out
-}
-
-func BenchmarkRankGreenPerf(b *testing.B) {
-	servers := make([]Server, 128)
-	for i := range servers {
-		servers[i] = srv(string(rune('a'+i%26))+string(rune('0'+i/26)), float64(i%17+1)*1e9, float64(i%13+1)*25)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Rank(servers, ByGreenPerf())
-	}
 }
 
 func BenchmarkScore(b *testing.B) {

@@ -4,17 +4,19 @@ import (
 	"fmt"
 
 	"greensched/internal/core"
+	"greensched/internal/sched"
 )
 
 // ExampleRank reproduces the Figure 1 ordering: servers sorted by the
-// GreenPerf power/performance ratio, most efficient first.
+// GREENPERF policy on their power/performance ratio, most efficient
+// first.
 func ExampleRank() {
 	servers := []core.Server{
 		{Name: "S2", Flops: 6e9, PowerW: 150, Active: true},
 		{Name: "S0", Flops: 10e9, PowerW: 100, Active: true},
 		{Name: "S1", Flops: 8e9, PowerW: 120, Active: true},
 	}
-	for _, s := range core.Rank(servers, core.ByGreenPerf()) {
+	for _, s := range Rank(servers, sched.New(sched.GreenPerf)) {
 		fmt.Printf("%s %.0f nW/flops\n", s.Name, s.GreenPerf()*1e9)
 	}
 	// Output:

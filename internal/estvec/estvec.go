@@ -222,15 +222,6 @@ func (v *Vector) String() string {
 // from its children and sorts with its plug-in scheduler.
 type List []*Vector
 
-// Servers returns the server names in list order.
-func (l List) Servers() []string {
-	out := make([]string, len(l))
-	for i, v := range l {
-		out[i] = v.Server
-	}
-	return out
-}
-
 // Find returns the vector for a server, or nil.
 func (l List) Find(server string) *Vector {
 	for _, v := range l {

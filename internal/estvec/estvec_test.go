@@ -88,9 +88,6 @@ func TestClone(t *testing.T) {
 
 func TestListHelpers(t *testing.T) {
 	l := List{New("a"), New("b"), New("c")}
-	if got := l.Servers(); len(got) != 3 || got[1] != "b" {
-		t.Fatalf("Servers = %v", got)
-	}
 	if l.Find("b") == nil || l.Find("z") != nil {
 		t.Fatal("Find wrong")
 	}
@@ -141,11 +138,10 @@ func TestSortStableKeepsEqualOrder(t *testing.T) {
 		New("z").Set(TagPowerW, 0),
 	}
 	l.SortStable(ByTagAsc(TagPowerW, nil))
-	got := l.Servers()
 	want := []string{"z", "x", "y"}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
+		if l[i].Server != want[i] {
+			t.Fatalf("order = %v, want %v", l, want)
 		}
 	}
 }

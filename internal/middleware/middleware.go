@@ -32,6 +32,10 @@ type Request struct {
 	ID      uint64
 	Service string
 	Ops     float64 // problem size in flops
+	// Pref is the Preference_user the client attached. It is journaled
+	// and replayed with the request, but no election reads it:
+	// sched.ScorePolicy and budget.Policy take Eq. 6's P from their own
+	// configuration, so it is not a live Eq. 3 input.
 	Pref    core.UserPref
 	Payload []byte // opaque problem data
 

@@ -315,7 +315,7 @@ func TestAgentTopKTrim(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(list) != 1 || list[0].Server != "b" {
-		t.Fatalf("topK trim wrong: %v", list.Servers())
+		t.Fatalf("topK trim wrong: %v", list)
 	}
 }
 
@@ -459,7 +459,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(list) != 2 || list[0].Server != "tcp-a" {
-		t.Fatalf("remote agent estimate = %v", list.Servers())
+		t.Fatalf("remote agent estimate = %v", list)
 	}
 	// Solve on a non-solver endpoint errors cleanly.
 	if _, err := remMA.Solve(context.Background(), Request{Service: "burn"}); err == nil {

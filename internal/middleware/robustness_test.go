@@ -94,7 +94,7 @@ func TestRemoteReconnectsAfterServerRestart(t *testing.T) {
 		t.Fatalf("remote did not reconnect: %v", err)
 	}
 	if len(list) != 1 || list[0].Server != "restartable" {
-		t.Fatalf("reconnected estimate = %v", list.Servers())
+		t.Fatalf("reconnected estimate = %v", list)
 	}
 }
 

@@ -116,7 +116,7 @@ func TestRemoteSlowSolveDoesNotDelayEstimate(t *testing.T) {
 	go func() {
 		list, err := rem.Estimate(context.Background(), Request{Service: "slow", Ops: 1e6})
 		if err == nil && (len(list) != 1 || list[0].Server != "busy") {
-			err = fmt.Errorf("estimate lists %v, want busy", list.Servers())
+			err = fmt.Errorf("estimate lists %v, want busy", list)
 		}
 		estimated <- err
 	}()

@@ -47,8 +47,8 @@ func TestAgentTreeWiresHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	// la-lyon forwards only its best candidate (TopK 1).
-	if got := list.Servers(); len(got) != 3 || got[0] != "deep-0" || got[1] != "taurus-0" || got[2] != "genepi-0" {
-		t.Fatalf("hierarchy forwarded %v, want [deep-0 taurus-0 genepi-0]", got)
+	if len(list) != 3 || list[0].Server != "deep-0" || list[1].Server != "taurus-0" || list[2].Server != "genepi-0" {
+		t.Fatalf("hierarchy forwarded %v, want [deep-0 taurus-0 genepi-0]", list)
 	}
 	if server != "deep-0" {
 		t.Fatalf("POWER elected %s, want deep-0 (90 W)", server)

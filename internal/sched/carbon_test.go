@@ -55,6 +55,20 @@ func TestCarbonPolicyLearningPhaseRanksLast(t *testing.T) {
 	}
 }
 
+func TestCarbonPolicyTieBreaks(t *testing.T) {
+	// Equal grams/flop and watts/flop: faster node first, then name.
+	p := New(Carbon)
+	slow := carbonVec("slow", 2e9, 100, 100).Set(estvec.TagGreenPerf, 100/2e9)
+	fast := carbonVec("fast", 4e9, 200, 100).Set(estvec.TagGreenPerf, 200/4e9)
+	if !p.Less(fast, slow) || p.Less(slow, fast) {
+		t.Error("performance must break carbon ties")
+	}
+	twin := carbonVec("twin", 4e9, 200, 100).Set(estvec.TagGreenPerf, 200/4e9)
+	if !p.Less(fast, twin) {
+		t.Error("full tie must break by name")
+	}
+}
+
 // TestCarbonPolicyUnmeteredSiteFailsSafe: a server whose grid feed is
 // down (no intensity tag) must not look infinitely clean — it ranks
 // after every metered server, even a very dirty one.

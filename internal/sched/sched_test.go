@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -76,6 +77,42 @@ func TestGreenPerfPolicyOrdering(t *testing.T) {
 	p := New(GreenPerf)
 	if !p.Less(a, b) {
 		t.Fatal("GREENPERF must rank by ratio, not raw power")
+	}
+	// Equal ratio: the faster server first (§III-A's secondary
+	// parameter), then the name.
+	slow := vec("c", 5e9, 100, 1, 2, 0)
+	fast := vec("d", 10e9, 200, 1, 2, 0)
+	if !p.Less(fast, slow) || p.Less(slow, fast) {
+		t.Fatal("GREENPERF tie must break by performance descending")
+	}
+	if twin := vec("e", 10e9, 200, 1, 2, 0); !p.Less(fast, twin) {
+		t.Fatal("full tie must break by name")
+	}
+}
+
+// TestFigure1Example places Figure 1's 7 tasks on 5 servers through
+// the production selector: the most energy-efficient servers get
+// priority, S0 being the best under GreenPerf.
+func TestFigure1Example(t *testing.T) {
+	list := estvec.List{
+		vec("S3", 5e9, 200, 1, 1, 0),  // gp 40e-9
+		vec("S0", 10e9, 100, 2, 2, 0), // gp 10e-9, best
+		vec("S4", 4e9, 300, 1, 1, 0),  // gp 75e-9
+		vec("S1", 8e9, 120, 2, 2, 0),  // gp 15e-9
+		vec("S2", 6e9, 150, 1, 1, 0),  // gp 25e-9
+	}
+	s := &Selector{Policy: New(GreenPerf)}
+	var placed []string
+	for task := 0; task < 7; task++ {
+		v, err := s.Select(list)
+		if err != nil {
+			t.Fatalf("task %d: %v", task, err)
+		}
+		placed = append(placed, v.Server)
+		v.Set(estvec.TagFreeCores, v.Value(estvec.TagFreeCores, 0)-1)
+	}
+	if fmt.Sprint(placed) != "[S0 S0 S1 S1 S2 S3 S4]" {
+		t.Fatalf("placement = %v, want S0 S0 S1 S1 S2 S3 S4", placed)
 	}
 }
 
@@ -284,6 +321,46 @@ func TestPropertyPolicyAsymmetry(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: ranking with any bundled policy is canonical — sorting a
+// list and its reverse yields the same order, because every policy is
+// a total order over distinct server names. Inputs come from four
+// levels per tag so that ties, and the tie-breaks, are common.
+func TestPropertyRankPermutationInvariance(t *testing.T) {
+	policies := []Policy{ScorePolicy{Ops: 1e12, Pref: 0.3}}
+	for _, k := range []Kind{Random, Power, Performance, GreenPerf, LeastLoaded, Carbon, Renewable} {
+		policies = append(policies, New(k))
+	}
+	f := func(flops, power, draw, wait, grid [6]uint8) bool {
+		servers := make(estvec.List, 6)
+		for i := range servers {
+			level := func(raw [6]uint8) float64 { return float64(raw[i]%4 + 1) }
+			servers[i] = vec(string(rune('a'+i)), level(flops)*1e9, level(power)*50, 1, 2, 0).
+				Set(estvec.TagRandom, level(draw)/4).
+				Set(estvec.TagWaitSec, level(wait)*10).
+				Set(estvec.TagCarbonIntensity, level(grid)*100).
+				Set(estvec.TagRenewableFrac, level(grid)/4)
+		}
+		for _, p := range policies {
+			a := append(estvec.List(nil), servers...)
+			b := make(estvec.List, len(servers))
+			for i, v := range servers {
+				b[len(b)-1-i] = v
+			}
+			a.SortStable(p.Less)
+			b.SortStable(p.Less)
+			for i := range a {
+				if a[i].Server != b[i].Server {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -166,15 +166,6 @@ func (r TaskRecord) Wait() float64 { return r.Start - r.Submit }
 // Exec returns execution time (finish − start).
 func (r TaskRecord) Exec() float64 { return r.Finish - r.Start }
 
-// Slack returns deadline − finish (negative = miss); ok is false for
-// best-effort tasks.
-func (r TaskRecord) Slack() (float64, bool) {
-	if r.Deadline <= 0 {
-		return 0, false
-	}
-	return r.Deadline - r.Finish, true
-}
-
 // Rejection is one admission-control refusal: the task never ran and
 // its full value was forfeited.
 type Rejection struct {

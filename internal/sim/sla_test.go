@@ -54,8 +54,8 @@ func TestSLAAdmissionRejectsHopeless(t *testing.T) {
 	if rec.ID != 1 || rec.EarnedUSD != 5 || rec.Deadline != 1000 {
 		t.Fatalf("record %+v", rec)
 	}
-	if slack, ok := rec.Slack(); !ok || slack <= 0 {
-		t.Fatalf("slack %v %v", slack, ok)
+	if rec.Finish >= rec.Deadline {
+		t.Fatalf("finish %v not before deadline %v", rec.Finish, rec.Deadline)
 	}
 }
 

@@ -23,16 +23,6 @@ type Account struct {
 
 	WorstLateness float64 // largest lateness observed, seconds
 	SlackSum      float64 // summed (deadline − finish) over deadline tasks
-	deadlineTasks int
-}
-
-// MeanSlack returns the average completion slack across this class's
-// deadline-carrying completions (positive = early).
-func (a Account) MeanSlack() float64 {
-	if a.deadlineTasks == 0 {
-		return 0
-	}
-	return a.SlackSum / float64(a.deadlineTasks)
 }
 
 // Ledger turns task fates into dollars: each completion is credited
@@ -74,7 +64,6 @@ func (l *Ledger) Complete(t Terms, finish float64) {
 	}
 	lateness := t.Lateness(finish)
 	if t.Deadline > 0 {
-		a.deadlineTasks++
 		a.SlackSum += t.Deadline - finish
 		if lateness > 0 {
 			a.Misses++

@@ -163,13 +163,3 @@ func (t Terms) Lateness(finish float64) float64 {
 func (t Terms) EarnedUSD(finish float64) float64 {
 	return t.ValueUSD * t.Curve.Retained(t.Lateness(finish))
 }
-
-// Slack returns deadline − finish: the scheduling margin a completion
-// at finish leaves (negative = miss). Without a deadline it returns
-// +Inf semantics via ok=false.
-func (t Terms) Slack(finish float64) (float64, bool) {
-	if t.Deadline <= 0 {
-		return 0, false
-	}
-	return t.Deadline - finish, true
-}

@@ -131,12 +131,6 @@ func TestTermsEarned(t *testing.T) {
 	if got := terms.Lateness(150); got != 50 {
 		t.Errorf("lateness %v", got)
 	}
-	if slack, ok := terms.Slack(70); !ok || slack != 30 {
-		t.Errorf("slack = %v, %v", slack, ok)
-	}
-	if _, ok := (Terms{Curve: Flat{}}).Slack(70); ok {
-		t.Error("deadline-free terms reported slack")
-	}
 }
 
 func TestAdmissionVerdicts(t *testing.T) {
@@ -230,9 +224,9 @@ func TestLedgerAccounting(t *testing.T) {
 	if d.WorstLateness != 50 {
 		t.Errorf("worst lateness %v", d.WorstLateness)
 	}
-	// Mean slack over the two deadline completions: (10 + (−50))/2.
-	if got := d.MeanSlack(); got != -20 {
-		t.Errorf("mean slack %v, want -20", got)
+	// Slack over the two deadline completions: 10 + (−50).
+	if got := d.SlackSum; got != -40 {
+		t.Errorf("slack sum %v, want -40", got)
 	}
 
 	var b strings.Builder

@@ -19,8 +19,12 @@ import (
 type Task struct {
 	ID     int
 	Ops    float64
-	Submit float64       // arrival time, seconds
-	Pref   core.UserPref // Preference_user attached to the request
+	Submit float64 // arrival time, seconds
+	// Pref is the Preference_user attached to the request. Generators
+	// set it and traces carry it, but no election reads it:
+	// sched.ScorePolicy and budget.Policy take Eq. 6's P from their own
+	// configuration, so it is not a live Eq. 3 input.
+	Pref core.UserPref
 
 	// Deadline is the absolute completion deadline in seconds (same
 	// timeline as Submit); 0 means best-effort. Package sla resolves
