@@ -145,9 +145,10 @@ func TestCarbonControllerPreemptsInsteadOfExpressBoot(t *testing.T) {
 	ctl := &fakeControl{
 		nodes: []sim.NodeView{
 			{Name: "g0", Cluster: "green", State: power.On, Slots: 1, Running: 1, Queued: 1,
-				Candidate: true, QueuedAtRisk: true, TaskW: 10, BootSec: 120, BootW: 170},
+				Candidate: true, TaskW: 10, BootSec: 120, BootW: 170},
 			{Name: "g1", Cluster: "green", State: power.Off, Slots: 1, BootSec: 120, BootW: 170},
 		},
+		atRisk: map[string]bool{"g0": true},
 		running: map[string][]sim.RunningView{
 			"g0": {{TaskID: 7, Class: "batch", ValueUSD: 0.05, Ops: 1e12, RemainingSec: 500, RedoSec: 20}},
 		},

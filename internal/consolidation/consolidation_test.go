@@ -119,6 +119,10 @@ type fakeControl struct {
 	// pendingSlack scripts PendingSlack; nil = no pending deadlines.
 	pendingSlack *float64
 
+	// atRisk scripts QueuedAtRisk per node; a successful Preempt
+	// clears the node's entry.
+	atRisk map[string]bool
+
 	// running scripts Running per node; preempts records Preempt calls
 	// as "node/taskID"; preemptErr, when set, refuses every Preempt.
 	running    map[string][]sim.RunningView
@@ -129,6 +133,7 @@ type fakeControl struct {
 func (f *fakeControl) Nodes() []sim.NodeView { return f.nodes }
 func (f *fakeControl) Unplaced() int         { return f.unplaced }
 
+func (f *fakeControl) QueuedAtRisk(name string) bool         { return f.atRisk[name] }
 func (f *fakeControl) Running(name string) []sim.RunningView { return f.running[name] }
 
 func (f *fakeControl) Preempt(name string, taskID int) error {
@@ -138,7 +143,7 @@ func (f *fakeControl) Preempt(name string, taskID int) error {
 	for i := range f.nodes {
 		if f.nodes[i].Name == name {
 			f.nodes[i].Running--
-			f.nodes[i].QueuedAtRisk = false
+			delete(f.atRisk, name)
 			f.preempts = append(f.preempts, fmt.Sprintf("%s/%d", name, taskID))
 			return nil
 		}

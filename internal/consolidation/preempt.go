@@ -11,7 +11,7 @@ import (
 
 // preemptForUrgent reclaims a slot for deadline traffic by
 // checkpointing the cheapest safe victim on a node whose queue holds
-// at-risk deadline work (sim.NodeView.QueuedAtRisk). An elected
+// at-risk deadline work (sim.Control.QueuedAtRisk). An elected
 // request never migrates — the SED keeps its problem — so
 // express-booting a dark node cannot rescue work already queued behind
 // full slots; displacing a running victim in place can, and usually
@@ -39,7 +39,7 @@ func preemptForUrgent(now float64, ctl sim.Control, nodes []sim.NodeView) bool {
 	}
 	var cands []candidate
 	for _, n := range nodes {
-		if n.State != power.On || !n.QueuedAtRisk || n.Running < n.Slots {
+		if n.State != power.On || n.Running < n.Slots || !ctl.QueuedAtRisk(n.Name) {
 			continue
 		}
 		for _, rv := range ctl.Running(n.Name) {

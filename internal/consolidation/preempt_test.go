@@ -18,9 +18,10 @@ func TestControllerPreemptsInsteadOfBooting(t *testing.T) {
 	ctl := &fakeControl{
 		nodes: []sim.NodeView{
 			{Name: "n0", State: power.On, Slots: 1, Running: 1, Queued: 1,
-				Candidate: true, QueuedAtRisk: true, TaskW: 10, BootSec: 120, BootW: 170},
+				Candidate: true, TaskW: 10, BootSec: 120, BootW: 170},
 			{Name: "n1", State: power.Off, Slots: 1, BootSec: 120, BootW: 170},
 		},
+		atRisk: map[string]bool{"n0": true},
 		running: map[string][]sim.RunningView{
 			"n0": {{TaskID: 7, Class: "batch", ValueUSD: 0.05, Ops: 1e12, RemainingSec: 500, RedoSec: 20}},
 		},
@@ -45,9 +46,10 @@ func TestControllerBootsWhenPreemptionTooExpensive(t *testing.T) {
 	ctl := &fakeControl{
 		nodes: []sim.NodeView{
 			{Name: "n0", State: power.On, Slots: 1, Running: 1, Queued: 1,
-				Candidate: true, QueuedAtRisk: true, TaskW: 10, BootSec: 120, BootW: 170},
+				Candidate: true, TaskW: 10, BootSec: 120, BootW: 170},
 			{Name: "n1", State: power.Off, Slots: 1, BootSec: 120, BootW: 170},
 		},
+		atRisk: map[string]bool{"n0": true},
 		running: map[string][]sim.RunningView{
 			// 5000 s of redone work at 10 W dwarfs the 20.4 kJ boot.
 			"n0": {{TaskID: 7, Class: "batch", ValueUSD: 0.05, Ops: 1e12, RemainingSec: 500, RedoSec: 5000}},
@@ -71,9 +73,10 @@ func TestControllerPreemptDisabledByDefault(t *testing.T) {
 	ctl := &fakeControl{
 		nodes: []sim.NodeView{
 			{Name: "n0", State: power.On, Slots: 1, Running: 1, Queued: 1,
-				Candidate: true, QueuedAtRisk: true, TaskW: 10, BootSec: 120, BootW: 170},
+				Candidate: true, TaskW: 10, BootSec: 120, BootW: 170},
 			{Name: "n1", State: power.Off, Slots: 1, BootSec: 120, BootW: 170},
 		},
+		atRisk: map[string]bool{"n0": true},
 		running: map[string][]sim.RunningView{
 			"n0": {{TaskID: 7, Class: "batch", ValueUSD: 0.05, Ops: 1e12, RemainingSec: 500, RedoSec: 20}},
 		},
@@ -97,8 +100,9 @@ func TestPreemptForUrgentSkipsUnsafeVictims(t *testing.T) {
 	ctl := &fakeControl{
 		nodes: []sim.NodeView{
 			{Name: "n0", State: power.On, Slots: 1, Running: 1, Queued: 1,
-				Candidate: true, QueuedAtRisk: true, TaskW: 10},
+				Candidate: true, TaskW: 10},
 		},
+		atRisk: map[string]bool{"n0": true},
 		running: map[string][]sim.RunningView{
 			"n0": {{TaskID: 7, Class: "batch", ValueUSD: 0.05, Ops: 1e12, RemainingSec: 500, RedoSec: 20}},
 		},

@@ -65,9 +65,12 @@ const (
 // stdTags enumerates the tags the bundled estimation functions and
 // policies touch on every election, in declaration order. They get
 // fixed array slots inside Vector so the sim's million-task hot loop
-// reads and writes them without a single map operation or allocation.
-// The "cores" entry is sched's auxiliary capacity tag (sched.TagCores)
-// — not exported here, but set by every SED, so it earns a slot too.
+// reads and writes them without allocating. A standard tag finds its
+// slot through stdSlot's switch on the constants, which compares the
+// tag's bytes and never hashes them; only a custom tag pays a map
+// operation, in the extra map. The "cores" entry is sched's auxiliary
+// capacity tag (sched.TagCores) — not exported here, but set by every
+// SED, so it earns a slot too.
 var stdTags = [...]Tag{
 	TagFlops, TagPowerW, TagGreenPerf, TagFreeCores, TagQueueLen,
 	TagWaitSec, TagBootSec, TagBootPowerW, TagActive, TagKnown,
@@ -77,13 +80,42 @@ var stdTags = [...]Tag{
 
 const numStdTags = len(stdTags)
 
-var stdTagIndex = func() map[Tag]int {
-	m := make(map[Tag]int, numStdTags)
-	for i, t := range stdTags {
-		m[t] = i
+// stdSlot returns t's index in stdTags, or false for a custom tag.
+func stdSlot(t Tag) (int, bool) {
+	switch t {
+	case TagFlops:
+		return 0, true
+	case TagPowerW:
+		return 1, true
+	case TagGreenPerf:
+		return 2, true
+	case TagFreeCores:
+		return 3, true
+	case TagQueueLen:
+		return 4, true
+	case TagWaitSec:
+		return 5, true
+	case TagBootSec:
+		return 6, true
+	case TagBootPowerW:
+		return 7, true
+	case TagActive:
+		return 8, true
+	case TagKnown:
+		return 9, true
+	case TagRequests:
+		return 10, true
+	case TagRandom:
+		return 11, true
+	case TagCarbonIntensity:
+		return 12, true
+	case TagRenewableFrac:
+		return 13, true
+	case "cores":
+		return 14, true
 	}
-	return m
-}()
+	return 0, false
+}
 
 // Vector is one server's estimation vector. The zero value is empty
 // and ready to use via Set.
@@ -124,7 +156,7 @@ func (v *Vector) Set(t Tag, val float64) *Vector {
 	if math.IsNaN(val) || math.IsInf(val, 0) {
 		panic(fmt.Sprintf("estvec: non-finite value %v for tag %q on %s", val, t, v.Server))
 	}
-	if i, ok := stdTagIndex[t]; ok {
+	if i, ok := stdSlot(t); ok {
 		v.std[i] = val
 		v.mask |= 1 << uint(i)
 		return v
@@ -146,7 +178,7 @@ func (v *Vector) SetBool(t Tag, b bool) *Vector {
 
 // Get returns the value for a tag and whether it was set.
 func (v *Vector) Get(t Tag) (float64, bool) {
-	if i, ok := stdTagIndex[t]; ok {
+	if i, ok := stdSlot(t); ok {
 		if v.mask&(1<<uint(i)) == 0 {
 			return 0, false
 		}

@@ -197,3 +197,60 @@ func BenchmarkSortStable(b *testing.B) {
 		l.SortStable(less)
 	}
 }
+
+// TestStdSlots: every standard tag resolves to its own stdTags index,
+// sits in the array (not the extra map), and survives Set, Get, Has,
+// Tags, Clone and a gob round trip; near-miss custom tags go to extra.
+func TestStdSlots(t *testing.T) {
+	for i, tag := range stdTags {
+		if got, ok := stdSlot(tag); !ok || got != i {
+			t.Errorf("stdSlot(%q) = %d,%v; want %d,true", tag, got, ok, i)
+		}
+		v := New("s").Set(tag, float64(i)+0.5)
+		if v.mask != 1<<uint(i) || len(v.extra) != 0 || v.std[i] != float64(i)+0.5 {
+			t.Errorf("Set(%q) stored mask %b extra %v, want slot %d", tag, v.mask, v.extra, i)
+		}
+		if got, ok := v.Get(tag); !ok || got != float64(i)+0.5 || !v.Has(tag) {
+			t.Errorf("Get(%q) = %v,%v", tag, got, ok)
+		}
+		if tags := v.Tags(); len(tags) != 1 || tags[0] != tag {
+			t.Errorf("Tags() = %v, want [%s]", tags, tag)
+		}
+		data, err := v.Clone().GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Vector
+		if err := back.GobDecode(data); err != nil {
+			t.Fatal(err)
+		}
+		if back.mask != v.mask || back.std != v.std || len(back.extra) != 0 {
+			t.Errorf("%q: gob round trip gave %v, want %v", tag, &back, v)
+		}
+	}
+	for _, tag := range []Tag{"core", "flops_x", "Flops", "cores ", "", "renewable"} {
+		if _, ok := stdSlot(tag); ok {
+			t.Errorf("stdSlot(%q) claims a standard slot", tag)
+		}
+		v := New("s").Set(tag, 3)
+		if v.mask != 0 || v.extra[tag] != 3 || v.Value(tag, 0) != 3 {
+			t.Errorf("custom tag %q: mask %b extra %v, want it in extra", tag, v.mask, v.extra)
+		}
+	}
+}
+
+// BenchmarkVectorSetStd refills one vector with the standard tags the
+// simulator's estimation function sets per SED per election.
+func BenchmarkVectorSetStd(b *testing.B) {
+	var v Vector
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		v.Reset("s")
+		for j, tag := range stdTags {
+			v.Set(tag, float64(j))
+		}
+		if v.Value(TagWaitSec, 0) != 5 {
+			b.Fatal("wait_sec lost")
+		}
+	}
+}

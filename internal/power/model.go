@@ -117,10 +117,8 @@ func (m LinearModel) Validate() error {
 // the previous call; the integral is exact for piecewise-constant
 // signals (which is precisely what the DES produces).
 type Accumulator struct {
-	lastT  float64
-	total  Joules
-	moved  bool
-	lastPW Watts
+	lastT float64
+	total Joules
 }
 
 // NewAccumulator starts integrating at time t0 (seconds).
@@ -137,8 +135,6 @@ func (a *Accumulator) Advance(t float64, w Watts) {
 	}
 	a.total += Joules(w * (t - a.lastT))
 	a.lastT = t
-	a.lastPW = w
-	a.moved = true
 }
 
 // Total returns the accumulated energy in joules.
@@ -146,15 +142,6 @@ func (a *Accumulator) Total() Joules { return a.total }
 
 // LastTime returns the integration cursor.
 func (a *Accumulator) LastTime() float64 { return a.lastT }
-
-// LastPower returns the draw supplied to the most recent Advance, or 0
-// if Advance has not been called.
-func (a *Accumulator) LastPower() Watts {
-	if !a.moved {
-		return 0
-	}
-	return a.lastPW
-}
 
 // Reset zeroes the accumulated total, keeping the cursor.
 func (a *Accumulator) Reset() { a.total = 0 }

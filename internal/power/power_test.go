@@ -74,9 +74,6 @@ func TestAccumulatorExactIntegration(t *testing.T) {
 	if a.LastTime() != 15 {
 		t.Fatalf("LastTime = %v, want 15", a.LastTime())
 	}
-	if a.LastPower() != 999 {
-		t.Fatalf("LastPower = %v, want 999", a.LastPower())
-	}
 	a.Reset()
 	if a.Total() != 0 {
 		t.Fatal("Reset did not zero total")
@@ -95,8 +92,8 @@ func TestAccumulatorBackwardsPanics(t *testing.T) {
 
 func TestAccumulatorZeroBeforeAdvance(t *testing.T) {
 	a := NewAccumulator(3)
-	if a.LastPower() != 0 || a.Total() != 0 {
-		t.Fatal("fresh accumulator not zeroed")
+	if a.LastTime() != 3 || a.Total() != 0 {
+		t.Fatal("fresh accumulator not zeroed at its start time")
 	}
 }
 
@@ -173,23 +170,6 @@ func TestWattmeterMeanWindow(t *testing.T) {
 	}
 }
 
-func TestWattmeterMeanLast(t *testing.T) {
-	m := NewWattmeter(0, 1)
-	m.Observe(0, 4, 100)
-	m.Observe(4, 8, 200)
-	mean, n := m.MeanLast(4)
-	if n != 4 || mean != 200 {
-		t.Fatalf("MeanLast(4) = %v,%d want 200,4", mean, n)
-	}
-	mean, n = m.MeanLast(100)
-	if n != 8 || mean != 150 {
-		t.Fatalf("MeanLast(100) = %v,%d want 150,8", mean, n)
-	}
-	if _, n := m.MeanLast(0); n != 0 {
-		t.Fatal("MeanLast(0) should report 0")
-	}
-}
-
 func TestWattmeterRingEviction(t *testing.T) {
 	m := NewWattmeter(10, 1)
 	m.Observe(0, 100, 50)
@@ -211,7 +191,7 @@ func TestWattmeterDropout(t *testing.T) {
 		t.Fatalf("dropout rate 0.5 retained %d of 1000 samples", m.Len())
 	}
 	// Mean must still be exact (no noise).
-	mean, _ := m.MeanLast(m.Len())
+	mean, _ := m.MeanWindow(0, 1000)
 	if mean != 100 {
 		t.Fatalf("dropout changed values: mean=%v", mean)
 	}
@@ -226,7 +206,7 @@ func TestWattmeterNoiseBounded(t *testing.T) {
 			t.Fatalf("noisy sample %v outside ±10 of 100", s.W)
 		}
 	}
-	mean, _ := m.MeanLast(m.Len())
+	mean, _ := m.MeanWindow(0, 500)
 	if math.Abs(mean-100) > 2 {
 		t.Fatalf("noise is biased: mean=%v", mean)
 	}

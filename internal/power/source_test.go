@@ -15,9 +15,6 @@ func TestWattmeterMeanWindowEmptyMeter(t *testing.T) {
 	if w, n := m.MeanWindow(0, 100); w != 0 || n != 0 {
 		t.Errorf("empty meter MeanWindow = %v, %d; want 0, 0", w, n)
 	}
-	if w, n := m.MeanLast(5); w != 0 || n != 0 {
-		t.Errorf("empty meter MeanLast = %v, %d; want 0, 0", w, n)
-	}
 }
 
 func TestWattmeterMeanWindowInverted(t *testing.T) {
@@ -29,17 +26,6 @@ func TestWattmeterMeanWindowInverted(t *testing.T) {
 	// A window that brackets no grid point is empty, not an error.
 	if w, n := m.MeanWindow(1.2, 1.8); w != 0 || n != 0 {
 		t.Errorf("between-samples window = %v, %d; want 0, 0", w, n)
-	}
-}
-
-func TestWattmeterMeanLastNonPositive(t *testing.T) {
-	m := NewWattmeter(0, 1)
-	m.Observe(0, 3, 50)
-	if w, n := m.MeanLast(0); w != 0 || n != 0 {
-		t.Errorf("MeanLast(0) = %v, %d; want 0, 0", w, n)
-	}
-	if w, n := m.MeanLast(-1); w != 0 || n != 0 {
-		t.Errorf("MeanLast(-1) = %v, %d; want 0, 0", w, n)
 	}
 }
 

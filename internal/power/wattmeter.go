@@ -117,19 +117,3 @@ func (m *Wattmeter) MeanWindow(from, to float64) (Watts, int) {
 	}
 	return sum / float64(n), n
 }
-
-// MeanLast returns the average of the most recent n samples (all, if
-// fewer are retained) and how many contributed.
-func (m *Wattmeter) MeanLast(n int) (Watts, int) {
-	if n <= 0 || len(m.samples) == 0 {
-		return 0, 0
-	}
-	if n > len(m.samples) {
-		n = len(m.samples)
-	}
-	sum := 0.0
-	for _, s := range m.samples[len(m.samples)-n:] {
-		sum += s.W
-	}
-	return sum / float64(n), n
-}

@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"greensched/internal/power"
 )
@@ -90,7 +92,9 @@ func (m *TraceModel) ModelName() string { return "trace" }
 
 // ParseTraceCSV reads a recorded estimator stream: one "node,t,watts"
 // triple per line, '#' comments and blank lines skipped. An optional
-// header line starting with "node," is skipped too.
+// header line starting with "node," is skipped too. Node names must be
+// UTF-8, and times and watts finite: anything else could never be
+// served over the JSON protocol.
 func ParseTraceCSV(r io.Reader) (*TraceModel, error) {
 	m := NewTraceModel()
 	sc := bufio.NewScanner(r)
@@ -120,6 +124,16 @@ func ParseTraceCSV(r io.Reader) (*TraceModel, error) {
 		}
 		if node == "" {
 			return nil, fmt.Errorf("powerd: trace line %d: empty node", lineNo)
+		}
+		if !utf8.ValidString(node) {
+			// JSON would rewrite the name on the wire: no request
+			// could ever name this node.
+			return nil, fmt.Errorf("powerd: trace line %d: node name is not UTF-8", lineNo)
+		}
+		if math.IsNaN(t) || math.IsInf(t, 0) || math.IsNaN(w) || math.IsInf(w, 0) {
+			// A NaN time breaks the sample order, and a non-finite
+			// reading cannot be encoded on the wire.
+			return nil, fmt.Errorf("powerd: trace line %d: non-finite sample", lineNo)
 		}
 		m.Add(node, t, w)
 	}

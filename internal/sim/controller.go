@@ -44,13 +44,6 @@ type NodeView struct {
 	// PowerW is the node's instantaneous draw at the tick — the signal
 	// monitoring modules (e.g. telemetry) integrate.
 	PowerW float64
-
-	// QueuedAtRisk reports a queued deadline task that waiting for the
-	// node's running work would provably breach while an immediate
-	// start would still meet — the preemption trigger: queued work
-	// cannot migrate (the SED keeps its problem), so booting capacity
-	// elsewhere cannot rescue it, but checkpointing a victim here can.
-	QueuedAtRisk bool
 }
 
 // RunningView is the controller-visible state of one executing task —
@@ -106,6 +99,15 @@ type Control interface {
 	// that defer work or shut capacity down must keep this positive —
 	// a deferral past it provably breaks an admitted task's SLA.
 	PendingSlack() (slack float64, ok bool)
+	// QueuedAtRisk reports whether the named node's queue holds a
+	// deadline task that waiting for the node's running work would
+	// provably breach while an immediate start would still meet — the
+	// preemption trigger: queued work cannot migrate (the SED keeps its
+	// problem), so booting capacity elsewhere cannot rescue it, but
+	// checkpointing a victim here can. False for unknown nodes, empty
+	// queues and nodes with a free slot. It walks the node's queue, so
+	// controllers ask only about nodes they would preempt on.
+	QueuedAtRisk(name string) bool
 	// Running lists the named node's executing tasks (sorted by task
 	// ID) — the victim candidates for Preempt. Nil for unknown nodes.
 	Running(name string) []RunningView
@@ -164,17 +166,14 @@ func (c *runnerControl) Nodes() []NodeView {
 		if v.State == power.On && v.Running == 0 && v.Queued == 0 {
 			v.Idle = c.now - sed.idleAt
 		}
-		v.QueuedAtRisk = c.queuedAtRisk(sed)
 		out = append(out, v)
 	}
 	return out
 }
 
-// queuedAtRisk reports a queued deadline task on sed that waiting for
-// the earliest running slot would provably breach while an immediate
-// start would still meet.
-func (c *runnerControl) queuedAtRisk(sed *sedState) bool {
-	if sed.qlen() == 0 || sed.freeSlots() > 0 {
+func (c *runnerControl) QueuedAtRisk(name string) bool {
+	sed := c.r.sedByName(name)
+	if sed == nil || sed.qlen() == 0 || sed.freeSlots() > 0 {
 		return false
 	}
 	// Earliest slot release: the head-of-queue wait under any work-

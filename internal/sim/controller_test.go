@@ -319,3 +319,45 @@ func TestFeederOnlyRun(t *testing.T) {
 		t.Errorf("energy at the last tick %v exceeds the run's %v", prev, res.EnergyJ)
 	}
 }
+
+// TestControlQueuedAtRisk: the at-risk query answers for the named SED
+// alone. A full SED whose queue holds a deadline task that waiting
+// breaches but an immediate start meets is at risk; a full SED whose
+// deadline tasks either meet after waiting or miss even when started
+// now is not; a SED with a free slot, and an unknown name, never are.
+func TestControlQueuedAtRisk(t *testing.T) {
+	r, err := NewRunner(Config{
+		Platform:     cluster.MustPlatform(cluster.NewNodes("taurus", 3)),
+		Policy:       sched.New(sched.GreenPerf),
+		Tasks:        tasks(1, 1e11, 1), // never run: the SEDs are set up by hand
+		SlotsPerNode: 2,
+		Seed:         1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flops := r.seds[0].node.Spec.FlopsPerCore
+	id := 100
+	task := func(sec, deadline float64) pendingTask {
+		id++
+		return pendingTask{task: workload.Task{ID: id, Ops: sec * flops, Deadline: deadline}}
+	}
+	// Every SED runs a 1000 s task; taurus-0 and taurus-1 run two, so
+	// their earliest slot frees at t=1000.
+	for i, sed := range r.seds {
+		for n := 0; n < 2-i/2; n++ {
+			r.startTask(0, sed, task(1000, 0))
+		}
+	}
+	r.enqueue(r.seds[0], task(10, 0))    // no deadline
+	r.enqueue(r.seds[0], task(10, 100))  // waits to 1010 > 100, now: 10 ≤ 100
+	r.enqueue(r.seds[1], task(10, 2000)) // meets after waiting
+	r.enqueue(r.seds[1], task(10, 5))    // misses even started now
+	r.enqueue(r.seds[2], task(10, 100))  // a free slot: would start now
+	ctl := &runnerControl{r: r, now: 0}
+	for name, want := range map[string]bool{"taurus-0": true, "taurus-1": false, "taurus-2": false, "nope-0": false} {
+		if got := ctl.QueuedAtRisk(name); got != want {
+			t.Errorf("QueuedAtRisk(%s) = %v, want %v", name, got, want)
+		}
+	}
+}

@@ -284,9 +284,10 @@ type sedState struct {
 	running map[int]*runningTask // task ID → record
 
 	// Drained-heap cache. avail is the slot-availability min-heap left
-	// after draining the whole backlog over the running tasks' finish
-	// times, so avail[0] is when a slot first frees for new work. It is exact while availVer == mutVer+1
-	// (the +1 keeps the zero value invalid); mutVer advances on every
+	// after draining the whole backlog, in insertion order, over the
+	// running tasks' finish times, so avail[0] is when a slot first
+	// frees for new work. It is exact while availVer == mutVer+1 (the
+	// +1 keeps the zero value invalid); mutVer advances on every
 	// queue/running mutation (bumpWait). It is only ever kept for a
 	// full SED (every slot running), whose availability times are
 	// absolute finish times. Two mutations keep it exact instead of
@@ -294,17 +295,19 @@ type sedState struct {
 	// very addition a fresh drain would make:
 	//   - pushQueue: the drain walks the backlog in order, so the new
 	//     tail is one more drain step on the kept heap;
-	//   - a finish whose refill starts the FIFO head in the freed slot
-	//     with planned exec TaskSeconds (no queue discipline,
-	//     contention or exec jitter; Runner.onFinish): the drain's first
-	//     step gave exactly that slot — the earliest finish — to the
-	//     head, at exactly now + exec.
-	// Everything else — a non-head removal, preemption, crash,
-	// clearQueue, a start under contention or jitter, a module hook
-	// touching the SED mid-finish, any start into a non-full SED —
-	// invalidates, and the next probe re-drains. A padded drain (free
-	// slots on a booting/off node) depends on now and is never kept.
-	// drains counts full re-drains.
+	//   - a finish whose refill starts the insertion-order head in the
+	//     freed slot with planned exec TaskSeconds (no contention or
+	//     exec jitter; Runner.onFinish): the drain's first step gave
+	//     exactly that slot — the earliest finish — to the head, at
+	//     exactly now + exec. Under FIFO every refill serves the head;
+	//     under a queue discipline (EDF, VALUE-DENSITY, ...) only the
+	//     refills whose heap top is the oldest live task do.
+	// Everything else — a discipline serving a task behind the head (a
+	// non-head removal), preemption, crash, clearQueue, a start under
+	// contention or jitter, a module hook touching the SED mid-finish,
+	// any start into a non-full SED — invalidates, and the next probe
+	// re-drains. A padded drain (free slots on a booting/off node)
+	// depends on now and is never kept. drains counts full re-drains.
 	avail    []float64
 	availVer uint64
 	mutVer   uint64
@@ -655,13 +658,18 @@ func (s *sedState) firstFree(now float64, pad bool) float64 {
 	}
 	s.avail = avail
 	floatHeapInit(avail)
-	for _, p := range s.queued() {
-		if p.removed {
+	// Walk the arena by index: ranging over the entries by value would
+	// copy each pendingTask. The division is TaskSeconds', unrolled so
+	// the NodeSpec is read once per drain, not copied once per step.
+	flops := s.node.Spec.FlopsPerCore
+	q := s.queued()
+	for i := range q {
+		if q[i].removed {
 			continue
 		}
 		// start := avail[0]; the queued task occupies the earliest
 		// slot, which then frees at start + exec.
-		avail[0] += s.node.Spec.TaskSeconds(p.task.Ops)
+		avail[0] += q[i].task.Ops / flops
 		floatHeapFix(avail)
 	}
 	s.availVer = 0
@@ -1154,9 +1162,10 @@ func (r *Runner) onFinish(now float64, sed *sedState, rt *runningTask) {
 	delete(sed.running, rt.task.ID)
 	sed.bumpWait()
 	// A drained heap (only ever kept for a full SED) gave the earliest
-	// finish — this one: events fire in time order — to the FIFO head
-	// as its first drain step. availVer == vacated says the heap was
-	// exact just before this removal; the refill below may keep it.
+	// finish — this one: events fire in time order — to the
+	// insertion-order head as its first drain step. availVer == vacated
+	// says the heap was exact just before this removal; the refill below
+	// may keep it.
 	vacated := sed.mutVer
 	duringW := sed.node.Power() // draw while the task was still running
 	if err := sed.node.FinishTask(now); err != nil {
@@ -1228,11 +1237,13 @@ func (r *Runner) onFinish(now float64, sed *sedState, rt *runningTask) {
 	// The refill repeats that drain step exactly — and keeps the heap —
 	// when the hooks above neither mutated the SED (mutVer) nor probed
 	// it (a padded probe overwrites avail and resets availVer), the
-	// freed slot serves the head (FIFO), its planned exec is
+	// freed slot serves the insertion-order head (always under FIFO; a
+	// discipline whose top is the head), its planned exec is
 	// TaskSeconds (no contention or jitter), and drainQueue starts just
 	// that one task: one removal plus one start, two bumps.
 	keep := sed.availVer == vacated && sed.mutVer == vacated &&
-		sed.order == nil && r.cfg.Contention <= 0 && r.cfg.ExecJitter <= 0
+		sed.qlen() > 0 && sed.nextQueued() == 0 &&
+		r.cfg.Contention <= 0 && r.cfg.ExecJitter <= 0
 	r.drainQueue(now, sed)
 	if keep && sed.mutVer == vacated+2 {
 		sed.availVer = sed.mutVer + 1

@@ -309,15 +309,16 @@ func TestDisciplineHeapMatchesScan(t *testing.T) {
 
 // TestWaitEstimateIncrementalOracle drives a real runner through random
 // mutation sequences — pushes (bursts of equal-size tasks, so several
-// finishes share an instant), FIFO finish→head refills, non-head
-// removals, preemptions, crashes, queue clears, power toggles, starts
-// under contention or exec jitter, finish hooks that mutate or probe
-// the SED, and a queue discipline rotating with the seed over
-// testOrders on tie-heavy tasks — and after every step checks each
-// SED's kept-heap estimate against a fresh drain and sortDrainWait, bit
-// for bit, and its discipline heap against the linear-scan oracles.
+// finishes share an instant), finish→head refills (under FIFO, and
+// under a discipline whose top is the head), non-head removals,
+// preemptions, crashes, queue clears, power toggles, starts under
+// contention or exec jitter, finish hooks that mutate or probe the SED,
+// and a queue discipline rotating with the seed over testOrders on
+// tie-heavy tasks — and after every step checks each SED's kept-heap
+// estimate against a fresh drain and sortDrainWait, bit for bit, and
+// its discipline heap against the linear-scan oracles.
 func TestWaitEstimateIncrementalOracle(t *testing.T) {
-	hits, probes := 0, 0
+	hits, probes, discKeeps := 0, 0, 0
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		order := testOrders[seed%int64(len(testOrders))]
@@ -362,6 +363,23 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 		for _, s := range r.seds {
 			s.order = order
 		}
+		// fire steps to the next event and counts the finishes under a
+		// discipline whose refill kept the drained heap: exactly the
+		// finish, removal and start bumps, with the heap exact on both
+		// sides.
+		wasDrained := make([]bool, len(r.seds))
+		mutVer := make([]uint64, len(r.seds))
+		fire := func() {
+			for i, s := range r.seds {
+				wasDrained[i], mutVer[i] = s.drained(), s.mutVer
+			}
+			r.eng.Step()
+			for i, s := range r.seds {
+				if s.order != nil && wasDrained[i] && s.drained() && s.mutVer == mutVer[i]+3 {
+					discKeeps++
+				}
+			}
+		}
 		submit := func(now float64, sed *sedState, ops float64) {
 			p := newTask(now, ops)
 			if sed.freeSlots() > 0 {
@@ -384,7 +402,7 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					// Finish with no probe since the pushes: the SED's
 					// heap is stale, not drained, at the refill.
-					r.eng.Step()
+					fire()
 				}
 			case k < 7:
 				op = "push odd size"
@@ -392,7 +410,7 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 			case k < 13:
 				op = "fire next events"
 				for n := 1 + rng.Intn(3); n > 0; n-- {
-					r.eng.Step()
+					fire()
 				}
 			case k < 14:
 				op = "remove non-head"
@@ -477,9 +495,15 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 	// The oracle is only meaningful if the kept heap is actually
 	// exercised: most probes of a full, backlogged SED must read it
 	// rather than re-drain.
-	t.Logf("%d of %d probes of a full, backlogged SED read a kept heap", hits, probes)
+	// Under a discipline, the refills that serve the insertion-order
+	// head must keep it too, so the oracle checks that rule as well.
+	t.Logf("%d of %d probes of a full, backlogged SED read a kept heap; %d disciplined refills kept it",
+		hits, probes, discKeeps)
 	if hits*2 < probes {
 		t.Fatalf("only %d of %d probes of a full, backlogged SED read a kept heap", hits, probes)
+	}
+	if discKeeps == 0 {
+		t.Fatal("no finish under a queue discipline kept the drained heap")
 	}
 }
 
@@ -541,53 +565,61 @@ func (o *countingOrder) Less(a, b sched.TaskView) bool {
 	return o.TaskOrder.Less(a, b)
 }
 
+// runDisciplineTrace runs a sim-stack-shaped trace of n tasks — a
+// burst, then four times what the paper platform clears, one task in
+// five interactive with a two-minute deadline, queued under order with
+// preemption on — and returns the finished runner and the deepest
+// per-SED backlog seen at any arrival.
+func runDisciplineTrace(t *testing.T, n int, order sched.TaskOrder) (r *Runner, peak int) {
+	t.Helper()
+	ts, err := workload.BurstThenRate{Total: n, Burst: 512, Rate: 4, Ops: 9e11, Class: sla.ClassBatch}.Tasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := range ts {
+		if rng.Float64() < 0.2 {
+			ts[i].Class = sla.ClassInteractive
+			ts[i].Ops /= 10
+			ts[i].Deadline = ts[i].Submit + 120
+		}
+	}
+	depth := &HookModule{OnArrivalFunc: func(float64, *workload.Task) {
+		for _, sed := range r.seds {
+			peak = max(peak, sed.qlen())
+		}
+	}}
+	r, err = NewRunner(Config{
+		Platform: cluster.PaperPlatform(),
+		Policy:   sched.New(sched.GreenPerf),
+		Tasks:    ts,
+		Explore:  true,
+		Seed:     1,
+		Modules: []Module{
+			&SLAModule{Config: &sla.Config{Admission: &sla.Admission{Margin: 1}, Order: order, UrgentBypass: true}, WrapDeadline: true},
+			&PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 0.1}},
+			depth,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return r, peak
+}
+
 // TestDisciplineDequeueBounded is the complexity gate for disciplined
-// queues: on a sim-stack-shaped trace (a burst, then four times what
-// the paper platform clears, one task in five interactive with a
-// two-minute deadline, EDF with preemption) the discipline is consulted
+// queues: on runDisciplineTrace under EDF the discipline is consulted
 // O(log queue) times per task, not once per queued task, so Less calls
 // per task stay within a small multiple of log2 of the deepest per-SED
 // backlog and barely grow when the trace — and with it every queue —
 // quadruples.
 func TestDisciplineDequeueBounded(t *testing.T) {
 	lessPerTask := func(n int) (perTask float64, peak int) {
-		ts, err := workload.BurstThenRate{Total: n, Burst: 512, Rate: 4, Ops: 9e11, Class: sla.ClassBatch}.Tasks()
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(1))
-		for i := range ts {
-			if rng.Float64() < 0.2 {
-				ts[i].Class = sla.ClassInteractive
-				ts[i].Ops /= 10
-				ts[i].Deadline = ts[i].Submit + 120
-			}
-		}
 		order := &countingOrder{TaskOrder: sched.NewOrder(sched.EDF)}
-		var r *Runner
-		depth := &HookModule{OnArrivalFunc: func(float64, *workload.Task) {
-			for _, sed := range r.seds {
-				peak = max(peak, sed.qlen())
-			}
-		}}
-		r, err = NewRunner(Config{
-			Platform: cluster.PaperPlatform(),
-			Policy:   sched.New(sched.GreenPerf),
-			Tasks:    ts,
-			Explore:  true,
-			Seed:     1,
-			Modules: []Module{
-				&SLAModule{Config: &sla.Config{Admission: &sla.Admission{Margin: 1}, Order: order, UrgentBypass: true}, WrapDeadline: true},
-				&PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 0.1}},
-				depth,
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Run(); err != nil {
-			t.Fatal(err)
-		}
+		_, peak = runDisciplineTrace(t, n, order)
 		return float64(order.calls) / float64(n), peak
 	}
 	small, peakSmall := lessPerTask(5_000)
@@ -604,5 +636,24 @@ func TestDisciplineDequeueBounded(t *testing.T) {
 	}
 	if large >= 1.3*small {
 		t.Errorf("Less calls per task grew %.2f× from 5k to 20k tasks, want < 1.3×", large/small)
+	}
+}
+
+// TestDisciplineDrainsBounded is the re-drain gate for disciplined
+// queues: on runDisciplineTrace under EDF, a finish whose refill serves
+// the insertion-order head keeps the drained heap, as under FIFO, so
+// only the refills that serve a task behind the head (and preemptions)
+// re-drain the backlog. The 20k-task trace re-drains 5,211 times; with
+// the heap kept only under FIFO it took 9,545.
+func TestDisciplineDrainsBounded(t *testing.T) {
+	const n, bound = 20_000, 6_000
+	r, _ := runDisciplineTrace(t, n, sched.NewOrder(sched.EDF))
+	drains := 0
+	for _, sed := range r.seds {
+		drains += sed.drains
+	}
+	t.Logf("%d full drains over %d tasks", drains, n)
+	if drains > bound {
+		t.Fatalf("%d full drains over %d tasks, want ≤ %d", drains, n, bound)
 	}
 }

@@ -58,9 +58,6 @@ type Event struct {
 	index int // heap index; -1 once popped or cancelled
 }
 
-// Cancelled reports whether the event was cancelled or already fired.
-func (e *Event) Cancelled() bool { return e == nil || e.index == -1 }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -186,15 +183,4 @@ func (e *Engine) Run(budget uint64) (fired uint64, err error) {
 		}
 	}
 	return fired, nil
-}
-
-// RunUntil fires events with At <= deadline, leaving later events
-// queued, and advances the clock to exactly deadline.
-func (e *Engine) RunUntil(deadline Time) {
-	for len(e.queue) > 0 && e.queue[0].At <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
 }
