@@ -46,8 +46,6 @@ func (f *flipFeed) open() {
 	f.clean = true
 }
 
-func (f *flipFeed) Name() string { return "flip" }
-
 func (f *flipFeed) IntensityAt(float64) float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -86,12 +86,6 @@ func (s Summary) CI(level float64) (lo, hi float64) {
 	return s.Mean - h, s.Mean + h
 }
 
-// String renders "mean ± half-width-of-95%-CI (n=N)".
-func (s Summary) String() string {
-	lo, hi := s.CI(0.95)
-	return fmt.Sprintf("%.4g ± %.2g (n=%d)", s.Mean, (hi-lo)/2, s.N)
-}
-
 // Percentile returns the p-quantile (p in [0,1]) of an ascending-sorted
 // sample with linear interpolation between closest ranks. It panics on
 // an empty sample (programming error, not data error).
@@ -235,9 +229,4 @@ func EnvelopeOf(xs, ys []float64) (Envelope, error) {
 		e.MaxY = math.Max(e.MaxY, ys[i])
 	}
 	return e, nil
-}
-
-// Contains reports whether the point lies inside the band (inclusive).
-func (e Envelope) Contains(x, y float64) bool {
-	return x >= e.MinX && x <= e.MaxX && y >= e.MinY && y <= e.MaxY
 }

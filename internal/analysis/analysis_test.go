@@ -240,9 +240,6 @@ func TestEnvelope(t *testing.T) {
 	if e.MinX != 1 || e.MaxX != 3 || e.MinY != 10 || e.MaxY != 30 {
 		t.Fatalf("envelope = %+v", e)
 	}
-	if !e.Contains(2, 20) || e.Contains(0, 20) || e.Contains(2, 31) {
-		t.Fatal("Contains wrong")
-	}
 	for _, c := range []struct{ xs, ys []float64 }{
 		{nil, nil},
 		{[]float64{1}, []float64{1, 2}},

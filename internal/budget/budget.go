@@ -93,31 +93,23 @@ func (t *Tracker) BurnError(now float64) float64 {
 	return math.Max(-1, math.Min(1, e))
 }
 
+// steerGain is how hard the Preference loop steers: 5 reaches full
+// efficiency at 18 % over-burn.
+const steerGain = 5
+
 // Preference maps the burn error onto an effective Preference_user:
-// on-budget → the caller's base preference; ahead of budget → pushed
-// toward +0.9 (maximize efficiency); behind budget → allowed toward
-// the base (or further toward performance when Aggressive). Gain
-// controls how hard the loop steers; 5 reaches full efficiency at 18 %
-// over-burn.
+// on or behind budget → the caller's base preference; ahead of budget
+// → pushed toward +0.9 (maximize efficiency) by steerGain.
 type Preference struct {
-	Tracker    *Tracker
-	Base       core.UserPref
-	Gain       float64
-	Aggressive bool // spend surplus on performance when under budget
+	Tracker *Tracker
+	Base    core.UserPref
 }
 
 // At returns the effective preference at time now.
 func (p Preference) At(now float64) core.UserPref {
-	gain := p.Gain
-	if gain <= 0 {
-		gain = 5
-	}
-	e := p.Tracker.BurnError(now)
 	pref := float64(p.Base)
-	if e > 0 {
-		pref += gain * e
-	} else if p.Aggressive {
-		pref += gain * e // e < 0 pulls toward performance
+	if e := p.Tracker.BurnError(now); e > 0 {
+		pref += steerGain * e
 	}
 	return core.UserPref(pref).Clamped()
 }

@@ -82,7 +82,7 @@ func TestTrackerConcurrentCharges(t *testing.T) {
 
 func TestPreferenceSteering(t *testing.T) {
 	tr, _ := NewTracker(1000, 100)
-	p := Preference{Tracker: tr, Base: 0, Gain: 5}
+	p := Preference{Tracker: tr, Base: 0}
 	// On budget: base preference.
 	tr.Charge(50, 500)
 	if got := p.At(50); got != 0 {
@@ -102,16 +102,10 @@ func TestPreferenceSteering(t *testing.T) {
 
 func TestPreferenceUnderBudget(t *testing.T) {
 	tr, _ := NewTracker(1000, 100)
-	// Conservative (default): surplus does not change the preference.
-	cons := Preference{Tracker: tr, Base: 0.2, Gain: 5}
-	if got := cons.At(50); got != 0.2 {
-		t.Fatalf("conservative under-budget = %v, want base", got)
-	}
-	// Aggressive: surplus buys performance.
-	aggr := Preference{Tracker: tr, Base: 0.2, Gain: 1, Aggressive: true}
-	got := aggr.At(50) // error -0.5, gain 1 → 0.2-0.5 = -0.3
-	if math.Abs(float64(got)-(-0.3)) > 1e-12 {
-		t.Fatalf("aggressive under-budget = %v, want -0.3", got)
+	// Surplus does not change the preference.
+	p := Preference{Tracker: tr, Base: 0.2}
+	if got := p.At(50); got != 0.2 {
+		t.Fatalf("under-budget preference = %v, want base", got)
 	}
 }
 
@@ -198,7 +192,7 @@ func TestPropertyPreferenceClamped(t *testing.T) {
 		tr, _ := NewTracker(1000, 100)
 		now := float64(nowRaw % 100)
 		tr.Charge(now, float64(spendRaw))
-		p := Preference{Tracker: tr, Base: core.UserPref(float64(baseRaw) / 127), Gain: 5, Aggressive: true}
+		p := Preference{Tracker: tr, Base: core.UserPref(float64(baseRaw) / 127)}
 		got := float64(p.At(now))
 		return got >= -core.ClampLimit-1e-12 && got <= core.ClampLimit+1e-12
 	}

@@ -33,12 +33,10 @@ type Module struct {
 	// every run its own (charges accumulate).
 	Tracker *Tracker
 
-	// Steer enables election re-ranking while over budget; the fields
-	// below parameterize the Preference feedback loop it applies.
-	Steer      bool
-	Base       core.UserPref
-	Gain       float64
-	Aggressive bool
+	// Steer enables election re-ranking while over budget; Base is the
+	// preference the Preference feedback loop steers from.
+	Steer bool
+	Base  core.UserPref
 }
 
 // Init implements sim.Module.
@@ -66,7 +64,7 @@ func (m *Module) WrapPolicy(now float64, t workload.Task, base sched.Policy) sch
 		return base
 	}
 	return &Policy{
-		Pref:  Preference{Tracker: m.Tracker, Base: m.Base, Gain: m.Gain, Aggressive: m.Aggressive},
+		Pref:  Preference{Tracker: m.Tracker, Base: m.Base},
 		Ops:   t.Ops,
 		Clock: func() float64 { return now },
 	}

@@ -16,9 +16,8 @@
 //   - Signal, the interface over intensity sources, with exact
 //     time-averaging so piecewise-constant energy integrates to exact
 //     grams;
-//   - Constant, Diurnal (sinusoidal day/night model) and Schedule
-//     (daily step windows, derivable from forecast tariff helpers)
-//     sources;
+//   - Constant and Diurnal (sinusoidal day/night model) sources, and
+//     Schedule, daily step windows derived from a forecast tariff;
 //   - SiteProfile / Profile, mapping clusters of a multi-site platform
 //     onto different grids;
 //   - Integrator, the watts→grams accumulator the simulator drives.
@@ -41,8 +40,6 @@ const DaySeconds = 86400.0
 // seconds on the simulation timeline (t=0 is midnight of day zero, so
 // hour-of-day math lines up with forecast.Tariff).
 type Signal interface {
-	// Name identifies the source in reports.
-	Name() string
 	// IntensityAt returns the grid carbon intensity at time t in
 	// gCO2 per kWh drawn.
 	IntensityAt(t float64) float64
@@ -63,9 +60,6 @@ type Constant struct {
 	G float64 // gCO2/kWh
 	R float64 // renewable fraction
 }
-
-// Name implements Signal.
-func (c Constant) Name() string { return "constant" }
 
 // IntensityAt implements Signal.
 func (c Constant) IntensityAt(float64) float64 { return c.G }
@@ -120,9 +114,6 @@ func (d Diurnal) Validate() error {
 	return nil
 }
 
-// Name implements Signal.
-func (d Diurnal) Name() string { return "diurnal" }
-
 // phase returns the cosine argument for time t.
 func (d Diurnal) phase(t float64) float64 {
 	return 2 * math.Pi * (t/DaySeconds - d.CleanHour/24)
@@ -160,24 +151,4 @@ func hourOfDay(t float64) float64 {
 		h += 24
 	}
 	return h
-}
-
-// meanPiecewise averages intensityAt over [t0,t1] for a signal that is
-// constant between consecutive breakpoints. breakpoints must be the
-// strictly-inside-the-interval change times, ascending.
-func meanPiecewise(intensityAt func(float64) float64, breakpoints []float64, t0, t1 float64) float64 {
-	if t1 <= t0 {
-		return intensityAt(t0)
-	}
-	sum := 0.0
-	last := t0
-	for _, b := range breakpoints {
-		if b <= last || b >= t1 {
-			continue
-		}
-		sum += intensityAt(last) * (b - last)
-		last = b
-	}
-	sum += intensityAt(last) * (t1 - last)
-	return sum / (t1 - t0)
 }

@@ -90,25 +90,6 @@ func TestScheduleFromTariff(t *testing.T) {
 	// Off-peak-1 wraps midnight: 23h and 1h both cost 0.8 → 420.
 	almost(t, s.IntensityAt(23*3600), 420, 1e-9, "off-peak-1 before midnight")
 	almost(t, s.IntensityAt(25*3600), 420, 1e-9, "off-peak-1 after midnight (next day)")
-	// Renewable fraction mirrors 1−cost.
-	almost(t, s.RenewableAt(4*3600), 0.5, 1e-9, "renewable off-peak-2")
-}
-
-func TestScheduleMeanIntensity(t *testing.T) {
-	s, err := NewSchedule("steps", []Window{
-		{StartHour: 0, EndHour: 12, G: 100},
-		{StartHour: 12, EndHour: 24, G: 300},
-	}, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, s.MeanIntensity(0, DaySeconds), 200, 1e-9, "full-day mean")
-	// 06:00→18:00: 6h@100 + 6h@300.
-	almost(t, s.MeanIntensity(6*3600, 18*3600), 200, 1e-9, "half-shifted mean")
-	// Window spanning two days: 18:00 day0 → 06:00 day1 = 6h@300 + 6h@100.
-	almost(t, s.MeanIntensity(18*3600, DaySeconds+6*3600), 200, 1e-9, "cross-midnight mean")
-	// Pure morning window.
-	almost(t, s.MeanIntensity(2*3600, 8*3600), 100, 1e-9, "morning mean")
 }
 
 func TestProfileRoutesClustersToSites(t *testing.T) {
@@ -156,21 +137,17 @@ func TestIntegratorExactGrams(t *testing.T) {
 }
 
 func TestIntegratorPiecewiseAgainstSteps(t *testing.T) {
-	steps, err := NewSchedule("g", []Window{
-		{StartHour: 0, EndHour: 0.5, G: 100},
-		{StartHour: 0.5, EndHour: 24, G: 500},
-	}, 0, 0)
+	// A power step at 1800 s integrates, interval by interval, to the
+	// same grams as the one-shot form over each constant-power piece.
+	site := SiteProfile{Site: "s", Signal: Diurnal{MeanG: 300, AmplitudeG: 200, CleanHour: 13}}
+	in, err := NewIntegrator(site, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := NewIntegrator(SiteProfile{Site: "s", Signal: steps}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One hour at 2000 W spanning the step: 1 kWh@100 + 1 kWh@500... no:
-	// 2000 W × 1800 s = 1 kWh per half hour.
-	in.Advance(3600, 2000)
-	almost(t, in.Grams(), 100+500, 1e-9, "step-spanning grams")
+	in.Advance(1800, 2000)
+	in.Advance(3600, 500)
+	want := Grams(site, 2000*1800, 0, 1800) + Grams(site, 500*1800, 1800, 3600)
+	almost(t, in.Grams(), want, 1e-9, "step-spanning grams")
 
 	defer func() {
 		if recover() == nil {

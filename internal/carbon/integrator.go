@@ -38,12 +38,6 @@ func (in *Integrator) Advance(t float64, w float64) {
 // Grams returns the accumulated emissions.
 func (in *Integrator) Grams() float64 { return in.grams }
 
-// LastTime returns the integration cursor.
-func (in *Integrator) LastTime() float64 { return in.lastT }
-
-// Site returns the profile being integrated against.
-func (in *Integrator) Site() SiteProfile { return in.site }
-
 // Grams converts an energy amount drawn entirely within [t0, t1] at a
 // site into grams of CO2 — the one-shot form of the integrator, used
 // to attribute per-task emissions from task records.

@@ -2,8 +2,6 @@ package carbon
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"greensched/internal/forecast"
 )
@@ -13,22 +11,18 @@ type Window struct {
 	StartHour float64 // [0,24)
 	EndHour   float64 // exclusive; may wrap past midnight
 	G         float64 // gCO2/kWh in force over the window
-	R         float64 // renewable fraction in force
 }
 
-// Schedule is a daily step schedule — the carbon analogue of
-// forecast.Tariff, repeating every 24 hours. Hours not covered by any
-// window fall back to the Default window values.
+// Schedule is a daily step schedule of carbon intensity — the carbon
+// analogue of forecast.Tariff, repeating every 24 hours. Hours not
+// covered by any window fall back to the default intensity.
 type Schedule struct {
-	name    string
 	windows []Window
 	defG    float64
-	defR    float64
 }
 
-// NewSchedule builds a daily schedule. Uncovered hours yield defG /
-// defR.
-func NewSchedule(name string, windows []Window, defG, defR float64) (*Schedule, error) {
+// NewSchedule builds a daily schedule. Uncovered hours yield defG.
+func NewSchedule(windows []Window, defG float64) (*Schedule, error) {
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("carbon: empty schedule")
 	}
@@ -36,26 +30,23 @@ func NewSchedule(name string, windows []Window, defG, defR float64) (*Schedule, 
 		if w.StartHour < 0 || w.StartHour >= 24 || w.EndHour < 0 || w.EndHour > 24 {
 			return nil, fmt.Errorf("carbon: schedule window %d hours out of range", i)
 		}
-		if w.G < 0 || w.R < 0 || w.R > 1 {
-			return nil, fmt.Errorf("carbon: schedule window %d values out of range", i)
+		if w.G < 0 {
+			return nil, fmt.Errorf("carbon: schedule window %d intensity out of range", i)
 		}
 	}
-	if defG < 0 || defR < 0 || defR > 1 {
-		return nil, fmt.Errorf("carbon: schedule defaults out of range")
-	}
-	if name == "" {
-		name = "schedule"
+	if defG < 0 {
+		return nil, fmt.Errorf("carbon: schedule default out of range")
 	}
 	out := make([]Window, len(windows))
 	copy(out, windows)
-	return &Schedule{name: name, windows: out, defG: defG, defR: defR}, nil
+	return &Schedule{windows: out, defG: defG}, nil
 }
 
 // FromTariff derives a carbon schedule from an electricity tariff: the
 // paper's §IV-C cost states double as a coarse supply signal (peak
 // price ⇔ peaking plants ⇔ dirty margin; deep off-peak ⇔ surplus
 // base/renewable supply). Each window's cost ratio c∈[0,1] maps
-// linearly onto [cleanG, dirtyG] with renewable fraction 1−c.
+// linearly onto [cleanG, dirtyG].
 func FromTariff(tf forecast.Tariff, cleanG, dirtyG float64) (*Schedule, error) {
 	if err := tf.Validate(); err != nil {
 		return nil, err
@@ -69,65 +60,24 @@ func FromTariff(tf forecast.Tariff, cleanG, dirtyG float64) (*Schedule, error) {
 			StartHour: w.StartHour,
 			EndHour:   w.EndHour,
 			G:         cleanG + w.Cost*(dirtyG-cleanG),
-			R:         1 - w.Cost,
 		})
 	}
 	// Uncovered hours behave like regular price, matching
 	// Tariff.CostAt's fallback of 1.0.
-	return NewSchedule("tariff", windows, dirtyG, 0)
+	return NewSchedule(windows, dirtyG)
 }
 
-// Name implements Signal.
-func (s *Schedule) Name() string { return s.name }
-
-// at resolves the window in force at hour-of-day h.
-func (s *Schedule) at(h float64) (float64, float64) {
+// IntensityAt returns the intensity in force at time t.
+func (s *Schedule) IntensityAt(t float64) float64 {
+	h := hourOfDay(t)
 	for _, w := range s.windows {
 		if w.StartHour <= w.EndHour {
 			if h >= w.StartHour && h < w.EndHour {
-				return w.G, w.R
+				return w.G
 			}
-		} else { // wraps midnight
-			if h >= w.StartHour || h < w.EndHour {
-				return w.G, w.R
-			}
+		} else if h >= w.StartHour || h < w.EndHour { // wraps midnight
+			return w.G
 		}
 	}
-	return s.defG, s.defR
-}
-
-// IntensityAt implements Signal.
-func (s *Schedule) IntensityAt(t float64) float64 {
-	g, _ := s.at(hourOfDay(t))
-	return g
-}
-
-// RenewableAt implements Signal.
-func (s *Schedule) RenewableAt(t float64) float64 {
-	_, r := s.at(hourOfDay(t))
-	return r
-}
-
-// MeanIntensity implements Signal exactly by splitting [t0,t1] at
-// every window boundary of every day the interval spans.
-func (s *Schedule) MeanIntensity(t0, t1 float64) float64 {
-	if t1 <= t0 {
-		return s.IntensityAt(t0)
-	}
-	// Hour-of-day boundaries where any window starts or ends.
-	hours := make([]float64, 0, 2*len(s.windows))
-	for _, w := range s.windows {
-		hours = append(hours, w.StartHour, w.EndHour)
-	}
-	sort.Float64s(hours)
-	var breaks []float64
-	firstDay := math.Floor(t0 / DaySeconds)
-	lastDay := math.Floor(t1 / DaySeconds)
-	for day := firstDay; day <= lastDay; day++ {
-		for _, h := range hours {
-			breaks = append(breaks, day*DaySeconds+h*3600)
-		}
-	}
-	sort.Float64s(breaks)
-	return meanPiecewise(s.IntensityAt, breaks, t0, t1)
+	return s.defG
 }

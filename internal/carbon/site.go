@@ -81,8 +81,3 @@ func (p *Profile) Site(cluster string) SiteProfile {
 func (p *Profile) IntensityAt(cluster string, t float64) float64 {
 	return p.Site(cluster).Signal.IntensityAt(t)
 }
-
-// RenewableAt returns the renewable fraction a cluster sees at time t.
-func (p *Profile) RenewableAt(cluster string, t float64) float64 {
-	return p.Site(cluster).Signal.RenewableAt(t)
-}

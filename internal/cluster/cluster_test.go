@@ -161,9 +161,6 @@ func TestHeterogeneityPlatforms(t *testing.T) {
 
 func TestPlatformAggregates(t *testing.T) {
 	p := MustPlatform(NewNodes("sim1", 2))
-	if got, want := p.TotalFlops(), 2*8*4.0e9; got != want {
-		t.Fatalf("TotalFlops = %v, want %v", got, want)
-	}
 	if got, want := p.PeakWatts(), 460.0; got != want {
 		t.Fatalf("PeakWatts = %v, want %v", got, want)
 	}
@@ -274,9 +271,6 @@ func TestNodeBootCycle(t *testing.T) {
 	if got := n.Energy(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("boot-cycle energy = %v, want %v", got, want)
 	}
-	if n.Boots() != 1 {
-		t.Fatalf("Boots = %d, want 1", n.Boots())
-	}
 }
 
 func TestNodePowerOffRules(t *testing.T) {
@@ -319,8 +313,8 @@ func TestNodeMeterSeesTransitions(t *testing.T) {
 	n.StartTask(10)
 	n.FinishTask(20)
 	n.Settle(30)
-	if meter.Len() != 30 {
-		t.Fatalf("meter samples = %d, want 30", meter.Len())
+	if _, n := meter.MeanWindow(0, 30); n != 30 {
+		t.Fatalf("meter samples = %d, want 30", n)
 	}
 	mean, cnt := meter.MeanWindow(10, 19)
 	if cnt != 10 {

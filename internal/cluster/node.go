@@ -23,7 +23,6 @@ type Node struct {
 	meter *power.Wattmeter
 
 	bootDoneAt float64 // valid while state == Booting
-	boots      int     // number of boot cycles completed or started
 
 	// OnSettle, when set, observes every settled interval [from, to]
 	// and the constant draw that held over it — the exact
@@ -62,12 +61,6 @@ func (n *Node) Power() power.Watts {
 
 // Energy returns the accumulated energy through the last settle point.
 func (n *Node) Energy() power.Joules { return n.acc.Total() }
-
-// Boots returns how many boot cycles the node has started.
-func (n *Node) Boots() int { return n.boots }
-
-// Meter returns the attached wattmeter (may be nil).
-func (n *Node) Meter() *power.Wattmeter { return n.meter }
 
 // settle integrates energy (and feeds the wattmeter) for the interval
 // since the last transition, at the draw that held over that interval.
@@ -142,7 +135,6 @@ func (n *Node) PowerOn(now float64) (bootDone float64, err error) {
 	}
 	n.settle(now)
 	n.state = power.Booting
-	n.boots++
 	n.bootDoneAt = now + n.Spec.BootSec
 	return n.bootDoneAt, nil
 }

@@ -249,15 +249,6 @@ func (p *Platform) Find(name string) int {
 	return -1
 }
 
-// TotalFlops returns the aggregate sustained performance of all nodes.
-func (p *Platform) TotalFlops() float64 {
-	total := 0.0
-	for _, n := range p.Nodes {
-		total += n.TotalFlops()
-	}
-	return total
-}
-
 // PeakWatts returns the aggregate fully-loaded draw — the PTotal of
 // the paper's Algorithm 1.
 func (p *Platform) PeakWatts() power.Watts {

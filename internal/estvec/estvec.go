@@ -221,18 +221,6 @@ func (v *Vector) Tags() []Tag {
 // Len returns the number of set tags.
 func (v *Vector) Len() int { return bits.OnesCount32(v.mask) + len(v.extra) }
 
-// Clone returns a deep copy.
-func (v *Vector) Clone() *Vector {
-	c := &Vector{Server: v.Server, std: v.std, mask: v.mask}
-	if len(v.extra) > 0 {
-		c.extra = make(map[Tag]float64, len(v.extra))
-		for t, val := range v.extra {
-			c.extra[t] = val
-		}
-	}
-	return c
-}
-
 // String renders "server{tag=value,...}" with tags sorted, for logs
 // and tests.
 func (v *Vector) String() string {
@@ -253,25 +241,6 @@ func (v *Vector) String() string {
 // List is an ordered collection of vectors — what an agent receives
 // from its children and sorts with its plug-in scheduler.
 type List []*Vector
-
-// Find returns the vector for a server, or nil.
-func (l List) Find(server string) *Vector {
-	for _, v := range l {
-		if v.Server == server {
-			return v
-		}
-	}
-	return nil
-}
-
-// Clone deep-copies the list.
-func (l List) Clone() List {
-	out := make(List, len(l))
-	for i, v := range l {
-		out[i] = v.Clone()
-	}
-	return out
-}
 
 // Less is a comparison function over vectors; true means a ranks
 // strictly before b.

@@ -74,30 +74,6 @@ func TestTagsSortedAndString(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	v := New("s").Set(TagFlops, 1)
-	c := v.Clone()
-	c.Set(TagFlops, 2)
-	if got := v.Value(TagFlops, 0); got != 1 {
-		t.Fatal("Clone is not deep")
-	}
-	if c.Server != "s" {
-		t.Fatal("Clone lost server name")
-	}
-}
-
-func TestListHelpers(t *testing.T) {
-	l := List{New("a"), New("b"), New("c")}
-	if l.Find("b") == nil || l.Find("z") != nil {
-		t.Fatal("Find wrong")
-	}
-	c := l.Clone()
-	c[0].Set(TagFlops, 5)
-	if l[0].Has(TagFlops) {
-		t.Fatal("List.Clone is not deep")
-	}
-}
-
 func TestByTagAscDesc(t *testing.T) {
 	a := New("a").Set(TagPowerW, 100)
 	b := New("b").Set(TagPowerW, 200)
@@ -193,14 +169,14 @@ func BenchmarkSortStable(b *testing.B) {
 	less := ByTagAsc(TagPowerW, ByTagDesc(TagFlops, ByServerName))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l := base.Clone()
+		l := append(List(nil), base...)
 		l.SortStable(less)
 	}
 }
 
 // TestStdSlots: every standard tag resolves to its own stdTags index,
 // sits in the array (not the extra map), and survives Set, Get, Has,
-// Tags, Clone and a gob round trip; near-miss custom tags go to extra.
+// Tags and a gob round trip; near-miss custom tags go to extra.
 func TestStdSlots(t *testing.T) {
 	for i, tag := range stdTags {
 		if got, ok := stdSlot(tag); !ok || got != i {
@@ -216,7 +192,7 @@ func TestStdSlots(t *testing.T) {
 		if tags := v.Tags(); len(tags) != 1 || tags[0] != tag {
 			t.Errorf("Tags() = %v, want [%s]", tags, tag)
 		}
-		data, err := v.Clone().GobEncode()
+		data, err := v.GobEncode()
 		if err != nil {
 			t.Fatal(err)
 		}

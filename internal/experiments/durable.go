@@ -150,11 +150,6 @@ type DurableResult struct {
 	Runs   []DurableRun // fixed order: IN-PROCESS, TCP
 }
 
-// Run returns the named transport's outcome, or false.
-func (r *DurableResult) Run(transport string) (DurableRun, bool) {
-	return byTransport(r.Runs, transport)
-}
-
 // RunDurableStudy executes the crash drill over both transports.
 func RunDurableStudy(cfg DurableConfig) (*DurableResult, error) {
 	if err := cfg.Validate(); err != nil {

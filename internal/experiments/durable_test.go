@@ -25,7 +25,7 @@ func TestDurableStudy(t *testing.T) {
 	}
 	wantCompleted := cfg.Interactive + 1 + cfg.Batch
 	for _, transport := range []string{LiveTransportInProcess, LiveTransportTCP} {
-		run, ok := res.Run(transport)
+		run, ok := byTransport(res.Runs, transport)
 		if !ok {
 			t.Fatalf("no %s run", transport)
 		}

@@ -244,9 +244,6 @@ func (s *liveStepSignal) anchor(t float64) {
 	s.dirtyUntil = t
 }
 
-// Name implements carbon.Signal.
-func (s *liveStepSignal) Name() string { return "live-step" }
-
 // IntensityAt implements carbon.Signal.
 func (s *liveStepSignal) IntensityAt(t float64) float64 {
 	if s.dirtyAt(t) {

@@ -21,12 +21,6 @@ func TestPlacementRobustToMeterFaults(t *testing.T) {
 		c.MeterNoiseW = 20 // ±20 W on readings in the 100-500 W range
 	})
 	assertPaperOrdering(t, res, "meter noise")
-
-	noisy := placementWith(t, cfg, func(c *sim.Config) {
-		// 30% of samples lost: the estimator sees a sparse trace.
-		c.MeterDropout = 0.3
-	})
-	assertPaperOrdering(t, noisy, "meter dropout")
 }
 
 // placementWith runs the §IV-A policies of cfg with fault applied to

@@ -15,7 +15,7 @@
 // log at the last good frame the same way. Recovery never panics and
 // never invents records: the good prefix is the journal.
 //
-// The active segment rotates once it exceeds Options.SegmentBytes:
+// The active segment rotates once it exceeds 4 MiB:
 // rotation writes a compacted segment holding only the incomplete
 // entries (fully-settled lifecycles are dropped — their bytes are the
 // ones a long-lived master would otherwise accumulate forever) and
@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"log"
 	"os"
 	"sort"
 	"sync"
@@ -135,16 +136,14 @@ type Options struct {
 	// durability (a crash may lose the OS-buffered suffix, which
 	// recovery then treats as a torn tail).
 	NoSync bool
-	// SegmentBytes is the rotation threshold; once the active segment
+
+	// segmentBytes is the rotation threshold; once the active segment
 	// exceeds it, settled entries are compacted away. 0 means 4 MiB;
-	// negative disables rotation.
-	SegmentBytes int64
-	// Now overrides the journal clock (absolute seconds). The default
-	// is Unix wall time, which is what lets lease expiries written by
-	// one master incarnation be compared by the next.
-	Now func() float64
-	// Warn receives recovery and rotation warnings; nil discards them.
-	Warn func(format string, args ...any)
+	// negative disables rotation. Tests lower it.
+	segmentBytes int64
+	// warn receives recovery and rotation warnings; nil means
+	// log.Printf. Tests capture them.
+	warn func(format string, args ...any)
 }
 
 const (
@@ -188,7 +187,6 @@ type Journal struct {
 	mu       sync.Mutex
 	f        segmentFile
 	path     string
-	now      func() float64
 	noSync   bool
 	segLimit int64
 	warn     func(string, ...any)
@@ -220,9 +218,9 @@ func Open(path string, o Options) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal: recover %s: %w", path, err)
 	}
-	warn := o.Warn
+	warn := o.warn
 	if warn == nil {
-		warn = func(string, ...any) {}
+		warn = log.Printf
 	}
 	if rec.Truncated {
 		warn("journal: %s: torn or corrupt tail, truncating to %d bytes (%d good records)", path, rec.GoodBytes, rec.Records)
@@ -235,16 +233,12 @@ func Open(path string, o Options) (*Journal, error) {
 		f.Close()
 		return nil, fmt.Errorf("journal: seek %s: %w", path, err)
 	}
-	now := o.Now
-	if now == nil {
-		now = func() float64 { return float64(time.Now().UnixNano()) / float64(time.Second) }
-	}
-	segLimit := o.SegmentBytes
+	segLimit := o.segmentBytes
 	if segLimit == 0 {
 		segLimit = defaultSegBytes
 	}
 	j := &Journal{
-		f: f, path: path, now: now, noSync: o.NoSync, segLimit: segLimit, warn: warn,
+		f: f, path: path, noSync: o.NoSync, segLimit: segLimit, warn: warn,
 		seq: rec.MaxSeq, segLen: rec.GoodBytes,
 		pending:   make(map[uint64]*Entry),
 		maxID:     rec.MaxID,
@@ -270,8 +264,10 @@ func (j *Journal) MaxID() uint64 {
 	return j.maxID
 }
 
-// Now reads the journal clock.
-func (j *Journal) Now() float64 { return j.now() }
+// Now reads the journal clock: Unix wall time in seconds, which is what
+// lets lease expiries written by one master incarnation be compared by
+// the next.
+func (j *Journal) Now() float64 { return float64(time.Now().UnixNano()) / float64(time.Second) }
 
 // Admit journals a request's admission. It is the dedup point for
 // replay: an ID that is already pending (the entry a replay is
@@ -319,7 +315,7 @@ func (j *Journal) Lease(id uint64, sed string, termSec float64) (float64, error)
 	if termSec <= 0 {
 		termSec = DefaultLeaseTermSec
 	}
-	expiry := j.now() + termSec
+	expiry := j.Now() + termSec
 	rec := Record{State: StateLeased, ID: id, SED: sed, Expiry: expiry}
 	err := j.append(&rec)
 	if err != nil && !errors.Is(err, ErrSync) {
@@ -430,16 +426,6 @@ func (j *Journal) Stats() Stats {
 	}
 }
 
-// Sync flushes the active segment to stable storage.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return ErrClosed
-	}
-	return j.f.Sync()
-}
-
 // Close syncs and closes the journal. Pending entries stay pending on
 // disk — that is the point: a clean shutdown with unfinished work
 // replays exactly like a crash.
@@ -479,7 +465,7 @@ func (j *Journal) append(rec *Record) error {
 	j.seq++
 	rec.Seq = j.seq
 	if rec.T == 0 {
-		rec.T = j.now()
+		rec.T = j.Now()
 	}
 	n, err := writeFrame(j.f, rec)
 	if err != nil {
@@ -562,9 +548,9 @@ func (j *Journal) maybeRotate() error {
 		recs := []Record{e.Admit}
 		switch e.State {
 		case StateDeferred:
-			recs = append(recs, Record{State: StateDeferred, ID: id, T: j.now()})
+			recs = append(recs, Record{State: StateDeferred, ID: id, T: j.Now()})
 		case StateLeased:
-			recs = append(recs, Record{State: StateLeased, ID: id, SED: e.SED, Expiry: e.Expiry, T: j.now()})
+			recs = append(recs, Record{State: StateLeased, ID: id, SED: e.SED, Expiry: e.Expiry, T: j.Now()})
 		}
 		for _, rec := range recs {
 			j.seq++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"log"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -168,7 +169,7 @@ func TestTornTail(t *testing.T) {
 	}
 
 	var warned strings.Builder
-	j2, err := Open(path, Options{Warn: func(f string, a ...any) {
+	j2, err := Open(path, Options{warn: func(f string, a ...any) {
 		warned.WriteString(strings.TrimSpace(f))
 	}})
 	if err != nil {
@@ -395,7 +396,7 @@ func (s *shortWrite) Write(b []byte) (int, error) {
 func TestPartialWriteRewound(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
 	var warned strings.Builder
-	j, err := Open(path, Options{Warn: func(f string, a ...any) {
+	j, err := Open(path, Options{warn: func(f string, a ...any) {
 		warned.WriteString(f + "\n")
 	}})
 	if err != nil {
@@ -458,7 +459,7 @@ func (s *opaqueShortWrite) Write(b []byte) (int, error) {
 func TestPartialWriteUnrewindableFailsJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
 	var warned strings.Builder
-	j, err := Open(path, Options{Warn: func(f string, a ...any) {
+	j, err := Open(path, Options{warn: func(f string, a ...any) {
 		warned.WriteString(f + "\n")
 	}})
 	if err != nil {
@@ -521,12 +522,43 @@ func TestRecoverLeaseAfterSettle(t *testing.T) {
 	}
 }
 
+// TestRotationFailureWarnsByDefault: with no warning sink set, a
+// failed rotation still reaches the standard logger, so a journal
+// that cannot compact is never silent.
+func TestRotationFailureWarnsByDefault(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	// A directory where the compacted segment would go fails the rotation.
+	if err := os.Mkdir(path+compactSuffix, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logged)
+
+	j, err := Open(path, Options{NoSync: true, segmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for id := uint64(1); id < 20; id++ {
+		if err := j.Admit(admit(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j.Stats().Rotations != 0 {
+		t.Fatal("rotation succeeded over a directory")
+	}
+	if !strings.Contains(logged.String(), "journal: rotate "+path) {
+		t.Errorf("rotation failure not logged; log holds %q", logged.String())
+	}
+}
+
 // TestRotationCompaction drives enough settled lifecycles through a
 // tiny segment limit to force rotation, then checks the compacted
 // file holds only the incomplete entries and folds identically.
 func TestRotationCompaction(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.wal")
-	j, err := Open(path, Options{NoSync: true, SegmentBytes: 2048})
+	j, err := Open(path, Options{NoSync: true, segmentBytes: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

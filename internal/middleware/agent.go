@@ -118,23 +118,6 @@ func (a *Agent) SetPolicy(p sched.Policy) {
 	a.mutate(func(st *agentState) { st.policy = p })
 }
 
-// Policy returns the current plug-in scheduler.
-func (a *Agent) Policy() sched.Policy {
-	return a.state.Load().policy
-}
-
-// SetSpans makes the agent emit one "estimate" span per traced fan-out
-// (a request carrying a TraceID). The span parents under the request's
-// incoming ParentSpan, and the copies forwarded to children carry the
-// new span's ID as their parent — so in a multi-level hierarchy each
-// agent level nests its own estimate span, and transport spans (dial/
-// encode/decode) nest under the level that crossed the wire. Nil turns
-// emission off. A Master's root agent shares the master's sink instead,
-// so its estimate stage also feeds the stage histogram.
-func (a *Agent) SetSpans(w *obs.SpanWriter) {
-	a.mutate(func(st *agentState) { st.sink = newSpanSink(a.name, w, nil) })
-}
-
 // Estimate implements Child: parallel fan-out, merge, plug-in sort,
 // optional top-K trim. The configuration snapshot is one atomic load —
 // concurrent requests share it without locking or copying — and the

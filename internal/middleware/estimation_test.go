@@ -11,7 +11,7 @@ import (
 // replaceEstimation mounts f as the SED's whole estimation function,
 // discarding whatever the stack built below it.
 func replaceEstimation(f EstimationFunc) Interceptor {
-	return &HookInterceptor{WrapEstimationFunc: func(EstimationFunc) EstimationFunc { return f }}
+	return &testHooks{WrapEstimationFunc: func(EstimationFunc) EstimationFunc { return f }}
 }
 
 // TestCustomEstimationFunction exercises the paper's plug-in hook:

@@ -105,7 +105,7 @@ func TestLivePlacementShape(t *testing.T) {
 		}
 		counts := map[string]uint64{}
 		for name, sed := range seds {
-			counts[name] = sed.Completed()
+			counts[name] = sed.done.Load()
 		}
 		return counts
 	}

@@ -171,60 +171,18 @@ func (BaseInterceptor) OnComplete(RequestRecord) {}
 // Finalize implements Interceptor.
 func (BaseInterceptor) Finalize(*LiveResult) {}
 
-// HookInterceptor adapts bare functions into an Interceptor — the
-// quickest way to drop an ad-hoc observer into a stack. Nil fields are
-// no-ops.
+// HookInterceptor adapts a bare election observer into an Interceptor
+// — the quickest way to drop an ad-hoc observer into a stack. A nil
+// OnElectFunc is a no-op.
 type HookInterceptor struct {
-	InitFunc           func(mount Mount) error
-	OnSubmitFunc       func(ctx context.Context, now float64, req *Request) error
-	WrapEstimationFunc func(base EstimationFunc) EstimationFunc
-	OnElectFunc        func(now float64, req Request, server string, list estvec.List)
-	OnCompleteFunc     func(rec RequestRecord)
-	FinalizeFunc       func(res *LiveResult)
-}
-
-// Init implements Interceptor.
-func (h *HookInterceptor) Init(mount Mount) error {
-	if h.InitFunc == nil {
-		return nil
-	}
-	return h.InitFunc(mount)
-}
-
-// OnSubmit implements Interceptor.
-func (h *HookInterceptor) OnSubmit(ctx context.Context, now float64, req *Request) error {
-	if h.OnSubmitFunc == nil {
-		return nil
-	}
-	return h.OnSubmitFunc(ctx, now, req)
-}
-
-// WrapEstimation implements Interceptor.
-func (h *HookInterceptor) WrapEstimation(base EstimationFunc) EstimationFunc {
-	if h.WrapEstimationFunc == nil {
-		return base
-	}
-	return h.WrapEstimationFunc(base)
+	BaseInterceptor
+	OnElectFunc func(now float64, req Request, server string, list estvec.List)
 }
 
 // OnElect implements Interceptor.
 func (h *HookInterceptor) OnElect(now float64, req Request, server string, list estvec.List) {
 	if h.OnElectFunc != nil {
 		h.OnElectFunc(now, req, server, list)
-	}
-}
-
-// OnComplete implements Interceptor.
-func (h *HookInterceptor) OnComplete(rec RequestRecord) {
-	if h.OnCompleteFunc != nil {
-		h.OnCompleteFunc(rec)
-	}
-}
-
-// Finalize implements Interceptor.
-func (h *HookInterceptor) Finalize(res *LiveResult) {
-	if h.FinalizeFunc != nil {
-		h.FinalizeFunc(res)
 	}
 }
 

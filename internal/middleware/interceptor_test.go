@@ -35,8 +35,64 @@ func (r *recorder) log() []string {
 	return append([]string(nil), r.events...)
 }
 
-func recordingInterceptor(rec *recorder, label string) *HookInterceptor {
-	return &HookInterceptor{
+// testHooks adapts bare functions into an Interceptor, one per hook.
+// Nil fields are no-ops.
+type testHooks struct {
+	InitFunc           func(mount Mount) error
+	OnSubmitFunc       func(ctx context.Context, now float64, req *Request) error
+	WrapEstimationFunc func(base EstimationFunc) EstimationFunc
+	OnElectFunc        func(now float64, req Request, server string, list estvec.List)
+	OnCompleteFunc     func(rec RequestRecord)
+	FinalizeFunc       func(res *LiveResult)
+}
+
+// Init implements Interceptor.
+func (h *testHooks) Init(mount Mount) error {
+	if h.InitFunc == nil {
+		return nil
+	}
+	return h.InitFunc(mount)
+}
+
+// OnSubmit implements Interceptor.
+func (h *testHooks) OnSubmit(ctx context.Context, now float64, req *Request) error {
+	if h.OnSubmitFunc == nil {
+		return nil
+	}
+	return h.OnSubmitFunc(ctx, now, req)
+}
+
+// WrapEstimation implements Interceptor.
+func (h *testHooks) WrapEstimation(base EstimationFunc) EstimationFunc {
+	if h.WrapEstimationFunc == nil {
+		return base
+	}
+	return h.WrapEstimationFunc(base)
+}
+
+// OnElect implements Interceptor.
+func (h *testHooks) OnElect(now float64, req Request, server string, list estvec.List) {
+	if h.OnElectFunc != nil {
+		h.OnElectFunc(now, req, server, list)
+	}
+}
+
+// OnComplete implements Interceptor.
+func (h *testHooks) OnComplete(rec RequestRecord) {
+	if h.OnCompleteFunc != nil {
+		h.OnCompleteFunc(rec)
+	}
+}
+
+// Finalize implements Interceptor.
+func (h *testHooks) Finalize(res *LiveResult) {
+	if h.FinalizeFunc != nil {
+		h.FinalizeFunc(res)
+	}
+}
+
+func recordingInterceptor(rec *recorder, label string) *testHooks {
+	return &testHooks{
 		InitFunc:     func(Mount) error { rec.add("init-" + label); return nil },
 		OnSubmitFunc: func(_ context.Context, _ float64, _ *Request) error { rec.add("submit-" + label); return nil },
 		OnElectFunc:  func(_ float64, _ Request, _ string, _ estvec.List) { rec.add("elect-" + label) },
@@ -87,8 +143,8 @@ func TestMasterLifecycleHookOrder(t *testing.T) {
 // function runs first, so tag overrides compose in stack order.
 func TestEstimationWrapsFoldLeftToRight(t *testing.T) {
 	rec := &recorder{}
-	wrap := func(label string, tag estvec.Tag, val float64) *HookInterceptor {
-		return &HookInterceptor{
+	wrap := func(label string, tag estvec.Tag, val float64) *testHooks {
+		return &testHooks{
 			WrapEstimationFunc: func(base EstimationFunc) EstimationFunc {
 				return func(s *SED, req Request) *estvec.Vector {
 					v := base(s, req)
@@ -136,10 +192,10 @@ func TestOnSubmitRejectionShortCircuits(t *testing.T) {
 		WithPolicy(sched.New(sched.Power)),
 		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(
-			&HookInterceptor{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
+			&testHooks{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
 				return fmt.Errorf("%w: request %d refused by policy", ErrRejected, req.ID)
 			}},
-			&HookInterceptor{OnSubmitFunc: func(context.Context, float64, *Request) error {
+			&testHooks{OnSubmitFunc: func(context.Context, float64, *Request) error {
 				later.Add(1)
 				return nil
 			}},
@@ -169,11 +225,11 @@ func TestOnSubmitMutationVisibleDownstream(t *testing.T) {
 		WithPolicy(sched.New(sched.Power)),
 		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(
-			&HookInterceptor{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
+			&testHooks{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
 				req.Class = "boosted"
 				return nil
 			}},
-			&HookInterceptor{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
+			&testHooks{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
 				sawClass.Store(req.Class)
 				return nil
 			}},
@@ -199,7 +255,7 @@ func TestNewMasterValidation(t *testing.T) {
 	if _, err := NewMaster(WithPolicy(sched.New(sched.Power)), WithInterceptors(nil)); err == nil {
 		t.Error("nil interceptor accepted")
 	}
-	boom := &HookInterceptor{InitFunc: func(Mount) error { return errors.New("boom") }}
+	boom := &testHooks{InitFunc: func(Mount) error { return errors.New("boom") }}
 	if _, err := NewMaster(WithPolicy(sched.New(sched.Power)), WithInterceptors(boom)); err == nil {
 		t.Error("failing Init accepted")
 	}
@@ -267,7 +323,7 @@ func TestSEDFailedCounter(t *testing.T) {
 	if _, err := sed.Solve(context.Background(), Request{Service: "missing"}); err == nil {
 		t.Fatal("unknown service should error")
 	}
-	if got := sed.Failed(); got != 2 {
+	if got := sed.fails.Load(); got != 2 {
 		t.Errorf("Failed() = %d, want 2", got)
 	}
 }

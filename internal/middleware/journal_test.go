@@ -295,7 +295,7 @@ func TestJournalAdmissionRejectionSettles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	reject := &HookInterceptor{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
+	reject := &testHooks{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
 		return fmt.Errorf("%w: request %d: test says no", ErrRejected, req.ID)
 	}}
 	m, err := NewMaster(
@@ -348,7 +348,7 @@ func TestJournalReplayRejectionNotFailed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	reject := &HookInterceptor{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
+	reject := &testHooks{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
 		return fmt.Errorf("%w: request %d: no capacity", ErrRejected, req.ID)
 	}}
 	m, err := NewMaster(

@@ -124,8 +124,8 @@ type SEDConfig struct {
 	// fold left-to-right over DefaultEstimation, and PowerSource
 	// implementations feed the dynamic estimator (MeterInterceptor
 	// for live power readings, CarbonInterceptor for the site's grid
-	// intensity tag; a HookInterceptor's WrapEstimationFunc may
-	// replace the estimation function outright).
+	// intensity tag; a WrapEstimation hook may replace the
+	// estimation function outright).
 	Interceptors []Interceptor
 
 	// EstimatorWindow is the moving-average window (requests); 0
@@ -297,15 +297,6 @@ func (s *SED) Register(svc Service) error {
 // SetActive marks the SED available/unavailable (provisioning uses
 // this to drain a node before shutdown).
 func (s *SED) SetActive(v bool) { s.active.Store(v) }
-
-// Active reports availability.
-func (s *SED) Active() bool { return s.active.Load() }
-
-// Completed returns the number of requests solved.
-func (s *SED) Completed() uint64 { return s.done.Load() }
-
-// Failed returns the number of Solve calls that returned an error.
-func (s *SED) Failed() uint64 { return s.fails.Load() }
 
 // Estimate responds to a request propagation (§III-A step 3): nil when
 // the SED does not offer the service, otherwise a single-vector list.

@@ -83,8 +83,8 @@ func TestSEDSolveAndLearn(t *testing.T) {
 			t.Fatalf("resp = %+v", resp)
 		}
 	}
-	if sed.Completed() != 3 {
-		t.Fatalf("Completed = %d", sed.Completed())
+	if sed.done.Load() != 3 {
+		t.Fatalf("Completed = %d", sed.done.Load())
 	}
 	v := sed.DefaultEstimation(Request{Service: "burn", Ops: 2e7})
 	if !v.Bool(estvec.TagKnown) {
@@ -262,7 +262,7 @@ func TestClientConcurrentSubmissions(t *testing.T) {
 	}
 	total := uint64(0)
 	for _, sed := range seds {
-		total += sed.Completed()
+		total += sed.done.Load()
 	}
 	if total != 32+4 { // 32 + priming
 		t.Fatalf("completed %d, want 36", total)
@@ -346,7 +346,7 @@ func TestInactiveSEDNotElected(t *testing.T) {
 	if server == "lean-0" || server == "lean-1" {
 		t.Fatalf("drained SED %s elected", server)
 	}
-	if !seds["hungry-0"].Active() {
+	if !seds["hungry-0"].active.Load() {
 		t.Fatal("Active getter wrong")
 	}
 }
@@ -469,7 +469,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 
 func TestTCPRemoteDialFailure(t *testing.T) {
 	rem := Dial("ghost", "127.0.0.1:1") // nothing listens there
-	rem.SetTimeout(200 * time.Millisecond)
+	rem.timeout = 200 * time.Millisecond
 	if _, err := rem.Estimate(context.Background(), Request{Service: "burn"}); err == nil {
 		t.Fatal("dial to dead address should error")
 	}

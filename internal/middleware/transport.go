@@ -236,8 +236,13 @@ func (e *Endpoint) answer(ctx context.Context, kind wireKind, req Request) wireR
 // Child (Estimate) and Solver (Solve), so remote SEDs and agents compose
 // into hierarchies like local ones. Calls share its one connection.
 type Remote struct {
-	name    string
-	addr    string
+	name string
+	addr string
+	// timeout bounds each call — its dial, each write, the wait for
+	// its reply — not the connection. A caller's earlier context
+	// deadline wins. A call that runs out is cancelled on the remote
+	// and fails with ErrTransport; the connection stays up for the
+	// others. Dial sets 10 s; tests shorten it.
 	timeout time.Duration
 	sink    *spanSink
 	mu      sync.Mutex // guards conn, enc, seq and pending
@@ -264,12 +269,6 @@ var callPool = sync.Pool{New: func() any { return &pendingCall{done: make(chan s
 func Dial(name, addr string) *Remote {
 	return &Remote{name: name, addr: addr, timeout: 10 * time.Second, pending: make(map[uint64]*pendingCall)}
 }
-
-// SetTimeout bounds each call — its dial, each write, the wait for its
-// reply — not the connection (0 disables). A caller's earlier context
-// deadline wins. A call that runs out is cancelled on the remote and
-// fails with ErrTransport; the connection stays up for the others.
-func (r *Remote) SetTimeout(d time.Duration) { r.timeout = d }
 
 // SetSpans makes the handle emit dial/encode/decode spans for traced
 // requests under the caller's span (dispatch for Solve, the agent's

@@ -57,7 +57,7 @@ func TestRemoteMalformedGobFrame(t *testing.T) {
 	}()
 
 	rem := Dial("garbled", ln.Addr().String())
-	rem.SetTimeout(2 * time.Second)
+	rem.timeout = 2 * time.Second
 	defer rem.Close()
 	done := make(chan error, 1)
 	go func() {

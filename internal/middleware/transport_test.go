@@ -81,7 +81,7 @@ func TestRemoteMultiplexes(t *testing.T) {
 		}
 	}})
 	_, rem := serveRemote(t, sed)
-	rem.SetTimeout(guard)
+	rem.timeout = guard
 	var errs []<-chan error
 	for i := 0; i < n; i++ {
 		errs = append(errs, solveAsync(context.Background(), rem, "barrier"))
@@ -168,7 +168,7 @@ func TestRemoteConnLossFailsEveryPendingCall(t *testing.T) {
 	}
 }
 
-// TestRemoteTimeoutBeatsLaterDeadline: SetTimeout bounds a call even
+// TestRemoteTimeoutBeatsLaterDeadline: the remote timeout bounds a call even
 // when the caller's context allows longer — the earlier of the two
 // wins.
 func TestRemoteTimeoutBeatsLaterDeadline(t *testing.T) {
@@ -180,7 +180,7 @@ func TestRemoteTimeoutBeatsLaterDeadline(t *testing.T) {
 	}})
 	_, rem := serveRemote(t, sed)
 	t.Cleanup(func() { close(block) }) // runs before the endpoint closes
-	rem.SetTimeout(100 * time.Millisecond)
+	rem.timeout = 100 * time.Millisecond
 	ctx, cancel := context.WithTimeout(context.Background(), guard)
 	defer cancel()
 	select {

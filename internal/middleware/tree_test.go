@@ -77,7 +77,7 @@ func TestMasterLookupMiss(t *testing.T) {
 		WithPolicy(sched.New(sched.Power)),
 		WithChildren(lean, hungry),
 		WithTransport(dir),
-		WithInterceptors(&HookInterceptor{OnCompleteFunc: func(rec RequestRecord) {
+		WithInterceptors(&testHooks{OnCompleteFunc: func(rec RequestRecord) {
 			completions++
 			last = rec
 		}}),

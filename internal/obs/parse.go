@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -41,20 +40,6 @@ func (s Samples) Value(name string, pairs ...string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Names returns the distinct sample names, sorted.
-func (s Samples) Names() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, smp := range s {
-		if !seen[smp.Name] {
-			seen[smp.Name] = true
-			out = append(out, smp.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ParseText parses Prometheus text exposition format (the subset

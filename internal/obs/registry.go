@@ -229,9 +229,6 @@ func (g Gauge) Inc() { g.Add(1) }
 // Dec subtracts one.
 func (g Gauge) Dec() { g.Add(-1) }
 
-// Value returns the current level.
-func (g Gauge) Value() float64 { return math.Float64frombits(g.c.bits.Load()) }
-
 // GaugeVec is a labelled gauge family.
 type GaugeVec struct{ f *family }
 
@@ -252,8 +249,7 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 
 // Histogram is a bucketed distribution with cumulative buckets, sum
 // and count, rendered in the standard _bucket/_sum/_count triplet. The
-// zero Histogram is invalid; obtain one from Registry.Histogram or
-// HistogramVec.With.
+// zero Histogram is invalid; obtain one from HistogramVec.With.
 type Histogram struct {
 	c      *child
 	bounds []float64
@@ -271,12 +267,6 @@ func (h Histogram) Observe(v float64) {
 	h.c.sum.Add(v)
 	h.c.count.Add(1)
 }
-
-// Count returns the number of observations.
-func (h Histogram) Count() uint64 { return h.c.count.Load() }
-
-// Sum returns the sum of observations.
-func (h Histogram) Sum() float64 { return h.c.sum.Load() }
 
 // HistogramVec is a labelled histogram family.
 type HistogramVec struct{ f *family }
@@ -305,15 +295,9 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// Histogram registers (or fetches) an unlabelled histogram with the
-// given bucket upper bounds (sorted ascending; +Inf is implicit). Nil
-// buckets mean DefBuckets.
-func (r *Registry) Histogram(name, help string, buckets []float64) Histogram {
-	f := r.family(name, help, kindHistogram, normBuckets(buckets), nil)
-	return Histogram{f.with(nil), f.bounds}
-}
-
-// HistogramVec registers (or fetches) a labelled histogram family.
+// HistogramVec registers (or fetches) a labelled histogram family with
+// the given bucket upper bounds (sorted ascending; +Inf is implicit).
+// Nil buckets mean DefBuckets.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	return &HistogramVec{r.family(name, help, kindHistogram, normBuckets(buckets), labels)}
 }

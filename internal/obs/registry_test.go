@@ -17,7 +17,7 @@ func TestRenderGolden(t *testing.T) {
 	reqs.With("inproc").Inc()
 	inflight := reg.Gauge("fleet_inflight", "Requests in flight.")
 	inflight.Set(2)
-	h := reg.Histogram("fleet_solve_seconds", "Solve latency.", []float64{0.1, 1})
+	h := reg.HistogramVec("fleet_solve_seconds", "Solve latency.", []float64{0.1, 1}).With()
 	h.Observe(0.05)
 	h.Observe(0.5)
 	h.Observe(5)
@@ -120,12 +120,12 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := c.Value(); got != workers*perWorker {
 		t.Errorf("counter lost updates: %v != %v", got, workers*perWorker)
 	}
-	if got := g.Value(); got != 0 {
+	if got := gaugeValue(g); got != 0 {
 		t.Errorf("gauge unbalanced: %v", got)
 	}
 	var total uint64
 	for _, lbl := range []string{"a", "b"} {
-		total += hv.With(lbl).Count()
+		total += hv.With(lbl).c.count.Load()
 	}
 	if total != workers*perWorker {
 		t.Errorf("histogram lost observations: %v != %v", total, workers*perWorker)
@@ -170,7 +170,7 @@ func TestRegistryReuseAndMismatch(t *testing.T) {
 func TestHistogramBuckets(t *testing.T) {
 	reg := NewRegistry()
 	// Unsorted with duplicate and explicit +Inf: normalized.
-	h := reg.Histogram("hb_seconds", "", []float64{1, 0.1, 1, math.Inf(1)})
+	h := reg.HistogramVec("hb_seconds", "", []float64{1, 0.1, 1, math.Inf(1)}).With()
 	h.Observe(0.1) // on-boundary lands in le="0.1"
 	h.Observe(2)
 
@@ -216,7 +216,10 @@ func TestOnScrapeCollector(t *testing.T) {
 	if calls != 2 {
 		t.Errorf("collector ran %d times, want 2", calls)
 	}
-	if got := g.Value(); got != 2 {
+	if got := gaugeValue(g); got != 2 {
 		t.Errorf("gauge %v after two scrapes", got)
 	}
 }
+
+// gaugeValue returns g's current level.
+func gaugeValue(g Gauge) float64 { return math.Float64frombits(g.c.bits.Load()) }

@@ -142,6 +142,3 @@ func (a *Accumulator) Total() Joules { return a.total }
 
 // LastTime returns the integration cursor.
 func (a *Accumulator) LastTime() float64 { return a.lastT }
-
-// Reset zeroes the accumulated total, keeping the cursor.
-func (a *Accumulator) Reset() { a.total = 0 }

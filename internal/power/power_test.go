@@ -74,10 +74,6 @@ func TestAccumulatorExactIntegration(t *testing.T) {
 	if a.LastTime() != 15 {
 		t.Fatalf("LastTime = %v, want 15", a.LastTime())
 	}
-	a.Reset()
-	if a.Total() != 0 {
-		t.Fatal("Reset did not zero total")
-	}
 }
 
 func TestAccumulatorBackwardsPanics(t *testing.T) {
@@ -122,10 +118,10 @@ func TestWattmeterSamplesAtPeriod(t *testing.T) {
 	m := NewWattmeter(0, 1)
 	m.Observe(0, 10, 150)
 	// Grid points 0..9 inclusive of 0? First point: ceil(0/1)*1 = 0.
-	if m.Len() != 10 {
-		t.Fatalf("Len = %d, want 10", m.Len())
+	if len(m.samples) != 10 {
+		t.Fatalf("retained %d, want 10", len(m.samples))
 	}
-	for i, s := range m.Samples() {
+	for i, s := range m.samples {
 		if s.W != 150 {
 			t.Fatalf("sample %d W = %v, want 150", i, s.W)
 		}
@@ -136,11 +132,11 @@ func TestWattmeterSplitObservationsNoDuplicates(t *testing.T) {
 	m := NewWattmeter(0, 1)
 	m.Observe(0, 3.5, 100)
 	m.Observe(3.5, 7, 200)
-	if m.Len() != 7 {
-		t.Fatalf("Len = %d, want 7", m.Len())
+	if len(m.samples) != 7 {
+		t.Fatalf("retained %d, want 7", len(m.samples))
 	}
 	wantW := []Watts{100, 100, 100, 100, 200, 200, 200}
-	for i, s := range m.Samples() {
+	for i, s := range m.samples {
 		if s.W != wantW[i] {
 			t.Fatalf("sample %d = %+v, want W=%v", i, s, wantW[i])
 		}
@@ -173,11 +169,11 @@ func TestWattmeterMeanWindow(t *testing.T) {
 func TestWattmeterRingEviction(t *testing.T) {
 	m := NewWattmeter(10, 1)
 	m.Observe(0, 100, 50)
-	if m.Len() > 10 {
-		t.Fatalf("ring exceeded capacity: %d", m.Len())
+	if len(m.samples) > 10 {
+		t.Fatalf("ring exceeded capacity: %d", len(m.samples))
 	}
 	// The retained samples must be the newest ones.
-	last := m.Samples()[m.Len()-1]
+	last := m.samples[len(m.samples)-1]
 	if last.T != 99 {
 		t.Fatalf("newest retained sample T = %v, want 99", last.T)
 	}
@@ -185,10 +181,10 @@ func TestWattmeterRingEviction(t *testing.T) {
 
 func TestWattmeterDropout(t *testing.T) {
 	m := NewWattmeter(0, 42)
-	m.DropoutRate = 0.5
+	m.dropoutRate = 0.5
 	m.Observe(0, 1000, 100)
-	if m.Len() == 0 || m.Len() == 1000 {
-		t.Fatalf("dropout rate 0.5 retained %d of 1000 samples", m.Len())
+	if len(m.samples) == 0 || len(m.samples) == 1000 {
+		t.Fatalf("dropout rate 0.5 retained %d of 1000 samples", len(m.samples))
 	}
 	// Mean must still be exact (no noise).
 	mean, _ := m.MeanWindow(0, 1000)
@@ -201,7 +197,7 @@ func TestWattmeterNoiseBounded(t *testing.T) {
 	m := NewWattmeter(0, 7)
 	m.NoiseW = 10
 	m.Observe(0, 500, 100)
-	for _, s := range m.Samples() {
+	for _, s := range m.samples {
 		if s.W < 90 || s.W > 110 {
 			t.Fatalf("noisy sample %v outside ±10 of 100", s.W)
 		}

@@ -35,16 +35,16 @@ func TestWattmeterMeanWindowInverted(t *testing.T) {
 func TestWattmeterOutOfOrderIntervals(t *testing.T) {
 	m := NewWattmeter(0, 1)
 	m.Observe(0, 5, 100)
-	got := m.Len()
+	got := len(m.samples)
 	// Entirely within already-covered time: nothing new.
 	m.Observe(2, 4, 200)
-	if m.Len() != got {
-		t.Fatalf("fully-covered interval re-emitted samples: %d -> %d", got, m.Len())
+	if len(m.samples) != got {
+		t.Fatalf("fully-covered interval re-emitted samples: %d -> %d", got, len(m.samples))
 	}
 	// Overlapping the covered prefix: only the uncovered tail samples.
 	m.Observe(3, 7, 200)
 	last := math.Inf(-1)
-	for _, s := range m.Samples() {
+	for _, s := range m.samples {
 		if s.T <= last {
 			t.Fatalf("samples out of order or duplicated at T=%v (prev %v)", s.T, last)
 		}

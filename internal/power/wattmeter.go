@@ -18,19 +18,20 @@ type Sample struct {
 // it records the power draw of one node at a fixed period (1 s in the
 // paper) and serves windowed queries over the trace.
 //
-// Faults: a DropoutRate in (0,1) makes the meter skip that fraction of
-// samples (lost frames in the real deployment); NoiseW adds uniform
-// ±NoiseW jitter. Both default to zero (ideal meter).
+// Faults: NoiseW adds uniform ±NoiseW jitter; a dropoutRate in (0,1),
+// set only by tests, makes the meter skip that fraction of samples
+// (lost frames in the real deployment). Both default to zero (ideal
+// meter).
 type Wattmeter struct {
-	Period      float64 // sampling period in seconds; 1.0 matches the paper
-	NoiseW      Watts   // uniform measurement noise amplitude
-	DropoutRate float64 // probability a sample is lost
-	MaxSamples  int     // ring capacity; 0 means unbounded
+	Period     float64 // sampling period in seconds; 1.0 matches the paper
+	NoiseW     Watts   // uniform measurement noise amplitude
+	MaxSamples int     // ring capacity; 0 means unbounded
 
-	rng     *rand.Rand
-	samples []Sample
-	lastT   float64
-	started bool
+	dropoutRate float64 // probability a sample is lost
+	rng         *rand.Rand
+	samples     []Sample
+	lastT       float64
+	started     bool
 }
 
 // NewWattmeter returns a 1 Hz ideal meter with the given ring capacity
@@ -62,7 +63,7 @@ func (m *Wattmeter) Observe(from, to float64, w Watts) {
 	}
 	for t := start; t < to; t += m.Period {
 		m.lastT = t + 1e-9
-		if m.DropoutRate > 0 && m.rng != nil && m.rng.Float64() < m.DropoutRate {
+		if m.dropoutRate > 0 && m.rng != nil && m.rng.Float64() < m.dropoutRate {
 			continue
 		}
 		v := w
@@ -91,12 +92,6 @@ func (m *Wattmeter) append(s Sample) {
 		m.samples = m.samples[:keep]
 	}
 }
-
-// Len returns the number of retained samples.
-func (m *Wattmeter) Len() int { return len(m.samples) }
-
-// Samples returns the retained trace. Callers must not mutate it.
-func (m *Wattmeter) Samples() []Sample { return m.samples }
 
 // MeanWindow returns the average draw over samples with T in
 // [from, to], and the number of samples that contributed. This is the

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"sort"
 	"sync"
@@ -265,10 +266,10 @@ func (c *Client) fetch(node string, metrics []string, values []float64) (power.W
 	var err error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		c.requests.Add(1)
-		var resp PowerResponse
-		resp, err = c.exchange(req)
+		var w power.Watts
+		w, err = c.exchange(req)
 		if err == nil {
-			return resp.Watts, nil
+			return w, nil
 		}
 		c.errors.Add(1)
 		if errors.Is(err, errApp) {
@@ -278,12 +279,13 @@ func (c *Client) fetch(node string, metrics []string, values []float64) (power.W
 	return 0, err
 }
 
-// exchange performs one request/response round trip, dialing lazily.
-// Transport failures reset the connection so the next attempt redials.
-func (c *Client) exchange(req PowerRequest) (PowerResponse, error) {
+// exchange performs one request/response round trip, dialing lazily,
+// and returns the reading. Failures other than an application-level
+// reply reset the connection so the next attempt redials.
+func (c *Client) exchange(req PowerRequest) (power.Watts, error) {
 	line, err := json.Marshal(req)
 	if err != nil {
-		return PowerResponse{}, err
+		return 0, err
 	}
 	line = append(line, '\n')
 
@@ -292,7 +294,7 @@ func (c *Client) exchange(req PowerRequest) (PowerResponse, error) {
 	if c.conn == nil {
 		conn, err := net.DialTimeout(c.network, c.address, c.cfg.Timeout)
 		if err != nil {
-			return PowerResponse{}, fmt.Errorf("powerd: dial %s: %w", c.cfg.Addr, err)
+			return 0, fmt.Errorf("powerd: dial %s: %w", c.cfg.Addr, err)
 		}
 		c.conn = conn
 		c.sc = bufio.NewScanner(conn)
@@ -306,7 +308,7 @@ func (c *Client) exchange(req PowerRequest) (PowerResponse, error) {
 	c.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 	if _, err := c.conn.Write(line); err != nil {
 		reset()
-		return PowerResponse{}, fmt.Errorf("powerd: write: %w", err)
+		return 0, fmt.Errorf("powerd: write: %w", err)
 	}
 	if !c.sc.Scan() {
 		err := c.sc.Err()
@@ -314,23 +316,34 @@ func (c *Client) exchange(req PowerRequest) (PowerResponse, error) {
 			err = errors.New("connection closed mid-exchange")
 		}
 		reset()
-		return PowerResponse{}, fmt.Errorf("powerd: read: %w", err)
+		return 0, fmt.Errorf("powerd: read: %w", err)
 	}
+	w, err := decodeReply(c.sc.Bytes())
+	if err != nil && !errors.Is(err, errApp) {
+		// The stream may be desynchronized (malformed JSON, short
+		// line): drop the connection rather than guess at framing.
+		reset()
+	}
+	return w, err
+}
+
+// decodeReply reads one reply line. A reply that carries a msg is an
+// application-level error; a reading that is negative or not finite is
+// malformed, like undecodable JSON or a foreign protocol version.
+func decodeReply(line []byte) (power.Watts, error) {
 	var resp PowerResponse
-	if err := json.Unmarshal(c.sc.Bytes(), &resp); err != nil {
-		// The stream is desynchronized (malformed JSON, short line):
-		// drop the connection rather than guess at framing.
-		reset()
-		return PowerResponse{}, fmt.Errorf("powerd: malformed reply: %w", err)
+	if err := json.Unmarshal(line, &resp); err != nil {
+		return 0, fmt.Errorf("powerd: malformed reply: %w", err)
 	}
-	if resp.V != ProtocolVersion {
-		reset()
-		return PowerResponse{}, fmt.Errorf("powerd: server speaks protocol v%d, want v%d", resp.V, ProtocolVersion)
+	switch w := resp.Watts; {
+	case resp.V != ProtocolVersion:
+		return 0, fmt.Errorf("powerd: server speaks protocol v%d, want v%d", resp.V, ProtocolVersion)
+	case resp.Msg != "":
+		return 0, fmt.Errorf("%w: %s", errApp, resp.Msg)
+	case w < 0 || math.IsNaN(w) || math.IsInf(w, 0):
+		return 0, fmt.Errorf("powerd: malformed reply: reading %v W", w)
 	}
-	if resp.Msg != "" {
-		return PowerResponse{}, fmt.Errorf("%w: %s", errApp, resp.Msg)
-	}
-	return resp, nil
+	return resp.Watts, nil
 }
 
 // noteSuccess caches the reading and closes the failure streak.

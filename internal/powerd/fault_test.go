@@ -288,3 +288,33 @@ func TestFaultWrongVersionReply(t *testing.T) {
 		}
 	})
 }
+
+// TestFaultNegativeReading: a sidecar that answers a negative reading
+// sends a malformed reply. The client counts it as a failure, never
+// caches it and falls back; served, -120 W would rank its node the
+// greenest and book negative joules.
+func TestFaultNegativeReading(t *testing.T) {
+	bothNetworks(t, func(t *testing.T, addr string) {
+		dialAddr, stop := faultListener(t, addr, func(conn net.Conn) {
+			buf := make([]byte, 256)
+			for {
+				if _, err := conn.Read(buf); err != nil {
+					return
+				}
+				if _, err := conn.Write([]byte(`{"v":1,"watts":-120}` + "\n")); err != nil {
+					return
+				}
+			}
+		})
+		defer stop()
+		var warns, recovers atomic.Int64
+		cli := faultClient(t, dialAddr, 77, &warns, &recovers)
+		mustFallback(t, cli, 77, 4)
+		if st := cli.Stats(); st.Errors < 2 || !st.BreakerOpen {
+			t.Fatalf("stats %+v: negative readings must count as failures", st)
+		}
+		if w, _, ok := cli.LastReading("node"); ok {
+			t.Fatalf("cached the negative reading %v", w)
+		}
+	})
+}

@@ -31,8 +31,8 @@ func checkReply(t *testing.T, s *Server, resp PowerResponse) {
 }
 
 // FuzzParseTraceCSV: arbitrary text as a recorded estimator stream.
-// ParseTraceCSV never panics; whatever it accepts holds finite samples
-// in time order for at least one node, and a sidecar serving it answers
+// ParseTraceCSV never panics; whatever it accepts holds finite,
+// non-negative samples in time order for at least one node, and a sidecar serving it answers
 // every node, time-keyed and sequentially, with a well-formed reply.
 func FuzzParseTraceCSV(f *testing.F) {
 	for _, seed := range []string{
@@ -47,6 +47,7 @@ func FuzzParseTraceCSV(f *testing.F) {
 		"\n\n# only comments\n",
 		"node,t,watts\n",
 		"a,1e308,-1e308\nb,-0,0x1p-2\n",
+		"n,0,80\nn,1,-5\n",
 		"\x9c,0,0\n",
 	} {
 		f.Add(seed)
@@ -64,8 +65,8 @@ func FuzzParseTraceCSV(f *testing.F) {
 		for _, node := range nodes {
 			samples := m.series[node]
 			for i, x := range samples {
-				if math.IsNaN(x.T) || math.IsInf(x.T, 0) || math.IsNaN(x.W) || math.IsInf(x.W, 0) {
-					t.Fatalf("node %q sample %d is not finite: %+v", node, i, x)
+				if math.IsNaN(x.T) || math.IsInf(x.T, 0) || math.IsNaN(x.W) || math.IsInf(x.W, 0) || x.W < 0 {
+					t.Fatalf("node %q sample %d is not finite and non-negative: %+v", node, i, x)
 				}
 				if i > 0 && x.T < samples[i-1].T {
 					t.Fatalf("node %q sample %d at t=%v before t=%v", node, i, x.T, samples[i-1].T)
@@ -131,6 +132,48 @@ func FuzzServerAnswer(f *testing.F) {
 		w, ok := src.NodePowerW(req.Node, req.Metrics, req.Values)
 		if answered := resp.Msg == ""; answered != ok || answered && resp.Watts != w {
 			t.Fatalf("request %q answered %+v; the source reads %v, %v", line, resp, w, ok)
+		}
+	})
+}
+
+// FuzzClientReply: arbitrary bytes as the sidecar's reply line. The
+// client's decoder never panics; a reading it accepts is finite and not
+// negative, and comes from a current-version reply without a msg.
+func FuzzClientReply(f *testing.F) {
+	for _, seed := range []string{
+		`{"v":1,"watts":80,"model":"curve"}`,
+		`{"v":1,"watts":0}`,
+		`{"v":1}`,
+		`{"v":1,"watts":-120}`,
+		`{"v":1,"watts":-0}`,
+		`{"v":1,"watts":1e999}`,
+		`{"v":1,"watts":NaN}`,
+		`{"v":1,"msg":"powerd: unknown node"}`,
+		`{"v":1,"watts":5,"msg":"boom"}`,
+		`{"v":2,"watts":80}`,
+		`{"v":"1","watts":80}`,
+		`{"v":1,"watts":"80"}`,
+		`null`,
+		`{`,
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		w, err := decodeReply(line)
+		var resp PowerResponse
+		decoded := json.Unmarshal(line, &resp) == nil
+		if decoded && resp.V != ProtocolVersion && err == nil {
+			t.Fatalf("reply %q on protocol v%d yields %v W", line, resp.V, w)
+		}
+		if err != nil {
+			return
+		}
+		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			t.Fatalf("reply %q yields reading %v W", line, w)
+		}
+		if !decoded || resp.Msg != "" || w != resp.Watts {
+			t.Fatalf("reply %q (%+v, decoded %v) yields %v W", line, resp, decoded, w)
 		}
 	})
 }

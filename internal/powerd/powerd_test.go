@@ -245,6 +245,9 @@ hungry,0,320
 	if _, err := ParseTraceCSV(strings.NewReader("# empty\n")); err == nil {
 		t.Error("empty trace parsed")
 	}
+	if _, err := ParseTraceCSV(strings.NewReader("lean,0,80\nlean,1,-5\n")); err == nil || !strings.Contains(err.Error(), "line 2") {
+		t.Errorf("negative reading: error %v, want one naming line 2", err)
+	}
 }
 
 // TestClientConcurrent hammers one client from many goroutines while

@@ -11,12 +11,10 @@ import (
 	"greensched/internal/power"
 )
 
-// Options configures a reference sidecar.
-type Options struct {
-	// Model names the serving model in every response. Empty: the
-	// source's ModelName() if it has one, else "external".
-	Model string
-}
+// Options configures a reference sidecar. It has no settings: every
+// response names the source's ModelName() if it has one, else
+// "external".
+type Options struct{}
 
 // Server is the reference sidecar: it serves any power.Source over the
 // powerd line protocol. One goroutine per connection, any number of
@@ -36,7 +34,7 @@ type Server struct {
 
 // Serve listens on addr (SplitAddr syntax: "unix:/path", "/path",
 // "tcp:host:port" or "host:port") and serves src until Close.
-func Serve(addr string, src power.Source, opts Options) (*Server, error) {
+func Serve(addr string, src power.Source, _ Options) (*Server, error) {
 	if src == nil {
 		return nil, fmt.Errorf("powerd: serve needs a power source")
 	}
@@ -45,24 +43,14 @@ func Serve(addr string, src power.Source, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("powerd: listen %s %s: %w", network, address, err)
 	}
-	return NewServer(ln, src, opts), nil
-}
-
-// NewServer serves src on an existing listener (tests inject fault
-// listeners through this).
-func NewServer(ln net.Listener, src power.Source, opts Options) *Server {
-	model := opts.Model
-	if model == "" {
-		if n, ok := src.(interface{ ModelName() string }); ok {
-			model = n.ModelName()
-		} else {
-			model = "external"
-		}
+	model := "external"
+	if n, ok := src.(interface{ ModelName() string }); ok {
+		model = n.ModelName()
 	}
 	s := &Server{ln: ln, src: src, model: model, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
-	return s
+	return s, nil
 }
 
 // Addr returns the server's dialable address in SplitAddr syntax:

@@ -135,6 +135,9 @@ func ParseTraceCSV(r io.Reader) (*TraceModel, error) {
 			// reading cannot be encoded on the wire.
 			return nil, fmt.Errorf("powerd: trace line %d: non-finite sample", lineNo)
 		}
+		if w < 0 {
+			return nil, fmt.Errorf("powerd: trace line %d: negative reading %v W", lineNo, w)
+		}
 		m.Add(node, t, w)
 	}
 	if err := sc.Err(); err != nil {

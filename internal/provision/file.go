@@ -33,17 +33,3 @@ func (s *Store) SaveFile(path string) error {
 	}
 	return nil
 }
-
-// LoadFile replaces the store contents from an XML plan file.
-func (s *Store) LoadFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("provision: reading plan: %w", err)
-	}
-	plan, err := ParsePlan(data)
-	if err != nil {
-		return err
-	}
-	s.LoadPlan(plan)
-	return nil
-}

@@ -32,21 +32,30 @@ func TestSaveLoadFileRoundTrip(t *testing.T) {
 		}
 	}
 
-	loaded := NewStore()
-	if err := loaded.LoadFile(path); err != nil {
-		t.Fatal(err)
+	loaded := readPlan(t, path).Records
+	if len(loaded) != 3 {
+		t.Fatalf("loaded %d records", len(loaded))
 	}
-	if loaded.Len() != 3 {
-		t.Fatalf("loaded %d records", loaded.Len())
+	if rec := loaded[1]; rec.Value != 200 || rec.Candidates != 8 || rec.Cost != 0.5 {
+		t.Fatalf("second record = %+v", rec)
 	}
-	rec, ok := loaded.At(250)
-	if !ok || rec.Candidates != 8 || rec.Cost != 0.5 {
-		t.Fatalf("At(250) = %+v", rec)
-	}
-	rec, _ = loaded.At(300)
-	if !rec.Unexpected {
+	if !loaded[2].Unexpected {
 		t.Fatal("unexpected flag lost")
 	}
+}
+
+// readPlan parses the plan file at path.
+func readPlan(t *testing.T, path string) *Plan {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ParsePlan(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }
 
 func TestSaveFileAtomicReplacesExisting(t *testing.T) {
@@ -61,12 +70,8 @@ func TestSaveFileAtomicReplacesExisting(t *testing.T) {
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded := NewStore()
-	if err := loaded.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != 2 {
-		t.Fatalf("replacement lost records: %d", loaded.Len())
+	if n := len(readPlan(t, path).Records); n != 2 {
+		t.Fatalf("replacement lost records: %d", n)
 	}
 	// No temp-file litter.
 	entries, err := os.ReadDir(dir)
@@ -75,18 +80,6 @@ func TestSaveFileAtomicReplacesExisting(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory has %d entries, want just the plan", len(entries))
-	}
-}
-
-func TestLoadFileErrors(t *testing.T) {
-	s := NewStore()
-	if err := s.LoadFile(filepath.Join(t.TempDir(), "missing.xml")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.xml")
-	os.WriteFile(bad, []byte("<provisioning><timestamp"), 0o644)
-	if err := s.LoadFile(bad); err == nil {
-		t.Fatal("malformed file accepted")
 	}
 }
 

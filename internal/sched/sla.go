@@ -39,8 +39,6 @@ func (t TaskView) ValueDensity() float64 {
 // deterministic. A SED serves the tasks Less leaves incomparable in
 // queue (insertion) order.
 type TaskOrder interface {
-	// Name identifies the discipline in reports ("EDF", ...).
-	Name() string
 	// Less reports whether a runs strictly before b.
 	Less(a, b TaskView) bool
 }
@@ -81,7 +79,6 @@ func NewOrder(k TaskOrderKind) TaskOrder {
 
 type fifoOrder struct{}
 
-func (fifoOrder) Name() string { return string(FIFO) }
 func (fifoOrder) Less(a, b TaskView) bool {
 	if a.Submit != b.Submit {
 		return a.Submit < b.Submit
@@ -91,7 +88,6 @@ func (fifoOrder) Less(a, b TaskView) bool {
 
 type edfOrder struct{}
 
-func (edfOrder) Name() string { return string(EDF) }
 func (edfOrder) Less(a, b TaskView) bool {
 	da, db := deadlineOrInf(a), deadlineOrInf(b)
 	if da != db {
@@ -107,7 +103,6 @@ func (edfOrder) Less(a, b TaskView) bool {
 
 type valueDensityOrder struct{}
 
-func (valueDensityOrder) Name() string { return string(ValueDensityOrder) }
 func (valueDensityOrder) Less(a, b TaskView) bool {
 	if va, vb := a.ValueDensity(), b.ValueDensity(); va != vb {
 		return va > vb

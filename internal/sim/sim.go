@@ -65,9 +65,8 @@ type Config struct {
 	// Seed drives every stochastic element (RANDOM draws, jitter,
 	// meter faults).
 	Seed int64
-	// MeterNoiseW / MeterDropout configure wattmeter fault injection.
-	MeterNoiseW  float64
-	MeterDropout float64
+	// MeterNoiseW configures wattmeter noise injection.
+	MeterNoiseW float64
 	// ExecJitter adds a relative uniform ±jitter to task execution
 	// times (hardware variance).
 	ExecJitter float64
@@ -707,18 +706,11 @@ func floatHeapSift(h []float64, i int) {
 	}
 }
 
-// vector builds the SED's estimation vector — the default estimation
-// function of the paper's plug-in scheduler, extended with the energy
-// tags (§III-A: "These metrics are incorporated into DIET SED to
-// populate its estimation vector using new tags").
-func (s *sedState) vector(now float64, rng *rand.Rand) *estvec.Vector {
-	v := estvec.New(s.node.Spec.Name)
-	s.fillVector(v, now, rng, false)
-	return v
-}
-
-// fillVector populates v in place — the zero-alloc spelling of vector
-// the election loop uses with per-SED scratch vectors. With
+// fillVector populates v with the SED's estimation vector — the
+// default estimation function of the paper's plug-in scheduler,
+// extended with the energy tags (§III-A: "These metrics are
+// incorporated into DIET SED to populate its estimation vector using
+// new tags"). The election loop fills per-SED scratch vectors in place. With
 // bypassCandidacy set, SLA express traffic (sla.Config.UrgentBypass)
 // may elect any *powered-on* node even while a controller has revoked
 // its candidacy to defer deferrable work. Powered-off nodes stay
@@ -846,7 +838,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	for i, spec := range cfg.Platform.Nodes {
 		meter := power.NewWattmeter(0, cfg.Seed+int64(i)+1)
 		meter.NoiseW = cfg.MeterNoiseW
-		meter.DropoutRate = cfg.MeterDropout
 		slots := spec.Cores
 		if cfg.SlotsPerNode > 0 && cfg.SlotsPerNode < slots {
 			slots = cfg.SlotsPerNode

@@ -31,40 +31,23 @@ type LifecycleObserver interface {
 type TraceModule struct {
 	BaseModule
 
-	// W receives the JSONL stream. Exactly one of W and Tracer must be
-	// set.
+	// W receives the JSONL stream.
 	W io.Writer
-	// Tracer, when set, receives the events instead — the way to merge
-	// a sim trace into a stream another component already writes.
-	Tracer *obs.Tracer
-	// Src stamps the events' source field ("" = "sim").
-	Src string
 
-	tr  *obs.Tracer
-	src string
+	tr *obs.Tracer
 }
 
 // Init implements Module.
 func (m *TraceModule) Init(*Runner) error {
-	switch {
-	case m.Tracer != nil && m.W != nil:
-		return fmt.Errorf("sim: trace module wants W or Tracer, not both")
-	case m.Tracer != nil:
-		m.tr = m.Tracer
-	case m.W != nil:
-		m.tr = obs.NewTracer(m.W)
-	default:
-		return fmt.Errorf("sim: trace module needs a writer or a tracer")
+	if m.W == nil {
+		return fmt.Errorf("sim: trace module needs a writer")
 	}
-	m.src = m.Src
-	if m.src == "" {
-		m.src = "sim"
-	}
+	m.tr = obs.NewTracer(m.W)
 	return nil
 }
 
 // OnLifecycle implements LifecycleObserver.
 func (m *TraceModule) OnLifecycle(ev obs.Event) {
-	ev.Src = m.src
+	ev.Src = "sim"
 	m.tr.Emit(ev)
 }

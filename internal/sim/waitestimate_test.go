@@ -207,7 +207,6 @@ func liveIndex(s *sedState, k int) int {
 // insertion-order tiebreak serves first-come first-served.
 type tiedOrder struct{}
 
-func (tiedOrder) Name() string { return "DEADLINE-ONLY" }
 func (tiedOrder) Less(a, b sched.TaskView) bool {
 	due := func(v sched.TaskView) float64 {
 		if v.Deadline <= 0 {
@@ -247,12 +246,12 @@ func checkDiscipline(t *testing.T, r *Runner, s *sedState, probe sched.TaskView)
 	}
 	if s.qlen() > 0 {
 		if got, want := s.nextQueued(), scanNextQueued(r, s); got != want {
-			t.Fatalf("sed %d (%s): heap picks queue index %d (task %d), scan picks %d (task %d)",
-				s.idx, s.order.Name(), got, s.queued()[got].task.ID, want, s.queued()[want].task.ID)
+			t.Fatalf("sed %d (%T): heap picks queue index %d (task %d), scan picks %d (task %d)",
+				s.idx, s.order, got, s.queued()[got].task.ID, want, s.queued()[want].task.ID)
 		}
 	}
 	if got, want := s.aheadOfAll(probe), scanAheadOfAll(r, s, probe); got != want {
-		t.Fatalf("sed %d (%s): ahead of all %v, scan says %v", s.idx, s.order.Name(), got, want)
+		t.Fatalf("sed %d (%s): ahead of all %v, scan says %v", s.idx, s.order, got, want)
 	}
 }
 
@@ -296,7 +295,7 @@ func TestDisciplineHeapMatchesScan(t *testing.T) {
 				}
 				checkDiscipline(t, r, sed, r.taskView(tieHeavyTask(rng, id+1, float64(step/8), 1e11)))
 				if got, want := sed.waitEstimate(0), sortDrainWait(sed, 0); got != want {
-					t.Fatalf("%s step %d: estimate %v != sort drain %v", order.Name(), step, got, want)
+					t.Fatalf("%T step %d: estimate %v != sort drain %v", order, step, got, want)
 				}
 			}
 		}
@@ -335,7 +334,7 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 		// A finish hook that sometimes touches the finishing SED before
 		// its refill: a padded probe, a push, or starting the tail.
 		hook := &HookModule{OnFinishFunc: func(rec TaskRecord) {
-			now := r.eng.Now().Seconds()
+			now := rec.Finish
 			sed := r.seds[r.cfg.Platform.Find(rec.Server)]
 			switch rng.Intn(8) {
 			case 0:
@@ -369,11 +368,12 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 		// sides.
 		wasDrained := make([]bool, len(r.seds))
 		mutVer := make([]uint64, len(r.seds))
+		var clock simtime.Time
 		fire := func() {
 			for i, s := range r.seds {
 				wasDrained[i], mutVer[i] = s.drained(), s.mutVer
 			}
-			r.eng.Step()
+			clock, _ = r.eng.Step()
 			for i, s := range r.seds {
 				if s.order != nil && wasDrained[i] && s.drained() && s.mutVer == mutVer[i]+3 {
 					discKeeps++
@@ -389,7 +389,7 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 			}
 		}
 		for step := 0; step < 400; step++ {
-			now := r.eng.Now().Seconds()
+			now := clock.Seconds()
 			sed := r.seds[rng.Intn(len(r.seds))]
 			var op string
 			switch k := rng.Intn(20); {
@@ -467,7 +467,7 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 					r.cfg.ExecJitter = 0.2
 				}
 			}
-			now = r.eng.Now().Seconds()
+			now = clock.Seconds()
 			probe := r.taskView(tieHeavyTask(rng, nextID, now, 2e11))
 			for _, s := range r.seds {
 				checkDiscipline(t, r, s, probe)

@@ -4,14 +4,12 @@
 // All simulated experiments in this repository run on virtual time so
 // that results are exactly reproducible: an event at t=2,336 s costs
 // nothing to reach. The live middleware (package middleware) runs on a
-// real clock; both share the Clock interface so the same scheduling
-// code can be exercised in either mode.
+// real clock of its own and does not use this package.
 package simtime
 
 import (
 	"container/heap"
 	"fmt"
-	"math"
 )
 
 // Time is a point in virtual time, expressed as seconds since the
@@ -25,23 +23,7 @@ type Duration = float64
 // Common conversions.
 func (t Time) Seconds() float64    { return float64(t) }
 func (t Time) Add(d Duration) Time { return t + Time(d) }
-func (t Time) Sub(o Time) Duration { return float64(t - o) }
-func (t Time) Before(o Time) bool  { return t < o }
-func (t Time) After(o Time) bool   { return t > o }
 func (t Time) String() string      { return fmt.Sprintf("t+%.1fs", float64(t)) }
-func (t Time) Truncate(d Duration) Time {
-	if d <= 0 {
-		return t
-	}
-	return Time(math.Floor(float64(t)/d) * d)
-}
-
-// Clock abstracts "what time is it" so code can run against virtual or
-// wall-clock time.
-type Clock interface {
-	// Now returns the current time.
-	Now() Time
-}
 
 // Event is a scheduled callback. Events with equal times fire in the
 // order they were scheduled (FIFO), which keeps simulations
@@ -102,12 +84,6 @@ type Engine struct {
 // NewEngine returns an engine starting at t=0.
 func NewEngine() *Engine { return &Engine{} }
 
-// Now implements Clock.
-func (e *Engine) Now() Time { return e.now }
-
-// Pending returns the number of scheduled, not-yet-fired events.
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (before Now) panics: it is always a simulation bug.
 func (e *Engine) At(t Time, name string, fn func(now Time)) *Event {
@@ -153,11 +129,11 @@ func (e *Engine) Cancel(ev *Event) {
 	ev.index = -1
 }
 
-// Step fires the earliest event. It reports false when the queue is
-// empty.
-func (e *Engine) Step() bool {
+// Step fires the earliest event and returns its time. It reports
+// false when the queue is empty.
+func (e *Engine) Step() (Time, bool) {
 	if len(e.queue) == 0 {
-		return false
+		return e.now, false
 	}
 	ev := heap.Pop(&e.queue).(*Event)
 	if ev.At < e.now {
@@ -165,7 +141,7 @@ func (e *Engine) Step() bool {
 	}
 	e.now = ev.At
 	ev.Fn(e.now)
-	return true
+	return e.now, true
 }
 
 // Run fires events until the queue drains or the event budget is
@@ -173,7 +149,7 @@ func (e *Engine) Step() bool {
 // returns the number of events fired by this call and an error if the
 // budget was hit (a runaway-simulation guard, not a normal outcome).
 func (e *Engine) Run(budget uint64) (fired uint64, err error) {
-	for e.Step() {
+	for _, ok := e.Step(); ok; _, ok = e.Step() {
 		fired++
 		if budget > 0 && fired >= budget {
 			if len(e.queue) > 0 {

@@ -20,7 +20,6 @@ package sla
 
 import (
 	"fmt"
-	"sort"
 
 	"greensched/internal/workload"
 )
@@ -104,16 +103,6 @@ func (c Catalog) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Names returns the catalog's class names, sorted.
-func (c Catalog) Names() []string {
-	out := make([]string, 0, len(c))
-	for name := range c {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Terms is the resolved service agreement for one task: the absolute

@@ -41,10 +41,13 @@ func TestParseTraceSLAColumns(t *testing.T) {
 func TestTraceRoundTripSLA(t *testing.T) {
 	orig, err := BurstThenRate{
 		Total: 6, Burst: 2, Rate: 1, Ops: 1e9,
-		Class: "deadline", Value: 0.5, RelDeadline: 900,
+		Class: "deadline", RelDeadline: 900,
 	}.Tasks()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range orig {
+		orig[i].Value = 0.5
 	}
 	orig[1].Pref = 0.25
 	orig[3].Class = "" // mixed rows: this one degrades to a value column

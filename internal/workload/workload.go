@@ -68,13 +68,11 @@ type BurstThenRate struct {
 	Burst int     // r: simultaneous requests at t=0
 	Rate  float64 // continuous-phase arrivals per second
 	Ops   float64 // flops per task
-	Pref  core.UserPref
 
-	// SLA annotations applied to every generated task: class name,
-	// per-task value, and a deadline RelDeadline seconds after each
-	// task's submission (0 = none).
+	// SLA annotations applied to every generated task: a class name
+	// and a deadline RelDeadline seconds after each task's submission
+	// (0 = none).
 	Class       string
-	Value       float64
 	RelDeadline float64
 }
 
@@ -117,8 +115,7 @@ func (g BurstThenRate) Tasks() ([]Task, error) {
 }
 
 func (g BurstThenRate) task(id int, at float64) Task {
-	t := Task{ID: id, Ops: g.Ops, Submit: at, Pref: g.Pref,
-		Class: g.Class, Value: g.Value}
+	t := Task{ID: id, Ops: g.Ops, Submit: at, Class: g.Class}
 	if g.RelDeadline > 0 {
 		t.Deadline = at + g.RelDeadline
 	}
@@ -132,7 +129,6 @@ type Poisson struct {
 	Total int
 	Rate  float64
 	Ops   float64
-	Pref  core.UserPref
 	Seed  int64
 }
 
@@ -146,7 +142,7 @@ func (g Poisson) Tasks() ([]Task, error) {
 	at := 0.0
 	for i := range out {
 		at += rng.ExpFloat64() / g.Rate
-		out[i] = Task{ID: i, Ops: g.Ops, Submit: at, Pref: g.Pref}
+		out[i] = Task{ID: i, Ops: g.Ops, Submit: at}
 	}
 	return out, nil
 }

@@ -2,337 +2,337 @@ package greensched
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
 
-const internalPrefix = "greensched/internal/"
-
-// goFiles returns the non-test .go files directly inside dir.
-func goFiles(t *testing.T, dir string) []string {
-	t.Helper()
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []string
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
-			out = append(out, filepath.Join(dir, name))
-		}
-	}
-	return out
+// module is one Go module type-checked from its roots, with the state
+// of its reachability analysis. Module packages are parsed here and the
+// standard library is type-checked from source: no subprocess runs.
+type module struct {
+	dir, path string // root directory and import path
+	fset      *token.FileSet
+	info      *types.Info
+	pkgs      map[string]*types.Package
+	files     map[*types.Package][]*ast.File
+	roots     map[string]bool
+	decl      map[types.Object]ast.Node        // non-root declarations with the syntax to scan, and exported fields
+	owner     map[types.Object]*types.TypeName // of exported fields
+	live      map[types.Object]bool            // reached declarations and written fields
+	called    map[*types.Func]bool             // what reached code selects, and the standard library's interface methods
+	dynamic   map[string]types.Type            // the dynamic types of interface values
+	queue     []ast.Node
 }
 
-// parseImports returns the package name and the import paths of the
-// given files, parsed in ImportsOnly mode.
-func parseImports(t *testing.T, files []string) (pkg string, imports []string) {
-	t.Helper()
-	fset := token.NewFileSet()
-	for _, path := range files {
-		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkg = f.Name.Name
-		for _, imp := range f.Imports {
-			p, err := strconv.Unquote(imp.Path.Value)
-			if err != nil {
-				t.Fatal(err)
-			}
-			imports = append(imports, p)
-		}
+func (m *module) Import(path string) (*types.Package, error) {
+	if path != m.path && !strings.HasPrefix(path, m.path+"/") {
+		return stdlib.Import(path)
+	} else if p := m.pkgs[path]; p != nil {
+		return p, nil
 	}
-	return pkg, imports
-}
-
-// subdirs returns every directory under root, root included.
-func subdirs(t *testing.T, root string) []string {
-	t.Helper()
-	var out []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			out = append(out, path)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// TestEveryInternalPackageIsReachable enforces the rule that an
-// internal package stays only if the non-test code of a root imports
-// it, directly or through other internal packages. The roots are every
-// main package under cmd/ and examples/ plus the bench module's
-// non-test files; code imported only by tests does not count.
-func TestEveryInternalPackageIsReachable(t *testing.T) {
-	var queue []string
-	var roots int
-	for _, top := range []string{"cmd", "examples"} {
-		for _, dir := range subdirs(t, top) {
-			files := goFiles(t, dir)
-			if len(files) == 0 {
-				continue
-			}
-			if pkg, imports := parseImports(t, files); pkg == "main" {
-				roots++
-				queue = append(queue, imports...)
-			}
-		}
-	}
-	if files := goFiles(t, "bench"); len(files) > 0 {
-		roots++
-		_, imports := parseImports(t, files)
-		queue = append(queue, imports...)
-	}
-	if roots == 0 {
-		t.Fatal("no roots found: run from the repository root")
-	}
-
-	reached := map[string]bool{}
-	for len(queue) > 0 {
-		imp := queue[0]
-		queue = queue[1:]
-		if !strings.HasPrefix(imp, internalPrefix) {
-			continue
-		}
-		dir := filepath.Join("internal", filepath.FromSlash(strings.TrimPrefix(imp, internalPrefix)))
-		if reached[dir] {
-			continue
-		}
-		reached[dir] = true
-		_, imports := parseImports(t, goFiles(t, dir))
-		queue = append(queue, imports...)
-	}
-
-	var orphans []string
-	for _, dir := range subdirs(t, "internal") {
-		if len(goFiles(t, dir)) > 0 && !reached[dir] {
-			orphans = append(orphans, filepath.ToSlash(dir))
-		}
-	}
-	sort.Strings(orphans)
-	for _, dir := range orphans {
-		t.Errorf("%s: no command, example or bench root imports it outside tests; delete it or use it", dir)
-	}
-}
-
-// decl is one top-level declaration of an internal package: a func,
-// type, var or const. Methods are not nodes of their own; they hang
-// off their receiver's type and are scanned when it is reached.
-type decl struct {
-	pos  token.Position
-	pkg  string
-	name string
-	refs []ast.Node // its body (and a type's methods), scanned once reached
-}
-
-// receiverType returns the base type name of a method receiver.
-func receiverType(expr ast.Expr) string {
-	for {
-		switch e := expr.(type) {
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.IndexListExpr:
-			expr = e.X
-		case *ast.ParenExpr:
-			expr = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return ""
-		}
-	}
-}
-
-// funcParts returns what a func declaration refers to: its receiver,
-// signature and body, but not its own name.
-func funcParts(fd *ast.FuncDecl) []ast.Node {
-	parts := []ast.Node{fd.Type}
-	if fd.Recv != nil {
-		parts = append(parts, fd.Recv)
-	}
-	if fd.Body != nil {
-		parts = append(parts, fd.Body)
-	}
-	return parts
-}
-
-// parseDir parses the non-test files directly inside dir.
-func parseDir(t *testing.T, fset *token.FileSet, dir string) []*ast.File {
-	t.Helper()
+	bp, err := build.ImportDir(filepath.Join(m.dir, strings.TrimPrefix(path, m.path)), 0)
 	var files []*ast.File
-	for _, path := range goFiles(t, dir) {
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for i := 0; err == nil && i < len(bp.GoFiles); i++ {
+		var f *ast.File
+		f, err = parser.ParseFile(m.fset, filepath.Join(bp.Dir, bp.GoFiles[i]), nil, parser.SkipObjectResolution)
 		files = append(files, f)
 	}
-	return files
+	if err != nil {
+		return nil, err
+	}
+	p, err := (&types.Config{Importer: m}).Check(path, m.fset, files, m.info)
+	m.pkgs[path], m.files[p] = p, files
+	return p, err
 }
 
-// internalDecls returns every top-level declaration of the non-test
-// files in one internal package directory, keyed by name, plus the
-// bodies of its init funcs, which are roots.
-func internalDecls(fset *token.FileSet, files []*ast.File) (decls map[string]*decl, inits []ast.Node) {
-	decls = map[string]*decl{}
-	get := func(pkg, name string, pos token.Pos) *decl {
-		d := decls[name]
-		if d == nil {
-			d = &decl{pkg: pkg, name: name}
-			decls[name] = d
-		}
-		if pos.IsValid() && !d.pos.IsValid() {
-			d.pos = fset.Position(pos)
-		}
-		return d
+// packages returns the import path of every package under the tops.
+func (m *module) packages(tops ...string) map[string]bool {
+	out := map[string]bool{}
+	for _, top := range tops {
+		filepath.WalkDir(filepath.Join(m.dir, top), func(dir string, d os.DirEntry, err error) error {
+			if _, err := build.ImportDir(dir, 0); err == nil && d.IsDir() {
+				rel, _ := filepath.Rel(m.dir, dir)
+				out[m.path+"/"+filepath.ToSlash(rel)] = true
+			}
+			return err
+		})
 	}
-	for _, f := range files {
-		pkg := f.Name.Name
-		for _, gd := range f.Decls {
-			switch gd := gd.(type) {
-			case *ast.FuncDecl:
-				switch {
-				case gd.Recv != nil:
-					d := get(pkg, receiverType(gd.Recv.List[0].Type), token.NoPos)
-					d.refs = append(d.refs, funcParts(gd)...)
-				case gd.Name.Name == "init":
-					inits = append(inits, funcParts(gd)...)
-				default:
-					d := get(pkg, gd.Name.Name, gd.Name.Pos())
-					d.refs = append(d.refs, funcParts(gd)...)
+	return out
+}
+
+var stdlib = importer.ForCompiler(token.NewFileSet(), "source", nil)
+
+// loadModule type-checks the module at dir, whose import path is path,
+// from the non-test packages under cmd/, examples/ and bench/.
+func loadModule(t *testing.T, dir, path string) *module {
+	build.Default.CgoEnabled = false // net and os/user type-check without cgo
+	m := &module{dir: dir, path: path, fset: token.NewFileSet(),
+		pkgs: map[string]*types.Package{}, files: map[*types.Package][]*ast.File{},
+		info: &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{},
+			Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}}
+	m.roots = m.packages("cmd", "examples", "bench")
+	for ipath := range m.roots {
+		if _, err := m.Import(ipath); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return m
+}
+
+func (m *module) reach(obj types.Object) {
+	if n := m.decl[obj]; n != nil && !m.live[obj] {
+		m.live[obj] = true
+		m.queue = append(m.queue, n)
+	}
+}
+
+// convert records the values of exprs flowing into variables of the
+// types to, whose last repeats; a tuple-valued call spreads over them.
+func (m *module) convert(to []types.Type, exprs ...ast.Expr) {
+	var from []types.Type
+	for _, e := range exprs {
+		from = append(from, typesOf(m.info.TypeOf(e))...)
+	}
+	for i, t := range from {
+		if to := to[min(i, len(to)-1)]; to != nil && t != nil && types.IsInterface(to) && !types.IsInterface(t) {
+			m.dynamic[types.TypeString(t, nil)] = t
+		}
+	}
+}
+
+// typesOf lists the types a tuple holds, or returns t alone.
+func typesOf(t types.Type) (out []types.Type) {
+	tup, ok := t.(*types.Tuple)
+	if !ok {
+		return []types.Type{t}
+	}
+	for i := range tup.Len() {
+		out = append(out, tup.At(i).Type())
+	}
+	return out
+}
+
+// write marks the fields on the selector path of an assigned expression.
+func (m *module) write(e ast.Expr) {
+	if x, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		if s := m.info.Selections[x]; s != nil && s.Kind() == types.FieldVal {
+			m.live[s.Obj().(*types.Var).Origin()] = true
+		}
+		m.write(x.X)
+	}
+}
+
+// scan reaches what syntax uses, and records its conversions and writes.
+func (m *module) scan(root ast.Node) {
+	results := [][]types.Type{nil} // per enclosing node, the results of the innermost func
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			results = results[:len(results)-1]
+			return true
+		}
+		results = append(results, results[len(results)-1])
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			results[len(results)-1] = typesOf(m.info.Defs[n.Name].Type().(*types.Signature).Results())
+		case *ast.FuncLit:
+			results[len(results)-1] = typesOf(m.info.TypeOf(n).(*types.Signature).Results())
+		case *ast.ReturnStmt:
+			m.convert(results[len(results)-1], n.Results...)
+		case *ast.Ident:
+			obj := m.info.Uses[n]
+			if f, ok := obj.(*types.Func); ok {
+				m.called[f], obj = true, f.Origin()
+			}
+			m.reach(obj)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				m.write(n.X)
+			}
+		case *ast.IncDecStmt:
+			m.write(n.X)
+		case *ast.AssignStmt:
+			var to []types.Type
+			for _, lhs := range n.Lhs {
+				m.write(lhs)
+				to = append(to, m.info.TypeOf(lhs))
+			}
+			m.convert(to, n.Rhs...)
+		case *ast.ValueSpec:
+			m.convert([]types.Type{m.info.TypeOf(n.Type)}, n.Values...)
+		case *ast.CallExpr:
+			tv := m.info.Types[n.Fun]
+			to := []types.Type{tv.Type} // a conversion
+			if sig, ok := tv.Type.Underlying().(*types.Signature); ok && !tv.IsType() {
+				to = typesOf(sig.Params())
+				if sig.Variadic() && !n.Ellipsis.IsValid() {
+					to[len(to)-1] = to[len(to)-1].Underlying().(*types.Slice).Elem()
 				}
-			case *ast.GenDecl:
-				// An implicitly repeated const spec takes the type and
-				// values of the last spec that spelled them out.
-				var last []ast.Node
-				for _, spec := range gd.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						d := get(pkg, spec.Name.Name, spec.Name.Pos())
-						d.refs = append(d.refs, spec.Type)
-						if spec.TypeParams != nil {
-							d.refs = append(d.refs, spec.TypeParams)
-						}
-					case *ast.ValueSpec:
-						var refs []ast.Node
-						if spec.Type != nil {
-							refs = append(refs, spec.Type)
-						}
-						for _, v := range spec.Values {
-							refs = append(refs, v)
-						}
-						if len(refs) == 0 && gd.Tok == token.CONST {
-							refs = last
-						}
-						last = refs
-						for _, n := range spec.Names {
-							if n.Name == "_" {
-								continue
-							}
-							d := get(pkg, n.Name, n.Pos())
-							d.refs = append(d.refs, refs...)
-						}
+			}
+			m.convert(to, n.Args...)
+		case *ast.CompositeLit:
+			t := m.info.TypeOf(n).Underlying()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem().Underlying()
+			}
+			for i, e := range n.Elts {
+				kv, keyed := e.(*ast.KeyValueExpr)
+				var to types.Type
+				if c, ok := t.(interface{ Elem() types.Type }); ok {
+					to = c.Elem()
+				} else if s, ok := t.(*types.Struct); ok {
+					f := s.Field(i)
+					if keyed {
+						f = m.info.Uses[kv.Key.(*ast.Ident)].(*types.Var)
+					}
+					to, m.live[f.Origin()] = f.Type(), true
+				}
+				if keyed {
+					e = kv.Value
+				}
+				m.convert([]types.Type{to}, e)
+			}
+		}
+		return true
+	})
+}
+
+// declare registers a declaration of p, or queues a root's and an init.
+func (m *module) declare(p *types.Package, d ast.Decl) {
+	gd, _ := d.(*ast.GenDecl)
+	if fd, ok := d.(*ast.FuncDecl); ok && !m.roots[p.Path()] && (fd.Recv != nil || fd.Name.Name != "init") {
+		m.decl[m.info.Defs[fd.Name]] = fd
+	} else if gd == nil || m.roots[p.Path()] {
+		m.queue = append(m.queue, d)
+		gd = nil
+	}
+	for i := 0; gd != nil && i < len(gd.Specs); i++ {
+		if s, ok := gd.Specs[i].(*ast.ValueSpec); ok {
+			for _, n := range s.Names {
+				m.decl[m.info.Defs[n]] = d // a const may repeat an earlier spec's expression
+			}
+		} else if s, ok := gd.Specs[i].(*ast.TypeSpec); ok {
+			obj := m.info.Defs[s.Name].(*types.TypeName)
+			m.decl[obj] = s
+			st, _ := obj.Type().Underlying().(*types.Struct)
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				// encoding/xml reads an XMLName field's tag, not its value.
+				if f := st.Field(i); f.Exported() && !f.Embedded() && f.Name() != "XMLName" {
+					m.decl[f], m.owner[f] = nil, obj
+				}
+			}
+		}
+	}
+}
+
+// deadDeclarations maps each unreached declaration's name to its position.
+func (m *module) deadDeclarations() map[string]string {
+	m.decl, m.owner, m.live = map[types.Object]ast.Node{}, map[types.Object]*types.TypeName{}, map[types.Object]bool{}
+	m.dynamic, m.queue = map[string]types.Type{}, nil
+	m.called = map[*types.Func]bool{types.Universe.Lookup("error").Type().Underlying().(*types.Interface).Method(0): true}
+	for p, files := range m.files {
+		for _, q := range p.Imports() {
+			for _, name := range q.Scope().Names() { // rule (b): interfaces the standard library declares
+				if it, ok := q.Scope().Lookup(name).Type().Underlying().(*types.Interface); ok && m.pkgs[q.Path()] == nil {
+					for i := range it.NumMethods() {
+						m.called[it.Method(i)] = true
 					}
 				}
 			}
 		}
-	}
-	return decls, inits
-}
-
-// TestEveryInternalDeclarationIsReachable extends the package rule to
-// top-level declarations: every func, type, var and const in the
-// non-test files of internal/** must be reached from a root. Roots are
-// every declaration in the non-test files under cmd/ and examples/, in
-// the bench module's non-test bench/*.go, and every init func. An
-// identifier in a reached declaration reaches every internal
-// declaration of that name in any package, and reaching a type reaches
-// all its methods. Name collisions only add liveness and methods
-// follow their type, so neither interface satisfaction nor reflection
-// can make the gate flag live code. A declaration only tests use
-// belongs in a _test.go file of its package.
-func TestEveryInternalDeclarationIsReachable(t *testing.T) {
-	fset := token.NewFileSet()
-	byName := map[string][]*decl{}
-	var all []*decl
-	var queue []ast.Node
-	for _, dir := range subdirs(t, "internal") {
-		decls, inits := internalDecls(fset, parseDir(t, fset, dir))
-		queue = append(queue, inits...)
-		for name, d := range decls {
-			byName[name] = append(byName[name], d)
-			all = append(all, d)
-		}
-	}
-
-	var roots int
-	var rootDirs []string
-	for _, top := range []string{"cmd", "examples"} {
-		rootDirs = append(rootDirs, subdirs(t, top)...)
-	}
-	rootDirs = append(rootDirs, "bench")
-	for _, dir := range rootDirs {
-		for _, f := range parseDir(t, fset, dir) {
-			roots++
+		for _, f := range files {
 			for _, d := range f.Decls {
-				queue = append(queue, d)
+				m.declare(p, d)
 			}
 		}
 	}
-	if roots == 0 {
-		t.Fatal("no roots found: run from the repository root")
-	}
-
-	reached := map[*decl]bool{}
-	for len(queue) > 0 {
-		node := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		ast.Inspect(node, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			for _, d := range byName[id.Name] {
-				if !reached[d] {
-					reached[d] = true
-					queue = append(queue, d.refs...)
+	for len(m.queue) > 0 {
+		for i := 0; i < len(m.queue); i++ { // scan appends to the queue
+			m.scan(m.queue[i])
+		}
+		m.queue = nil
+		for _, t := range m.dynamic {
+			for f := range m.called {
+				if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) && types.Implements(t, recv.Type().Underlying().(*types.Interface)) {
+					obj, _, _ := types.LookupFieldOrMethod(t, false, f.Pkg(), f.Name())
+					m.reach(obj.(*types.Func).Origin())
 				}
 			}
-			return true
-		})
+		}
 	}
+	out := map[string]string{}
+	for obj := range m.decl {
+		if t := m.owner[obj]; !m.live[obj] && obj.Name() != "_" && (t == nil || m.live[t]) {
+			name := obj.Pkg().Name() + "." + obj.Name()
+			if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+				name = strings.TrimPrefix(types.TypeString(sig.Recv().Type(), (*types.Package).Name), "*") + "." + obj.Name()
+			} else if t != nil {
+				name = obj.Pkg().Name() + "." + t.Name() + "." + obj.Name()
+			}
+			out[name] = filepath.ToSlash(m.fset.Position(obj.Pos()).String())
+		}
+	}
+	return out
+}
 
-	var orphans []*decl
-	for _, d := range all {
-		if !reached[d] {
-			orphans = append(orphans, d)
+func TestEveryInternalPackageIsReachable(t *testing.T) {
+	m := loadModule(t, ".", "greensched")
+	for ipath := range m.packages("internal") {
+		if m.pkgs[ipath] == nil {
+			t.Errorf("%s: no command, example or bench root imports it outside tests; delete it or use it", ipath)
 		}
 	}
-	sort.Slice(orphans, func(i, j int) bool {
-		a, b := orphans[i].pos, orphans[j].pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
+}
+
+// allowed holds the findings a ROADMAP item gives a root caller.
+var allowed = map[string]string{
+	"middleware.SED.SetActive": "N11 drains a SED before shutdown",
+	"sim.Config.Crashes":       "N2 decides the fate of crash injection",
+	"sim.Config.SampleEvery":   "N8 moves Result.Series, which every TestKernelGolden digest hashes",
+}
+
+// TestEveryInternalDeclarationIsReachable flags each func, type, var,
+// const and method of an internal package that no root reaches, and
+// each exported field of a reached struct type that no root writes. The
+// roots are the non-test files under cmd/, examples/ and bench/, and
+// every init func. Three rules spread liveness:
+//
+//	(a) reached code reaches the objects it uses or selects, not names;
+//	(b) a method is reached when a value of its receiver type converts
+//	    to an interface, and reached code selects the same-named method
+//	    of an interface the type implements, or that interface is one
+//	    the standard library declares and so may call (error,
+//	    fmt.Stringer, sort.Interface, ...);
+//	(c) an exported field is written by a keyed or unkeyed composite
+//	    literal, an assignment, ++ or --, or &x.f.
+//
+// Code only tests use belongs in a _test.go file, and a seam only
+// in-package tests set is unexported. testdata/reach pins every rule:
+// the gate must flag there exactly what its dead.txt lists.
+func TestEveryInternalDeclarationIsReachable(t *testing.T) {
+	dead := loadModule(t, ".", "greensched").deadDeclarations()
+	for name := range allowed {
+		if dead[name] == "" {
+			t.Errorf("%s: a root reaches it now; drop it from allowed", name)
 		}
-		return a.Line < b.Line
-	})
-	for _, d := range orphans {
-		t.Errorf("%s:%d %s.%s: no command, example or bench root reaches it outside tests; delete it, use it, or move it into a _test.go file",
-			filepath.ToSlash(d.pos.Filename), d.pos.Line, d.pkg, d.name)
+		delete(dead, name)
+	}
+	for name, pos := range dead {
+		t.Errorf("%s %s: no command, example or bench root reaches it outside tests; delete it, use it, or move it into a _test.go file", pos, name)
+	}
+	var got []string
+	for name := range loadModule(t, filepath.Join("testdata", "reach"), "reach").deadDeclarations() {
+		got = append(got, name+"\n")
+	}
+	sort.Strings(got)
+	if want, err := os.ReadFile(filepath.Join("testdata", "reach", "dead.txt")); err != nil || strings.Join(got, "") != string(want) {
+		t.Errorf("in testdata/reach the gate flags\n%swant the dead.txt list\n%s%v", strings.Join(got, ""), want, err)
 	}
 }
