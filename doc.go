@@ -49,7 +49,10 @@
 //	                        circuit breaker, loud fallback to the
 //	                        analytic curves), mounted on the live path by
 //	                        middleware.ExternalPowerInterceptor
-//	internal/simtime        virtual-time event engine (the kernel's heap)
+//	internal/simtime        the kernel's virtual-time event queue: one
+//	                        binary heap of value events, popped in
+//	                        (time, class, seq) order; Engine is the
+//	                        benchmark probe's callback adapter over it
 //	internal/carbon         grid carbon-intensity signals, site profiles
 //	                        and the joules→grams integrator
 //	internal/sla            SLA classes (deadline, value, penalty curve),

@@ -121,6 +121,13 @@ type Policy struct {
 	Pref  Preference
 	Ops   float64
 	Clock func() float64
+
+	// pinned marks a policy built for one election (Module.WrapPolicy)
+	// whose preference was resolved once, into pref, at the election's
+	// instant: no charge lands while an election ranks, so every
+	// comparison would resolve that same value.
+	pinned bool
+	pref   core.UserPref
 }
 
 // NewPolicy builds a budget-aware policy for tasks of `ops` flops.
@@ -139,8 +146,11 @@ func (p *Policy) Name() string { return "BUDGET" }
 
 // Less implements sched.Policy.
 func (p *Policy) Less(a, b *estvec.Vector) bool {
-	inner := sched.ScorePolicy{Ops: p.Ops, Pref: p.Pref.At(p.Clock())}
-	return inner.Less(a, b)
+	pref := p.pref
+	if !p.pinned {
+		pref = p.Pref.At(p.Clock())
+	}
+	return sched.ScorePolicy{Ops: p.Ops, Pref: pref}.Less(a, b)
 }
 
 // Enforcer gates admission when the budget is exhausted: requests are

@@ -37,6 +37,10 @@ type Module struct {
 	// preference the Preference feedback loop steers from.
 	Steer bool
 	Base  core.UserPref
+
+	// pol is the policy a steered election ranks by, rebuilt in place
+	// by each WrapPolicy call, so steering allocates nothing.
+	pol Policy
 }
 
 // Init implements sim.Module.
@@ -58,14 +62,14 @@ func (m *Module) OnFinish(rec sim.TaskRecord) {
 // the linear burn-down the election is re-ranked by the Eq. 6 score
 // under the tracker-steered preference (replacing the ranking built
 // so far — see the type comment for stack placement); on or under
-// pace the base policy passes through untouched.
+// pace the base policy passes through untouched. The steered
+// preference is resolved once per election — no charge lands while
+// one ranks — and the policy returned is valid for this election only.
 func (m *Module) WrapPolicy(now float64, t workload.Task, base sched.Policy) sched.Policy {
 	if !m.Steer || m.Tracker.BurnError(now) <= 0 {
 		return base
 	}
-	return &Policy{
-		Pref:  Preference{Tracker: m.Tracker, Base: m.Base},
-		Ops:   t.Ops,
-		Clock: func() float64 { return now },
-	}
+	pref := Preference{Tracker: m.Tracker, Base: m.Base}
+	m.pol = Policy{Pref: pref, Ops: t.Ops, pinned: true, pref: pref.At(now)}
+	return &m.pol
 }

@@ -191,8 +191,12 @@ type Journal struct {
 	segLimit int64
 	warn     func(string, ...any)
 
-	seq     uint64
-	segLen  int64
+	seq    uint64
+	segLen int64
+	// retryAt is nonzero while rotation is failing: the segment length
+	// past which the next attempt runs, one full limit beyond the
+	// length the last attempt failed at.
+	retryAt int64
 	pending map[uint64]*Entry
 	settled []Entry // folded from disk at Open; consumed by Replay
 	maxID   uint64
@@ -520,21 +524,22 @@ func (j *Journal) rewindTorn(wrote int64, cause error) {
 // file atomically (write-temp, fsync, rename). Failure to rotate is a
 // warning, never data loss — appends continue on the old segment.
 func (j *Journal) maybeRotate() error {
-	if j.segLimit < 0 || j.segLen <= j.segLimit {
+	if j.segLimit < 0 || j.segLen <= j.segLimit || j.segLen <= j.retryAt {
 		return nil
 	}
 	tmp := j.path + compactSuffix
 	nf, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		j.warn("journal: rotate %s: %v", j.path, err)
-		return nil
+		return j.rotateFailed(err)
 	}
 	var size int64
+	seq, bytesTotal := j.seq, j.bytesTotal
 	fail := func(err error) error {
-		j.warn("journal: rotate %s: %v", j.path, err)
 		nf.Close()
 		os.Remove(tmp)
-		return nil
+		// The compacted frames were never kept.
+		j.seq, j.bytesTotal = seq, bytesTotal
+		return j.rotateFailed(err)
 	}
 	// Re-emit each incomplete lifecycle in its canonical order:
 	// admission, then the park or lease that is still in force.
@@ -573,6 +578,19 @@ func (j *Journal) maybeRotate() error {
 	j.f = nf
 	j.segLen = size
 	j.rotations++
+	j.retryAt = 0
+	return nil
+}
+
+// rotateFailed backs rotation off until the segment has grown by
+// another full limit — a compaction that keeps failing is retried once
+// per limit's worth of appends, not on every one — and warns once per
+// failure streak. It returns nil: appends go on on the old segment.
+func (j *Journal) rotateFailed(err error) error {
+	if j.retryAt == 0 {
+		j.warn("journal: rotate %s: %v (retrying every %d bytes appended until it succeeds)", j.path, err, j.segLimit)
+	}
+	j.retryAt = j.segLen + j.segLimit
 	return nil
 }
 

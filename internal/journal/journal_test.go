@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"log"
 	"os"
 	"path/filepath"
@@ -550,6 +551,141 @@ func TestRotationFailureWarnsByDefault(t *testing.T) {
 	}
 	if !strings.Contains(logged.String(), "journal: rotate "+path) {
 		t.Errorf("rotation failure not logged; log holds %q", logged.String())
+	}
+}
+
+// TestRotationFailureBacksOff: while compaction keeps failing, the
+// journal warns once, retries only after the segment has grown by
+// another full limit past the length the last attempt failed at, and a
+// failed attempt leaves the sequence and the byte count as if it never
+// ran. Once the obstacle goes, the first retry that falls due rotates.
+func TestRotationFailureBacksOff(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.wal")
+	if err := os.Mkdir(path+compactSuffix, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var warnings []string
+	const limit = 256
+	j, err := Open(path, Options{NoSync: true, segmentBytes: limit, warn: func(f string, a ...any) {
+		warnings = append(warnings, fmt.Sprintf(f, a...))
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	// retryAt follows the back-off rule: an append that leaves the
+	// segment past both the limit and retryAt attempts a rotation.
+	retryAt, attempts, frame := int64(0), 0, int64(0)
+	for id := uint64(1); id < 20; id++ {
+		before := j.Stats().SegmentBytes
+		if err := j.Admit(admit(id)); err != nil {
+			t.Fatal(err)
+		}
+		seg := j.Stats().SegmentBytes
+		if frame = seg - before; seg > limit && seg > retryAt {
+			retryAt, attempts = seg+limit, attempts+1
+		}
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "journal: rotate "+path) {
+		t.Fatalf("%d failed rotations warned %d times, want once: %q", attempts, len(warnings), warnings)
+	}
+	st := j.Stats()
+	if st.Rotations != 0 {
+		t.Fatal("rotation succeeded over a directory")
+	}
+	if st.BytesTotal != uint64(st.SegmentBytes) {
+		t.Errorf("bytes total %d, want the %d bytes appended: failed compactions kept nothing", st.BytesTotal, st.SegmentBytes)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Recover(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Entries) != 19 || rec.Truncated {
+		t.Fatalf("recovered %d entries (truncated %v), want all 19", len(rec.Entries), rec.Truncated)
+	}
+	for i, e := range rec.Entries {
+		if e.Admit.ID != uint64(i+1) || e.Admit.Seq != uint64(i+1) {
+			t.Fatalf("entry %d = id %d seq %d, want every admission in order on an unbroken sequence", i, e.Admit.ID, e.Admit.Seq)
+		}
+	}
+
+	// Clear the obstacle: the next attempt waits for the back-off.
+	if err := os.Remove(path + compactSuffix); err != nil {
+		t.Fatal(err)
+	}
+	prev := st.SegmentBytes
+	for id := uint64(20); j.Stats().Rotations == 0; id++ {
+		if id > 40 {
+			t.Fatal("no rotation after the obstacle went")
+		}
+		if err := j.Admit(admit(id)); err != nil {
+			t.Fatal(err)
+		}
+		if j.Stats().Rotations == 0 {
+			frame, prev = j.Stats().SegmentBytes-prev, j.Stats().SegmentBytes
+			if prev > retryAt {
+				t.Fatalf("segment at %d bytes, past the retry point %d, and not rotated", prev, retryAt)
+			}
+		} else if prev+frame <= retryAt {
+			t.Fatalf("rotated at %d bytes, before the retry point %d", prev+frame, retryAt)
+		}
+	}
+	if len(warnings) != 1 {
+		t.Errorf("warnings after recovery: %q", warnings)
+	}
+}
+
+// TestFailedRotationKeepsSequence: a compaction that fails part-way —
+// here every write of the compacted segment fails — leaves the
+// journal's sequence as if it never ran, so the records appended after
+// it continue the log's sequence without a gap.
+func TestFailedRotationKeepsSequence(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("needs /dev/full")
+	}
+	path := filepath.Join(t.TempDir(), "j.wal")
+	if err := os.Symlink("/dev/full", path+compactSuffix); err != nil {
+		t.Fatal(err)
+	}
+	warned := 0
+	j, err := Open(path, Options{NoSync: true, segmentBytes: 256, warn: func(string, ...any) { warned++ }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := uint64(1)
+	for ; warned == 0; id++ {
+		if id > 20 {
+			t.Fatal("compaction onto a full device never failed")
+		}
+		if err := j.Admit(admit(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Admit(admit(id)); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Rotations != 0 || st.BytesTotal != uint64(st.SegmentBytes) {
+		t.Fatalf("stats %+v: want no rotation and every byte counted once", st)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rec, err := Recover(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.MaxSeq != id || len(rec.Entries) != int(id) {
+		t.Fatalf("recovered %d entries up to seq %d, want %d on an unbroken sequence", len(rec.Entries), rec.MaxSeq, id)
 	}
 }
 

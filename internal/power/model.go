@@ -5,7 +5,7 @@
 // 1 Hz and derives a node's power as the average over past
 // measurements (more than 6,000 samples in §IV). Here the wattmeter is
 // emulated: it samples a PowerModel on a virtual-time grid, optionally
-// with measurement noise and sample dropouts, and feeds the same
+// with measurement noise, and feeds the same
 // moving-average estimator the dynamic GreenPerf approach uses.
 package power
 

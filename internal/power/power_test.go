@@ -179,20 +179,6 @@ func TestWattmeterRingEviction(t *testing.T) {
 	}
 }
 
-func TestWattmeterDropout(t *testing.T) {
-	m := NewWattmeter(0, 42)
-	m.dropoutRate = 0.5
-	m.Observe(0, 1000, 100)
-	if len(m.samples) == 0 || len(m.samples) == 1000 {
-		t.Fatalf("dropout rate 0.5 retained %d of 1000 samples", len(m.samples))
-	}
-	// Mean must still be exact (no noise).
-	mean, _ := m.MeanWindow(0, 1000)
-	if mean != 100 {
-		t.Fatalf("dropout changed values: mean=%v", mean)
-	}
-}
-
 func TestWattmeterNoiseBounded(t *testing.T) {
 	m := NewWattmeter(0, 7)
 	m.NoiseW = 10

@@ -18,20 +18,17 @@ type Sample struct {
 // it records the power draw of one node at a fixed period (1 s in the
 // paper) and serves windowed queries over the trace.
 //
-// Faults: NoiseW adds uniform ±NoiseW jitter; a dropoutRate in (0,1),
-// set only by tests, makes the meter skip that fraction of samples
-// (lost frames in the real deployment). Both default to zero (ideal
-// meter).
+// Faults: NoiseW adds uniform ±NoiseW jitter to every reading; it
+// defaults to zero (ideal meter).
 type Wattmeter struct {
 	Period     float64 // sampling period in seconds; 1.0 matches the paper
 	NoiseW     Watts   // uniform measurement noise amplitude
 	MaxSamples int     // ring capacity; 0 means unbounded
 
-	dropoutRate float64 // probability a sample is lost
-	rng         *rand.Rand
-	samples     []Sample
-	lastT       float64
-	started     bool
+	rng     *rand.Rand
+	samples []Sample
+	lastT   float64
+	started bool
 }
 
 // NewWattmeter returns a 1 Hz ideal meter with the given ring capacity
@@ -42,8 +39,8 @@ func NewWattmeter(capacity int, seed int64) *Wattmeter {
 
 // Observe records the node's (piecewise-constant) draw w over the
 // interval [from, to). The meter lays its fixed sampling grid over the
-// interval and appends one reading per grid point, honouring noise and
-// dropout settings. Simulation code calls Observe on every power-state
+// interval and appends one reading per grid point, with noise when
+// set. Simulation code calls Observe on every power-state
 // change, mirroring how the external meter sees the node continuously.
 func (m *Wattmeter) Observe(from, to float64, w Watts) {
 	if m.Period <= 0 {
@@ -63,9 +60,6 @@ func (m *Wattmeter) Observe(from, to float64, w Watts) {
 	}
 	for t := start; t < to; t += m.Period {
 		m.lastT = t + 1e-9
-		if m.dropoutRate > 0 && m.rng != nil && m.rng.Float64() < m.dropoutRate {
-			continue
-		}
 		v := w
 		if m.NoiseW > 0 && m.rng != nil {
 			v += (m.rng.Float64()*2 - 1) * m.NoiseW

@@ -2,11 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"greensched/internal/power"
-	"greensched/internal/simtime"
 	"greensched/internal/sla"
 	"greensched/internal/workload"
 )
@@ -178,15 +176,7 @@ func (c *runnerControl) QueuedAtRisk(name string) bool {
 	}
 	// Earliest slot release: the head-of-queue wait under any work-
 	// conserving discipline.
-	wait := math.Inf(1)
-	for _, rt := range sed.running {
-		if w := rt.finish.At.Seconds() - c.now; w < wait {
-			wait = w
-		}
-	}
-	if wait < 0 {
-		wait = 0
-	}
+	wait := sed.nextRelease(c.now)
 	for _, p := range sed.queued() {
 		if p.removed {
 			continue
@@ -218,7 +208,7 @@ func (c *runnerControl) Running(name string) []RunningView {
 			ValueUSD:     terms.ValueUSD,
 			Ops:          rt.task.Ops,
 			Started:      rt.start,
-			RemainingSec: rt.finish.At.Seconds() - c.now,
+			RemainingSec: rt.finishAt - c.now,
 		}
 		if pre := c.r.pre; pre != nil {
 			done := c.r.doneOps(c.now, rt)
@@ -352,21 +342,23 @@ func (c *runnerControl) PowerOn(name string) error {
 	sed.candidate = true
 	sed.failed = false // booting a crashed node repairs it
 	c.r.res.Boots++
-	idx := sed.idx
-	c.r.eng.At(simtime.Time(done), "boot-done", func(t simtime.Time) {
-		s := c.r.seds[idx]
-		if s.node.State() != power.Booting {
-			return
-		}
-		if err := s.node.BootDone(t.Seconds()); err != nil {
-			panic(fmt.Sprintf("sim: %v", err))
-		}
-		s.idleAt = t.Seconds()
-		if len(c.r.feeders) > 0 {
-			c.r.feed(t.Seconds())
-		}
-	})
+	c.r.q.Push(done, event{kind: evBootDone, ref: int32(sed.idx)})
 	return nil
+}
+
+// onBootDone brings a booting node on line; a node whose boot was
+// overtaken (crashed, powered off again) is left alone.
+func (r *Runner) onBootDone(now float64, sed *sedState) {
+	if sed.node.State() != power.Booting {
+		return
+	}
+	if err := sed.node.BootDone(now); err != nil {
+		panic(fmt.Sprintf("sim: %v", err))
+	}
+	sed.idleAt = now
+	if len(r.feeders) > 0 {
+		r.feed(now)
+	}
 }
 
 func (c *runnerControl) SetCandidate(name string, candidate bool) error {
@@ -397,19 +389,17 @@ func (r *Runner) sedByName(name string) *sedState {
 	return r.seds[idx]
 }
 
-// scheduleControl arms the recurring controller tick: every module's
-// OnTick runs in stack order against one shared Control surface.
-// Ticking stops once every submitted task has resolved so the event
-// queue can drain.
-func (r *Runner) scheduleControl(every float64) {
-	r.eng.After(every, "control", func(t simtime.Time) {
-		if r.resolved() >= r.submitted() {
-			return
-		}
-		ctl := &runnerControl{r: r, now: t.Seconds()}
-		for _, m := range r.cfg.Modules {
-			m.OnTick(t.Seconds(), ctl)
-		}
-		r.scheduleControl(every)
-	})
+// onTick runs the recurring controller tick: every module's OnTick
+// runs in stack order against one shared Control surface. Ticking
+// stops once every submitted task has resolved so the event queue can
+// drain.
+func (r *Runner) onTick(now float64) {
+	if r.resolved() >= r.submitted() {
+		return
+	}
+	ctl := r.control(now)
+	for _, m := range r.cfg.Modules {
+		m.OnTick(now, ctl)
+	}
+	r.after(r.cfg.ControlEvery, event{kind: evTick})
 }

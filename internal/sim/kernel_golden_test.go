@@ -115,7 +115,7 @@ func (w *queueWatch) drop(server string, id uint64) int {
 // wraps exactly the elections the kernel lets bypass candidacy
 // (deadline-carrying tasks) in sched.DeadlineAware.
 func (c *kernelCoverage) observe(_ float64, _ workload.Task, base sched.Policy) sched.Policy {
-	if _, ok := base.(sched.DeadlineAware); ok {
+	if _, ok := base.(*sched.DeadlineAware); ok {
 		c.bypass++
 	} else {
 		c.direct++

@@ -142,7 +142,8 @@ type SLAModule struct {
 	// sched.DeadlineAware over the stack's base policy.
 	WrapDeadline bool
 
-	r *Runner
+	r  *Runner
+	dl sched.DeadlineAware // WrapPolicy's result, rebuilt in place per election
 }
 
 // Init implements Module: it validates the config, resolves every
@@ -174,6 +175,7 @@ func (m *SLAModule) Init(r *Runner) error {
 
 // WrapPolicy implements Module: deadline-carrying tasks elect through
 // the hard feasibility screen; deferrable work keeps the base order.
+// The policy returned is valid for this election only.
 func (m *SLAModule) WrapPolicy(now float64, t workload.Task, base sched.Policy) sched.Policy {
 	if !m.WrapDeadline {
 		return base
@@ -182,7 +184,8 @@ func (m *SLAModule) WrapPolicy(now float64, t workload.Task, base sched.Policy) 
 	if view.Deadline <= 0 {
 		return base
 	}
-	return sched.DeadlineAware{Base: base, Ops: t.Ops, Now: now, Deadline: view.Deadline}
+	m.dl = sched.DeadlineAware{Base: base, Ops: t.Ops, Now: now, Deadline: view.Deadline}
+	return &m.dl
 }
 
 // Finalize implements Module: it publishes the ledger summary.

@@ -6,7 +6,6 @@ import (
 
 	"greensched/internal/carbon"
 	"greensched/internal/sched"
-	"greensched/internal/simtime"
 	"greensched/internal/sla"
 	"greensched/internal/workload"
 )
@@ -68,16 +67,10 @@ func (r *Runner) tryPreempt(now float64, sed *sedState, p pendingTask) bool {
 // back to the conservative FIFO drain estimate of waitEstimate.
 func (r *Runner) urgentWaitEstimate(now float64, sed *sedState, t workload.Task) float64 {
 	if sed.order != nil && sed.aheadOfAll(r.taskView(t)) {
-		wait := math.Inf(1)
-		for _, rt := range sed.running {
-			if w := rt.finish.At.Seconds() - now; w < wait {
-				wait = w
-			}
+		if wait := sed.nextRelease(now); !math.IsInf(wait, 1) {
+			return wait
 		}
-		if math.IsInf(wait, 1) || wait < 0 {
-			wait = 0
-		}
-		return wait
+		return 0
 	}
 	return sed.waitEstimate(now)
 }
@@ -88,8 +81,7 @@ func (r *Runner) urgentWaitEstimate(now float64, sed *sedState, t workload.Task)
 // nothing and same-instant restarts could otherwise displace each
 // other forever.
 func (r *Runner) pickVictim(now float64, sed *sedState, urgentExec float64) *runningTask {
-	rts := make([]*runningTask, 0, len(sed.running))
-	views := make([]sched.VictimView, 0, len(sed.running))
+	rts, views := r.victims[:0], r.views[:0]
 	for _, rt := range sed.running {
 		if now <= rt.start {
 			continue
@@ -98,8 +90,9 @@ func (r *Runner) pickVictim(now float64, sed *sedState, urgentExec float64) *run
 			continue
 		}
 		rts = append(rts, rt)
-		views = append(views, sched.NewVictimView(r.taskView(rt.task), now, rt.finish.At.Seconds()-now))
+		views = append(views, sched.NewVictimView(r.taskView(rt.task), now, rt.finishAt-now))
 	}
+	r.victims, r.views = rts, views
 	if i := sched.BestVictim(views, nil); i >= 0 {
 		return rts[i]
 	}
@@ -114,7 +107,6 @@ func (r *Runner) pickVictim(now float64, sed *sedState, urgentExec float64) *run
 // arrival path starts the urgent task, Control.Preempt drains the
 // queue.
 func (r *Runner) preempt(now float64, sed *sedState, rt *runningTask) {
-	r.eng.Cancel(rt.finish)
 	sed.advanceBusy(now)
 	delete(sed.running, rt.task.ID)
 	sed.bumpWait()
@@ -149,7 +141,7 @@ func (r *Runner) preempt(now float64, sed *sedState, rt *runningTask) {
 	p.task.Ops = r.pre.RemainingOps(rt.task.Ops, done)
 	r.res.Preemptions++
 	r.res.PreemptRedoneOps += r.pre.RedoneOps(done)
-	r.eng.After(0, "restart", func(t simtime.Time) { r.onArrival(t.Seconds(), p) })
+	r.requeue(0, p)
 	if len(sed.running) == 0 && sed.qlen() == 0 {
 		sed.idleAt = now
 	}

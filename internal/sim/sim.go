@@ -356,6 +356,21 @@ type sedState struct {
 	busyIntegral float64
 }
 
+// nextRelease returns how long after now the SED's first running task
+// finishes: never negative, +Inf with nothing running.
+func (s *sedState) nextRelease(now float64) float64 {
+	wait := math.Inf(1)
+	for _, rt := range s.running {
+		if w := rt.finishAt - now; w < wait {
+			wait = w
+		}
+	}
+	if wait < 0 {
+		return 0
+	}
+	return wait
+}
+
 // advanceBusy accrues busy-core-seconds up to now.
 func (s *sedState) advanceBusy(now float64) {
 	s.busyIntegral += float64(len(s.running)) * (now - s.busyAt)
@@ -389,9 +404,15 @@ type pendingTask struct {
 }
 
 type runningTask struct {
-	task      workload.Task
-	start     float64
-	finish    *simtime.Event
+	task  workload.Task
+	sed   *sedState
+	start float64
+	// finishAt is when the finish event fires. It carries slot, the
+	// record's index in Runner.rts, and gen, which freeRunning bumps: a
+	// cancelled finish pops stale, even once the slot is recycled.
+	finishAt  float64
+	slot      int32
+	gen       uint32
 	resubmits int
 	// busyMark is the SED's busy-core-seconds at task start; the
 	// difference at finish divided by the duration is the mean
@@ -648,7 +669,7 @@ func (s *sedState) firstFree(now float64, pad bool) float64 {
 	s.drains++
 	avail := s.avail[:0]
 	for _, rt := range s.running {
-		avail = append(avail, rt.finish.At.Seconds())
+		avail = append(avail, rt.finishAt)
 	}
 	if pad {
 		for len(avail) < s.slots {
@@ -753,14 +774,35 @@ func (s *sedState) fillVector(v *estvec.Vector, now float64, rng *rand.Rand, byp
 	}
 }
 
+// event is one kernel event: a value, so scheduling it allocates
+// nothing once the queue has grown. ref indexes the state kind acts on.
+type event struct {
+	kind evKind
+	ref  int32
+	gen  uint32
+}
+
+type evKind uint8
+
+const (
+	evArrival  evKind = iota // ref: the arrival cursor's index into Runner.arrivals
+	evFinish                 // ref: the runningTask's slot in Runner.rts; gen: its generation
+	evPending                // ref: a slot in Runner.pend (retry, crash resubmission, preemption restart)
+	evCrash                  // ref: SED index
+	evBootDone               // ref: SED index
+	evSample                 // power series sample, every Config.SampleEvery
+	evTick                   // module control tick, every Config.ControlEvery
+)
+
 // Runner executes one configured simulation.
 type Runner struct {
-	cfg  Config
-	eng  *simtime.Engine
-	rng  *rand.Rand
-	seds []*sedState
-	sel  *sched.Selector
-	res  *Result
+	cfg   Config
+	q     simtime.Queue[event]
+	fired uint64 // live events Run has fired: what the event budget counts
+	rng   *rand.Rand
+	seds  []*sedState
+	sel   *sched.Selector
+	res   *Result
 
 	// lobs caches the stack's LifecycleObserver implementations; empty
 	// for most runs, so emitting costs one nil-slice check.
@@ -787,16 +829,26 @@ type Runner struct {
 	terms   map[int]sla.Terms
 	ledger  *sla.Ledger
 
-	// Election scratch: one reusable estimation vector per SED plus
-	// the candidate list and per-task selector, so the election inner
-	// loop allocates nothing; arrivals holds the tasks in stable
-	// (Submit, config-order) order for the arrival cursor; rtFree
-	// recycles runningTask records.
+	// Scratch, so that neither an election nor a tick allocates: one
+	// estimation vector per SED, the candidate list and per-task
+	// selector; arrival, the task OnArrival hooks mutate (a pointer an
+	// interface method receives escapes, so it must not be a local's);
+	// the Control ticks and feeds hand out; pickVictim's slices.
 	vecs       []estvec.Vector
 	list       estvec.List
 	selScratch sched.Selector
-	arrivals   []workload.Task
-	rtFree     []*runningTask
+	arrival    workload.Task
+	ctl        runnerControl
+	victims    []*runningTask
+	views      []sched.VictimView
+	// arrivals holds the tasks in stable (Submit, config-order) order
+	// for the arrival cursor. rts holds every runningTask by slot, pend
+	// the tasks in evPending events; rtFree and pendFree list free slots.
+	arrivals []workload.Task
+	rts      []*runningTask
+	rtFree   []int32
+	pend     []pendingTask
+	pendFree []int32
 }
 
 // resolved counts tasks whose fate is settled (completed or rejected).
@@ -818,7 +870,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	r := &Runner{
 		cfg:     cfg,
-		eng:     simtime.NewEngine(),
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		waiting: make(map[int]workload.Task),
 		res: &Result{
@@ -877,12 +928,16 @@ func NewRunner(cfg Config) (*Runner, error) {
 	return r, nil
 }
 
-// feed hands every feeder the Control at now. Call sites check
-// len(r.feeders) first, so runs without feeders never allocate here.
+// control returns the run's Control at now.
+func (r *Runner) control(now float64) *runnerControl {
+	r.ctl = runnerControl{r: r, now: now}
+	return &r.ctl
+}
+
+// feed hands every feeder the Control at now.
 func (r *Runner) feed(now float64) {
-	ctl := &runnerControl{r: r, now: now}
 	for _, f := range r.feeders {
-		f.Feed(now, ctl)
+		f.Feed(now, r.control(now))
 	}
 }
 
@@ -918,31 +973,26 @@ func (r *Runner) Run() (*Result, error) {
 		if idx < 0 {
 			return nil, fmt.Errorf("sim: crash configured for unknown node %q", name)
 		}
-		sed := r.seds[idx]
-		r.eng.At(simtime.Time(at), "crash", func(now simtime.Time) {
-			r.onCrash(now.Seconds(), sed)
-		})
+		r.q.Push(at, event{kind: evCrash, ref: int32(idx)})
 	}
 	if r.cfg.SampleEvery > 0 {
-		r.scheduleSample(r.cfg.SampleEvery)
+		r.after(r.cfg.SampleEvery, event{kind: evSample})
 	}
 	if r.cfg.ControlEvery > 0 && len(r.cfg.Modules) > 0 {
-		r.scheduleControl(r.cfg.ControlEvery)
+		r.after(r.cfg.ControlEvery, event{kind: evTick})
 	}
 	if len(r.feeders) > 0 {
 		r.feed(0)
 	}
 	// Budget: generous multiple of task count, to catch livelocks
-	// without bounding legitimate runs. Feeders raise the count as the
-	// run goes, so an exhausted budget re-arms while it still grows.
-	var err error
-	for fired, n := uint64(0), uint64(0); fired < r.budget(); fired += n {
-		if n, err = r.eng.Run(r.budget() - fired); err == nil {
-			break
+	// without bounding legitimate runs; feeders raise the count as the
+	// run goes. Stale records neither count nor keep a run alive.
+	for r.live() {
+		if r.fired >= r.budget() {
+			return nil, fmt.Errorf("sim: event budget %d exhausted at %v with events pending", r.budget(), simtime.Time(r.q.Now()))
 		}
-	}
-	if err != nil {
-		return nil, err
+		r.fired++
+		r.step()
 	}
 	if r.resolved() != r.submitted() {
 		return nil, fmt.Errorf("sim: only %d of %d tasks resolved (stuck queue?)", r.resolved(), r.submitted())
@@ -954,25 +1004,68 @@ func (r *Runner) Run() (*Result, error) {
 // budget is the run's event budget for the tasks submitted so far.
 func (r *Runner) budget() uint64 { return uint64(r.submitted())*64 + 1<<20 }
 
-// scheduleArrivals arms the arrival cursor at r.arrivals[i]'s submit
-// time. Each firing submits every task sharing that instant, in config
-// order, then re-arms for the next distinct submit time. The cursor is
-// a front-class event (simtime.AtFront): tasks submitted at t arrive
-// before any crash, retry, resubmission, sample, tick or finish at t
-// runs, however early that event was scheduled.
-func (r *Runner) scheduleArrivals(i int) {
-	if i >= len(r.arrivals) {
-		return
+// after schedules ev d seconds after the current event.
+func (r *Runner) after(d float64, ev event) { r.q.Push(r.q.Now()+d, ev) }
+
+// live drops stale finishes off the top of the queue and reports
+// whether a live event remains.
+func (r *Runner) live() bool {
+	for r.q.Len() > 0 {
+		if ev := r.q.Peek(); ev.kind != evFinish || r.rts[ev.ref].gen == ev.gen {
+			return true
+		}
+		r.q.Pop()
 	}
-	r.eng.AtFront(simtime.Time(r.arrivals[i].Submit), "arrival", func(t simtime.Time) {
-		now := t.Seconds()
-		j := i
-		for j < len(r.arrivals) && r.arrivals[j].Submit == r.arrivals[i].Submit {
+	return false
+}
+
+// step fires the earliest event, which live has found live.
+func (r *Runner) step() {
+	now, ev := r.q.Pop()
+	switch ev.kind {
+	case evArrival: // every task submitted at this instant, then re-arm
+		i, j := int(ev.ref), int(ev.ref)
+		for ; j < len(r.arrivals) && r.arrivals[j].Submit == r.arrivals[i].Submit; j++ {
 			r.onArrival(now, pendingTask{task: r.arrivals[j]})
-			j++
 		}
 		r.scheduleArrivals(j)
-	})
+	case evFinish:
+		r.onFinish(now, r.rts[ev.ref])
+	case evPending:
+		r.pendFree = append(r.pendFree, ev.ref)
+		r.onArrival(now, r.pend[ev.ref])
+	case evCrash:
+		r.onCrash(now, r.seds[ev.ref])
+	case evBootDone:
+		r.onBootDone(now, r.seds[ev.ref])
+	case evSample:
+		r.onSample(now)
+	case evTick:
+		r.onTick(now)
+	}
+}
+
+// scheduleArrivals arms the arrival cursor at r.arrivals[i]'s submit
+// time. The cursor is a front-class event (simtime.Queue.PushFront):
+// tasks submitted at t arrive before any crash, retry, resubmission,
+// sample, tick or finish at t runs, however early that event was
+// scheduled.
+func (r *Runner) scheduleArrivals(i int) {
+	if i < len(r.arrivals) {
+		r.q.PushFront(r.arrivals[i].Submit, event{kind: evArrival, ref: int32(i)})
+	}
+}
+
+// requeue schedules p to re-enter election d seconds from now.
+func (r *Runner) requeue(d float64, p pendingTask) {
+	i := int32(len(r.pend))
+	if n := len(r.pendFree); n > 0 {
+		i, r.pendFree = r.pendFree[n-1], r.pendFree[:n-1]
+		r.pend[i] = p
+	} else {
+		r.pend = append(r.pend, p)
+	}
+	r.after(d, event{kind: evPending, ref: i})
 }
 
 func (r *Runner) onArrival(now float64, p pendingTask) {
@@ -980,9 +1073,11 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 	// crash-migrated queued tasks or preemption restarts): modules
 	// observe the task, then the admission screen runs.
 	if !p.waiting && !p.admitted && p.resubmits == 0 && p.preemptions == 0 {
+		r.arrival = p.task
 		for _, m := range r.cfg.Modules {
-			m.OnArrival(now, &p.task)
+			m.OnArrival(now, &r.arrival)
 		}
+		p.task = r.arrival
 		// The submit event carries post-OnArrival state, so class
 		// mutations are visible on the trace exactly as they reach
 		// admission below.
@@ -1046,7 +1141,7 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 			r.unplaced++
 			r.waiting[p.task.ID] = p.task
 		}
-		r.eng.After(r.cfg.RetryEvery, "retry", func(t2 simtime.Time) { r.onArrival(t2.Seconds(), p) })
+		r.requeue(r.cfg.RetryEvery, p)
 		return
 	}
 	if p.waiting {
@@ -1119,36 +1214,38 @@ func (r *Runner) startTask(now float64, sed *sedState, p pendingTask) {
 	sed.advanceBusy(now)
 	rt := r.newRunning()
 	*rt = runningTask{
-		task: p.task, start: now, resubmits: p.resubmits, busyMark: sed.busyIntegral,
+		task: p.task, sed: sed, start: now, finishAt: r.q.Now() + exec, slot: rt.slot, gen: rt.gen,
+		resubmits: p.resubmits, busyMark: sed.busyIntegral,
 		plannedExec: exec, preemptions: p.preemptions, carriedJ: p.carriedJ, carriedG: p.carriedG,
 	}
-	rt.finish = r.eng.After(exec, "finish", func(t simtime.Time) {
-		r.onFinish(t.Seconds(), sed, rt)
-	})
+	r.q.Push(rt.finishAt, event{kind: evFinish, ref: rt.slot, gen: rt.gen})
 	sed.running[p.task.ID] = rt
 	sed.bumpWait()
 	r.emit(obs.Event{T: now, Event: obs.EventSolve, ID: uint64(p.task.ID), Class: p.task.Class, Server: sed.node.Spec.Name})
 }
 
-// newRunning takes a runningTask from the free list or allocates one.
+// newRunning takes a free runningTask slot or allocates a new one.
 func (r *Runner) newRunning() *runningTask {
 	if n := len(r.rtFree); n > 0 {
-		rt := r.rtFree[n-1]
+		i := r.rtFree[n-1]
 		r.rtFree = r.rtFree[:n-1]
-		return rt
+		return r.rts[i]
 	}
-	return &runningTask{}
+	rt := &runningTask{slot: int32(len(r.rts))}
+	r.rts = append(r.rts, rt)
+	return rt
 }
 
-// freeRunning recycles a runningTask whose record can no longer be
-// referenced: its finish event has fired or been cancelled and its
-// fields copied out.
+// freeRunning recycles a runningTask whose fields have been copied
+// out. Bumping its generation cancels a finish event still queued for
+// it: that record pops stale.
 func (r *Runner) freeRunning(rt *runningTask) {
-	*rt = runningTask{}
-	r.rtFree = append(r.rtFree, rt)
+	*rt = runningTask{slot: rt.slot, gen: rt.gen + 1}
+	r.rtFree = append(r.rtFree, rt.slot)
 }
 
-func (r *Runner) onFinish(now float64, sed *sedState, rt *runningTask) {
+func (r *Runner) onFinish(now float64, rt *runningTask) {
+	sed := rt.sed
 	sed.advanceBusy(now)
 	delete(sed.running, rt.task.ID)
 	sed.bumpWait()
@@ -1274,7 +1371,6 @@ func (r *Runner) onCrash(now float64, sed *sedState) {
 	sed.advanceBusy(now)
 	var lost []pendingTask
 	for id, rt := range sed.running {
-		r.eng.Cancel(rt.finish)
 		lost = append(lost, pendingTask{
 			task: rt.task, resubmits: rt.resubmits + 1,
 			preemptions: rt.preemptions, carriedJ: rt.carriedJ, carriedG: rt.carriedG,
@@ -1285,12 +1381,9 @@ func (r *Runner) onCrash(now float64, sed *sedState) {
 	sed.bumpWait()
 	// Lost executions fail on the trace in ID order — the map walk
 	// above must not leak its iteration order into the event stream.
-	if len(r.lobs) > 0 {
-		failed := append([]pendingTask(nil), lost...)
-		sort.Slice(failed, func(i, j int) bool { return failed[i].task.ID < failed[j].task.ID })
-		for _, p := range failed {
-			r.emit(obs.Event{T: now, Event: obs.EventFail, ID: uint64(p.task.ID), Class: p.task.Class, Server: sed.node.Spec.Name, Err: "node crash"})
-		}
+	sort.Slice(lost, func(i, j int) bool { return lost[i].task.ID < lost[j].task.ID })
+	for _, p := range lost {
+		r.emit(obs.Event{T: now, Event: obs.EventFail, ID: uint64(p.task.ID), Class: p.task.Class, Server: sed.node.Spec.Name, Err: "node crash"})
 	}
 	r.res.Crashed += len(lost)
 	for _, p := range sed.queued() {
@@ -1307,23 +1400,20 @@ func (r *Runner) onCrash(now float64, sed *sedState) {
 	// Deterministic resubmission order.
 	sort.Slice(lost, func(i, j int) bool { return lost[i].task.ID < lost[j].task.ID })
 	for _, p := range lost {
-		p := p
-		r.eng.After(0, "resubmit", func(t simtime.Time) { r.onArrival(t.Seconds(), p) })
+		r.requeue(0, p)
 	}
 }
 
-func (r *Runner) scheduleSample(period float64) {
-	r.eng.After(period, "sample", func(now simtime.Time) {
-		total := 0.0
-		for _, sed := range r.seds {
-			total += sed.node.Power()
-		}
-		r.res.Series = append(r.res.Series, Point{T: now.Seconds(), W: total})
-		// Keep sampling while work remains.
-		if r.resolved() < r.submitted() {
-			r.scheduleSample(period)
-		}
-	})
+func (r *Runner) onSample(now float64) {
+	total := 0.0
+	for _, sed := range r.seds {
+		total += sed.node.Power()
+	}
+	r.res.Series = append(r.res.Series, Point{T: now, W: total})
+	// Keep sampling while work remains.
+	if r.resolved() < r.submitted() {
+		r.after(r.cfg.SampleEvery, event{kind: evSample})
+	}
 }
 
 func (r *Runner) finalize() {

@@ -9,7 +9,6 @@ import (
 	"greensched/internal/cluster"
 	"greensched/internal/power"
 	"greensched/internal/sched"
-	"greensched/internal/simtime"
 	"greensched/internal/sla"
 	"greensched/internal/workload"
 )
@@ -32,7 +31,7 @@ func sortDrainWait(s *sedState, now float64) float64 {
 	}
 	avail := make([]float64, 0, s.slots)
 	for _, rt := range s.running {
-		avail = append(avail, rt.finish.At.Seconds())
+		avail = append(avail, rt.finishAt)
 	}
 	for len(avail) < s.slots {
 		avail = append(avail, now)
@@ -55,7 +54,7 @@ func sortDrainWait(s *sedState, now float64) float64 {
 
 // waitSED builds a SED with nrun running tasks (finish times drawn
 // from rng) and nq queued tasks, at virtual time now.
-func waitSED(t *testing.T, eng *simtime.Engine, rng *rand.Rand, slots, nrun, nq int, now float64) *sedState {
+func waitSED(t *testing.T, rng *rand.Rand, slots, nrun, nq int, now float64) *sedState {
 	t.Helper()
 	spec := smallPlatform().Nodes[0]
 	sed := &sedState{
@@ -68,8 +67,7 @@ func waitSED(t *testing.T, eng *simtime.Engine, rng *rand.Rand, slots, nrun, nq 
 		if err := sed.node.StartTask(now); err != nil {
 			t.Fatal(err)
 		}
-		rt := &runningTask{start: now}
-		rt.finish = eng.At(simtime.Time(now+1+rng.Float64()*500), "finish", func(simtime.Time) {})
+		rt := &runningTask{start: now, finishAt: now + 1 + rng.Float64()*500}
 		sed.running[i] = rt
 		sed.bumpWait()
 	}
@@ -85,7 +83,6 @@ func waitSED(t *testing.T, eng *simtime.Engine, rng *rand.Rand, slots, nrun, nq 
 func TestWaitEstimateMatchesSortDrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
-		eng := simtime.NewEngine()
 		now := rng.Float64() * 100
 		slots := 1 + rng.Intn(8)
 		// nrun < slots with a backlog exercises the now-padded branch
@@ -93,7 +90,7 @@ func TestWaitEstimateMatchesSortDrain(t *testing.T) {
 		// cached branch.
 		nrun := rng.Intn(slots + 1)
 		nq := rng.Intn(12)
-		sed := waitSED(t, eng, rng, slots, nrun, nq, now)
+		sed := waitSED(t, rng, slots, nrun, nq, now)
 		for probe := 0; probe < 3; probe++ {
 			got := sed.waitEstimate(now)
 			want := sortDrainWait(sed, now)
@@ -116,8 +113,7 @@ func TestWaitEstimateMatchesSortDrain(t *testing.T) {
 // after mutations — allocate nothing once the scratch heap has grown.
 func TestWaitEstimateZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	eng := simtime.NewEngine()
-	sed := waitSED(t, eng, rng, 4, 4, 10, 0)
+	sed := waitSED(t, rng, 4, 4, 10, 0)
 	sed.waitEstimate(0) // warm the scratch buffer
 	now := 0.0
 	allocs := testing.AllocsPerRun(100, func() {
@@ -268,9 +264,8 @@ func TestDisciplineHeapMatchesScan(t *testing.T) {
 	for _, order := range testOrders[1:] {
 		for _, stray := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(3))
-			eng := simtime.NewEngine()
 			r := &Runner{}
-			sed := waitSED(t, eng, rng, 4, 4, 0, 0)
+			sed := waitSED(t, rng, 4, 4, 0, 0)
 			sed.order = order
 			id := 0
 			for step := 0; step < 2000; step++ {
@@ -368,12 +363,15 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 		// sides.
 		wasDrained := make([]bool, len(r.seds))
 		mutVer := make([]uint64, len(r.seds))
-		var clock simtime.Time
+		var clock float64
 		fire := func() {
 			for i, s := range r.seds {
 				wasDrained[i], mutVer[i] = s.drained(), s.mutVer
 			}
-			clock, _ = r.eng.Step()
+			if r.live() {
+				r.step()
+			}
+			clock = r.q.Now()
 			for i, s := range r.seds {
 				if s.order != nil && wasDrained[i] && s.drained() && s.mutVer == mutVer[i]+3 {
 					discKeeps++
@@ -389,7 +387,7 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 			}
 		}
 		for step := 0; step < 400; step++ {
-			now := clock.Seconds()
+			now := clock
 			sed := r.seds[rng.Intn(len(r.seds))]
 			var op string
 			switch k := rng.Intn(20); {
@@ -467,7 +465,7 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 					r.cfg.ExecJitter = 0.2
 				}
 			}
-			now = clock.Seconds()
+			now = clock
 			probe := r.taskView(tieHeavyTask(rng, nextID, now, 2e11))
 			for _, s := range r.seds {
 				checkDiscipline(t, r, s, probe)

@@ -1,162 +1,117 @@
-// Package simtime provides a deterministic virtual clock and a
-// discrete-event scheduler used by the simulation experiments.
-//
-// All simulated experiments in this repository run on virtual time so
-// that results are exactly reproducible: an event at t=2,336 s costs
-// nothing to reach. The live middleware (package middleware) runs on a
-// real clock of its own and does not use this package.
+// Package simtime is the deterministic event queue under the
+// simulation experiments: a slice-backed binary min-heap of value
+// events on virtual time. An event is a time, a class, a scheduling
+// sequence number and a caller-defined payload the caller dispatches
+// on, so scheduling one allocates nothing once the heap has grown.
+// The live middleware runs on a real clock and does not use it.
 package simtime
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in virtual time, expressed as seconds since the
-// start of the simulation. float64 seconds keep the arithmetic in the
-// same units the paper uses (seconds, watts, joules).
+// start of the simulation.
 type Time float64
 
-// Duration is a span of virtual time in seconds.
-type Duration = float64
+func (t Time) String() string { return fmt.Sprintf("t+%.1fs", float64(t)) }
 
-// Common conversions.
-func (t Time) Seconds() float64    { return float64(t) }
-func (t Time) Add(d Duration) Time { return t + Time(d) }
-func (t Time) String() string      { return fmt.Sprintf("t+%.1fs", float64(t)) }
-
-// Event is a scheduled callback. Events with equal times fire in the
-// order they were scheduled (FIFO), which keeps simulations
-// deterministic without relying on map iteration or heap tie-breaks.
-// Front events (AtFront) form a separate class that fires before all
-// normal events sharing the same time, regardless of scheduling order.
-type Event struct {
-	At   Time
-	Name string // for tracing/tests; optional
-	Fn   func(now Time)
-
-	class uint8 // 0 = front, 1 = normal
-	seq   uint64
-	index int // heap index; -1 once popped or cancelled
+// Queue is a min-heap of events carrying payloads of type T. Events
+// pop in (time, class, seq) order: earlier time first; at equal times
+// the front class (PushFront) before normal events (Push), however
+// early those were scheduled; within a class, in scheduling order
+// (FIFO). The zero value is ready to use. Queue is not safe for
+// concurrent use; simulations are single-goroutine by design.
+type Queue[T any] struct {
+	recs []record[T]
+	seq  uint64
+	now  float64
 }
 
-type eventHeap []*Event
+// record is one scheduled event. key packs the class (top bit, 0 =
+// front) above the sequence number: one comparison orders both.
+type record[T any] struct {
+	at  float64
+	key uint64
+	val T
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
+const normalClass = 1 << 63
+
+func (a *record[T]) before(b *record[T]) bool {
+	return a.at < b.at || a.at == b.at && a.key < b.key
+}
+
+// Push schedules v at virtual time at (seconds) in the normal class.
+// Scheduling before Now panics: it is always a simulation bug.
+func (q *Queue[T]) Push(at float64, v T) { q.push(at, normalClass, v) }
+
+// PushFront schedules v at time at in the front class, which pops
+// before every normal event at that time (the sim's arrival cursor).
+func (q *Queue[T]) PushFront(at float64, v T) { q.push(at, 0, v) }
+
+func (q *Queue[T]) push(at float64, class uint64, v T) {
+	if at < q.now {
+		panic(fmt.Sprintf("simtime: scheduling at %v before now %v", Time(at), Time(q.now)))
 	}
-	if h[i].class != h[j].class {
-		return h[i].class < h[j].class
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+	q.recs = append(q.recs, record[T]{at: at, key: class | q.seq, val: v})
+	q.seq++
+	q.up(len(q.recs) - 1)
 }
 
-// Engine is a discrete-event simulation driver. The zero value is
-// ready to use. Engine is not safe for concurrent use; simulations are
-// single-goroutine by design (determinism).
-type Engine struct {
-	now     Time
-	queue   eventHeap
-	nextSeq uint64
+// Len returns the number of scheduled events.
+func (q *Queue[T]) Len() int { return len(q.recs) }
+
+// Now returns the time of the last popped event (0 before the first).
+func (q *Queue[T]) Now() float64 { return q.now }
+
+// Peek returns the earliest event's payload; the queue must not be empty.
+func (q *Queue[T]) Peek() T { return q.recs[0].val }
+
+// Pop removes the earliest event, advances Now to its time and returns
+// both. The queue must not be empty.
+func (q *Queue[T]) Pop() (float64, T) {
+	top := q.recs[0]
+	last := len(q.recs) - 1
+	// Floyd's deletion: walk the root's hole down to a leaf, promoting
+	// the earlier child, then settle the last record into it from below.
+	i := 0
+	for c := 1; c < last; c = 2*i + 1 {
+		if c+1 < last && q.recs[c+1].before(&q.recs[c]) {
+			c++
+		}
+		q.recs[i] = q.recs[c]
+		i = c
+	}
+	q.recs[i] = q.recs[last]
+	q.up(i)
+	q.recs[last] = record[T]{} // drop the payload's references
+	q.recs = q.recs[:last]
+	q.now = top.at
+	return top.at, top.val
 }
+
+func (q *Queue[T]) up(i int) {
+	for p := (i - 1) / 2; i > 0 && q.recs[i].before(&q.recs[p]); i, p = p, (p-1)/2 {
+		q.recs[i], q.recs[p] = q.recs[p], q.recs[i]
+	}
+}
+
+// Engine fires callbacks scheduled on a Queue: the adapter through
+// which the benchmark's simtime.event_ns probe times the kernel's heap.
+type Engine struct{ q Queue[func(Time)] }
 
 // NewEngine returns an engine starting at t=0.
 func NewEngine() *Engine { return &Engine{} }
 
-// At schedules fn to run at absolute time t. Scheduling in the past
-// (before Now) panics: it is always a simulation bug.
-func (e *Engine) At(t Time, name string, fn func(now Time)) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("simtime: scheduling %q at %v before now %v", name, t, e.now))
-	}
-	ev := &Event{At: t, Name: name, Fn: fn, class: 1, seq: e.nextSeq}
-	e.nextSeq++
-	heap.Push(&e.queue, ev)
-	return ev
-}
-
-// AtFront schedules fn at absolute time t in the front class: among
-// events sharing the same virtual time it fires before every normal
-// event, no matter when either was scheduled. The sim kernel's arrival
-// cursor uses it so that tasks submitted at an instant are elected
-// before every runtime event at that instant (crashes, retries and
-// finishes), even those scheduled long before the cursor re-armed.
-// Front events scheduled for the same time keep FIFO order among
-// themselves.
-func (e *Engine) AtFront(t Time, name string, fn func(now Time)) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("simtime: scheduling %q at %v before now %v", name, t, e.now))
-	}
-	ev := &Event{At: t, Name: name, Fn: fn, class: 0, seq: e.nextSeq}
-	e.nextSeq++
-	heap.Push(&e.queue, ev)
-	return ev
-}
-
-// After schedules fn to run d seconds from now.
-func (e *Engine) After(d Duration, name string, fn func(now Time)) *Event {
-	return e.At(e.now.Add(d), name, fn)
-}
-
-// Cancel removes a scheduled event. Cancelling a fired or already
-// cancelled event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 {
-		return
-	}
-	heap.Remove(&e.queue, ev.index)
-	ev.index = -1
-}
+// At schedules fn to run at time t; the name is unused.
+func (e *Engine) At(t Time, _ string, fn func(now Time)) { e.q.Push(float64(t), fn) }
 
 // Step fires the earliest event and returns its time. It reports
 // false when the queue is empty.
 func (e *Engine) Step() (Time, bool) {
-	if len(e.queue) == 0 {
-		return e.now, false
+	if e.q.Len() == 0 {
+		return Time(e.q.Now()), false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
-	if ev.At < e.now {
-		panic("simtime: heap produced an event from the past")
-	}
-	e.now = ev.At
-	ev.Fn(e.now)
-	return e.now, true
-}
-
-// Run fires events until the queue drains or the event budget is
-// exhausted. A zero or negative budget means "no budget limit". It
-// returns the number of events fired by this call and an error if the
-// budget was hit (a runaway-simulation guard, not a normal outcome).
-func (e *Engine) Run(budget uint64) (fired uint64, err error) {
-	for _, ok := e.Step(); ok; _, ok = e.Step() {
-		fired++
-		if budget > 0 && fired >= budget {
-			if len(e.queue) > 0 {
-				return fired, fmt.Errorf("simtime: event budget %d exhausted at %v with %d events pending", budget, e.now, len(e.queue))
-			}
-			return fired, nil
-		}
-	}
-	return fired, nil
+	at, fn := e.q.Pop()
+	fn(Time(at))
+	return Time(at), true
 }

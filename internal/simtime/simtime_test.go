@@ -1,248 +1,214 @@
 package simtime
 
 import (
-	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// drain pops every event and returns the payloads in pop order.
+func drain[T any](q *Queue[T]) []T {
+	var out []T
+	for q.Len() > 0 {
+		_, v := q.Pop()
+		out = append(out, v)
+	}
+	return out
+}
+
 func TestEngineStartsAtZero(t *testing.T) {
 	e := NewEngine()
-	if e.now != 0 {
-		t.Fatalf("new engine now = %v, want 0", e.now)
+	if now, ok := e.Step(); ok || now != 0 {
+		t.Fatalf("empty engine stepped to %v (fired %v), want t=0 and nothing fired", now, ok)
 	}
-	if len(e.queue) != 0 {
-		t.Fatalf("new engine has %d pending events, want 0", len(e.queue))
+	var got Time
+	e.At(4, "x", func(now Time) { got = now })
+	if now, ok := e.Step(); !ok || now != 4 || got != 4 {
+		t.Fatalf("step = (%v, %v), callback saw %v; want the event at 4", now, ok, got)
 	}
 }
 
 func TestEventsFireInTimeOrder(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	record := func(now Time) { got = append(got, now) }
-	e.At(5, "c", record)
-	e.At(1, "a", record)
-	e.At(3, "b", record)
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
+	var q Queue[string]
+	q.Push(5, "c")
+	q.Push(1, "a")
+	q.Push(3, "b")
+	var got []float64
+	for q.Len() > 0 {
+		at, _ := q.Pop()
+		got = append(got, at)
+		if q.Now() != at {
+			t.Fatalf("Now = %v after popping the event at %v", q.Now(), at)
+		}
 	}
-	want := []Time{1, 3, 5}
+	want := []float64{1, 3, 5}
 	if len(got) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(got), len(want))
+		t.Fatalf("popped %d events, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("event %d fired at %v, want %v", i, got[i], want[i])
+			t.Errorf("event %d popped at %v, want %v", i, got[i], want[i])
 		}
-	}
-	if e.now != 5 {
-		t.Errorf("now after run = %v, want 5", e.now)
 	}
 }
 
 func TestEqualTimesFireFIFO(t *testing.T) {
-	e := NewEngine()
-	var order []int
+	var q Queue[int]
 	for i := 0; i < 10; i++ {
-		i := i
-		e.At(7, "tie", func(Time) { order = append(order, i) })
+		q.Push(7, i)
 	}
-	e.Run(0)
-	for i, v := range order {
+	for i, v := range drain(&q) {
 		if v != i {
-			t.Fatalf("tie-broken order = %v, want ascending schedule order", order)
+			t.Fatalf("tie %d popped payload %d, want ascending schedule order", i, v)
 		}
-	}
-}
-
-func TestAfterSchedulesRelative(t *testing.T) {
-	e := NewEngine()
-	var at Time
-	e.At(10, "first", func(now Time) {
-		e.After(5, "second", func(now Time) { at = now })
-	})
-	e.Run(0)
-	if at != 15 {
-		t.Fatalf("relative event fired at %v, want 15", at)
 	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(10, "x", func(Time) {})
-	e.Run(0)
+	var q Queue[int]
+	q.Push(10, 0)
+	q.Pop()
+	q.Push(10, 1) // at now: allowed
 	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling in the past did not panic")
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "t+5.0s before now t+10.0s") {
+			t.Fatalf("scheduling in the past: recovered %q, want a panic naming both times", msg)
 		}
 	}()
-	e.At(5, "past", func(Time) {})
-}
-
-func TestCancelPreventsFiring(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.At(3, "x", func(Time) { fired = true })
-	e.Cancel(ev)
-	e.Run(0)
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if ev.index != -1 {
-		t.Fatalf("cancelled event keeps heap index %d", ev.index)
-	}
-	// Double-cancel and cancel-nil must be no-ops.
-	e.Cancel(ev)
-	e.Cancel(nil)
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	e := NewEngine()
-	var got []string
-	a := e.At(1, "a", func(Time) { got = append(got, "a") })
-	e.At(2, "b", func(Time) { got = append(got, "b") })
-	c := e.At(3, "c", func(Time) { got = append(got, "c") })
-	e.Cancel(a)
-	e.Cancel(c)
-	e.Run(0)
-	if len(got) != 1 || got[0] != "b" {
-		t.Fatalf("got %v, want [b]", got)
-	}
-}
-
-func TestRunBudget(t *testing.T) {
-	e := NewEngine()
-	// A self-perpetuating event chain that never terminates.
-	var loop func(now Time)
-	loop = func(now Time) { e.After(1, "loop", loop) }
-	e.After(1, "loop", loop)
-	fired, err := e.Run(100)
-	if err == nil {
-		t.Fatal("expected budget-exhausted error")
-	}
-	if fired != 100 {
-		t.Fatalf("fired = %d, want 100", fired)
-	}
+	q.Push(5, 2)
 }
 
 func TestTimeHelpers(t *testing.T) {
-	if got := Time(5).Add(2.5); got != 7.5 {
-		t.Fatalf("Add = %v, want 7.5", got)
-	}
 	if s := Time(1.25).String(); s != "t+1.2s" {
 		t.Fatalf("String() = %q", s)
 	}
 }
 
-// Property: for any random set of event times, the engine fires them in
+// Property: for any random set of event times, the queue pops them in
 // non-decreasing time order and ends with its clock at the max.
 func TestPropertyEventOrdering(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
 			return true
 		}
-		e := NewEngine()
-		var fired []Time
-		for _, r := range raw {
-			at := Time(r)
-			e.At(at, "p", func(now Time) { fired = append(fired, now) })
+		var q Queue[int]
+		for i, r := range raw {
+			q.Push(float64(r), i)
 		}
-		e.Run(0)
-		if len(fired) != len(raw) {
+		var popped []float64
+		for q.Len() > 0 {
+			at, _ := q.Pop()
+			popped = append(popped, at)
+		}
+		if len(popped) != len(raw) || !sort.Float64sAreSorted(popped) {
 			return false
 		}
-		if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
-			return false
-		}
-		max := fired[len(fired)-1]
-		return e.now == max
+		return q.Now() == popped[len(popped)-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: cancelling a random subset never affects the relative order
-// of survivors.
-func TestPropertyCancelSubset(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		e := NewEngine()
-		n := 50
-		type rec struct {
-			ev   *Event
-			at   Time
-			keep bool
-		}
-		recs := make([]*rec, n)
-		var fired []Time
-		for i := 0; i < n; i++ {
-			at := Time(rng.Intn(100))
-			r := &rec{at: at, keep: rng.Intn(2) == 0}
-			r.ev = e.At(at, "p", func(now Time) { fired = append(fired, now) })
-			recs[i] = r
-		}
-		want := 0
-		for _, r := range recs {
-			if !r.keep {
-				e.Cancel(r.ev)
-			} else {
-				want++
+// Property: on any interleaving of pushes (front or normal, at or
+// after now) and pops, the queue pops exactly what a stable sort by
+// (time, class) of the scheduled events would: ties keep scheduling
+// order.
+func TestPropertyPopOrderMatchesStableSort(t *testing.T) {
+	type ev struct {
+		at    float64
+		front bool
+		seq   int
+	}
+	f := func(ops []uint16) bool {
+		var q Queue[ev]
+		var pending []ev
+		seq := 0
+		for _, op := range ops {
+			if op%4 == 0 && q.Len() > 0 {
+				_, got := q.Pop()
+				sort.SliceStable(pending, func(i, j int) bool {
+					a, b := pending[i], pending[j]
+					if a.at != b.at {
+						return a.at < b.at
+					}
+					return a.front && !b.front
+				})
+				if got != pending[0] {
+					return false
+				}
+				pending = pending[1:]
+				continue
 			}
+			e := ev{at: q.Now() + float64(op%8), front: op%3 == 0, seq: seq}
+			seq++
+			if e.front {
+				q.PushFront(e.at, e)
+			} else {
+				q.Push(e.at, e)
+			}
+			pending = append(pending, e)
 		}
-		e.Run(0)
-		if len(fired) != want {
-			t.Fatalf("trial %d: fired %d, want %d", trial, len(fired), want)
-		}
-		if !sort.SliceIsSorted(fired, func(i, j int) bool { return fired[i] < fired[j] }) {
-			t.Fatalf("trial %d: fired out of order: %v", trial, fired)
-		}
+		return q.Len() == len(pending)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func BenchmarkEngineScheduleAndRun(b *testing.B) {
+func BenchmarkQueuePushPop(b *testing.B) {
+	var q Queue[int]
+	for j := 0; j < 128; j++ {
+		q.Push(float64(j), j)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 1000; j++ {
-			e.At(Time(j%97), "b", func(Time) {})
-		}
-		e.Run(0)
+		q.Push(q.Now()+128, i)
+		q.Pop()
 	}
 }
 
 func TestAtFrontFiresBeforeNormalEventsAtSameTime(t *testing.T) {
-	e := NewEngine()
-	var order []string
+	var q Queue[string]
 	// Normal events scheduled first (lower seq) would normally win the
-	// tie; the front event must still fire ahead of them.
-	e.At(5, "normal-early", func(Time) { order = append(order, "normal-early") })
-	e.At(5, "normal-late", func(Time) { order = append(order, "normal-late") })
-	e.AtFront(5, "front-b", func(Time) { order = append(order, "front-b") })
-	e.AtFront(5, "front-a", func(Time) { order = append(order, "front-a") })
-	e.At(3, "before", func(Time) { order = append(order, "before") })
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
+	// tie; the front events must still pop ahead of them.
+	q.Push(5, "normal-early")
+	q.Push(5, "normal-late")
+	q.PushFront(5, "front-b")
+	q.PushFront(5, "front-a")
+	q.Push(3, "before")
+	got := drain(&q)
 	want := []string{"before", "front-b", "front-a", "normal-early", "normal-late"}
-	if len(order) != len(want) {
-		t.Fatalf("fired %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("fired %v, want %v", order, want)
-		}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("popped %v, want %v", got, want)
 	}
 }
 
 func TestAtFrontPastPanics(t *testing.T) {
-	e := NewEngine()
-	e.At(10, "x", func(Time) {})
-	e.Run(0)
+	var q Queue[int]
+	q.Push(10, 0)
+	q.Pop()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic scheduling a front event in the past")
 		}
 	}()
-	e.AtFront(5, "late", func(Time) {})
+	q.PushFront(5, 1)
+}
+
+// TestQueueZeroAlloc: once the heap has grown, a push and a pop
+// allocate nothing.
+func TestQueueZeroAlloc(t *testing.T) {
+	var q Queue[[3]int32]
+	for j := 0; j < 64; j++ {
+		q.Push(float64(j), [3]int32{})
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		q.Push(q.Now()+64, [3]int32{1, 2, 3})
+		q.Pop()
+	}); allocs != 0 {
+		t.Fatalf("push+pop allocated %.1f times, want 0", allocs)
+	}
 }
