@@ -28,9 +28,13 @@
 //	                        machinery, preemption, power controllers and
 //	                        budget tracking all mount as stackable
 //	                        modules. The run loop is an event-heap kernel
-//	                        (time-ordered event queue + arrival cursor,
-//	                        preallocated task arenas, zero-alloc election
-//	                        inner loop)
+//	                        (time-ordered event queue + an arrival cursor
+//	                        indexing the caller's trace in place, recycled
+//	                        task arenas, zero-alloc election inner loop)
+//	                        whose memory does not grow with the trace:
+//	                        wattmeters forget what no running task can
+//	                        read, and per-task records are kept only when
+//	                        a sim.RecordModule is stacked
 //	internal/journal        crash-safety layer under the live path: an
 //	                        append-only, checksummed, fsync-controlled
 //	                        write-ahead log of request lifecycles

@@ -60,6 +60,7 @@ func main() {
 		Modules: []sim.Module{
 			&sim.SLAModule{Config: &sla.Config{Catalog: sla.Catalog{"hard": {Name: "hard", Curve: sla.HardDrop{}}}}},
 			&sim.PreemptModule{Preemption: &sla.Preemption{RestartPenaltyFrac: 0.25}},
+			&sim.RecordModule{}, // the per-task lines below read Result.Records
 		},
 	})
 	if err != nil {

@@ -32,7 +32,7 @@ func TestModuleChargesExactEnergyShares(t *testing.T) {
 		budgetTasks(t, 20),
 		sim.WithSeed(3),
 		sim.WithExplore(),
-		sim.WithModules(&Module{Tracker: tracker}),
+		sim.WithModules(&Module{Tracker: tracker}, &sim.RecordModule{}),
 	))
 	if err != nil {
 		t.Fatal(err)

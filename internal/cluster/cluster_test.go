@@ -308,7 +308,7 @@ func TestNodeCrashKillsTasks(t *testing.T) {
 func TestNodeMeterSeesTransitions(t *testing.T) {
 	spec, _ := Spec("taurus")
 	spec.Name = "t0"
-	meter := power.NewWattmeter(0, 1)
+	meter := power.NewWattmeter(1)
 	n := NewNode(spec, 0, meter)
 	n.StartTask(10)
 	n.FinishTask(20)

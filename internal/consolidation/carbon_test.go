@@ -218,6 +218,7 @@ func TestCarbonControllerEndToEnd(t *testing.T) {
 		Modules: []sim.Module{
 			&sim.CarbonModule{Profile: profile},
 			&Module{Controller: c},
+			&sim.RecordModule{},
 		},
 		ControlEvery: 300,
 		RetryEvery:   60,

@@ -116,11 +116,14 @@ type variant struct {
 	tracker *budget.Tracker
 }
 
-// runVariants runs each configuration in order.
+// runVariants runs each configuration in order, with a RecordModule
+// stacked last so the per-task figures above have records to read.
 func runVariants(study string, variants ...variant) (Runs, error) {
 	runs := make(Runs, 0, len(variants))
 	for _, v := range variants {
-		res, err := sim.Run(v.cfg)
+		cfg := v.cfg
+		cfg.Modules = append(cfg.Modules[:len(cfg.Modules):len(cfg.Modules)], &sim.RecordModule{})
+		res, err := sim.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s %s: %w", study, v.name, err)
 		}

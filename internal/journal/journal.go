@@ -193,10 +193,13 @@ type Journal struct {
 
 	seq    uint64
 	segLen int64
-	// retryAt is nonzero while rotation is failing: the segment length
-	// past which the next attempt runs, one full limit beyond the
-	// length the last attempt failed at.
-	retryAt int64
+	// retryAt, when nonzero, is the segment length past which the next
+	// rotation runs: one full limit beyond the length the last attempt
+	// failed at, or twice what the last compaction left when that was
+	// over half the limit. rotateFailing marks a failure streak.
+	retryAt       int64
+	rotateFailing bool
+
 	pending map[uint64]*Entry
 	settled []Entry // folded from disk at Open; consumed by Replay
 	maxID   uint64
@@ -578,7 +581,16 @@ func (j *Journal) maybeRotate() error {
 	j.f = nf
 	j.segLen = size
 	j.rotations++
+	// A compaction that leaves the segment over half the limit could not
+	// shrink it much: the in-flight entries alone nearly fill it. The
+	// next one waits until the segment has grown by what this one kept,
+	// so compactions rewrite a bounded share of the bytes appended
+	// instead of the whole in-flight set on every append.
 	j.retryAt = 0
+	if 2*size > j.segLimit {
+		j.retryAt = 2 * size
+	}
+	j.rotateFailing = false
 	return nil
 }
 
@@ -587,7 +599,8 @@ func (j *Journal) maybeRotate() error {
 // per limit's worth of appends, not on every one — and warns once per
 // failure streak. It returns nil: appends go on on the old segment.
 func (j *Journal) rotateFailed(err error) error {
-	if j.retryAt == 0 {
+	if !j.rotateFailing {
+		j.rotateFailing = true
 		j.warn("journal: rotate %s: %v (retrying every %d bytes appended until it succeeds)", j.path, err, j.segLimit)
 	}
 	j.retryAt = j.segLen + j.segLimit

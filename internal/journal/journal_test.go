@@ -640,6 +640,64 @@ func TestRotationFailureBacksOff(t *testing.T) {
 	}
 }
 
+// TestRotationBacksOffWhenInFlightFillsSegment: when the in-flight
+// entries alone are larger than the segment limit, no compaction can
+// bring the segment under it. Rotation then waits for the segment to
+// double past what the last compaction kept, so 40 unsettled
+// admissions under a 256-byte limit rotate a handful of times and
+// write a small multiple of the log, not the whole pending set on
+// every append. Recovery still folds every admission.
+func TestRotationBacksOffWhenInFlightFillsSegment(t *testing.T) {
+	const n = 40
+	write := func(limit int64) (*Journal, string) {
+		path := filepath.Join(t.TempDir(), "j.wal")
+		j, err := Open(path, Options{NoSync: true, segmentBytes: limit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := uint64(1); id <= n; id++ {
+			if err := j.Admit(admit(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return j, path
+	}
+	// The log itself: the same admissions with rotation off.
+	plain, _ := write(-1)
+	logBytes := plain.Stats().BytesTotal
+	plain.Close()
+
+	j, path := write(256)
+	st := j.Stats()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d rotations, %d bytes written for a %d-byte log", st.Rotations, st.BytesTotal, logBytes)
+	if st.Rotations == 0 || st.Rotations > 8 {
+		t.Errorf("%d rotations, want between 1 and 8", st.Rotations)
+	}
+	if st.BytesTotal > 3*logBytes {
+		t.Errorf("wrote %d bytes for a %d-byte log, want at most 3x", st.BytesTotal, logBytes)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rec, err := Recover(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Entries) != n || rec.Truncated {
+		t.Fatalf("recovered %d entries (truncated %v), want all %d", len(rec.Entries), rec.Truncated, n)
+	}
+	for i, e := range rec.Entries {
+		if e.Admit.ID != uint64(i+1) {
+			t.Fatalf("entry %d is id %d, want every admission in order", i, e.Admit.ID)
+		}
+	}
+}
+
 // TestFailedRotationKeepsSequence: a compaction that fails part-way —
 // here every write of the compacted segment fails — leaves the
 // journal's sequence as if it never ran, so the records appended after

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -115,7 +116,7 @@ func TestPropertyAccumulatorSplitInvariance(t *testing.T) {
 }
 
 func TestWattmeterSamplesAtPeriod(t *testing.T) {
-	m := NewWattmeter(0, 1)
+	m := NewWattmeter(1)
 	m.Observe(0, 10, 150)
 	// Grid points 0..9 inclusive of 0? First point: ceil(0/1)*1 = 0.
 	if len(m.samples) != 10 {
@@ -129,7 +130,7 @@ func TestWattmeterSamplesAtPeriod(t *testing.T) {
 }
 
 func TestWattmeterSplitObservationsNoDuplicates(t *testing.T) {
-	m := NewWattmeter(0, 1)
+	m := NewWattmeter(1)
 	m.Observe(0, 3.5, 100)
 	m.Observe(3.5, 7, 200)
 	if len(m.samples) != 7 {
@@ -144,7 +145,7 @@ func TestWattmeterSplitObservationsNoDuplicates(t *testing.T) {
 }
 
 func TestWattmeterMeanWindow(t *testing.T) {
-	m := NewWattmeter(0, 1)
+	m := NewWattmeter(1)
 	m.Observe(0, 5, 100)
 	m.Observe(5, 10, 300)
 	mean, n := m.MeanWindow(0, 9.5)
@@ -166,21 +167,83 @@ func TestWattmeterMeanWindow(t *testing.T) {
 	}
 }
 
-func TestWattmeterRingEviction(t *testing.T) {
-	m := NewWattmeter(10, 1)
-	m.Observe(0, 100, 50)
-	if len(m.samples) > 10 {
-		t.Fatalf("ring exceeded capacity: %d", len(m.samples))
+// TestWattmeterForgetIsExact drives a forgetting meter and a twin that
+// never forgets through the same random interleaving of Observe,
+// Forget and MeanWindow calls, with and without noise: every window
+// that starts at or after the last cut-off reads the same (mean, n),
+// bit for bit, and the forgetting meter retains no sample before it.
+func TestWattmeterForgetIsExact(t *testing.T) {
+	for trial := int64(0); trial < 200; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		m, twin := NewWattmeter(trial), NewWattmeter(trial)
+		if trial%2 == 1 {
+			m.NoiseW, twin.NoiseW = 5, 5
+		}
+		now, cut := 0.0, 0.0
+		for op := 0; op < 400; op++ {
+			switch k := rng.Intn(10); {
+			case k < 5:
+				// Fractional intervals, some shorter than the period.
+				next := now + rng.Float64()*rng.Float64()*20
+				w := Watts(50 + rng.Intn(200))
+				m.Observe(now, next, w)
+				twin.Observe(now, next, w)
+				now = next
+			case k < 7:
+				// A cut-off anywhere up to now, never moving back; half
+				// of them on the sampling grid.
+				c := cut + rng.Float64()*(now-cut)
+				if rng.Intn(2) == 0 {
+					c = math.Floor(c)
+				}
+				if c > cut {
+					cut = c
+				}
+				m.Forget(cut)
+			default:
+				// A third of the windows start right at the cut-off.
+				from := cut
+				if rng.Intn(3) > 0 {
+					from += rng.Float64() * (now - cut + 2)
+				}
+				to := from + rng.Float64()*(now-from+2)
+				gotW, gotN := m.MeanWindow(from, to)
+				wantW, wantN := twin.MeanWindow(from, to)
+				if math.Float64bits(gotW) != math.Float64bits(wantW) || gotN != wantN {
+					t.Fatalf("trial %d op %d: window [%v, %v] after cut %v = (%v, %d), unforgetting meter (%v, %d)",
+						trial, op, from, to, cut, gotW, gotN, wantW, wantN)
+				}
+			}
+			if kept := m.samples[m.head:]; len(kept) > 0 && kept[0].T < cut {
+				t.Fatalf("trial %d op %d: retains a sample at %v before the cut-off %v", trial, op, kept[0].T, cut)
+			}
+		}
 	}
-	// The retained samples must be the newest ones.
-	last := m.samples[len(m.samples)-1]
-	if last.T != 99 {
-		t.Fatalf("newest retained sample T = %v, want 99", last.T)
+}
+
+// TestWattmeterForgetReusesArray: a meter that forgets behind itself
+// stops growing its backing array once it is twice the retained span.
+func TestWattmeterForgetReusesArray(t *testing.T) {
+	m := NewWattmeter(1)
+	for i := 0; i < 100; i++ {
+		m.Observe(float64(i*10), float64(i*10+10), 100)
+		m.Forget(float64(i*10 - 20))
+	}
+	grown := cap(m.samples)
+	for i := 100; i < 10_000; i++ {
+		m.Observe(float64(i*10), float64(i*10+10), 100)
+		m.Forget(float64(i*10 - 20))
+	}
+	if cap(m.samples) != grown {
+		t.Errorf("backing array grew from %d to %d samples for a 30-sample window", grown, cap(m.samples))
+	}
+	if w, n := m.MeanWindow(99_980, 100_000); n != 20 || w != 100 {
+		t.Errorf("latest window = (%v, %d), want (100, 20)", w, n)
 	}
 }
 
 func TestWattmeterNoiseBounded(t *testing.T) {
-	m := NewWattmeter(0, 7)
+	m := NewWattmeter(7)
 	m.NoiseW = 10
 	m.Observe(0, 500, 100)
 	for _, s := range m.samples {
@@ -195,7 +258,7 @@ func TestWattmeterNoiseBounded(t *testing.T) {
 }
 
 func TestWattmeterNegativeIntervalPanics(t *testing.T) {
-	m := NewWattmeter(0, 1)
+	m := NewWattmeter(1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("negative interval did not panic")
@@ -341,12 +404,16 @@ func TestEstimatorRecency(t *testing.T) {
 	}
 }
 
+// BenchmarkWattmeterObserve measures the steady state the simulator
+// runs a meter in: one sample per observed second, with everything
+// older than a 64-second window forgotten behind it.
 func BenchmarkWattmeterObserve(b *testing.B) {
-	m := NewWattmeter(8192, 1)
+	m := NewWattmeter(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		t := float64(i)
 		m.Observe(t, t+1, 150)
+		m.Forget(t - 64)
 	}
 }
 

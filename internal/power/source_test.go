@@ -11,14 +11,14 @@ import (
 // helpers the powerd sidecar plugs through.
 
 func TestWattmeterMeanWindowEmptyMeter(t *testing.T) {
-	m := NewWattmeter(0, 1)
+	m := NewWattmeter(1)
 	if w, n := m.MeanWindow(0, 100); w != 0 || n != 0 {
 		t.Errorf("empty meter MeanWindow = %v, %d; want 0, 0", w, n)
 	}
 }
 
 func TestWattmeterMeanWindowInverted(t *testing.T) {
-	m := NewWattmeter(0, 1)
+	m := NewWattmeter(1)
 	m.Observe(0, 5, 100)
 	if w, n := m.MeanWindow(4, 2); w != 0 || n != 0 {
 		t.Errorf("inverted window (to < from) = %v, %d; want 0, 0", w, n)
@@ -33,7 +33,7 @@ func TestWattmeterMeanWindowInverted(t *testing.T) {
 // starts before the grid's high-water mark must not emit duplicate or
 // time-reversed samples — the trace stays strictly increasing.
 func TestWattmeterOutOfOrderIntervals(t *testing.T) {
-	m := NewWattmeter(0, 1)
+	m := NewWattmeter(1)
 	m.Observe(0, 5, 100)
 	got := len(m.samples)
 	// Entirely within already-covered time: nothing new.

@@ -18,23 +18,31 @@ type Sample struct {
 // it records the power draw of one node at a fixed period (1 s in the
 // paper) and serves windowed queries over the trace.
 //
+// The meter keeps only the trace someone can still read: Forget drops
+// every sample before a cut-off, and the forgotten prefix is reused
+// for new samples, so a meter whose owner forgets behind its oldest
+// open window holds that window's samples and no more, however long
+// the run. A meter that is never told to forget keeps its whole trace.
+//
 // Faults: NoiseW adds uniform ±NoiseW jitter to every reading; it
 // defaults to zero (ideal meter).
 type Wattmeter struct {
-	Period     float64 // sampling period in seconds; 1.0 matches the paper
-	NoiseW     Watts   // uniform measurement noise amplitude
-	MaxSamples int     // ring capacity; 0 means unbounded
+	Period float64 // sampling period in seconds; 1.0 matches the paper
+	NoiseW Watts   // uniform measurement noise amplitude
 
-	rng     *rand.Rand
+	rng *rand.Rand
+	// samples[head:] is the retained trace, in increasing T; the
+	// samples before head are forgotten and their slots reused.
 	samples []Sample
+	head    int
 	lastT   float64
 	started bool
 }
 
-// NewWattmeter returns a 1 Hz ideal meter with the given ring capacity
-// (0 = unbounded) and deterministic fault source.
-func NewWattmeter(capacity int, seed int64) *Wattmeter {
-	return &Wattmeter{Period: 1, MaxSamples: capacity, rng: rand.New(rand.NewSource(seed))}
+// NewWattmeter returns a 1 Hz ideal meter with a deterministic fault
+// source.
+func NewWattmeter(seed int64) *Wattmeter {
+	return &Wattmeter{Period: 1, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Observe records the node's (piecewise-constant) draw w over the
@@ -74,31 +82,44 @@ func (m *Wattmeter) Observe(from, to float64, w Watts) {
 	}
 }
 
+// append adds one sample. Once the backing array is full and its
+// forgotten prefix is at least half of it, the retained samples move
+// to the front first, so a meter that forgets behind itself stops
+// allocating: each move copies at most half an array, once per half an
+// array of appends.
 func (m *Wattmeter) append(s Sample) {
+	if len(m.samples) == cap(m.samples) && m.head > 0 && 2*m.head >= len(m.samples) {
+		n := copy(m.samples, m.samples[m.head:])
+		m.samples = m.samples[:n]
+		m.head = 0
+	}
 	m.samples = append(m.samples, s)
-	if m.MaxSamples > 0 && len(m.samples) > m.MaxSamples {
-		// Drop the oldest half in one copy to amortize.
-		keep := m.MaxSamples / 2
-		if keep < 1 {
-			keep = 1
-		}
-		copy(m.samples, m.samples[len(m.samples)-keep:])
-		m.samples = m.samples[:keep]
+}
+
+// Forget drops every sample with T before the cut-off. Only a window
+// that starts before it reads differently afterwards: a MeanWindow
+// whose from is at or after the cut-off sums the same samples in the
+// same order as it would have without the call.
+func (m *Wattmeter) Forget(before float64) {
+	for m.head < len(m.samples) && m.samples[m.head].T < before {
+		m.head++
 	}
 }
 
 // MeanWindow returns the average draw over samples with T in
-// [from, to], and the number of samples that contributed. This is the
-// query the dynamic estimator issues: "energy consumed by this server
-// while computing past requests, divided by time".
+// [from, to], and the number of samples that contributed; samples
+// dropped by Forget do not count. This is the query the dynamic
+// estimator issues: "energy consumed by this server while computing
+// past requests, divided by time".
 func (m *Wattmeter) MeanWindow(from, to float64) (Watts, int) {
-	if len(m.samples) == 0 || to < from {
+	kept := m.samples[m.head:]
+	if len(kept) == 0 || to < from {
 		return 0, 0
 	}
-	lo := sort.Search(len(m.samples), func(i int) bool { return m.samples[i].T >= from })
+	lo := sort.Search(len(kept), func(i int) bool { return kept[i].T >= from })
 	sum, n := 0.0, 0
-	for i := lo; i < len(m.samples) && m.samples[i].T <= to; i++ {
-		sum += m.samples[i].W
+	for i := lo; i < len(kept) && kept[i].T <= to; i++ {
+		sum += kept[i].W
 		n++
 	}
 	if n == 0 {

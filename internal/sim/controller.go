@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"greensched/internal/power"
@@ -228,10 +229,11 @@ func (c *runnerControl) Preempt(name string, taskID int) error {
 	if sed == nil {
 		return fmt.Errorf("sim: Preempt on unknown node %q", name)
 	}
-	rt, ok := sed.running[taskID]
-	if !ok {
+	i := slices.IndexFunc(sed.running, func(rt *runningTask) bool { return rt.task.ID == taskID })
+	if i < 0 {
 		return fmt.Errorf("sim: Preempt of task %d not running on %s", taskID, name)
 	}
+	rt := sed.running[i]
 	if c.now <= rt.start {
 		return fmt.Errorf("sim: Preempt of task %d with zero progress on %s", taskID, name)
 	}

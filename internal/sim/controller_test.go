@@ -285,7 +285,7 @@ func (c *closedLoop) OnTick(now float64, ctl Control) {
 
 func TestFeederOnlyRun(t *testing.T) {
 	c := &closedLoop{total: 100}
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform:     smallPlatform(),
 		Policy:       sched.New(sched.Power),
 		Modules:      []Module{c},

@@ -34,6 +34,7 @@ func TestCancelledFinishNeverFires(t *testing.T) {
 		SlotsPerNode: 1,
 		Tasks:        []workload.Task{{ID: 1, Ops: ops}},
 		Crashes:      map[string]float64{fast.Name: 1},
+		Modules:      []Module{&RecordModule{}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 
 func TestOnFinishHookObservesEveryTask(t *testing.T) {
 	var seen []TaskRecord
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform: smallPlatform(),
 		Policy:   sched.New(sched.Power),
 		Tasks:    tasks(25, 1e11, 2),

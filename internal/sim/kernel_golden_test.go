@@ -26,7 +26,8 @@ import (
 )
 
 // The kernel's recorded oracle: each scenario's full sim.Result
-// (records, power series, rejections and ledger included) must encode
+// (records from a stacked RecordModule, power series, rejections and
+// ledger included) must encode
 // to JSON whose sha256 matches testdata/kernel.golden.json. The digests
 // were cut while a second, independent kernel (one arrival event per
 // task, sort-based wait estimates) still ran beside this one, byte-equal
@@ -364,12 +365,28 @@ func TestKernelGolden(t *testing.T) {
 	scenarios := kernelScenarios()
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			res, err := sim.Run(sc.build(t, &cov))
+			// The digest covers the per-task records, which the kernel
+			// keeps only for a stacked RecordModule.
+			cfg := sc.build(t, &cov)
+			cfg.Modules = append(cfg.Modules, &sim.RecordModule{})
+			res, err := sim.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if res.Completed == 0 {
 				t.Fatal("scenario completed nothing; its digest would pin nothing")
+			}
+			// MeanWait keeps a running sum instead of reading the
+			// records; it must be the records' mean, bit for bit.
+			waits := 0.0
+			for _, rec := range res.Records {
+				waits += rec.Wait()
+			}
+			if len(res.Records) != res.Completed {
+				t.Fatalf("%d records for %d completions", len(res.Records), res.Completed)
+			}
+			if mean := waits / float64(len(res.Records)); math.Float64bits(res.MeanWait()) != math.Float64bits(mean) {
+				t.Errorf("MeanWait %v, mean over the records %v", res.MeanWait(), mean)
 			}
 			data, err := json.Marshal(res)
 			if err != nil {

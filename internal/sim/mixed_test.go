@@ -20,7 +20,7 @@ func TestMixedSizeWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixed := workload.Merge(short, long)
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform: smallPlatform(),
 		Policy:   sched.New(sched.GreenPerf),
 		Tasks:    mixed,

@@ -97,7 +97,7 @@ func TestOnArrivalMutationReachesSLATerms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(NewScenario(smallPlatform(), batch, WithSeed(2), WithModules(mods...)))
+		res, err := runRecorded(NewScenario(smallPlatform(), batch, WithSeed(2), WithModules(mods...)))
 		if err != nil {
 			t.Fatal(err)
 		}

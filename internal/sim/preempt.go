@@ -108,7 +108,7 @@ func (r *Runner) pickVictim(now float64, sed *sedState, urgentExec float64) *run
 // queue.
 func (r *Runner) preempt(now float64, sed *sedState, rt *runningTask) {
 	sed.advanceBusy(now)
-	delete(sed.running, rt.task.ID)
+	sed.dropRunning(rt)
 	sed.bumpWait()
 	duringW := sed.node.Power()
 	if err := sed.node.FinishTask(now); err != nil {
@@ -130,6 +130,7 @@ func (r *Runner) preempt(now float64, sed *sedState, rt *runningTask) {
 			segG = carbon.Grams(*sed.site, segJ, rt.start, now)
 		}
 	}
+	sed.forgetMeter(now)
 	done := r.doneOps(now, rt)
 	p := pendingTask{
 		task:        rt.task,

@@ -28,7 +28,7 @@ func TestPreemptDisplacesBatchForUrgent(t *testing.T) {
 		{ID: 0, Ops: 9e12, Submit: 0},
 		{ID: 1, Ops: 9e10, Submit: 50, Deadline: 100, Value: 2, Class: "hard"},
 	}
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform:     cluster.MustPlatform(cluster.NewNodes("taurus", 1)),
 		Policy:       sched.New(sched.GreenPerf),
 		Tasks:        tasks,
@@ -106,7 +106,7 @@ func TestPreemptEnergyConservation(t *testing.T) {
 		Modules:      []Module{&SLAModule{Config: &sla.Config{Catalog: preemptCatalog()}}},
 	}
 	attributed := func(cfg Config) float64 {
-		res, err := Run(cfg)
+		res, err := runRecorded(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestPreemptRespectsVictimDeadline(t *testing.T) {
 		{ID: 0, Ops: 9e12, Submit: 0, Deadline: 1005, Value: 1, Class: "hard"},
 		{ID: 1, Ops: 9e10, Submit: 50, Deadline: 100, Value: 2, Class: "hard"},
 	}
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform:     cluster.MustPlatform(cluster.NewNodes("taurus", 1)),
 		Policy:       sched.New(sched.GreenPerf),
 		Tasks:        tasks,
@@ -184,7 +184,7 @@ func TestPreemptFullRestartPenalty(t *testing.T) {
 		{ID: 0, Ops: 9e12, Submit: 0},
 		{ID: 1, Ops: 9e10, Submit: 50, Deadline: 100, Value: 2, Class: "hard"},
 	}
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform:     cluster.MustPlatform(cluster.NewNodes("taurus", 1)),
 		Policy:       sched.New(sched.GreenPerf),
 		Tasks:        tasks,
@@ -224,7 +224,7 @@ func TestControlPreemptSurface(t *testing.T) {
 	}
 	preempted := false
 	var errs []string
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform:     cluster.MustPlatform(cluster.NewNodes("taurus", 1)),
 		Policy:       sched.New(sched.GreenPerf),
 		Tasks:        tasks,
@@ -458,7 +458,7 @@ func TestCrashCountsOnlyRunningTasks(t *testing.T) {
 		{ID: 0, Ops: 9e12, Submit: 0},
 		{ID: 1, Ops: 9e11, Submit: 1},
 	}
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform: cluster.MustPlatform(
 			cluster.NewNodes("taurus", 1),
 			cluster.NewNodes("sagittaire", 1),
@@ -501,7 +501,7 @@ func TestDeadlineBoundaryExactlyOnTime(t *testing.T) {
 	tasks := []workload.Task{
 		{ID: 0, Ops: 9e11, Submit: 0, Deadline: 100, Value: 3, Class: "hard"},
 	}
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform: cluster.MustPlatform(cluster.NewNodes("taurus", 1)),
 		Policy:   sched.New(sched.GreenPerf),
 		Tasks:    tasks,

@@ -17,9 +17,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"greensched/internal/carbon"
@@ -37,7 +39,11 @@ import (
 type Config struct {
 	Platform *cluster.Platform
 	Policy   sched.Policy
-	Tasks    []workload.Task
+	// Tasks is the trace. The kernel reads it in place for the whole
+	// run, in (Submit, slice) order, and never writes it: a run holds
+	// one index per task, not a copy, so the caller must not modify the
+	// slice until Run returns.
+	Tasks []workload.Task
 
 	// QueueFactor bounds per-SED backlog (see sched.Selector); 0
 	// means the default 1.0.
@@ -198,6 +204,9 @@ type Result struct {
 	PerNodeCO2G   map[string]float64
 	PerClusterCO2 map[string]float64
 
+	// Records lists every completed task in completion order. The
+	// kernel does not keep them: it stays nil unless a RecordModule is
+	// stacked.
 	Records []TaskRecord
 	Series  []Point
 
@@ -224,6 +233,10 @@ type Result struct {
 	// SLA is the revenue/penalty ledger summary; nil without an
 	// SLAModule.
 	SLA *sla.Summary
+
+	// waitSum adds up every completion's queueing delay in completion
+	// order, so MeanWait needs no records.
+	waitSum float64
 }
 
 // JoulesPerTask returns whole-platform energy per completed task.
@@ -245,14 +258,10 @@ func (r *Result) GramsPerTask() float64 {
 
 // MeanWait returns the average queueing delay across completed tasks.
 func (r *Result) MeanWait() float64 {
-	if len(r.Records) == 0 {
+	if r.Completed == 0 {
 		return 0
 	}
-	sum := 0.0
-	for _, rec := range r.Records {
-		sum += rec.Wait()
-	}
-	return sum / float64(len(r.Records))
+	return r.waitSum / float64(r.Completed)
 }
 
 // sedState is one SED: a node plus its queue, estimator and meter.
@@ -280,7 +289,7 @@ type sedState struct {
 	queue   []pendingTask
 	qhead   int
 	dead    int
-	running map[int]*runningTask // task ID → record
+	running []*runningTask // in no particular order
 
 	// Drained-heap cache. avail is the slot-availability min-heap left
 	// after draining the whole backlog, in insertion order, over the
@@ -369,6 +378,29 @@ func (s *sedState) nextRelease(now float64) float64 {
 		return 0
 	}
 	return wait
+}
+
+// forgetMeter drops the meter samples no window can read any more. The
+// meter is read only over a running task's window, at its finish or
+// preemption, and every such window starts at or after the oldest
+// running task's start, or at now for a task not yet started.
+func (s *sedState) forgetMeter(now float64) {
+	before := now
+	for _, rt := range s.running {
+		if rt.start < before {
+			before = rt.start
+		}
+	}
+	s.meter.Forget(before)
+}
+
+// dropRunning removes rt from the running set.
+func (s *sedState) dropRunning(rt *runningTask) {
+	i := slices.Index(s.running, rt)
+	last := len(s.running) - 1
+	s.running[i] = s.running[last]
+	s.running[last] = nil
+	s.running = s.running[:last]
 }
 
 // advanceBusy accrues busy-core-seconds up to now.
@@ -841,10 +873,11 @@ type Runner struct {
 	ctl        runnerControl
 	victims    []*runningTask
 	views      []sched.VictimView
-	// arrivals holds the tasks in stable (Submit, config-order) order
-	// for the arrival cursor. rts holds every runningTask by slot, pend
-	// the tasks in evPending events; rtFree and pendFree list free slots.
-	arrivals []workload.Task
+	// arrivals indexes Config.Tasks in stable (Submit, config-order)
+	// order for the arrival cursor. rts holds every runningTask by slot,
+	// pend the tasks in evPending events; rtFree and pendFree list free
+	// slots.
+	arrivals []int32
 	rts      []*runningTask
 	rtFree   []int32
 	pend     []pendingTask
@@ -873,10 +906,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		waiting: make(map[int]workload.Task),
 		res: &Result{
-			Policy: cfg.Policy.Name(),
-			// Task-record arena: one completion per task in the common
-			// case, so the append in onFinish never reallocates.
-			Records:          make([]TaskRecord, 0, len(cfg.Tasks)),
+			Policy:           cfg.Policy.Name(),
 			PerNodeTasks:     make(map[string]int),
 			PerNodeEnergyJ:   make(map[string]power.Joules),
 			PerClusterTasks:  make(map[string]int),
@@ -887,7 +917,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	r.sel = &sched.Selector{Policy: cfg.Policy, QueueFactor: cfg.QueueFactor, Explore: cfg.Explore, RankAll: cfg.RankAll}
 	for i, spec := range cfg.Platform.Nodes {
-		meter := power.NewWattmeter(0, cfg.Seed+int64(i)+1)
+		meter := power.NewWattmeter(cfg.Seed + int64(i) + 1)
 		meter.NoiseW = cfg.MeterNoiseW
 		slots := spec.Cores
 		if cfg.SlotsPerNode > 0 && cfg.SlotsPerNode < slots {
@@ -899,7 +929,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 			est:       power.NewEstimator(cfg.EstimatorWindow),
 			meter:     meter,
 			slots:     slots,
-			running:   make(map[int]*runningTask),
+			running:   make([]*runningTask, 0, slots),
 			candidate: true,
 		}
 		if cfg.Static {
@@ -961,11 +991,15 @@ func Run(cfg Config) (*Result, error) {
 func (r *Runner) Run() (*Result, error) {
 	// A single self-advancing cursor walks the tasks in stable (Submit,
 	// config-order) order, draining every arrival that shares an
-	// instant in one event.
-	r.arrivals = make([]workload.Task, len(r.cfg.Tasks))
-	copy(r.arrivals, r.cfg.Tasks)
-	sort.SliceStable(r.arrivals, func(i, j int) bool {
-		return r.arrivals[i].Submit < r.arrivals[j].Submit
+	// instant in one event. The order is an index over Config.Tasks,
+	// which stays where the caller put it.
+	tasks := r.cfg.Tasks
+	r.arrivals = make([]int32, len(tasks))
+	for i := range r.arrivals {
+		r.arrivals[i] = int32(i)
+	}
+	slices.SortStableFunc(r.arrivals, func(a, b int32) int {
+		return cmp.Compare(tasks[a].Submit, tasks[b].Submit)
 	})
 	r.scheduleArrivals(0)
 	for name, at := range r.cfg.Crashes {
@@ -1024,9 +1058,9 @@ func (r *Runner) step() {
 	now, ev := r.q.Pop()
 	switch ev.kind {
 	case evArrival: // every task submitted at this instant, then re-arm
-		i, j := int(ev.ref), int(ev.ref)
-		for ; j < len(r.arrivals) && r.arrivals[j].Submit == r.arrivals[i].Submit; j++ {
-			r.onArrival(now, pendingTask{task: r.arrivals[j]})
+		j, at := int(ev.ref), r.arrivalAt(int(ev.ref))
+		for ; j < len(r.arrivals) && r.arrivalAt(j) == at; j++ {
+			r.onArrival(now, pendingTask{task: r.cfg.Tasks[r.arrivals[j]]})
 		}
 		r.scheduleArrivals(j)
 	case evFinish:
@@ -1045,16 +1079,19 @@ func (r *Runner) step() {
 	}
 }
 
-// scheduleArrivals arms the arrival cursor at r.arrivals[i]'s submit
-// time. The cursor is a front-class event (simtime.Queue.PushFront):
-// tasks submitted at t arrive before any crash, retry, resubmission,
-// sample, tick or finish at t runs, however early that event was
-// scheduled.
+// scheduleArrivals arms the arrival cursor at the i-th arrival's
+// submit time. The cursor is a front-class event
+// (simtime.Queue.PushFront): tasks submitted at t arrive before any
+// crash, retry, resubmission, sample, tick or finish at t runs, however
+// early that event was scheduled.
 func (r *Runner) scheduleArrivals(i int) {
 	if i < len(r.arrivals) {
-		r.q.PushFront(r.arrivals[i].Submit, event{kind: evArrival, ref: int32(i)})
+		r.q.PushFront(r.arrivalAt(i), event{kind: evArrival, ref: int32(i)})
 	}
 }
+
+// arrivalAt returns the i-th arrival's submit time.
+func (r *Runner) arrivalAt(i int) float64 { return r.cfg.Tasks[r.arrivals[i]].Submit }
 
 // requeue schedules p to re-enter election d seconds from now.
 func (r *Runner) requeue(d float64, p pendingTask) {
@@ -1219,7 +1256,7 @@ func (r *Runner) startTask(now float64, sed *sedState, p pendingTask) {
 		plannedExec: exec, preemptions: p.preemptions, carriedJ: p.carriedJ, carriedG: p.carriedG,
 	}
 	r.q.Push(rt.finishAt, event{kind: evFinish, ref: rt.slot, gen: rt.gen})
-	sed.running[p.task.ID] = rt
+	sed.running = append(sed.running, rt)
 	sed.bumpWait()
 	r.emit(obs.Event{T: now, Event: obs.EventSolve, ID: uint64(p.task.ID), Class: p.task.Class, Server: sed.node.Spec.Name})
 }
@@ -1247,7 +1284,7 @@ func (r *Runner) freeRunning(rt *runningTask) {
 func (r *Runner) onFinish(now float64, rt *runningTask) {
 	sed := rt.sed
 	sed.advanceBusy(now)
-	delete(sed.running, rt.task.ID)
+	sed.dropRunning(rt)
 	sed.bumpWait()
 	// A drained heap (only ever kept for a full SED) gave the earliest
 	// finish — this one: events fire in time order — to the
@@ -1265,6 +1302,7 @@ func (r *Runner) onFinish(now float64, rt *runningTask) {
 		// the node had while the task ran.
 		meanW = duringW
 	}
+	sed.forgetMeter(now)
 	exec := now - rt.start
 	if sed.static == nil {
 		sed.est.ObserveRequest(meanW, rt.task.Ops, exec)
@@ -1308,7 +1346,7 @@ func (r *Runner) onFinish(now float64, rt *runningTask) {
 		// integrated against the site's intensity over its window.
 		rec.CO2Grams += carbon.Grams(*sed.site, meanW*exec/meanBusy, rt.start, now)
 	}
-	r.res.Records = append(r.res.Records, rec)
+	r.res.waitSum += rec.Wait()
 	r.res.Completed++
 	r.emit(obs.Event{
 		T: now, Event: obs.EventComplete, ID: uint64(rec.ID), Class: rec.Class,
@@ -1370,17 +1408,18 @@ func (r *Runner) onCrash(now float64, sed *sedState) {
 	// with its stats untouched instead of inflating Result.Crashed.
 	sed.advanceBusy(now)
 	var lost []pendingTask
-	for id, rt := range sed.running {
+	for _, rt := range sed.running {
 		lost = append(lost, pendingTask{
 			task: rt.task, resubmits: rt.resubmits + 1,
 			preemptions: rt.preemptions, carriedJ: rt.carriedJ, carriedG: rt.carriedG,
 		})
-		delete(sed.running, id)
 		r.freeRunning(rt)
 	}
+	clear(sed.running)
+	sed.running = sed.running[:0]
 	sed.bumpWait()
-	// Lost executions fail on the trace in ID order — the map walk
-	// above must not leak its iteration order into the event stream.
+	// Lost executions fail on the trace in ID order — the running set's
+	// order must not leak into the event stream.
 	sort.Slice(lost, func(i, j int) bool { return lost[i].task.ID < lost[j].task.ID })
 	for _, p := range lost {
 		r.emit(obs.Event{T: now, Event: obs.EventFail, ID: uint64(p.task.ID), Class: p.task.Class, Server: sed.node.Spec.Name, Err: "node crash"})
@@ -1395,6 +1434,7 @@ func (r *Runner) onCrash(now float64, sed *sedState) {
 	}
 	sed.clearQueue()
 	sed.node.Crash(now)
+	sed.forgetMeter(now)
 	sed.candidate = false
 	sed.failed = true
 	// Deterministic resubmission order.

@@ -22,6 +22,13 @@ func tasks(n int, ops, rate float64) []workload.Task {
 	return ts
 }
 
+// runRecorded runs cfg with a RecordModule stacked last, for the tests
+// that read Result.Records.
+func runRecorded(cfg Config) (*Result, error) {
+	cfg.Modules = append(cfg.Modules[:len(cfg.Modules):len(cfg.Modules)], &RecordModule{})
+	return Run(cfg)
+}
+
 func min(a, b int) int {
 	if a < b {
 		return a
@@ -30,7 +37,7 @@ func min(a, b int) int {
 }
 
 func TestRunCompletesAllTasks(t *testing.T) {
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform: smallPlatform(),
 		Policy:   sched.New(sched.Power),
 		Tasks:    tasks(40, 1e11, 2),
@@ -99,7 +106,7 @@ func TestRunDeterministicForSeed(t *testing.T) {
 }
 
 func TestTaskAccountingInvariants(t *testing.T) {
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform: smallPlatform(),
 		Policy:   sched.New(sched.Performance),
 		Tasks:    tasks(50, 2e11, 1),
@@ -163,7 +170,7 @@ func TestEnergyMatchesPowerBounds(t *testing.T) {
 
 func TestCapacityNeverExceeded(t *testing.T) {
 	// Overload heavily, then verify per-node concurrency from records.
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform: smallPlatform(),
 		Policy:   sched.New(sched.Power),
 		Tasks:    tasks(200, 2e11, 10),
@@ -205,7 +212,7 @@ func TestCapacityNeverExceeded(t *testing.T) {
 
 func TestSlotsPerNodeLimit(t *testing.T) {
 	// §IV-B: each server limited to one task.
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform:     smallPlatform(),
 		Policy:       sched.New(sched.Power),
 		Tasks:        tasks(20, 1e11, 5),
@@ -275,7 +282,7 @@ func TestStaticCalibrationSkipsLearning(t *testing.T) {
 }
 
 func TestCrashResubmitsTasks(t *testing.T) {
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform: smallPlatform(),
 		Policy:   sched.New(sched.Performance),
 		Tasks:    tasks(40, 5e11, 2),
@@ -374,15 +381,25 @@ func TestMeanWait(t *testing.T) {
 	if r.MeanWait() != 0 {
 		t.Fatal("empty MeanWait should be 0")
 	}
-	r.Records = []TaskRecord{
-		{Submit: 0, Start: 2, Finish: 3},
-		{Submit: 1, Start: 5, Finish: 9},
+	// One slot, two 10-second tasks: the second, submitted at 1, waits
+	// until the first finishes at 10.
+	spec := cluster.NewNodes("taurus", 1)[0]
+	ops := 10 * spec.FlopsPerCore
+	res, err := runRecorded(Config{
+		Platform:     cluster.MustPlatform([]cluster.NodeSpec{spec}),
+		Policy:       sched.New(sched.Power),
+		Static:       true,
+		SlotsPerNode: 1,
+		Tasks:        []workload.Task{{ID: 0, Ops: ops}, {ID: 1, Ops: ops, Submit: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := r.MeanWait(); got != 3 {
-		t.Fatalf("MeanWait = %v, want 3", got)
+	if got := res.MeanWait(); got != 4.5 {
+		t.Fatalf("MeanWait = %v, want 4.5", got)
 	}
-	if r.Records[1].Exec() != 4 {
-		t.Fatal("Exec wrong")
+	if res.Records[1].Wait() != 9 || res.Records[1].Exec() != 10 {
+		t.Fatalf("second record %+v: want a 9 s wait and a 10 s run", res.Records[1])
 	}
 }
 

@@ -26,7 +26,7 @@ func TestSLAAdmissionRejectsHopeless(t *testing.T) {
 		{ID: 1, Ops: 2.7e12, Submit: 0, Deadline: 1000, Value: 5, Class: "hard"},
 	}
 	cat := sla.Catalog{"hard": {Name: "hard", Curve: sla.HardDrop{}}}
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform: slaPlatform(),
 		Policy:   sched.New(sched.GreenPerf),
 		Tasks:    tasks,
@@ -113,7 +113,7 @@ func TestSLAPerTaskCarbonAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform: slaPlatform(),
 		Policy:   sched.New(sched.GreenPerf),
 		Tasks:    burst,
@@ -234,7 +234,7 @@ func TestSLAUrgentBypassElectsNonCandidates(t *testing.T) {
 	}
 	cat := sla.Catalog{"hard": {Name: "hard", Curve: sla.HardDrop{}}}
 	reopened := false
-	res, err := Run(Config{
+	res, err := runRecorded(Config{
 		Platform:     platform,
 		Policy:       sched.New(sched.GreenPerf),
 		Tasks:        tasks,

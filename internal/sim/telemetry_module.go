@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"greensched/internal/carbon"
 	"greensched/internal/power"
@@ -44,6 +43,8 @@ type TelemetryModule struct {
 	// Samples retains the series in memory after the run (always on —
 	// the slice is the analyzer-friendly form of the file).
 	Samples []TelemetrySample
+
+	row []byte // OnTick's CSV row, reused across ticks
 }
 
 // Init implements Module.
@@ -79,10 +80,12 @@ func (m *TelemetryModule) OnTick(now float64, ctl Control) {
 	m.Samples = append(m.Samples, s)
 	// Shortest-roundtrip float formatting keeps the file deterministic
 	// and diffable across runs.
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	row := strings.Join([]string{
-		f(s.T), strconv.Itoa(s.Queued), strconv.Itoa(s.Unplaced), strconv.Itoa(s.Running),
-		strconv.Itoa(s.Powered), f(s.Watts), f(s.CO2Rate),
-	}, ",")
-	io.WriteString(m.W, row+"\n") //nolint:errcheck // telemetry must not abort the run
+	b := strconv.AppendFloat(m.row[:0], s.T, 'g', -1, 64)
+	for _, n := range [...]int{s.Queued, s.Unplaced, s.Running, s.Powered} {
+		b = strconv.AppendInt(append(b, ','), int64(n), 10)
+	}
+	b = strconv.AppendFloat(append(b, ','), s.Watts, 'g', -1, 64)
+	b = strconv.AppendFloat(append(b, ','), s.CO2Rate, 'g', -1, 64)
+	m.row = append(b, '\n')
+	m.W.Write(m.row) //nolint:errcheck // telemetry must not abort the run
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -58,17 +59,16 @@ func waitSED(t *testing.T, rng *rand.Rand, slots, nrun, nq int, now float64) *se
 	t.Helper()
 	spec := smallPlatform().Nodes[0]
 	sed := &sedState{
-		node:    cluster.NewNode(spec, 0, power.NewWattmeter(0, 1)),
-		est:     power.NewEstimator(8),
-		slots:   slots,
-		running: make(map[int]*runningTask),
+		node:  cluster.NewNode(spec, 0, power.NewWattmeter(1)),
+		est:   power.NewEstimator(8),
+		slots: slots,
 	}
 	for i := 0; i < nrun; i++ {
 		if err := sed.node.StartTask(now); err != nil {
 			t.Fatal(err)
 		}
 		rt := &runningTask{start: now, finishAt: now + 1 + rng.Float64()*500}
-		sed.running[i] = rt
+		sed.running = append(sed.running, rt)
 		sed.bumpWait()
 	}
 	for i := 0; i < nq; i++ {
@@ -418,12 +418,9 @@ func TestWaitEstimateIncrementalOracle(t *testing.T) {
 			case k < 15:
 				op = "preempt"
 				if len(sed.running) > 0 {
-					ids := make([]int, 0, len(sed.running))
-					for id := range sed.running {
-						ids = append(ids, id)
-					}
-					sort.Ints(ids)
-					r.preempt(now, sed, sed.running[ids[rng.Intn(len(ids))]])
+					rts := slices.Clone(sed.running)
+					slices.SortFunc(rts, func(a, b *runningTask) int { return a.task.ID - b.task.ID })
+					r.preempt(now, sed, rts[rng.Intn(len(rts))])
 					if rng.Intn(2) == 0 {
 						r.drainQueue(now, sed)
 					}
