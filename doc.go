@@ -20,7 +20,10 @@
 //	                        The master is concurrent: agent/SED config
 //	                        lives behind atomic copy-on-write snapshots
 //	                        and WithConcurrency bounds in-flight
-//	                        admissions
+//	                        admissions. fleet.go builds every live fleet
+//	                        from one FleetSpec (a cluster.Platform plus
+//	                        transport, power feed, grid and span writer)
+//	                        and deploys masters over it, one closer each
 //	internal/sim            deterministic discrete-event simulator with
 //	                        per-node CO2 accounting and the composable
 //	                        sim.Module extension stack (NewScenario +

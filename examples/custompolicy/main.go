@@ -10,8 +10,8 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"time"
 
+	"greensched/internal/cluster"
 	"greensched/internal/estvec"
 	"greensched/internal/middleware"
 	"greensched/internal/sched"
@@ -50,49 +50,30 @@ func (p edpPolicy) edp(v *estvec.Vector) (float64, bool) {
 }
 
 func main() {
-	// Three SEDs with very different profiles, solving a "burn"
-	// service that sleeps proportionally to the problem size.
-	mkSED := func(name string, speed, watts float64) *middleware.SED {
-		sed, err := middleware.NewSED(middleware.SEDConfig{
-			Name:  name,
-			Slots: 2,
-			Interceptors: []middleware.Interceptor{
-				&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }},
-			},
-		})
-		if err != nil {
-			panic(err)
-		}
-		sed.Register(middleware.Service{
-			Name: "burn",
-			Solve: func(ctx context.Context, req middleware.Request) ([]byte, error) {
-				time.Sleep(time.Duration(req.Ops / speed * float64(time.Second)))
-				return []byte("ok"), nil
-			},
-		})
-		return sed
+	// Three SEDs with very different profiles, each offering the
+	// fleet's "compute" service, which sleeps Ops/FlopsPerCore.
+	fleet, err := middleware.NewFleet(middleware.FleetSpec{Platform: &cluster.Platform{Nodes: []cluster.NodeSpec{
+		{Name: "fast-hungry", Cores: 2, FlopsPerCore: 40e6, PeakW: 400}, // 40 Mflop/s, 400 W
+		{Name: "slow-lean", Cores: 2, FlopsPerCore: 10e6, PeakW: 60},    // 10 Mflop/s, 60 W
+		{Name: "balanced", Cores: 2, FlopsPerCore: 25e6, PeakW: 150},    // 25 Mflop/s, 150 W
+	}}})
+	if err != nil {
+		fail(err)
 	}
-	fast := mkSED("fast-hungry", 40e6, 400) // 40 Mflop/s, 400 W
-	lean := mkSED("slow-lean", 10e6, 60)    // 10 Mflop/s, 60 W
-	mid := mkSED("balanced", 25e6, 150)     // 25 Mflop/s, 150 W
-
-	master, err := middleware.NewMaster(
+	master, err := fleet.Deploy(
 		middleware.WithName("ma"),
 		middleware.WithPolicy(sched.New(sched.GreenPerf)),
-		middleware.WithSEDs(fast, lean, mid),
 	)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail(err)
 	}
+	defer master.Close()
 
-	// Prime the dynamic estimators (the learning phase).
+	// Prime the dynamic estimators: the learning phase sends one
+	// request to each unmeasured SED.
 	for range 3 {
-		for _, sed := range []*middleware.SED{fast, lean, mid} {
-			if _, err := sed.Solve(context.Background(), middleware.Request{Service: "burn", Ops: 1e6}); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if _, err := master.Submit(context.Background(), "compute", 1e6, 0, nil); err != nil {
+			fail(err)
 		}
 	}
 
@@ -103,11 +84,15 @@ func main() {
 		edpPolicy{ops: ops},
 	} {
 		master.SetPolicy(policy)
-		resp, err := master.Submit(context.Background(), "burn", ops, 0, nil)
+		resp, err := master.Submit(context.Background(), "compute", ops, 0, nil)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail(err)
 		}
 		fmt.Printf("%-12s elected %s\n", policy.Name(), resp.Server)
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, err)
+	os.Exit(1)
 }

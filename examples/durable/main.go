@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"greensched/internal/cluster"
 	"greensched/internal/estvec"
 	"greensched/internal/journal"
 	"greensched/internal/middleware"
@@ -39,36 +40,6 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-// sedFor builds one SED with an instant compute service and a stall
-// service that blocks until release is closed — the in-flight request
-// the crash orphans.
-func sedFor(name string, release <-chan struct{}, started chan<- string) (*middleware.SED, error) {
-	sed, err := middleware.NewSED(middleware.SEDConfig{
-		Name:  name,
-		Slots: 2,
-		Interceptors: []middleware.Interceptor{
-			&middleware.MeterInterceptor{Meter: func() (float64, bool) { return 100, true }},
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sed.Register(middleware.Service{
-		Name:  "compute",
-		Solve: func(ctx context.Context, req middleware.Request) ([]byte, error) { return nil, nil },
-	}); err != nil {
-		return nil, err
-	}
-	return sed, sed.Register(middleware.Service{
-		Name: "stall",
-		Solve: func(ctx context.Context, req middleware.Request) ([]byte, error) {
-			started <- name
-			<-release
-			return []byte("late"), nil
-		},
-	})
-}
-
 func main() {
 	dir, err := os.MkdirTemp("", "durable-example-*")
 	if err != nil {
@@ -78,13 +49,25 @@ func main() {
 	path := filepath.Join(dir, "master.wal")
 	ctx := context.Background()
 
+	// Two SEDs, built once and outliving every master, offer "stall"
+	// next to their quick "compute": it blocks until release is
+	// closed — the in-flight request the crash orphans.
 	release := make(chan struct{})
-	started := make(chan string, 1)
-	lean, err := sedFor("lean", release, started)
-	if err != nil {
-		fail(err)
-	}
-	hungry, err := sedFor("hungry", release, started)
+	started := make(chan struct{}, 1)
+	fleet, err := middleware.NewFleet(middleware.FleetSpec{
+		Platform: &cluster.Platform{Nodes: []cluster.NodeSpec{
+			{Name: "lean", Cores: 2, FlopsPerCore: 1e12, PeakW: 100},
+			{Name: "hungry", Cores: 2, FlopsPerCore: 1e12, PeakW: 100},
+		}},
+		Services: []middleware.Service{{
+			Name: "stall",
+			Solve: func(ctx context.Context, req middleware.Request) ([]byte, error) {
+				started <- struct{}{}
+				<-release
+				return []byte("late"), nil
+			},
+		}},
+	})
 	if err != nil {
 		fail(err)
 	}
@@ -94,10 +77,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	masterA, err := middleware.NewMaster(
+	masterA, err := fleet.Deploy(
 		middleware.WithName("master-A"),
 		middleware.WithPolicy(sched.New(sched.GreenPerf)),
-		middleware.WithSEDs(lean, hungry),
 		middleware.WithJournal(jrnA),
 		middleware.WithLeaseTerm(300*time.Millisecond),
 	)
@@ -121,8 +103,8 @@ func main() {
 		defer close(done)
 		masterA.Do(ctx, middleware.Request{Service: "stall", Ops: 1e9})
 	}()
-	owner := <-started
-	fmt.Printf("  stall request executing on %s, lease journaled\n", owner)
+	<-started
+	fmt.Println("  stall request executing, lease journaled")
 
 	// --- kill -9 ----------------------------------------------------
 	// Abandon drops the journal exactly as a crash would: the fd is
@@ -133,6 +115,7 @@ func main() {
 	fmt.Println("\n== kill -9: master A is gone, one lease orphaned ==")
 	close(release)
 	<-done
+	masterA.Close()
 
 	// --- recovery ---------------------------------------------------
 	jrnB, err := journal.Open(path, journal.Options{})
@@ -144,10 +127,9 @@ func main() {
 			e.Admit.ID, e.State, e.SED, e.Expiry)
 	}
 
-	masterB, err := middleware.NewMaster(
+	masterB, err := fleet.Deploy(
 		middleware.WithName("master-B"),
 		middleware.WithPolicy(sched.New(sched.GreenPerf)),
-		middleware.WithSEDs(lean, hungry),
 		middleware.WithJournal(jrnB),
 		middleware.WithLeaseTerm(300*time.Millisecond),
 		middleware.WithInterceptors(&middleware.HookInterceptor{
@@ -159,6 +141,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	defer masterB.Close()
 
 	fmt.Println("\n== incarnation B: replaying the journal ==")
 	stats, err := masterB.Replay(ctx)

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"greensched/internal/budget"
+	"greensched/internal/cluster"
 	"greensched/internal/middleware"
 	"greensched/internal/sched"
 	"greensched/internal/sla"
@@ -62,43 +63,13 @@ func (f *flipFeed) MeanIntensity(t0, _ float64) float64 { return f.IntensityAt(t
 func main() {
 	// Two metered SEDs, each serving "compute" behind a TCP endpoint.
 	grid := &flipFeed{}
-	mkSED := func(name string, flops, watts float64) *middleware.SED {
-		sed, err := middleware.NewSED(middleware.SEDConfig{
-			Name:  name,
-			Slots: 2,
-			Interceptors: []middleware.Interceptor{
-				&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }},
-				&middleware.CarbonInterceptor{Signal: grid},
-			},
-		})
-		if err != nil {
-			fail(err)
-		}
-		if err := sed.Register(middleware.Service{
-			Name: "compute",
-			Solve: func(ctx context.Context, req middleware.Request) ([]byte, error) {
-				time.Sleep(time.Duration(req.Ops / flops * float64(time.Second)))
-				return []byte(fmt.Sprintf("%g flops on %s", req.Ops, name)), nil
-			},
-		}); err != nil {
-			fail(err)
-		}
-		return sed
-	}
-	lean := mkSED("lean", 1e9, 80)
-	hungry := mkSED("hungry", 4e9, 320)
-
-	var remotes []*middleware.Remote
-	for _, sed := range []*middleware.SED{lean, hungry} {
-		ep, err := middleware.Serve("127.0.0.1:0", sed, sed)
-		if err != nil {
-			fail(err)
-		}
-		defer ep.Close()
-		fmt.Printf("SED %-6s listening on %s\n", sed.Name(), ep.Addr())
-		rem := middleware.Dial(sed.Name(), ep.Addr())
-		defer rem.Close()
-		remotes = append(remotes, rem)
+	platform := &cluster.Platform{Nodes: []cluster.NodeSpec{
+		{Name: "lean", Cores: 2, FlopsPerCore: 1e9, PeakW: 80},
+		{Name: "hungry", Cores: 2, FlopsPerCore: 4e9, PeakW: 320},
+	}}
+	fleet, err := middleware.NewFleet(middleware.FleetSpec{Platform: platform, TCP: true, Carbon: grid})
+	if err != nil {
+		fail(err)
 	}
 
 	// The interceptor stack: SLA admission first (reject before
@@ -115,10 +86,9 @@ func main() {
 		"batch":       {Name: "batch", ValueUSD: 0.05, Curve: sla.Flat{}},
 		"hopeless":    {Name: "hopeless", RelDeadlineSec: 1e-5, ValueUSD: 1, Curve: sla.HardDrop{}},
 	}
-	master, err := middleware.NewMaster(
+	master, err := fleet.Deploy(
 		middleware.WithName("master"),
 		middleware.WithPolicy(sched.New(sched.GreenPerf)),
-		middleware.WithRemotes(remotes...),
 		middleware.WithInterceptors(
 			&middleware.SLAInterceptor{
 				Config:    &sla.Config{Catalog: catalog, Admission: &sla.Admission{Margin: 1}},
@@ -132,6 +102,10 @@ func main() {
 	)
 	if err != nil {
 		fail(err)
+	}
+	defer master.Close()
+	for i, addr := range master.Addrs {
+		fmt.Printf("SED %-6s listening on %s\n", platform.Nodes[i].Name, addr)
 	}
 	ctx := context.Background()
 
@@ -165,7 +139,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("interactive -> %s (%s)\n", resp.Server, resp.Output)
+		fmt.Printf("interactive -> %s (%.1f ms)\n", resp.Server, resp.ExecSec*1e3)
 	}
 
 	// A deadline no node can meet: admission refuses it outright.

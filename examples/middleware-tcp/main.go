@@ -11,6 +11,7 @@ import (
 	"os"
 	"time"
 
+	"greensched/internal/cluster"
 	"greensched/internal/middleware"
 	"greensched/internal/sched"
 )
@@ -23,60 +24,19 @@ func main() {
 }
 
 func run() error {
-	mkSED := func(name string, speed, watts float64) (*middleware.SED, error) {
-		sed, err := middleware.NewSED(middleware.SEDConfig{
-			Name:  name,
-			Slots: 2,
-			Interceptors: []middleware.Interceptor{
-				&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }},
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		sed.Register(middleware.Service{
-			Name: "burn",
-			Solve: func(ctx context.Context, req middleware.Request) ([]byte, error) {
-				time.Sleep(time.Duration(req.Ops / speed * float64(time.Second)))
-				return []byte(fmt.Sprintf("solved %g flops on %s", req.Ops, name)), nil
-			},
-		})
-		return sed, nil
-	}
-
-	lean, err := mkSED("lean", 10e6, 80)
+	// Two SEDs, each served on an ephemeral localhost port; the MA
+	// talks to them through remote handles.
+	platform := &cluster.Platform{Nodes: []cluster.NodeSpec{
+		{Name: "lean", Cores: 2, FlopsPerCore: 10e6, PeakW: 80},
+		{Name: "hungry", Cores: 2, FlopsPerCore: 30e6, PeakW: 320},
+	}}
+	fleet, err := middleware.NewFleet(middleware.FleetSpec{Platform: platform, TCP: true})
 	if err != nil {
 		return err
 	}
-	hungry, err := mkSED("hungry", 30e6, 320)
-	if err != nil {
-		return err
-	}
-
-	// Serve each SED on an ephemeral localhost port.
-	epLean, err := middleware.Serve("127.0.0.1:0", lean, lean)
-	if err != nil {
-		return err
-	}
-	defer epLean.Close()
-	epHungry, err := middleware.Serve("127.0.0.1:0", hungry, hungry)
-	if err != nil {
-		return err
-	}
-	defer epHungry.Close()
-	fmt.Printf("SED lean   listening on %s\n", epLean.Addr())
-	fmt.Printf("SED hungry listening on %s\n", epHungry.Addr())
-
-	// The MA talks to the SEDs through remote handles.
-	remLean := middleware.Dial("lean", epLean.Addr())
-	remHungry := middleware.Dial("hungry", epHungry.Addr())
-	defer remLean.Close()
-	defer remHungry.Close()
-
-	master, err := middleware.NewMaster(
+	master, err := fleet.Deploy(
 		middleware.WithName("ma"),
 		middleware.WithPolicy(sched.New(sched.GreenPerf)),
-		middleware.WithRemotes(remLean, remHungry),
 		// A hung daemon counts as a failed subtree, not a stalled
 		// election.
 		middleware.WithChildTimeout(2*time.Second),
@@ -84,19 +44,23 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	defer master.Close()
+	for i, addr := range master.Addrs {
+		fmt.Printf("SED %-6s listening on %s\n", platform.Nodes[i].Name, addr)
+	}
 
 	// Learning phase: one request lands on each unknown SED first.
 	ctx := context.Background()
 	for i := 0; i < 4; i++ {
-		resp, err := master.Submit(ctx, "burn", 1e6, 0, nil)
+		resp, err := master.Submit(ctx, "compute", 1e6, 0, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("request %d -> %s: %s\n", i, resp.Server, resp.Output)
+		fmt.Printf("request %d -> %s: solved %g flops in %.0f ms\n", i, resp.Server, 1e6, resp.ExecSec*1e3)
 	}
 
 	// With both SEDs measured, GreenPerf favours the lean one.
-	resp, err := master.Submit(ctx, "burn", 2e6, float64(1) /*maximize efficiency*/, nil)
+	resp, err := master.Submit(ctx, "compute", 2e6, float64(1) /*maximize efficiency*/, nil)
 	if err != nil {
 		return err
 	}

@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"greensched/internal/budget"
+	"greensched/internal/cluster"
 	"greensched/internal/middleware"
 	"greensched/internal/obs"
 	"greensched/internal/power"
@@ -50,21 +51,12 @@ func fail(err error) {
 
 func failf(format string, args ...any) { fail(fmt.Errorf(format, args...)) }
 
-// burnService spins req.Ops through a synthetic flops/sec rate — the
-// workload whose execution time the power attribution integrates over.
-func burnService(speed float64) middleware.Service {
-	return middleware.Service{
-		Name: "burn",
-		Solve: func(ctx context.Context, req middleware.Request) ([]byte, error) {
-			select {
-			case <-time.After(time.Duration(req.Ops / speed * float64(time.Second))):
-				return []byte("done"), nil
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		},
-	}
-}
+// platform is the two SEDs every run deploys: the hungry node is faster
+// and thirstier.
+var platform = &cluster.Platform{Nodes: []cluster.NodeSpec{
+	{Name: "lean", Cores: 2, FlopsPerCore: 1e9, PeakW: 80},
+	{Name: "hungry", Cores: 2, FlopsPerCore: 4e9, PeakW: 320},
+}}
 
 // totals is what a faulted run must share with the control: the
 // deterministic books, never wall-clock joules.
@@ -89,10 +81,14 @@ func study(fault bool) totals {
 	defer os.RemoveAll(dir)
 	addr := "unix:" + filepath.Join(dir, "powerd.sock")
 
-	// The reference sidecar serves a static per-node profile; the
-	// client's fallback curves carry the same figures, so dying mid-run
-	// cannot move the books — only the counters.
-	srv, err := powerd.Serve(addr, power.StaticSource{"lean": 80, "hungry": 320}, powerd.Options{})
+	// The reference sidecar serves each node's peak draw; the client's
+	// fallback curves carry the same figures, so dying mid-run cannot
+	// move the books — only the counters.
+	peaks := power.StaticSource{}
+	for _, n := range platform.Nodes {
+		peaks[n.Name] = n.PeakW
+	}
+	srv, err := powerd.Serve(addr, peaks, powerd.Options{})
 	if err != nil {
 		fail(err)
 	}
@@ -102,7 +98,7 @@ func study(fault bool) totals {
 	cli, err := powerd.NewClient(powerd.Config{
 		Addr: addr, Timeout: 100 * time.Millisecond, Retries: -1,
 		StalenessSec: 0.05, BreakerAfter: 2, ReprobeSec: 0.02,
-		Fallback: power.StaticSource{"lean": 80, "hungry": 320},
+		Fallback: peaks,
 		Logf:     func(format string, args ...any) { fmt.Printf("  powerd client: "+format+"\n", args...) },
 	})
 	if err != nil {
@@ -110,22 +106,10 @@ func study(fault bool) totals {
 	}
 	defer cli.Close()
 
-	newSED := func(name string, flops float64) *middleware.SED {
-		sed, err := middleware.NewSED(middleware.SEDConfig{
-			Name:  name,
-			Slots: 2,
-			// No local meter: the sidecar client is the only power feed.
-			Interceptors: []middleware.Interceptor{
-				&middleware.ExternalPowerInterceptor{Source: cli},
-			},
-		})
-		if err != nil {
-			fail(err)
-		}
-		if err := sed.Register(burnService(flops)); err != nil {
-			fail(err)
-		}
-		return sed
+	// No local meter: the sidecar client is the only power feed.
+	fleet, err := middleware.NewFleet(middleware.FleetSpec{Platform: platform, Power: cli})
+	if err != nil {
+		fail(err)
 	}
 
 	tracker, err := budget.NewTracker(1e6, 60)
@@ -133,10 +117,9 @@ func study(fault bool) totals {
 		fail(err)
 	}
 	reg := obs.NewRegistry()
-	master, err := middleware.NewMaster(
+	master, err := fleet.Deploy(
 		middleware.WithName("power-"+label),
 		middleware.WithPolicy(sched.New(sched.GreenPerf)),
-		middleware.WithSEDs(newSED("lean", 1e9), newSED("hungry", 4e9)),
 		middleware.WithInterceptors(
 			&middleware.SLAInterceptor{
 				Config: &sla.Config{
@@ -158,7 +141,7 @@ func study(fault bool) totals {
 	ctx := context.Background()
 	do := func(n int, phase string) {
 		for i := 0; i < n; i++ {
-			if _, err := master.Do(ctx, middleware.Request{Service: "burn", Ops: 4e6, Class: "gold"}); err != nil {
+			if _, err := master.Do(ctx, middleware.Request{Service: "compute", Ops: 4e6, Class: "gold"}); err != nil {
 				failf("%s request during %q failed — elections must survive sidecar faults: %v", label, phase, err)
 			}
 		}

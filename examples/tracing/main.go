@@ -24,8 +24,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"time"
 
+	"greensched/internal/cluster"
 	"greensched/internal/middleware"
 	"greensched/internal/obs"
 	"greensched/internal/sched"
@@ -51,63 +51,32 @@ func run(out string) error {
 	// concatenate (stitching is by ID, not by position).
 	spans := obs.NewSpanWriter(f)
 
-	mkSED := func(name string, speed, watts float64) (*middleware.SED, error) {
-		sed, err := middleware.NewSED(middleware.SEDConfig{
-			Name:  name,
-			Slots: 2,
-			Interceptors: []middleware.Interceptor{
-				&middleware.MeterInterceptor{Meter: func() (float64, bool) { return watts, true }},
-			},
-			Spans: spans, // the SED emits its own queue/solve spans
-		})
-		if err != nil {
-			return nil, err
-		}
-		sed.Register(middleware.Service{
-			Name: "burn",
-			Solve: func(ctx context.Context, req middleware.Request) ([]byte, error) {
-				time.Sleep(time.Duration(req.Ops / speed * float64(time.Second)))
-				return []byte("done"), nil
-			},
-		})
-		return sed, nil
+	// The fleet hands the writer to the SEDs (queue/solve spans), the
+	// remotes (dial/encode/decode spans) and the master.
+	platform := &cluster.Platform{Nodes: []cluster.NodeSpec{
+		{Name: "lean", Cores: 2, FlopsPerCore: 10e6, PeakW: 80},
+		{Name: "hungry", Cores: 2, FlopsPerCore: 30e6, PeakW: 320},
+	}}
+	fleet, err := middleware.NewFleet(middleware.FleetSpec{Platform: platform, TCP: true, Spans: spans})
+	if err != nil {
+		return err
 	}
-
-	opts := []middleware.Option{
+	m, err := fleet.Deploy(
 		middleware.WithPolicy(sched.New(sched.GreenPerf)),
-		middleware.WithSpans(spans),
 		middleware.WithInterceptors(&middleware.ObsInterceptor{}),
 		middleware.WithMetricsAddr("127.0.0.1:0"),
-	}
-	for _, s := range []struct {
-		name         string
-		speed, watts float64
-	}{{"lean", 10e6, 80}, {"hungry", 30e6, 320}} {
-		sed, err := mkSED(s.name, s.speed, s.watts)
-		if err != nil {
-			return err
-		}
-		ep, err := middleware.Serve("127.0.0.1:0", sed, sed)
-		if err != nil {
-			return err
-		}
-		defer ep.Close()
-		rem := middleware.Dial(s.name, ep.Addr())
-		rem.SetSpans(spans) // the transport emits dial/encode/decode spans
-		defer rem.Close()
-		opts = append(opts, middleware.WithRemotes(rem))
-		fmt.Printf("SED %-6s listening on %s\n", s.name, ep.Addr())
-	}
-
-	m, err := middleware.NewMaster(opts...)
+	)
 	if err != nil {
 		return err
 	}
 	defer m.Close()
+	for i, addr := range m.Addrs {
+		fmt.Printf("SED %-6s listening on %s\n", platform.Nodes[i].Name, addr)
+	}
 
 	const n = 8
 	for i := 0; i < n; i++ {
-		resp, err := m.Do(context.Background(), middleware.Request{Service: "burn", Ops: 1e6})
+		resp, err := m.Do(context.Background(), middleware.Request{Service: "compute", Ops: 1e6})
 		if err != nil {
 			return err
 		}

@@ -2,20 +2,17 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
 	"sync"
 	"time"
 
-	"greensched/internal/budget"
 	"greensched/internal/estvec"
 	"greensched/internal/journal"
 	"greensched/internal/middleware"
 	"greensched/internal/report"
 	"greensched/internal/sched"
-	"greensched/internal/sla"
 )
 
 // The durable dispatch study is the crash drill for the journaled live
@@ -40,12 +37,9 @@ type DurableConfig struct {
 	Batch       int
 	Hopeless    int
 
-	// Ops per request; SEDs "compute" by sleeping Ops/flops.
-	Ops         float64
-	LeanFlops   float64
-	HungryFlops float64
-	LeanWatts   float64
-	HungryWatts float64
+	// Ops per request; the SEDs of livePlatform "compute" by sleeping
+	// Ops/FlopsPerCore.
+	Ops float64
 
 	// The grid: the interrupted run's first incarnation opens a dirty
 	// window (DirtyG) long enough that the parked batch request is
@@ -74,10 +68,6 @@ func DefaultDurableConfig() DurableConfig {
 		Batch:            2,
 		Hopeless:         1,
 		Ops:              2e6,
-		LeanFlops:        1e9,
-		HungryFlops:      4e9,
-		LeanWatts:        80,
-		HungryWatts:      320,
 		CleanG:           60,
 		DirtyG:           600,
 		LeaseTermSec:     0.25,
@@ -91,8 +81,8 @@ func (c DurableConfig) Validate() error {
 	switch {
 	case c.Interactive <= 0 || c.Batch <= 0 || c.Hopeless <= 0:
 		return fmt.Errorf("experiments: durable study needs interactive, batch and hopeless requests")
-	case c.Ops <= 0 || c.LeanFlops <= 0 || c.HungryFlops <= 0:
-		return fmt.Errorf("experiments: durable study needs positive ops and flops")
+	case c.Ops <= 0:
+		return fmt.Errorf("experiments: durable study needs positive ops")
 	case c.DirtyG <= c.CleanG || c.CleanG < 0:
 		return fmt.Errorf("experiments: dirty intensity %v must exceed clean %v", c.DirtyG, c.CleanG)
 	case c.LeaseTermSec <= 0:
@@ -164,31 +154,19 @@ func RunDurableStudy(cfg DurableConfig) (*DurableResult, error) {
 	return &DurableResult{Config: cfg, Runs: runs}, nil
 }
 
-// durableMaster builds one master incarnation over seds: the
+// durableMaster deploys one master incarnation over fleet: the
 // interceptor stack is rebuilt from scratch each time (a restarted
 // process has no memory), only the journal file persists. elected,
-// when non-nil, observes every election. The returned func closes the
-// incarnation's transport.
-func durableMaster(cfg DurableConfig, transport, name string, jrn *journal.Journal,
-	sig *liveStepSignal, seds []*middleware.SED, elected func(req middleware.Request, server string)) (*middleware.Master, func(), error) {
-	tracker, err := budget.NewTracker(cfg.BudgetJ, cfg.BudgetHorizonSec)
+// when non-nil, observes every election.
+func durableMaster(cfg DurableConfig, fleet *middleware.Fleet, name string, jrn *journal.Journal,
+	sig *liveStepSignal, elected func(req middleware.Request, server string)) (*middleware.Deployment, error) {
+	ics, err := liveStack(cfg.Ops, &middleware.CarbonInterceptor{
+		Signal:      sig,
+		DirtyG:      (cfg.CleanG + cfg.DirtyG) / 2,
+		MaxDeferSec: 600, PollSec: 0.02,
+	}, cfg.BudgetJ, cfg.BudgetHorizonSec)
 	if err != nil {
-		return nil, nil, err
-	}
-	ics := []middleware.Interceptor{
-		&middleware.SLAInterceptor{
-			Config: &sla.Config{
-				Catalog:   wallClockCatalog(cfg.Ops, cfg.HungryFlops),
-				Admission: &sla.Admission{Margin: 1},
-			},
-			BestFlops: cfg.HungryFlops,
-		},
-		&middleware.CarbonInterceptor{
-			Signal:      sig,
-			DirtyG:      (cfg.CleanG + cfg.DirtyG) / 2,
-			MaxDeferSec: 600, PollSec: 0.02,
-		},
-		&middleware.BudgetInterceptor{Tracker: tracker},
+		return nil, err
 	}
 	if elected != nil {
 		ics = append(ics, &middleware.HookInterceptor{
@@ -197,99 +175,138 @@ func durableMaster(cfg DurableConfig, transport, name string, jrn *journal.Journ
 			},
 		})
 	}
-	opts := []middleware.Option{
+	return fleet.Deploy(
 		middleware.WithName(name),
 		middleware.WithPolicy(sched.New(sched.GreenPerf)),
 		middleware.WithInterceptors(ics...),
 		middleware.WithJournal(jrn),
-		middleware.WithLeaseTerm(time.Duration(cfg.LeaseTermSec * float64(time.Second))),
-	}
-	attach, closers, err := attachSEDs(transport, seds, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	detach := func() { closeAll(closers) }
-	m, err := middleware.NewMaster(append(opts, attach)...)
-	if err != nil {
-		detach()
-		return nil, nil, err
-	}
-	return m, detach, nil
+		middleware.WithLeaseTerm(time.Duration(cfg.LeaseTermSec*float64(time.Second))),
+	)
+}
+
+// durableFleet builds the two executors, offering "stall" next to
+// "compute": it blocks until release closes (the request the crash
+// catches mid-execution) and reports each start on started, if set.
+func durableFleet(transport string, sig *liveStepSignal, release <-chan struct{}, started chan<- uint64) (*middleware.Fleet, error) {
+	return liveFleet(transport, middleware.FleetSpec{Carbon: sig, Services: []middleware.Service{{
+		Name: "stall",
+		Solve: func(ctx context.Context, req middleware.Request) ([]byte, error) {
+			if started != nil {
+				select {
+				case started <- req.ID:
+				default:
+				}
+			}
+			select {
+			case <-release:
+				return []byte("done"), nil
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+		},
+	}}})
 }
 
 // runDurable runs control + interrupted on one transport.
 func runDurable(cfg DurableConfig, transport string) (DurableRun, error) {
 	run := DurableRun{Transport: transport, ExpectedEarnedUSD: cfg.ExpectedEarnedUSD()}
 	suffix := transportLabel(transport)
-
-	// --- Control: the same mix, uninterrupted, clean grid ---
-	ctlPath := filepath.Join(cfg.Dir, "control-"+suffix+".wal")
-	ctlJrn, err := journal.Open(ctlPath, journal.Options{})
-	if err != nil {
+	var err error
+	if run.Control, err = durableControl(cfg, transport, filepath.Join(cfg.Dir, "control-"+suffix+".wal")); err != nil {
 		return run, err
 	}
-	ctlSig := &liveStepSignal{dirtyG: cfg.DirtyG, cleanG: cfg.CleanG}
-	release := make(chan struct{})
-	close(release) // control never stalls
-	seds, err := durableSEDs(cfg, ctlSig, release, nil)
-	if err != nil {
-		return run, err
-	}
-	ctl, closeCtl, err := durableMaster(cfg, transport, "durable-control-"+suffix, ctlJrn, ctlSig, seds, nil)
-	if err != nil {
-		return run, err
-	}
-	if err := submitDurableMix(ctl, cfg, true); err != nil {
-		closeCtl()
-		return run, err
-	}
-	run.Control = *ctl.Finalize()
-	closeCtl()
-	if err := ctlJrn.Close(); err != nil {
-		return run, err
-	}
-
-	// --- Interrupted, incarnation 1: crash mid-run ---
 	crashPath := filepath.Join(cfg.Dir, "crash-"+suffix+".wal")
-	jrn1, err := journal.Open(crashPath, journal.Options{})
-	if err != nil {
-		return run, err
-	}
-	sig1 := &liveStepSignal{dirtyG: cfg.DirtyG, cleanG: cfg.CleanG}
+	sig := &liveStepSignal{dirtyG: cfg.DirtyG, cleanG: cfg.CleanG}
 	stallRelease := make(chan struct{})
 	stallStarted := make(chan uint64, 2)
-	seds1, err := durableSEDs(cfg, sig1, stallRelease, stallStarted)
+	// The executors survive the master's death: in-process the SED
+	// objects carry straight over; on TCP their daemons are re-served
+	// and re-dialed by the new incarnation.
+	fleet, err := durableFleet(transport, sig, stallRelease, stallStarted)
 	if err != nil {
 		return run, err
 	}
-	m1, close1, err := durableMaster(cfg, transport, "durable-crash-"+suffix, jrn1, sig1, seds1, nil)
-	if err != nil {
+	if err := durableCrash(cfg, fleet, "durable-crash-"+suffix, crashPath, sig, stallRelease, stallStarted); err != nil {
 		return run, err
 	}
+	return run, durableRestart(cfg, fleet, "durable-restart-"+suffix, crashPath, &run)
+}
+
+// durableControl runs the full mix uninterrupted on a clean grid: the
+// books the interrupted run must match.
+func durableControl(cfg DurableConfig, transport, path string) (middleware.LiveResult, error) {
+	jrn, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		return middleware.LiveResult{}, err
+	}
+	defer jrn.Close()
+	sig := &liveStepSignal{dirtyG: cfg.DirtyG, cleanG: cfg.CleanG}
+	release := make(chan struct{})
+	close(release) // control never stalls
+	fleet, err := durableFleet(transport, sig, release, nil)
+	if err != nil {
+		return middleware.LiveResult{}, err
+	}
+	ctl, err := durableMaster(cfg, fleet, "durable-control-"+transportLabel(transport), jrn, sig, nil)
+	if err != nil {
+		return middleware.LiveResult{}, err
+	}
+	defer ctl.Close()
+	if err := submitDurableMix(ctl.Master, cfg); err != nil {
+		return middleware.LiveResult{}, err
+	}
+	res := *ctl.Finalize()
+	ctl.Close()
+	return res, jrn.Close()
+}
+
+// durableCrash is the interrupted run's first incarnation: it settles
+// the quick requests, then dies with one batch request parked in a
+// carbon window and one interactive request executing.
+func durableCrash(cfg DurableConfig, fleet *middleware.Fleet, name, path string, sig *liveStepSignal,
+	stallRelease chan struct{}, stallStarted <-chan uint64) error {
+	jrn, err := journal.Open(path, journal.Options{})
+	if err != nil {
+		return err
+	}
+	defer jrn.Close()
+	m, err := durableMaster(cfg, fleet, name, jrn, sig, nil)
+	if err != nil {
+		return err
+	}
+	defer m.Close()
 
 	// Settled before the crash: the quick interactives and the
 	// hopeless rejections.
-	if err := submitDurableSettled(m1, cfg); err != nil {
-		close1()
-		return run, err
+	if err := submitDurableSettled(m.Master, cfg); err != nil {
+		return err
 	}
+
+	// The crash tears every in-flight lifecycle down. The stall is
+	// released before the transport closes — the TCP endpoint drains
+	// in-flight handlers on Close — which also means the dead master's
+	// request finishes EXECUTING on the executor: lease-based redo is
+	// at-least-once execution with exactly-once booking, and the books
+	// the restart asserts prove the duplicate never lands.
+	ctx, crash := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	defer func() {
+		crash()
+		close(stallRelease)
+		wg.Wait()
+	}()
 
 	// Open a dirty window ending far past the crash point and park one
 	// batch request in it (the rest of the batch settled above, before
 	// the window opened): the crash must catch a live carbon park.
-	ctx1, crash := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	sig1.anchor(m1.Now() + 600) // dirty until long after the crash
+	sig.anchor(m.Now() + 600)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		m1.Do(ctx1, middleware.Request{Service: "compute", Ops: cfg.Ops, Class: LiveClassBatch, Deferrable: true})
+		m.Do(ctx, middleware.Request{Service: "compute", Ops: cfg.Ops, Class: LiveClassBatch, Deferrable: true})
 	}()
-	if err := awaitParked(m1, 1); err != nil {
-		crash()
-		wg.Wait()
-		close1()
-		return run, err
+	if err := awaitParked(m.Master, 1); err != nil {
+		return err
 	}
 
 	// One interactive request is mid-execution (leased, never to
@@ -297,37 +314,28 @@ func runDurable(cfg DurableConfig, transport string) (DurableRun, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		m1.Do(ctx1, middleware.Request{Service: "stall", Ops: cfg.Ops, Class: LiveClassInteractive})
+		m.Do(ctx, middleware.Request{Service: "stall", Ops: cfg.Ops, Class: LiveClassInteractive})
 	}()
 	select {
 	case <-stallStarted:
 	case <-time.After(10 * time.Second):
-		crash()
-		wg.Wait()
-		close1()
-		return run, fmt.Errorf("stalled request never reached a SED")
+		return fmt.Errorf("stalled request never reached a SED")
 	}
+	// The journal handle dies first (kill -9 — no settle, no sync, so
+	// the leased and parked lifecycles stay incomplete on disk).
+	jrn.Abandon()
+	return nil
+}
 
-	// The crash: the journal handle dies first (kill -9 — no settle,
-	// no sync, so the leased and parked lifecycles stay incomplete on
-	// disk), then every in-flight lifecycle is torn down. The stall is
-	// released before the transport closes — the TCP endpoint drains
-	// in-flight handlers on Close — which also means the dead master's
-	// request finishes EXECUTING on the executor: lease-based redo is
-	// at-least-once execution with exactly-once booking, and the books
-	// asserted below prove the duplicate never lands.
-	jrn1.Abandon()
-	crash()
-	close(stallRelease)
-	wg.Wait()
-	close1()
-
-	// --- Interrupted, incarnation 2: recover, replay, finish ---
-	jrn2, err := journal.Open(crashPath, journal.Options{})
+// durableRestart is the interrupted run's second incarnation: it
+// recovers the journal, replays it and finishes the work.
+func durableRestart(cfg DurableConfig, fleet *middleware.Fleet, name, path string, run *DurableRun) error {
+	jrn, err := journal.Open(path, journal.Options{})
 	if err != nil {
-		return run, err
+		return err
 	}
-	for _, e := range jrn2.Pending() {
+	defer jrn.Close()
+	for _, e := range jrn.Pending() {
 		switch e.State {
 		case journal.StateLeased:
 			run.LeasedAtCrash++
@@ -336,111 +344,46 @@ func runDurable(cfg DurableConfig, transport string) (DurableRun, error) {
 			run.DeferredAtCrash++
 		}
 	}
-	sig2 := &liveStepSignal{dirtyG: cfg.DirtyG, cleanG: cfg.CleanG} // clean: the window died with incarnation 1
+	sig := &liveStepSignal{dirtyG: cfg.DirtyG, cleanG: cfg.CleanG} // clean: the window died with incarnation 1
 	var redoMu sync.Mutex
-	// The executors survived the master's death: in-process the SED
-	// objects carry straight over; on TCP their daemons are re-served
-	// and re-dialed by the new incarnation.
-	m2, close2, err := durableMaster(cfg, transport, "durable-restart-"+suffix, jrn2, sig2, seds1,
-		func(req middleware.Request, server string) {
-			if req.Service == "stall" {
-				redoMu.Lock()
-				run.RedoTo = server
-				redoMu.Unlock()
-			}
-		})
+	m, err := durableMaster(cfg, fleet, name, jrn, sig, func(req middleware.Request, server string) {
+		if req.Service == "stall" {
+			redoMu.Lock()
+			run.RedoTo = server
+			redoMu.Unlock()
+		}
+	})
 	if err != nil {
-		jrn2.Close()
-		return run, err
+		return err
 	}
-	st, err := m2.Replay(context.Background())
+	defer m.Close()
+	st, err := m.Replay(context.Background())
 	if err != nil {
-		close2()
-		jrn2.Close()
-		return run, err
+		return err
 	}
 	// The deferred entry replays in the background (Replay never waits
 	// behind a carbon window); the restarted grid is clean, so draining
 	// it here is what proves the park survived the crash.
-	if err := m2.ReplayWait(context.Background()); err != nil {
-		close2()
-		jrn2.Close()
-		return run, err
+	if err := m.ReplayWait(context.Background()); err != nil {
+		return err
 	}
 	run.Replay = st
-	run.Interrupted = *m2.Finalize()
-	run.JournalStats = jrn2.Stats()
-	close2()
-	if err := jrn2.Close(); err != nil {
-		return run, err
-	}
-	return run, nil
-}
-
-// durableSEDs builds the two executors, both offering "compute" (sleep
-// ops/flops) and "stall" (block until release closes — the request the
-// crash catches mid-execution).
-func durableSEDs(cfg DurableConfig, sig *liveStepSignal, release <-chan struct{}, started chan<- uint64) ([]*middleware.SED, error) {
-	var seds []*middleware.SED
-	for _, spec := range []struct {
-		name         string
-		flops, watts float64
-	}{
-		{"lean", cfg.LeanFlops, cfg.LeanWatts},
-		{"hungry", cfg.HungryFlops, cfg.HungryWatts},
-	} {
-		sed, err := liveSED(spec.name, spec.flops, spec.watts, sig, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := sed.Register(middleware.Service{
-			Name: "stall",
-			Solve: func(ctx context.Context, req middleware.Request) ([]byte, error) {
-				if started != nil {
-					select {
-					case started <- req.ID:
-					default:
-					}
-				}
-				select {
-				case <-release:
-					return []byte("done"), nil
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			},
-		}); err != nil {
-			return nil, err
-		}
-		seds = append(seds, sed)
-	}
-	return seds, nil
+	run.Interrupted = *m.Finalize()
+	run.JournalStats = jrn.Stats()
+	m.Close()
+	return jrn.Close()
 }
 
 // submitDurableSettled drives the requests that settle BEFORE the
 // crash: the quick interactives and the hopeless rejections.
 func submitDurableSettled(m *middleware.Master, cfg DurableConfig) error {
-	ctx := context.Background()
-	for i := 0; i < cfg.Interactive; i++ {
-		if _, err := m.Do(ctx, middleware.Request{Service: "compute", Ops: cfg.Ops, Class: LiveClassInteractive}); err != nil {
-			return fmt.Errorf("interactive %d: %w", i, err)
-		}
+	if err := submitEach(m, cfg.Interactive, middleware.Request{Service: "compute", Ops: cfg.Ops, Class: LiveClassInteractive}, "interactive"); err != nil {
+		return err
 	}
-	for i := 0; i < cfg.Batch-1; i++ {
-		if _, err := m.Do(ctx, middleware.Request{Service: "compute", Ops: cfg.Ops, Class: LiveClassBatch, Deferrable: true}); err != nil {
-			return fmt.Errorf("batch %d: %w", i, err)
-		}
+	if err := submitEach(m, cfg.Batch-1, middleware.Request{Service: "compute", Ops: cfg.Ops, Class: LiveClassBatch, Deferrable: true}, "batch"); err != nil {
+		return err
 	}
-	for i := 0; i < cfg.Hopeless; i++ {
-		_, err := m.Do(ctx, middleware.Request{Service: "compute", Ops: cfg.Ops, Class: LiveClassHopeless})
-		if err == nil {
-			return fmt.Errorf("hopeless request %d was admitted", i)
-		}
-		if !errors.Is(err, middleware.ErrRejected) {
-			return fmt.Errorf("hopeless request %d: %w", i, err)
-		}
-	}
-	return nil
+	return rejectHopeless(m, cfg.Hopeless, cfg.Ops)
 }
 
 // submitDurableMix drives the FULL mix to completion — the control
@@ -448,22 +391,14 @@ func submitDurableSettled(m *middleware.Master, cfg DurableConfig) error {
 // requests the interrupted run crashes on (one more batch, one more
 // interactive — service "stall" resolves instantly there because the
 // control's release channel is pre-closed).
-func submitDurableMix(m *middleware.Master, cfg DurableConfig, stallService bool) error {
+func submitDurableMix(m *middleware.Master, cfg DurableConfig) error {
 	if err := submitDurableSettled(m, cfg); err != nil {
 		return err
 	}
-	ctx := context.Background()
-	if _, err := m.Do(ctx, middleware.Request{Service: "compute", Ops: cfg.Ops, Class: LiveClassBatch, Deferrable: true}); err != nil {
-		return fmt.Errorf("final batch: %w", err)
+	if err := submitEach(m, 1, middleware.Request{Service: "compute", Ops: cfg.Ops, Class: LiveClassBatch, Deferrable: true}, "final batch"); err != nil {
+		return err
 	}
-	svc := "compute"
-	if stallService {
-		svc = "stall"
-	}
-	if _, err := m.Do(ctx, middleware.Request{Service: svc, Ops: cfg.Ops, Class: LiveClassInteractive}); err != nil {
-		return fmt.Errorf("final interactive: %w", err)
-	}
-	return nil
+	return submitEach(m, 1, middleware.Request{Service: "stall", Ops: cfg.Ops, Class: LiveClassInteractive}, "final interactive")
 }
 
 // awaitParked polls the master's deferral stats until n requests are

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -115,6 +117,35 @@ func TestDurableStudy(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestDurableStudyClosesJournalsOnError: a drill that fails leaves no
+// journal open. Admission must reject its interactive work: 1e12 ops
+// take 250 s at 4 GFLOP/s against a 60 s deadline.
+func TestDurableStudyClosesJournalsOnError(t *testing.T) {
+	fds := func() []string {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot list open files: %v", err)
+		}
+		var names []string
+		for _, e := range entries {
+			link, _ := os.Readlink("/proc/self/fd/" + e.Name())
+			names = append(names, e.Name()+" -> "+link)
+		}
+		return names
+	}
+	cfg := DefaultDurableConfig()
+	cfg.Dir = t.TempDir()
+	cfg.Ops = 1e12
+	fds() // a first listing may open the runtime's own descriptors
+	before := fds()
+	if _, err := RunDurableStudy(cfg); err == nil {
+		t.Fatal("a drill whose interactive work admission rejects succeeded")
+	}
+	if after := fds(); !slices.Equal(after, before) {
+		t.Errorf("open files changed across a failed drill:\nbefore %q\nafter  %q", before, after)
 	}
 }
 

@@ -6,10 +6,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"greensched/internal/budget"
-	"greensched/internal/carbon"
+	"greensched/internal/cluster"
 	"greensched/internal/journal"
 	"greensched/internal/middleware"
 	"greensched/internal/obs"
@@ -62,14 +61,9 @@ type LiveComposedConfig struct {
 	Batch       int
 	Hopeless    int
 
-	// Ops per request; the SEDs "compute" by sleeping Ops/flops.
+	// Ops per request; the SEDs of livePlatform "compute" by sleeping
+	// Ops/FlopsPerCore.
 	Ops float64
-	// LeanFlops/HungryFlops and the watt figures describe the two
-	// SEDs (the hungry node is faster and thirstier).
-	LeanFlops   float64
-	HungryFlops float64
-	LeanWatts   float64
-	HungryWatts float64
 
 	// The grid: dirty (DirtyG) for DirtyWindowSec after the start,
 	// clean (CleanG) afterwards. Deferrable work waits out the dirty
@@ -118,9 +112,9 @@ type LiveComposedConfig struct {
 	// "host:port"): the SEDs mount ExternalPowerInterceptor instead of
 	// a local meter, the master attributes from sidecar readings, and
 	// with Registry set the greensched_power_* families appear on
-	// /metrics. The client falls back to the config's static watt
-	// figures if the sidecar is unreachable, so a dead sidecar slows
-	// nothing down — it just shows up in the fallback counters.
+	// /metrics. The client falls back to livePlatform's peak watts if
+	// the sidecar is unreachable, so a dead sidecar slows nothing down —
+	// it just shows up in the fallback counters.
 	PowerAddr string
 }
 
@@ -133,10 +127,6 @@ func DefaultLiveComposedConfig() LiveComposedConfig {
 		Batch:       4,
 		Hopeless:    1,
 		Ops:         4e6,
-		LeanFlops:   1e9,
-		HungryFlops: 4e9,
-		LeanWatts:   80,
-		HungryWatts: 320,
 		CleanG:      60,
 		DirtyG:      600,
 		// The dirty window is long enough that batch submitted at
@@ -177,8 +167,8 @@ func (c LiveComposedConfig) Validate() error {
 		return fmt.Errorf("experiments: live study needs interactive, batch and hopeless requests")
 	case c.Warmup < 0:
 		return fmt.Errorf("experiments: negative warmup")
-	case c.Ops <= 0 || c.LeanFlops <= 0 || c.HungryFlops <= 0:
-		return fmt.Errorf("experiments: live study needs positive ops and flops")
+	case c.Ops <= 0:
+		return fmt.Errorf("experiments: live study needs positive ops")
 	case c.DirtyG <= c.CleanG || c.CleanG < 0:
 		return fmt.Errorf("experiments: dirty intensity %v must exceed clean %v", c.DirtyG, c.CleanG)
 	case c.DirtyWindowSec <= 0 || c.MaxDeferSec <= c.DirtyWindowSec:
@@ -191,25 +181,80 @@ func (c LiveComposedConfig) Validate() error {
 	return nil
 }
 
-// wallClockCatalog is the SLA catalog of the live drills, with real
-// wall-clock deadlines rather than the simulator's hour-scale ones. Its
-// curves are timing-robust: HardDrop earns full value anywhere before
-// the generous interactive deadline and Flat earns regardless, so a
-// run that finishes the same work later books the same dollars. The
-// hopeless deadline sits far below the best-case execution time of ops
-// at bestFlops, so admission rejects it deterministically.
-func wallClockCatalog(ops, bestFlops float64) sla.Catalog {
-	return sla.Catalog{
-		LiveClassInteractive: {
-			Name: LiveClassInteractive, RelDeadlineSec: 60, ValueUSD: 2, Curve: sla.HardDrop{},
-		},
-		LiveClassBatch: {
-			Name: LiveClassBatch, ValueUSD: 0.05, Curve: sla.Flat{},
-		},
-		LiveClassHopeless: {
-			Name: LiveClassHopeless, RelDeadlineSec: ops / bestFlops / 100, ValueUSD: 1, Curve: sla.HardDrop{},
-		},
+// livePlatform is the fleet of both live drills: the hungry node is
+// faster and thirstier.
+var livePlatform = cluster.MustPlatform([]cluster.NodeSpec{
+	{Name: "lean", Cores: 2, FlopsPerCore: 1e9, PeakW: 80},
+	{Name: "hungry", Cores: 2, FlopsPerCore: 4e9, PeakW: 320},
+})
+
+// liveFleet builds livePlatform's SEDs for the named transport.
+func liveFleet(transport string, spec middleware.FleetSpec) (*middleware.Fleet, error) {
+	spec.Platform = livePlatform
+	spec.TCP = transport == LiveTransportTCP
+	return middleware.NewFleet(spec)
+}
+
+// liveStack is the master stack of both live drills, over a fresh
+// budget tracker. SLA admission comes first: it resolves terms and
+// rejects before anything is parked, and its resolved deadlines keep
+// urgent traffic out of the carbon window that follows; budget
+// metering comes last. Finalize runs in reverse, so the ledger summary
+// divides by the grams and joules the later interceptors published.
+//
+// The SLA catalog has real wall-clock deadlines rather than the
+// simulator's hour-scale ones. Its curves are timing-robust: HardDrop
+// earns full value anywhere before the generous interactive deadline
+// and Flat earns regardless, so a run that finishes the same work later
+// books the same dollars. The hopeless deadline sits far below the
+// best-case execution time of ops on livePlatform's fastest core, so
+// admission rejects it deterministically.
+func liveStack(ops float64, grid *middleware.CarbonInterceptor, budgetJ, horizonSec float64) ([]middleware.Interceptor, error) {
+	tracker, err := budget.NewTracker(budgetJ, horizonSec)
+	if err != nil {
+		return nil, err
 	}
+	best := 0.0
+	for _, n := range livePlatform.Nodes {
+		best = max(best, n.FlopsPerCore)
+	}
+	catalog := sla.Catalog{
+		LiveClassInteractive: {Name: LiveClassInteractive, RelDeadlineSec: 60, ValueUSD: 2, Curve: sla.HardDrop{}},
+		LiveClassBatch:       {Name: LiveClassBatch, ValueUSD: 0.05, Curve: sla.Flat{}},
+		LiveClassHopeless:    {Name: LiveClassHopeless, RelDeadlineSec: ops / best / 100, ValueUSD: 1, Curve: sla.HardDrop{}},
+	}
+	return []middleware.Interceptor{
+		&middleware.SLAInterceptor{Config: &sla.Config{Catalog: catalog, Admission: &sla.Admission{Margin: 1}}, BestFlops: best},
+		grid,
+		&middleware.BudgetInterceptor{Tracker: tracker},
+	}, nil
+}
+
+// submitEach runs n copies of req on m, one after another; what names
+// them in an error.
+func submitEach(m *middleware.Master, n int, req middleware.Request, what string) error {
+	for i := 0; i < n; i++ {
+		if _, err := m.Do(context.Background(), req); err != nil {
+			return fmt.Errorf("%s %d: %w", what, i, err)
+		}
+	}
+	return nil
+}
+
+// rejectHopeless submits n hopeless requests of ops each: admission
+// must refuse every one (the master's Rejected counter keeps the
+// tally).
+func rejectHopeless(m *middleware.Master, n int, ops float64) error {
+	for i := 0; i < n; i++ {
+		_, err := m.Do(context.Background(), middleware.Request{Service: "compute", Ops: ops, Class: LiveClassHopeless})
+		if err == nil {
+			return fmt.Errorf("hopeless request %d was admitted", i)
+		}
+		if !errors.Is(err, middleware.ErrRejected) {
+			return fmt.Errorf("hopeless request %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // ExpectedEarnedUSD is the dollar total the ledger must show when
@@ -345,143 +390,52 @@ func byTransport[R any](runs []R, transport string) (R, bool) {
 	return zero, false
 }
 
-// attachSEDs deploys seds for one master over the named transport:
-// in-process children, or per SED a TCP endpoint and a dialed Remote
-// that emits transport spans into spans (nil: none). It returns the
-// master option and the closers to run, via closeAll, once the master
-// is done.
-func attachSEDs(transport string, seds []*middleware.SED, spans *obs.SpanWriter) (middleware.Option, []func() error, error) {
-	switch transport {
-	case LiveTransportInProcess:
-		return middleware.WithSEDs(seds...), nil, nil
-	case LiveTransportTCP:
-		var remotes []*middleware.Remote
-		var closers []func() error
-		for _, sed := range seds {
-			ep, err := middleware.Serve("127.0.0.1:0", sed, sed)
-			if err != nil {
-				closeAll(closers)
-				return nil, nil, err
-			}
-			rem := middleware.Dial(sed.Name(), ep.Addr())
-			rem.SetSpans(spans)
-			closers = append(closers, ep.Close, rem.Close)
-			remotes = append(remotes, rem)
-		}
-		return middleware.WithRemotes(remotes...), closers, nil
-	}
-	return nil, nil, fmt.Errorf("unknown transport %q", transport)
-}
-
-// closeAll runs closers last to first.
-func closeAll(closers []func() error) {
-	for i := len(closers) - 1; i >= 0; i-- {
-		closers[i]()
-	}
-}
-
-// liveSED builds one metered, carbon-tagged SED whose service sleeps
-// ops/flops. With a power source set, the SED reads the external
-// sidecar instead of a local constant-watt meter.
-func liveSED(name string, flops, watts float64, sig carbon.Signal, spans *obs.SpanWriter, src power.Source) (*middleware.SED, error) {
-	meter := middleware.Interceptor(&middleware.MeterInterceptor{
-		Meter: func() (float64, bool) { return watts, true },
-	})
-	if src != nil {
-		meter = &middleware.ExternalPowerInterceptor{Source: src}
-	}
-	sed, err := middleware.NewSED(middleware.SEDConfig{
-		Name:  name,
-		Slots: 2,
-		Spans: spans,
-		Interceptors: []middleware.Interceptor{
-			meter,
-			&middleware.CarbonInterceptor{Signal: sig},
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sed.Register(middleware.Service{
-		Name:  "compute",
-		Solve: sleepSolve(flops),
-	}); err != nil {
-		return nil, err
-	}
-	return sed, nil
-}
-
 // runLiveComposed runs the scenario on one transport.
 func runLiveComposed(cfg LiveComposedConfig, transport string) (LiveComposedRun, error) {
 	sig := &liveStepSignal{dirtyG: cfg.DirtyG, cleanG: cfg.CleanG}
+	spec := middleware.FleetSpec{Carbon: sig}
 	// One span writer serves every emitter (runs are sequential and the
 	// writer itself is concurrency-safe), so master, transport and SED
 	// spans stitch in one stream.
-	var spans *obs.SpanWriter
 	if cfg.SpanW != nil {
-		spans = obs.NewSpanWriter(cfg.SpanW)
+		spec.Spans = obs.NewSpanWriter(cfg.SpanW)
 	}
 	// Optional external power: one sidecar client per transport run,
-	// falling back to the config's static watt figures when the
-	// sidecar is unreachable.
+	// falling back to the platform's peak watts when the sidecar is
+	// unreachable.
 	var powerCli *powerd.Client
 	if cfg.PowerAddr != "" {
+		fallback := power.StaticSource{}
+		for _, n := range livePlatform.Nodes {
+			fallback[n.Name] = n.PeakW
+		}
 		var err error
-		powerCli, err = powerd.NewClient(powerd.Config{
-			Addr:     cfg.PowerAddr,
-			Fallback: power.StaticSource{"lean": cfg.LeanWatts, "hungry": cfg.HungryWatts},
-		})
+		powerCli, err = powerd.NewClient(powerd.Config{Addr: cfg.PowerAddr, Fallback: fallback})
 		if err != nil {
 			return LiveComposedRun{}, err
 		}
 		defer powerCli.Close()
+		spec.Power = powerCli
 	}
-	var powerSrc power.Source
-	if powerCli != nil {
-		powerSrc = powerCli
-	}
-	lean, err := liveSED("lean", cfg.LeanFlops, cfg.LeanWatts, sig, spans, powerSrc)
-	if err != nil {
-		return LiveComposedRun{}, err
-	}
-	hungry, err := liveSED("hungry", cfg.HungryFlops, cfg.HungryWatts, sig, spans, powerSrc)
+	fleet, err := liveFleet(transport, spec)
 	if err != nil {
 		return LiveComposedRun{}, err
 	}
 
-	tracker, err := budget.NewTracker(cfg.BudgetJ, cfg.BudgetHorizonSec)
-	if err != nil {
-		return LiveComposedRun{}, err
-	}
 	// Optional fleet telemetry: both runs execute sequentially, so two
 	// tracers over one writer never interleave a line.
 	var tracer *obs.Tracer
 	if cfg.TraceW != nil {
 		tracer = obs.NewTracer(cfg.TraceW)
 	}
-	// Stack order: observability first (it must see every submission
-	// before admission can refuse it, and reverse-order Finalize then
-	// runs it last, over the totals the whole stack published), the SLA
-	// layer next (resolve terms, admit or reject before anything is
-	// parked — and its resolved deadlines keep urgent traffic out of
-	// the green window below), then the carbon window, then budget
-	// metering. Finalize runs in reverse, so the ledger summary divides
-	// by the grams and joules the later interceptors published.
-	ics := []middleware.Interceptor{
-		&middleware.SLAInterceptor{
-			Config: &sla.Config{
-				Catalog:   wallClockCatalog(cfg.Ops, cfg.HungryFlops),
-				Admission: &sla.Admission{Margin: 1},
-			},
-			BestFlops: cfg.HungryFlops,
-		},
-		&middleware.CarbonInterceptor{
-			Signal:      sig,
-			DirtyG:      (cfg.CleanG + cfg.DirtyG) / 2,
-			MaxDeferSec: cfg.MaxDeferSec, PollSec: cfg.PollSec,
-			Tracer: tracer,
-		},
-		&middleware.BudgetInterceptor{Tracker: tracker},
+	ics, err := liveStack(cfg.Ops, &middleware.CarbonInterceptor{
+		Signal:      sig,
+		DirtyG:      (cfg.CleanG + cfg.DirtyG) / 2,
+		MaxDeferSec: cfg.MaxDeferSec, PollSec: cfg.PollSec,
+		Tracer: tracer,
+	}, cfg.BudgetJ, cfg.BudgetHorizonSec)
+	if err != nil {
+		return LiveComposedRun{}, err
 	}
 	if powerCli != nil {
 		ics = append(ics, &middleware.ExternalPowerInterceptor{
@@ -490,6 +444,9 @@ func runLiveComposed(cfg LiveComposedConfig, transport string) (LiveComposedRun,
 			Labels:   map[string]string{"transport": transportLabel(transport)},
 		})
 	}
+	// Observability goes first: it must see every submission before
+	// admission can refuse it, and reverse-order Finalize then runs it
+	// last, over the totals the whole stack published.
 	if cfg.Registry != nil || tracer != nil {
 		ics = append([]middleware.Interceptor{&middleware.ObsInterceptor{
 			Registry: cfg.Registry,
@@ -503,39 +460,27 @@ func runLiveComposed(cfg LiveComposedConfig, transport string) (LiveComposedRun,
 		middleware.WithPolicy(sched.New(sched.GreenPerf)),
 		middleware.WithInterceptors(ics...),
 	}
-	if spans != nil {
-		opts = append(opts, middleware.WithSpans(spans))
-	}
 	if cfg.Concurrency > 0 {
 		opts = append(opts, middleware.WithConcurrency(cfg.Concurrency))
 	}
-	var closers []func() error
-	defer func() { closeAll(closers) }()
 	if cfg.JournalPath != "" {
 		jrn, err := journal.Open(cfg.JournalPath+"."+transportLabel(transport)+".wal", journal.Options{})
 		if err != nil {
 			return LiveComposedRun{}, err
 		}
-		closers = append(closers, jrn.Close)
+		defer jrn.Close()
 		opts = append(opts, middleware.WithJournal(jrn))
 	}
-	attach, detach, err := attachSEDs(transport, []*middleware.SED{lean, hungry}, spans)
+	master, err := fleet.Deploy(opts...)
 	if err != nil {
 		return LiveComposedRun{}, err
 	}
-	closers = append(closers, detach...)
-
-	master, err := middleware.NewMaster(append(opts, attach)...)
-	if err != nil {
-		return LiveComposedRun{}, err
-	}
+	defer master.Close()
 	ctx := context.Background()
 
 	// Learning phase: best-effort warmups measure the SEDs.
-	for i := 0; i < cfg.Warmup; i++ {
-		if _, err := master.Do(ctx, middleware.Request{Service: "compute", Ops: cfg.Ops}); err != nil {
-			return LiveComposedRun{}, fmt.Errorf("warmup %d: %w", i, err)
-		}
+	if err := submitEach(master.Master, cfg.Warmup, middleware.Request{Service: "compute", Ops: cfg.Ops}, "warmup"); err != nil {
+		return LiveComposedRun{}, err
 	}
 
 	// Deferrable batch goes in first, while the grid is provably
@@ -561,19 +506,13 @@ func runLiveComposed(cfg LiveComposedConfig, transport string) (LiveComposedRun,
 	for i := 0; i < cfg.Interactive; i++ {
 		submit(middleware.Request{Service: "compute", Ops: cfg.Ops, Class: LiveClassInteractive})
 	}
-	// Hopeless requests: admission must refuse each one (the master's
-	// Rejected counter, asserted in the study's test, keeps the tally).
-	for i := 0; i < cfg.Hopeless; i++ {
-		_, err := master.Do(ctx, middleware.Request{Service: "compute", Ops: cfg.Ops, Class: LiveClassHopeless})
-		if err == nil {
-			return LiveComposedRun{}, fmt.Errorf("hopeless request %d was admitted", i)
-		}
-		if !errors.Is(err, middleware.ErrRejected) {
-			return LiveComposedRun{}, fmt.Errorf("hopeless request %d: %w", i, err)
-		}
-	}
+	// Hopeless requests: admission must refuse each one.
+	err = rejectHopeless(master.Master, cfg.Hopeless, cfg.Ops)
 	wg.Wait()
 	close(errs)
+	if err != nil {
+		return LiveComposedRun{}, err
+	}
 	for err := range errs {
 		return LiveComposedRun{}, err
 	}
@@ -589,18 +528,6 @@ func runLiveComposed(cfg LiveComposedConfig, transport string) (LiveComposedRun,
 		run.PowerStats = &st
 	}
 	return run, nil
-}
-
-// sleepSolve pretends to compute by sleeping ops/flops.
-func sleepSolve(flops float64) func(context.Context, middleware.Request) ([]byte, error) {
-	return func(ctx context.Context, req middleware.Request) ([]byte, error) {
-		select {
-		case <-time.After(time.Duration(req.Ops / flops * float64(time.Second))):
-			return []byte("done"), nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
 }
 
 // Table renders the per-transport comparison.

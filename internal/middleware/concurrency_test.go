@@ -81,7 +81,7 @@ func hammerMaster(t *testing.T, transport string, extra ...Option) (*Master, fun
 	var cleanup func()
 	switch transport {
 	case "inproc":
-		opts = append(opts, WithSEDs(seds...))
+		opts = append(opts, withSEDs(seds...))
 		cleanup = func() {}
 	case "tcp":
 		var eps []*Endpoint
@@ -94,7 +94,7 @@ func hammerMaster(t *testing.T, transport string, extra ...Option) (*Master, fun
 			eps = append(eps, ep)
 			rems = append(rems, Dial(sed.Name(), ep.Addr()))
 		}
-		opts = append(opts, WithRemotes(rems...))
+		opts = append(opts, withSEDs(rems...))
 		cleanup = func() {
 			for _, r := range rems {
 				r.Close()
@@ -229,7 +229,7 @@ func TestWithConcurrencyBoundsInflight(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaster(WithPolicy(sched.New(sched.LeastLoaded)), WithSEDs(sed), WithConcurrency(2))
+	m, err := NewMaster(WithPolicy(sched.New(sched.LeastLoaded)), withSEDs(sed), WithConcurrency(2))
 	if err != nil {
 		t.Fatal(err)
 	}

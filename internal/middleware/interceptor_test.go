@@ -110,7 +110,7 @@ func TestMasterLifecycleHookOrder(t *testing.T) {
 	rec := &recorder{}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
+		withSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(recordingInterceptor(rec, "a"), recordingInterceptor(rec, "b")),
 	)
 	if err != nil {
@@ -190,7 +190,7 @@ func TestOnSubmitRejectionShortCircuits(t *testing.T) {
 	var later atomic.Int64
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
+		withSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(
 			&testHooks{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
 				return fmt.Errorf("%w: request %d refused by policy", ErrRejected, req.ID)
@@ -223,7 +223,7 @@ func TestOnSubmitMutationVisibleDownstream(t *testing.T) {
 	var sawClass atomic.Value
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
+		withSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(
 			&testHooks{OnSubmitFunc: func(_ context.Context, _ float64, req *Request) error {
 				req.Class = "boosted"
@@ -269,8 +269,6 @@ func TestNewMasterConstructionErrors(t *testing.T) {
 		opt  Option
 		want string
 	}{
-		{"nil SED", WithSEDs(nil), "nil SED"},
-		{"nil remote", WithRemotes(nil), "nil remote"},
 		{"nil interceptor", WithInterceptors(nil), "nil interceptor"},
 		{"negative concurrency", WithConcurrency(-1), "negative concurrency"},
 		{"negative lease term", WithLeaseTerm(-time.Second), "negative lease term"},
@@ -301,7 +299,7 @@ func TestSEDFailedCounter(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaster(WithPolicy(sched.New(sched.Power)), WithSEDs(sed))
+	m, err := NewMaster(WithPolicy(sched.New(sched.Power)), withSEDs(sed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +340,7 @@ func TestSLAInterceptorLiveLedger(t *testing.T) {
 	}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "fast", 2, 2e9, 100)),
+		withSEDs(newSED(t, "fast", 2, 2e9, 100)),
 		WithInterceptors(ic),
 	)
 	if err != nil {
@@ -386,7 +384,7 @@ func TestCarbonInterceptorDefersUntilClean(t *testing.T) {
 	ic := &CarbonInterceptor{Signal: feed, DirtyG: 300, MaxDeferSec: 10, PollSec: 0.005}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 2, 2e9, 100)),
+		withSEDs(newSED(t, "only", 2, 2e9, 100)),
 		WithInterceptors(ic),
 	)
 	if err != nil {
@@ -448,7 +446,7 @@ func TestCarbonInterceptorMaxDeferBound(t *testing.T) {
 	}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
+		withSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(ic),
 	)
 	if err != nil {
@@ -470,7 +468,7 @@ func TestCarbonInterceptorMaxDeferBound(t *testing.T) {
 	}
 	m2, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only2", 1, 2e9, 100)),
+		withSEDs(newSED(t, "only2", 1, 2e9, 100)),
 		WithInterceptors(ic2),
 	)
 	if err != nil {
@@ -492,7 +490,7 @@ func TestDeferrableDeadlineClassNeverParked(t *testing.T) {
 	}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
+		withSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(
 			&SLAInterceptor{Config: &sla.Config{Catalog: catalog}},
 			&CarbonInterceptor{
@@ -543,7 +541,7 @@ func TestSLAInterceptorBooksFailures(t *testing.T) {
 	ic := &SLAInterceptor{Config: &sla.Config{Catalog: catalog}}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(sed),
+		withSEDs(sed),
 		WithInterceptors(ic),
 	)
 	if err != nil {
@@ -567,40 +565,6 @@ func TestSLAInterceptorBooksFailures(t *testing.T) {
 	}
 }
 
-// TestWithTransportRegistersSEDs: WithSEDs composes with an explicit
-// WithTransport directory — the SEDs are registered where elections
-// will be resolved, not into a discarded implicit one.
-func TestWithTransportRegistersSEDs(t *testing.T) {
-	dir := NewMapDirectory()
-	m, err := NewMaster(
-		WithPolicy(sched.New(sched.Power)),
-		WithTransport(dir),
-		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := dir.Lookup("only"); !ok {
-		t.Fatal("SED not registered into the explicit transport")
-	}
-	if _, err := m.Submit(context.Background(), "burn", 1e6, 0, nil); err != nil {
-		t.Fatalf("election through explicit transport: %v", err)
-	}
-	// A transport that cannot register is a construction-time error.
-	if _, err := NewMaster(
-		WithPolicy(sched.New(sched.Power)),
-		WithTransport(lookupOnlyDirectory{}),
-		WithSEDs(newSED(t, "only2", 1, 2e9, 100)),
-	); err == nil {
-		t.Fatal("unregisterable transport + WithSEDs accepted")
-	}
-}
-
-// lookupOnlyDirectory is a Directory without an Add method.
-type lookupOnlyDirectory struct{}
-
-func (lookupOnlyDirectory) Lookup(string) (Solver, bool) { return nil, false }
-
 // TestBudgetInterceptorCharges: completions charge their attributed
 // energy share to the tracker.
 func TestBudgetInterceptorCharges(t *testing.T) {
@@ -610,7 +574,7 @@ func TestBudgetInterceptorCharges(t *testing.T) {
 	}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "hot", 1, 2e9, 5000)),
+		withSEDs(newSED(t, "hot", 1, 2e9, 5000)),
 		WithInterceptors(&BudgetInterceptor{Tracker: tracker}),
 	)
 	if err != nil {

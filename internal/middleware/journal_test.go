@@ -75,7 +75,7 @@ func TestJournalReplayKillRestart(t *testing.T) {
 	}
 	m1, err := NewMaster(
 		WithPolicy(sched.New(sched.LeastLoaded)),
-		WithSEDs(sedA, sedB),
+		withSEDs(sedA, sedB),
 		WithJournal(j1),
 		WithLeaseTerm(150*time.Millisecond),
 	)
@@ -139,7 +139,7 @@ func TestJournalReplayKillRestart(t *testing.T) {
 	}
 	m2, err := NewMaster(
 		WithPolicy(sched.New(sched.LeastLoaded)),
-		WithSEDs(sedA2, sedB2),
+		withSEDs(sedA2, sedB2),
 		WithJournal(j2),
 		WithInterceptors(probe, &HookInterceptor{
 			OnElectFunc: func(_ float64, _ Request, server string, _ estvec.List) {
@@ -228,7 +228,7 @@ func TestReplayDeferredDoesNotBlockStartup(t *testing.T) {
 	dirty.Store(true)
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.LeastLoaded)),
-		WithSEDs(newSED(t, "sed", 2, 1e9, 100)),
+		withSEDs(newSED(t, "sed", 2, 1e9, 100)),
 		WithJournal(j2),
 		WithInterceptors(&CarbonInterceptor{
 			Signal: feedSignal{g: func() float64 {
@@ -300,7 +300,7 @@ func TestJournalAdmissionRejectionSettles(t *testing.T) {
 	}}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.LeastLoaded)),
-		WithSEDs(newSED(t, "sed", 1, 1e9, 100)),
+		withSEDs(newSED(t, "sed", 1, 1e9, 100)),
 		WithJournal(j),
 		WithInterceptors(reject),
 	)
@@ -353,7 +353,7 @@ func TestJournalReplayRejectionNotFailed(t *testing.T) {
 	}}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.LeastLoaded)),
-		WithSEDs(newSED(t, "sed", 1, 1e9, 100)),
+		withSEDs(newSED(t, "sed", 1, 1e9, 100)),
 		WithJournal(j2),
 		WithInterceptors(reject),
 	)
@@ -388,7 +388,7 @@ func TestPostAdmissionRejectionBooksAgree(t *testing.T) {
 		obsIC := &ObsInterceptor{}
 		m, err := NewMaster(
 			WithPolicy(sched.New(sched.LeastLoaded)),
-			WithSEDs(sed),
+			withSEDs(sed),
 			WithJournal(j),
 			WithInterceptors(obsIC, &SLAInterceptor{Config: &sla.Config{}}),
 		)

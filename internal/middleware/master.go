@@ -81,8 +81,6 @@ type masterConfig struct {
 	interceptors []Interceptor
 	transport    Directory
 	children     []Child
-	seds         []*SED
-	remotes      []*Remote
 	metricsAddr  string
 	spans        *obs.SpanWriter
 	concurrency  int
@@ -117,30 +115,16 @@ func WithInterceptors(ics ...Interceptor) Option {
 
 // WithTransport installs the directory the master resolves elected SED
 // names through: a MapDirectory of in-process SEDs, or one of Remote
-// handles for a TCP deployment. WithSEDs/WithRemotes register into it
-// (the directory must support Add — MapDirectory does); without this
-// option they populate an implicit MapDirectory.
+// handles for a TCP deployment (a Fleet's Deploy builds either). Without
+// it the directory is empty.
 func WithTransport(dir Directory) Option {
 	return func(c *masterConfig) { c.transport = dir }
 }
 
-// WithChildren attaches children (SEDs, sub-agents or Remotes) without
-// touching the transport — callers pairing it with WithTransport keep
-// full control of name resolution.
+// WithChildren attaches children (SEDs, sub-agents or Remotes) to the
+// root agent; the WithTransport directory resolves the SEDs they elect.
 func WithChildren(children ...Child) Option {
 	return func(c *masterConfig) { c.children = append(c.children, children...) }
-}
-
-// WithSEDs attaches in-process SEDs AND registers them in the
-// transport — the one-line wiring for single-process deployments.
-func WithSEDs(seds ...*SED) Option {
-	return func(c *masterConfig) { c.seds = append(c.seds, seds...) }
-}
-
-// WithRemotes attaches remote SED handles AND registers them in the
-// transport — the one-line wiring for TCP deployments.
-func WithRemotes(remotes ...*Remote) Option {
-	return func(c *masterConfig) { c.remotes = append(c.remotes, remotes...) }
 }
 
 // WithMetricsAddr starts an observability listener (host:port;
@@ -179,9 +163,9 @@ func WithConcurrency(n int) Option {
 }
 
 // NewMaster builds the composed root from functional options. At
-// minimum a policy is required; SEDs/remotes/children and interceptors
-// are attached in the order given, and every interceptor's Init runs
-// before the master accepts work.
+// minimum a policy is required; children and interceptors are attached
+// in the order given, and every interceptor's Init runs before the
+// master accepts work.
 func NewMaster(opts ...Option) (*Master, error) {
 	cfg := masterConfig{name: "master"}
 	for _, opt := range opts {
@@ -195,41 +179,9 @@ func NewMaster(opts ...Option) (*Master, error) {
 		ma.SetChildTimeout(cfg.childTimeout)
 	}
 
-	// WithSEDs/WithRemotes register into the transport: the implicit
-	// MapDirectory normally, or an explicit WithTransport directory
-	// when it supports registration — a transport that doesn't is a
-	// construction-time error, not a per-request "not in transport".
-	type adder interface {
-		Add(name string, s Solver)
-	}
 	dir := cfg.transport
 	if dir == nil {
 		dir = NewMapDirectory()
-	}
-	register := func(name string, s Solver) error {
-		if a, ok := dir.(adder); ok {
-			a.Add(name, s)
-			return nil
-		}
-		return fmt.Errorf("middleware: master %s: transport cannot register %s (use WithChildren with a pre-populated WithTransport directory)", cfg.name, name)
-	}
-	for _, sed := range cfg.seds {
-		if sed == nil {
-			return nil, fmt.Errorf("middleware: master %s: nil SED", cfg.name)
-		}
-		ma.Attach(sed)
-		if err := register(sed.Name(), sed); err != nil {
-			return nil, err
-		}
-	}
-	for _, rem := range cfg.remotes {
-		if rem == nil {
-			return nil, fmt.Errorf("middleware: master %s: nil remote", cfg.name)
-		}
-		ma.Attach(rem)
-		if err := register(rem.Name(), rem); err != nil {
-			return nil, err
-		}
 	}
 	ma.Attach(cfg.children...)
 

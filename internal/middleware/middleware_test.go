@@ -30,6 +30,23 @@ func burnService(speed float64) Service {
 	}
 }
 
+// withSEDs attaches in-process SEDs or remote handles to a test master,
+// each registered under its name in the master's directory.
+func withSEDs[S interface {
+	Child
+	Solver
+}](nodes ...S) Option {
+	return func(c *masterConfig) {
+		if c.transport == nil {
+			c.transport = NewMapDirectory()
+		}
+		for _, n := range nodes {
+			c.transport.(*MapDirectory).Add(n.Name(), n)
+			c.children = append(c.children, n)
+		}
+	}
+}
+
 func newSED(t *testing.T, name string, slots int, speed, watts float64) *SED {
 	t.Helper()
 	sed, err := NewSED(SEDConfig{
@@ -329,9 +346,6 @@ func TestAgentValidation(t *testing.T) {
 	if _, err := NewAgent("a", sched.New(sched.Power), -1); err == nil {
 		t.Fatal("negative topK accepted")
 	}
-	if _, err := NewMaster(WithPolicy(sched.New(sched.Power)), WithSEDs(nil)); err == nil {
-		t.Fatal("nil SED accepted")
-	}
 }
 
 func TestInactiveSEDNotElected(t *testing.T) {
@@ -435,7 +449,7 @@ func TestTCPTransportEndToEnd(t *testing.T) {
 	defer remA.Close()
 	defer remB.Close()
 
-	ma, err := NewMaster(WithName("ma"), WithPolicy(policy), WithRemotes(remA, remB))
+	ma, err := NewMaster(WithName("ma"), WithPolicy(policy), withSEDs(remA, remB))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestObsInterceptorCountsLifecycle(t *testing.T) {
 	}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 2, 2e9, 100)),
+		withSEDs(newSED(t, "only", 2, 2e9, 100)),
 		WithInterceptors(
 			obsIC,
 			&SLAInterceptor{
@@ -116,7 +116,7 @@ func TestObsInterceptorScrapeRefreshesLedger(t *testing.T) {
 	obsIC := &ObsInterceptor{}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
+		withSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(obsIC),
 	)
 	if err != nil {
@@ -147,7 +147,7 @@ func TestMasterDeferredVisibleWhileParked(t *testing.T) {
 	obsIC := &ObsInterceptor{}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
+		withSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(
 			obsIC,
 			&CarbonInterceptor{Signal: feed, DirtyG: 300, MaxDeferSec: 30, PollSec: 0.005},
@@ -210,7 +210,7 @@ func TestMasterMetricsListener(t *testing.T) {
 	obsIC := &ObsInterceptor{}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
+		withSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(obsIC),
 		WithMetricsAddr("127.0.0.1:0"),
 	)
@@ -236,7 +236,7 @@ func TestMasterMetricsListener(t *testing.T) {
 
 	if _, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only2", 1, 2e9, 100)),
+		withSEDs(newSED(t, "only2", 1, 2e9, 100)),
 		WithMetricsAddr("127.0.0.1:0"),
 	); err == nil {
 		t.Error("WithMetricsAddr without an ObsInterceptor accepted")
@@ -250,7 +250,7 @@ func TestObsInterceptorTraceSchema(t *testing.T) {
 	obsIC := &ObsInterceptor{Tracer: obs.NewTracer(&sb)}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 1, 2e9, 100)),
+		withSEDs(newSED(t, "only", 1, 2e9, 100)),
 		WithInterceptors(obsIC),
 	)
 	if err != nil {

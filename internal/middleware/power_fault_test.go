@@ -114,7 +114,7 @@ func runPowerStudy(t *testing.T, transport string, fault bool) powerRunTotals {
 	}
 	switch transport {
 	case "inproc":
-		opts = append(opts, WithSEDs(lean, hungry))
+		opts = append(opts, withSEDs(lean, hungry))
 	case "tcp":
 		for _, sed := range []*SED{lean, hungry} {
 			ep, err := Serve("127.0.0.1:0", sed, sed)
@@ -124,7 +124,7 @@ func runPowerStudy(t *testing.T, transport string, fault bool) powerRunTotals {
 			defer ep.Close()
 			rem := Dial(sed.Name(), ep.Addr())
 			defer rem.Close()
-			opts = append(opts, WithRemotes(rem))
+			opts = append(opts, withSEDs(rem))
 		}
 	default:
 		t.Fatalf("unknown transport %q", transport)
@@ -303,7 +303,7 @@ func TestExternalPowerMasterAttribution(t *testing.T) {
 		t.Fatalf("sidecar reading %v, %v", w, ok)
 	}
 	pi := &ExternalPowerInterceptor{Source: cli}
-	master, err := NewMaster(WithPolicy(sched.New(sched.GreenPerf)), WithSEDs(sed), WithInterceptors(pi))
+	master, err := NewMaster(WithPolicy(sched.New(sched.GreenPerf)), withSEDs(sed), WithInterceptors(pi))
 	if err != nil {
 		t.Fatal(err)
 	}

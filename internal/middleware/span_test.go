@@ -65,7 +65,7 @@ func TestSpanTreeStitchesAcrossTCP(t *testing.T) {
 		rem := Dial(name, ep.Addr())
 		rem.SetSpans(w)
 		defer rem.Close()
-		opts = append(opts, WithRemotes(rem))
+		opts = append(opts, withSEDs(rem))
 	}
 	m, err := NewMaster(opts...)
 	if err != nil {
@@ -147,7 +147,7 @@ func TestSpanEmissionConcurrent(t *testing.T) {
 	inproc, err := NewMaster(
 		WithName("inproc"),
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "local", 4, 4e9, 100)),
+		withSEDs(newSED(t, "local", 4, 4e9, 100)),
 		WithSpans(w),
 	)
 	if err != nil {
@@ -166,7 +166,7 @@ func TestSpanEmissionConcurrent(t *testing.T) {
 	tcp, err := NewMaster(
 		WithName("tcp"),
 		WithPolicy(sched.New(sched.Power)),
-		WithRemotes(rem),
+		withSEDs(rem),
 		WithSpans(w),
 	)
 	if err != nil {
@@ -235,7 +235,7 @@ func TestSpanTransportFaultTerminates(t *testing.T) {
 	defer rem.Close()
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithRemotes(rem),
+		withSEDs(rem),
 		WithSpans(w),
 	)
 	if err != nil {
@@ -286,8 +286,8 @@ func TestRemoteStatsFleetCoverage(t *testing.T) {
 	obsIC := &ObsInterceptor{Labels: map[string]string{"transport": "tcp"}}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "near", 2, 2e9, 200)),
-		WithRemotes(rem),
+		withSEDs(newSED(t, "near", 2, 2e9, 200)),
+		withSEDs(rem),
 		WithInterceptors(obsIC),
 	)
 	if err != nil {
@@ -348,7 +348,7 @@ func TestStageHistogramSelfScrape(t *testing.T) {
 	obsIC := &ObsInterceptor{Labels: map[string]string{"transport": "inproc"}}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "only", 2, 2e9, 100)),
+		withSEDs(newSED(t, "only", 2, 2e9, 100)),
 		WithInterceptors(obsIC),
 		WithMetricsAddr("127.0.0.1:0"),
 	)
@@ -395,7 +395,7 @@ func TestStageHistogramCountsEveryStage(t *testing.T) {
 	obsIC := &ObsInterceptor{}
 	m, err := NewMaster(
 		WithPolicy(sched.New(sched.Power)),
-		WithSEDs(newSED(t, "a", 2, 2e9, 100), newSED(t, "b", 2, 2e9, 200)),
+		withSEDs(newSED(t, "a", 2, 2e9, 100), newSED(t, "b", 2, 2e9, 200)),
 		WithInterceptors(obsIC),
 		WithSpans(obs.NewSpanWriter(&buf)),
 	)

@@ -130,8 +130,8 @@ func TestTransportFaultFailsRequest(t *testing.T) {
 	ma, err := NewMaster(
 		WithName("ma"),
 		WithPolicy(sched.New(sched.Power)),
-		WithRemotes(rem),
-		WithSEDs(healthy),
+		withSEDs(rem),
+		withSEDs(healthy),
 		WithChildTimeout(2*time.Second),
 	)
 	if err != nil {

@@ -245,7 +245,7 @@ func TestCancelReachesRemoteSolve(t *testing.T) {
 	}})
 	_, rem := serveRemote(t, sed)
 	rem.SetSpans(w)
-	m, err := NewMaster(WithPolicy(sched.New(sched.Power)), WithRemotes(rem), WithSpans(w))
+	m, err := NewMaster(WithPolicy(sched.New(sched.Power)), withSEDs(rem), WithSpans(w))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,15 @@ func NewWattmeter(seed int64) *Wattmeter {
 // interval and appends one reading per grid point, with noise when
 // set. Simulation code calls Observe on every power-state
 // change, mirroring how the external meter sees the node continuously.
-func (m *Wattmeter) Observe(from, to float64, w Watts) {
+func (m *Wattmeter) Observe(from, to float64, w Watts) { m.sample(from, to, w, true) }
+
+// Skip passes over [from, to) as Observe would, on the same grid points
+// and with the same noise draws, but keeps no reading: for a span no
+// window will ever query. Later readings are those Observe would have
+// made.
+func (m *Wattmeter) Skip(from, to float64) { m.sample(from, to, 0, false) }
+
+func (m *Wattmeter) sample(from, to float64, w Watts, keep bool) {
 	if m.Period <= 0 {
 		m.Period = 1
 	}
@@ -75,7 +83,9 @@ func (m *Wattmeter) Observe(from, to float64, w Watts) {
 				v = 0
 			}
 		}
-		m.append(Sample{T: t, W: v})
+		if keep {
+			m.append(Sample{T: t, W: v})
+		}
 	}
 	if m.lastT < to {
 		m.lastT = to

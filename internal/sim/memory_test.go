@@ -76,6 +76,46 @@ func TestMeterRetentionBoundedByRunningWindows(t *testing.T) {
 	}
 }
 
+// TestIdleMeterKeepsNothing: a meter keeps no reading from a span in
+// which its SED runs no task, since no window can read one. After a run
+// every SED is idle, so each meter holds at most the reading at its
+// last finish: the node crashed at t = 40 and the node never elected
+// keep nothing from the idle hours that follow, where a meter that
+// samples idle time would hold the whole makespan.
+func TestIdleMeterKeepsNothing(t *testing.T) {
+	const maxKept = 1
+	platform := cluster.MustPlatform(cluster.NewNodes("taurus", 2), cluster.NewNodes("sagittaire", 1))
+	tasks, err := workload.Poisson{Total: 300, Rate: 0.02, Ops: 9e11, Seed: 1}.Tasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRunner(Config{
+		Platform:    platform,
+		Policy:      sched.New(sched.Power),
+		Tasks:       tasks,
+		Static:      true,
+		Seed:        1,
+		MeterNoiseW: 2,
+		Crashes:     map[string]float64{"taurus-0": 40},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Makespan < 1000 || res.PerNodeTasks["sagittaire-0"] != 0 || res.Crashed == 0 {
+		t.Fatalf("makespan %.0f s, crashed %d, per-node tasks %v: want a long run with one crash and sagittaire-0 never elected",
+			res.Makespan, res.Crashed, res.PerNodeTasks)
+	}
+	for _, sed := range r.seds {
+		if _, kept := sed.meter.MeanWindow(math.Inf(-1), math.Inf(1)); kept > maxKept {
+			t.Errorf("%s keeps %d samples after a %.0f s run, want at most %d", sed.node.Spec.Name, kept, res.Makespan, maxKept)
+		}
+	}
+}
+
 // TestArrivalIndexOrder: the kernel walks Config.Tasks through an index
 // in stable (Submit, slice) order and never writes the slice, even when
 // an OnArrival hook mutates the task it is handed.

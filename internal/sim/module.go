@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"greensched/internal/carbon"
-	"greensched/internal/power"
 	"greensched/internal/sched"
 	"greensched/internal/sla"
 	"greensched/internal/workload"
@@ -117,9 +116,6 @@ func (m *CarbonModule) Init(r *Runner) error {
 		}
 		sed.site = &site
 		sed.co2 = co2
-		sed.node.OnSettle = func(_, to float64, w power.Watts) {
-			co2.Advance(to, w)
-		}
 	}
 	return nil
 }

@@ -394,6 +394,22 @@ func (s *sedState) forgetMeter(now float64) {
 	s.meter.Forget(before)
 }
 
+// settled feeds one settled interval of the node's draw to the meter
+// and, under a CarbonModule, to the emissions integrator. The node
+// settles before it changes state, so its busy cores are those of the
+// interval. An interval with none is skipped, not recorded: every
+// window the meter serves lies inside a running task's execution.
+func (s *sedState) settled(from, to float64, w power.Watts) {
+	if s.node.BusyCores() > 0 {
+		s.meter.Observe(from, to, w)
+	} else {
+		s.meter.Skip(from, to)
+	}
+	if s.co2 != nil {
+		s.co2.Advance(to, w)
+	}
+}
+
 // dropRunning removes rt from the running set.
 func (s *sedState) dropRunning(rt *runningTask) {
 	i := slices.Index(s.running, rt)
@@ -925,13 +941,14 @@ func NewRunner(cfg Config) (*Runner, error) {
 		}
 		sed := &sedState{
 			idx:       i,
-			node:      cluster.NewNode(spec, 0, meter),
+			node:      cluster.NewNode(spec, 0, nil),
 			est:       power.NewEstimator(cfg.EstimatorWindow),
 			meter:     meter,
 			slots:     slots,
 			running:   make([]*runningTask, 0, slots),
 			candidate: true,
 		}
+		sed.node.OnSettle = sed.settled
 		if cfg.Static {
 			cal := cluster.BenchmarkNode(spec, 1e9, 0, nil)
 			sed.static = &cal
