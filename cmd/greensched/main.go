@@ -7,7 +7,7 @@
 //	greensched carbon    [-days N]             carbon-blind vs carbon-aware study
 //	greensched sla       [-seed N]             deadline/value-aware scheduling study
 //	greensched preempt   [-seed N]             express-boot vs checkpoint/restart preemption study
-//	greensched scenario  [-seed N]             composed module stack: carbon + SLA + preemption + budget in one run
+//	greensched scenario  [-seed N] [-spans F]  composed module stack: carbon + SLA + preemption + budget in one run
 //	greensched live                            composed LIVE middleware interceptor demo (in-process + TCP)
 //	greensched powerd [-listen A] [-trace F]   reference power-estimation sidecar (powerd line protocol)
 //	greensched durable [DIR]                   kill/restart drill: journaled master, lease redo, exact books
@@ -67,15 +67,15 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "deterministic simulation seed")
 	static := fs.Bool("static", false, "use the static (initial benchmark) estimation approach instead of dynamic learning")
 	csvDir := fs.String("csv", "", "also export figure data as CSV files into this directory")
-	traceFile := fs.String("trace", "", "replay: submission trace file to read; live/scenario: lifecycle JSONL file to write; powerd: node,t,watts power CSV to replay")
+	traceFile := fs.String("trace", "", "replay: submission trace file to read; powerd: node,t,watts power CSV to replay")
 	seeds := fs.Int("seeds", 10, "replicate: number of independent seeds")
 	policyName := fs.String("policy", "GREENPERF", "replay: scheduling policy (RANDOM|POWER|PERFORMANCE|GREENPERF|LEASTLOADED|CARBON|RENEWABLE)")
 	days := fs.Int("days", 2, "carbon: scenario length in days")
 	burst := fs.Int("burst", 0, "carbon: deferrable tasks per evening burst (0 = default)")
 	metricsAddr := fs.String("metrics", "", "live: serve Prometheus-style /metrics (and pprof) on this host:port for the study's fleet telemetry")
 	holdSec := fs.Float64("hold", 0, "live: keep the -metrics endpoint up this many seconds after the study finishes; powerd: serve this many seconds then exit (0 = until interrupted)")
-	spansFile := fs.String("spans", "", "live: write per-request span trees to this JSONL file; spans: (unused, pass the file as the argument)")
-	check := fs.Bool("check", false, "spans: exit non-zero when any trace fails to parse or misses a canonical stage")
+	spansFile := fs.String("spans", "", "live/scenario: write per-request span trees to this JSONL file; spans: (unused, pass the file as the argument)")
+	check := fs.Bool("check", false, "spans: exit non-zero when any trace fails to parse or misses a canonical stage of the live tree")
 	tasks := fs.Int("tasks", 0, "scenario/live: rescale the task mix to roughly this many tasks total (0 = calibrated default)")
 	concurrency := fs.Int("concurrency", 0, "live: bound each master's in-flight admissions (0 = unbounded)")
 	journalFile := fs.String("journal", "", "live: append each master's crash-safe dispatch journal under this path prefix")
@@ -88,7 +88,7 @@ func run(args []string, out io.Writer) error {
 		return errUsage
 	}
 
-	seeded := studyFlags{seed: *seed, static: *static, csvDir: *csvDir, trace: *traceFile,
+	seeded := studyFlags{seed: *seed, static: *static, csvDir: *csvDir, spans: *spansFile,
 		days: *days, burst: *burst, tasks: *tasks}
 	for _, st := range seededStudies {
 		if st.name == cmd {
@@ -99,7 +99,7 @@ func run(args []string, out io.Writer) error {
 	case "replicate":
 		return runReplicate(out, *seed, *seeds, *static)
 	case "live":
-		return runLive(out, *metricsAddr, *traceFile, *spansFile, *journalFile, *powerAddr, *holdSec, *tasks, *concurrency)
+		return runLive(out, *metricsAddr, *spansFile, *journalFile, *powerAddr, *holdSec, *tasks, *concurrency)
 	case "powerd":
 		return runPowerd(out, *listenAddr, *traceFile, *holdSec)
 	case "durable":
@@ -115,15 +115,15 @@ func run(args []string, out io.Writer) error {
 		return runJournal(out, fs.Arg(0))
 	case "spans":
 		if fs.NArg() != 1 {
-			return fmt.Errorf("spans needs exactly one JSONL file argument (produced by 'live -spans F' or examples/tracing)")
+			return fmt.Errorf("spans needs exactly one JSONL file argument (produced by 'live -spans F', 'scenario -spans F' or examples/tracing)")
 		}
 		return runSpans(out, fs.Arg(0), *check)
 	case "replay":
 		return runReplay(out, *traceFile, *policyName, *seed)
 	case "all":
 		// Every seeded study; the scenario runs at its calibrated size
-		// and writes no trace.
-		seeded.trace, seeded.tasks = "", 0
+		// and writes no spans.
+		seeded.spans, seeded.tasks = "", 0
 		for i, st := range seededStudies {
 			if i > 0 {
 				fmt.Fprintln(out)
@@ -145,7 +145,7 @@ func run(args []string, out io.Writer) error {
 type studyFlags struct {
 	seed               int64
 	static             bool
-	csvDir, trace      string
+	csvDir, spans      string
 	days, burst, tasks int
 }
 
@@ -206,8 +206,8 @@ func runScenario(out io.Writer, sf studyFlags) error {
 	cfg := experiments.DefaultComposedConfig()
 	cfg.SLA.Seed = sf.seed
 	cfg.ScaleTasks(sf.tasks)
-	if sf.trace != "" {
-		f, err := os.Create(sf.trace)
+	if sf.spans != "" {
+		f, err := os.Create(sf.spans)
 		if err != nil {
 			return err
 		}
@@ -221,16 +221,17 @@ func runScenario(out io.Writer, sf studyFlags) error {
 	if err := res.Render(out); err != nil {
 		return err
 	}
-	if sf.trace != "" {
-		fmt.Fprintf(out, "\nlifecycle trace (COMPOSED run) written to %s\n", sf.trace)
+	if sf.spans != "" {
+		fmt.Fprintf(out, "\nrequest span trees (COMPOSED run) written to %s (analyze with 'greensched spans %s')\n", sf.spans, sf.spans)
 	}
 	return nil
 }
 
-// runSpans analyzes a span JSONL stream (from 'live -spans F' or the
-// tracing example): per-stage latency percentiles and the critical-path
-// decomposition of the slowest requests. With check, it additionally
-// fails when any trace misses a canonical lifecycle stage.
+// runSpans analyzes a span JSONL stream (from 'live -spans F',
+// 'scenario -spans F' or the tracing example): per-stage latency
+// percentiles and the critical-path decomposition of the slowest
+// requests. With check, it additionally fails when any trace misses a
+// canonical lifecycle stage.
 func runSpans(out io.Writer, path string, check bool) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -259,18 +260,17 @@ func runSpans(out io.Writer, path string, check bool) error {
 // takes no seed and is excluded from `all`. With -metrics it serves
 // the study's fleet telemetry as a Prometheus-style endpoint (plus
 // pprof), and -hold keeps that endpoint up after the study finishes so
-// an external scraper can read the final totals; -trace streams both
-// masters' lifecycle events to a JSONL file; -spans writes per-request
-// span trees for `greensched spans`. -tasks rescales the request mix
-// (proportionally, each class keeps at least one request) and
-// -concurrency bounds each master's in-flight admissions — together
+// an external scraper can read the final totals; -spans writes
+// per-request span trees for `greensched spans`. -tasks rescales the
+// request mix (proportionally, each class keeps at least one request)
+// and -concurrency bounds each master's in-flight admissions — together
 // they turn the demo into a load generator for the concurrent master.
 // -journal mounts a crash-safe dispatch journal under each master and
 // leaves the .wal files behind for `greensched journal`.
 // -power routes every power reading through an external powerd sidecar
 // (start one with 'greensched powerd'); if the sidecar dies mid-study
 // the stack trips to the built-in analytic curves and keeps electing.
-func runLive(out io.Writer, metricsAddr, traceFile, spansFile, journalFile, powerAddr string, holdSec float64, tasks, concurrency int) error {
+func runLive(out io.Writer, metricsAddr, spansFile, journalFile, powerAddr string, holdSec float64, tasks, concurrency int) error {
 	cfg := experiments.DefaultLiveComposedConfig()
 	cfg.ScaleTasks(tasks)
 	cfg.Concurrency = concurrency
@@ -287,14 +287,6 @@ func runLive(out io.Writer, metricsAddr, traceFile, spansFile, journalFile, powe
 		defer srv.Close()
 		fmt.Fprintf(out, "serving /metrics and /debug/pprof on http://%s\n\n", srv.Addr())
 	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		cfg.TraceW = f
-	}
 	if spansFile != "" {
 		f, err := os.Create(spansFile)
 		if err != nil {
@@ -309,9 +301,6 @@ func runLive(out io.Writer, metricsAddr, traceFile, spansFile, journalFile, powe
 	}
 	if err := res.Render(out); err != nil {
 		return err
-	}
-	if traceFile != "" {
-		fmt.Fprintf(out, "\nlifecycle trace written to %s\n", traceFile)
 	}
 	if spansFile != "" {
 		fmt.Fprintf(out, "\nrequest span trees written to %s (analyze with 'greensched spans %s')\n", spansFile, spansFile)
@@ -619,14 +608,14 @@ flags:
   -hold N     live: keep the -metrics endpoint up N seconds after the study;
               powerd: serve N seconds then exit (0 = until interrupted)
   -trace F    replay: read the submission trace from F;
-              live/scenario: write lifecycle events to F as JSONL;
               powerd: replay a node,t,watts power CSV instead of curves
-  -spans F    live only: write per-request span trees to F as JSONL
+  -spans F    live/scenario: write per-request span trees to F as JSONL
   -power A    live only: read per-node power from a powerd sidecar at A,
               falling back to the built-in curves when it is unreachable
   -listen A   powerd only: serve on A — unix:/path or host:port
               (default 127.0.0.1:0)
-  -check      spans only: fail when a trace misses a canonical lifecycle stage
+  -check      spans only: fail when a trace misses a canonical stage of the
+              live tree (a simulated trace has no dispatch or reply)
   -tasks N    scenario/live: rescale the task mix to roughly N tasks total
   -concurrency N  live only: bound each master's in-flight admissions
   -journal F  live only: append each master's crash-safe dispatch journal to

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"greensched/internal/cluster"
+	"greensched/internal/experiments"
 	"greensched/internal/journal"
 	"greensched/internal/obs"
 	"greensched/internal/power"
@@ -127,45 +128,57 @@ func TestLiveCommandSmoke(t *testing.T) {
 
 // TestLiveCommandObservability runs the live study with the fleet
 // telemetry flags: the /metrics endpoint must serve parseable
-// exposition text while the study runs, and -trace must leave a valid
-// JSONL lifecycle stream covering both transports.
+// exposition text while the study runs, and -spans must leave a span
+// stream that tells each request's story on both transports: who it
+// was, where it ran, what it cost, why it was refused, how long it
+// was parked.
 func TestLiveCommandObservability(t *testing.T) {
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "live.jsonl")
+	spansPath := filepath.Join(dir, "live.jsonl")
 	var b strings.Builder
-	if err := run([]string{"live", "-metrics", "127.0.0.1:0", "-trace", tracePath}, &b); err != nil {
+	if err := run([]string{"live", "-metrics", "127.0.0.1:0", "-spans", spansPath}, &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, want := range []string{"serving /metrics", "lifecycle trace written"} {
+	for _, want := range []string{"serving /metrics", "request span trees written"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	f, err := os.Open(tracePath)
+	f, err := os.Open(spansPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, err := obs.ReadEvents(f)
+	spans, err := obs.ReadSpans(f)
 	if err != nil {
-		t.Fatalf("trace does not parse: %v", err)
+		t.Fatalf("span stream does not parse: %v", err)
 	}
-	srcs := map[string]bool{}
-	kinds := map[string]bool{}
-	for _, ev := range events {
-		srcs[ev.Src] = true
-		kinds[ev.Event] = true
+	roots := map[string]int{}
+	rejected, priced, parked, elected := false, false, false, false
+	for _, sp := range spans {
+		switch sp.Name {
+		case obs.StageSubmit:
+			if sp.Parent != 0 || sp.Attrs["id"] == "" {
+				t.Fatalf("root without identity: %+v", sp)
+			}
+			roots[sp.Src]++
+			rejected = rejected || strings.Contains(sp.Err, "rejected")
+			priced = priced || (sp.Err == "" && sp.Attrs["energy_j"] != "")
+		case obs.StageAdmission:
+			parked = parked || sp.DurSec >= experiments.DefaultLiveComposedConfig().PollSec
+		case obs.StageElect:
+			elected = elected || sp.Attrs["server"] != ""
+		}
 	}
 	for _, src := range []string{"live-IN-PROCESS", "live-TCP"} {
-		if !srcs[src] {
-			t.Errorf("trace missing events from %s (got %v)", src, srcs)
+		if roots[src] == 0 {
+			t.Errorf("no request roots from %s (got %v)", src, roots)
 		}
 	}
-	for _, kind := range []string{obs.EventSubmit, obs.EventComplete, obs.EventReject, obs.EventDefer} {
-		if !kinds[kind] {
-			t.Errorf("trace missing %s events (got %v)", kind, kinds)
-		}
+	if !rejected || !priced || !parked || !elected {
+		t.Errorf("span stream lost lifecycle facts: rejected=%v priced=%v parked=%v elected=%v",
+			rejected, priced, parked, elected)
 	}
 }
 
@@ -277,30 +290,43 @@ func TestLiveCommandTasksConcurrency(t *testing.T) {
 	}
 }
 
-// TestScenarioCommandTrace writes the composed sim run's lifecycle
-// trace and checks it parses with the same schema the live path emits.
+// TestScenarioCommandTrace writes the composed sim run's span trees
+// with -spans and reads them back through the spans analyzer: the
+// simulated stream has the live schema, one trace per task.
 func TestScenarioCommandTrace(t *testing.T) {
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "scenario.jsonl")
+	spansPath := filepath.Join(dir, "scenario.jsonl")
 	var b strings.Builder
-	if err := run([]string{"scenario", "-seed", "1", "-trace", tracePath}, &b); err != nil {
+	if err := run([]string{"scenario", "-seed", "1", "-spans", spansPath}, &b); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(tracePath)
+	if !strings.Contains(b.String(), "request span trees (COMPOSED run) written") {
+		t.Errorf("scenario output does not mention the span file:\n%s", b.String())
+	}
+	f, err := os.Open(spansPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	events, err := obs.ReadEvents(f)
+	spans, err := obs.ReadSpans(f)
 	if err != nil {
-		t.Fatalf("trace does not parse: %v", err)
+		t.Fatalf("span stream does not parse: %v", err)
 	}
-	if len(events) == 0 {
-		t.Fatal("empty lifecycle trace")
+	if len(spans) == 0 {
+		t.Fatal("empty span stream")
 	}
-	for _, ev := range events[:min(len(events), 50)] {
-		if ev.Src != "sim" || ev.Event == "" {
-			t.Fatalf("malformed event: %+v", ev)
+	for _, sp := range spans[:min(len(spans), 50)] {
+		if sp.Src != "sim" || sp.Name == "" || sp.TraceID == 0 {
+			t.Fatalf("malformed span: %+v", sp)
+		}
+	}
+	b.Reset()
+	if err := run([]string{"spans", spansPath}, &b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"Per-stage latency", "park", "queue", "Critical path"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("spans output missing %q:\n%s", want, b.String())
 		}
 	}
 }

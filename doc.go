@@ -74,13 +74,10 @@
 //	internal/obs            fleet telemetry: Prometheus-style metric
 //	                        registry + text exposition (no client_golang),
 //	                        HTTP serving with pprof and the Go runtime
-//	                        collector, the JSONL lifecycle tracer shared
-//	                        by middleware (ObsInterceptor, WithMetricsAddr)
-//	                        and the simulator
-//	                        (sim.TraceModule, sim.TelemetryModule), and
-//	                        span-based distributed tracing (Span,
-//	                        SpanWriter, AnalyzeSpans) stitched across the
-//	                        gob wire and analyzed by `greensched spans`
+//	                        collector, and Span: the one request trace
+//	                        record, written by the middleware (stitched
+//	                        across the gob wire) and by sim.TraceModule
+//	                        alike, and analyzed by `greensched spans`
 //	internal/analysis       gains, envelopes and Student-t / Welch statistics
 //	                        for the harnesses and multi-seed replication
 //	internal/experiments    one harness per table/figure + extension studies;

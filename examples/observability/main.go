@@ -1,5 +1,5 @@
 // Fleet observability end to end: the live composed study runs with
-// an obs.Registry and a lifecycle tracer attached, serves its own
+// an obs.Registry and a span writer attached, serves its own
 // /metrics endpoint, scrapes itself over HTTP, and asserts that the
 // scraped counters agree EXACTLY with the study's finalized ledger —
 // the property that makes the telemetry trustworthy:
@@ -10,9 +10,11 @@
 //   - greensched_budget_spent_joules == greensched_energy_joules: the
 //     budget tracker metered every attributed joule, as seen through
 //     two independent metric families;
-//   - the JSONL lifecycle trace from the LIVE masters and from a
-//     simulated run (sim.TraceModule) carry the same event schema, so
-//     one analysis pipeline reads both.
+//   - the span stream from the LIVE fleet and from a simulated run
+//     (sim.TraceModule) are one record, obs.Span: both decode with
+//     obs.ReadSpans and every successful trace of both carries the
+//     submit, admission, elect, queue and solve stages, so
+//     `greensched spans` reads either.
 //
 // The program exits non-zero if any invariant fails, which is how CI
 // uses it as an observability smoke test.
@@ -42,8 +44,8 @@ func main() {
 	// own metrics listener up.
 	cfg := experiments.DefaultLiveComposedConfig()
 	cfg.Registry = obs.NewRegistry()
-	var liveTrace strings.Builder
-	cfg.TraceW = &liveTrace
+	var liveSpans strings.Builder
+	cfg.SpanW = &liveSpans
 
 	srv, err := obs.ListenAndServe("127.0.0.1:0", cfg.Registry)
 	if err != nil {
@@ -109,11 +111,10 @@ func main() {
 			transport, r.Submitted, r.Rejected, r.Deferred, r.EnergyJ, run.ExpectedEarnedUSD)
 	}
 
-	// 4. A simulated run traced through sim.TraceModule emits the SAME
-	// schema: collect the JSON keys both streams use and require the
-	// sim's to be a subset seen on the live side and vice versa (both
-	// are obs.Event, but this asserts it end to end, through bytes).
-	var simTrace strings.Builder
+	// 4. A simulated run traced through sim.TraceModule writes the SAME
+	// record: decode both streams byte for byte and require, in every
+	// successful trace of each, the stages the two substrates share.
+	var simSpans strings.Builder
 	tasks, err := workload.BurstThenRate{Total: 12, Burst: 4, Rate: 2, Ops: 1e11}.Tasks()
 	if err != nil {
 		fail(err)
@@ -123,35 +124,22 @@ func main() {
 		Policy:   sched.New(sched.GreenPerf),
 		Tasks:    tasks,
 		Seed:     1,
-		Modules:  []sim.Module{&sim.TraceModule{W: &simTrace}},
+		Modules:  []sim.Module{&sim.TraceModule{W: &simSpans}},
 	})
 	if err != nil {
 		fail(err)
 	}
-
-	liveEvents, err := obs.ReadEvents(strings.NewReader(liveTrace.String()))
-	if err != nil {
-		fail(fmt.Errorf("live trace does not parse: %w", err))
-	}
-	simEvents, err := obs.ReadEvents(strings.NewReader(simTrace.String()))
-	if err != nil {
-		fail(fmt.Errorf("sim trace does not parse: %w", err))
-	}
-	check(len(liveEvents) > 0 && len(simEvents) > 0,
-		"empty traces: live %d, sim %d", len(liveEvents), len(simEvents))
-	kinds := func(events []obs.Event) map[string]bool {
-		m := map[string]bool{}
-		for _, ev := range events {
-			m[ev.Event] = true
+	decode := func(name, stream string) int {
+		spans, err := obs.ReadSpans(strings.NewReader(stream))
+		if err != nil {
+			fail(fmt.Errorf("%s span stream does not parse: %w", name, err))
 		}
-		return m
+		if err := obs.AnalyzeSpans(spans).RequireStages(obs.StageSubmit, obs.StageAdmission, obs.StageElect, obs.StageQueue, obs.StageSolve); err != nil {
+			fail(fmt.Errorf("%s span stream: %w", name, err))
+		}
+		return len(spans)
 	}
-	liveKinds, simKinds := kinds(liveEvents), kinds(simEvents)
-	for _, kind := range []string{obs.EventSubmit, obs.EventAdmit, obs.EventElect, obs.EventSolve, obs.EventComplete} {
-		check(liveKinds[kind], "live trace missing %s events", kind)
-		check(simKinds[kind], "sim trace missing %s events", kind)
-	}
-	fmt.Printf("trace schema parity: %d live events, %d sim events, one obs.Event schema\n",
-		len(liveEvents), len(simEvents))
+	nLive, nSim := decode("live", liveSpans.String()), decode("sim", simSpans.String())
+	fmt.Printf("trace record parity: %d live spans, %d sim spans, one obs.Span schema\n", nLive, nSim)
 	fmt.Println("all observability invariants hold")
 }

@@ -53,10 +53,9 @@ type ComposedConfig struct {
 	BudgetJ          float64
 	BudgetHorizonSec float64
 
-	// Trace, when set, receives the COMPOSED run's lifecycle events as
-	// JSONL (sim.TraceModule) — the same schema the live study's
-	// ObsInterceptor emits, so the two paths' traces are directly
-	// comparable.
+	// Trace, when set, receives the COMPOSED run's request spans as
+	// JSONL (sim.TraceModule) — the obs.Span schema the live study
+	// writes to its SpanW, so `greensched spans` reads either.
 	Trace io.Writer
 }
 

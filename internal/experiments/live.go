@@ -91,9 +91,6 @@ type LiveComposedConfig struct {
 	// ({transport="in-process"} / {transport="tcp"}), so one /metrics
 	// endpoint covers the whole study.
 	Registry *obs.Registry
-	// TraceW, when set, receives both masters' lifecycle events (and
-	// the carbon interceptor's defer events) as one JSONL stream.
-	TraceW io.Writer
 	// SpanW, when set, turns on distributed tracing: both masters (and,
 	// on the TCP transport, the remotes and the SED daemons themselves)
 	// emit their request span trees into one JSONL stream — the input
@@ -422,17 +419,10 @@ func runLiveComposed(cfg LiveComposedConfig, transport string) (LiveComposedRun,
 		return LiveComposedRun{}, err
 	}
 
-	// Optional fleet telemetry: both runs execute sequentially, so two
-	// tracers over one writer never interleave a line.
-	var tracer *obs.Tracer
-	if cfg.TraceW != nil {
-		tracer = obs.NewTracer(cfg.TraceW)
-	}
 	ics, err := liveStack(cfg.Ops, &middleware.CarbonInterceptor{
 		Signal:      sig,
 		DirtyG:      (cfg.CleanG + cfg.DirtyG) / 2,
 		MaxDeferSec: cfg.MaxDeferSec, PollSec: cfg.PollSec,
-		Tracer: tracer,
 	}, cfg.BudgetJ, cfg.BudgetHorizonSec)
 	if err != nil {
 		return LiveComposedRun{}, err
@@ -447,10 +437,9 @@ func runLiveComposed(cfg LiveComposedConfig, transport string) (LiveComposedRun,
 	// Observability goes first: it must see every submission before
 	// admission can refuse it, and reverse-order Finalize then runs it
 	// last, over the totals the whole stack published.
-	if cfg.Registry != nil || tracer != nil {
+	if cfg.Registry != nil {
 		ics = append([]middleware.Interceptor{&middleware.ObsInterceptor{
 			Registry: cfg.Registry,
-			Tracer:   tracer,
 			Labels:   map[string]string{"transport": transportLabel(transport)},
 		}}, ics...)
 	}

@@ -9,7 +9,6 @@ import (
 	"greensched/internal/carbon"
 	"greensched/internal/estvec"
 	"greensched/internal/journal"
-	"greensched/internal/obs"
 )
 
 // CarbonInterceptor puts the grid on the live serving path — the
@@ -50,12 +49,7 @@ type CarbonInterceptor struct {
 	// PollSec is the re-check interval while deferred (0 = 50ms).
 	PollSec float64
 
-	// Tracer, when set, receives an obs.EventDefer for every request
-	// released after a parked wait. Nil is a no-op.
-	Tracer *obs.Tracer
-
 	clock func() float64
-	src   string
 	jrn   *journal.Journal
 
 	mu          sync.Mutex
@@ -79,7 +73,6 @@ func (c *CarbonInterceptor) Init(mount Mount) error {
 	c.parked = make(map[uint64]float64)
 	if mount.Master != nil {
 		c.clock = mount.Master.Now
-		c.src = mount.Master.Name()
 		c.jrn = mount.Master.Journal()
 	} else {
 		epoch := time.Now()
@@ -145,7 +138,6 @@ func (c *CarbonInterceptor) OnSubmit(ctx context.Context, now float64, req *Requ
 	c.deferred++
 	c.deferredSec += now - start
 	c.mu.Unlock()
-	c.Tracer.Emit(obs.Event{T: now, Event: obs.EventDefer, ID: req.ID, Src: c.src, Class: req.Class, DurSec: now - start})
 	return nil
 }
 

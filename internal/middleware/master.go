@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -394,7 +395,17 @@ func (m *Master) settle(rec RequestRecord, root stage) error {
 	for _, ic := range m.ics {
 		ic.OnComplete(rec)
 	}
-	root.end(rec.Err, "service", rec.Req.Service)
+	if !root.traced() {
+		root.end(rec.Err)
+		return rec.Err
+	}
+	// A traced root names its request and prices a completion.
+	energy := ""
+	if rec.Err == nil {
+		energy = strconv.FormatFloat(rec.EnergyJ, 'g', -1, 64)
+	}
+	root.end(rec.Err, "id", strconv.FormatUint(rec.Req.ID, 10), "class", rec.Req.Class,
+		"service", rec.Req.Service, "energy_j", energy)
 	return rec.Err
 }
 

@@ -37,29 +37,19 @@ import (
 // Labels values (the same label KEYS — exposition families are shared)
 // and every series splits cleanly, e.g. {transport="tcp"} next to
 // {transport="inproc"}.
-//
-// With a Tracer attached the interceptor also emits the structured
-// lifecycle events (submit → admit → elect → solve → complete, or
-// reject/fail), in the exact JSONL schema sim.TraceModule emits for a
-// simulated run.
 type ObsInterceptor struct {
 	BaseInterceptor
 
 	// Registry receives the metric families; nil means a private
 	// registry created at Init (reachable via Metrics).
 	Registry *obs.Registry
-	// Tracer, when set, receives lifecycle events. A nil tracer is a
-	// no-op.
-	Tracer *obs.Tracer
 	// Labels are constant labels stamped on every metric this mount
 	// produces. All mounts sharing a Registry must use the same label
 	// keys.
 	Labels map[string]string
 
-	master *Master
-	src    string
-	names  []string // sorted label names
-	vals   []string // label values, parallel to names
+	names []string // sorted label names
+	vals  []string // label values, parallel to names
 
 	requests    obs.Counter
 	completions obs.Counter
@@ -129,8 +119,6 @@ func (o *ObsInterceptor) Init(mount Mount) error {
 	if mount.Master == nil {
 		return fmt.Errorf("middleware: obs interceptor mounts on a Master")
 	}
-	o.master = mount.Master
-	o.src = mount.Master.Name()
 	if o.Registry == nil {
 		o.Registry = obs.NewRegistry()
 	}
@@ -242,24 +230,19 @@ func (o *ObsInterceptor) Init(mount Mount) error {
 }
 
 // OnSubmit implements Interceptor: every submission counts, enters the
-// in-flight gauge and emits a submit event.
-func (o *ObsInterceptor) OnSubmit(_ context.Context, now float64, req *Request) error {
+// in-flight gauge.
+func (o *ObsInterceptor) OnSubmit(_ context.Context, _ float64, req *Request) error {
 	o.requests.Inc()
 	o.inflight.Inc()
 	o.mu.Lock()
 	o.seen[req.ID] = struct{}{}
 	o.mu.Unlock()
-	o.Tracer.Emit(obs.Event{T: now, Event: obs.EventSubmit, ID: req.ID, Src: o.src, Class: req.Class})
 	return nil
 }
 
-// OnElect implements Interceptor: the election's winner is counted and
-// the admit + elect transitions hit the trace (an elected request has,
-// by construction, cleared every admission screen before it).
-func (o *ObsInterceptor) OnElect(now float64, req Request, server string, _ estvec.List) {
+// OnElect implements Interceptor: the election's winner is counted.
+func (o *ObsInterceptor) OnElect(_ float64, _ Request, server string, _ estvec.List) {
 	o.electionCounter(server).Inc()
-	o.Tracer.Emit(obs.Event{T: now, Event: obs.EventAdmit, ID: req.ID, Src: o.src, Class: req.Class})
-	o.Tracer.Emit(obs.Event{T: now, Event: obs.EventElect, ID: req.ID, Src: o.src, Class: req.Class, Server: server})
 }
 
 // electionCounter resolves the per-server election counter through the
@@ -305,23 +288,16 @@ func (o *ObsInterceptor) OnComplete(rec RequestRecord) {
 		o.completions.Inc()
 		o.solveSec.Observe(rec.Finish - rec.Start)
 		o.energyReq.Observe(rec.EnergyJ)
-		o.Tracer.Emit(obs.Event{T: rec.Start, Event: obs.EventSolve, ID: rec.Req.ID, Src: o.src, Class: rec.Req.Class, Server: rec.Server})
-		o.Tracer.Emit(obs.Event{T: rec.Finish, Event: obs.EventComplete, ID: rec.Req.ID, Src: o.src, Class: rec.Req.Class,
-			Server: rec.Server, DurSec: rec.Finish - rec.Start, EnergyJ: rec.EnergyJ})
 	case errors.Is(rec.Err, ErrRejected):
 		o.rejections.Inc()
-		o.Tracer.Emit(obs.Event{T: rec.Finish, Event: obs.EventReject, ID: rec.Req.ID, Src: o.src, Class: rec.Req.Class, Err: rec.Err.Error()})
 	default:
 		o.failures.Inc()
-		o.Tracer.Emit(obs.Event{T: rec.Finish, Event: obs.EventFail, ID: rec.Req.ID, Src: o.src, Class: rec.Req.Class,
-			Server: rec.Server, Err: rec.Err.Error()})
 	}
 }
 
 // Rebook implements Rebooker: a journaled, settled outcome restored
 // after a restart counts as one request with its outcome — never as
-// in-flight, and without trace events (its lifecycle happened in a
-// previous incarnation; the tracer only records this one's).
+// in-flight.
 func (o *ObsInterceptor) Rebook(rec RequestRecord) {
 	o.requests.Inc()
 	switch {

@@ -2,7 +2,6 @@ package middleware
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -43,7 +42,6 @@ func TestObsInterceptorCountsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	obsIC := &ObsInterceptor{
-		Tracer: obs.NewTracer(io.Discard),
 		Labels: map[string]string{"transport": "inproc"},
 	}
 	m, err := NewMaster(
@@ -240,43 +238,5 @@ func TestMasterMetricsListener(t *testing.T) {
 		WithMetricsAddr("127.0.0.1:0"),
 	); err == nil {
 		t.Error("WithMetricsAddr without an ObsInterceptor accepted")
-	}
-}
-
-// TestObsInterceptorTraceSchema: the live path emits the documented
-// lifecycle sequence for one successful request.
-func TestObsInterceptorTraceSchema(t *testing.T) {
-	var sb strings.Builder
-	obsIC := &ObsInterceptor{Tracer: obs.NewTracer(&sb)}
-	m, err := NewMaster(
-		WithPolicy(sched.New(sched.Power)),
-		withSEDs(newSED(t, "only", 1, 2e9, 100)),
-		WithInterceptors(obsIC),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Do(context.Background(), Request{Service: "burn", Ops: 1e6}); err != nil {
-		t.Fatal(err)
-	}
-	events, err := obs.ReadEvents(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{obs.EventSubmit, obs.EventAdmit, obs.EventElect, obs.EventSolve, obs.EventComplete}
-	if len(events) != len(want) {
-		t.Fatalf("got %d events, want %d: %+v", len(events), len(want), events)
-	}
-	for i, ev := range events {
-		if ev.Event != want[i] {
-			t.Errorf("event %d = %s, want %s", i, ev.Event, want[i])
-		}
-		if ev.ID == 0 || ev.Src != "master" {
-			t.Errorf("event %d missing identity: %+v", i, ev)
-		}
-	}
-	last := events[len(events)-1]
-	if last.Server != "only" || last.EnergyJ <= 0 || last.DurSec <= 0 {
-		t.Errorf("complete event incomplete: %+v", last)
 	}
 }

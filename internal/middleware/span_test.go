@@ -11,6 +11,7 @@ import (
 
 	"greensched/internal/obs"
 	"greensched/internal/sched"
+	"greensched/internal/sla"
 )
 
 // readSpans parses a span stream back.
@@ -134,6 +135,64 @@ func TestSpanTreeStitchesAcrossTCP(t *testing.T) {
 		if elect := stages[obs.StageElect][0]; elect.Parent != root.SpanID {
 			t.Errorf("trace %d: elect parents under %d, want root %d", trace, elect.Parent, root.SpanID)
 		}
+	}
+}
+
+// TestSpanStreamCarriesLifecycle: the span stream alone tells each
+// request's story — the root names the request, its class and (on a
+// completion) its attributed energy, elect names the server, and a
+// refusal carries its reason on the admission span and the root.
+func TestSpanStreamCarriesLifecycle(t *testing.T) {
+	var buf bytes.Buffer
+	catalog := sla.Catalog{
+		"gold":   {Name: "gold", RelDeadlineSec: 60, ValueUSD: 2, Curve: sla.HardDrop{}},
+		"doomed": {Name: "doomed", RelDeadlineSec: 0.001, ValueUSD: 1, Curve: sla.HardDrop{}},
+	}
+	m, err := NewMaster(
+		WithPolicy(sched.New(sched.Power)),
+		withSEDs(newSED(t, "only", 1, 2e9, 100)),
+		WithInterceptors(&SLAInterceptor{
+			Config:    &sla.Config{Catalog: catalog, Admission: &sla.Admission{Margin: 1}},
+			BestFlops: 2e9, // ops 1e8 → best case 50ms ≫ the doomed 1ms deadline
+		}),
+		WithSpans(obs.NewSpanWriter(&buf)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Do(context.Background(), Request{ID: 7, Service: "burn", Ops: 1e6, Class: "gold"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Do(context.Background(), Request{ID: 8, Service: "burn", Ops: 1e8, Class: "doomed"}); !errors.Is(err, ErrRejected) {
+		t.Fatalf("doomed request: %v, want a rejection", err)
+	}
+	roots := map[string]obs.Span{}
+	stages := map[string]map[string]obs.Span{}
+	for _, tr := range spansByTrace(readSpans(t, &buf)) {
+		byName := map[string]obs.Span{}
+		var root obs.Span
+		for _, sp := range tr {
+			byName[sp.Name] = sp
+			if sp.Parent == 0 {
+				root = sp
+			}
+		}
+		roots[root.Attrs["id"]] = root
+		stages[root.Attrs["id"]] = byName
+	}
+	done, refused := roots["7"], roots["8"]
+	if done.Err != "" || done.Attrs["class"] != "gold" || done.Attrs["service"] != "burn" ||
+		done.Attrs["energy_j"] == "" || done.Attrs["energy_j"] == "0" {
+		t.Errorf("completed root = %+v", done)
+	}
+	if s := stages["7"][obs.StageElect].Attrs["server"]; s != "only" {
+		t.Errorf("elect span names server %q, want only", s)
+	}
+	if refused.Err == "" || refused.Attrs["class"] != "doomed" || refused.Attrs["energy_j"] != "" {
+		t.Errorf("rejected root = %+v", refused)
+	}
+	if adm := stages["8"][obs.StageAdmission]; adm.Err != refused.Err {
+		t.Errorf("admission span err %q, root err %q", adm.Err, refused.Err)
 	}
 }
 

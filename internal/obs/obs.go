@@ -1,8 +1,9 @@
 // Package obs is the fleet telemetry layer: a dependency-free,
 // concurrency-safe metric registry rendering the Prometheus text
 // exposition format, HTTP serving (metrics + pprof), a small exposition
-// parser for self-scraping tests, and a structured JSONL lifecycle
-// tracer shared by the live middleware and the simulator.
+// parser for self-scraping tests, and the request trace record: Span,
+// written as JSONL by the live middleware and the simulator alike and
+// read back by AnalyzeSpans.
 //
 // The paper's pitch is middleware-level green scheduling an operator
 // can run; everything the stack computes — ledger dollars, joules,

@@ -27,9 +27,24 @@ import (
 // the gob wire); otherwise the master reconstructs them from the
 // timings the Response carries back, so the tree is complete even when
 // the SED-side stream is unavailable (or the transport is one-way).
+// A carbon-deferred request's parked time is its admission span.
+//
+// A simulated task's tree (sim.TraceModule) is flat, on virtual time:
+//
+//	submit
+//	├─ admission            zero-length; the refusal reason on a reject
+//	├─ park                 no server would accept the task yet
+//	├─ elect                zero-length
+//	├─ queue                waiting on the elected SED
+//	└─ solve                execution; a crash ends it with an error
+//
+// On both substrates the root carries the request's "id", "class" and,
+// on a completion, its attributed "energy_j" as attributes, elect the
+// "server", and a rejected or failed request the reason as Err.
 const (
 	StageSubmit    = "submit"
 	StageAdmission = "admission"
+	StagePark      = "park"
 	StageElect     = "elect"
 	StageEstimate  = "estimate"
 	StageDial      = "dial"
@@ -92,8 +107,7 @@ func Uptime() float64 { return time.Since(epoch).Seconds() }
 
 // SpanWriter writes spans as JSON Lines, one object per span, safe for
 // concurrent emitters. A nil *SpanWriter is a valid no-op, so call
-// sites thread an optional writer without guarding — the same contract
-// as Tracer.
+// sites thread an optional writer without guarding.
 type SpanWriter struct {
 	mu  sync.Mutex
 	enc *json.Encoder

@@ -61,7 +61,7 @@ const OtherStage = "(other)"
 // lifecycle order; unknown stages sort after, alphabetically.
 func stageRank(stage string) int {
 	order := []string{
-		StageSubmit, StageAdmission, StageElect,
+		StageSubmit, StageAdmission, StagePark, StageElect,
 		StageEstimate, StageDial, StageEncode, StageDecode,
 		StageDispatch, StageQueue, StageSolve, StageReply,
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -128,4 +129,36 @@ func TestSpanReportGolden(t *testing.T) {
 	if buf.String() != string(want) {
 		t.Errorf("render drifted from golden:\n--- got ---\n%s--- want ---\n%s", buf.String(), want)
 	}
+}
+
+// FuzzAnalyzeSpans feeds arbitrary bytes through the `greensched spans`
+// pipeline — ReadSpans, AnalyzeSpans, Render — which reads files other
+// processes wrote: no input may panic it, and every span decoded before
+// any error is counted in exactly one stage's statistics. Tier-1 runs
+// only the seed corpus.
+func FuzzAnalyzeSpans(f *testing.F) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "spans.jsonl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture)
+	f.Add([]byte(`{"trace":1,"span":1,"name":"submit","dur_sec":2}` + "\n" +
+		`{"trace":1,"span":2,"parent":1,"name":"park","dur_sec":1.5}` + "\n" +
+		`{"trace":1,"span":3,"parent":3,"name":"solve","dur_sec":-1,"err":"x"}`))
+	f.Add([]byte(`{"trace":0,"span":0,"parent":0,"name":"","dur_sec":1e308}{"trace":0,"span":0,"name":""}`))
+	f.Add([]byte(`{"trace":7,"span":1,"parent":9,"name":"queue","attrs":{"a":""}}` + "\nnot json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spans, _ := ReadSpans(bytes.NewReader(data)) // a decode error keeps the good prefix
+		rep := AnalyzeSpans(spans)
+		counted := 0
+		for _, st := range rep.Stages {
+			counted += st.Count
+		}
+		if counted != len(spans) {
+			t.Fatalf("stages count %d spans, %d decoded", counted, len(spans))
+		}
+		if err := rep.Render(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

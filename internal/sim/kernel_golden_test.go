@@ -26,8 +26,8 @@ import (
 )
 
 // The kernel's recorded oracle: each scenario's full sim.Result
-// (records from a stacked RecordModule, power series, rejections and
-// ledger included) must encode
+// (records from a stacked RecordModule, rejections and ledger
+// included) must encode
 // to JSON whose sha256 matches testdata/kernel.golden.json. The digests
 // were cut while a second, independent kernel (one arrival event per
 // task, sort-based wait estimates) still ran beside this one, byte-equal
@@ -54,53 +54,59 @@ type kernelGolden struct {
 // waiting on its SED (a queue discipline overtaking FIFO), and
 // peakQueue is the deepest single-SED backlog seen.
 type kernelCoverage struct {
-	crashes, preemptions, rejections, series, bypass, direct int
-	nonHead, peakQueue                                       int
+	crashes, preemptions, rejections, bypass, direct int
+	nonHead, peakQueue                               int
 }
 
-// queueWatch replays each SED's backlog from the lifecycle stream —
+// queueWatch replays each SED's backlog from the stage reports —
 // elect appends, solve removes — and counts the solves that dequeued a
 // task from behind the head of its SED's queue.
 type queueWatch struct {
 	sim.BaseModule
 	cov     *kernelCoverage
-	waiting map[string][]uint64 // server → elected, unstarted task IDs in election order
-	at      map[uint64]string   // task ID → the server it waits on
-	last    obs.Event
+	waiting map[string][]int // server → elected, unstarted task IDs in election order
+	at      map[int]string   // task ID → the server it waits on
+	// elected is the task whose election was the last report, or -1.
+	elected int
 }
 
 // Init implements sim.Module.
 func (w *queueWatch) Init(*sim.Runner) error {
-	w.waiting = map[string][]uint64{}
-	w.at = map[uint64]string{}
-	w.last = obs.Event{}
+	w.waiting = map[string][]int{}
+	w.at = map[int]string{}
+	w.elected = -1
 	return nil
 }
 
-// OnLifecycle implements sim.LifecycleObserver.
-func (w *queueWatch) OnLifecycle(ev obs.Event) {
-	switch ev.Event {
-	case obs.EventElect:
+// OnStage implements sim.LifecycleObserver.
+func (w *queueWatch) OnStage(_ float64, t workload.Task, stage, server, err string) {
+	elected := -1
+	switch {
+	case err != "":
+	case stage == obs.StageElect:
 		// A crash-migrated queued task is elected again elsewhere.
-		if s, ok := w.at[ev.ID]; ok {
-			w.drop(s, ev.ID)
+		if s, ok := w.at[t.ID]; ok {
+			w.drop(s, t.ID)
 		}
-		w.waiting[ev.Server] = append(w.waiting[ev.Server], ev.ID)
-		w.at[ev.ID] = ev.Server
-		w.cov.peakQueue = max(w.cov.peakQueue, len(w.waiting[ev.Server]))
-	case obs.EventSolve:
+		w.waiting[server] = append(w.waiting[server], t.ID)
+		w.at[t.ID] = server
+		w.cov.peakQueue = max(w.cov.peakQueue, len(w.waiting[server]))
+		elected = t.ID
+	case stage == obs.StageSolve:
 		// A solve straight after its own election started in a free (or
 		// preempted) slot without queueing.
-		queued := !(w.last.Event == obs.EventElect && w.last.ID == ev.ID)
-		if i := w.drop(ev.Server, ev.ID); queued && i > 0 {
+		if i := w.drop(server, t.ID); w.elected != t.ID && i > 0 {
 			w.cov.nonHead++
 		}
 	}
-	w.last = ev
+	w.elected = elected
 }
 
+// OnFinish implements sim.Module.
+func (w *queueWatch) OnFinish(sim.TaskRecord) { w.elected = -1 }
+
 // drop removes id from server's backlog and returns where it stood.
-func (w *queueWatch) drop(server string, id uint64) int {
+func (w *queueWatch) drop(server string, id int) int {
 	q := w.waiting[server]
 	for i, x := range q {
 		if x == id {
@@ -274,7 +280,6 @@ func kernelScenarios() []kernelScenario {
 				ExecJitter:  0.05,
 				Contention:  0.2,
 				MeterNoiseW: 3,
-				SampleEvery: 30,
 			}
 		}},
 		{"random-policy", func(t *testing.T, _ *kernelCoverage) sim.Config {
@@ -398,7 +403,6 @@ func TestKernelGolden(t *testing.T) {
 			cov.crashes += res.Crashed
 			cov.preemptions += res.Preemptions
 			cov.rejections += res.Rejected
-			cov.series += len(res.Series)
 			if compare && golden.Digests[sc.name] != digest {
 				t.Errorf("Result digest %s, golden %s", digest, golden.Digests[sc.name])
 			}
@@ -409,7 +413,7 @@ func TestKernelGolden(t *testing.T) {
 	}
 	for name, c := range map[string]int{
 		"crashes": cov.crashes, "preemptions": cov.preemptions, "admission rejections": cov.rejections,
-		"power samples": cov.series, "bypass elections": cov.bypass, "non-bypass SLA elections": cov.direct,
+		"bypass elections": cov.bypass, "non-bypass SLA elections": cov.direct,
 		"non-head dequeues": cov.nonHead,
 	} {
 		if c == 0 {

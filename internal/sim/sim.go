@@ -94,10 +94,6 @@ type Config struct {
 	// stack order; see Module.
 	Modules []Module
 
-	// SampleEvery records a platform power sample every so many
-	// seconds (0 disables the series).
-	SampleEvery float64
-
 	// ControlEvery is the tick cadence of every module's OnTick, in
 	// virtual seconds; 0 disables ticks.
 	ControlEvery float64
@@ -180,12 +176,6 @@ type Rejection struct {
 	At       float64 // submission (decision) time
 }
 
-// Point is one sample of the platform power series.
-type Point struct {
-	T float64
-	W float64 // aggregate instantaneous draw
-}
-
 // Result aggregates one run.
 type Result struct {
 	Policy   string
@@ -208,7 +198,6 @@ type Result struct {
 	// kernel does not keep them: it stays nil unless a RecordModule is
 	// stacked.
 	Records []TaskRecord
-	Series  []Point
 
 	Completed int
 	Crashed   int // running task executions lost to crashes (each resubmitted)
@@ -429,13 +418,11 @@ type pendingTask struct {
 	task      workload.Task
 	resubmits int
 	// waiting marks a task already counted in Runner.unplaced while it
-	// retries election; parkedAt is when it started waiting (the defer
-	// lifecycle event's park time). removed marks a tombstoned queue
-	// slot (see sedState.queue); it shares waiting's padding word, so
-	// the arena entry does not grow.
-	waiting  bool
-	removed  bool
-	parkedAt float64
+	// retries election. removed marks a tombstoned queue slot (see
+	// sedState.queue); it shares waiting's padding word, so the arena
+	// entry does not grow.
+	waiting bool
+	removed bool
 
 	// admitted marks a task that already passed the admission screen
 	// (a queued task migrating off a crashed node): it must never be
@@ -838,7 +825,6 @@ const (
 	evPending                // ref: a slot in Runner.pend (retry, crash resubmission, preemption restart)
 	evCrash                  // ref: SED index
 	evBootDone               // ref: SED index
-	evSample                 // power series sample, every Config.SampleEvery
 	evTick                   // module control tick, every Config.ControlEvery
 )
 
@@ -853,7 +839,7 @@ type Runner struct {
 	res   *Result
 
 	// lobs caches the stack's LifecycleObserver implementations; empty
-	// for most runs, so emitting costs one nil-slice check.
+	// for most runs, so reporting a stage costs one nil-slice check.
 	lobs []LifecycleObserver
 	// feeders caches the stack's Feeder implementations and fed counts
 	// the tasks they submitted.
@@ -988,10 +974,11 @@ func (r *Runner) feed(now float64) {
 	}
 }
 
-// emit fans one lifecycle event out to the stack's observers.
-func (r *Runner) emit(ev obs.Event) {
+// stage tells the stack's observers that t entered a stage (see
+// LifecycleObserver).
+func (r *Runner) stage(now float64, t workload.Task, stage, server, err string) {
 	for _, o := range r.lobs {
-		o.OnLifecycle(ev)
+		o.OnStage(now, t, stage, server, err)
 	}
 }
 
@@ -1025,9 +1012,6 @@ func (r *Runner) Run() (*Result, error) {
 			return nil, fmt.Errorf("sim: crash configured for unknown node %q", name)
 		}
 		r.q.Push(at, event{kind: evCrash, ref: int32(idx)})
-	}
-	if r.cfg.SampleEvery > 0 {
-		r.after(r.cfg.SampleEvery, event{kind: evSample})
 	}
 	if r.cfg.ControlEvery > 0 && len(r.cfg.Modules) > 0 {
 		r.after(r.cfg.ControlEvery, event{kind: evTick})
@@ -1089,8 +1073,6 @@ func (r *Runner) step() {
 		r.onCrash(now, r.seds[ev.ref])
 	case evBootDone:
 		r.onBootDone(now, r.seds[ev.ref])
-	case evSample:
-		r.onSample(now)
 	case evTick:
 		r.onTick(now)
 	}
@@ -1099,7 +1081,7 @@ func (r *Runner) step() {
 // scheduleArrivals arms the arrival cursor at the i-th arrival's
 // submit time. The cursor is a front-class event
 // (simtime.Queue.PushFront): tasks submitted at t arrive before any
-// crash, retry, resubmission, sample, tick or finish at t runs, however
+// crash, retry, resubmission, tick or finish at t runs, however
 // early that event was scheduled.
 func (r *Runner) scheduleArrivals(i int) {
 	if i < len(r.arrivals) {
@@ -1132,10 +1114,9 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 			m.OnArrival(now, &r.arrival)
 		}
 		p.task = r.arrival
-		// The submit event carries post-OnArrival state, so class
-		// mutations are visible on the trace exactly as they reach
-		// admission below.
-		r.emit(obs.Event{T: now, Event: obs.EventSubmit, ID: uint64(p.task.ID), Class: p.task.Class})
+		// Observers see post-OnArrival state, so class mutations show on
+		// the trace exactly as they reach admission below.
+		r.stage(now, p.task, obs.StageSubmit, "", "")
 		if r.sla != nil {
 			// Re-resolve the task's terms so OnArrival mutations
 			// (class, deadline, value) reach admission, the ledger and
@@ -1151,11 +1132,10 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 				r.res.Rejections = append(r.res.Rejections, Rejection{
 					ID: p.task.ID, Class: terms.Class, ValueUSD: terms.ValueUSD, At: now,
 				})
-				r.emit(obs.Event{T: now, Event: obs.EventReject, ID: uint64(p.task.ID), Class: terms.Class, Err: "admission: best case earns nothing"})
+				r.stage(now, p.task, obs.StageAdmission, "", "admission: best case earns nothing")
 				return
 			}
 		}
-		r.emit(obs.Event{T: now, Event: obs.EventAdmit, ID: uint64(p.task.ID), Class: p.task.Class})
 	}
 	// SLA express lane: deadline-carrying tasks may bypass candidacy
 	// windows (controllers defer only deferrable work through them).
@@ -1191,9 +1171,9 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 		// never hit this. Count it once so controllers see the backlog.
 		if !p.waiting {
 			p.waiting = true
-			p.parkedAt = now
 			r.unplaced++
 			r.waiting[p.task.ID] = p.task
+			r.stage(now, p.task, obs.StagePark, "", "")
 		}
 		r.requeue(r.cfg.RetryEvery, p)
 		return
@@ -1202,12 +1182,8 @@ func (r *Runner) onArrival(now float64, p pendingTask) {
 		p.waiting = false
 		r.unplaced--
 		delete(r.waiting, p.task.ID)
-		// Placed after waiting out closed windows / powered-off nodes:
-		// the sim spelling of the live carbon deferral, emitted at
-		// release with the parked duration, like the live path.
-		r.emit(obs.Event{T: now, Event: obs.EventDefer, ID: uint64(p.task.ID), Class: p.task.Class, DurSec: now - p.parkedAt})
 	}
-	r.emit(obs.Event{T: now, Event: obs.EventElect, ID: uint64(p.task.ID), Class: p.task.Class, Server: chosen.Server})
+	r.stage(now, p.task, obs.StageElect, chosen.Server, "")
 	sed := r.seds[r.cfg.Platform.Find(chosen.Server)]
 	switch {
 	case sed.freeSlots() > 0:
@@ -1275,7 +1251,7 @@ func (r *Runner) startTask(now float64, sed *sedState, p pendingTask) {
 	r.q.Push(rt.finishAt, event{kind: evFinish, ref: rt.slot, gen: rt.gen})
 	sed.running = append(sed.running, rt)
 	sed.bumpWait()
-	r.emit(obs.Event{T: now, Event: obs.EventSolve, ID: uint64(p.task.ID), Class: p.task.Class, Server: sed.node.Spec.Name})
+	r.stage(now, p.task, obs.StageSolve, sed.node.Spec.Name, "")
 }
 
 // newRunning takes a free runningTask slot or allocates a new one.
@@ -1365,10 +1341,6 @@ func (r *Runner) onFinish(now float64, rt *runningTask) {
 	}
 	r.res.waitSum += rec.Wait()
 	r.res.Completed++
-	r.emit(obs.Event{
-		T: now, Event: obs.EventComplete, ID: uint64(rec.ID), Class: rec.Class,
-		Server: rec.Server, DurSec: exec, EnergyJ: rec.EnergyShareJ,
-	})
 	for _, m := range r.cfg.Modules {
 		m.OnFinish(rec)
 	}
@@ -1436,10 +1408,10 @@ func (r *Runner) onCrash(now float64, sed *sedState) {
 	sed.running = sed.running[:0]
 	sed.bumpWait()
 	// Lost executions fail on the trace in ID order — the running set's
-	// order must not leak into the event stream.
+	// order must not leak into it.
 	sort.Slice(lost, func(i, j int) bool { return lost[i].task.ID < lost[j].task.ID })
 	for _, p := range lost {
-		r.emit(obs.Event{T: now, Event: obs.EventFail, ID: uint64(p.task.ID), Class: p.task.Class, Server: sed.node.Spec.Name, Err: "node crash"})
+		r.stage(now, p.task, obs.StageSolve, sed.node.Spec.Name, "node crash")
 	}
 	r.res.Crashed += len(lost)
 	for _, p := range sed.queued() {
@@ -1458,18 +1430,6 @@ func (r *Runner) onCrash(now float64, sed *sedState) {
 	sort.Slice(lost, func(i, j int) bool { return lost[i].task.ID < lost[j].task.ID })
 	for _, p := range lost {
 		r.requeue(0, p)
-	}
-}
-
-func (r *Runner) onSample(now float64) {
-	total := 0.0
-	for _, sed := range r.seds {
-		total += sed.node.Power()
-	}
-	r.res.Series = append(r.res.Series, Point{T: now, W: total})
-	// Keep sampling while work remains.
-	if r.resolved() < r.submitted() {
-		r.after(r.cfg.SampleEvery, event{kind: evSample})
 	}
 }
 

@@ -326,33 +326,6 @@ func TestCrashUnknownNodeRejected(t *testing.T) {
 	}
 }
 
-func TestSeriesSampling(t *testing.T) {
-	res, err := Run(Config{
-		Platform:    smallPlatform(),
-		Policy:      sched.New(sched.Power),
-		Tasks:       tasks(40, 2e11, 2),
-		Explore:     true,
-		Seed:        9,
-		SampleEvery: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Series) < 2 {
-		t.Fatalf("series too short: %d", len(res.Series))
-	}
-	idle, peak := 0.0, 0.0
-	for _, n := range smallPlatform().Nodes {
-		idle += n.IdleW
-		peak += n.PeakW
-	}
-	for _, pt := range res.Series {
-		if pt.W < idle-1e-9 || pt.W > peak+1e-9 {
-			t.Fatalf("sample %v W outside [%v,%v]", pt.W, idle, peak)
-		}
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	good := Config{Platform: smallPlatform(), Policy: sched.New(sched.Power), Tasks: tasks(2, 1e9, 1)}
 	if _, err := NewRunner(good); err != nil {

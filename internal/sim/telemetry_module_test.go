@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"encoding/csv"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -10,20 +13,20 @@ import (
 
 // TestTelemetryModuleSeries: the per-tick series is present, headered,
 // and physically sensible — work shows up in the queued/running/watts
-// columns, the CO2 rate prices the draw with the profile's intensity.
+// columns, the fleet's draw stays within its idle and peak sums, and
+// the CO2 rate prices the draw with the profile's intensity.
 func TestTelemetryModuleSeries(t *testing.T) {
 	var sb strings.Builder
-	tm := &TelemetryModule{
-		W:       &sb,
-		Profile: carbon.MustProfile(carbon.SiteProfile{Site: "grid", Signal: carbon.Constant{G: 300}}),
-	}
 	res, err := Run(Config{
 		Platform:     smallPlatform(),
 		Policy:       sched.New(sched.Power),
 		Tasks:        tasks(30, 1e11, 2),
 		Seed:         1,
 		ControlEvery: 1,
-		Modules:      []Module{tm},
+		Modules: []Module{&TelemetryModule{
+			W:       &sb,
+			Profile: carbon.MustProfile(carbon.SiteProfile{Site: "grid", Signal: carbon.Constant{G: 300}}),
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,35 +34,45 @@ func TestTelemetryModuleSeries(t *testing.T) {
 	if res.Completed != 30 {
 		t.Fatalf("completed %d, want 30", res.Completed)
 	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if lines[0] != "t,queued,unplaced,running,powered,watts,co2_g_per_sec" {
-		t.Fatalf("header = %q", lines[0])
+	rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(lines)-1 != len(tm.Samples) {
-		t.Fatalf("%d rows for %d samples", len(lines)-1, len(tm.Samples))
+	if strings.Join(rows[0], ",") != "t,queued,unplaced,running,powered,watts,co2_g_per_sec" {
+		t.Fatalf("header = %q", rows[0])
 	}
-	if len(tm.Samples) == 0 {
+	if len(rows) < 2 {
 		t.Fatal("no samples for a run with ControlEvery set")
 	}
-	sawWork, sawCO2 := false, false
-	for i, s := range tm.Samples {
-		if i > 0 && s.T <= tm.Samples[i-1].T {
-			t.Fatalf("sample times not increasing: %v after %v", s.T, tm.Samples[i-1].T)
-		}
-		if s.Running > 0 || s.Queued > 0 {
-			sawWork = true
-		}
-		if s.CO2Rate > 0 {
-			sawCO2 = true
-			// g/s must equal W·G/3.6e6 within float noise.
-			want := s.Watts * 300 / 3.6e6
-			if diff := s.CO2Rate - want; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("co2 rate %v for %v W, want %v", s.CO2Rate, s.Watts, want)
+	idle, peak := 0.0, 0.0
+	for _, n := range smallPlatform().Nodes {
+		idle += n.IdleW
+		peak += n.PeakW
+	}
+	sawWork, prevT := false, 0.0
+	for i, row := range rows[1:] {
+		var v [7]float64
+		for j := range v {
+			if v[j], err = strconv.ParseFloat(row[j], 64); err != nil {
+				t.Fatalf("row %d: %v", i, err)
 			}
 		}
+		tick, queued, running, watts, co2 := v[0], v[1], v[3], v[5], v[6]
+		if i > 0 && tick <= prevT {
+			t.Fatalf("sample times not increasing: %v after %v", tick, prevT)
+		}
+		prevT = tick
+		sawWork = sawWork || running > 0 || queued > 0
+		if watts < idle-1e-9 || watts > peak+1e-9 {
+			t.Fatalf("row %d: %v W outside [%v, %v]", i, watts, idle, peak)
+		}
+		// g/s must equal W·G/3.6e6 within float noise.
+		if want := watts * 300 / 3.6e6; math.Abs(co2-want) > 1e-9 {
+			t.Fatalf("co2 rate %v for %v W, want %v", co2, watts, want)
+		}
 	}
-	if !sawWork || !sawCO2 {
-		t.Fatalf("degenerate series: sawWork=%v sawCO2=%v", sawWork, sawCO2)
+	if !sawWork {
+		t.Fatal("degenerate series: no queued or running work")
 	}
 }
 
@@ -99,5 +112,23 @@ func TestTelemetryModuleConfig(t *testing.T) {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: misconfigured telemetry module accepted", name)
 		}
+	}
+}
+
+// TestTelemetryModuleRefusedWritesNothing: a run refused for want of
+// ticks leaves the caller's writer untouched.
+func TestTelemetryModuleRefusedWritesNothing(t *testing.T) {
+	var sb strings.Builder
+	_, err := Run(Config{
+		Platform: smallPlatform(),
+		Policy:   sched.New(sched.Power),
+		Tasks:    tasks(1, 1e10, 1),
+		Modules:  []Module{&TelemetryModule{W: &sb}},
+	})
+	if err == nil {
+		t.Fatal("tickless telemetry run accepted")
+	}
+	if sb.Len() != 0 {
+		t.Fatalf("refused run wrote %q", sb.String())
 	}
 }

@@ -295,7 +295,6 @@ func TestEveryInternalPackageIsReachable(t *testing.T) {
 var allowed = map[string]string{
 	"middleware.SED.SetActive": "N11 drains a SED before shutdown",
 	"sim.Config.Crashes":       "N2 decides the fate of crash injection",
-	"sim.Config.SampleEvery":   "N8 moves Result.Series, which every TestKernelGolden digest hashes",
 }
 
 // TestEveryInternalDeclarationIsReachable flags each func, type, var,
