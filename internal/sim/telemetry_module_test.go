@@ -13,8 +13,7 @@ import (
 
 // TestTelemetryModuleSeries: the per-tick series is present, headered,
 // and physically sensible — work shows up in the queued/running/watts
-// columns, the fleet's draw stays within its idle and peak sums, and
-// the CO2 rate prices the draw with the profile's intensity.
+// columns, and the CO2 rate prices the draw with the profile's intensity.
 func TestTelemetryModuleSeries(t *testing.T) {
 	var sb strings.Builder
 	res, err := Run(Config{
@@ -44,11 +43,6 @@ func TestTelemetryModuleSeries(t *testing.T) {
 	if len(rows) < 2 {
 		t.Fatal("no samples for a run with ControlEvery set")
 	}
-	idle, peak := 0.0, 0.0
-	for _, n := range smallPlatform().Nodes {
-		idle += n.IdleW
-		peak += n.PeakW
-	}
 	sawWork, prevT := false, 0.0
 	for i, row := range rows[1:] {
 		var v [7]float64
@@ -63,9 +57,6 @@ func TestTelemetryModuleSeries(t *testing.T) {
 		}
 		prevT = tick
 		sawWork = sawWork || running > 0 || queued > 0
-		if watts < idle-1e-9 || watts > peak+1e-9 {
-			t.Fatalf("row %d: %v W outside [%v, %v]", i, watts, idle, peak)
-		}
 		// g/s must equal W·G/3.6e6 within float noise.
 		if want := watts * 300 / 3.6e6; math.Abs(co2-want) > 1e-9 {
 			t.Fatalf("co2 rate %v for %v W, want %v", co2, watts, want)
@@ -73,6 +64,45 @@ func TestTelemetryModuleSeries(t *testing.T) {
 	}
 	if !sawWork {
 		t.Fatal("degenerate series: no queued or running work")
+	}
+}
+
+// TestSeriesSampling: the fleet's sampled draw never leaves the band
+// between the sum of the nodes' idle watts and the sum of their peaks.
+func TestSeriesSampling(t *testing.T) {
+	var sb strings.Builder
+	_, err := Run(Config{
+		Platform:     smallPlatform(),
+		Policy:       sched.New(sched.Power),
+		Tasks:        tasks(40, 2e11, 2),
+		Explore:      true,
+		Seed:         9,
+		ControlEvery: 5,
+		Modules:      []Module{&TelemetryModule{W: &sb}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) < 3 {
+		t.Fatalf("series too short: %d samples", len(rows)-1)
+	}
+	idle, peak := 0.0, 0.0
+	for _, n := range smallPlatform().Nodes {
+		idle += n.IdleW
+		peak += n.PeakW
+	}
+	for i, row := range rows[1:] {
+		w, err := strconv.ParseFloat(row[5], 64)
+		if err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		if w < idle-1e-9 || w > peak+1e-9 {
+			t.Fatalf("sample %v W outside [%v,%v]", w, idle, peak)
+		}
 	}
 }
 
